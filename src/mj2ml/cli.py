@@ -4,12 +4,13 @@ Subcommands:
   translate  MiniJava in, Standard ML text out
   run-mj     run the source program on the reference interpreter
   run-ml     translate, then run the result on the ML evaluator
-  diff       run files both ways and report a comparison table
+  diff       run .java files and directories of them both ways, compare
   check      same comparison over freshly generated random programs
   generate   print one generated random program
 
 Exit codes: 0 success, 1 lexing/parsing error, 2 type error, 3 runtime
-fault (or a failed comparison), 4 I/O error, 5 fuel exhausted.
+fault (or a failed comparison), 4 I/O error (including a `diff`
+directory with no .java file), 5 fuel exhausted.
 Diagnostics go to stderr as `<file>:<line>:<col>: <message>`; runtime
 faults as `fault: <kind> at <line>:<col>` (the ML side has no source
 positions, so its faults carry none).
@@ -119,7 +120,10 @@ def _collect_java_files(paths: list[str]) -> list[Path]:
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            files.extend(sorted(path.glob("*.java")))
+            found = sorted(path.glob("*.java"))
+            if not found:
+                raise _CliError(EXIT_IO, f"no .java files under {path}")
+            files.extend(found)
         else:
             files.append(path)
     return files
@@ -127,11 +131,6 @@ def _collect_java_files(paths: list[str]) -> list[Path]:
 
 def cmd_diff(args: argparse.Namespace) -> int:
     results = diff_files(_collect_java_files(args.paths), fuel=args.fuel)
-    if args.count:
-        seeds = list(range(args.seed, args.seed + args.count))
-        results = sorted(results + diff_generated(seeds, size=args.size,
-                                                  fuel=args.fuel),
-                         key=lambda r: r.name)
     sys.stdout.write(render_report(results))
     return EXIT_OK if all_passing(results) else EXIT_FAULT
 
@@ -163,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="emit the Standard ML translation")
     p.add_argument("file")
     p.add_argument("-o", "--out", default=None, help="write here instead of stdout")
-    p.add_argument("--heap-encoding", choices=["assoc"], default="assoc",
-                   help="store representation (association list is the only one)")
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("run-mj", help="interpret the MiniJava program")
@@ -180,11 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff", help="run both ways and compare")
     p.add_argument("paths", nargs="+",
                    help=".java files or directories containing them")
-    p.add_argument("--count", type=int, default=0,
-                   help="also compare this many generated programs")
-    p.add_argument("--seed", type=int, default=0,
-                   help="first seed for --count generated programs")
-    p.add_argument("--size", type=int, default=40)
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     p.set_defaults(func=cmd_diff)
 

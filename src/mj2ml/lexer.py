@@ -62,8 +62,8 @@ def tokenize(source: str) -> list[Token]:
     """Split MiniJava source text into tokens.
 
     Raises LexError (with position) on any character outside the lexical
-    grammar, on unterminated block comments, and on integer literals
-    beyond the 63-bit signed range.
+    grammar (digits and letters are ASCII only), on unterminated block
+    comments, and on integer literals beyond the 63-bit signed range.
     """
     tokens: list[Token] = []
     i = 0
@@ -99,10 +99,10 @@ def tokenize(source: str) -> list[Token]:
                 raise LexError(start, "unterminated block comment")
             advance(2)
             continue
-        if ch.isdigit():
+        if ch.isascii() and ch.isdigit():
             start_line, start_col = line, col
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isascii() and source[j].isdigit():
                 j += 1
             lexeme = source[i:j]
             if int(lexeme) > INT_MAX:
@@ -111,10 +111,11 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token(TokenKind.INT, lexeme, start_line, start_col))
             advance(j - i)
             continue
-        if ch.isalpha():
+        if ch.isascii() and ch.isalpha():
             start_line, start_col = line, col
             j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
+            while j < n and source[j].isascii() and (source[j].isalnum()
+                                                     or source[j] == "_"):
                 j += 1
             lexeme = source[i:j]
             kind = TokenKind.KEYWORD if lexeme in KEYWORDS else TokenKind.IDENT

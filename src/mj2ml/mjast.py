@@ -15,7 +15,7 @@ fields carry ``compare=False``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Iterator, Optional
 
 # Integer semantics shared by both interpreters: 63-bit signed range.
@@ -284,59 +284,16 @@ class MjProgram:
 # ---------------------------------------------------------------------------
 # Generic traversal
 
-def child_nodes(node) -> Iterator:
-    """Yield the direct AST children of a node (decls, stmts, exprs)."""
-    if isinstance(node, MjProgram):
-        yield node.main
-        yield from node.classes
-    elif isinstance(node, MainClass):
-        yield from node.body
-    elif isinstance(node, ClassDecl):
-        yield from node.fields
-        yield from node.methods
-    elif isinstance(node, MethodDecl):
-        yield from node.formals
-        yield from node.local_vars
-        yield from node.body
-        yield node.return_expr
-    elif isinstance(node, BlockStmt):
-        yield from node.body
-    elif isinstance(node, IfStmt):
-        yield node.cond
-        yield node.then_branch
-        yield node.else_branch
-    elif isinstance(node, WhileStmt):
-        yield node.cond
-        yield node.body
-    elif isinstance(node, PrintStmt):
-        yield node.value
-    elif isinstance(node, AssignStmt):
-        yield node.value
-    elif isinstance(node, ArrayAssignStmt):
-        yield node.index
-        yield node.value
-    elif isinstance(node, (AndExpr, LessExpr, PlusExpr, MinusExpr, TimesExpr)):
-        yield node.left
-        yield node.right
-    elif isinstance(node, NotExpr):
-        yield node.operand
-    elif isinstance(node, ArrayIndexExpr):
-        yield node.array
-        yield node.index
-    elif isinstance(node, ArrayLengthExpr):
-        yield node.array
-    elif isinstance(node, CallExpr):
-        yield node.receiver
-        yield from node.args
-    elif isinstance(node, NewArrayExpr):
-        yield node.length
-
-
 def walk(node) -> Iterator:
-    """Yield node and every descendant, preorder."""
+    """Yield node and every descendant, preorder.  The children of a node
+    are its compared fields (list fields item by item), types excluded."""
     yield node
-    for child in child_nodes(node):
-        yield from walk(child)
+    for f in fields(node):
+        if f.compare:
+            value = getattr(node, f.name)
+            for child in value if isinstance(value, list) else (value,):
+                if is_dataclass(child) and not isinstance(child, MjType):
+                    yield from walk(child)
 
 
 # ---------------------------------------------------------------------------

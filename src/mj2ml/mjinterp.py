@@ -188,11 +188,11 @@ class _Interp:
             recv = self.eval(e.receiver, env, this)
             args = [self.eval(a, env, this) for a in e.args]
             obj = self._deref_object(recv, pos)
-            return self.call(obj.class_name, e.method, recv, args, pos)
+            return self.call(obj.class_name, e.method, recv, args)
         raise AssertionError(f"unhandled expression {type(e).__name__}")
 
     def call(self, dynamic_class: str, method: str, receiver: int,
-             args: list[object], pos: Pos) -> object:
+             args: list[object]) -> object:
         found = self.table.lookup_method(dynamic_class, method)
         assert found is not None
         _, decl = found

@@ -1,7 +1,7 @@
 """Core ML abstract syntax, plus the well-formedness validator.
 
 The expression language is a small pure subset of Standard ML: tuples,
-datatype constructors, primitive integer operators, let/letfun, lambdas,
+datatype constructors, primitive integer operators, let/letfun,
 application, conditionals and pattern matching.  There are no refs,
 exceptions, strings, or records.  Booleans are the usual constructors
 ``true``/``false``; lists and options use the builtin ``nil``/``::``/
@@ -64,11 +64,6 @@ class PVar(Pat):
 @dataclass(frozen=True)
 class PWild(Pat):
     pass
-
-
-@dataclass(frozen=True)
-class PInt(Pat):
-    value: int
 
 
 @dataclass(frozen=True)
@@ -145,12 +140,6 @@ class LetFun(MlExpr):
 
 
 @dataclass(frozen=True)
-class Fn(MlExpr):
-    param: Pat
-    body: MlExpr
-
-
-@dataclass(frozen=True)
 class App(MlExpr):
     func: MlExpr
     arg: MlExpr
@@ -167,12 +156,10 @@ class Case(MlExpr):
 @dataclass(frozen=True)
 class DataCon:
     name: str
-    arg: MlType | None = None
+    arg: MlType
 
     @property
     def arity(self) -> int:
-        if self.arg is None:
-            return 0
         if isinstance(self.arg, TyTuple):
             return len(self.arg.items)
         return 1
@@ -236,8 +223,6 @@ class _Validator:
                 self.flag(path, f"duplicate variable '{pat.name}' in pattern")
             seen.add(pat.name)
         elif isinstance(pat, PWild):
-            pass
-        elif isinstance(pat, PInt):
             pass
         elif isinstance(pat, PTuple):
             if len(pat.items) == 1:
@@ -304,10 +289,6 @@ class _Validator:
                 self.pattern_vars(f.param, f"{path}/fun {f.name}/param", bound)
                 self.expr(f.body, inner | bound, f"{path}/fun {f.name}")
             self.expr(e.body, inner, f"{path}/letfun-body")
-        elif isinstance(e, Fn):
-            bound = set()
-            self.pattern_vars(e.param, f"{path}/fn-param", bound)
-            self.expr(e.body, env | bound, f"{path}/fn-body")
         elif isinstance(e, App):
             self.expr(e.func, env, f"{path}/app-fn")
             self.expr(e.arg, env, f"{path}/app-arg")

@@ -1,10 +1,12 @@
 """Evaluator for the core ML fragment.
 
 Values are Python ints and bools, tuples for ML tuples, `VCon` for
-datatype values, and closures.  Environments are dicts extended by
-copying, so closures capture their defining scope and later bindings
-never leak in; a `LetFun` group ties its recursive knot by inserting the
-closures into the shared environment dict before any of them runs.
+datatype values, and closures, which only `fun` declarations create:
+the fragment has no `fn` and no literal patterns.  Environments are
+dicts extended by copying, so closures capture their defining scope and
+later bindings never leak in; a `LetFun` group ties its recursive knot
+by inserting the closures into the shared environment dict before any
+of them runs.
 
 The evaluation loop is iterative in tail position: `let` bodies,
 conditional branches, case arms, and every function application
@@ -29,7 +31,6 @@ from .mlast import (
     App,
     Case,
     Con,
-    Fn,
     If,
     IntLit,
     Let,
@@ -38,7 +39,6 @@ from .mlast import (
     MlProgram,
     Pat,
     PCon,
-    PInt,
     PrimOp,
     PTuple,
     PVar,
@@ -94,15 +94,11 @@ def match(pat: Pat, value: object, env: dict) -> bool:
         if not (type(value) is tuple and len(value) == len(pat.items)):
             return False
         return all(match(p, v, env) for p, v in zip(pat.items, value))
-    if cls is PInt:
-        return type(value) is int and value == pat.value
     if cls is PCon:
         if pat.name == "true":
             return value is True
         if pat.name == "false":
             return value is False
-        if pat.name == "nil":
-            return isinstance(value, VCon) and value.name == "nil"
         if not (isinstance(value, VCon) and value.name == pat.name
                 and len(value.args) == len(pat.args)):
             return False
@@ -111,9 +107,8 @@ def match(pat: Pat, value: object, env: dict) -> bool:
 
 
 class _Evaluator:
-    def __init__(self, fuel: int, output: list[int]):
+    def __init__(self, fuel: int):
         self.fuel = fuel
-        self.output = output
 
     def eval(self, expr: MlExpr, env: dict) -> object:
         while True:
@@ -193,8 +188,6 @@ class _Evaluator:
                     env[f.name] = VClosure(f.param, f.body, env)
                 expr = expr.body
                 continue
-            if cls is Fn:
-                return VClosure(expr.param, expr.body, env)
             raise AssertionError(f"unhandled expression {cls.__name__}")
 
 
@@ -220,7 +213,7 @@ def eval_program(program: MlProgram, fuel: int = DEFAULT_FUEL,
     The value is None when the run faulted.
     """
     output: list[int] = []
-    evaluator = _Evaluator(fuel, output)
+    evaluator = _Evaluator(fuel)
     env: dict = {"mj_print": VBuiltinPrint(output)}
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, _RECURSION_LIMIT))

@@ -19,7 +19,6 @@ from .mlast import (
     Case,
     Con,
     DataType,
-    Fn,
     FunDef,
     If,
     IntLit,
@@ -30,7 +29,6 @@ from .mlast import (
     MlType,
     Pat,
     PCon,
-    PInt,
     PrimOp,
     PTuple,
     PVar,
@@ -47,7 +45,7 @@ PRINT_HELPER = ('fun mj_print n = print (String.map (fn c => '
                 'if c = #"~" then #"-" else c) (Int.toString n) ^ "\\n")')
 
 # Expression precedence levels, loosest first.
-_L_LOW = 0      # if, fn, case
+_L_LOW = 0      # if, case
 _L_CMP = 1      # = <
 _L_CONS = 2     # ::  (right associative)
 _L_ADD = 3      # + -
@@ -78,8 +76,6 @@ def print_type(ty: MlType, level: int = 0) -> str:
     if isinstance(ty, TyTuple):
         if not ty.items:
             return "unit"
-        if len(ty.items) == 1:
-            return print_type(ty.items[0], level)
         text = " * ".join(print_type(item, 2) for item in ty.items)
         return _paren(text) if level > 1 else text
     if isinstance(ty, TyArrow):
@@ -95,8 +91,6 @@ def print_pat(pat: Pat, atomic: bool = False) -> str:
         return pat.name
     if isinstance(pat, PWild):
         return "_"
-    if isinstance(pat, PInt):
-        return _int_text(pat.value)
     if isinstance(pat, PTuple):
         return "(" + ", ".join(print_pat(p) for p in pat.items) + ")"
     if isinstance(pat, PCon):
@@ -147,10 +141,6 @@ def print_expr(expr: MlExpr, ind: str = "", level: int = 0) -> str:
         return _wrap(f"{func} {arg}", level > _L_APP)
     if isinstance(expr, If):
         return _wrap(_print_if(expr, ind), level > _L_LOW)
-    if isinstance(expr, Fn):
-        body = print_expr(expr.body, ind + "  ", _L_LOW)
-        return _wrap(f"fn {print_pat(expr.param, atomic=True)} => {body}",
-                     level > _L_LOW)
     if isinstance(expr, Case):
         return _wrap(_print_case(expr, ind), level > _L_LOW)
     if isinstance(expr, (Let, LetFun)):
@@ -243,10 +233,7 @@ def _print_datatype(dt: DataType, keyword: str) -> str:
     lines = [f"{keyword} {dt.name} ="]
     for i, con in enumerate(dt.cons):
         lead = "    " if i == 0 else "  | "
-        if con.arg is None:
-            lines.append(f"{lead}{con.name}")
-        else:
-            lines.append(f"{lead}{con.name} of {print_type(con.arg, 1)}")
+        lines.append(f"{lead}{con.name} of {print_type(con.arg, 1)}")
     return "\n".join(lines)
 
 

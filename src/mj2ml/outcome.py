@@ -20,7 +20,6 @@ class FaultKind(enum.Enum):
     INDEX_OUT_OF_BOUNDS = "IndexOutOfBounds"
     NEGATIVE_ARRAY_SIZE = "NegativeArraySize"
     INTEGER_OVERFLOW = "IntegerOverflow"
-    DIVISION_BY_ZERO = "DivisionByZero"
     MATCH_FAILURE = "MatchFailure"
     FUEL_EXHAUSTED = "FuelExhausted"
 

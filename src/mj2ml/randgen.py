@@ -145,9 +145,6 @@ class _Gen:
             spec.method_indices = sorted(set(own) | set(overrides))
             self.specs.append(spec)
 
-    def spec_by_name(self, name: str) -> _ClassSpec:
-        return next(s for s in self.specs if s.name == name)
-
     # -- expressions -------------------------------------------------------------
 
     def int_leaf(self, scope: _Scope) -> Expr:

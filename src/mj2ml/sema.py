@@ -101,9 +101,6 @@ class ClassTable:
     def path_from_root(self, name: str) -> list[str]:
         return list(reversed(self.superchain(name)))
 
-    def root_of(self, name: str) -> str:
-        return self.superchain(name)[-1]
-
     def roots(self) -> list[str]:
         return [c.name for c in self.classes.values() if c.superclass is None]
 

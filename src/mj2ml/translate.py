@@ -138,25 +138,13 @@ def _default_value(ty: MjType) -> MlExpr:
 
 
 def _tup(items: list[MlExpr]) -> MlExpr:
-    """Join tuple: a single item stays bare (1-tuples do not exist)."""
+    """Tuple of the items: none is unit, a single item stays bare
+    (1-tuples do not exist)."""
     return items[0] if len(items) == 1 else Tuple(tuple(items))
 
 
 def _ptup(items: list[Pat]) -> Pat:
     return items[0] if len(items) == 1 else PTuple(tuple(items))
-
-
-def _args_value(atoms: list[MlExpr]) -> MlExpr:
-    if not atoms:
-        return Tuple(())
-    return atoms[0] if len(atoms) == 1 else Tuple(tuple(atoms))
-
-
-def _args_pattern(names: list[str]) -> Pat:
-    if not names:
-        return PTuple(())
-    pats = [PVar(n) for n in names]
-    return pats[0] if len(pats) == 1 else PTuple(tuple(pats))
 
 
 def _wrap(bindings: list, result: MlExpr) -> MlExpr:
@@ -392,13 +380,15 @@ class _Translator:
         ctx.emit(PVar(o), App(Var("mj_lookup"), Tuple((Var(h), ptr))))
         return o, n, h
 
-    def _array_items(self, ctx: _Ctx, ptr: MlExpr) -> str:
-        o, _, _ = self._lookup(ctx, ptr)
+    def _array_items(self, ctx: _Ctx, ptr: MlExpr) -> tuple[str, str, str]:
+        """Bind the int list of the array at ptr; returns (items, counter,
+        heap) temps."""
+        o, n, h = self._lookup(ctx, ptr)
         inner = ctx.fn.fresh_temp()
         items = ctx.fn.fresh_temp()
         ctx.emit(PVar(items),
                  Case(Var(o), ((PCon("HArr", (PVar(inner),)), Var(inner)),)))
-        return items
+        return items, n, h
 
     def _field_read(self, ctx: _Ctx, decl_cls: str, fname: str) -> MlExpr:
         o, _, _ = self._lookup(ctx, Var("mj_this"))
@@ -465,13 +455,13 @@ class _Translator:
         if isinstance(e, ArrayIndexExpr):
             arr = self.expr(e.array, ctx)
             idx = self.expr(e.index, ctx)
-            items = self._array_items(ctx, arr)
+            items, _, _ = self._array_items(ctx, arr)
             tmp = ctx.fn.fresh_temp()
             ctx.emit(PVar(tmp), App(Var("mj_getnth"), Tuple((Var(items), idx))))
             return Var(tmp)
         if isinstance(e, ArrayLengthExpr):
             arr = self.expr(e.array, ctx)
-            items = self._array_items(ctx, arr)
+            items, _, _ = self._array_items(ctx, arr)
             tmp = ctx.fn.fresh_temp()
             ctx.emit(PVar(tmp), App(Var("mj_length"), Var(items)))
             return Var(tmp)
@@ -507,7 +497,7 @@ class _Translator:
             tmp = ctx.fn.fresh_temp()
             ctx.emit(PTuple((PVar(new_state), PVar(tmp))),
                      App(Var(bound),
-                         Tuple((Var(ctx.state), receiver, _args_value(args)))))
+                         Tuple((Var(ctx.state), receiver, _tup(args)))))
             ctx.state = new_state
             return Var(tmp)
         raise AssertionError(f"unhandled expression {type(e).__name__}")
@@ -538,11 +528,7 @@ class _Translator:
                 ptr = ctx.var_atom(s.name)
             idx = self.expr(s.index, ctx)
             value = self.expr(s.value, ctx)
-            o, n, h = self._lookup(ctx, ptr)
-            inner = ctx.fn.fresh_temp()
-            items = ctx.fn.fresh_temp()
-            ctx.emit(PVar(items),
-                     Case(Var(o), ((PCon("HArr", (PVar(inner),)), Var(inner)),)))
+            items, n, h = self._array_items(ctx, ptr)
             updated = ctx.fn.fresh_temp()
             ctx.emit(PVar(updated),
                      App(Var("mj_setnth"), Tuple((Var(items), idx, value))))
@@ -614,7 +600,7 @@ class _Translator:
         result = self.expr(decl.return_expr, ctx)
         body = _wrap(ctx.bindings, Tuple((Var(ctx.state), result)))
         param = PTuple((PVar("mj_s0"), PVar("mj_this"),
-                        _args_pattern([mangle_var(f.name, 0) for f in decl.formals])))
+                        _ptup([PVar(mangle_var(f.name, 0)) for f in decl.formals])))
         return FunDef(mangle_method(class_index, decl.name), param, body)
 
     def main(self, program: MjProgram) -> FunDef:

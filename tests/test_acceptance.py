@@ -4,9 +4,11 @@ Run with `pytest -sv tests/test_acceptance.py` to see the verdict lines.
 """
 
 import time
+from dataclasses import fields, is_dataclass
 
 import pytest
 
+from mj2ml import mlast
 from mj2ml.diffharness import (
     all_passing,
     diff_ast,
@@ -63,16 +65,40 @@ def test_random_differential_testing():
     assert ok, [(r.name, r.verdict, r.detail) for r in bad]
 
 
+def _node_types(ml_program) -> set[type]:
+    """Classes of every node reachable from the program's fields."""
+    seen: set[type] = set()
+    stack = [ml_program]
+    while stack:
+        node = stack.pop()
+        seen.add(type(node))
+        if is_dataclass(node):
+            stack.extend(getattr(node, f.name) for f in fields(node))
+        elif isinstance(node, (list, tuple)):
+            stack.extend(node)
+    return seen
+
+
 def test_core_feature_purity(corpus_files, generated_programs):
     violations = []
-    for path in corpus_files:
-        violations += validate_core(translate(parse_source(path.read_text())))
-    for seed, program in generated_programs:
-        violations += validate_core(translate(program))
-    ok = violations == []
+    emitted: set[type] = set()
+    translations = [translate(parse_source(path.read_text())) for path in corpus_files]
+    translations += [translate(program) for _, program in generated_programs]
+    for ml_program in translations:
+        violations += validate_core(ml_program)
+        emitted |= _node_types(ml_program)
+    # every expression and pattern node mlast defines must be one the
+    # translator emits; a node it never builds is dead code
+    defined = {cls for cls in vars(mlast).values()
+               if isinstance(cls, type) and cls.__module__ == mlast.__name__
+               and issubclass(cls, (mlast.MlExpr, mlast.Pat))
+               and cls not in (mlast.MlExpr, mlast.Pat)}
+    never_emitted = sorted(cls.__name__ for cls in defined - emitted)
+    ok = violations == [] and never_emitted == []
     report("translations stay inside the functional core", ok,
-           f"{len(violations)} violation(s) over {8 + len(generated_programs)} programs")
-    assert ok, violations
+           f"{len(violations)} violation(s) over {len(translations)} programs, "
+           f"never emitted: {never_emitted or 'none'}")
+    assert ok, (violations, never_emitted)
 
 
 ALLOC_PROGRAM = """\

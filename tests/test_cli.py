@@ -130,13 +130,22 @@ def test_diff_counts_unreadable_files_as_failures(tmp_path, capsys):
     assert "error" in capsys.readouterr().out
 
 
-def test_diff_report_is_reproducible_modulo_timing(corpus_dir, capsys):
-    def stripped():
-        main(["diff", str(corpus_dir), "--count", "2"])
-        rows = capsys.readouterr().out.splitlines()
-        return [row.rsplit("|", 1)[0] for row in rows]
+def test_diff_rejects_a_directory_without_java_files(tmp_path, capsys):
+    assert main(["diff", str(tmp_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"no .java files under {tmp_path}"
+    assert captured.out == ""
 
-    assert stripped() == stripped()
+
+def test_diff_report_is_reproducible_modulo_timing(corpus_dir, capsys):
+    def stripped(argv):
+        main(argv)
+        rows = capsys.readouterr().out.splitlines()
+        # drop the ms column, which also sets the width of the ruler row
+        return [re.split(r" \| |-\+-", row)[:4] for row in rows]
+
+    for argv in (["diff", str(corpus_dir)], ["check", "--count", "2"]):
+        assert stripped(argv) == stripped(argv)
 
 
 def test_check_runs_generated_programs(capsys):

@@ -78,3 +78,20 @@ def test_unexpected_character_position():
     with pytest.raises(LexError) as err:
         tokenize("x = 1;\n  #")
     assert (err.value.pos.line, err.value.pos.col) == (2, 3)
+
+
+def test_non_ascii_digit_rejected():
+    # '²' passes str.isdigit() but is no MiniJava digit (int() rejects it too)
+    with pytest.raises(LexError) as err:
+        tokenize("System.out.println(²);")
+    assert (err.value.pos.col, err.value.message) == (20, "unexpected character '²'")
+    with pytest.raises(LexError):
+        tokenize("x = 1٣;")  # ARABIC-INDIC DIGIT THREE
+
+
+def test_non_ascii_letter_rejected():
+    # SML identifiers are ASCII, so 'é' must not reach the translation
+    for source, col in (("é = 0;", 1), ("aé = 0;", 2)):
+        with pytest.raises(LexError) as err:
+            tokenize(source)
+        assert (err.value.pos.col, err.value.message) == (col, "unexpected character 'é'")

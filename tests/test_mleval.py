@@ -10,7 +10,6 @@ from mj2ml.mlast import (
     LetFun,
     MlProgram,
     PCon,
-    PInt,
     PTuple,
     PVar,
     PrimOp,
@@ -55,21 +54,24 @@ def test_if_requires_boolean_and_selects_branch():
 
 
 def test_case_first_matching_rule_wins():
-    main = Case(IntLit(2), ((PInt(1), IntLit(100)),
-                            (PInt(2), IntLit(200)),
-                            (PWild(), IntLit(300))))
+    main = Case(Con("SOME", (IntLit(2),)), ((PCon("NONE"), IntLit(100)),
+                                            (PCon("SOME", (PVar("x"),)), Var("x")),
+                                            (PWild(), IntLit(300))))
     out, val = run(main)
-    assert val == 200
+    assert val == 2
 
 
 def test_case_without_match_faults():
-    out, val = run(Case(IntLit(1), ((PInt(2), IntLit(0)),)))
+    out, val = run(Case(Con("NONE"), ((PCon("SOME", (PWild(),)), IntLit(0)),)))
     assert out.fault == FaultKind.MATCH_FAILURE
 
 
 def test_integer_pattern_does_not_match_booleans():
-    main = Case(Con("true"), ((PInt(1), IntLit(9)),
-                              (PCon("true", ()), IntLit(7))))
+    # true is the Python True, which is also the int 1: a constructor
+    # pattern must not confuse it with a datatype value or with false
+    main = Case(Con("true"), ((PCon("SOME", (PWild(),)), IntLit(9)),
+                              (PCon("false"), IntLit(8)),
+                              (PCon("true"), IntLit(7))))
     out, val = run(main)
     assert val == 7
 

@@ -1,7 +1,10 @@
+import hashlib
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mj2ml.mlast import validate_core
+from mj2ml.mlprint import print_ml_program
 from mj2ml.parser import parse_source
 from mj2ml.translate import mangle_method, mangle_new, mangle_var, translate
 
@@ -39,6 +42,27 @@ def test_translation_is_deterministic():
 def test_corpus_translations_stay_in_the_core(corpus_files):
     for path in corpus_files:
         assert validate_core(tr(path.read_text())) == []
+
+
+# SHA-256 of each corpus file's emitted SML.  A change that alters the
+# emitted bytes on purpose must update these pins and say so.
+EMITTED_SML_SHA256 = {
+    "BinarySearch": "33de58911ad6954cd8dd8d0f4d5626b05b37ced876a22ae311067f3d3af266c3",
+    "BinaryTree": "07cac81ceedd0cd48f02511c91a56d9c57b9fd5e352812e639a3525f5b7c0702",
+    "BubbleSort": "78318dc1f5850210eeb5e02ba9b0744165778fafc927b0045d94fc75a3444112",
+    "Factorial": "038e995275de17cb040405d110b377b863b6fc1503c5de83c1d956c7c071ac4a",
+    "LinearSearch": "705de6255de11e43624889e8b4054e6514c62b9a8f6c92f56684916ce7693618",
+    "LinkedList": "d666811c58810a14fd02b6ea0f1c1047ba621acd96f5ac0656c43537a6484d8d",
+    "QuickSort": "86fc9aea2526f7a4766892c81472e75f19663c516c64e1f6b5b05fd44b2d589a",
+    "TreeVisitor": "7e6469c66814e31a4c85d330a8e765bf6cf97492eaca83ea635bdb49addc40bf",
+}
+
+
+def test_corpus_emitted_sml_is_pinned(corpus_files):
+    digests = {path.stem: hashlib.sha256(
+                   print_ml_program(tr(path.read_text()), path.name).encode()).hexdigest()
+               for path in corpus_files}
+    assert digests == EMITTED_SML_SHA256
 
 
 def test_heapval_groups_one_constructor_per_root():
