@@ -9,13 +9,15 @@ Arithmetic is checked 63-bit: any result outside
 Faults stop execution and are reported in the RunOutcome together with
 whatever output was produced before the fault.  Every statement and
 expression evaluation costs one unit of fuel; running out is the
-FuelExhausted fault.  A Python recursion overflow (very deep MiniJava
-call chains) is reported as FuelExhausted as well, since it is the same
-resource-limit channel.
+FuelExhausted fault, and `RunOutcome.steps` is the fuel used.  The run
+raises Python's recursion limit to `outcome.RECURSION_LIMIT`; overflowing
+it (a MiniJava call chain some 8000 calls deep) is reported as
+FuelExhausted as well, since it is the same resource-limit channel.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .mjast import (
@@ -48,7 +50,7 @@ from .mjast import (
     TrueExpr,
     WhileStmt,
 )
-from .outcome import DEFAULT_FUEL, FaultKind, RunOutcome
+from .outcome import DEFAULT_FUEL, RECURSION_LIMIT, FaultKind, RunOutcome
 from .sema import ClassTable, typecheck
 
 NULL = -1
@@ -258,6 +260,8 @@ def interpret_mj(program: MjProgram, table: ClassTable | None = None,
     state = _State(table=table, fuel=fuel, alloc_trace=alloc_trace)
     interp = _Interp(state)
     outcome = RunOutcome(output=state.output)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, RECURSION_LIMIT))
     try:
         for s in program.main.body:
             interp.exec(s, {}, None)
@@ -266,4 +270,7 @@ def interpret_mj(program: MjProgram, table: ClassTable | None = None,
         outcome.fault_pos = fault.pos
     except RecursionError:
         outcome.fault = FaultKind.FUEL_EXHAUSTED
+    finally:
+        sys.setrecursionlimit(old_limit)
+    outcome.steps = fuel - state.fuel
     return outcome

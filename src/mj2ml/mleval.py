@@ -1,20 +1,62 @@
-"""Evaluator for the core ML fragment.
+"""Evaluator for the core ML fragment: the tree is compiled to closures.
 
 Values are Python ints and bools, tuples for ML tuples, `VCon` for
-datatype values, and closures, which only `fun` declarations create:
-the fragment has no `fn` and no literal patterns.  Environments are
-dicts extended by copying, so closures capture their defining scope and
-later bindings never leak in; a `LetFun` group ties its recursive knot
-by inserting the closures into the shared environment dict before any
-of them runs.
+datatype values, and `VClosure`s, which only `fun` declarations create:
+the fragment has no `fn` and no literal patterns.
 
-The evaluation loop is iterative in tail position: `let` bodies,
-conditional branches, case arms, and every function application
-continue the loop instead of recursing.  Translated `while` loops are
-self-tail-calls, so they run in constant Python stack; only non-tail
-nesting (one level per pending method call) consumes stack.  Fuel is
-charged once per step; exhaustion and over-deep non-tail recursion both
-report FuelExhausted.
+Before a run, `_compile` turns the program into Python closures after
+Feeley and Lapalme, "Using closures for code generation" (1987): one
+closure per expression node and one matcher per pattern.  A closure
+takes the current frame and returns its node's value, calling its
+children's closures; no node of the tree is inspected while the program
+runs.  The closures are built for one run and dropped with it.  Two
+refinements: a chain of nested `let`s is one closure that runs its
+bindings in a loop, and a pure subtree (variables and constants, and
+tuples and constructors of them) is one getter that charges no fuel:
+its parent, or a closure around the getter, charges for all of its
+nodes (see Fuel).
+
+Frames.  Each activation, that is the top level and every call of an ML
+function, gets one Python list.  Slot 0 holds the parent frame, the one
+the function was defined in, and slot 1 the argument of the call.  Each
+binding occurrence in the function's body (its parameter's variables,
+`val` and `case` bindings, and the names of a local `fun` group) has a
+slot of its own.  The compiler resolves every variable to a (depth,
+slot) pair, depth counting the functions between the use and the
+binding, so scoping is done once, in one pass, and the program only
+indexes lists.  Since no two binding occurrences share a slot, a later
+`let` never overwrites a value an earlier closure captured, and what a
+failed `case` rule bound is never read by the next rule.  A local `fun`
+group ties its recursive knot by storing its closures into slots of the
+frame they capture.
+
+Tail calls.  An application in tail position, of a function body or of
+a `let` right-hand side, evaluates the function and then the argument,
+only then stores both in the run's pending-call slot, and returns the
+`_TAIL` marker.  The enclosing trampoline, the `let` chain or else the
+nearest non-tail application, enters the pending call and repeats until
+a body returns a value.  Translated `while` loops are self-tail-calls,
+so they run in constant Python stack.  A pending (non-tail) ML call
+holds one Python frame for the callee's body and one for each node
+between that body and the call: an `if`, a `case`, a `let` chain, or a
+node with the call as an operand.  That is 3 frames per call for a
+translated method recursion and for the list helpers that make and
+measure arrays, and 4 for the two that rebuild a list around the call
+(`mj_setnth`, `mj_update`), against 2 for the tree-walking evaluator
+this replaced.  Both interpreters raise the recursion limit to
+`outcome.RECURSION_LIMIT` for the run; exceeding it reports
+FuelExhausted, as running out of fuel does.
+
+Fuel.  Every node visit costs one unit of fuel, checked before the
+node's work: a run with fuel N makes at most N visits and then reports
+FuelExhausted, and `RunOutcome.steps` is the number of visits made.  A
+node charges with one check for itself and for the pure children it
+evaluates before any other child, and a pure subtree in any other place
+charges for all of its nodes at once; each raises before any of that
+work when the fuel does not cover all of it.  Reading a pure subtree
+has no effect, so no output, fault or step count can tell this from
+charging the visits one at a time: either way the run stops having
+spent all of its fuel, with the same output.
 
 `=` and `<` are defined on integers; arithmetic outside the 63-bit
 range [-2^62, 2^62 - 1] is an IntegerOverflow fault; a `case` (or a
@@ -25,12 +67,14 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from operator import add, itemgetter, mul, sub
 
 from .mjast import INT_MAX, INT_MIN
 from .mlast import (
     App,
     Case,
     Con,
+    FunDef,
     If,
     IntLit,
     Let,
@@ -46,35 +90,45 @@ from .mlast import (
     Tuple,
     Var,
 )
-from .outcome import DEFAULT_FUEL, FaultKind, RunOutcome
+from .outcome import DEFAULT_FUEL, RECURSION_LIMIT, FaultKind, RunOutcome
 
 UNIT = ()
 
-_RECURSION_LIMIT = 20_000
+_FUEL = FaultKind.FUEL_EXHAUSTED
+_MATCH = FaultKind.MATCH_FAILURE
+_OVERFLOW = FaultKind.INTEGER_OVERFLOW
+
+# Returned by a tail application once it has stored the pending call.
+_TAIL = object()
+
+# The value bound to mj_print.
+_PRINT = object()
+
+# Nullary constructors that are Python values.
+_CONSTANTS = {"true": True, "false": False}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VCon:
     name: str
     args: tuple = ()
 
 
 class VClosure:
-    __slots__ = ("param", "body", "env")
+    """An ML function value: the frame it was defined in, plus its code.
 
-    def __init__(self, param: Pat, body: MlExpr, env: dict):
-        self.param = param
-        self.body = body
+    A call makes the frame `[env, arg, *pad]`; `bind` is the parameter's
+    matcher (None when the parameter is a variable, which is slot 1) and
+    `body` the compiled body.
+    """
+
+    __slots__ = ("env", "pad", "bind", "body")
+
+    def __init__(self, env: list, pad: tuple, bind, body):
         self.env = env
-
-
-class VBuiltinPrint:
-    """Callable value bound to mj_print: collects printed integers."""
-
-    __slots__ = ("output",)
-
-    def __init__(self, output: list[int]):
-        self.output = output
+        self.pad = pad
+        self.bind = bind
+        self.body = body
 
 
 class MlFault(Exception):
@@ -82,113 +136,501 @@ class MlFault(Exception):
         self.kind = kind
 
 
-def match(pat: Pat, value: object, env: dict) -> bool:
-    """Bind pattern variables into env; False when the value does not fit."""
-    cls = type(pat)
-    if cls is PVar:
-        env[pat.name] = value
-        return True
-    if cls is PWild:
-        return True
-    if cls is PTuple:
-        if not (type(value) is tuple and len(value) == len(pat.items)):
-            return False
-        return all(match(p, v, env) for p, v in zip(pat.items, value))
-    if cls is PCon:
-        if pat.name == "true":
-            return value is True
-        if pat.name == "false":
-            return value is False
-        if not (isinstance(value, VCon) and value.name == pat.name
-                and len(value.args) == len(pat.args)):
-            return False
-        return all(match(p, v, env) for p, v in zip(pat.args, value.args))
-    raise AssertionError(f"unhandled pattern {cls.__name__}")
+def _compile(program: MlProgram, fuel: int, output: list[int]):
+    """Compile `program` for one run with `fuel` units (at least 0).
 
+    Returns `(run, fuel_left)`: `run()` evaluates the entry expression
+    and returns its value (or raises MlFault), `fuel_left()` the fuel
+    not yet spent.
+    """
+    pend_fn = pend_arg = None
 
-class _Evaluator:
-    def __init__(self, fuel: int):
-        self.fuel = fuel
+    # Compile-time scope: each name maps to a stack of (level, slot)
+    # pairs, innermost last; `free[level]` is the next unused slot of
+    # each open activation, the top level first.
+    scopes: dict[str, list[tuple[int, int]]] = {}
+    free = [1]
 
-    def eval(self, expr: MlExpr, env: dict) -> object:
-        while True:
-            if self.fuel <= 0:
-                raise MlFault(FaultKind.FUEL_EXHAUSTED)
-            self.fuel -= 1
-            cls = type(expr)
-            if cls is Var:
-                return env[expr.name]
-            if cls is IntLit:
-                return expr.value
-            if cls is Let:
-                value = self.eval(expr.rhs, env)
-                env = dict(env)
-                if not match(expr.pat, value, env):
-                    raise MlFault(FaultKind.MATCH_FAILURE)
-                expr = expr.body
-                continue
-            if cls is App:
-                func = self.eval(expr.func, env)
-                arg = self.eval(expr.arg, env)
-                if type(func) is VBuiltinPrint:
-                    func.output.append(arg)
-                    return UNIT
-                if type(func) is not VClosure:
-                    raise MlFault(FaultKind.MATCH_FAILURE)
-                env = dict(func.env)
-                if not match(func.param, arg, env):
-                    raise MlFault(FaultKind.MATCH_FAILURE)
-                expr = func.body
-                continue
-            if cls is If:
-                expr = expr.then if self.eval(expr.cond, env) else expr.orelse
-                continue
-            if cls is Case:
-                value = self.eval(expr.scrutinee, env)
-                for pat, rhs in expr.rules:
-                    rule_env = dict(env)
-                    if match(pat, value, rule_env):
-                        env = rule_env
-                        expr = rhs
-                        break
-                else:
-                    raise MlFault(FaultKind.MATCH_FAILURE)
-                continue
-            if cls is PrimOp:
-                a = self.eval(expr.args[0], env)
-                b = self.eval(expr.args[1], env)
-                op = expr.op
-                if op == "+":
-                    result = a + b
-                elif op == "-":
-                    result = a - b
-                elif op == "*":
-                    result = a * b
-                elif op == "<":
-                    return a < b
-                else:
-                    return a == b
-                if result < INT_MIN or result > INT_MAX:
-                    raise MlFault(FaultKind.INTEGER_OVERFLOW)
-                return result
-            if cls is Tuple:
-                return tuple(self.eval(item, env) for item in expr.items)
-            if cls is Con:
-                name = expr.name
-                if not expr.args:
-                    if name == "true":
+    def declare(name: str | None, bound: list[str]) -> int:
+        slot = free[-1]
+        free[-1] = slot + 1
+        if name is not None:
+            scopes.setdefault(name, []).append((len(free) - 1, slot))
+            bound.append(name)
+        return slot
+
+    def forget(bound: list[str]) -> None:
+        for name in bound:
+            scopes[name].pop()
+
+    def resolve(name: str) -> tuple[int, int]:
+        """(depth, slot) of the innermost binding of `name`."""
+        level, slot = scopes[name][-1]
+        return len(free) - 1 - level, slot
+
+    # -- patterns.  A binder is a slot (a variable), None (a wildcard) or
+    # a matcher m(value, frame) that stores the pattern's variables into
+    # the frame and returns False when the value does not fit. ----------
+
+    def binder(pat: Pat, bound: list[str]):
+        cls = type(pat)
+        if cls is PVar:
+            return declare(pat.name, bound)
+        if cls is PWild:
+            return None
+        if cls is PTuple:
+            n = len(pat.items)
+            subs = sequence(pat.items, bound)
+            if type(subs) is slice:
+                def m(v, f):
+                    if type(v) is tuple and len(v) == n:
+                        f[subs] = v
                         return True
-                    if name == "false":
+                    return False
+            else:
+                def m(v, f):
+                    if type(v) is not tuple or len(v) != n:
                         return False
-                    return VCon(name)
-                return VCon(name, tuple(self.eval(a, env) for a in expr.args))
-            if cls is LetFun:
-                env = dict(env)
-                for f in expr.funs:
-                    env[f.name] = VClosure(f.param, f.body, env)
-                expr = expr.body
-                continue
+                    for b, x in zip(subs, v):
+                        if type(b) is int:
+                            f[b] = x
+                        elif b is not None and not b(x, f):
+                            return False
+                    return True
+            return m
+        if cls is PCon:
+            name = pat.name
+            if name == "true":
+                return lambda v, f: v is True
+            if name == "false":
+                return lambda v, f: v is False
+            n = len(pat.args)
+            if n == 0:
+                return lambda v, f: type(v) is VCon and v.name == name and not v.args
+            subs = sequence(pat.args, bound)
+            if type(subs) is slice:
+                def m(v, f):
+                    if type(v) is VCon and v.name == name and len(v.args) == n:
+                        f[subs] = v.args
+                        return True
+                    return False
+            else:
+                def m(v, f):
+                    if type(v) is not VCon or v.name != name or len(v.args) != n:
+                        return False
+                    for b, x in zip(subs, v.args):
+                        if type(b) is int:
+                            f[b] = x
+                        elif b is not None and not b(x, f):
+                            return False
+                    return True
+            return m
+        raise AssertionError(f"unhandled pattern {cls.__name__}")
+
+    def sequence(pats: tuple[Pat, ...], bound: list[str]):
+        """Binders for the items of a tuple or constructor pattern: one
+        slice of the frame when every item is a variable or a wildcard
+        (each gets a slot, so one store binds them all), else a tuple of
+        binders."""
+        if all(type(p) is PVar or type(p) is PWild for p in pats):
+            lo = free[-1]
+            for p in pats:
+                declare(p.name if type(p) is PVar else None, bound)
+            return slice(lo, lo + len(pats))
+        return tuple(binder(p, bound) for p in pats)
+
+    def matcher(pat: Pat, bound: list[str]):
+        """`binder`, always as a matcher."""
+        b = binder(pat, bound)
+        if b is None:
+            return lambda v, f: True
+        if type(b) is int:
+            def m(v, f):
+                f[b] = v
+                return True
+            return m
+        return b
+
+    # -- pure nodes: variables and constants, and tuples and constructors
+    # of them.  Evaluating one cannot fault or print, so a pure subtree
+    # compiles to a getter g(frame) that charges no fuel; its parent
+    # charges for its nodes. ------------------------------------------------
+
+    def pure(e: MlExpr):
+        """(getter, node count, slot) when `e` is pure, else None; `slot`
+        is set when `e` is a variable of the current frame."""
+        cls = type(e)
+        if cls is Var:
+            depth, slot = resolve(e.name)
+            if depth == 0:
+                return itemgetter(slot), 1, slot
+            if depth == 1:
+                return (lambda f: f[0][slot]), 1, None
+            if depth == 2:
+                return (lambda f: f[0][0][slot]), 1, None
+
+            def get(f):
+                for _ in range(depth):
+                    f = f[0]
+                return f[slot]
+            return get, 1, None
+        if cls is IntLit:
+            value = e.value
+            return (lambda f: value), 1, None
+        if cls is Tuple:
+            items = e.items
+        elif cls is Con:
+            items = e.args
+            if not items:
+                value = _CONSTANTS[e.name] if e.name in _CONSTANTS else VCon(e.name)
+                return (lambda f: value), 1, None
+        else:
+            return None
+        parts = []
+        for x in items:
+            part = pure(x)
+            if part is None:
+                return None
+            parts.append(part)
+        count = 1 + sum(n for _, n, _ in parts)
+        slots = [slot for _, _, slot in parts]
+        if len(slots) >= 2 and None not in slots:
+            get = itemgetter(*slots)
+        else:
+            get = tuple_of([g for g, _, _ in parts])
+        if cls is Tuple:
+            return get, count, None
+        name = e.name
+        return (lambda f: VCon(name, get(f))), count, None
+
+    def tuple_of(getters: list):
+        if not getters:
+            return lambda f: UNIT
+        if len(getters) == 1:
+            [a] = getters
+            return lambda f: (a(f),)
+        if len(getters) == 2:
+            a, b = getters
+            return lambda f: (a(f), b(f))
+        if len(getters) == 3:
+            a, b, c = getters
+            return lambda f: (a(f), b(f), c(f))
+        getters = tuple(getters)
+        return lambda f: tuple([g(f) for g in getters])
+
+    def operands(children: tuple[MlExpr, ...]) -> tuple[list, int]:
+        """Closures for the children of a node, which evaluates them in
+        order, and the fuel their parent charges for them.  The pure
+        children before the first impure one become getters that the
+        parent charges for with its own visit: nothing observable happens
+        between those visits, so which of them runs out of fuel is
+        unobservable.  The others charge for themselves."""
+        calls, extra, leading = [], 0, True
+        for x in children:
+            part = pure(x) if leading else None
+            if part is None:
+                leading = False
+                calls.append(expr(x, False))
+            else:
+                calls.append(part[0])
+                extra += part[1]
+        return calls, extra
+
+    # -- expressions.  Each closure takes the frame, checks and charges its
+    # fuel, then does its work. ------------------------------------------------
+
+    def expr(e: MlExpr, tail: bool):
+        """The closure for `e`.  In `tail` mode an application of a
+        closure returns `_TAIL` with the call pending, for the enclosing
+        trampoline."""
+        cls = type(e)
+        if cls is Let or cls is LetFun:
+            return let_chain(e, tail)
+        if cls is App:
+            return app(e, tail)
+        if cls is If:
+            return if_(e, tail)
+        if cls is Case:
+            return case(e, tail)
+        if cls is PrimOp:
+            return prim(e)
+        part = pure(e)
+        if part is None:
+            if cls is Tuple or cls is Con:
+                return construct(e)
             raise AssertionError(f"unhandled expression {cls.__name__}")
+        get, n, _ = part
+
+        def ev(f):
+            nonlocal fuel
+            if fuel < n:
+                raise MlFault(_FUEL)
+            fuel -= n
+            return get(f)
+        return ev
+
+    def let_chain(e: MlExpr, tail: bool):
+        """A run of nested `let val`s and `let fun`s, as one closure.
+
+        It is also the trampoline for the calls its right-hand sides
+        make, so a call there costs no Python frame of its own."""
+        steps = []
+        bound: list[str] = []
+        while type(e) is Let or type(e) is LetFun:
+            if type(e) is Let:
+                part = pure(e.rhs)
+                if part is None:
+                    rhs, cost = expr(e.rhs, True), 1
+                else:
+                    rhs, cost = part[0], 1 + part[1]
+                steps.append((cost, rhs, binder(e.pat, bound)))
+            else:
+                slots = [declare(fd.name, bound) for fd in e.funs]
+                funs = tuple((slot, *function(fd)) for slot, fd in zip(slots, e.funs))
+                steps.append((1, letfun(funs), None))
+            e = e.body
+        body = expr(e, tail)
+        forget(bound)
+        steps = tuple(steps)
+
+        def ev(f):
+            nonlocal fuel
+            for cost, rhs, bind in steps:
+                if fuel < cost:
+                    raise MlFault(_FUEL)
+                fuel -= cost
+                v = rhs(f)
+                while v is _TAIL:
+                    c = pend_fn
+                    a = pend_arg
+                    frame = [c.env, a, *c.pad]
+                    if c.bind is not None and not c.bind(a, frame):
+                        raise MlFault(_MATCH)
+                    v = c.body(frame)
+                if type(bind) is int:
+                    f[bind] = v
+                elif bind is not None and not bind(v, f):
+                    raise MlFault(_MATCH)
+            return body(f)
+        return ev
+
+    def letfun(funs: tuple):
+        def define(f):
+            for slot, pad, bind, body in funs:
+                f[slot] = VClosure(f, pad, bind, body)
+        return define
+
+    def function(fd: FunDef) -> tuple:
+        """(pad, bind, body) for VClosure; compiled as a new activation."""
+        free.append(1)
+        bound: list[str] = []
+        if type(fd.param) is PVar:
+            declare(fd.param.name, bound)
+            bind = None
+        else:
+            declare(None, bound)
+            bind = binder(fd.param, bound)
+        body = expr(fd.body, True)
+        forget(bound)
+        size = free.pop()
+        return (None,) * (size - 2), bind, body
+
+    def app(e: App, tail: bool):
+        (func, arg), extra = operands((e.func, e.arg))
+        cost = 1 + extra
+        if tail:
+            def ev(f):
+                nonlocal fuel, pend_fn, pend_arg
+                if fuel < cost:
+                    raise MlFault(_FUEL)
+                fuel -= cost
+                c = func(f)
+                a = arg(f)
+                if type(c) is VClosure:
+                    pend_fn = c
+                    pend_arg = a
+                    return _TAIL
+                if c is _PRINT:
+                    output.append(a)
+                    return UNIT
+                raise MlFault(_MATCH)
+            return ev
+
+        def ev(f):
+            nonlocal fuel
+            if fuel < cost:
+                raise MlFault(_FUEL)
+            fuel -= cost
+            c = func(f)
+            a = arg(f)
+            if type(c) is not VClosure:
+                if c is _PRINT:
+                    output.append(a)
+                    return UNIT
+                raise MlFault(_MATCH)
+            while True:
+                frame = [c.env, a, *c.pad]
+                if c.bind is not None and not c.bind(a, frame):
+                    raise MlFault(_MATCH)
+                v = c.body(frame)
+                if v is not _TAIL:
+                    return v
+                c = pend_fn
+                a = pend_arg
+        return ev
+
+    def if_(e: If, tail: bool):
+        (cond,), extra = operands((e.cond,))
+        cost = 1 + extra
+        then = expr(e.then, tail)
+        orelse = expr(e.orelse, tail)
+
+        def ev(f):
+            nonlocal fuel
+            if fuel < cost:
+                raise MlFault(_FUEL)
+            fuel -= cost
+            if cond(f):
+                return then(f)
+            return orelse(f)
+        return ev
+
+    def case(e: Case, tail: bool):
+        (scrutinee,), extra = operands((e.scrutinee,))
+        cost = 1 + extra
+        rules = []
+        for pat, rhs in e.rules:
+            bound: list[str] = []
+            m = matcher(pat, bound)
+            rules.append((m, expr(rhs, tail)))
+            forget(bound)
+        if len(rules) == 1:
+            [(m, rhs)] = rules
+
+            def ev(f):
+                nonlocal fuel
+                if fuel < cost:
+                    raise MlFault(_FUEL)
+                fuel -= cost
+                if m(scrutinee(f), f):
+                    return rhs(f)
+                raise MlFault(_MATCH)
+            return ev
+        rules = tuple(rules)
+
+        def ev(f):
+            nonlocal fuel
+            if fuel < cost:
+                raise MlFault(_FUEL)
+            fuel -= cost
+            v = scrutinee(f)
+            for m, rhs in rules:
+                if m(v, f):
+                    return rhs(f)
+            raise MlFault(_MATCH)
+        return ev
+
+    def prim(e: PrimOp):
+        (a, b), extra = operands(e.args)
+        cost = 1 + extra
+        op = e.op
+        if op == "<":
+            def ev(f):
+                nonlocal fuel
+                if fuel < cost:
+                    raise MlFault(_FUEL)
+                fuel -= cost
+                return a(f) < b(f)
+        elif op == "=":
+            def ev(f):
+                nonlocal fuel
+                if fuel < cost:
+                    raise MlFault(_FUEL)
+                fuel -= cost
+                return a(f) == b(f)
+        else:
+            arith = {"+": add, "-": sub, "*": mul}[op]
+
+            def ev(f):
+                nonlocal fuel
+                if fuel < cost:
+                    raise MlFault(_FUEL)
+                fuel -= cost
+                r = arith(a(f), b(f))
+                if INT_MIN <= r <= INT_MAX:
+                    return r
+                raise MlFault(_OVERFLOW)
+        return ev
+
+    def construct(e: Tuple | Con):
+        """A tuple, or a constructor application, with an impure part.
+        A pair is built in the closure itself, so that a call in it, as
+        in `x :: f y`, holds no extra Python frame."""
+        items, extra = operands(e.items if type(e) is Tuple else e.args)
+        cost = 1 + extra
+        name = e.name if type(e) is Con else None
+        if len(items) == 2:
+            a, b = items
+            if name is None:
+                def ev(f):
+                    nonlocal fuel
+                    if fuel < cost:
+                        raise MlFault(_FUEL)
+                    fuel -= cost
+                    return (a(f), b(f))
+            else:
+                def ev(f):
+                    nonlocal fuel
+                    if fuel < cost:
+                        raise MlFault(_FUEL)
+                    fuel -= cost
+                    return VCon(name, (a(f), b(f)))
+            return ev
+        get = tuple_of(items)
+        if name is None:
+            def ev(f):
+                nonlocal fuel
+                if fuel < cost:
+                    raise MlFault(_FUEL)
+                fuel -= cost
+                return get(f)
+        else:
+            def ev(f):
+                nonlocal fuel
+                if fuel < cost:
+                    raise MlFault(_FUEL)
+                fuel -= cost
+                return VCon(name, get(f))
+        return ev
+
+    # -- the top level: mj_print, then each group of functions -------------
+
+    top: list[str] = []
+    print_slot = declare("mj_print", top)
+    groups = []
+    for group in program.fun_groups:
+        slots = [declare(fd.name, top) for fd in group]
+        groups.append([(slot, *function(fd)) for slot, fd in zip(slots, group)])
+    main = expr(program.main, False)
+    frame: list = [None] * free[0]
+
+    def run():
+        nonlocal pend_fn, pend_arg
+        frame[print_slot] = _PRINT
+        for group in groups:
+            for slot, pad, bind, body in group:
+                frame[slot] = VClosure(frame, pad, bind, body)
+        try:
+            return main(frame)
+        finally:
+            # break the frame <-> closure cycles so the run's memory goes now
+            frame.clear()
+            pend_fn = pend_arg = None
+
+    def fuel_left() -> int:
+        return fuel
+
+    return run, fuel_left
 
 
 def alloc_order(state_value: object) -> list[int]:
@@ -213,20 +655,23 @@ def eval_program(program: MlProgram, fuel: int = DEFAULT_FUEL,
     The value is None when the run faulted.
     """
     output: list[int] = []
-    evaluator = _Evaluator(fuel)
-    env: dict = {"mj_print": VBuiltinPrint(output)}
+    fuel = max(fuel, 0)
+    value = fault = None
     old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, _RECURSION_LIMIT))
+    sys.setrecursionlimit(max(old_limit, RECURSION_LIMIT))
     try:
-        for group in program.fun_groups:
-            env = dict(env)
-            for f in group:
-                env[f.name] = VClosure(f.param, f.body, env)
-        value = evaluator.eval(program.main, env)
-        return RunOutcome(output=output), value
-    except MlFault as fault:
-        return RunOutcome(output=output, fault=fault.kind), None
-    except RecursionError:
-        return RunOutcome(output=output, fault=FaultKind.FUEL_EXHAUSTED), None
+        run, fuel_left = _compile(program, fuel, output)
+        try:
+            value = run()
+            steps = fuel - fuel_left()
+        except MlFault as exc:
+            fault = exc.kind
+            # a node that charges for several visits raises before
+            # spending the part that was left: all of it was used
+            steps = fuel if fault is _FUEL else fuel - fuel_left()
+        except RecursionError:
+            fault = _FUEL
+            steps = fuel - fuel_left()
     finally:
         sys.setrecursionlimit(old_limit)
+    return RunOutcome(output=output, fault=fault, steps=steps), value

@@ -14,6 +14,15 @@ from .mjast import Pos
 
 DEFAULT_FUEL = 10_000_000
 
+# Python frames a run may use: both interpreters raise the interpreter's
+# recursion limit to this for the run and restore it after, and deeper
+# recursion ends the run with FuelExhausted, like running out of fuel.
+# A pending MiniJava method call takes about 5 frames, a pending ML call
+# 3 or 4 (see `mleval`).  Checked on CPython 3.11, whose Python-to-Python
+# calls take no C stack; on 3.10 each frame also takes C stack, and a
+# limit this high may overflow it.
+RECURSION_LIMIT = 40_000
+
 
 class FaultKind(enum.Enum):
     NULL_DEREFERENCE = "NullDereference"
@@ -29,6 +38,8 @@ class RunOutcome:
     output: list[int] = field(default_factory=list)
     fault: FaultKind | None = None
     fault_pos: Pos | None = None
+    steps: int = 0  # fuel consumed: one unit per node (ML) or per
+                    # statement and expression (MiniJava) visited
 
     @property
     def ok(self) -> bool:

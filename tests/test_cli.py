@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +113,38 @@ def test_fuel_exhaustion_exits_5(tmp_path, capsys):
     path = write(tmp_path, "loop.java", LOOPING)
     assert main(["run-mj", path, "--fuel", "200"]) == 5
     assert main(["run-ml", path, "--fuel", "200"]) == 5
+
+
+DEEP = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new R().down(100000));
+    }
+}
+class R {
+    public int down(int n) {
+        int r;
+        if (n < 1) r = 0; else r = 1 + this.down(n - 1);
+        return r;
+    }
+}
+"""
+
+
+def test_too_deep_recursion_exits_5_without_crashing(tmp_path):
+    # past the recursion limit, well within fuel: a FuelExhausted fault,
+    # not a crash of the interpreter
+    path = write(tmp_path, "deep.java", DEEP)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for command in ("run-ml", "run-mj"):
+        done = subprocess.run(
+            [sys.executable, "-c", "from mj2ml.cli import entry; entry()", command, path],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 5, (command, done.stderr)
+        assert done.stdout == ""
+        assert "fault: FuelExhausted" in done.stderr
 
 
 def test_diff_corpus_exits_0(corpus_dir, capsys):

@@ -1,4 +1,8 @@
+import pytest
+
+from mj2ml.diffharness import diff_source
 from mj2ml.mjast import INT_MAX, INT_MIN
+from mj2ml.mjinterp import interpret_mj
 from mj2ml.mlast import (
     App,
     Case,
@@ -19,6 +23,9 @@ from mj2ml.mlast import (
 )
 from mj2ml.mleval import VCon, alloc_order, eval_program
 from mj2ml.outcome import FaultKind
+from mj2ml.parser import parse_source
+from mj2ml.sema import typecheck
+from mj2ml.translate import translate
 
 
 def run(main, fun_groups=(), fuel=10_000_000):
@@ -120,6 +127,20 @@ def test_fuel_exhaustion_reported():
     assert out.fault == FaultKind.FUEL_EXHAUSTED
 
 
+def test_fuel_runs_out_after_exactly_the_visits_it_paid_for():
+    # let a = 5 in (SOME a, mj_print 1, a): 9 node visits, the print
+    # happening after the 8th.  Fuel 8 prints and then runs out on the
+    # last `a`; fuel 7 runs out before the print.
+    main = Let(PVar("a"), IntLit(5),
+               Tuple((Con("SOME", (Var("a"),)), App(Var("mj_print"), IntLit(1)), Var("a"))))
+    for fuel in range(11):
+        out, val = run(main, fuel=fuel)
+        assert out.output == ([1] if fuel >= 8 else []), fuel
+        assert out.fault == (None if fuel >= 9 else FaultKind.FUEL_EXHAUSTED), fuel
+        assert out.steps == min(fuel, 9), fuel
+    assert val == (VCon("SOME", (5,)), (), 5)
+
+
 def test_print_builtin_collects_output():
     main = Let(PWild(), App(Var("mj_print"), IntLit(-5)),
                App(Var("mj_print"), IntLit(7)))
@@ -133,3 +154,124 @@ def test_alloc_order_reads_cons_heap_backwards():
     for k in (0, 1, 2):
         heap = VCon("::", ((k, w), heap))
     assert alloc_order((3, heap)) == [0, 1, 2]
+
+
+def test_let_does_not_change_what_a_closure_captured():
+    # let x = 1 in let fun g _ = x in let x = 2 in g () + 10 * x
+    main = Let(PVar("x"), IntLit(1),
+               LetFun((FunDef("g", PWild(), Var("x")),),
+                      Let(PVar("x"), IntLit(2),
+                          PrimOp("+", (App(Var("g"), Tuple(())),
+                                       PrimOp("*", (IntLit(10), Var("x"))))))))
+    out, val = run(main)
+    assert out.ok and val == 21
+
+
+def test_failed_case_rule_binds_nothing():
+    # let x = 5 in case (SOME 1, NONE) of (SOME x, SOME _) => 0 | _ => x
+    main = Let(PVar("x"), IntLit(5),
+               Case(Tuple((Con("SOME", (IntLit(1),)), Con("NONE"))),
+                    ((PTuple((PCon("SOME", (PVar("x"),)), PCon("SOME", (PWild(),)))),
+                      IntLit(0)),
+                     (PWild(), Var("x")))))
+    out, val = run(main)
+    assert out.ok and val == 5
+
+
+def test_tail_call_whose_argument_makes_calls():
+    # fun dec n = minus1 n  (a tail call inside a non-tail one)
+    # fun go n = if n < 1 then 0 else go (dec n)
+    minus1 = FunDef("minus1", PVar("n"), PrimOp("-", (Var("n"), IntLit(1))))
+    dec = FunDef("dec", PVar("n"), App(Var("minus1"), Var("n")))
+    go = FunDef("go", PVar("n"),
+                If(PrimOp("<", (Var("n"), IntLit(1))),
+                   IntLit(0),
+                   App(Var("go"), App(Var("dec"), Var("n")))))
+    out, val = run(App(Var("go"), IntLit(200_000)),
+                   fun_groups=((minus1,), (dec,), (go,)))
+    assert out.ok and val == 0
+
+
+# Fuel used on each side for the corpus, as the tree-walking evaluator
+# charged it: one unit per ML node visited, one per MiniJava statement
+# and expression.  A change to how either interpreter charges fuel shows
+# here.
+CORPUS_STEPS = {
+    "BinarySearch": (23099, 4018),
+    "BinaryTree": (12435, 527),
+    "BubbleSort": (31890, 1856),
+    "Factorial": (598, 141),
+    "LinearSearch": (12661, 1293),
+    "LinkedList": (2834, 171),
+    "QuickSort": (18777, 1114),
+    "TreeVisitor": (7146, 303),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_STEPS))
+def test_corpus_steps_are_pinned_and_are_the_fuel_needed(corpus_dir, name):
+    program = parse_source((corpus_dir / f"{name}.java").read_text())
+    table = typecheck(program)
+    ml_program = translate(program, table)
+    ml_steps, mj_steps = CORPUS_STEPS[name]
+
+    ml, _ = eval_program(ml_program)
+    mj = interpret_mj(program, table)
+    assert ml.ok and mj.ok and ml.output == mj.output
+    assert (ml.steps, mj.steps) == (ml_steps, mj_steps)
+
+    runs = {"ml": lambda fuel: eval_program(ml_program, fuel=fuel)[0],
+            "mj": lambda fuel: interpret_mj(program, table, fuel=fuel)}
+    for side, steps in (("ml", ml_steps), ("mj", mj_steps)):
+        enough = runs[side](steps)
+        assert enough.ok and enough.output == ml.output and enough.steps == steps, side
+        short = runs[side](steps - 1)
+        assert short.fault == FaultKind.FUEL_EXHAUSTED, side
+        assert short.steps == steps - 1, side
+        assert ml.output[:len(short.output)] == short.output, side
+
+
+DOWN = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new R().down(%d));
+    }
+}
+class R {
+    public int down(int n) {
+        int r;
+        if (n < 1) r = 0; else r = 1 + this.down(n - 1);
+        return r;
+    }
+}
+"""
+
+ZEROS = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new A().size(%d));
+    }
+}
+class A {
+    public int size(int n) {
+        int[] x;
+        x = new int[n];
+        return x.length;
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("template, n", [(DOWN, 9994), (ZEROS, 9995)], ids=["down", "zeros"])
+def test_deep_non_tail_recursion_finishes(template, n):
+    # the deepest method recursion and the largest array the tree-walking
+    # evaluator reached; each pending call holds several Python frames
+    program = parse_source(template % n)
+    out, _ = eval_program(translate(program, typecheck(program)))
+    assert out.ok and out.output == [n]
+
+
+def test_both_sides_finish_a_5000_deep_method_recursion():
+    result = diff_source("Down.java", DOWN % 5000)
+    assert result.verdict == "match"
+    assert result.mj.output == result.ml.output == [5000]
