@@ -30,7 +30,7 @@ from .mjinterp import interpret_mj
 from .mleval import eval_program
 from .outcome import DEFAULT_FUEL, RunOutcome
 from .parser import ParseError, parse_source
-from .randgen import generate_program
+from .randgen import _generate_run
 from .sema import ClassTable, MjTypeError, typecheck
 from .translate import translate
 
@@ -48,9 +48,14 @@ class DiffResult:
 
 
 def diff_ast(name: str, program: MjProgram, table: ClassTable | None = None,
-             fuel: int = DEFAULT_FUEL) -> DiffResult:
+             fuel: int = DEFAULT_FUEL, mj: RunOutcome | None = None) -> DiffResult:
     """Compare both runs of an already parsed program.  The fuel bound
-    applies to each side separately."""
+    applies to each side separately.
+
+    `mj`, when given, is a clean MiniJava run of `program` already made
+    with some fuel; it is used in place of a new run when its `steps`
+    fit in `fuel`, since a run with that much fuel repeats it exactly.
+    """
     start = time.perf_counter()
 
     def done(mj, ml, verdict, detail=""):
@@ -62,7 +67,8 @@ def diff_ast(name: str, program: MjProgram, table: ClassTable | None = None,
             table = typecheck(program)
     except MjTypeError as err:
         return done(None, None, "error", str(err))
-    mj = interpret_mj(program, table, fuel=fuel)
+    if mj is None or mj.steps > fuel:
+        mj = interpret_mj(program, table, fuel=fuel)
     if mj.fault is not None:
         return done(mj, None, "skipped-faulting")
     ml_program = translate(program, table)
@@ -104,13 +110,13 @@ def diff_generated(seeds: list[int], size: int = 40,
         name = f"seed{seed:03d}"
         start = time.perf_counter()
         try:
-            program = generate_program(seed, size)
+            program, table, mj = _generate_run(seed, size)
         except Exception as err:
             results.append(DiffResult(name, None, None, "error",
                                       (time.perf_counter() - start) * 1000.0,
                                       str(err)))
             continue
-        results.append(diff_ast(name, program, fuel=fuel))
+        results.append(diff_ast(name, program, table, fuel=fuel, mj=mj))
     return sorted(results, key=lambda r: r.name)
 
 

@@ -1,26 +1,62 @@
-"""Reference interpreter for MiniJava.
+"""Reference interpreter for MiniJava: the program is compiled to closures.
 
-Values at runtime are Python ints and bools; objects and arrays live in
-a heap keyed by pointers allocated sequentially from 0, and a class or
-array variable holds such a pointer (or -1 for null, the default).
-Arithmetic is checked 63-bit: any result outside
+Values at runtime are Python ints and bools.  An object is a Python list
+whose slot 0 holds its class's vtable and whose other slots hold its
+fields, the root class's first; an array is a list of ints; null is
+None.  Arithmetic is checked 63-bit: any result outside
 [-2^62, 2^62 - 1] is an IntegerOverflow fault.
 
-Faults stop execution and are reported in the RunOutcome together with
-whatever output was produced before the fault.  Every statement and
-expression evaluation costs one unit of fuel; running out is the
-FuelExhausted fault, and `RunOutcome.steps` is the fuel used.  The run
-raises Python's recursion limit to `outcome.RECURSION_LIMIT`; overflowing
-it (a MiniJava call chain some 8000 calls deep) is reported as
-FuelExhausted as well, since it is the same resource-limit channel.
+Before a run, `_compile` turns the program into Python closures after
+Feeley and Lapalme, "Using closures for code generation" (1987), as
+`mleval` does for the ML side: one closure per statement and expression,
+each capturing its node's source position.  A closure takes the current
+frame and does its node's work, calling its children's closures; no node
+of the tree is inspected while the program runs.  The closures are built
+for one run and dropped with it.
+
+Frames and classes.  Each method call gets one Python list: slot 0 holds
+`this`, then come the formals in order and then the locals, which start
+at their defaults (0, false, null).  The compiler resolves every local
+and formal to its slot and every field to its index in the object.  Each
+class gets a vtable, a dict from method name to the compiled method
+(its statements, its return expression and its locals' defaults), made
+from its superclass's by adding its own methods, and a template object
+holding its vtable and its fields' defaults, which `new` copies.  So
+method lookup is one dict read, and nothing consults the class table
+while the program runs.  The main body runs in the frame `[None]`.
+
+Fuel.  Every statement and expression evaluation costs one unit of fuel,
+checked before the node's work, and a `while` pays one more unit, at its
+own position, after each pass through its body.  Running out is the
+FuelExhausted fault at the position of the node that could not pay, and
+`RunOutcome.steps` is the fuel used.  A node pays with one check for
+itself and for the pure operands it evaluates before any other operand;
+a pure operand in any other place pays for all of its nodes at once.
+Pure means literals, variables, `this`, and `!` and `<` of pure
+operands: they have no effect and cannot fault, so no output, fault,
+fault position or step count can tell this from paying node by node.
+When the fuel does not cover such a check, the fault names the node,
+in evaluation order, at which the fuel would have run out.
+
+Frames per call.  A call expression runs the callee's statements and
+return expression itself, so a pending MiniJava call holds one Python
+frame for the call and one for each statement or expression between the
+callee's body and the call: 4 for `r = 1 + this.down(n - 1)` inside an
+`if`.  The run raises Python's recursion limit to
+`outcome.RECURSION_LIMIT`; overflowing it (a MiniJava call chain some
+10 000 calls deep) is reported as FuelExhausted as well, without a
+position, since it is the same resource-limit channel.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from itertools import count
+from operator import add, itemgetter, mul, sub
 
 from .mjast import (
+    BOOL,
+    INT,
     INT_MAX,
     INT_MIN,
     AndExpr,
@@ -36,6 +72,7 @@ from .mjast import (
     IfStmt,
     IntLitExpr,
     LessExpr,
+    MethodDecl,
     MinusExpr,
     MjProgram,
     NewArrayExpr,
@@ -53,18 +90,16 @@ from .mjast import (
 from .outcome import DEFAULT_FUEL, RECURSION_LIMIT, FaultKind, RunOutcome
 from .sema import ClassTable, typecheck
 
-NULL = -1
+_FUEL = FaultKind.FUEL_EXHAUSTED
+_NULL = FaultKind.NULL_DEREFERENCE
+_BOUNDS = FaultKind.INDEX_OUT_OF_BOUNDS
+_NEGATIVE = FaultKind.NEGATIVE_ARRAY_SIZE
+_OVERFLOW = FaultKind.INTEGER_OVERFLOW
 
+# Defaults of int and boolean variables; every other type defaults to null.
+_DEFAULTS = {INT: 0, BOOL: False}
 
-@dataclass
-class HeapObject:
-    class_name: str
-    fields: dict[str, object]
-
-
-@dataclass
-class HeapArray:
-    items: list[int]
+_ARITHMETIC = {PlusExpr: add, MinusExpr: sub, TimesExpr: mul}
 
 
 class _Fault(Exception):
@@ -73,204 +108,433 @@ class _Fault(Exception):
         self.pos = pos
 
 
-@dataclass
-class _State:
-    table: ClassTable
-    fuel: int
-    heap: dict[int, object] = field(default_factory=dict)
-    next_ptr: int = 0
-    output: list[int] = field(default_factory=list)
-    alloc_trace: list[int] | None = None
+def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int],
+             alloc_trace: list[int] | None):
+    """Compile `program` for one run with `fuel` units (at least 0).
 
-    def tick(self, pos: Pos) -> None:
-        if self.fuel <= 0:
-            raise _Fault(FaultKind.FUEL_EXHAUSTED, pos)
-        self.fuel -= 1
+    Returns `(run, fuel_left)`: `run()` executes the main body (or
+    raises _Fault), `fuel_left()` returns the fuel not yet spent.
+    """
+    emit = output.append
+    if alloc_trace is None:
+        traced = None
+    else:
+        pointers = count()
 
-    def alloc(self, value: object) -> int:
-        ptr = self.next_ptr
-        self.next_ptr += 1
-        self.heap[ptr] = value
-        if self.alloc_trace is not None:
-            self.alloc_trace.append(ptr)
-        return ptr
+        def traced():
+            alloc_trace.append(next(pointers))
 
+    # Compile-time layout: each class's vtable and template object, each
+    # field's index in its objects, and the slots of the method being
+    # compiled.  Parents come before their subclasses.
+    order = sorted(table.classes, key=lambda name: len(table.superchain(name)))
+    vtables: dict[str, dict[str, tuple]] = {}
+    templates: dict[str, list] = {}
+    field_index: dict[tuple[str, str], int] = {}
+    for name in order:
+        info = table.info(name)
+        vtables[name] = {}
+        parent = templates.get(info.superclass) if info.superclass else None
+        template = [vtables[name], *(parent[1:] if parent else ())]
+        for fname, fty in info.fields.items():
+            field_index[name, fname] = len(template)
+            template.append(_DEFAULTS.get(fty))
+        templates[name] = template
+    slots: dict[str, int] = {}
 
-def _check_int(value: int, pos: Pos) -> int:
-    if value < INT_MIN or value > INT_MAX:
-        raise _Fault(FaultKind.INTEGER_OVERFLOW, pos)
-    return value
+    def variable(name: str, binding) -> object:
+        """Getter for a variable of the method being compiled."""
+        if binding.kind == "field":
+            index = field_index[binding.decl_class, name]
+            return lambda f: f[0][index]
+        return itemgetter(slots[name])
 
+    # -- expressions.  `compiled(e)` is a pair: for a pure `e`, a getter
+    # that charges nothing and the positions of its nodes in evaluation
+    # order; for any other `e`, a closure that charges its own fuel before
+    # its work, and None. --------------------------------------------------
 
-def _default_value(ty) -> object:
-    from .mjast import BOOL, INT
-    if ty == INT:
-        return 0
-    if ty == BOOL:
-        return False
-    return NULL
+    def compiled(e: Expr) -> tuple:
+        cls = type(e)
+        if cls is IntLitExpr or cls is TrueExpr or cls is FalseExpr:
+            value = e.value if cls is IntLitExpr else cls is TrueExpr
+            return (lambda f: value), [e.span.start]
+        if cls is IdentExpr:
+            return variable(e.name, e.binding), [e.span.start]
+        if cls is ThisExpr:
+            return itemgetter(0), [e.span.start]
+        if cls is NotExpr:
+            operand = compiled(e.operand)
+            get, poss = operand
+            if poss is not None:
+                return (lambda f: not get(f)), [e.span.start, *poss]
+            return not_(e, operand), None
+        if cls is LessExpr:
+            left, right = compiled(e.left), compiled(e.right)
+            if left[1] is not None and right[1] is not None:
+                lget, rget = left[0], right[0]
+                return (lambda f: lget(f) < rget(f)), [e.span.start, *left[1], *right[1]]
+            return less(e, left, right), None
+        if cls in _ARITHMETIC:
+            return arithmetic(e, _ARITHMETIC[cls]), None
+        return expressions[cls](e), None
 
+    def charged(part: tuple):
+        """The closure for a compiled operand: a pure one's getter behind
+        one check for all of its nodes."""
+        get, poss = part
+        if poss is None:
+            return get
+        n = len(poss)
 
-class _Interp:
-    def __init__(self, state: _State):
-        self.state = state
-        self.table = state.table
+        def ev(f):
+            nonlocal fuel
+            if fuel < n:
+                raise _Fault(_FUEL, poss[fuel])
+            fuel -= n
+            return get(f)
+        return ev
 
-    def _deref_array(self, ptr: int, pos: Pos) -> HeapArray:
-        if ptr == NULL:
-            raise _Fault(FaultKind.NULL_DEREFERENCE, pos)
-        arr = self.state.heap[ptr]
-        assert isinstance(arr, HeapArray)
-        return arr
+    def expr(e: Expr):
+        return charged(compiled(e))
 
-    def _deref_object(self, ptr: int, pos: Pos) -> HeapObject:
-        if ptr == NULL:
-            raise _Fault(FaultKind.NULL_DEREFERENCE, pos)
-        obj = self.state.heap[ptr]
-        assert isinstance(obj, HeapObject)
-        return obj
+    def operands(node, children) -> tuple[list[Pos], list]:
+        """Positions `node` pays for with its own check, and one closure
+        per child (an expression or its compiled pair): a getter for each
+        pure child before the first impure one, which the node pays for,
+        and otherwise the child's closure."""
+        poss = [node.span.start]
+        closures = []
+        prefix = True
+        for child in children:
+            get, child_poss = child if type(child) is tuple else compiled(child)
+            prefix = prefix and child_poss is not None
+            if prefix:
+                closures.append(get)
+                poss.extend(child_poss)
+            else:
+                closures.append(charged((get, child_poss)))
+        return poss, closures
 
-    # -- expressions ----------------------------------------------------------
+    def arithmetic(e, op):
+        poss, (left, right) = operands(e, (e.left, e.right))
+        n, pos = len(poss), poss[0]
 
-    def eval(self, e: Expr, env: dict[str, object], this: int | None) -> object:
+        def ev(f):
+            nonlocal fuel
+            if fuel < n:
+                raise _Fault(_FUEL, poss[fuel])
+            fuel -= n
+            value = op(left(f), right(f))
+            if value < INT_MIN or value > INT_MAX:
+                raise _Fault(_OVERFLOW, pos)
+            return value
+        return ev
+
+    def less(e: LessExpr, left: tuple, right: tuple):
+        poss, (left, right) = operands(e, (left, right))
+        n = len(poss)
+
+        def ev(f):
+            nonlocal fuel
+            if fuel < n:
+                raise _Fault(_FUEL, poss[fuel])
+            fuel -= n
+            return left(f) < right(f)
+        return ev
+
+    def and_(e: AndExpr):
+        poss, (left,) = operands(e, (e.left,))
+        n = len(poss)
+        right = expr(e.right)
+
+        def ev(f):
+            nonlocal fuel
+            if fuel < n:
+                raise _Fault(_FUEL, poss[fuel])
+            fuel -= n
+            return left(f) and right(f)
+        return ev
+
+    def not_(e: NotExpr, operand: tuple):
+        poss, (operand,) = operands(e, (operand,))
+        n = len(poss)
+
+        def ev(f):
+            nonlocal fuel
+            if fuel < n:
+                raise _Fault(_FUEL, poss[fuel])
+            fuel -= n
+            return not operand(f)
+        return ev
+
+    def index(e: ArrayIndexExpr):
+        poss, (array, at) = operands(e, (e.array, e.index))
+        n, pos = len(poss), poss[0]
+
+        def ev(f):
+            nonlocal fuel
+            if fuel < n:
+                raise _Fault(_FUEL, poss[fuel])
+            fuel -= n
+            items = array(f)
+            i = at(f)
+            if items is None:
+                raise _Fault(_NULL, pos)
+            if i < 0 or i >= len(items):
+                raise _Fault(_BOUNDS, pos)
+            return items[i]
+        return ev
+
+    def length(e: ArrayLengthExpr):
+        poss, (array,) = operands(e, (e.array,))
+        n, pos = len(poss), poss[0]
+
+        def ev(f):
+            nonlocal fuel
+            if fuel < n:
+                raise _Fault(_FUEL, poss[fuel])
+            fuel -= n
+            items = array(f)
+            if items is None:
+                raise _Fault(_NULL, pos)
+            return len(items)
+        return ev
+
+    def new_array(e: NewArrayExpr):
+        poss, (size,) = operands(e, (e.length,))
+        n, pos = len(poss), poss[0]
+
+        def ev(f):
+            nonlocal fuel
+            if fuel < n:
+                raise _Fault(_FUEL, poss[fuel])
+            fuel -= n
+            k = size(f)
+            if k < 0:
+                raise _Fault(_NEGATIVE, pos)
+            if traced is not None:
+                traced()
+            return [0] * k
+        return ev
+
+    def new_object(e: NewObjectExpr):
+        template = templates[e.class_name]
         pos = e.span.start
-        self.state.tick(pos)
-        if isinstance(e, IntLitExpr):
-            return e.value
-        if isinstance(e, TrueExpr):
-            return True
-        if isinstance(e, FalseExpr):
-            return False
-        if isinstance(e, AndExpr):
-            left = self.eval(e.left, env, this)
-            if not left:
-                return False
-            return self.eval(e.right, env, this)
-        if isinstance(e, LessExpr):
-            return self.eval(e.left, env, this) < self.eval(e.right, env, this)
-        if isinstance(e, PlusExpr):
-            return _check_int(self.eval(e.left, env, this) + self.eval(e.right, env, this), pos)
-        if isinstance(e, MinusExpr):
-            return _check_int(self.eval(e.left, env, this) - self.eval(e.right, env, this), pos)
-        if isinstance(e, TimesExpr):
-            return _check_int(self.eval(e.left, env, this) * self.eval(e.right, env, this), pos)
-        if isinstance(e, NotExpr):
-            return not self.eval(e.operand, env, this)
-        if isinstance(e, ArrayIndexExpr):
-            ptr = self.eval(e.array, env, this)
-            idx = self.eval(e.index, env, this)
-            arr = self._deref_array(ptr, pos)
-            if idx < 0 or idx >= len(arr.items):
-                raise _Fault(FaultKind.INDEX_OUT_OF_BOUNDS, pos)
-            return arr.items[idx]
-        if isinstance(e, ArrayLengthExpr):
-            arr = self._deref_array(self.eval(e.array, env, this), pos)
-            return len(arr.items)
-        if isinstance(e, IdentExpr):
-            assert e.binding is not None
-            if e.binding.kind == "field":
-                obj = self._deref_object(this, pos)
-                return obj.fields[e.name]
-            return env[e.name]
-        if isinstance(e, ThisExpr):
-            assert this is not None
-            return this
-        if isinstance(e, NewArrayExpr):
-            n = self.eval(e.length, env, this)
-            if n < 0:
-                raise _Fault(FaultKind.NEGATIVE_ARRAY_SIZE, pos)
-            return self.state.alloc(HeapArray([0] * n))
-        if isinstance(e, NewObjectExpr):
-            fields: dict[str, object] = {}
-            for cname in self.table.path_from_root(e.class_name):
-                for fname, fty in self.table.info(cname).fields.items():
-                    fields[fname] = _default_value(fty)
-            return self.state.alloc(HeapObject(e.class_name, fields))
-        if isinstance(e, CallExpr):
-            recv = self.eval(e.receiver, env, this)
-            args = [self.eval(a, env, this) for a in e.args]
-            obj = self._deref_object(recv, pos)
-            return self.call(obj.class_name, e.method, recv, args)
-        raise AssertionError(f"unhandled expression {type(e).__name__}")
 
-    def call(self, dynamic_class: str, method: str, receiver: int,
-             args: list[object]) -> object:
-        found = self.table.lookup_method(dynamic_class, method)
-        assert found is not None
-        _, decl = found
-        env: dict[str, object] = {}
-        for formal, arg in zip(decl.formals, args):
-            env[formal.name] = arg
-        for local in decl.local_vars:
-            env[local.name] = _default_value(local.var_type)
-        for s in decl.body:
-            self.exec(s, env, receiver)
-        return self.eval(decl.return_expr, env, receiver)
+        def ev(f):
+            nonlocal fuel
+            if fuel < 1:
+                raise _Fault(_FUEL, pos)
+            fuel -= 1
+            if traced is not None:
+                traced()
+            return template.copy()
+        return ev
 
-    # -- statements -----------------------------------------------------------
+    def call(e: CallExpr):
+        poss, (receiver, *args) = operands(e, (e.receiver, *e.args))
+        n, pos, name = len(poss), poss[0], e.method
 
-    def exec(self, s: Stmt, env: dict[str, object], this: int | None) -> None:
+        def ev(f):
+            nonlocal fuel
+            if fuel < n:
+                raise _Fault(_FUEL, poss[fuel])
+            fuel -= n
+            this = receiver(f)
+            frame = [this]
+            for arg in args:
+                frame.append(arg(f))
+            if this is None:
+                raise _Fault(_NULL, pos)
+            body, result, locals_ = this[0][name]
+            frame.extend(locals_)
+            for s in body:
+                s(frame)
+            return result(frame)
+        return ev
+
+    expressions = {AndExpr: and_, ArrayIndexExpr: index, ArrayLengthExpr: length,
+                    NewArrayExpr: new_array, NewObjectExpr: new_object,
+                    CallExpr: call}
+
+    # -- statements ---------------------------------------------------------
+
+    def stmt(s: Stmt):
+        return statements[type(s)](s)
+
+    def block(s: BlockStmt):
+        body = tuple(stmt(sub) for sub in s.body)
         pos = s.span.start
-        self.state.tick(pos)
-        if isinstance(s, BlockStmt):
-            for sub in s.body:
-                self.exec(sub, env, this)
-        elif isinstance(s, IfStmt):
-            if self.eval(s.cond, env, this):
-                self.exec(s.then_branch, env, this)
+
+        def ex(f):
+            nonlocal fuel
+            if fuel < 1:
+                raise _Fault(_FUEL, pos)
+            fuel -= 1
+            for sub in body:
+                sub(f)
+        return ex
+
+    def if_(s: IfStmt):
+        poss, (cond,) = operands(s, (s.cond,))
+        n = len(poss)
+        then, else_ = stmt(s.then_branch), stmt(s.else_branch)
+
+        def ex(f):
+            nonlocal fuel
+            if fuel < n:
+                raise _Fault(_FUEL, poss[fuel])
+            fuel -= n
+            if cond(f):
+                then(f)
             else:
-                self.exec(s.else_branch, env, this)
-        elif isinstance(s, WhileStmt):
-            while self.eval(s.cond, env, this):
-                self.exec(s.body, env, this)
-                self.state.tick(pos)
-        elif isinstance(s, PrintStmt):
-            self.state.output.append(self.eval(s.value, env, this))
-        elif isinstance(s, AssignStmt):
-            value = self.eval(s.value, env, this)
-            assert s.binding is not None
-            if s.binding.kind == "field":
-                obj = self._deref_object(this, pos)
-                obj.fields[s.name] = value
-            else:
-                env[s.name] = value
-        elif isinstance(s, ArrayAssignStmt):
-            assert s.binding is not None
-            if s.binding.kind == "field":
-                obj = self._deref_object(this, pos)
-                ptr = obj.fields[s.name]
-            else:
-                ptr = env[s.name]
-            idx = self.eval(s.index, env, this)
-            value = self.eval(s.value, env, this)
-            arr = self._deref_array(ptr, pos)
-            if idx < 0 or idx >= len(arr.items):
-                raise _Fault(FaultKind.INDEX_OUT_OF_BOUNDS, pos)
-            arr.items[idx] = value
+                else_(f)
+        return ex
+
+    def while_(s: WhileStmt):
+        # the statement's unit on entry and the one it pays after each
+        # pass through the body both come just before the condition
+        poss, (cond,) = operands(s, (s.cond,))
+        n = len(poss)
+        body = stmt(s.body)
+
+        def ex(f):
+            nonlocal fuel
+            while True:
+                if fuel < n:
+                    raise _Fault(_FUEL, poss[fuel])
+                fuel -= n
+                if not cond(f):
+                    return
+                body(f)
+        return ex
+
+    def print_(s: PrintStmt):
+        poss, (value,) = operands(s, (s.value,))
+        n = len(poss)
+
+        def ex(f):
+            nonlocal fuel
+            if fuel < n:
+                raise _Fault(_FUEL, poss[fuel])
+            fuel -= n
+            emit(value(f))
+        return ex
+
+    def assign(s: AssignStmt):
+        poss, (value,) = operands(s, (s.value,))
+        n = len(poss)
+        if s.binding.kind == "field":
+            index = field_index[s.binding.decl_class, s.name]
+
+            def ex(f):
+                nonlocal fuel
+                if fuel < n:
+                    raise _Fault(_FUEL, poss[fuel])
+                fuel -= n
+                f[0][index] = value(f)
         else:
-            raise AssertionError(f"unhandled statement {type(s).__name__}")
+            slot = slots[s.name]
+
+            def ex(f):
+                nonlocal fuel
+                if fuel < n:
+                    raise _Fault(_FUEL, poss[fuel])
+                fuel -= n
+                f[slot] = value(f)
+        return ex
+
+    def array_assign(s: ArrayAssignStmt):
+        array = variable(s.name, s.binding)
+        poss, (at, value) = operands(s, (s.index, s.value))
+        n, pos = len(poss), poss[0]
+
+        def ex(f):
+            nonlocal fuel
+            if fuel < n:
+                raise _Fault(_FUEL, poss[fuel])
+            fuel -= n
+            items = array(f)
+            i = at(f)
+            v = value(f)
+            if items is None:
+                raise _Fault(_NULL, pos)
+            if i < 0 or i >= len(items):
+                raise _Fault(_BOUNDS, pos)
+            items[i] = v
+        return ex
+
+    statements = {BlockStmt: block, IfStmt: if_, WhileStmt: while_,
+                   PrintStmt: print_, AssignStmt: assign,
+                   ArrayAssignStmt: array_assign}
+
+    # -- methods and classes ------------------------------------------------
+
+    def method(decl: MethodDecl) -> tuple:
+        slots.clear()
+        for slot, var in enumerate((*decl.formals, *decl.local_vars), start=1):
+            slots[var.name] = slot
+        body = tuple(stmt(s) for s in decl.body)
+        return body, expr(decl.return_expr), tuple(
+            _DEFAULTS.get(var.var_type) for var in decl.local_vars)
+
+    for name in order:
+        info = table.info(name)
+        vtable = vtables[name]
+        if info.superclass:
+            vtable.update(vtables[info.superclass])
+        for mname, decl in info.methods.items():
+            vtable[mname] = method(decl)
+    slots.clear()
+    main = tuple(stmt(s) for s in program.main.body)
+
+    def run():
+        try:
+            frame = [None]
+            for s in main:
+                s(frame)
+        finally:
+            # break the template -> vtable -> closure cycles so the run's
+            # memory goes now
+            for vtable in vtables.values():
+                vtable.clear()
+
+    def fuel_left() -> int:
+        return fuel
+
+    return run, fuel_left
 
 
 def interpret_mj(program: MjProgram, table: ClassTable | None = None,
                  fuel: int = DEFAULT_FUEL,
                  alloc_trace: list[int] | None = None) -> RunOutcome:
-    """Run a typechecked program; typechecks first when no table is given."""
+    """Run a typechecked program; typechecks first when no table is given.
+
+    `alloc_trace`, when given, gets one pointer per allocation, objects
+    and arrays alike, numbered from 0 in allocation order.
+    """
     if table is None:
         table = typecheck(program)
-    state = _State(table=table, fuel=fuel, alloc_trace=alloc_trace)
-    interp = _Interp(state)
-    outcome = RunOutcome(output=state.output)
+    fuel = max(fuel, 0)
+    outcome = RunOutcome()
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, RECURSION_LIMIT))
     try:
-        for s in program.main.body:
-            interp.exec(s, {}, None)
-    except _Fault as fault:
-        outcome.fault = fault.kind
-        outcome.fault_pos = fault.pos
-    except RecursionError:
-        outcome.fault = FaultKind.FUEL_EXHAUSTED
+        run, fuel_left = _compile(program, table, fuel, outcome.output, alloc_trace)
+        try:
+            run()
+        except _Fault as fault:
+            outcome.fault = fault.kind
+            outcome.fault_pos = fault.pos
+        except RecursionError:
+            outcome.fault = _FUEL
     finally:
         sys.setrecursionlimit(old_limit)
-    outcome.steps = fuel - state.fuel
+    # a check that charges for several nodes raises before spending the
+    # part that was left: all of it was used
+    if outcome.fault is _FUEL and outcome.fault_pos is not None:
+        outcome.steps = fuel
+    else:
+        outcome.steps = fuel - fuel_left()
     return outcome

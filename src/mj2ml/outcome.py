@@ -17,10 +17,10 @@ DEFAULT_FUEL = 10_000_000
 # Python frames a run may use: both interpreters raise the interpreter's
 # recursion limit to this for the run and restore it after, and deeper
 # recursion ends the run with FuelExhausted, like running out of fuel.
-# A pending MiniJava method call takes about 5 frames, a pending ML call
-# 3 or 4 (see `mleval`).  Checked on CPython 3.11, whose Python-to-Python
-# calls take no C stack; on 3.10 each frame also takes C stack, and a
-# limit this high may overflow it.
+# A pending MiniJava method call takes about 4 frames (see `mjinterp`), a
+# pending ML call 3 or 4 (see `mleval`).  The limit relies on CPython 3.11
+# or later (`requires-python` in pyproject.toml), whose Python-to-Python
+# calls take no C stack.
 RECURSION_LIMIT = 40_000
 
 

@@ -60,7 +60,8 @@ from .mjast import (
     WhileStmt,
 )
 from .mjinterp import interpret_mj
-from .sema import typecheck
+from .outcome import RunOutcome
+from .sema import ClassTable, typecheck
 
 METHOD_POOL = [f"calc{i}" for i in range(10)]
 GENERATOR_FUEL = 150_000
@@ -364,12 +365,19 @@ class _Gen:
 
 def generate_program(seed: int, size: int = 40) -> MjProgram:
     """A runnable, fault-free program determined entirely by (seed, size)."""
+    return _generate_run(seed, size)[0]
+
+
+def _generate_run(seed: int, size: int = 40) -> tuple[MjProgram, ClassTable, RunOutcome]:
+    """`generate_program`'s program with its class table and the clean
+    viability run made on it, which any run with at least its `steps`
+    of fuel repeats exactly."""
     for nonce in range(MAX_ATTEMPTS):
         rng = random.Random(seed * 1_000_003 + nonce)
         program = _Gen(rng, size).program()
         table = typecheck(program)
         outcome = interpret_mj(program, table, fuel=GENERATOR_FUEL)
         if outcome.fault is None and outcome.output:
-            return program
+            return program, table, outcome
     raise GenerationError(f"no viable program for seed {seed} "
                           f"within {MAX_ATTEMPTS} attempts")

@@ -190,6 +190,13 @@ def test_check_runs_generated_programs(capsys):
     assert "seed000" in out and "seed002" in out
 
 
+def test_check_with_too_little_fuel_skips_the_faulting_source_run(capsys):
+    assert main(["check", "--count", "1", "--fuel", "5"]) == 0
+    row = capsys.readouterr().out.splitlines()[2]
+    assert re.split(r" *\| *", row)[:4] == ["seed000", "FuelExhausted", "-",
+                                             "skipped-faulting"]
+
+
 def test_generate_is_deterministic_and_parses(capsys):
     assert main(["generate", "--seed", "5"]) == 0
     first = capsys.readouterr().out

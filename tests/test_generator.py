@@ -1,5 +1,7 @@
+from mj2ml.diffharness import diff_generated
 from mj2ml.mjast import IdentExpr, IntLitExpr, LessExpr, WhileStmt, print_program, walk
 from mj2ml.mjinterp import interpret_mj
+from mj2ml.outcome import FaultKind
 from mj2ml.parser import parse_source
 from mj2ml.randgen import GENERATOR_FUEL, MAX_LITERAL, generate_program
 from mj2ml.sema import typecheck
@@ -52,3 +54,18 @@ def test_loops_are_counter_bounded():
                 assert node.cond.left == IntLitExpr(0)
                 assert isinstance(node.cond.right, IdentExpr)
     assert found > 0
+
+
+def test_diff_generated_reuses_the_generator_run_only_within_its_fuel():
+    program = generate_program(0, 40)
+    steps = interpret_mj(program).steps
+    short, = diff_generated([0], fuel=steps - 1)
+    assert short.verdict == "skipped-faulting"
+    assert short.mj.fault == FaultKind.FUEL_EXHAUSTED and short.mj.steps == steps - 1
+    # the ML side needs more fuel than the MiniJava side, so with just
+    # `steps` only the MiniJava run is clean
+    exact, = diff_generated([0], fuel=steps)
+    assert exact.mj.ok and exact.mj.steps == steps
+    full, = diff_generated([0])
+    assert full.verdict == "match" and full.mj.steps == steps
+    assert full.mj.output == exact.mj.output == interpret_mj(program).output

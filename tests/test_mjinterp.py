@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from mj2ml.mjast import INT_MAX
 from mj2ml.mjinterp import interpret_mj
 from mj2ml.outcome import FaultKind
@@ -82,6 +84,7 @@ def test_tree_visitor_matches_aggregate_oracles(corpus_dir):
 def test_addition_overflow_faults():
     out = run(worker(f"        return {INT_MAX} + 1;"))
     assert out.fault == FaultKind.INTEGER_OVERFLOW
+    assert str(out.fault_pos) == "9:16"
     assert out.output == []
 
 
@@ -98,13 +101,21 @@ def test_in_range_arithmetic_is_exact_at_the_edge():
 def test_null_field_call_faults_with_position():
     out = run(worker("        return other.run();", extra="    W other;"))
     assert out.fault == FaultKind.NULL_DEREFERENCE
-    assert out.fault_pos is not None
+    assert str(out.fault_pos) == "9:16"
 
 
 def test_index_out_of_bounds_faults():
     body = "        int[] xs;\n        xs = new int[3];\n        return xs[3];"
     out = run(worker(body))
     assert out.fault == FaultKind.INDEX_OUT_OF_BOUNDS
+    assert str(out.fault_pos) == "11:16"
+
+
+def test_index_out_of_bounds_write_faults_at_the_statement():
+    body = "        int[] xs;\n        xs = new int[3];\n        xs[3] = 1;\n        return 0;"
+    out = run(worker(body))
+    assert out.fault == FaultKind.INDEX_OUT_OF_BOUNDS
+    assert str(out.fault_pos) == "11:9"
 
 
 def test_negative_index_faults():
@@ -117,6 +128,7 @@ def test_negative_array_size_faults():
     body = "        int[] xs;\n        xs = new int[0 - 2];\n        return xs.length;"
     out = run(worker(body))
     assert out.fault == FaultKind.NEGATIVE_ARRAY_SIZE
+    assert str(out.fault_pos) == "10:14"
 
 
 def test_fresh_array_is_zeroed_and_has_length():
@@ -131,6 +143,7 @@ def test_fuel_exhaustion_on_endless_loop():
             "        while (0 < 1) { x = x + 1; }\n        return x;")
     out = run(worker(body), fuel=1_000)
     assert out.fault == FaultKind.FUEL_EXHAUSTED
+    assert str(out.fault_pos) == "11:25" and out.steps == 1_000
 
 
 def test_short_circuit_and_skips_right_operand():
@@ -182,3 +195,69 @@ def test_alloc_trace_counts_objects_and_arrays_in_order():
     out = run(src, alloc_trace=trace)
     assert out.ok
     assert trace == [0, 1, 2, 3]
+
+
+# Where each corpus run stops with one unit less fuel than it needs: the
+# last node the full run visits.
+CORPUS_CUT_POS = {
+    "BinarySearch": "19:16",
+    "BinaryTree": "94:16",
+    "BubbleSort": "18:16",
+    "Factorial": "14:16",
+    "LinearSearch": "18:16",
+    "LinkedList": "61:16",
+    "QuickSort": "18:16",
+    "TreeVisitor": "108:16",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_CUT_POS))
+def test_corpus_run_one_unit_short_faults_at_its_last_node(corpus_dir, name):
+    program = parse_source((corpus_dir / f"{name}.java").read_text())
+    steps = interpret_mj(program).steps
+    out = interpret_mj(program, fuel=steps - 1)
+    assert out.fault == FaultKind.FUEL_EXHAUSTED
+    assert str(out.fault_pos) == CORPUS_CUT_POS[name]
+
+
+COUNTDOWN = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new W().run(2));
+    }
+}
+class W {
+    int k;
+    public int run(int n) {
+        int[] xs;
+        xs = new int[n];
+        while (0 < n && !(k < 0)) {
+            xs[n - 1] = k + n;
+            n = n - 1;
+        }
+        return xs[0] + xs.length;
+    }
+}
+"""
+
+# The node at which a run of COUNTDOWN with fuel 0, 1, .. 59 stops: every
+# statement and expression visit in order, the while's own unit before
+# each test of its condition.  A binary expression starts where its left
+# operand does.
+COUNTDOWN_VISITS = (
+    ["3:9", "3:28", "3:28", "3:40", "10:9", "10:14", "10:22"]
+    + ["11:9", "11:16", "11:16", "11:16", "11:20", "11:25", "11:27", "11:27",
+       "11:31", "11:35", "12:13", "12:16", "12:16", "12:20", "12:25", "12:25",
+       "12:29", "13:13", "13:17", "13:17", "13:21"] * 2
+    + ["11:9", "11:16", "11:16", "11:16", "11:20",
+       "15:16", "15:16", "15:16", "15:19", "15:24", "15:24"])
+
+
+def test_fuel_runs_out_at_each_visit_in_order():
+    program = parse_source(COUNTDOWN)
+    full = interpret_mj(program)
+    assert full.ok and full.output == [3] and full.steps == len(COUNTDOWN_VISITS)
+    for fuel, pos in enumerate(COUNTDOWN_VISITS):
+        out = interpret_mj(program, fuel=fuel)
+        assert (out.fault, str(out.fault_pos), out.steps) == (
+            FaultKind.FUEL_EXHAUSTED, pos, fuel), fuel

@@ -271,6 +271,13 @@ def test_deep_non_tail_recursion_finishes(template, n):
     assert out.ok and out.output == [n]
 
 
+def test_minijava_finishes_a_9500_deep_method_recursion():
+    # 4 Python frames per pending call reach depth 9998 under
+    # RECURSION_LIMIT; 5, as the tree-walking interpreter took, only 7998
+    out = interpret_mj(parse_source(DOWN % 9500))
+    assert out.ok and out.output == [9500]
+
+
 def test_both_sides_finish_a_5000_deep_method_recursion():
     result = diff_source("Down.java", DOWN % 5000)
     assert result.verdict == "match"
