@@ -17,13 +17,15 @@ for one run and dropped with it.
 Frames and classes.  Each method call gets one Python list: slot 0 holds
 `this`, then come the formals in order and then the locals, which start
 at their defaults (0, false, null).  The compiler resolves every local
-and formal to its slot and every field to its index in the object.  Each
-class gets a vtable, a dict from method name to the compiled method
-(its statements, its return expression and its locals' defaults), made
-from its superclass's by adding its own methods, and a template object
-holding its vtable and its fields' defaults, which `new` copies.  So
-method lookup is one dict read, and nothing consults the class table
-while the program runs.  The main body runs in the frame `[None]`.
+and formal to its slot and every field to its index in the object.  The
+layout is read off the class table's resolved classes: an object holds
+its class's `all_fields` after its vtable, and the vtable maps each
+method of the class's `vtable` to the compiled implementation (its
+statements, its return expression and its locals' defaults), each
+compiled once.  `new` copies a class's template object, which holds its
+vtable and its fields' defaults.  So method lookup is one dict read, and
+nothing consults the class table while the program runs.  The main body
+runs in the frame `[None]`.
 
 Fuel.  Every statement and expression evaluation costs one unit of fuel,
 checked before the node's work, and a `while` pays one more unit, at its
@@ -42,15 +44,14 @@ Frames per call.  A call expression runs the callee's statements and
 return expression itself, so a pending MiniJava call holds one Python
 frame for the call and one for each statement or expression between the
 callee's body and the call: 4 for `r = 1 + this.down(n - 1)` inside an
-`if`.  The run raises Python's recursion limit to
-`outcome.RECURSION_LIMIT`; overflowing it (a MiniJava call chain some
-10 000 calls deep) is reported as FuelExhausted as well, without a
-position, since it is the same resource-limit channel.
+`if`.  The run has `outcome.RECURSION_LIMIT` Python frames (the run
+model in `outcome`); overflowing it (a MiniJava call chain some 10 000
+calls deep) is reported as FuelExhausted as well, without a position,
+since it is the same resource-limit channel.
 """
 
 from __future__ import annotations
 
-import sys
 from itertools import count
 from operator import add, itemgetter, mul, sub
 
@@ -87,7 +88,7 @@ from .mjast import (
     TrueExpr,
     WhileStmt,
 )
-from .outcome import DEFAULT_FUEL, RECURSION_LIMIT, FaultKind, RunOutcome
+from .outcome import DEFAULT_FUEL, Fault, FaultKind, RunOutcome, run_compiled
 from .sema import ClassTable, typecheck
 
 _FUEL = FaultKind.FUEL_EXHAUSTED
@@ -102,18 +103,12 @@ _DEFAULTS = {INT: 0, BOOL: False}
 _ARITHMETIC = {PlusExpr: add, MinusExpr: sub, TimesExpr: mul}
 
 
-class _Fault(Exception):
-    def __init__(self, kind: FaultKind, pos: Pos):
-        self.kind = kind
-        self.pos = pos
-
-
 def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int],
              alloc_trace: list[int] | None):
     """Compile `program` for one run with `fuel` units (at least 0).
 
     Returns `(run, fuel_left)`: `run()` executes the main body (or
-    raises _Fault), `fuel_left()` returns the fuel not yet spent.
+    raises Fault), `fuel_left()` returns the fuel not yet spent.
     """
     emit = output.append
     if alloc_trace is None:
@@ -124,22 +119,18 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         def traced():
             alloc_trace.append(next(pointers))
 
-    # Compile-time layout: each class's vtable and template object, each
-    # field's index in its objects, and the slots of the method being
-    # compiled.  Parents come before their subclasses.
-    order = sorted(table.classes, key=lambda name: len(table.superchain(name)))
+    # Compile-time layout: each class's vtable (filled once the methods
+    # are compiled) and template object, each field's index in its
+    # objects, and the slots of the method being compiled.
     vtables: dict[str, dict[str, tuple]] = {}
     templates: dict[str, list] = {}
     field_index: dict[tuple[str, str], int] = {}
-    for name in order:
-        info = table.info(name)
+    for name, info in table.classes.items():
         vtables[name] = {}
-        parent = templates.get(info.superclass) if info.superclass else None
-        template = [vtables[name], *(parent[1:] if parent else ())]
-        for fname, fty in info.fields.items():
-            field_index[name, fname] = len(template)
-            template.append(_DEFAULTS.get(fty))
-        templates[name] = template
+        templates[name] = [vtables[name],
+                           *(_DEFAULTS.get(fty) for _, fty in info.all_fields.values())]
+        for index, fname in enumerate(info.all_fields, start=1):
+            field_index[name, fname] = index
     slots: dict[str, int] = {}
 
     def variable(name: str, binding) -> object:
@@ -190,7 +181,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         def ev(f):
             nonlocal fuel
             if fuel < n:
-                raise _Fault(_FUEL, poss[fuel])
+                raise Fault(_FUEL, poss[fuel])
             fuel -= n
             return get(f)
         return ev
@@ -223,11 +214,11 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         def ev(f):
             nonlocal fuel
             if fuel < n:
-                raise _Fault(_FUEL, poss[fuel])
+                raise Fault(_FUEL, poss[fuel])
             fuel -= n
             value = op(left(f), right(f))
             if value < INT_MIN or value > INT_MAX:
-                raise _Fault(_OVERFLOW, pos)
+                raise Fault(_OVERFLOW, pos)
             return value
         return ev
 
@@ -238,7 +229,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         def ev(f):
             nonlocal fuel
             if fuel < n:
-                raise _Fault(_FUEL, poss[fuel])
+                raise Fault(_FUEL, poss[fuel])
             fuel -= n
             return left(f) < right(f)
         return ev
@@ -251,7 +242,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         def ev(f):
             nonlocal fuel
             if fuel < n:
-                raise _Fault(_FUEL, poss[fuel])
+                raise Fault(_FUEL, poss[fuel])
             fuel -= n
             return left(f) and right(f)
         return ev
@@ -263,7 +254,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         def ev(f):
             nonlocal fuel
             if fuel < n:
-                raise _Fault(_FUEL, poss[fuel])
+                raise Fault(_FUEL, poss[fuel])
             fuel -= n
             return not operand(f)
         return ev
@@ -275,14 +266,14 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         def ev(f):
             nonlocal fuel
             if fuel < n:
-                raise _Fault(_FUEL, poss[fuel])
+                raise Fault(_FUEL, poss[fuel])
             fuel -= n
             items = array(f)
             i = at(f)
             if items is None:
-                raise _Fault(_NULL, pos)
+                raise Fault(_NULL, pos)
             if i < 0 or i >= len(items):
-                raise _Fault(_BOUNDS, pos)
+                raise Fault(_BOUNDS, pos)
             return items[i]
         return ev
 
@@ -293,11 +284,11 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         def ev(f):
             nonlocal fuel
             if fuel < n:
-                raise _Fault(_FUEL, poss[fuel])
+                raise Fault(_FUEL, poss[fuel])
             fuel -= n
             items = array(f)
             if items is None:
-                raise _Fault(_NULL, pos)
+                raise Fault(_NULL, pos)
             return len(items)
         return ev
 
@@ -308,11 +299,11 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         def ev(f):
             nonlocal fuel
             if fuel < n:
-                raise _Fault(_FUEL, poss[fuel])
+                raise Fault(_FUEL, poss[fuel])
             fuel -= n
             k = size(f)
             if k < 0:
-                raise _Fault(_NEGATIVE, pos)
+                raise Fault(_NEGATIVE, pos)
             if traced is not None:
                 traced()
             return [0] * k
@@ -325,7 +316,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         def ev(f):
             nonlocal fuel
             if fuel < 1:
-                raise _Fault(_FUEL, pos)
+                raise Fault(_FUEL, pos)
             fuel -= 1
             if traced is not None:
                 traced()
@@ -339,14 +330,14 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         def ev(f):
             nonlocal fuel
             if fuel < n:
-                raise _Fault(_FUEL, poss[fuel])
+                raise Fault(_FUEL, poss[fuel])
             fuel -= n
             this = receiver(f)
             frame = [this]
             for arg in args:
                 frame.append(arg(f))
             if this is None:
-                raise _Fault(_NULL, pos)
+                raise Fault(_NULL, pos)
             body, result, locals_ = this[0][name]
             frame.extend(locals_)
             for s in body:
@@ -370,7 +361,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         def ex(f):
             nonlocal fuel
             if fuel < 1:
-                raise _Fault(_FUEL, pos)
+                raise Fault(_FUEL, pos)
             fuel -= 1
             for sub in body:
                 sub(f)
@@ -384,7 +375,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         def ex(f):
             nonlocal fuel
             if fuel < n:
-                raise _Fault(_FUEL, poss[fuel])
+                raise Fault(_FUEL, poss[fuel])
             fuel -= n
             if cond(f):
                 then(f)
@@ -403,7 +394,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
             nonlocal fuel
             while True:
                 if fuel < n:
-                    raise _Fault(_FUEL, poss[fuel])
+                    raise Fault(_FUEL, poss[fuel])
                 fuel -= n
                 if not cond(f):
                     return
@@ -417,7 +408,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         def ex(f):
             nonlocal fuel
             if fuel < n:
-                raise _Fault(_FUEL, poss[fuel])
+                raise Fault(_FUEL, poss[fuel])
             fuel -= n
             emit(value(f))
         return ex
@@ -431,7 +422,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
             def ex(f):
                 nonlocal fuel
                 if fuel < n:
-                    raise _Fault(_FUEL, poss[fuel])
+                    raise Fault(_FUEL, poss[fuel])
                 fuel -= n
                 f[0][index] = value(f)
         else:
@@ -440,7 +431,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
             def ex(f):
                 nonlocal fuel
                 if fuel < n:
-                    raise _Fault(_FUEL, poss[fuel])
+                    raise Fault(_FUEL, poss[fuel])
                 fuel -= n
                 f[slot] = value(f)
         return ex
@@ -453,15 +444,15 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         def ex(f):
             nonlocal fuel
             if fuel < n:
-                raise _Fault(_FUEL, poss[fuel])
+                raise Fault(_FUEL, poss[fuel])
             fuel -= n
             items = array(f)
             i = at(f)
             v = value(f)
             if items is None:
-                raise _Fault(_NULL, pos)
+                raise Fault(_NULL, pos)
             if i < 0 or i >= len(items):
-                raise _Fault(_BOUNDS, pos)
+                raise Fault(_BOUNDS, pos)
             items[i] = v
         return ex
 
@@ -479,13 +470,12 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return body, expr(decl.return_expr), tuple(
             _DEFAULTS.get(var.var_type) for var in decl.local_vars)
 
-    for name in order:
-        info = table.info(name)
-        vtable = vtables[name]
-        if info.superclass:
-            vtable.update(vtables[info.superclass])
-        for mname, decl in info.methods.items():
-            vtable[mname] = method(decl)
+    code = {(name, mname): method(decl)
+            for name, info in table.classes.items()
+            for mname, decl in info.methods.items()}
+    for name, info in table.classes.items():
+        for mname, (impl, _) in info.vtable.items():
+            vtables[name][mname] = code[impl, mname]
     slots.clear()
     main = tuple(stmt(s) for s in program.main.body)
 
@@ -516,25 +506,6 @@ def interpret_mj(program: MjProgram, table: ClassTable | None = None,
     """
     if table is None:
         table = typecheck(program)
-    fuel = max(fuel, 0)
-    outcome = RunOutcome()
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, RECURSION_LIMIT))
-    try:
-        run, fuel_left = _compile(program, table, fuel, outcome.output, alloc_trace)
-        try:
-            run()
-        except _Fault as fault:
-            outcome.fault = fault.kind
-            outcome.fault_pos = fault.pos
-        except RecursionError:
-            outcome.fault = _FUEL
-    finally:
-        sys.setrecursionlimit(old_limit)
-    # a check that charges for several nodes raises before spending the
-    # part that was left: all of it was used
-    if outcome.fault is _FUEL and outcome.fault_pos is not None:
-        outcome.steps = fuel
-    else:
-        outcome.steps = fuel - fuel_left()
+    outcome, _ = run_compiled(
+        lambda fuel, output: _compile(program, table, fuel, output, alloc_trace), fuel)
     return outcome

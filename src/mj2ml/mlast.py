@@ -274,21 +274,26 @@ class _Validator:
             self.expr(e.cond, env, f"{path}/if-cond")
             self.expr(e.then, env, f"{path}/if-then")
             self.expr(e.orelse, env, f"{path}/if-else")
-        elif isinstance(e, Let):
-            self.expr(e.rhs, env, f"{path}/let-rhs")
-            bound: set[str] = set()
-            self.pattern_vars(e.pat, f"{path}/let-pat", bound)
-            self.expr(e.body, env | bound, f"{path}/let-body")
-        elif isinstance(e, LetFun):
-            names = [f.name for f in e.funs]
-            if len(set(names)) != len(names):
-                self.flag(path, "duplicate function name in group")
-            inner = env | set(names)
-            for f in e.funs:
-                bound: set[str] = set()
-                self.pattern_vars(f.param, f"{path}/fun {f.name}/param", bound)
-                self.expr(f.body, inner | bound, f"{path}/fun {f.name}")
-            self.expr(e.body, inner, f"{path}/letfun-body")
+        elif isinstance(e, (Let, LetFun)):
+            # a method body is one `let` per step: too many to recurse on
+            while isinstance(e, (Let, LetFun)):
+                if isinstance(e, Let):
+                    self.expr(e.rhs, env, f"{path}/let-rhs")
+                    bound: set[str] = set()
+                    self.pattern_vars(e.pat, f"{path}/let-pat", bound)
+                    env, path = env | bound, f"{path}/let-body"
+                else:
+                    names = [f.name for f in e.funs]
+                    if len(set(names)) != len(names):
+                        self.flag(path, "duplicate function name in group")
+                    env = env | set(names)
+                    for f in e.funs:
+                        bound = set()
+                        self.pattern_vars(f.param, f"{path}/fun {f.name}/param", bound)
+                        self.expr(f.body, env | bound, f"{path}/fun {f.name}")
+                    path = f"{path}/letfun-body"
+                e = e.body
+            self.expr(e, env, path)
         elif isinstance(e, App):
             self.expr(e.func, env, f"{path}/app-fn")
             self.expr(e.arg, env, f"{path}/app-arg")

@@ -43,9 +43,9 @@ node with the call as an operand.  That is 3 frames per call for a
 translated method recursion and for the list helpers that make and
 measure arrays, and 4 for the two that rebuild a list around the call
 (`mj_setnth`, `mj_update`), against 2 for the tree-walking evaluator
-this replaced.  Both interpreters raise the recursion limit to
-`outcome.RECURSION_LIMIT` for the run; exceeding it reports
-FuelExhausted, as running out of fuel does.
+this replaced.  A run has `outcome.RECURSION_LIMIT` Python frames (the
+run model in `outcome`); exceeding it reports FuelExhausted, as running
+out of fuel does.
 
 Fuel.  Every node visit costs one unit of fuel, checked before the
 node's work: a run with fuel N makes at most N visits and then reports
@@ -65,7 +65,6 @@ binding pattern) that no rule matches is a MatchFailure fault.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from operator import add, itemgetter, mul, sub
 
@@ -90,7 +89,7 @@ from .mlast import (
     Tuple,
     Var,
 )
-from .outcome import DEFAULT_FUEL, RECURSION_LIMIT, FaultKind, RunOutcome
+from .outcome import DEFAULT_FUEL, Fault, FaultKind, RunOutcome, run_compiled
 
 UNIT = ()
 
@@ -131,16 +130,11 @@ class VClosure:
         self.body = body
 
 
-class MlFault(Exception):
-    def __init__(self, kind: FaultKind):
-        self.kind = kind
-
-
 def _compile(program: MlProgram, fuel: int, output: list[int]):
     """Compile `program` for one run with `fuel` units (at least 0).
 
     Returns `(run, fuel_left)`: `run()` evaluates the entry expression
-    and returns its value (or raises MlFault), `fuel_left()` the fuel
+    and returns its value (or raises Fault), `fuel_left()` the fuel
     not yet spent.
     """
     pend_fn = pend_arg = None
@@ -364,7 +358,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         def ev(f):
             nonlocal fuel
             if fuel < n:
-                raise MlFault(_FUEL)
+                raise Fault(_FUEL)
             fuel -= n
             return get(f)
         return ev
@@ -397,7 +391,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             nonlocal fuel
             for cost, rhs, bind in steps:
                 if fuel < cost:
-                    raise MlFault(_FUEL)
+                    raise Fault(_FUEL)
                 fuel -= cost
                 v = rhs(f)
                 while v is _TAIL:
@@ -405,12 +399,12 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                     a = pend_arg
                     frame = [c.env, a, *c.pad]
                     if c.bind is not None and not c.bind(a, frame):
-                        raise MlFault(_MATCH)
+                        raise Fault(_MATCH)
                     v = c.body(frame)
                 if type(bind) is int:
                     f[bind] = v
                 elif bind is not None and not bind(v, f):
-                    raise MlFault(_MATCH)
+                    raise Fault(_MATCH)
             return body(f)
         return ev
 
@@ -442,7 +436,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             def ev(f):
                 nonlocal fuel, pend_fn, pend_arg
                 if fuel < cost:
-                    raise MlFault(_FUEL)
+                    raise Fault(_FUEL)
                 fuel -= cost
                 c = func(f)
                 a = arg(f)
@@ -453,13 +447,13 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                 if c is _PRINT:
                     output.append(a)
                     return UNIT
-                raise MlFault(_MATCH)
+                raise Fault(_MATCH)
             return ev
 
         def ev(f):
             nonlocal fuel
             if fuel < cost:
-                raise MlFault(_FUEL)
+                raise Fault(_FUEL)
             fuel -= cost
             c = func(f)
             a = arg(f)
@@ -467,11 +461,11 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                 if c is _PRINT:
                     output.append(a)
                     return UNIT
-                raise MlFault(_MATCH)
+                raise Fault(_MATCH)
             while True:
                 frame = [c.env, a, *c.pad]
                 if c.bind is not None and not c.bind(a, frame):
-                    raise MlFault(_MATCH)
+                    raise Fault(_MATCH)
                 v = c.body(frame)
                 if v is not _TAIL:
                     return v
@@ -488,7 +482,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         def ev(f):
             nonlocal fuel
             if fuel < cost:
-                raise MlFault(_FUEL)
+                raise Fault(_FUEL)
             fuel -= cost
             if cond(f):
                 return then(f)
@@ -510,24 +504,24 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             def ev(f):
                 nonlocal fuel
                 if fuel < cost:
-                    raise MlFault(_FUEL)
+                    raise Fault(_FUEL)
                 fuel -= cost
                 if m(scrutinee(f), f):
                     return rhs(f)
-                raise MlFault(_MATCH)
+                raise Fault(_MATCH)
             return ev
         rules = tuple(rules)
 
         def ev(f):
             nonlocal fuel
             if fuel < cost:
-                raise MlFault(_FUEL)
+                raise Fault(_FUEL)
             fuel -= cost
             v = scrutinee(f)
             for m, rhs in rules:
                 if m(v, f):
                     return rhs(f)
-            raise MlFault(_MATCH)
+            raise Fault(_MATCH)
         return ev
 
     def prim(e: PrimOp):
@@ -538,14 +532,14 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             def ev(f):
                 nonlocal fuel
                 if fuel < cost:
-                    raise MlFault(_FUEL)
+                    raise Fault(_FUEL)
                 fuel -= cost
                 return a(f) < b(f)
         elif op == "=":
             def ev(f):
                 nonlocal fuel
                 if fuel < cost:
-                    raise MlFault(_FUEL)
+                    raise Fault(_FUEL)
                 fuel -= cost
                 return a(f) == b(f)
         else:
@@ -554,12 +548,12 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             def ev(f):
                 nonlocal fuel
                 if fuel < cost:
-                    raise MlFault(_FUEL)
+                    raise Fault(_FUEL)
                 fuel -= cost
                 r = arith(a(f), b(f))
                 if INT_MIN <= r <= INT_MAX:
                     return r
-                raise MlFault(_OVERFLOW)
+                raise Fault(_OVERFLOW)
         return ev
 
     def construct(e: Tuple | Con):
@@ -575,14 +569,14 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                 def ev(f):
                     nonlocal fuel
                     if fuel < cost:
-                        raise MlFault(_FUEL)
+                        raise Fault(_FUEL)
                     fuel -= cost
                     return (a(f), b(f))
             else:
                 def ev(f):
                     nonlocal fuel
                     if fuel < cost:
-                        raise MlFault(_FUEL)
+                        raise Fault(_FUEL)
                     fuel -= cost
                     return VCon(name, (a(f), b(f)))
             return ev
@@ -591,14 +585,14 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             def ev(f):
                 nonlocal fuel
                 if fuel < cost:
-                    raise MlFault(_FUEL)
+                    raise Fault(_FUEL)
                 fuel -= cost
                 return get(f)
         else:
             def ev(f):
                 nonlocal fuel
                 if fuel < cost:
-                    raise MlFault(_FUEL)
+                    raise Fault(_FUEL)
                 fuel -= cost
                 return VCon(name, get(f))
         return ev
@@ -654,24 +648,4 @@ def eval_program(program: MlProgram, fuel: int = DEFAULT_FUEL,
 
     The value is None when the run faulted.
     """
-    output: list[int] = []
-    fuel = max(fuel, 0)
-    value = fault = None
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, RECURSION_LIMIT))
-    try:
-        run, fuel_left = _compile(program, fuel, output)
-        try:
-            value = run()
-            steps = fuel - fuel_left()
-        except MlFault as exc:
-            fault = exc.kind
-            # a node that charges for several visits raises before
-            # spending the part that was left: all of it was used
-            steps = fuel if fault is _FUEL else fuel - fuel_left()
-        except RecursionError:
-            fault = _FUEL
-            steps = fuel - fuel_left()
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return RunOutcome(output=output, fault=fault, steps=steps), value
+    return run_compiled(lambda fuel, output: _compile(program, fuel, output), fuel)

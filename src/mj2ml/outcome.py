@@ -1,22 +1,32 @@
-"""Execution outcomes shared by both interpreters.
+"""Execution outcomes shared by both interpreters, and the run model.
 
 A run produces the list of printed integers plus an optional fault.
-Faults are ordinary results, not Python exceptions, so the two
-interpreters can be compared verdict-for-verdict.
+Faults reach the caller as ordinary results, not Python exceptions, so
+the two interpreters can be compared verdict-for-verdict.
+
+The run model lives here: both interpreters run their compiled program
+through `run_compiled`.  A run gets `fuel` units (at least 0) and
+`RECURSION_LIMIT` Python frames.  A runtime fault is a `Fault` raised
+where it happens.  Running out of fuel is the FuelExhausted fault, and
+since a check may charge for several nodes and raises before spending
+any of them, such a run has used all of its fuel.  Going past the
+frames is FuelExhausted too, without a position, having used the fuel
+spent until then.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .mjast import Pos
 
 DEFAULT_FUEL = 10_000_000
 
-# Python frames a run may use: both interpreters raise the interpreter's
-# recursion limit to this for the run and restore it after, and deeper
-# recursion ends the run with FuelExhausted, like running out of fuel.
+# Python frames a run may use: `run_compiled` raises the interpreter's
+# recursion limit to this for the run and restores it after.
 # A pending MiniJava method call takes about 4 frames (see `mjinterp`), a
 # pending ML call 3 or 4 (see `mleval`).  The limit relies on CPython 3.11
 # or later (`requires-python` in pyproject.toml), whose Python-to-Python
@@ -31,6 +41,15 @@ class FaultKind(enum.Enum):
     INTEGER_OVERFLOW = "IntegerOverflow"
     MATCH_FAILURE = "MatchFailure"
     FUEL_EXHAUSTED = "FuelExhausted"
+
+
+class Fault(Exception):
+    """A runtime fault of a compiled program, raised where it happens;
+    `pos` is the MiniJava source position (the ML side has none)."""
+
+    def __init__(self, kind: FaultKind, pos: Pos | None = None):
+        self.kind = kind
+        self.pos = pos
 
 
 @dataclass
@@ -51,6 +70,36 @@ class RunOutcome:
         if self.fault_pos is not None:
             return f"fault: {self.fault.value} at {self.fault_pos}"
         return f"fault: {self.fault.value}"
+
+
+def run_compiled(compile: Callable, fuel: int) -> tuple[RunOutcome, object | None]:
+    """Run a program once under the run model; returns the outcome and
+    the program's value, None when the run faulted.
+
+    `compile(fuel, output)` builds the run, printing to `output`, and
+    returns `(run, fuel_left)`: `run()` executes it and returns its
+    value, `fuel_left()` the fuel not yet spent.
+    """
+    fuel = max(fuel, 0)
+    outcome = RunOutcome()
+    value = None
+    spent_all = False
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, RECURSION_LIMIT))
+    try:
+        run, fuel_left = compile(fuel, outcome.output)
+        try:
+            value = run()
+        except Fault as fault:
+            outcome.fault = fault.kind
+            outcome.fault_pos = fault.pos
+            spent_all = fault.kind is FaultKind.FUEL_EXHAUSTED
+        except RecursionError:
+            outcome.fault = FaultKind.FUEL_EXHAUSTED
+    finally:
+        sys.setrecursionlimit(old_limit)
+    outcome.steps = fuel if spent_all else fuel - fuel_left()
+    return outcome, value
 
 
 # CLI exit codes.

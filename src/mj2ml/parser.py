@@ -381,9 +381,15 @@ class _Parser:
 
 
 def parse(tokens: list[Token]) -> MjProgram:
-    """Parse a token list into a program; ParseError carries position."""
+    """Parse a token list into a program; ParseError carries position,
+    also for input nested past Python's recursion limit."""
     parser = _Parser(tokens)
-    return parser.program()
+    try:
+        return parser.program()
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError(tok.pos if tok else parser._eof_pos(),
+                         "expressions or statements nested too deeply") from None
 
 
 def parse_source(source: str) -> MjProgram:

@@ -5,6 +5,14 @@ and the main statement list.  It annotates the AST in place: every
 expression gets `.ty`, identifier reads/writes get `.binding`, and calls
 get `.receiver_class`.  Later stages rely on those annotations.
 
+`build_class_table` resolves inheritance once, each class after its
+superclass whatever the declaration order, and checks each class against
+what it inherits.  The object layouts of `mjinterp` and `translate` read
+the resolved `ClassInfo` fields (`path`, `all_fields`, `vtable`,
+`slot_owner`); each extends its superclass's in order, so a field or
+method slot has the same position in a class and in its subclasses.
+A body nested past Python's recursion limit is a type error at its start.
+
 Rules beyond the obvious typing of operators:
   * single inheritance, no cycles, superclasses must exist
   * the main class cannot be extended, instantiated, or named as a type
@@ -67,7 +75,8 @@ class MjTypeError(Exception):
 
 @dataclass
 class ClassInfo:
-    """One class: members introduced here plus inheritance links."""
+    """One class: the members declared here, inheritance links, and the
+    members inheritance gives it, resolved by `build_class_table`."""
 
     name: str
     superclass: str | None
@@ -76,6 +85,14 @@ class ClassInfo:
     fields: dict[str, MjType] = field(default_factory=dict)
     methods: dict[str, MethodDecl] = field(default_factory=dict)
     children: list[str] = field(default_factory=list)
+    # the root class first, this class last
+    path: list[str] = field(default_factory=list)
+    # every field, root class first: name -> (declaring class, type)
+    all_fields: dict[str, tuple[str, MjType]] = field(default_factory=dict)
+    # every method in slot order: name -> (implementing class, declaration)
+    vtable: dict[str, tuple[str, MethodDecl]] = field(default_factory=dict)
+    # every method in slot order: name -> the class that introduced its slot
+    slot_owner: dict[str, str] = field(default_factory=dict)
 
 
 class ClassTable:
@@ -91,21 +108,16 @@ class ClassTable:
 
     def superchain(self, name: str) -> list[str]:
         """name, its superclass, ... up to the root."""
-        chain = []
-        cur: str | None = name
-        while cur is not None:
-            chain.append(cur)
-            cur = self.classes[cur].superclass
-        return chain
+        return self.classes[name].path[::-1]
 
     def path_from_root(self, name: str) -> list[str]:
-        return list(reversed(self.superchain(name)))
+        return list(self.classes[name].path)
 
     def roots(self) -> list[str]:
         return [c.name for c in self.classes.values() if c.superclass is None]
 
     def is_subclass(self, sub: str, sup: str) -> bool:
-        return sup in self.superchain(sub)
+        return sup in self.classes[sub].path
 
     def is_assignable(self, src: MjType, dst: MjType) -> bool:
         if isinstance(src, ClassType) and isinstance(dst, ClassType):
@@ -114,28 +126,15 @@ class ClassTable:
 
     def lookup_field(self, cls: str, fname: str) -> tuple[str, MjType] | None:
         """(declaring class, type) for fname visible in cls, else None."""
-        for c in self.superchain(cls):
-            ty = self.classes[c].fields.get(fname)
-            if ty is not None:
-                return c, ty
-        return None
+        return self.classes[cls].all_fields.get(fname)
 
     def lookup_method(self, cls: str, mname: str) -> tuple[str, MethodDecl] | None:
         """Most-derived declaration of mname at or above cls."""
-        for c in self.superchain(cls):
-            decl = self.classes[c].methods.get(mname)
-            if decl is not None:
-                return c, decl
-        return None
+        return self.classes[cls].vtable.get(mname)
 
     def intro_class_of_method(self, cls: str, mname: str) -> str:
         """Topmost class on cls's chain declaring mname (the slot owner)."""
-        owner = None
-        for c in self.superchain(cls):
-            if mname in self.classes[c].methods:
-                owner = c
-        assert owner is not None
-        return owner
+        return self.classes[cls].slot_owner[mname]
 
 
 def build_class_table(program: MjProgram) -> ClassTable:
@@ -168,45 +167,59 @@ def build_class_table(program: MjProgram) -> ClassTable:
             cur = classes[cur].superclass
 
     table = ClassTable(main_name, classes)
+    # Without cycles every class is reachable from a root, so this list,
+    # extended while it is walked, puts each class after its superclass.
+    order = [info for info in classes.values() if info.superclass is None]
+    for info in order:
+        _resolve(table, info)
+        order.extend(classes[child] for child in info.children)
+    return table
 
-    for info in classes.values():
-        for fdecl in info.decl.fields:
-            if fdecl.name in info.fields:
-                raise MjTypeError(fdecl.span.start,
-                                  f"duplicate field '{fdecl.name}' in class '{info.name}'")
-            if info.superclass is not None:
-                inherited = table.lookup_field(info.superclass, fdecl.name)
-                if inherited is not None:
-                    raise MjTypeError(
-                        fdecl.span.start,
-                        f"field '{fdecl.name}' in class '{info.name}' "
-                        f"redeclares a field of class '{inherited[0]}'")
-            _require_known_type(table, fdecl.var_type, fdecl.span.start)
-            info.fields[fdecl.name] = fdecl.var_type
-        for mdecl in info.decl.methods:
-            if mdecl.name in info.methods:
-                raise MjTypeError(mdecl.span.start,
-                                  f"duplicate method '{mdecl.name}' in class '{info.name}'")
-            info.methods[mdecl.name] = mdecl
 
-    for info in classes.values():
-        if info.superclass is None:
-            continue
-        for mdecl in info.decl.methods:
-            above = table.lookup_method(info.superclass, mdecl.name)
-            if above is None:
-                continue
-            _, parent = above
-            same = (len(parent.formals) == len(mdecl.formals)
+def _resolve(table: ClassTable, info: ClassInfo) -> None:
+    """Fill in the resolved members of a class whose superclass is
+    resolved, checking its declarations against what it inherits."""
+    if info.superclass is None:
+        info.path = [info.name]
+    else:
+        parent = table.info(info.superclass)
+        info.path = [*parent.path, info.name]
+        info.all_fields = dict(parent.all_fields)
+        info.vtable = dict(parent.vtable)
+        info.slot_owner = dict(parent.slot_owner)
+    for fdecl in info.decl.fields:
+        if fdecl.name in info.fields:
+            raise MjTypeError(fdecl.span.start,
+                              f"duplicate field '{fdecl.name}' in class '{info.name}'")
+        inherited = info.all_fields.get(fdecl.name)
+        if inherited is not None:
+            raise MjTypeError(
+                fdecl.span.start,
+                f"field '{fdecl.name}' in class '{info.name}' "
+                f"redeclares a field of class '{inherited[0]}'")
+        _require_known_type(table, fdecl.var_type, fdecl.span.start)
+        info.fields[fdecl.name] = fdecl.var_type
+        info.all_fields[fdecl.name] = (info.name, fdecl.var_type)
+    for mdecl in info.decl.methods:
+        if mdecl.name in info.methods:
+            raise MjTypeError(mdecl.span.start,
+                              f"duplicate method '{mdecl.name}' in class '{info.name}'")
+        above = info.vtable.get(mdecl.name)
+        if above is None:
+            info.slot_owner[mdecl.name] = info.name
+        else:
+            _, parent_decl = above
+            same = (len(parent_decl.formals) == len(mdecl.formals)
                     and all(a.var_type == b.var_type
-                            for a, b in zip(parent.formals, mdecl.formals))
-                    and parent.return_type == mdecl.return_type)
+                            for a, b in zip(parent_decl.formals, mdecl.formals))
+                    and parent_decl.return_type == mdecl.return_type)
             if not same:
                 raise MjTypeError(
                     mdecl.span.start,
                     f"method '{mdecl.name}' in class '{info.name}' "
                     "changes the signature of the method it overrides")
-    return table
+        info.methods[mdecl.name] = mdecl
+        info.vtable[mdecl.name] = (info.name, mdecl)
 
 
 def _require_known_type(table: ClassTable, ty: MjType, pos: Pos) -> None:
@@ -224,11 +237,8 @@ class _Checker:
 
     def enter_method(self, cls: str, method: MethodDecl) -> None:
         self.current_class = cls
-        self.scope = {}
-        chain = self.table.superchain(cls)
-        for c in reversed(chain):
-            for fname, fty in self.table.info(c).fields.items():
-                self.scope[fname] = (VarBinding("field", c), fty)
+        self.scope = {fname: (VarBinding("field", owner), fty)
+                      for fname, (owner, fty) in self.table.info(cls).all_fields.items()}
         for formal in method.formals:
             if formal.name in self.scope and self.scope[formal.name][0].kind != "field":
                 raise MjTypeError(formal.span.start,
@@ -373,17 +383,22 @@ def typecheck(program: MjProgram) -> ClassTable:
     """Check the whole program, annotate the AST, return the class table."""
     table = build_class_table(program)
     checker = _Checker(table)
-    for info in table.classes.values():
-        for method in info.decl.methods:
-            checker.enter_method(info.name, method)
-            for s in method.body:
-                checker.stmt(s)
-            got = checker.expr(method.return_expr)
-            if not table.is_assignable(got, method.return_type):
-                raise MjTypeError(
-                    method.return_expr.span.start,
-                    f"return value must be {method.return_type}, got {got}")
-    checker.enter_main()
-    for s in program.main.body:
-        checker.stmt(s)
+    try:
+        for info in table.classes.values():
+            for method in info.decl.methods:
+                start = method.span.start
+                checker.enter_method(info.name, method)
+                for s in method.body:
+                    checker.stmt(s)
+                got = checker.expr(method.return_expr)
+                if not table.is_assignable(got, method.return_type):
+                    raise MjTypeError(
+                        method.return_expr.span.start,
+                        f"return value must be {method.return_type}, got {got}")
+        start = program.main.span.start
+        checker.enter_main()
+        for s in program.main.body:
+            checker.stmt(s)
+    except RecursionError:
+        raise MjTypeError(start, "expressions or statements nested too deeply") from None
     return table

@@ -157,6 +157,18 @@ def _wrap(bindings: list, result: MlExpr) -> MlExpr:
     return expr
 
 
+def _spine(make, path: list[str], levels: list[list]):
+    """The object, or with `make` = PCon the pattern, whose level for each
+    class on `path` (the root class first) holds that level's items and
+    then, but for the last level, the extension slot `SOME (Ext_<next
+    class> <next level>)`.  The last level's items end with its own
+    extension slot."""
+    inner = tuple(levels[-1])
+    for cls, items in zip(reversed(path[1:]), reversed(levels[:-1])):
+        inner = (*items, make("SOME", (make(f"Ext_{_enc(cls)}", inner),)))
+    return make(f"HObj_{_enc(path[0])}", inner)
+
+
 @dataclass
 class _FnScope:
     """Counters and variable bookkeeping for one generated function."""
@@ -217,14 +229,9 @@ class _Translator:
     def __init__(self, table: ClassTable):
         self.table = table
         # Methods whose slot lives at this class (not inherited from above).
-        self.intro_methods: dict[str, list[str]] = {}
-        for info in table.classes.values():
-            intro = []
-            for mname in info.methods:
-                if info.superclass is None or \
-                        table.lookup_method(info.superclass, mname) is None:
-                    intro.append(mname)
-            self.intro_methods[info.name] = intro
+        self.intro_methods = {
+            name: [mname for mname, owner in info.slot_owner.items() if owner == name]
+            for name, info in table.classes.items()}
 
     # -- object layout --------------------------------------------------------
 
@@ -247,9 +254,7 @@ class _Translator:
         info = self.table.info(cls)
         items: list[MlType] = []
         for mname in self.intro_methods[cls]:
-            slot_decl = self.table.lookup_method(cls, mname)
-            assert slot_decl is not None
-            items.append(self._method_slot_ty(slot_decl[1]))
+            items.append(self._method_slot_ty(info.vtable[mname][1]))
         for fty in info.fields.values():
             items.append(_ml_value_ty(fty))
         items.append(self._ext_slot_ty(cls))
@@ -273,36 +278,29 @@ class _Translator:
             decls.append(DataType(f"mj_ext_{_enc(info.name)}", tuple(cons)))
         return decls
 
-    # -- constructors -----------------------------------------------------------
+    # -- object spines ----------------------------------------------------------
+
+    def _level_size(self, cls: str) -> int:
+        """Method and field slots of cls's level, before its extension slot."""
+        return len(self.intro_methods[cls]) + len(self.table.info(cls).fields)
 
     def _object_value(self, dynamic_class: str) -> MlExpr:
-        path = self.table.path_from_root(dynamic_class)
-
-        def level(i: int) -> tuple[MlExpr, ...]:
-            cls = path[i]
-            info = self.table.info(cls)
+        info = self.table.info(dynamic_class)
+        levels = []
+        for cls in info.path:
             items: list[MlExpr] = []
             for mname in self.intro_methods[cls]:
-                impl = self.table.lookup_method(dynamic_class, mname)
-                assert impl is not None
-                impl_cls, _ = impl
+                impl_cls, _ = info.vtable[mname]
                 items.append(Var(mangle_method(self.table.info(impl_cls).index, mname)))
-            for fty in info.fields.values():
-                items.append(_default_value(fty))
-            if i + 1 < len(path):
-                items.append(Con("SOME", (Con(f"Ext_{_enc(path[i + 1])}", level(i + 1)),)))
-            else:
-                items.append(Con("NONE"))
-            return tuple(items)
-
-        return Con(f"HObj_{_enc(path[0])}", level(0))
+            items.extend(_default_value(fty) for fty in self.table.info(cls).fields.values())
+            levels.append(items)
+        levels[-1].append(Con("NONE"))
+        return _spine(Con, info.path, levels)
 
     def constructor(self, cls: str) -> FunDef:
         body = App(Var("mj_alloc"),
                    Tuple((Var("mj_s0"), self._object_value(cls))))
         return FunDef(mangle_new(cls), PVar("mj_s0"), body)
-
-    # -- slot access patterns ------------------------------------------------------
 
     def _slot_index(self, cls: str, kind: str, name: str) -> int:
         intro = self.intro_methods[cls]
@@ -314,56 +312,35 @@ class _Translator:
                       bind: str) -> Pat:
         """Match an object whose static type reaches target_cls, binding
         the requested slot; everything else is wildcarded."""
-        path = self.table.path_from_root(target_cls)
-
-        def level(i: int) -> tuple[Pat, ...]:
-            cls = path[i]
-            count = len(self.intro_methods[cls]) + len(self.table.info(cls).fields)
-            items: list[Pat] = [PWild() for _ in range(count)]
-            if i + 1 < len(path):
-                items.append(PCon("SOME", (PCon(f"Ext_{_enc(path[i + 1])}", level(i + 1)),)))
-            else:
-                items[self._slot_index(cls, kind, name)] = PVar(bind)
-                items.append(PWild())
-            return tuple(items)
-
-        return PCon(f"HObj_{_enc(path[0])}", level(0))
+        path = self.table.info(target_cls).path
+        levels = [[PWild() for _ in range(self._level_size(cls))] for cls in path]
+        levels[-1][self._slot_index(target_cls, kind, name)] = PVar(bind)
+        levels[-1].append(PWild())
+        return _spine(PCon, path, levels)
 
     def _write_spine(self, fn: _FnScope, target_cls: str, fname: str,
                      new_value: MlExpr) -> tuple[Pat, MlExpr]:
         """Pattern binding every slot down to the field's class, and the
         rebuilt object with the one slot replaced."""
-        path = self.table.path_from_root(target_cls)
+        path = self.table.info(target_cls).path
         field_idx = self._slot_index(target_cls, "field", fname)
-
-        def level(i: int) -> tuple[tuple[Pat, ...], tuple[MlExpr, ...]]:
-            cls = path[i]
-            count = len(self.intro_methods[cls]) + len(self.table.info(cls).fields)
-            pats: list[Pat] = []
-            exprs: list[MlExpr] = []
-            last = i + 1 == len(path)
-            for j in range(count):
-                if last and j == field_idx:
-                    pats.append(PWild())
-                    exprs.append(new_value)
+        pats: list[list[Pat]] = []
+        exprs: list[list[MlExpr]] = []
+        for cls in path:
+            pats.append([])
+            exprs.append([])
+            for j in range(self._level_size(cls)):
+                if cls == target_cls and j == field_idx:
+                    pats[-1].append(PWild())
+                    exprs[-1].append(new_value)
                 else:
                     tmp = fn.fresh_temp()
-                    pats.append(PVar(tmp))
-                    exprs.append(Var(tmp))
-            if not last:
-                inner_pats, inner_exprs = level(i + 1)
-                child = path[i + 1]
-                pats.append(PCon("SOME", (PCon(f"Ext_{_enc(child)}", inner_pats),)))
-                exprs.append(Con("SOME", (Con(f"Ext_{_enc(child)}", inner_exprs),)))
-            else:
-                tmp = fn.fresh_temp()
-                pats.append(PVar(tmp))
-                exprs.append(Var(tmp))
-            return tuple(pats), tuple(exprs)
-
-        pats, exprs = level(0)
-        root = path[0]
-        return PCon(f"HObj_{_enc(root)}", pats), Con(f"HObj_{_enc(root)}", exprs)
+                    pats[-1].append(PVar(tmp))
+                    exprs[-1].append(Var(tmp))
+        tmp = fn.fresh_temp()
+        pats[-1].append(PVar(tmp))
+        exprs[-1].append(Var(tmp))
+        return _spine(PCon, path, pats), _spine(Con, path, exprs)
 
     # -- heap access helpers ----------------------------------------------------------
 
@@ -487,7 +464,7 @@ class _Translator:
             assert e.receiver_class is not None
             receiver = self.expr(e.receiver, ctx)
             args = [self.expr(a, ctx) for a in e.args]
-            intro_cls = self.table.intro_class_of_method(e.receiver_class, e.method)
+            intro_cls = self.table.info(e.receiver_class).slot_owner[e.method]
             o, _, _ = self._lookup(ctx, receiver)
             slot = ctx.fn.fresh_temp()
             bound = ctx.fn.fresh_temp()

@@ -89,6 +89,34 @@ def test_type_error_exits_2(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def deep_sources():
+    """A program nested too deeply to parse, and one too deeply to typecheck."""
+    parens = FAULTING.replace("other.run()", "(" * 2000 + "1" + ")" * 2000)
+    terms = FAULTING.replace("other.run()", " + ".join(["1"] * 2000))
+    return parens, terms
+
+
+def test_too_deep_nesting_exits_1_or_2_with_a_diagnostic(tmp_path, capsys):
+    parens, terms = deep_sources()
+    for name, src, code in (("parens.java", parens, 1), ("terms.java", terms, 2)):
+        path = write(tmp_path, name, src)
+        assert main(["run-mj", path]) == code
+        err = capsys.readouterr().err
+        assert re.match(rf"{re.escape(path)}:\d+:\d+: .*nested too deeply", err)
+
+
+def test_diff_records_too_deep_files_as_errors_and_goes_on(tmp_path, corpus_dir, capsys):
+    parens, terms = deep_sources()
+    write(tmp_path, "Parens.java", parens)
+    write(tmp_path, "Terms.java", terms)
+    write(tmp_path, "Factorial.java", (corpus_dir / "Factorial.java").read_text())
+    assert main(["diff", str(tmp_path)]) == 3
+    rows = [re.split(r" *\| *", row)[:4] for row in capsys.readouterr().out.splitlines()]
+    assert ["Factorial.java", "ok", "ok", "match"] in rows
+    assert ["Parens.java", "-", "-", "error"] in rows
+    assert ["Terms.java", "-", "-", "error"] in rows
+
+
 def test_runtime_fault_exits_3_with_fault_line(tmp_path, capsys):
     path = write(tmp_path, "null.java", FAULTING)
     assert main(["run-mj", path]) == 3

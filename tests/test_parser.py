@@ -116,6 +116,17 @@ def test_error_mentions_expected_and_found():
     assert "expected" in err.value.message and "found" in err.value.message
 
 
+def test_too_deep_nesting_is_a_parse_error_where_the_parser_gave_up():
+    src = MINIMAL.replace("42", "(" * 2000 + "42" + ")" * 2000)
+    with pytest.raises(ParseError) as err:
+        parse_source(src)
+    assert "nested too deeply" in err.value.message
+    # at one of the parentheses: the parser gave up before reaching 42
+    open_col = MINIMAL.splitlines()[2].index("42") + 1
+    assert err.value.pos.line == 3
+    assert open_col <= err.value.pos.col < open_col + 2000
+
+
 def test_statement_spans_nest_inside_method_span(corpus_files):
     src = next(f for f in corpus_files if f.name == "BubbleSort.java").read_text()
     program = parse_source(src)

@@ -1,6 +1,6 @@
 import pytest
 
-from mj2ml.mjast import BOOL, INT, CallExpr, ClassType, IdentExpr, walk
+from mj2ml.mjast import BOOL, INT, CallExpr, ClassType, IdentExpr, print_program, walk
 from mj2ml.parser import parse_source
 from mj2ml.sema import MjTypeError, build_class_table, typecheck
 
@@ -94,14 +94,25 @@ def test_formal_and_local_may_not_collide():
         "public int base(int x) { int x; x = 1; return x; }"), "x")
 
 
+def reversed_classes(source):
+    """The same program with its classes declared in reverse order."""
+    program = parse_source(source)
+    program.classes.reverse()
+    return print_program(program)
+
+
 def test_redeclaring_inherited_field_rejected():
-    expect_type_error(CHAIN.replace("int extra;", "int shared;"), "shared")
+    src = CHAIN.replace("int extra;", "int shared;")
+    for text in (src, reversed_classes(src)):
+        expect_type_error(text, "field 'shared' in class 'B' redeclares "
+                                "a field of class 'A'")
 
 
 def test_override_must_keep_signature():
-    expect_type_error(CHAIN.replace("public int tag() { return 2; }",
-                                    "public int tag(int n) { return 2; }"),
-                      "signature")
+    src = CHAIN.replace("public int tag() { return 2; }",
+                        "public int tag(int n) { return 2; }")
+    for text in (src, reversed_classes(src)):
+        expect_type_error(text, "signature")
 
 
 def test_unknown_superclass_rejected():
@@ -151,3 +162,16 @@ def test_build_class_table_alone_accepts_valid_hierarchy():
     program = parse_source(CHAIN)
     table = build_class_table(program)
     assert table.has("A") and table.has("B") and table.has("C")
+
+
+def test_too_deep_nesting_is_a_type_error_at_the_body_start():
+    terms = " + ".join(["1"] * 2000)
+    in_method = CHAIN.replace("return 10;", f"return {terms};")
+    in_main = CHAIN.replace("new C().tag()", terms)
+    for src, body in ((in_method, lambda p: p.classes[0].methods[1]),
+                      (in_main, lambda p: p.main)):
+        program = parse_source(src)
+        with pytest.raises(MjTypeError) as err:
+            typecheck(program)
+        assert "nested too deeply" in err.value.message
+        assert err.value.pos == body(program).span.start
