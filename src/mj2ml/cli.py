@@ -99,8 +99,11 @@ def _report_run(outcome: RunOutcome) -> int:
 def cmd_translate(args: argparse.Namespace) -> int:
     program, table = _frontend(args.file)
     ml_program = translate(program, table)
-    _write_output(print_ml_program(ml_program, source_name=Path(args.file).name),
-                  args.out)
+    try:
+        text = print_ml_program(ml_program, source_name=Path(args.file).name)
+    except ValueError as err:
+        raise _CliError(EXIT_SYNTAX, f"{args.file}: {err}")
+    _write_output(text, args.out)
     return EXIT_OK
 
 

@@ -1,8 +1,11 @@
 """Core ML abstract syntax, plus the well-formedness validator.
 
 The expression language is a small pure subset of Standard ML: tuples,
-datatype constructors, primitive integer operators, let/letfun,
-application, conditionals and pattern matching.  There are no refs,
+datatype constructors, primitive integer operators, `let`,
+application, conditionals and pattern matching.  As in SML, a `let`
+holds a sequence of declarations, each a `val` binding (`Val`) or a
+group of mutually recursive functions (a tuple of `FunDef`s, the shape
+of each item of `MlProgram.fun_groups`).  There are no refs,
 exceptions, strings, or records.  Booleans are the usual constructors
 ``true``/``false``; lists and options use the builtin ``nil``/``::``/
 ``NONE``/``SOME``.
@@ -119,13 +122,6 @@ class If(MlExpr):
 
 
 @dataclass(frozen=True)
-class Let(MlExpr):
-    pat: Pat
-    rhs: MlExpr
-    body: MlExpr
-
-
-@dataclass(frozen=True)
 class FunDef:
     name: str
     param: Pat
@@ -133,9 +129,22 @@ class FunDef:
 
 
 @dataclass(frozen=True)
-class LetFun(MlExpr):
-    """let fun f p = e and g q = e' ... in body end (mutually recursive)."""
-    funs: tuple[FunDef, ...]
+class Val:
+    """val pat = rhs: `rhs` does not see the variables of `pat`."""
+    pat: Pat
+    rhs: MlExpr
+
+
+# A declaration: a `Val`, or a `fun f p = e and g q = e' ...` group whose
+# functions see each other.
+Decl = Val | tuple[FunDef, ...]
+
+
+@dataclass(frozen=True)
+class Let(MlExpr):
+    """let decl1 decl2 ... in body end: each declaration sees the ones
+    before it, and `body` sees them all."""
+    decls: tuple[Decl, ...]
     body: MlExpr
 
 
@@ -175,13 +184,13 @@ class DataType:
 class MlProgram:
     """Datatypes, then function groups in order, then the entry expression.
 
-    Each inner list of `fun_groups` is one mutually recursive group; a
+    Each item of `fun_groups` is one mutually recursive group; a
     group may refer to itself and to every earlier group.  `main` is
     evaluated last with all groups in scope.
     """
 
     datatypes: list[DataType] = field(default_factory=list)
-    fun_groups: list[list[FunDef]] = field(default_factory=list)
+    fun_groups: list[tuple[FunDef, ...]] = field(default_factory=list)
     main: MlExpr = Tuple(())
 
 
@@ -241,6 +250,20 @@ class _Validator:
         else:
             self.flag(path, f"not a core pattern: {type(pat).__name__}")
 
+    def group(self, funs: tuple[FunDef, ...], env: frozenset[str],
+              path: str) -> frozenset[str]:
+        """Check a group of mutually recursive functions, top-level or
+        local; returns `env` with the group's names added."""
+        names = [f.name for f in funs]
+        if len(set(names)) != len(names):
+            self.flag(path, "duplicate function name in group")
+        env = env | set(names)
+        for f in funs:
+            bound: set[str] = set()
+            self.pattern_vars(f.param, f"{path}/fun {f.name}/param", bound)
+            self.expr(f.body, env | bound, f"{path}/fun {f.name}")
+        return env
+
     def expr(self, e: MlExpr, env: frozenset[str], path: str) -> None:
         if isinstance(e, Var):
             if e.name not in env:
@@ -274,26 +297,19 @@ class _Validator:
             self.expr(e.cond, env, f"{path}/if-cond")
             self.expr(e.then, env, f"{path}/if-then")
             self.expr(e.orelse, env, f"{path}/if-else")
-        elif isinstance(e, (Let, LetFun)):
-            # a method body is one `let` per step: too many to recurse on
-            while isinstance(e, (Let, LetFun)):
-                if isinstance(e, Let):
-                    self.expr(e.rhs, env, f"{path}/let-rhs")
+        elif isinstance(e, Let):
+            for i, decl in enumerate(e.decls):
+                if isinstance(decl, Val):
+                    self.expr(decl.rhs, env, f"{path}/let{i}-rhs")
                     bound: set[str] = set()
-                    self.pattern_vars(e.pat, f"{path}/let-pat", bound)
-                    env, path = env | bound, f"{path}/let-body"
+                    self.pattern_vars(decl.pat, f"{path}/let{i}-pat", bound)
+                    env = env | bound
+                elif isinstance(decl, tuple):
+                    env = self.group(decl, env, f"{path}/let{i}")
                 else:
-                    names = [f.name for f in e.funs]
-                    if len(set(names)) != len(names):
-                        self.flag(path, "duplicate function name in group")
-                    env = env | set(names)
-                    for f in e.funs:
-                        bound = set()
-                        self.pattern_vars(f.param, f"{path}/fun {f.name}/param", bound)
-                        self.expr(f.body, env | bound, f"{path}/fun {f.name}")
-                    path = f"{path}/letfun-body"
-                e = e.body
-            self.expr(e, env, path)
+                    self.flag(f"{path}/let{i}",
+                              f"not a core declaration: {type(decl).__name__}")
+            self.expr(e.body, env, f"{path}/let-body")
         elif isinstance(e, App):
             self.expr(e.func, env, f"{path}/app-fn")
             self.expr(e.arg, env, f"{path}/app-arg")
@@ -322,15 +338,7 @@ def validate_core(program: MlProgram) -> list[Violation]:
             con_arities[con.name] = con.arity
 
     env = frozenset(RUNTIME_VARS)
-    for group in program.fun_groups:
-        names = [f.name for f in group]
-        if len(set(names)) != len(names):
-            checker.flag("fun group", "duplicate function name in group")
-        inner = env | set(names)
-        for f in group:
-            bound: set[str] = set()
-            checker.pattern_vars(f.param, f"fun {f.name}/param", bound)
-            checker.expr(f.body, inner | bound, f"fun {f.name}")
-        env = inner
+    for i, group in enumerate(program.fun_groups):
+        env = checker.group(group, env, f"group{i}")
     checker.expr(program.main, env, "main")
     return checker.violations

@@ -10,11 +10,11 @@ closure per expression node and one matcher per pattern.  A closure
 takes the current frame and returns its node's value, calling its
 children's closures; no node of the tree is inspected while the program
 runs.  The closures are built for one run and dropped with it.  Two
-refinements: a chain of nested `let`s is one closure that runs its
-bindings in a loop, and a pure subtree (variables and constants, and
-tuples and constructors of them) is one getter that charges no fuel:
-its parent, or a closure around the getter, charges for all of its
-nodes (see Fuel).
+refinements: a `let` is one closure that runs its declarations in a
+loop, and a pure subtree (variables and constants, and tuples and
+constructors of them) is one getter that charges no fuel: its parent,
+or a closure around the getter, charges for all of its nodes (see
+Fuel).
 
 Frames.  Each activation, that is the top level and every call of an ML
 function, gets one Python list.  Slot 0 holds the parent frame, the one
@@ -26,19 +26,19 @@ slot) pair, depth counting the functions between the use and the
 binding, so scoping is done once, in one pass, and the program only
 indexes lists.  Since no two binding occurrences share a slot, a later
 `let` never overwrites a value an earlier closure captured, and what a
-failed `case` rule bound is never read by the next rule.  A local `fun`
-group ties its recursive knot by storing its closures into slots of the
-frame they capture.
+failed `case` rule bound is never read by the next rule.  A `fun`
+group, top-level or local, ties its recursive knot by storing its
+closures into slots of the frame they capture.
 
 Tail calls.  An application in tail position, of a function body or of
-a `let` right-hand side, evaluates the function and then the argument,
+a `val` right-hand side, evaluates the function and then the argument,
 only then stores both in the run's pending-call slot, and returns the
-`_TAIL` marker.  The enclosing trampoline, the `let` chain or else the
+`_TAIL` marker.  The enclosing trampoline, the `let` or else the
 nearest non-tail application, enters the pending call and repeats until
 a body returns a value.  Translated `while` loops are self-tail-calls,
 so they run in constant Python stack.  A pending (non-tail) ML call
 holds one Python frame for the callee's body and one for each node
-between that body and the call: an `if`, a `case`, a `let` chain, or a
+between that body and the call: an `if`, a `case`, a `let`, or a
 node with the call as an operand.  That is 3 frames per call for a
 translated method recursion and for the list helpers that make and
 measure arrays, and 4 for the two that rebuild a list around the call
@@ -56,7 +56,10 @@ charges for all of its nodes at once; each raises before any of that
 work when the fuel does not cover all of it.  Reading a pure subtree
 has no effect, so no output, fault or step count can tell this from
 charging the visits one at a time: either way the run stops having
-spent all of its fuel, with the same output.
+spent all of its fuel, with the same output.  A `let` is visited once
+per declaration: each `val` and each local `fun` group costs one unit,
+the `let` itself nothing.  Installing the top-level groups costs
+nothing.
 
 `=` and `<` are defined on integers; arithmetic outside the 63-bit
 range [-2^62, 2^62 - 1] is an IntegerOverflow fault; a `case` (or a
@@ -77,7 +80,6 @@ from .mlast import (
     If,
     IntLit,
     Let,
-    LetFun,
     MlExpr,
     MlProgram,
     Pat,
@@ -87,6 +89,7 @@ from .mlast import (
     PVar,
     PWild,
     Tuple,
+    Val,
     Var,
 )
 from .outcome import DEFAULT_FUEL, Fault, FaultKind, RunOutcome, run_compiled
@@ -338,8 +341,8 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         closure returns `_TAIL` with the call pending, for the enclosing
         trampoline."""
         cls = type(e)
-        if cls is Let or cls is LetFun:
-            return let_chain(e, tail)
+        if cls is Let:
+            return let(e, tail)
         if cls is App:
             return app(e, tail)
         if cls is If:
@@ -363,27 +366,24 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             return get(f)
         return ev
 
-    def let_chain(e: MlExpr, tail: bool):
-        """A run of nested `let val`s and `let fun`s, as one closure.
+    def let(e: Let, tail: bool):
+        """A `let`, as one closure that runs its declarations in a loop.
 
         It is also the trampoline for the calls its right-hand sides
         make, so a call there costs no Python frame of its own."""
         steps = []
         bound: list[str] = []
-        while type(e) is Let or type(e) is LetFun:
-            if type(e) is Let:
-                part = pure(e.rhs)
+        for decl in e.decls:
+            if type(decl) is Val:
+                part = pure(decl.rhs)
                 if part is None:
-                    rhs, cost = expr(e.rhs, True), 1
+                    rhs, cost = expr(decl.rhs, True), 1
                 else:
                     rhs, cost = part[0], 1 + part[1]
-                steps.append((cost, rhs, binder(e.pat, bound)))
+                steps.append((cost, rhs, binder(decl.pat, bound)))
             else:
-                slots = [declare(fd.name, bound) for fd in e.funs]
-                funs = tuple((slot, *function(fd)) for slot, fd in zip(slots, e.funs))
-                steps.append((1, letfun(funs), None))
-            e = e.body
-        body = expr(e, tail)
+                steps.append((1, group(decl, bound), None))
+        body = expr(e.body, tail)
         forget(bound)
         steps = tuple(steps)
 
@@ -408,9 +408,16 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             return body(f)
         return ev
 
-    def letfun(funs: tuple):
+    def group(funs: tuple[FunDef, ...], bound: list[str]):
+        """Declare a group's names in the current activation and compile
+        its functions, top-level or local.  Returns `define(frame)`, which
+        stores the group's closures, each capturing `frame`, into their
+        slots: the recursive knot."""
+        slots = [declare(fd.name, bound) for fd in funs]
+        compiled = tuple((slot, *function(fd)) for slot, fd in zip(slots, funs))
+
         def define(f):
-            for slot, pad, bind, body in funs:
+            for slot, pad, bind, body in compiled:
                 f[slot] = VClosure(f, pad, bind, body)
         return define
 
@@ -601,19 +608,15 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
 
     top: list[str] = []
     print_slot = declare("mj_print", top)
-    groups = []
-    for group in program.fun_groups:
-        slots = [declare(fd.name, top) for fd in group]
-        groups.append([(slot, *function(fd)) for slot, fd in zip(slots, group)])
+    groups = [group(funs, top) for funs in program.fun_groups]
     main = expr(program.main, False)
     frame: list = [None] * free[0]
 
     def run():
         nonlocal pend_fn, pend_arg
         frame[print_slot] = _PRINT
-        for group in groups:
-            for slot, pad, bind, body in group:
-                frame[slot] = VClosure(frame, pad, bind, body)
+        for define in groups:
+            define(frame)
         try:
             return main(frame)
         finally:

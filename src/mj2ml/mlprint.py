@@ -3,8 +3,8 @@
 The output is deterministic byte for byte: layout decisions depend only
 on the tree.  Indentation is two spaces.  Negative integer literals use
 `~`.  Parenthesisation is conservative; `let ... end` is self-bracketing
-and never parenthesised.  Consecutive let bindings are emitted as one
-declaration sequence inside a single let/in/end.
+and never parenthesised.  Each `Let` prints as one let/in/end around
+its declarations in order; the printer merges and splits nothing.
 
 The one piece of source that is not generated from the tree is the
 printing helper `mj_print`, which uses strings and is therefore outside
@@ -23,7 +23,6 @@ from .mlast import (
     If,
     IntLit,
     Let,
-    LetFun,
     MlExpr,
     MlProgram,
     MlType,
@@ -38,6 +37,7 @@ from .mlast import (
     TyArrow,
     TyName,
     TyTuple,
+    Val,
     Var,
 )
 
@@ -143,7 +143,7 @@ def print_expr(expr: MlExpr, ind: str = "", level: int = 0) -> str:
         return _wrap(_print_if(expr, ind), level > _L_LOW)
     if isinstance(expr, Case):
         return _wrap(_print_case(expr, ind), level > _L_LOW)
-    if isinstance(expr, (Let, LetFun)):
+    if isinstance(expr, Let):
         return _print_let(expr, ind)
     raise AssertionError(f"unhandled expression {type(expr).__name__}")
 
@@ -184,39 +184,28 @@ def _print_case(expr: Case, ind: str) -> str:
     return "\n".join(lines)
 
 
-def _collect_decls(expr: MlExpr):
-    decls = []
-    while True:
-        if isinstance(expr, Let):
-            decls.append(("val", expr.pat, expr.rhs))
-            expr = expr.body
-        elif isinstance(expr, LetFun):
-            decls.append(("fun", expr.funs, None))
-            expr = expr.body
-        else:
-            return decls, expr
-
-
-def _print_let(expr: MlExpr, ind: str) -> str:
-    decls, body = _collect_decls(expr)
+def _print_let(expr: Let, ind: str) -> str:
     inner = ind + "  "
     lines = ["let"]
-    for kind, a, b in decls:
-        if kind == "val":
-            rhs = print_expr(b, inner + "  ", _L_LOW)
-            head = f"{inner}val {print_pat(a)} ="
+    for decl in expr.decls:
+        if isinstance(decl, Val):
+            rhs = print_expr(decl.rhs, inner + "  ", _L_LOW)
+            head = f"{inner}val {print_pat(decl.pat)} ="
             if _is_multiline(rhs) or len(head) + len(rhs) + 1 > _SINGLE_LINE_LIMIT + len(inner):
                 lines.append(head)
                 lines.append(f"{inner}  {rhs}")
             else:
                 lines.append(f"{head} {rhs}")
         else:
-            for j, f in enumerate(a):
-                lines.append(_print_fun(f, inner, "fun" if j == 0 else "and"))
+            lines.extend(_print_group(decl, inner))
     lines.append(f"{ind}in")
-    lines.append(f"{inner}{print_expr(body, inner, _L_LOW)}")
+    lines.append(f"{inner}{print_expr(expr.body, inner, _L_LOW)}")
     lines.append(f"{ind}end")
     return "\n".join(lines)
+
+
+def _print_group(funs: tuple[FunDef, ...], ind: str) -> list[str]:
+    return [_print_fun(f, ind, "fun" if j == 0 else "and") for j, f in enumerate(funs)]
 
 
 def _print_fun(f: FunDef, ind: str, keyword: str) -> str:
@@ -238,7 +227,12 @@ def _print_datatype(dt: DataType, keyword: str) -> str:
 
 
 def print_ml_program(program: MlProgram, source_name: str = "source") -> str:
-    """Full SML source: header, print helper, datatypes, functions, entry."""
+    """Full SML source: header, print helper, datatypes, functions, entry.
+
+    The printer recurses once per nesting level of the tree, within
+    Python's recursion limit; a tree nested deeper than that raises
+    ValueError.
+    """
     parts = [
         f"(* {source_name}, translated by mj2ml {__version__}. *)",
         "(* The heap is an explicit value threaded through every function: *)",
@@ -251,9 +245,11 @@ def print_ml_program(program: MlProgram, source_name: str = "source") -> str:
         for i, dt in enumerate(program.datatypes):
             parts.append(_print_datatype(dt, "datatype" if i == 0 else "and"))
         parts.append("")
-    for group in program.fun_groups:
-        for j, f in enumerate(group):
-            parts.append(_print_fun(f, "", "fun" if j == 0 else "and"))
-        parts.append("")
-    parts.append(f"val _ = {print_expr(program.main, '  ', _L_LOW)}")
+    try:
+        for group in program.fun_groups:
+            parts.extend(_print_group(group, ""))
+            parts.append("")
+        parts.append(f"val _ = {print_expr(program.main, '  ', _L_LOW)}")
+    except RecursionError:
+        raise ValueError("statements nested too deeply to print as Standard ML") from None
     return "\n".join(parts) + "\n"

@@ -106,13 +106,6 @@ class ClassTable:
     def has(self, name: str) -> bool:
         return name in self.classes
 
-    def superchain(self, name: str) -> list[str]:
-        """name, its superclass, ... up to the root."""
-        return self.classes[name].path[::-1]
-
-    def path_from_root(self, name: str) -> list[str]:
-        return list(self.classes[name].path)
-
     def roots(self) -> list[str]:
         return [c.name for c in self.classes.values() if c.superclass is None]
 
@@ -123,18 +116,6 @@ class ClassTable:
         if isinstance(src, ClassType) and isinstance(dst, ClassType):
             return self.is_subclass(src.name, dst.name)
         return src == dst
-
-    def lookup_field(self, cls: str, fname: str) -> tuple[str, MjType] | None:
-        """(declaring class, type) for fname visible in cls, else None."""
-        return self.classes[cls].all_fields.get(fname)
-
-    def lookup_method(self, cls: str, mname: str) -> tuple[str, MethodDecl] | None:
-        """Most-derived declaration of mname at or above cls."""
-        return self.classes[cls].vtable.get(mname)
-
-    def intro_class_of_method(self, cls: str, mname: str) -> str:
-        """Topmost class on cls's chain declaring mname (the slot owner)."""
-        return self.classes[cls].slot_owner[mname]
 
 
 def build_class_table(program: MjProgram) -> ClassTable:
@@ -318,7 +299,7 @@ class _Checker:
             if not isinstance(recv, ClassType):
                 raise MjTypeError(e.span.start,
                                   f"method call receiver must be an object, got {recv}")
-            found = self.table.lookup_method(recv.name, e.method)
+            found = self.table.info(recv.name).vtable.get(e.method)
             if found is None:
                 raise MjTypeError(e.span.start,
                                   f"class '{recv.name}' has no method '{e.method}'")

@@ -76,11 +76,11 @@ from .mlast import (
     Con,
     DataCon,
     DataType,
+    Decl,
     FunDef,
     If,
     IntLit,
     Let,
-    LetFun,
     MlExpr,
     MlProgram,
     MlType,
@@ -95,6 +95,7 @@ from .mlast import (
     TyArrow,
     TyName,
     TyTuple,
+    Val,
     Var,
 )
 from .sema import ClassTable, typecheck
@@ -147,14 +148,8 @@ def _ptup(items: list[Pat]) -> Pat:
     return items[0] if len(items) == 1 else PTuple(tuple(items))
 
 
-def _wrap(bindings: list, result: MlExpr) -> MlExpr:
-    expr = result
-    for kind, a, b in reversed(bindings):
-        if kind == "val":
-            expr = Let(a, b, expr)
-        else:
-            expr = LetFun((a,), expr)
-    return expr
+def _wrap(bindings: list[Decl], result: MlExpr) -> MlExpr:
+    return Let(tuple(bindings), result) if bindings else result
 
 
 def _spine(make, path: list[str], levels: list[list]):
@@ -201,22 +196,22 @@ class _FnScope:
 
 @dataclass
 class _Ctx:
-    """A straight-line run of bindings: current state name and the
-    current version of every variable.  Branches get their own copy."""
+    """A straight-line run of declarations, the current state name and
+    the current version of every variable.  Branches get their own copy."""
 
     fn: _FnScope
     versions: dict[str, int]
     state: str
-    bindings: list = dc_field(default_factory=list)
+    bindings: list[Decl] = dc_field(default_factory=list)
 
     def branch(self) -> "_Ctx":
         return _Ctx(self.fn, dict(self.versions), self.state)
 
     def emit(self, pat: Pat, rhs: MlExpr) -> None:
-        self.bindings.append(("val", pat, rhs))
+        self.bindings.append(Val(pat, rhs))
 
     def emit_fun(self, fd: FunDef) -> None:
-        self.bindings.append(("fun", fd, None))
+        self.bindings.append((fd,))
 
     def var_atom(self, name: str) -> MlExpr:
         return Var(mangle_var(name, self.versions[name]))
@@ -590,15 +585,15 @@ class _Translator:
         return FunDef("mj_main", PTuple(()), body)
 
     def run(self, program: MjProgram) -> MlProgram:
-        groups = [[f] for f in _prelude()]
+        groups = [(f,) for f in _prelude()]
         table_classes = list(self.table.classes.values())
         big: list[FunDef] = [self.constructor(info.name) for info in table_classes]
         for info in table_classes:
             for decl in info.decl.methods:
                 big.append(self.method(info.index, decl))
         if big:
-            groups.append(big)
-        groups.append([self.main(program)])
+            groups.append(tuple(big))
+        groups.append((self.main(program),))
         return MlProgram(datatypes=self.datatypes(),
                          fun_groups=groups,
                          main=App(Var("mj_main"), Tuple(())))

@@ -159,20 +159,47 @@ class R {
 """
 
 
+def run_cli(*argv):
+    """Run the command line in a fresh interpreter, at Python's default
+    recursion limit."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", "from mj2ml.cli import entry; entry()", *argv],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_too_deep_recursion_exits_5_without_crashing(tmp_path):
     # past the recursion limit, well within fuel: a FuelExhausted fault,
     # not a crash of the interpreter
     path = write(tmp_path, "deep.java", DEEP)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     for command in ("run-ml", "run-mj"):
-        done = subprocess.run(
-            [sys.executable, "-c", "from mj2ml.cli import entry; entry()", command, path],
-            env=env, capture_output=True, text=True, timeout=120)
+        done = run_cli(command, path)
         assert done.returncode == 5, (command, done.stderr)
         assert done.stdout == ""
         assert "fault: FuelExhausted" in done.stderr
+
+
+def nested_ifs(n):
+    """A main body of `n` nested `if (true) ... else {}` around one print."""
+    body = "if (true) " * n + "System.out.println(1);" + " else {}" * n
+    return f"class N {{\n    public static void main(String[] a) {{\n        {body}\n    }}\n}}\n"
+
+
+def test_translate_of_too_deeply_nested_statements_exits_1(tmp_path):
+    # 250 levels parse, typecheck and diff as `match`, but are too deep
+    # for the printer: a one-line diagnostic, not a traceback
+    path = write(tmp_path, "deep.java", nested_ifs(250))
+    assert run_cli("diff", path).returncode == 0
+    done = run_cli("translate", path)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == f"{path}: statements nested too deeply to print as Standard ML\n"
+    path = write(tmp_path, "shallow.java", nested_ifs(200))
+    done = run_cli("translate", path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.rstrip().endswith("val _ = mj_main ()")
 
 
 def test_diff_corpus_exits_0(corpus_dir, capsys):

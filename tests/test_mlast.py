@@ -1,0 +1,80 @@
+from mj2ml.mlast import (
+    App,
+    Con,
+    FunDef,
+    If,
+    IntLit,
+    Let,
+    MlProgram,
+    PCon,
+    PTuple,
+    PVar,
+    PWild,
+    Val,
+    Var,
+    validate_core,
+)
+
+
+def violations(main, fun_groups=()):
+    program = MlProgram([], list(fun_groups), main)
+    return [(v.path, v.message) for v in validate_core(program)]
+
+
+def test_val_pattern_is_not_in_scope_in_its_own_rhs():
+    # let val x = x in x end
+    main = Let((Val(PVar("x"), Var("x")),), Var("x"))
+    assert violations(main) == [("main/let0-rhs", "unbound variable 'x'")]
+
+
+def test_a_name_is_unbound_before_the_declaration_that_binds_it():
+    # let val a = b val b = 1 in a end
+    main = Let((Val(PVar("a"), Var("b")), Val(PVar("b"), IntLit(1))), Var("a"))
+    assert violations(main) == [("main/let0-rhs", "unbound variable 'b'")]
+
+
+def test_local_group_sees_itself_and_earlier_declarations_only():
+    # let val x = 1 fun f n = g x and g n = f y val y = 2 in f 0 end
+    group = (FunDef("f", PVar("n"), App(Var("g"), Var("x"))),
+             FunDef("g", PVar("n"), App(Var("f"), Var("y"))))
+    main = Let((Val(PVar("x"), IntLit(1)), group, Val(PVar("y"), IntLit(2))),
+               App(Var("f"), IntLit(0)))
+    assert violations(main) == [("main/let1/fun g/app-arg", "unbound variable 'y'")]
+
+
+def test_inner_let_bindings_do_not_leak():
+    # let val a = let val b = 1 in b end in
+    #   if true then let val c = a in c end else c b end
+    inner = Let((Val(PVar("b"), IntLit(1)),), Var("b"))
+    branch = Let((Val(PVar("c"), Var("a")),), Var("c"))
+    main = Let((Val(PVar("a"), inner),),
+               If(Con("true"), branch, App(Var("c"), Var("b"))))
+    assert violations(main) == [
+        ("main/let-body/if-else/app-fn", "unbound variable 'c'"),
+        ("main/let-body/if-else/app-arg", "unbound variable 'b'"),
+    ]
+
+
+def test_duplicate_names_in_a_group_are_flagged_local_and_top_level():
+    f0 = FunDef("f", PWild(), IntLit(0))
+    f1 = FunDef("f", PWild(), IntLit(1))
+    local = Let(((f0, f1),), App(Var("f"), IntLit(0)))
+    assert violations(local) == [("main/let0", "duplicate function name in group")]
+    top = App(Var("f"), IntLit(0))
+    assert violations(top, [(f0, f1)]) == [("group0", "duplicate function name in group")]
+
+
+def test_val_patterns_are_checked():
+    # let val (x) = 1 in 0 end; let val SOME (a, b) = SOME 1 in 0 end
+    one_tuple = Let((Val(PTuple((PVar("x"),)), IntLit(1)),), IntLit(0))
+    assert violations(one_tuple) == [("main/let0-pat", "1-element tuple pattern")]
+    wrong_arity = Let((Val(PCon("SOME", (PVar("a"), PVar("b"))),
+                           Con("SOME", (IntLit(1),))),), IntLit(0))
+    assert violations(wrong_arity) == [
+        ("main/let0-pat", "constructor 'SOME' takes 1 argument(s), pattern has 2")]
+
+
+def test_a_declaration_must_be_a_val_or_a_group():
+    # a bare FunDef where a one-function group belongs
+    main = Let((FunDef("f", PWild(), IntLit(0)),), IntLit(0))
+    assert violations(main) == [("main/let0", "not a core declaration: FunDef")]

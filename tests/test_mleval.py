@@ -11,7 +11,6 @@ from mj2ml.mlast import (
     If,
     IntLit,
     Let,
-    LetFun,
     MlProgram,
     PCon,
     PTuple,
@@ -19,6 +18,7 @@ from mj2ml.mlast import (
     PrimOp,
     PWild,
     Tuple,
+    Val,
     Var,
 )
 from mj2ml.mleval import VCon, alloc_order, eval_program
@@ -49,7 +49,7 @@ def test_addition_overflow_faults():
 
 
 def test_let_and_tuple_pattern():
-    main = Let(PTuple((PVar("a"), PVar("b"))), Tuple((IntLit(1), IntLit(2))),
+    main = Let((Val(PTuple((PVar("a"), PVar("b"))), Tuple((IntLit(1), IntLit(2)))),),
                PrimOp("+", (Var("a"), Var("b"))))
     out, val = run(main)
     assert val == 3
@@ -117,7 +117,7 @@ def test_letfun_ties_the_knot_locally():
                     IntLit(1),
                     PrimOp("*", (Var("n"),
                                  App(Var("fac"), PrimOp("-", (Var("n"), IntLit(1))))))))
-    out, val = run(LetFun((fac,), App(Var("fac"), IntLit(10))))
+    out, val = run(Let(((fac,),), App(Var("fac"), IntLit(10))))
     assert val == 3628800
 
 
@@ -131,7 +131,7 @@ def test_fuel_runs_out_after_exactly_the_visits_it_paid_for():
     # let a = 5 in (SOME a, mj_print 1, a): 9 node visits, the print
     # happening after the 8th.  Fuel 8 prints and then runs out on the
     # last `a`; fuel 7 runs out before the print.
-    main = Let(PVar("a"), IntLit(5),
+    main = Let((Val(PVar("a"), IntLit(5)),),
                Tuple((Con("SOME", (Var("a"),)), App(Var("mj_print"), IntLit(1)), Var("a"))))
     for fuel in range(11):
         out, val = run(main, fuel=fuel)
@@ -142,7 +142,7 @@ def test_fuel_runs_out_after_exactly_the_visits_it_paid_for():
 
 
 def test_print_builtin_collects_output():
-    main = Let(PWild(), App(Var("mj_print"), IntLit(-5)),
+    main = Let((Val(PWild(), App(Var("mj_print"), IntLit(-5))),),
                App(Var("mj_print"), IntLit(7)))
     out, val = run(main)
     assert out.output == [-5, 7] and val == ()
@@ -157,19 +157,19 @@ def test_alloc_order_reads_cons_heap_backwards():
 
 
 def test_let_does_not_change_what_a_closure_captured():
-    # let x = 1 in let fun g _ = x in let x = 2 in g () + 10 * x
-    main = Let(PVar("x"), IntLit(1),
-               LetFun((FunDef("g", PWild(), Var("x")),),
-                      Let(PVar("x"), IntLit(2),
-                          PrimOp("+", (App(Var("g"), Tuple(())),
-                                       PrimOp("*", (IntLit(10), Var("x"))))))))
+    # let val x = 1 fun g _ = x val x = 2 in g () + 10 * x end
+    main = Let((Val(PVar("x"), IntLit(1)),
+                (FunDef("g", PWild(), Var("x")),),
+                Val(PVar("x"), IntLit(2))),
+               PrimOp("+", (App(Var("g"), Tuple(())),
+                            PrimOp("*", (IntLit(10), Var("x"))))))
     out, val = run(main)
     assert out.ok and val == 21
 
 
 def test_failed_case_rule_binds_nothing():
     # let x = 5 in case (SOME 1, NONE) of (SOME x, SOME _) => 0 | _ => x
-    main = Let(PVar("x"), IntLit(5),
+    main = Let((Val(PVar("x"), IntLit(5)),),
                Case(Tuple((Con("SOME", (IntLit(1),)), Con("NONE"))),
                     ((PTuple((PCon("SOME", (PVar("x"),)), PCon("SOME", (PWild(),)))),
                       IntLit(0)),

@@ -19,6 +19,7 @@ from mj2ml.mlast import (
     TyApp,
     TyName,
     TyTuple,
+    Val,
     Var,
 )
 from mj2ml.mlprint import print_expr, print_ml_program, print_pat, print_type
@@ -66,9 +67,8 @@ def test_long_if_breaks_into_three_lines():
 
 
 def test_nested_lets_collapse_into_one_block():
-    e = Let(PVar("a"), IntLit(1),
-            Let(PVar("b"), IntLit(2),
-                PrimOp("+", (Var("a"), Var("b")))))
+    e = Let((Val(PVar("a"), IntLit(1)), Val(PVar("b"), IntLit(2))),
+            PrimOp("+", (Var("a"), Var("b"))))
     text = print_expr(e)
     assert text.count("let") == 1
     assert text.count("in") == 1

@@ -41,25 +41,25 @@ def expect_type_error(source, fragment):
 
 def test_class_table_shape():
     _, table = check(CHAIN)
-    assert table.superchain("C") == ["C", "B", "A"]
+    assert table.info("C").path[::-1] == ["C", "B", "A"]
     assert table.roots() == ["A"]
-    assert table.path_from_root("C") == ["A", "B", "C"]
+    assert table.info("C").path == ["A", "B", "C"]
 
 
 def test_field_lookup_walks_up_the_chain():
     _, table = check(CHAIN)
-    assert table.lookup_field("C", "shared") == ("A", INT)
-    assert table.lookup_field("C", "extra") == ("B", INT)
-    assert table.lookup_field("A", "extra") is None
+    assert table.info("C").all_fields.get("shared") == ("A", INT)
+    assert table.info("C").all_fields.get("extra") == ("B", INT)
+    assert table.info("A").all_fields.get("extra") is None
 
 
 def test_method_lookup_is_most_derived():
     _, table = check(CHAIN)
-    assert table.lookup_method("C", "tag")[0] == "C"
-    assert table.lookup_method("B", "tag")[0] == "B"
-    assert table.lookup_method("C", "base")[0] == "A"
-    assert table.intro_class_of_method("C", "tag") == "A"
-    assert table.intro_class_of_method("B", "tag") == "A"
+    assert table.info("C").vtable["tag"][0] == "C"
+    assert table.info("B").vtable["tag"][0] == "B"
+    assert table.info("C").vtable["base"][0] == "A"
+    assert table.info("C").slot_owner["tag"] == "A"
+    assert table.info("B").slot_owner["tag"] == "A"
 
 
 def test_assignability_follows_subtyping():

@@ -1,11 +1,12 @@
 import hashlib
+from dataclasses import fields, is_dataclass
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mj2ml.diffharness import diff_source
 from mj2ml.mjast import print_program
-from mj2ml.mlast import validate_core
+from mj2ml.mlast import Let, validate_core
 from mj2ml.mlprint import print_ml_program
 from mj2ml.parser import parse_source
 from mj2ml.translate import mangle_method, mangle_new, mangle_var, translate
@@ -122,6 +123,32 @@ def test_generated_subclass_encoding_is_pinned():
                    for s in range(40))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "8b9b5811b8f8e26116f75948b06ef2e479b525f7e2da09c89d4fad44f8d088b8"
+
+
+def lets(root):
+    """Every `Let` reachable from `root`."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Let):
+            yield node
+        if is_dataclass(node):
+            stack.extend(getattr(node, f.name) for f in fields(node))
+        elif isinstance(node, (list, tuple)):
+            stack.extend(node)
+
+
+def test_each_let_is_a_whole_run_of_declarations(corpus_files):
+    # mlprint prints each `Let` as one let/in/end and merges none, so the
+    # emitted SML keeps its shape only while no `Let` is empty and none
+    # is the body of another
+    from mj2ml.randgen import generate_program
+    programs = [tr(path.read_text()) for path in corpus_files]
+    programs += [translate(generate_program(s, 40)) for s in range(40)]
+    found = [let for ml in programs for let in lets(ml)]
+    assert found
+    for let in found:
+        assert let.decls and not isinstance(let.body, Let)
 
 
 def test_reversed_class_order_runs_the_same(corpus_dir):
