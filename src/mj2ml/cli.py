@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 lexing/parsing error, 2 type error, 3 runtime
 fault (or a failed comparison), 4 I/O error (including a `diff`
-directory with no .java file), 5 fuel exhausted.
+directory with no .java file, and a `check --count` below 1, either of
+which would compare nothing), 5 fuel exhausted.
 Diagnostics go to stderr as `<file>:<line>:<col>: <message>`; runtime
 faults as `fault: <kind> at <line>:<col>` (the ML side has no source
 positions, so its faults carry none).
@@ -139,6 +140,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise _CliError(EXIT_IO, "check --count must be at least 1")
     seeds = list(range(args.seed_base, args.seed_base + args.count))
     results = diff_generated(seeds, size=args.size, fuel=args.fuel)
     sys.stdout.write(render_report(results))

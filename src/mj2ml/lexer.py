@@ -4,11 +4,16 @@ Produces a flat token list with 1-based line/column positions.  Line
 comments (``//``) and block comments (``/* */``, non-nesting) are
 discarded.  Concatenating the lexemes of the output reproduces the
 input minus whitespace and comments.
+
+One compiled pattern, `_TOKEN`, is matched at each position in turn; its
+named groups are the kinds of text.  Tokens never span lines, so line
+and column come from the newlines in the skipped text alone.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from .mjast import INT_MAX, Pos
@@ -51,6 +56,20 @@ class Token:
         return Pos(self.line, self.col + len(self.lexeme))
 
 
+# The groups are tried in order, so a "/*" that `skip` cannot close is
+# `open`; text that no group matches is an error.
+_TOKEN = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)"
+    r"|(?P<open>/\*)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<op>" + "|".join(map(re.escape, OPERATORS)) + ")"
+    r"|(?P<punct>[" + re.escape(PUNCTUATION) + "])",
+    re.DOTALL,
+)
+_KINDS = {"int": TokenKind.INT, "op": TokenKind.OP, "punct": TokenKind.PUNCT}
+
+
 class LexError(Exception):
     def __init__(self, pos: Pos, message: str):
         super().__init__(f"{pos}: {message}")
@@ -66,75 +85,26 @@ def tokenize(source: str) -> list[Token]:
     comments, and on integer literals beyond the 63-bit signed range.
     """
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def advance(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
+    line, line_start = 1, 0
+    i, n = 0, len(source)
     while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance()
-            continue
-        if source.startswith("/*", i):
-            start = Pos(line, col)
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance()
-            if i >= n:
-                raise LexError(start, "unterminated block comment")
-            advance(2)
-            continue
-        if ch.isascii() and ch.isdigit():
-            start_line, start_col = line, col
-            j = i
-            while j < n and source[j].isascii() and source[j].isdigit():
-                j += 1
-            lexeme = source[i:j]
-            if int(lexeme) > INT_MAX:
-                raise LexError(Pos(start_line, start_col),
-                               f"integer literal {lexeme} exceeds the 63-bit range")
-            tokens.append(Token(TokenKind.INT, lexeme, start_line, start_col))
-            advance(j - i)
-            continue
-        if ch.isascii() and ch.isalpha():
-            start_line, start_col = line, col
-            j = i
-            while j < n and source[j].isascii() and (source[j].isalnum()
-                                                     or source[j] == "_"):
-                j += 1
-            lexeme = source[i:j]
-            kind = TokenKind.KEYWORD if lexeme in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, lexeme, start_line, start_col))
-            advance(j - i)
-            continue
-        matched = False
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token(TokenKind.OP, op, line, col))
-                advance(len(op))
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in PUNCTUATION:
-            tokens.append(Token(TokenKind.PUNCT, ch, line, col))
-            advance()
-            continue
-        raise LexError(Pos(line, col), f"unexpected character {ch!r}")
-
+        m = _TOKEN.match(source, i)
+        col = i - line_start + 1
+        if m is None:
+            raise LexError(Pos(line, col), f"unexpected character {source[i]!r}")
+        kind, text = m.lastgroup, m.group()
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = i + text.rindex("\n") + 1
+        elif kind == "open":
+            raise LexError(Pos(line, col), "unterminated block comment")
+        elif kind == "int" and int(text) > INT_MAX:
+            raise LexError(Pos(line, col), f"integer literal {text} exceeds the 63-bit range")
+        elif kind == "word":
+            tokens.append(Token(TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT,
+                                text, line, col))
+        else:
+            tokens.append(Token(_KINDS[kind], text, line, col))
+        i = m.end()
     return tokens

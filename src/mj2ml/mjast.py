@@ -4,10 +4,15 @@ MiniJava is the single-inheritance Java subset with int, boolean, int[]
 and class types.  A program is one main class followed by ordinary class
 declarations; the main body holds statements only (no locals).
 
+Operators are data: one `BinaryExpr` node carries its operator symbol,
+and `BINARY_LEVEL` is the one table of the operators and their
+precedence, which the parser and this module's printer read.  Later
+stages key their per-operator tables by the same symbols.
+
 Parenthesised subexpressions are not kept as nodes.  The printer
-re-derives parentheses from operator precedence, so parse -> print ->
-parse round trips are structurally stable for any well-formed tree,
-including generated ones that never moved through the parser.
+re-derives parentheses from `BINARY_LEVEL`, so parse -> print -> parse
+round trips are structurally stable for any well-formed tree, including
+generated ones that never moved through the parser.
 
 Structural equality ignores source spans and checker annotations (those
 fields carry ``compare=False``).
@@ -95,6 +100,11 @@ class VarBinding:
 # ---------------------------------------------------------------------------
 # Expressions
 
+# The binary operators and their precedence, loosest first; each
+# associates to the left.
+BINARY_LEVEL = {"&&": 1, "<": 2, "+": 3, "-": 3, "*": 4}
+
+
 @dataclass
 class Expr:
     span: Span = field(default=DUMMY_SPAN, kw_only=True, compare=False, repr=False)
@@ -102,31 +112,10 @@ class Expr:
 
 
 @dataclass
-class AndExpr(Expr):
-    left: Expr
-    right: Expr
+class BinaryExpr(Expr):
+    """`left op right` for an operator `op` in BINARY_LEVEL."""
 
-
-@dataclass
-class LessExpr(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass
-class PlusExpr(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass
-class MinusExpr(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass
-class TimesExpr(Expr):
+    op: str
     left: Expr
     right: Expr
 
@@ -161,13 +150,8 @@ class IntLitExpr(Expr):
 
 
 @dataclass
-class TrueExpr(Expr):
-    pass
-
-
-@dataclass
-class FalseExpr(Expr):
-    pass
+class BoolLitExpr(Expr):
+    value: bool
 
 
 @dataclass
@@ -299,20 +283,15 @@ def walk(node) -> Iterator:
 # ---------------------------------------------------------------------------
 # Source printer
 
-_BIN_LEVEL = {AndExpr: 1, LessExpr: 2, PlusExpr: 3, MinusExpr: 3, TimesExpr: 4}
-_BIN_SYM = {AndExpr: "&&", LessExpr: "<", PlusExpr: "+", MinusExpr: "-", TimesExpr: "*"}
 _PREFIX_LEVEL = 5
 _POSTFIX_LEVEL = 6
 
 
 def print_expr(e: Expr, level: int = 0) -> str:
     """Render an expression, inserting parentheses per precedence."""
-    cls = type(e)
-    if cls in _BIN_LEVEL:
-        own = _BIN_LEVEL[cls]
-        text = "{} {} {}".format(
-            print_expr(e.left, own), _BIN_SYM[cls], print_expr(e.right, own + 1)
-        )
+    if isinstance(e, BinaryExpr):
+        own = BINARY_LEVEL[e.op]
+        text = f"{print_expr(e.left, own)} {e.op} {print_expr(e.right, own + 1)}"
         return f"({text})" if own < level else text
     if isinstance(e, NotExpr):
         text = "!" + print_expr(e.operand, _PREFIX_LEVEL)
@@ -326,10 +305,8 @@ def print_expr(e: Expr, level: int = 0) -> str:
         return "{}.{}({})".format(print_expr(e.receiver, _POSTFIX_LEVEL), e.method, args)
     if isinstance(e, IntLitExpr):
         return str(e.value)
-    if isinstance(e, TrueExpr):
-        return "true"
-    if isinstance(e, FalseExpr):
-        return "false"
+    if isinstance(e, BoolLitExpr):
+        return "true" if e.value else "false"
     if isinstance(e, IdentExpr):
         return e.name
     if isinstance(e, ThisExpr):
@@ -340,7 +317,7 @@ def print_expr(e: Expr, level: int = 0) -> str:
         return f"({text})" if _POSTFIX_LEVEL < level else text
     if isinstance(e, NewObjectExpr):
         return f"new {e.class_name}()"
-    raise TypeError(f"unknown expression node {cls.__name__}")
+    raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
 def _print_stmt(s: Stmt, indent: int, out: list[str]) -> None:

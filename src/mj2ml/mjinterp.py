@@ -60,32 +60,27 @@ from .mjast import (
     INT,
     INT_MAX,
     INT_MIN,
-    AndExpr,
     ArrayAssignStmt,
     ArrayIndexExpr,
     ArrayLengthExpr,
     AssignStmt,
+    BinaryExpr,
     BlockStmt,
+    BoolLitExpr,
     CallExpr,
     Expr,
-    FalseExpr,
     IdentExpr,
     IfStmt,
     IntLitExpr,
-    LessExpr,
     MethodDecl,
-    MinusExpr,
     MjProgram,
     NewArrayExpr,
     NewObjectExpr,
     NotExpr,
-    PlusExpr,
     Pos,
     PrintStmt,
     Stmt,
     ThisExpr,
-    TimesExpr,
-    TrueExpr,
     WhileStmt,
 )
 from .outcome import DEFAULT_FUEL, Fault, FaultKind, RunOutcome, run_compiled
@@ -100,7 +95,7 @@ _OVERFLOW = FaultKind.INTEGER_OVERFLOW
 # Defaults of int and boolean variables; every other type defaults to null.
 _DEFAULTS = {INT: 0, BOOL: False}
 
-_ARITHMETIC = {PlusExpr: add, MinusExpr: sub, TimesExpr: mul}
+_ARITHMETIC = {"+": add, "-": sub, "*": mul}
 
 
 def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int],
@@ -147,8 +142,8 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
 
     def compiled(e: Expr) -> tuple:
         cls = type(e)
-        if cls is IntLitExpr or cls is TrueExpr or cls is FalseExpr:
-            value = e.value if cls is IntLitExpr else cls is TrueExpr
+        if cls is IntLitExpr or cls is BoolLitExpr:
+            value = e.value
             return (lambda f: value), [e.span.start]
         if cls is IdentExpr:
             return variable(e.name, e.binding), [e.span.start]
@@ -160,14 +155,16 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
             if poss is not None:
                 return (lambda f: not get(f)), [e.span.start, *poss]
             return not_(e, operand), None
-        if cls is LessExpr:
+        if cls is BinaryExpr:
+            if e.op in _ARITHMETIC:
+                return arithmetic(e, _ARITHMETIC[e.op]), None
+            if e.op == "&&":
+                return and_(e), None
             left, right = compiled(e.left), compiled(e.right)
             if left[1] is not None and right[1] is not None:
                 lget, rget = left[0], right[0]
                 return (lambda f: lget(f) < rget(f)), [e.span.start, *left[1], *right[1]]
             return less(e, left, right), None
-        if cls in _ARITHMETIC:
-            return arithmetic(e, _ARITHMETIC[cls]), None
         return expressions[cls](e), None
 
     def charged(part: tuple):
@@ -222,7 +219,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
             return value
         return ev
 
-    def less(e: LessExpr, left: tuple, right: tuple):
+    def less(e: BinaryExpr, left: tuple, right: tuple):
         poss, (left, right) = operands(e, (left, right))
         n = len(poss)
 
@@ -234,7 +231,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
             return left(f) < right(f)
         return ev
 
-    def and_(e: AndExpr):
+    def and_(e: BinaryExpr):
         poss, (left,) = operands(e, (e.left,))
         n = len(poss)
         right = expr(e.right)
@@ -345,7 +342,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
             return result(frame)
         return ev
 
-    expressions = {AndExpr: and_, ArrayIndexExpr: index, ArrayLengthExpr: length,
+    expressions = {ArrayIndexExpr: index, ArrayLengthExpr: length,
                     NewArrayExpr: new_array, NewObjectExpr: new_object,
                     CallExpr: call}
 

@@ -222,6 +222,26 @@ class _Validator:
     def __init__(self, con_arities: dict[str, int]):
         self.con_arities = con_arities
         self.violations: list[Violation] = []
+        # the names in scope, each with the number of binders binding it;
+        # a binding construct declares its names and forgets them on exit
+        self.scope: dict[str, int] = dict.fromkeys(RUNTIME_VARS, 1)
+
+    def declare(self, names) -> None:
+        for name in names:
+            self.scope[name] = self.scope.get(name, 0) + 1
+
+    def forget(self, names) -> None:
+        for name in names:
+            self.scope[name] -= 1
+            if not self.scope[name]:
+                del self.scope[name]
+
+    def bind(self, pat: Pat, path: str) -> set[str]:
+        """Check `pat` and declare its variables; returns them."""
+        bound: set[str] = set()
+        self.pattern_vars(pat, path, bound)
+        self.declare(bound)
+        return bound
 
     def flag(self, path: str, message: str) -> None:
         self.violations.append(Violation(path, message))
@@ -250,23 +270,22 @@ class _Validator:
         else:
             self.flag(path, f"not a core pattern: {type(pat).__name__}")
 
-    def group(self, funs: tuple[FunDef, ...], env: frozenset[str],
-              path: str) -> frozenset[str]:
+    def group(self, funs: tuple[FunDef, ...], path: str) -> list[str]:
         """Check a group of mutually recursive functions, top-level or
-        local; returns `env` with the group's names added."""
+        local; declares the group's names and returns them."""
         names = [f.name for f in funs]
         if len(set(names)) != len(names):
             self.flag(path, "duplicate function name in group")
-        env = env | set(names)
+        self.declare(names)
         for f in funs:
-            bound: set[str] = set()
-            self.pattern_vars(f.param, f"{path}/fun {f.name}/param", bound)
-            self.expr(f.body, env | bound, f"{path}/fun {f.name}")
-        return env
+            bound = self.bind(f.param, f"{path}/fun {f.name}/param")
+            self.expr(f.body, f"{path}/fun {f.name}")
+            self.forget(bound)
+        return names
 
-    def expr(self, e: MlExpr, env: frozenset[str], path: str) -> None:
+    def expr(self, e: MlExpr, path: str) -> None:
         if isinstance(e, Var):
-            if e.name not in env:
+            if e.name not in self.scope:
                 self.flag(path, f"unbound variable '{e.name}'")
         elif isinstance(e, IntLit):
             pass
@@ -274,7 +293,7 @@ class _Validator:
             if len(e.items) == 1:
                 self.flag(path, "1-element tuple")
             for i, sub in enumerate(e.items):
-                self.expr(sub, env, f"{path}/tuple.{i}")
+                self.expr(sub, f"{path}/tuple.{i}")
         elif isinstance(e, Con):
             arity = self.con_arities.get(e.name)
             if arity is None:
@@ -283,7 +302,7 @@ class _Validator:
                 self.flag(path, f"constructor '{e.name}' takes {arity} "
                                 f"argument(s), got {len(e.args)}")
             for i, sub in enumerate(e.args):
-                self.expr(sub, env, f"{path}/{e.name}.{i}")
+                self.expr(sub, f"{path}/{e.name}.{i}")
         elif isinstance(e, PrimOp):
             arity = PRIM_OPS.get(e.op)
             if arity is None:
@@ -292,35 +311,35 @@ class _Validator:
                 self.flag(path, f"primitive '{e.op}' takes {arity} "
                                 f"argument(s), got {len(e.args)}")
             for i, sub in enumerate(e.args):
-                self.expr(sub, env, f"{path}/{e.op}.{i}")
+                self.expr(sub, f"{path}/{e.op}.{i}")
         elif isinstance(e, If):
-            self.expr(e.cond, env, f"{path}/if-cond")
-            self.expr(e.then, env, f"{path}/if-then")
-            self.expr(e.orelse, env, f"{path}/if-else")
+            self.expr(e.cond, f"{path}/if-cond")
+            self.expr(e.then, f"{path}/if-then")
+            self.expr(e.orelse, f"{path}/if-else")
         elif isinstance(e, Let):
+            declared: list[str] = []
             for i, decl in enumerate(e.decls):
                 if isinstance(decl, Val):
-                    self.expr(decl.rhs, env, f"{path}/let{i}-rhs")
-                    bound: set[str] = set()
-                    self.pattern_vars(decl.pat, f"{path}/let{i}-pat", bound)
-                    env = env | bound
+                    self.expr(decl.rhs, f"{path}/let{i}-rhs")
+                    declared.extend(self.bind(decl.pat, f"{path}/let{i}-pat"))
                 elif isinstance(decl, tuple):
-                    env = self.group(decl, env, f"{path}/let{i}")
+                    declared.extend(self.group(decl, f"{path}/let{i}"))
                 else:
                     self.flag(f"{path}/let{i}",
                               f"not a core declaration: {type(decl).__name__}")
-            self.expr(e.body, env, f"{path}/let-body")
+            self.expr(e.body, f"{path}/let-body")
+            self.forget(declared)
         elif isinstance(e, App):
-            self.expr(e.func, env, f"{path}/app-fn")
-            self.expr(e.arg, env, f"{path}/app-arg")
+            self.expr(e.func, f"{path}/app-fn")
+            self.expr(e.arg, f"{path}/app-arg")
         elif isinstance(e, Case):
-            self.expr(e.scrutinee, env, f"{path}/case-scrutinee")
+            self.expr(e.scrutinee, f"{path}/case-scrutinee")
             if not e.rules:
                 self.flag(path, "case with no rules")
             for i, (pat, rhs) in enumerate(e.rules):
-                bound = set()
-                self.pattern_vars(pat, f"{path}/case-rule{i}-pat", bound)
-                self.expr(rhs, env | bound, f"{path}/case-rule{i}")
+                bound = self.bind(pat, f"{path}/case-rule{i}-pat")
+                self.expr(rhs, f"{path}/case-rule{i}")
+                self.forget(bound)
         else:
             self.flag(path, f"not a core expression: {type(e).__name__}")
 
@@ -337,8 +356,7 @@ def validate_core(program: MlProgram) -> list[Violation]:
                              f"constructor '{con.name}' declared twice")
             con_arities[con.name] = con.arity
 
-    env = frozenset(RUNTIME_VARS)
     for i, group in enumerate(program.fun_groups):
-        env = checker.group(group, env, f"group{i}")
-    checker.expr(program.main, env, "main")
+        checker.group(group, f"group{i}")
+    checker.expr(program.main, "main")
     return checker.violations

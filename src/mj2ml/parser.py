@@ -4,8 +4,9 @@ The grammar follows the classic teaching subset: one main class whose
 body is a statement list, then ordinary classes with fields, and methods
 of the form ``public T name(formals) { locals statements return e; }``.
 ``if`` always takes an ``else``.  Operator precedence, tightest first:
-postfix (call, index, .length), ``!``, ``*``, ``+``/``-``, ``<``,
-``&&``; the binary operators associate to the left.
+postfix (call, index, .length), ``!``, then the binary operators, which
+one method parses by precedence climbing over ``mjast.BINARY_LEVEL``
+(``*``, ``+``/``-``, ``<``, ``&&``); they associate to the left.
 
 Parenthesised expressions are parsed but not represented; see mjast.
 """
@@ -14,40 +15,36 @@ from __future__ import annotations
 
 from .lexer import Token, TokenKind, tokenize
 from .mjast import (
+    BINARY_LEVEL,
     BOOL,
     INT,
     INT_ARRAY,
-    AndExpr,
     ArrayAssignStmt,
     ArrayIndexExpr,
     ArrayLengthExpr,
     AssignStmt,
+    BinaryExpr,
     BlockStmt,
+    BoolLitExpr,
     CallExpr,
     ClassDecl,
     ClassType,
     Expr,
-    FalseExpr,
     IdentExpr,
     IfStmt,
     IntLitExpr,
-    LessExpr,
     MainClass,
     MethodDecl,
-    MinusExpr,
     MjProgram,
     MjType,
     NewArrayExpr,
     NewObjectExpr,
     NotExpr,
-    PlusExpr,
     Pos,
     PrintStmt,
     Span,
     Stmt,
     ThisExpr,
-    TimesExpr,
-    TrueExpr,
     VarDecl,
     WhileStmt,
 )
@@ -270,41 +267,21 @@ class _Parser:
 
     # -- expressions, precedence climbing ------------------------------------
 
-    def expression(self) -> Expr:
-        return self.and_expr()
-
-    def and_expr(self) -> Expr:
-        left = self.less_expr()
-        while self.at(TokenKind.OP, "&&"):
-            self.take(TokenKind.OP, "&&")
-            right = self.less_expr()
-            left = AndExpr(left, right, span=Span(left.span.start, right.span.end))
-        return left
-
-    def less_expr(self) -> Expr:
-        left = self.add_expr()
-        while self.at(TokenKind.OP, "<"):
-            self.take(TokenKind.OP, "<")
-            right = self.add_expr()
-            left = LessExpr(left, right, span=Span(left.span.start, right.span.end))
-        return left
-
-    def add_expr(self) -> Expr:
-        left = self.mul_expr()
-        while self.at(TokenKind.OP, "+") or self.at(TokenKind.OP, "-"):
-            op = self.take(TokenKind.OP).lexeme
-            right = self.mul_expr()
-            node = PlusExpr if op == "+" else MinusExpr
-            left = node(left, right, span=Span(left.span.start, right.span.end))
-        return left
-
-    def mul_expr(self) -> Expr:
+    def expression(self, min_level: int = 1) -> Expr:
+        """An expression whose binary operators bind at `min_level` or
+        tighter: each operand is a unary expression, and an operator's
+        right operand takes only operators tighter than its own, so
+        equal levels associate to the left."""
         left = self.unary_expr()
-        while self.at(TokenKind.OP, "*"):
-            self.take(TokenKind.OP, "*")
-            right = self.unary_expr()
-            left = TimesExpr(left, right, span=Span(left.span.start, right.span.end))
-        return left
+        while True:
+            tok = self.peek()
+            level = BINARY_LEVEL.get(tok.lexeme, 0) if tok is not None else 0
+            if level < min_level:
+                return left
+            self.take(TokenKind.OP)
+            right = self.expression(level + 1)
+            left = BinaryExpr(tok.lexeme, left, right,
+                              span=Span(left.span.start, right.span.end))
 
     def unary_expr(self) -> Expr:
         if self.at(TokenKind.OP, "!"):
@@ -348,12 +325,9 @@ class _Parser:
         if tok.kind is TokenKind.INT:
             self.take(TokenKind.INT)
             return IntLitExpr(int(tok.lexeme), span=Span(tok.pos, tok.end_pos))
-        if self.at(TokenKind.KEYWORD, "true"):
-            self.take(TokenKind.KEYWORD, "true")
-            return TrueExpr(span=Span(tok.pos, tok.end_pos))
-        if self.at(TokenKind.KEYWORD, "false"):
-            self.take(TokenKind.KEYWORD, "false")
-            return FalseExpr(span=Span(tok.pos, tok.end_pos))
+        if tok.kind is TokenKind.KEYWORD and tok.lexeme in ("true", "false"):
+            self.take(TokenKind.KEYWORD)
+            return BoolLitExpr(tok.lexeme == "true", span=Span(tok.pos, tok.end_pos))
         if self.at(TokenKind.KEYWORD, "this"):
             self.take(TokenKind.KEYWORD, "this")
             return ThisExpr(span=Span(tok.pos, tok.end_pos))

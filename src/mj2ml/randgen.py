@@ -28,34 +28,29 @@ from .mjast import (
     BOOL,
     INT,
     INT_ARRAY,
-    AndExpr,
     ArrayAssignStmt,
     ArrayIndexExpr,
     ArrayLengthExpr,
     AssignStmt,
+    BinaryExpr,
     BlockStmt,
+    BoolLitExpr,
     CallExpr,
     ClassDecl,
     ClassType,
     Expr,
-    FalseExpr,
     IdentExpr,
     IfStmt,
     IntLitExpr,
-    LessExpr,
     MainClass,
     MethodDecl,
-    MinusExpr,
     MjProgram,
     NewObjectExpr,
     NewArrayExpr,
     NotExpr,
-    PlusExpr,
     PrintStmt,
     Stmt,
     ThisExpr,
-    TimesExpr,
-    TrueExpr,
     VarDecl,
     WhileStmt,
 )
@@ -194,16 +189,14 @@ class _Gen:
         roll = rng.random()
         if roll < 0.30:
             return self.int_leaf(scope)
-        if roll < 0.50:
-            return PlusExpr(self.int_expr(scope, depth - 1),
-                            self.int_expr(scope, depth - 1))
         if roll < 0.65:
-            return MinusExpr(self.int_expr(scope, depth - 1),
-                             self.int_expr(scope, depth - 1))
+            op = "+" if roll < 0.50 else "-"
+            return BinaryExpr(op, self.int_expr(scope, depth - 1),
+                              self.int_expr(scope, depth - 1))
         if roll < 0.80:
             lit = IntLitExpr(rng.randint(0, MAX_LITERAL))
             leaf = self.int_leaf(scope)
-            return TimesExpr(lit, leaf) if rng.random() < 0.5 else TimesExpr(leaf, lit)
+            return BinaryExpr("*", *((lit, leaf) if rng.random() < 0.5 else (leaf, lit)))
         targets = self._call_targets(scope)
         if not targets:
             return self.int_leaf(scope)
@@ -224,16 +217,16 @@ class _Gen:
                 return IdentExpr(rng.choice(scope.bool_vars))
             if kind == "field":
                 return IdentExpr(rng.choice(scope.bool_fields))
-            return TrueExpr() if rng.random() < 0.5 else FalseExpr()
+            return BoolLitExpr(rng.random() < 0.5)
         roll = rng.random()
         if roll < 0.45:
-            return LessExpr(self.int_expr(scope, depth - 1),
-                            self.int_expr(scope, depth - 1))
+            return BinaryExpr("<", self.int_expr(scope, depth - 1),
+                              self.int_expr(scope, depth - 1))
         if roll < 0.65:
             return NotExpr(self.bool_expr(scope, depth - 1))
         if roll < 0.85:
-            return AndExpr(self.bool_expr(scope, depth - 1),
-                           self.bool_expr(scope, depth - 1))
+            return BinaryExpr("&&", self.bool_expr(scope, depth - 1),
+                              self.bool_expr(scope, depth - 1))
         return self.bool_expr(scope, 0)
 
     # -- statements ------------------------------------------------------------------
@@ -275,11 +268,11 @@ class _Gen:
         counter = self.fresh_local()
         locals_out.append(VarDecl(counter, INT))
         scope.int_vars.append(counter)
-        body: list[Stmt] = [AssignStmt(counter, MinusExpr(IdentExpr(counter),
-                                                          IntLitExpr(1)))]
+        body: list[Stmt] = [AssignStmt(counter, BinaryExpr("-", IdentExpr(counter),
+                                                           IntLitExpr(1)))]
         body += [self.stmt(scope, locals_out, depth - 1, loop_depth + 1)
                  for _ in range(rng.randint(1, 2))]
-        loop = WhileStmt(LessExpr(IntLitExpr(0), IdentExpr(counter)),
+        loop = WhileStmt(BinaryExpr("<", IntLitExpr(0), IdentExpr(counter)),
                          BlockStmt(body))
         init = AssignStmt(counter, IntLitExpr(rng.randint(1, 8)))
         return BlockStmt([init, loop])
@@ -315,8 +308,7 @@ class _Gen:
         if rng.random() < 0.4:
             name = self.fresh_local()
             local_decls.append(VarDecl(name, BOOL))
-            body.append(AssignStmt(name, TrueExpr() if rng.random() < 0.5
-                                   else FalseExpr()))
+            body.append(AssignStmt(name, BoolLitExpr(rng.random() < 0.5)))
             scope.bool_vars.append(name)
         if rng.random() < 0.5:
             name = self.fresh_local()

@@ -31,36 +31,31 @@ from .mjast import (
     BOOL,
     INT,
     INT_ARRAY,
-    AndExpr,
     ArrayAssignStmt,
     ArrayIndexExpr,
     ArrayLengthExpr,
     AssignStmt,
+    BinaryExpr,
     BlockStmt,
+    BoolLitExpr,
     CallExpr,
     ClassDecl,
     ClassType,
     Expr,
-    FalseExpr,
     IdentExpr,
     IfStmt,
     IntLitExpr,
-    LessExpr,
     MainClass,
     MethodDecl,
-    MinusExpr,
     MjProgram,
     MjType,
     NewArrayExpr,
     NewObjectExpr,
     NotExpr,
-    PlusExpr,
     Pos,
     PrintStmt,
     Stmt,
     ThisExpr,
-    TimesExpr,
-    TrueExpr,
     VarBinding,
     WhileStmt,
 )
@@ -208,6 +203,11 @@ def _require_known_type(table: ClassTable, ty: MjType, pos: Pos) -> None:
         raise MjTypeError(pos, f"unknown class '{ty.name}'")
 
 
+# Each binary operator's (operand type, result type).
+_BINARY_TYPES = {"&&": (BOOL, BOOL), "<": (INT, BOOL),
+                 "+": (INT, INT), "-": (INT, INT), "*": (INT, INT)}
+
+
 class _Checker:
     def __init__(self, table: ClassTable):
         self.table = table
@@ -252,21 +252,13 @@ class _Checker:
     def _expr(self, e: Expr) -> MjType:
         if isinstance(e, IntLitExpr):
             return INT
-        if isinstance(e, (TrueExpr, FalseExpr)):
+        if isinstance(e, BoolLitExpr):
             return BOOL
-        if isinstance(e, AndExpr):
-            self._expect(e.left, BOOL, "left operand of '&&'")
-            self._expect(e.right, BOOL, "right operand of '&&'")
-            return BOOL
-        if isinstance(e, LessExpr):
-            self._expect(e.left, INT, "left operand of '<'")
-            self._expect(e.right, INT, "right operand of '<'")
-            return BOOL
-        if isinstance(e, (PlusExpr, MinusExpr, TimesExpr)):
-            op = {PlusExpr: "+", MinusExpr: "-", TimesExpr: "*"}[type(e)]
-            self._expect(e.left, INT, f"left operand of '{op}'")
-            self._expect(e.right, INT, f"right operand of '{op}'")
-            return INT
+        if isinstance(e, BinaryExpr):
+            operand, result = _BINARY_TYPES[e.op]
+            self._expect(e.left, operand, f"left operand of '{e.op}'")
+            self._expect(e.right, operand, f"right operand of '{e.op}'")
+            return result
         if isinstance(e, NotExpr):
             self._expect(e.operand, BOOL, "operand of '!'")
             return BOOL

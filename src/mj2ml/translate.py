@@ -39,32 +39,27 @@ from dataclasses import dataclass, field as dc_field
 from .mjast import (
     BOOL,
     INT,
-    AndExpr,
     ArrayAssignStmt,
     ArrayIndexExpr,
     ArrayLengthExpr,
     AssignStmt,
+    BinaryExpr,
     BlockStmt,
+    BoolLitExpr,
     CallExpr,
     Expr,
-    FalseExpr,
     IdentExpr,
     IfStmt,
     IntLitExpr,
-    LessExpr,
     MethodDecl,
-    MinusExpr,
     MjProgram,
     MjType,
     NewArrayExpr,
     NewObjectExpr,
     NotExpr,
-    PlusExpr,
     PrintStmt,
     Stmt,
     ThisExpr,
-    TimesExpr,
-    TrueExpr,
     WhileStmt,
 )
 from .mlast import (
@@ -390,10 +385,8 @@ class _Translator:
         steps in evaluation order."""
         if isinstance(e, IntLitExpr):
             return IntLit(e.value)
-        if isinstance(e, TrueExpr):
-            return Con("true")
-        if isinstance(e, FalseExpr):
-            return Con("false")
+        if isinstance(e, BoolLitExpr):
+            return Con("true" if e.value else "false")
         if isinstance(e, ThisExpr):
             return Var("mj_this")
         if isinstance(e, IdentExpr):
@@ -401,28 +394,28 @@ class _Translator:
             if e.binding.kind == "field":
                 return self._field_read(ctx, e.binding.decl_class, e.name)
             return ctx.var_atom(e.name)
-        if isinstance(e, (LessExpr, PlusExpr, MinusExpr, TimesExpr)):
-            op = {LessExpr: "<", PlusExpr: "+", MinusExpr: "-", TimesExpr: "*"}[type(e)]
+        if isinstance(e, BinaryExpr):
             left = self.expr(e.left, ctx)
+            if e.op == "&&":
+                # the right operand's bindings run only when `left` holds
+                rctx = ctx.branch()
+                right = self.expr(e.right, rctx)
+                then = _wrap(rctx.bindings, Tuple((Var(rctx.state), right)))
+                orelse = Tuple((Var(ctx.state), Con("false")))
+                new_state = ctx.fn.fresh_state()
+                tmp = ctx.fn.fresh_temp()
+                ctx.emit(PTuple((PVar(new_state), PVar(tmp))), If(left, then, orelse))
+                ctx.state = new_state
+                return Var(tmp)
+            # the other operators are ML primitives of the same symbol
             right = self.expr(e.right, ctx)
             tmp = ctx.fn.fresh_temp()
-            ctx.emit(PVar(tmp), PrimOp(op, (left, right)))
+            ctx.emit(PVar(tmp), PrimOp(e.op, (left, right)))
             return Var(tmp)
         if isinstance(e, NotExpr):
             operand = self.expr(e.operand, ctx)
             tmp = ctx.fn.fresh_temp()
             ctx.emit(PVar(tmp), If(operand, Con("false"), Con("true")))
-            return Var(tmp)
-        if isinstance(e, AndExpr):
-            left = self.expr(e.left, ctx)
-            rctx = ctx.branch()
-            right = self.expr(e.right, rctx)
-            then = _wrap(rctx.bindings, Tuple((Var(rctx.state), right)))
-            orelse = Tuple((Var(ctx.state), Con("false")))
-            new_state = ctx.fn.fresh_state()
-            tmp = ctx.fn.fresh_temp()
-            ctx.emit(PTuple((PVar(new_state), PVar(tmp))), If(left, then, orelse))
-            ctx.state = new_state
             return Var(tmp)
         if isinstance(e, ArrayIndexExpr):
             arr = self.expr(e.array, ctx)

@@ -228,6 +228,15 @@ def test_diff_rejects_a_directory_without_java_files(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_check_rejects_a_count_below_1(capsys):
+    # like an empty `diff` directory, it would compare nothing
+    for count in ("0", "-3"):
+        assert main(["check", "--count", count]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "check --count must be at least 1"
+        assert captured.out == ""
+
+
 def test_diff_report_is_reproducible_modulo_timing(corpus_dir, capsys):
     def stripped(argv):
         main(argv)

@@ -1,5 +1,5 @@
 from mj2ml.diffharness import diff_generated
-from mj2ml.mjast import IdentExpr, IntLitExpr, LessExpr, WhileStmt, print_program, walk
+from mj2ml.mjast import BinaryExpr, IdentExpr, IntLitExpr, WhileStmt, print_program, walk
 from mj2ml.mjinterp import interpret_mj
 from mj2ml.outcome import FaultKind
 from mj2ml.parser import parse_source
@@ -50,7 +50,7 @@ def test_loops_are_counter_bounded():
         for node in walk(program):
             if isinstance(node, WhileStmt):
                 found += 1
-                assert isinstance(node.cond, LessExpr)
+                assert isinstance(node.cond, BinaryExpr) and node.cond.op == "<"
                 assert node.cond.left == IntLitExpr(0)
                 assert isinstance(node.cond.right, IdentExpr)
     assert found > 0

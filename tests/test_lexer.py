@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mj2ml.lexer import LexError, TokenKind, tokenize
+from mj2ml.lexer import KEYWORDS, OPERATORS, PUNCTUATION, LexError, TokenKind, tokenize
 from mj2ml.mjast import INT_MAX
 
 
@@ -44,10 +46,24 @@ def test_block_comment_skipped_across_lines():
     assert kinds("1 /* a\nb */ 2") == [(TokenKind.INT, "1"), (TokenKind.INT, "2")]
 
 
+def test_positions_after_a_multiline_comment_a_tab_and_a_carriage_return():
+    # a tab and a '\r' take one column each; only '\n' starts a line
+    toks = tokenize("a /* x\ny\n z */ b\n\tc\r d")
+    assert [(t.lexeme, t.line, t.col) for t in toks] == [
+        ("a", 1, 1), ("b", 3, 7), ("c", 4, 2), ("d", 4, 5)]
+
+
 def test_unterminated_block_comment_rejected():
     with pytest.raises(LexError) as err:
         tokenize("1 /* never closed")
     assert "comment" in err.value.message
+
+
+def test_unterminated_block_comment_is_reported_at_its_opening():
+    with pytest.raises(LexError) as err:
+        tokenize("x\n  y /* never\n closed")
+    assert (err.value.pos.line, err.value.pos.col) == (2, 5)
+    assert err.value.message == "unterminated block comment"
 
 
 def test_two_char_operator_and():
@@ -95,3 +111,45 @@ def test_non_ascii_letter_rejected():
         with pytest.raises(LexError) as err:
             tokenize(source)
         assert (err.value.pos.col, err.value.message) == (col, "unexpected character 'é'")
+
+
+LEXEMES = st.one_of(
+    st.sampled_from(sorted(KEYWORDS)),
+    st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,6}", fullmatch=True).filter(
+        lambda word: word not in KEYWORDS),
+    st.integers(0, INT_MAX).map(str),
+    st.sampled_from(OPERATORS),
+    st.sampled_from(PUNCTUATION),
+)
+COMMENT_TEXT = st.text(alphabet="ab */\t\r\n", max_size=12)
+SEPARATORS = st.lists(
+    st.one_of(
+        st.sampled_from([" ", "\t", "\r", "\n"]),
+        COMMENT_TEXT.map(lambda text: "//" + text.replace("\n", "") + "\n"),
+        COMMENT_TEXT.filter(lambda text: "*/" not in text).map(
+            lambda text: "/*" + text + "*/"),
+    ),
+    min_size=1, max_size=3,
+).map("".join)
+
+
+def advance(line, col, text):
+    for ch in text:
+        line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
+    return line, col
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(SEPARATORS, LEXEMES), max_size=12), SEPARATORS)
+def test_separated_lexemes_lex_back_with_their_positions(pieces, tail):
+    # whitespace and comments between tokens leave the lexemes as they
+    # were and put each token where it starts in the text
+    source, expected = "", []
+    line, col = 1, 1
+    for separator, lexeme in pieces:
+        line, col = advance(line, col, separator)
+        expected.append((lexeme, line, col))
+        line, col = advance(line, col, lexeme)
+        source += separator + lexeme
+    source += tail
+    assert [(t.lexeme, t.line, t.col) for t in tokenize(source)] == expected

@@ -1,3 +1,5 @@
+import time
+
 from mj2ml.mlast import (
     App,
     Con,
@@ -78,3 +80,15 @@ def test_a_declaration_must_be_a_val_or_a_group():
     # a bare FunDef where a one-function group belongs
     main = Let((FunDef("f", PWild(), IntLit(0)),), IntLit(0))
     assert violations(main) == [("main/let0", "not a core declaration: FunDef")]
+
+
+def test_a_32000_declaration_let_validates_within_2_seconds():
+    # let val x0 = 0 val x1 = x0 ... in x31999 end: scoping must not copy
+    # the names in scope at each declaration
+    n = 32_000
+    decls = (Val(PVar("x0"), IntLit(0)),) + tuple(
+        Val(PVar(f"x{i}"), Var(f"x{i - 1}")) for i in range(1, n))
+    main = Let(decls, Var(f"x{n - 1}"))
+    start = time.perf_counter()
+    assert violations(main) == []
+    assert time.perf_counter() - start < 2.0

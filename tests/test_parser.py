@@ -6,19 +6,15 @@ from hypothesis import strategies as st
 
 from mj2ml.lexer import LexError
 from mj2ml.mjast import (
-    AndExpr,
     ArrayIndexExpr,
     ArrayLengthExpr,
+    BinaryExpr,
     CallExpr,
     IdentExpr,
     IntLitExpr,
-    LessExpr,
-    MinusExpr,
     NewArrayExpr,
     NotExpr,
-    PlusExpr,
     ThisExpr,
-    TimesExpr,
     print_program,
 )
 from mj2ml.parser import ParseError, parse_expression, parse_source
@@ -26,29 +22,30 @@ from mj2ml.parser import ParseError, parse_expression, parse_source
 
 def test_times_binds_tighter_than_plus():
     e = parse_expression("1 + 2 * 3")
-    assert e == PlusExpr(IntLitExpr(1), TimesExpr(IntLitExpr(2), IntLitExpr(3)))
+    assert e == BinaryExpr("+", IntLitExpr(1), BinaryExpr("*", IntLitExpr(2), IntLitExpr(3)))
 
 
 def test_less_binds_tighter_than_and():
     e = parse_expression("a < b && c < d")
-    assert isinstance(e, AndExpr)
-    assert isinstance(e.left, LessExpr)
-    assert isinstance(e.right, LessExpr)
+    assert isinstance(e, BinaryExpr) and e.op == "&&"
+    assert isinstance(e.left, BinaryExpr) and e.left.op == "<"
+    assert isinstance(e.right, BinaryExpr) and e.right.op == "<"
 
 
 def test_not_binds_tighter_than_and():
     e = parse_expression("!a && b")
-    assert e == AndExpr(NotExpr(IdentExpr("a")), IdentExpr("b"))
+    assert e == BinaryExpr("&&", NotExpr(IdentExpr("a")), IdentExpr("b"))
 
 
 def test_binary_operators_associate_left():
     e = parse_expression("a - b - c")
-    assert e == MinusExpr(MinusExpr(IdentExpr("a"), IdentExpr("b")), IdentExpr("c"))
+    assert e == BinaryExpr(
+        "-", BinaryExpr("-", IdentExpr("a"), IdentExpr("b")), IdentExpr("c"))
 
 
 def test_parens_override_precedence_and_are_dropped():
-    assert parse_expression("(1 + 2) * 3") == TimesExpr(
-        PlusExpr(IntLitExpr(1), IntLitExpr(2)), IntLitExpr(3))
+    assert parse_expression("(1 + 2) * 3") == BinaryExpr(
+        "*", BinaryExpr("+", IntLitExpr(1), IntLitExpr(2)), IntLitExpr(3))
 
 
 def test_postfix_chain():
@@ -61,7 +58,7 @@ def test_postfix_chain():
 
 def test_new_array_length_expression():
     e = parse_expression("new int[n + 1]")
-    assert e == NewArrayExpr(PlusExpr(IdentExpr("n"), IntLitExpr(1)))
+    assert e == NewArrayExpr(BinaryExpr("+", IdentExpr("n"), IntLitExpr(1)))
 
 
 def test_trailing_input_rejected():
