@@ -6,12 +6,12 @@ the two interpreters can be compared verdict-for-verdict.
 
 The run model lives here: both interpreters run their compiled program
 through `run_compiled`.  A run gets `fuel` units (at least 0) and
-`RECURSION_LIMIT` Python frames.  A runtime fault is a `Fault` raised
-where it happens.  Running out of fuel is the FuelExhausted fault, and
-since a check may charge for several nodes and raises before spending
-any of them, such a run has used all of its fuel.  Going past the
-frames is FuelExhausted too, without a position, having used the fuel
-spent until then.
+`RECURSION_LIMIT` Python frames beyond its caller's.  A runtime fault is
+a `Fault` raised where it happens.  Running out of fuel is the
+FuelExhausted fault, and since a check may charge for several nodes and
+raises before spending any of them, such a run has used all of its fuel.
+Going past the frames is FuelExhausted too, without a position, having
+used the fuel spent until then.
 """
 
 from __future__ import annotations
@@ -25,13 +25,37 @@ from .mjast import Pos
 
 DEFAULT_FUEL = 10_000_000
 
-# Python frames a run may use: `run_compiled` raises the interpreter's
-# recursion limit to this for the run and restores it after.
+# Python frames a run may use beyond its caller's (see `extra_frames`).
 # A pending MiniJava method call takes about 4 frames (see `mjinterp`), a
 # pending ML call 3 or 4 (see `mleval`).  The limit relies on CPython 3.11
 # or later (`requires-python` in pyproject.toml), whose Python-to-Python
 # calls take no C stack.
 RECURSION_LIMIT = 40_000
+
+# Python frames that parsing, typechecking and translating may each use
+# beyond their caller's: Python's default recursion limit.  Each turns
+# running out into its own diagnostic.
+COMPILE_FRAMES = 1000
+
+
+class extra_frames:
+    """Context manager: the block may use `n` Python frames beyond those
+    its caller holds, however deep the caller is.  The recursion limit is
+    set from the current depth on entry and restored on exit."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __enter__(self) -> None:
+        depth, frame = 0, sys._getframe(1)
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        self.saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + self.n)
+
+    def __exit__(self, *exc_info) -> None:
+        sys.setrecursionlimit(self.saved)
 
 
 class FaultKind(enum.Enum):
@@ -84,9 +108,7 @@ def run_compiled(compile: Callable, fuel: int) -> tuple[RunOutcome, object | Non
     outcome = RunOutcome()
     value = None
     spent_all = False
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, RECURSION_LIMIT))
-    try:
+    with extra_frames(RECURSION_LIMIT):
         run, fuel_left = compile(fuel, outcome.output)
         try:
             value = run()
@@ -96,8 +118,6 @@ def run_compiled(compile: Callable, fuel: int) -> tuple[RunOutcome, object | Non
             spent_all = fault.kind is FaultKind.FUEL_EXHAUSTED
         except RecursionError:
             outcome.fault = FaultKind.FUEL_EXHAUSTED
-    finally:
-        sys.setrecursionlimit(old_limit)
     outcome.steps = fuel if spent_all else fuel - fuel_left()
     return outcome, value
 

@@ -48,6 +48,7 @@ from .mjast import (
     VarDecl,
     WhileStmt,
 )
+from .outcome import COMPILE_FRAMES, extra_frames
 
 
 class ParseError(Exception):
@@ -356,10 +357,11 @@ class _Parser:
 
 def parse(tokens: list[Token]) -> MjProgram:
     """Parse a token list into a program; ParseError carries position,
-    also for input nested past Python's recursion limit."""
+    also for input nested past `COMPILE_FRAMES` Python frames."""
     parser = _Parser(tokens)
     try:
-        return parser.program()
+        with extra_frames(COMPILE_FRAMES):
+            return parser.program()
     except RecursionError:
         tok = parser.peek()
         raise ParseError(tok.pos if tok else parser._eof_pos(),

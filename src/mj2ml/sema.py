@@ -11,10 +11,13 @@ what it inherits.  The object layouts of `mjinterp` and `translate` read
 the resolved `ClassInfo` fields (`path`, `all_fields`, `vtable`,
 `slot_owner`); each extends its superclass's in order, so a field or
 method slot has the same position in a class and in its subclasses.
-A body nested past Python's recursion limit is a type error at its start.
+A body nested past `COMPILE_FRAMES` Python frames is a type error at its
+start.
 
 Rules beyond the obvious typing of operators:
   * single inheritance, no cycles, superclasses must exist
+  * every type a declaration names (field, return, formal, local) is a
+    declared class, int, boolean or int[]
   * the main class cannot be extended, instantiated, or named as a type
   * no overloading: a subclass method with a declared parent method's
     name must repeat its signature exactly (an override)
@@ -59,6 +62,7 @@ from .mjast import (
     VarBinding,
     WhileStmt,
 )
+from .outcome import COMPILE_FRAMES, extra_frames
 
 
 class MjTypeError(Exception):
@@ -180,6 +184,7 @@ def _resolve(table: ClassTable, info: ClassInfo) -> None:
         if mdecl.name in info.methods:
             raise MjTypeError(mdecl.span.start,
                               f"duplicate method '{mdecl.name}' in class '{info.name}'")
+        _require_known_type(table, mdecl.return_type, mdecl.span.start)
         above = info.vtable.get(mdecl.name)
         if above is None:
             info.slot_owner[mdecl.name] = info.name
@@ -357,21 +362,22 @@ def typecheck(program: MjProgram) -> ClassTable:
     table = build_class_table(program)
     checker = _Checker(table)
     try:
-        for info in table.classes.values():
-            for method in info.decl.methods:
-                start = method.span.start
-                checker.enter_method(info.name, method)
-                for s in method.body:
-                    checker.stmt(s)
-                got = checker.expr(method.return_expr)
-                if not table.is_assignable(got, method.return_type):
-                    raise MjTypeError(
-                        method.return_expr.span.start,
-                        f"return value must be {method.return_type}, got {got}")
-        start = program.main.span.start
-        checker.enter_main()
-        for s in program.main.body:
-            checker.stmt(s)
+        with extra_frames(COMPILE_FRAMES):
+            for info in table.classes.values():
+                for method in info.decl.methods:
+                    start = method.span.start
+                    checker.enter_method(info.name, method)
+                    for s in method.body:
+                        checker.stmt(s)
+                    got = checker.expr(method.return_expr)
+                    if not table.is_assignable(got, method.return_type):
+                        raise MjTypeError(
+                            method.return_expr.span.start,
+                            f"return value must be {method.return_type}, got {got}")
+            start = program.main.span.start
+            checker.enter_main()
+            for s in program.main.body:
+                checker.stmt(s)
     except RecursionError:
         raise MjTypeError(start, "expressions or statements nested too deeply") from None
     return table

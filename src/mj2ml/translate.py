@@ -30,6 +30,21 @@ Every generated function takes and returns the state: methods are
 ``fn (state, self, args) -> (state, result)`` where args is (), a bare
 value, or a tuple by arity; constructors are state -> (state, pointer);
 ``mj_main`` is unit -> state and returns the final state.
+
+Each of these decisions is written once.  `_Ctx` holds the ANF binders
+and the state threading: `bind` for an intermediate value, `bind_state`
+for the (state, value) of a call that returns a new state, and
+`carried`/`join` for the tuple of branch joins and loops.  `_lookup`
+reads the heap and `_store` writes it back and makes the new state
+current; field and array writes both go through it.  The object layout
+is the `levels` table of `_Translator`: per class, the (kind, name) of
+each slot of its level, which the datatypes, the constructors and the
+read and write spines (`_object`) all read.  Only the prelude, `_lookup`,
+`_array_items`, `_store` and the two `mj_alloc` sites (object
+constructors and `new int[...]`) know how the store is encoded.
+
+Translation may use `outcome.COMPILE_FRAMES` Python frames beyond its
+caller's; a program nested deeper is a ValueError.
 """
 
 from __future__ import annotations
@@ -93,6 +108,7 @@ from .mlast import (
     Val,
     Var,
 )
+from .outcome import COMPILE_FRAMES, extra_frames
 from .sema import ClassTable, typecheck
 
 STATE_TY = TyTuple((TY_INT, TyApp("list", TyTuple((TY_INT, TyName("heapval"))))))
@@ -143,20 +159,9 @@ def _ptup(items: list[Pat]) -> Pat:
     return items[0] if len(items) == 1 else PTuple(tuple(items))
 
 
-def _wrap(bindings: list[Decl], result: MlExpr) -> MlExpr:
-    return Let(tuple(bindings), result) if bindings else result
-
-
-def _spine(make, path: list[str], levels: list[list]):
-    """The object, or with `make` = PCon the pattern, whose level for each
-    class on `path` (the root class first) holds that level's items and
-    then, but for the last level, the extension slot `SOME (Ext_<next
-    class> <next level>)`.  The last level's items end with its own
-    extension slot."""
-    inner = tuple(levels[-1])
-    for cls, items in zip(reversed(path[1:]), reversed(levels[:-1])):
-        inner = (*items, make("SOME", (make(f"Ext_{_enc(cls)}", inner),)))
-    return make(f"HObj_{_enc(path[0])}", inner)
+def _payload_ty(items: list[MlType]) -> MlType:
+    """Type of `_tup(items)`: none is unit, a single item stays bare."""
+    return items[0] if len(items) == 1 else TyTuple(tuple(items))
 
 
 @dataclass
@@ -167,7 +172,10 @@ class _FnScope:
     next_temp: int = 0
     next_state: int = 1
     next_loop: int = 0
-    maxver: dict[str, int] = dc_field(default_factory=dict)
+    maxver: dict[str, int] = dc_field(init=False)
+
+    def __post_init__(self) -> None:
+        self.maxver = dict.fromkeys(self.var_order, 0)
 
     def fresh_temp(self) -> str:
         name = f"mj_v{self.next_temp}"
@@ -192,7 +200,13 @@ class _FnScope:
 @dataclass
 class _Ctx:
     """A straight-line run of declarations, the current state name and
-    the current version of every variable.  Branches get their own copy."""
+    the current version of every variable.  Branches get their own copy.
+
+    The bindings of the ANF translation go through these methods: `bind`
+    names one intermediate value, `bind_state` the (state, value) pair of
+    a call that returns a new state, and `join` (or, for a loop's
+    parameter, `rebind`) the (state, variables...) tuple that `carried`
+    builds at the end of branches and loop bodies."""
 
     fn: _FnScope
     versions: dict[str, int]
@@ -205,178 +219,168 @@ class _Ctx:
     def emit(self, pat: Pat, rhs: MlExpr) -> None:
         self.bindings.append(Val(pat, rhs))
 
-    def emit_fun(self, fd: FunDef) -> None:
-        self.bindings.append((fd,))
+    def wrap(self, result: MlExpr) -> MlExpr:
+        """The run's declarations around `result`."""
+        return Let(tuple(self.bindings), result) if self.bindings else result
+
+    def bind(self, rhs: MlExpr) -> MlExpr:
+        """Bind rhs to a fresh temporary and return it."""
+        tmp = self.fn.fresh_temp()
+        self.emit(PVar(tmp), rhs)
+        return Var(tmp)
+
+    def bind_state(self, rhs: MlExpr) -> MlExpr:
+        """Bind the (state, value) that rhs returns; the state becomes
+        current and the value is returned."""
+        state, tmp = self.fn.fresh_state(), self.fn.fresh_temp()
+        self.emit(PTuple((PVar(state), PVar(tmp))), rhs)
+        self.state = state
+        return Var(tmp)
 
     def var_atom(self, name: str) -> MlExpr:
         return Var(mangle_var(name, self.versions[name]))
 
-    def all_var_atoms(self) -> list[MlExpr]:
-        return [self.var_atom(x) for x in self.fn.var_order]
+    def carried(self) -> MlExpr:
+        """The (state, variables...) tuple that joins and loops carry."""
+        return _tup([Var(self.state)] + [self.var_atom(x) for x in self.fn.var_order])
+
+    def rebind(self) -> Pat:
+        """Make a fresh state and fresh versions of every variable current;
+        returns the pattern that binds them from a `carried` tuple."""
+        self.state = self.fn.fresh_state()
+        for x in self.fn.var_order:
+            self.versions[x] = self.fn.fresh_version(x)
+        return _ptup([PVar(self.state)] + [PVar(mangle_var(x, self.versions[x]))
+                                           for x in self.fn.var_order])
+
+    def join(self, rhs: MlExpr) -> None:
+        """Bind the carried tuple that rhs returns (see `rebind`)."""
+        self.emit(self.rebind(), rhs)
 
 
 class _Translator:
     def __init__(self, table: ClassTable):
         self.table = table
-        # Methods whose slot lives at this class (not inherited from above).
-        self.intro_methods = {
-            name: [mname for mname, owner in info.slot_owner.items() if owner == name]
+        # Each class's level of an object, before its extension slot: the
+        # method slots the class introduces, then the fields it declares.
+        self.levels = {
+            name: [("method", m) for m, owner in info.slot_owner.items() if owner == name]
+                  + [("field", f) for f in info.fields]
             for name, info in table.classes.items()}
 
     # -- object layout --------------------------------------------------------
 
-    def _method_slot_ty(self, decl: MethodDecl) -> MlType:
-        if not decl.formals:
-            arg_ty: MlType = TY_UNIT
-        elif len(decl.formals) == 1:
-            arg_ty = _ml_value_ty(decl.formals[0].var_type)
-        else:
-            arg_ty = TyTuple(tuple(_ml_value_ty(f.var_type) for f in decl.formals))
+    def _slot_ty(self, cls: str, slot: tuple[str, str]) -> MlType:
+        kind, name = slot
+        info = self.table.info(cls)
+        if kind == "field":
+            return _ml_value_ty(info.fields[name])
+        decl = info.vtable[name][1]
+        arg_ty = _payload_ty([_ml_value_ty(f.var_type) for f in decl.formals])
         return TyArrow(TyTuple((STATE_TY, TY_INT, arg_ty)),
                        TyTuple((STATE_TY, _ml_value_ty(decl.return_type))))
 
-    def _ext_slot_ty(self, cls: str) -> MlType:
+    def _level_ty(self, cls: str) -> MlType:
         info = self.table.info(cls)
-        inner = TyName(f"mj_ext_{_enc(cls)}") if info.children else TY_UNIT
-        return TyApp("option", inner)
-
-    def _level_item_tys(self, cls: str) -> list[MlType]:
-        info = self.table.info(cls)
-        items: list[MlType] = []
-        for mname in self.intro_methods[cls]:
-            items.append(self._method_slot_ty(info.vtable[mname][1]))
-        for fty in info.fields.values():
-            items.append(_ml_value_ty(fty))
-        items.append(self._ext_slot_ty(cls))
-        return items
-
-    def _payload_ty(self, items: list[MlType]) -> MlType:
-        return items[0] if len(items) == 1 else TyTuple(tuple(items))
+        ext = TyName(f"mj_ext_{_enc(cls)}") if info.children else TY_UNIT
+        return _payload_ty([self._slot_ty(cls, slot) for slot in self.levels[cls]]
+                           + [TyApp("option", ext)])
 
     def datatypes(self) -> list[DataType]:
         heap_cons = [DataCon("HArr", TyApp("list", TY_INT))]
         for root in self.table.roots():
-            heap_cons.append(
-                DataCon(f"HObj_{_enc(root)}", self._payload_ty(self._level_item_tys(root))))
+            heap_cons.append(DataCon(f"HObj_{_enc(root)}", self._level_ty(root)))
         decls = [DataType("heapval", tuple(heap_cons))]
         for info in self.table.classes.values():
             if not info.children:
                 continue
-            cons = [DataCon(f"Ext_{_enc(child)}",
-                            self._payload_ty(self._level_item_tys(child)))
+            cons = [DataCon(f"Ext_{_enc(child)}", self._level_ty(child))
                     for child in info.children]
             decls.append(DataType(f"mj_ext_{_enc(info.name)}", tuple(cons)))
         return decls
 
     # -- object spines ----------------------------------------------------------
 
-    def _level_size(self, cls: str) -> int:
-        """Method and field slots of cls's level, before its extension slot."""
-        return len(self.intro_methods[cls]) + len(self.table.info(cls).fields)
-
-    def _object_value(self, dynamic_class: str) -> MlExpr:
-        info = self.table.info(dynamic_class)
-        levels = []
-        for cls in info.path:
-            items: list[MlExpr] = []
-            for mname in self.intro_methods[cls]:
-                impl_cls, _ = info.vtable[mname]
-                items.append(Var(mangle_method(self.table.info(impl_cls).index, mname)))
-            items.extend(_default_value(fty) for fty in self.table.info(cls).fields.values())
-            levels.append(items)
-        levels[-1].append(Con("NONE"))
-        return _spine(Con, info.path, levels)
+    def _object(self, make, cls: str, item):
+        """The object, or with `make` = PCon the pattern, of a class that
+        is or extends cls, down to cls's level.  `item(level_class, slot)`
+        gives each slot, called in slot order from the root class's level
+        down, and `item(cls, None)` last, for the extension slot of cls's
+        level.  Each level above holds its slots and then the extension
+        slot `SOME (Ext_<next class> <next level>)`."""
+        path = self.table.info(cls).path
+        levels = [[item(c, slot) for slot in self.levels[c]] for c in path]
+        inner = (*levels[-1], item(cls, None))
+        for c, items in zip(reversed(path[1:]), reversed(levels[:-1])):
+            inner = (*items, make("SOME", (make(f"Ext_{_enc(c)}", inner),)))
+        return make(f"HObj_{_enc(path[0])}", inner)
 
     def constructor(self, cls: str) -> FunDef:
-        body = App(Var("mj_alloc"),
-                   Tuple((Var("mj_s0"), self._object_value(cls))))
+        info = self.table.info(cls)
+
+        def initial(level_cls, slot):
+            if slot is None:
+                return Con("NONE")
+            kind, name = slot
+            if kind == "field":
+                return _default_value(self.table.info(level_cls).fields[name])
+            return Var(mangle_method(self.table.info(info.vtable[name][0]).index, name))
+
+        body = App(Var("mj_alloc"), Tuple((Var("mj_s0"), self._object(Con, cls, initial))))
         return FunDef(mangle_new(cls), PVar("mj_s0"), body)
 
-    def _slot_index(self, cls: str, kind: str, name: str) -> int:
-        intro = self.intro_methods[cls]
-        if kind == "method":
-            return intro.index(name)
-        return len(intro) + list(self.table.info(cls).fields).index(name)
+    # -- heap access ----------------------------------------------------------
 
-    def _read_pattern(self, target_cls: str, kind: str, name: str,
-                      bind: str) -> Pat:
-        """Match an object whose static type reaches target_cls, binding
-        the requested slot; everything else is wildcarded."""
-        path = self.table.info(target_cls).path
-        levels = [[PWild() for _ in range(self._level_size(cls))] for cls in path]
-        levels[-1][self._slot_index(target_cls, kind, name)] = PVar(bind)
-        levels[-1].append(PWild())
-        return _spine(PCon, path, levels)
-
-    def _write_spine(self, fn: _FnScope, target_cls: str, fname: str,
-                     new_value: MlExpr) -> tuple[Pat, MlExpr]:
-        """Pattern binding every slot down to the field's class, and the
-        rebuilt object with the one slot replaced."""
-        path = self.table.info(target_cls).path
-        field_idx = self._slot_index(target_cls, "field", fname)
-        pats: list[list[Pat]] = []
-        exprs: list[list[MlExpr]] = []
-        for cls in path:
-            pats.append([])
-            exprs.append([])
-            for j in range(self._level_size(cls)):
-                if cls == target_cls and j == field_idx:
-                    pats[-1].append(PWild())
-                    exprs[-1].append(new_value)
-                else:
-                    tmp = fn.fresh_temp()
-                    pats[-1].append(PVar(tmp))
-                    exprs[-1].append(Var(tmp))
-        tmp = fn.fresh_temp()
-        pats[-1].append(PVar(tmp))
-        exprs[-1].append(Var(tmp))
-        return _spine(PCon, path, pats), _spine(Con, path, exprs)
-
-    # -- heap access helpers ----------------------------------------------------------
-
-    def _destructure_state(self, ctx: _Ctx) -> tuple[str, str]:
-        n = ctx.fn.fresh_temp()
-        h = ctx.fn.fresh_temp()
+    def _lookup(self, ctx: _Ctx, ptr: MlExpr) -> tuple[MlExpr, MlExpr, MlExpr]:
+        """Bind the heap value at ptr; returns it with the state's counter
+        and heap."""
+        n, h = ctx.fn.fresh_temp(), ctx.fn.fresh_temp()
         ctx.emit(PTuple((PVar(n), PVar(h))), Var(ctx.state))
-        return n, h
+        value = ctx.bind(App(Var("mj_lookup"), Tuple((Var(h), ptr))))
+        return value, Var(n), Var(h)
 
-    def _lookup(self, ctx: _Ctx, ptr: MlExpr) -> tuple[str, str, str]:
-        """Bind the heap value at ptr; returns (value, counter, heap) temps."""
-        n, h = self._destructure_state(ctx)
-        o = ctx.fn.fresh_temp()
-        ctx.emit(PVar(o), App(Var("mj_lookup"), Tuple((Var(h), ptr))))
-        return o, n, h
+    def _store(self, ctx: _Ctx, counter: MlExpr, heap: MlExpr, ptr: MlExpr,
+               value: MlExpr) -> None:
+        """Write value at ptr into the heap that `_lookup` returned, and
+        make the new state current."""
+        new_heap = ctx.bind(App(Var("mj_update"), Tuple((heap, ptr, value))))
+        ctx.state = ctx.fn.fresh_state()
+        ctx.emit(PVar(ctx.state), Tuple((counter, new_heap)))
 
-    def _array_items(self, ctx: _Ctx, ptr: MlExpr) -> tuple[str, str, str]:
-        """Bind the int list of the array at ptr; returns (items, counter,
-        heap) temps."""
-        o, n, h = self._lookup(ctx, ptr)
+    def _array_items(self, ctx: _Ctx, ptr: MlExpr) -> tuple[MlExpr, MlExpr, MlExpr]:
+        """Bind the int list of the array at ptr; returns it with the
+        state's counter and heap."""
+        value, n, h = self._lookup(ctx, ptr)
         inner = ctx.fn.fresh_temp()
-        items = ctx.fn.fresh_temp()
-        ctx.emit(PVar(items),
-                 Case(Var(o), ((PCon("HArr", (PVar(inner),)), Var(inner)),)))
+        items = ctx.bind(Case(value, ((PCon("HArr", (PVar(inner),)), Var(inner)),)))
         return items, n, h
 
-    def _field_read(self, ctx: _Ctx, decl_cls: str, fname: str) -> MlExpr:
-        o, _, _ = self._lookup(ctx, Var("mj_this"))
-        slot = ctx.fn.fresh_temp()
-        result = ctx.fn.fresh_temp()
-        pat = self._read_pattern(decl_cls, "field", fname, slot)
-        ctx.emit(PVar(result), Case(Var(o), ((pat, Var(slot)),)))
-        return Var(result)
+    def _read_slot(self, ctx: _Ctx, ptr: MlExpr, cls: str,
+                   slot: tuple[str, str]) -> MlExpr:
+        """Bind a slot of cls's level of the object at ptr, matching the
+        object with every other slot wildcarded."""
+        value, _, _ = self._lookup(ctx, ptr)
+        tmp = ctx.fn.fresh_temp()
+        hit = (cls, slot)
+        pat = self._object(PCon, cls, lambda *at: PVar(tmp) if at == hit else PWild())
+        return ctx.bind(Case(value, ((pat, Var(tmp)),)))
 
-    def _field_write(self, ctx: _Ctx, decl_cls: str, fname: str,
-                     value: MlExpr) -> None:
-        o, n, h = self._lookup(ctx, Var("mj_this"))
-        pat, rebuilt = self._write_spine(ctx.fn, decl_cls, fname, value)
-        new_obj = ctx.fn.fresh_temp()
-        ctx.emit(PVar(new_obj), Case(Var(o), ((pat, rebuilt),)))
-        new_heap = ctx.fn.fresh_temp()
-        ctx.emit(PVar(new_heap),
-                 App(Var("mj_update"), Tuple((Var(h), Var("mj_this"), Var(new_obj)))))
-        new_state = ctx.fn.fresh_state()
-        ctx.emit(PVar(new_state), Tuple((Var(n), Var(new_heap))))
-        ctx.state = new_state
+    def _field_write(self, ctx: _Ctx, cls: str, fname: str, new_value: MlExpr) -> None:
+        """Rebuild this object with a field of cls's level replaced, binding
+        every other slot down to that level, and store it."""
+        value, n, h = self._lookup(ctx, Var("mj_this"))
+        hole = (cls, ("field", fname))
+        temps: dict = {}
+
+        def bind_other(*at):
+            if at == hole:
+                return PWild()
+            temps[at] = ctx.fn.fresh_temp()
+            return PVar(temps[at])
+
+        pat = self._object(PCon, cls, bind_other)
+        rebuilt = self._object(Con, cls, lambda *at: new_value if at == hole else Var(temps[at]))
+        self._store(ctx, n, h, Var("mj_this"), ctx.bind(Case(value, ((pat, rebuilt),))))
 
     # -- expressions --------------------------------------------------------------------
 
@@ -392,7 +396,8 @@ class _Translator:
         if isinstance(e, IdentExpr):
             assert e.binding is not None
             if e.binding.kind == "field":
-                return self._field_read(ctx, e.binding.decl_class, e.name)
+                return self._read_slot(ctx, Var("mj_this"), e.binding.decl_class,
+                                       ("field", e.name))
             return ctx.var_atom(e.name)
         if isinstance(e, BinaryExpr):
             left = self.expr(e.left, ctx)
@@ -400,71 +405,35 @@ class _Translator:
                 # the right operand's bindings run only when `left` holds
                 rctx = ctx.branch()
                 right = self.expr(e.right, rctx)
-                then = _wrap(rctx.bindings, Tuple((Var(rctx.state), right)))
+                then = rctx.wrap(Tuple((Var(rctx.state), right)))
                 orelse = Tuple((Var(ctx.state), Con("false")))
-                new_state = ctx.fn.fresh_state()
-                tmp = ctx.fn.fresh_temp()
-                ctx.emit(PTuple((PVar(new_state), PVar(tmp))), If(left, then, orelse))
-                ctx.state = new_state
-                return Var(tmp)
+                return ctx.bind_state(If(left, then, orelse))
             # the other operators are ML primitives of the same symbol
             right = self.expr(e.right, ctx)
-            tmp = ctx.fn.fresh_temp()
-            ctx.emit(PVar(tmp), PrimOp(e.op, (left, right)))
-            return Var(tmp)
+            return ctx.bind(PrimOp(e.op, (left, right)))
         if isinstance(e, NotExpr):
-            operand = self.expr(e.operand, ctx)
-            tmp = ctx.fn.fresh_temp()
-            ctx.emit(PVar(tmp), If(operand, Con("false"), Con("true")))
-            return Var(tmp)
+            return ctx.bind(If(self.expr(e.operand, ctx), Con("false"), Con("true")))
         if isinstance(e, ArrayIndexExpr):
             arr = self.expr(e.array, ctx)
             idx = self.expr(e.index, ctx)
             items, _, _ = self._array_items(ctx, arr)
-            tmp = ctx.fn.fresh_temp()
-            ctx.emit(PVar(tmp), App(Var("mj_getnth"), Tuple((Var(items), idx))))
-            return Var(tmp)
+            return ctx.bind(App(Var("mj_getnth"), Tuple((items, idx))))
         if isinstance(e, ArrayLengthExpr):
-            arr = self.expr(e.array, ctx)
-            items, _, _ = self._array_items(ctx, arr)
-            tmp = ctx.fn.fresh_temp()
-            ctx.emit(PVar(tmp), App(Var("mj_length"), Var(items)))
-            return Var(tmp)
+            items, _, _ = self._array_items(ctx, self.expr(e.array, ctx))
+            return ctx.bind(App(Var("mj_length"), items))
         if isinstance(e, NewArrayExpr):
-            length = self.expr(e.length, ctx)
-            zeros = ctx.fn.fresh_temp()
-            ctx.emit(PVar(zeros), App(Var("mj_zeros"), length))
-            new_state = ctx.fn.fresh_state()
-            tmp = ctx.fn.fresh_temp()
-            ctx.emit(PTuple((PVar(new_state), PVar(tmp))),
-                     App(Var("mj_alloc"),
-                         Tuple((Var(ctx.state), Con("HArr", (Var(zeros),))))))
-            ctx.state = new_state
-            return Var(tmp)
+            zeros = ctx.bind(App(Var("mj_zeros"), self.expr(e.length, ctx)))
+            return ctx.bind_state(App(Var("mj_alloc"),
+                                      Tuple((Var(ctx.state), Con("HArr", (zeros,))))))
         if isinstance(e, NewObjectExpr):
-            new_state = ctx.fn.fresh_state()
-            tmp = ctx.fn.fresh_temp()
-            ctx.emit(PTuple((PVar(new_state), PVar(tmp))),
-                     App(Var(mangle_new(e.class_name)), Var(ctx.state)))
-            ctx.state = new_state
-            return Var(tmp)
+            return ctx.bind_state(App(Var(mangle_new(e.class_name)), Var(ctx.state)))
         if isinstance(e, CallExpr):
             assert e.receiver_class is not None
             receiver = self.expr(e.receiver, ctx)
             args = [self.expr(a, ctx) for a in e.args]
             intro_cls = self.table.info(e.receiver_class).slot_owner[e.method]
-            o, _, _ = self._lookup(ctx, receiver)
-            slot = ctx.fn.fresh_temp()
-            bound = ctx.fn.fresh_temp()
-            pat = self._read_pattern(intro_cls, "method", e.method, slot)
-            ctx.emit(PVar(bound), Case(Var(o), ((pat, Var(slot)),)))
-            new_state = ctx.fn.fresh_state()
-            tmp = ctx.fn.fresh_temp()
-            ctx.emit(PTuple((PVar(new_state), PVar(tmp))),
-                     App(Var(bound),
-                         Tuple((Var(ctx.state), receiver, _tup(args)))))
-            ctx.state = new_state
-            return Var(tmp)
+            method = self._read_slot(ctx, receiver, intro_cls, ("method", e.method))
+            return ctx.bind_state(App(method, Tuple((Var(ctx.state), receiver, _tup(args)))))
         raise AssertionError(f"unhandled expression {type(e).__name__}")
 
     # -- statements ----------------------------------------------------------------------
@@ -488,94 +457,62 @@ class _Translator:
         elif isinstance(s, ArrayAssignStmt):
             assert s.binding is not None
             if s.binding.kind == "field":
-                ptr = self._field_read(ctx, s.binding.decl_class, s.name)
+                ptr = self._read_slot(ctx, Var("mj_this"), s.binding.decl_class,
+                                      ("field", s.name))
             else:
                 ptr = ctx.var_atom(s.name)
             idx = self.expr(s.index, ctx)
             value = self.expr(s.value, ctx)
             items, n, h = self._array_items(ctx, ptr)
-            updated = ctx.fn.fresh_temp()
-            ctx.emit(PVar(updated),
-                     App(Var("mj_setnth"), Tuple((Var(items), idx, value))))
-            new_heap = ctx.fn.fresh_temp()
-            ctx.emit(PVar(new_heap),
-                     App(Var("mj_update"),
-                         Tuple((Var(h), ptr, Con("HArr", (Var(updated),))))))
-            new_state = ctx.fn.fresh_state()
-            ctx.emit(PVar(new_state), Tuple((Var(n), Var(new_heap))))
-            ctx.state = new_state
+            updated = ctx.bind(App(Var("mj_setnth"), Tuple((items, idx, value))))
+            self._store(ctx, n, h, ptr, Con("HArr", (updated,)))
         elif isinstance(s, IfStmt):
             cond = self.expr(s.cond, ctx)
             tctx = ctx.branch()
             self.stmt(s.then_branch, tctx)
             ectx = ctx.branch()
             self.stmt(s.else_branch, ectx)
-            then = _wrap(tctx.bindings, _tup([Var(tctx.state)] + tctx.all_var_atoms()))
-            orelse = _wrap(ectx.bindings, _tup([Var(ectx.state)] + ectx.all_var_atoms()))
-            self._join(ctx, If(cond, then, orelse))
+            ctx.join(If(cond, tctx.wrap(tctx.carried()), ectx.wrap(ectx.carried())))
         elif isinstance(s, WhileStmt):
             self._while(s, ctx)
         else:
             raise AssertionError(f"unhandled statement {type(s).__name__}")
 
-    def _join(self, ctx: _Ctx, rhs: MlExpr) -> None:
-        """Bind a fresh state and fresh versions of every variable to the
-        joined (state, vars...) value."""
-        fn = ctx.fn
-        new_state = fn.fresh_state()
-        pats: list[Pat] = [PVar(new_state)]
-        for x in fn.var_order:
-            version = fn.fresh_version(x)
-            ctx.versions[x] = version
-            pats.append(PVar(mangle_var(x, version)))
-        ctx.emit(_ptup(pats), rhs)
-        ctx.state = new_state
-
     def _while(self, s: WhileStmt, ctx: _Ctx) -> None:
-        fn = ctx.fn
-        loop = fn.fresh_loop()
-        entry_state = fn.fresh_state()
-        entry_versions = {x: fn.fresh_version(x) for x in fn.var_order}
-        inner = _Ctx(fn, dict(entry_versions), entry_state)
+        """A local tail-recursive function over the carried tuple, called
+        once and joined."""
+        loop = ctx.fn.fresh_loop()
+        inner = ctx.branch()
+        param = inner.rebind()
         cond = self.expr(s.cond, inner)
-        bctx = inner.branch()
-        self.stmt(s.body, bctx)
-        call = App(Var(loop), _tup([Var(bctx.state)] + bctx.all_var_atoms()))
-        then = _wrap(bctx.bindings, call)
-        orelse = _tup([Var(inner.state)] + inner.all_var_atoms())
-        loop_body = _wrap(inner.bindings, If(cond, then, orelse))
-        param = _ptup([PVar(entry_state)]
-                      + [PVar(mangle_var(x, entry_versions[x])) for x in fn.var_order])
-        ctx.emit_fun(FunDef(loop, param, loop_body))
-        first_call = App(Var(loop), _tup([Var(ctx.state)] + ctx.all_var_atoms()))
-        self._join(ctx, first_call)
+        body = inner.branch()
+        self.stmt(s.body, body)
+        then = body.wrap(App(Var(loop), body.carried()))
+        loop_fn = FunDef(loop, param, inner.wrap(If(cond, then, inner.carried())))
+        ctx.bindings.append((loop_fn,))
+        ctx.join(App(Var(loop), ctx.carried()))
 
     # -- whole functions --------------------------------------------------------------------
 
     def method(self, class_index: int, decl: MethodDecl) -> FunDef:
         var_order = [f.name for f in decl.formals] + [v.name for v in decl.local_vars]
-        fn = _FnScope(var_order=var_order)
-        for name in var_order:
-            fn.maxver[name] = 0
-        ctx = _Ctx(fn, {name: 0 for name in var_order}, "mj_s0")
+        ctx = _Ctx(_FnScope(var_order), dict.fromkeys(var_order, 0), "mj_s0")
         for local in decl.local_vars:
             ctx.emit(PVar(mangle_var(local.name, 0)), _default_value(local.var_type))
         for s in decl.body:
             self.stmt(s, ctx)
         result = self.expr(decl.return_expr, ctx)
-        body = _wrap(ctx.bindings, Tuple((Var(ctx.state), result)))
         param = PTuple((PVar("mj_s0"), PVar("mj_this"),
                         _ptup([PVar(mangle_var(f.name, 0)) for f in decl.formals])))
-        return FunDef(mangle_method(class_index, decl.name), param, body)
+        return FunDef(mangle_method(class_index, decl.name), param,
+                      ctx.wrap(Tuple((Var(ctx.state), result))))
 
     def main(self, program: MjProgram) -> FunDef:
-        fn = _FnScope(var_order=[])
-        ctx = _Ctx(fn, {}, "mj_s0")
+        ctx = _Ctx(_FnScope([]), {}, "mj_s0")
         ctx.emit(PVar("mj_s0"), Tuple((IntLit(0), Con("nil"))))
         for s in program.main.body:
             self.stmt(s, ctx)
-        body = _wrap(ctx.bindings, Var(ctx.state))
-        return FunDef("mj_main", PTuple(()), body)
+        return FunDef("mj_main", PTuple(()), ctx.wrap(Var(ctx.state)))
 
     def run(self, program: MjProgram) -> MlProgram:
         groups = [(f,) for f in _prelude()]
@@ -662,4 +599,8 @@ def translate(program: MjProgram, table: ClassTable | None = None) -> MlProgram:
     """
     if table is None:
         table = typecheck(program)
-    return _Translator(table).run(program)
+    try:
+        with extra_frames(COMPILE_FRAMES):
+            return _Translator(table).run(program)
+    except RecursionError:
+        raise ValueError("expressions or statements nested too deeply to translate") from None

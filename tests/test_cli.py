@@ -117,6 +117,18 @@ def test_diff_records_too_deep_files_as_errors_and_goes_on(tmp_path, corpus_dir,
     assert ["Terms.java", "-", "-", "error"] in rows
 
 
+def test_diff_records_an_unknown_return_type_as_an_error_and_goes_on(
+        tmp_path, corpus_dir, capsys):
+    write(tmp_path, "Loop.java", FAULTING.replace(
+        "public int run() {\n        return other.run();",
+        "public Foo loop() {\n        return this.loop();"))
+    write(tmp_path, "Factorial.java", (corpus_dir / "Factorial.java").read_text())
+    assert main(["diff", str(tmp_path)]) == 3
+    rows = [re.split(r" *\| *", row)[:4] for row in capsys.readouterr().out.splitlines()]
+    assert ["Factorial.java", "ok", "ok", "match"] in rows
+    assert ["Loop.java", "-", "-", "error"] in rows
+
+
 def test_runtime_fault_exits_3_with_fault_line(tmp_path, capsys):
     path = write(tmp_path, "null.java", FAULTING)
     assert main(["run-mj", path]) == 3
@@ -200,6 +212,30 @@ def test_translate_of_too_deeply_nested_statements_exits_1(tmp_path):
     done = run_cli("translate", path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.rstrip().endswith("val _ = mj_main ()")
+
+
+def nested_whiles(n):
+    """A main body of `n` nested `while (false)` around one print."""
+    body = "while (false) " * n + "System.out.println(1);"
+    return f"class W {{\n    public static void main(String[] a) {{\n        {body}\n    }}\n}}\n"
+
+
+def test_statements_too_deep_to_translate_are_a_diagnostic(tmp_path, corpus_dir):
+    # 600 levels parse, typecheck and run, but the translator takes two
+    # frames a level: a one-line diagnostic, and an `error` row in `diff`
+    path = write(tmp_path, "Deep.java", nested_whiles(600))
+    write(tmp_path, "Factorial.java", (corpus_dir / "Factorial.java").read_text())
+    assert run_cli("run-mj", path).returncode == 0
+    message = f"{path}: expressions or statements nested too deeply to translate\n"
+    for command in ("translate", "run-ml"):
+        done = run_cli(command, path)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", message), command
+    done = run_cli("diff", str(tmp_path))
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == ""
+    rows = [re.split(r" *\| *", row)[:4] for row in done.stdout.splitlines()]
+    assert ["Deep.java", "ok", "-", "error"] in rows
+    assert ["Factorial.java", "ok", "ok", "match"] in rows
 
 
 def test_diff_corpus_exits_0(corpus_dir, capsys):

@@ -137,6 +137,26 @@ class Q extends P { public int q() { return 2; } }
     expect_type_error(src, "cycle")
 
 
+UNKNOWN_RETURN = {
+    # the call's result type reached the subtype check, which had no class
+    # to look up
+    "loop": "public Foo loop() { return this.loop(); }",
+    # reported as a mismatch against a type that does not exist
+    "make": "public Foo make() { return new A(); }",
+}
+
+
+def test_unknown_return_type_is_reported_at_the_method():
+    for name, decl in UNKNOWN_RETURN.items():
+        src = CHAIN.replace("public int base() { return 10; }", decl)
+        program = parse_source(src)
+        with pytest.raises(MjTypeError) as err:
+            typecheck(program)
+        method = next(m for m in program.classes[0].methods if m.name == name)
+        assert err.value.message == "unknown class 'Foo'"
+        assert err.value.pos == method.span.start
+
+
 def test_condition_must_be_boolean():
     expect_type_error(CHAIN.replace("return 10;",
                                     "if (1) shared = 1; else shared = 2; return 10;"),

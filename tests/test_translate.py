@@ -9,6 +9,7 @@ from mj2ml.mjast import print_program
 from mj2ml.mlast import Let, validate_core
 from mj2ml.mlprint import print_ml_program
 from mj2ml.parser import parse_source
+from mj2ml.sema import typecheck
 from mj2ml.translate import mangle_method, mangle_new, mangle_var, translate
 
 CHAIN = """\
@@ -123,6 +124,45 @@ def test_generated_subclass_encoding_is_pinned():
                    for s in range(40))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "8b9b5811b8f8e26116f75948b06ef2e479b525f7e2da09c89d4fad44f8d088b8"
+
+
+def test_gen200_workload_is_pinned():
+    # the benchmark's gen200 programs compare across commits only while
+    # the generator and the translation are byte-stable
+    from mj2ml.randgen import generate_program
+    programs = [generate_program(s, 40) for s in range(200)]
+    source = "".join(map(print_program, programs)).encode()
+    sml = "".join(print_ml_program(translate(p), f"seed{s:03d}")
+                  for s, p in enumerate(programs)).encode()
+    assert (len(source), hashlib.sha256(source).hexdigest()) == (
+        624675, "4aaa6ae173174edd3a3581bb467872f20879886553696d0b1b4401880281a271")
+    assert (len(sml), hashlib.sha256(sml).hexdigest()) == (
+        3633215, "abee30f2ff80f20095289685f0fa771811183a1a36e0e114c95666630cb63f38")
+
+
+def outcome_at_depth(depth, source):
+    """Parse, typecheck and translate `source` from `depth` Python frames
+    below the caller; the result, or the error's type and text."""
+    if depth > 0:
+        return outcome_at_depth(depth - 1, source)
+    try:
+        program = parse_source(source)
+        translate(program, typecheck(program))
+        return "ok"
+    except Exception as err:
+        return type(err).__name__, str(err)
+
+
+def test_nesting_limits_do_not_depend_on_the_callers_depth():
+    main = ("class M {{ public static void main(String[] a) {{\n"
+            "    System.out.println({});\n}} }}\n")
+    sources = [main.format(" + ".join(["1"] * (n + 1))) for n in range(280, 360)]
+    sources += [main.format("(" * n + "1" + ")" * n) for n in range(200, 280)]
+    direct = [outcome_at_depth(0, src) for src in sources]
+    assert [outcome_at_depth(200, src) for src in sources] == direct
+    # both kinds reach their limit inside the ranges
+    assert direct[0] == direct[80] == "ok"
+    assert direct[79] != "ok" and direct[159] != "ok"
 
 
 def lets(root):
