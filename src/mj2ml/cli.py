@@ -8,10 +8,10 @@ Subcommands:
   check      same comparison over freshly generated random programs
   generate   print one generated random program
 
-Exit codes: 0 success, 1 lexing/parsing error (or a program nested too
-deeply to translate or to print), 2 type error, 3 runtime fault (or a
-failed comparison), 4 I/O error (including a `diff` directory with no
-.java file, and a `check --count` below 1, either of which would compare
+Exit codes: 0 success, 1 lexing/parsing error, 2 type error (including a
+program nested past `outcome.MAX_NESTING`), 3 runtime fault (or a failed
+comparison), 4 I/O error (including a `diff` directory with no .java
+file, and a `check --count` below 1, either of which would compare
 nothing), 5 fuel exhausted.
 Diagnostics go to stderr as `<file>:<line>:<col>: <message>`; runtime
 faults as `fault: <kind> at <line>:<col>` (the ML side has no source
@@ -34,7 +34,6 @@ from .diffharness import (
 from .lexer import LexError
 from .mjast import MjProgram, print_program
 from .mjinterp import interpret_mj
-from .mlast import MlProgram
 from .mleval import eval_program
 from .mlprint import print_ml_program
 from .outcome import (
@@ -99,21 +98,9 @@ def _report_run(outcome: RunOutcome) -> int:
     return exit_code_for(outcome)
 
 
-def _translated(path: str) -> MlProgram:
-    program, table = _frontend(path)
-    try:
-        return translate(program, table)
-    except ValueError as err:
-        raise _CliError(EXIT_SYNTAX, f"{path}: {err}")
-
-
 def cmd_translate(args: argparse.Namespace) -> int:
-    ml_program = _translated(args.file)
-    try:
-        text = print_ml_program(ml_program, source_name=Path(args.file).name)
-    except ValueError as err:
-        raise _CliError(EXIT_SYNTAX, f"{args.file}: {err}")
-    _write_output(text, args.out)
+    ml_program = translate(*_frontend(args.file))
+    _write_output(print_ml_program(ml_program, source_name=Path(args.file).name), args.out)
     return EXIT_OK
 
 
@@ -123,7 +110,7 @@ def cmd_run_mj(args: argparse.Namespace) -> int:
 
 
 def cmd_run_ml(args: argparse.Namespace) -> int:
-    outcome, _ = eval_program(_translated(args.file), fuel=args.fuel)
+    outcome, _ = eval_program(translate(*_frontend(args.file)), fuel=args.fuel)
     return _report_run(outcome)
 
 
@@ -220,3 +207,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -5,8 +5,8 @@ Per program the verdict is one of:
   output-mismatch   both ran cleanly, outputs differ
   fault-mismatch    the source ran cleanly, the translation faulted
   skipped-faulting  the source run faulted (including fuel), nothing to compare
-  error             the program did not get through lexing, parsing,
-                    typechecking or translation
+  error             the program did not get through lexing, parsing or
+                    typechecking (which bounds nesting for translation)
 
 A batch passes when every verdict is match or skipped-faulting.
 
@@ -72,11 +72,7 @@ def diff_ast(name: str, program: MjProgram, table: ClassTable | None = None,
         mj = interpret_mj(program, table, fuel=fuel)
     if mj.fault is not None:
         return done(mj, None, "skipped-faulting")
-    try:
-        ml_program = translate(program, table)
-    except ValueError as err:
-        return done(mj, None, "error", str(err))
-    ml, _ = eval_program(ml_program, fuel=fuel)
+    ml, _ = eval_program(translate(program, table), fuel=fuel)
     if ml.fault is not None:
         return done(mj, ml, "fault-mismatch", f"translation faulted: {ml.fault.value}")
     if mj.output != ml.output:

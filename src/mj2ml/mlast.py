@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .outcome import COMPILE_FRAMES, extra_frames
+
 
 # -- types (for datatype declarations only) -----------------------------------
 
@@ -346,7 +348,8 @@ class _Validator:
 
 def validate_core(program: MlProgram) -> list[Violation]:
     """Structural check: core nodes only, known constructors and primitives
-    at the right arities, no unbound variables, no 1-tuples."""
+    at the right arities, no unbound variables, no 1-tuples; within
+    `outcome.COMPILE_FRAMES` frames, which any translation fits."""
     con_arities = dict(BUILTIN_CON_ARITIES)
     checker = _Validator(con_arities)
     for dt in program.datatypes:
@@ -356,7 +359,8 @@ def validate_core(program: MlProgram) -> list[Violation]:
                              f"constructor '{con.name}' declared twice")
             con_arities[con.name] = con.arity
 
-    for i, group in enumerate(program.fun_groups):
-        checker.group(group, f"group{i}")
-    checker.expr(program.main, "main")
+    with extra_frames(COMPILE_FRAMES):
+        for i, group in enumerate(program.fun_groups):
+            checker.group(group, f"group{i}")
+        checker.expr(program.main, "main")
     return checker.violations

@@ -40,6 +40,7 @@ from .mlast import (
     Val,
     Var,
 )
+from .outcome import COMPILE_FRAMES, extra_frames
 
 PRINT_HELPER = ('fun mj_print n = print (String.map (fn c => '
                 'if c = #"~" then #"-" else c) (Int.toString n) ^ "\\n")')
@@ -230,8 +231,7 @@ def print_ml_program(program: MlProgram, source_name: str = "source") -> str:
     """Full SML source: header, print helper, datatypes, functions, entry.
 
     The printer recurses once per nesting level of the tree, within
-    Python's recursion limit; a tree nested deeper than that raises
-    ValueError.
+    `outcome.COMPILE_FRAMES` frames, which any translation fits.
     """
     parts = [
         f"(* {source_name}, translated by mj2ml {__version__}. *)",
@@ -245,11 +245,9 @@ def print_ml_program(program: MlProgram, source_name: str = "source") -> str:
         for i, dt in enumerate(program.datatypes):
             parts.append(_print_datatype(dt, "datatype" if i == 0 else "and"))
         parts.append("")
-    try:
+    with extra_frames(COMPILE_FRAMES):
         for group in program.fun_groups:
             parts.extend(_print_group(group, ""))
             parts.append("")
         parts.append(f"val _ = {print_expr(program.main, '  ', _L_LOW)}")
-    except RecursionError:
-        raise ValueError("statements nested too deeply to print as Standard ML") from None
     return "\n".join(parts) + "\n"

@@ -11,7 +11,9 @@ a `Fault` raised where it happens.  Running out of fuel is the
 FuelExhausted fault, and since a check may charge for several nodes and
 raises before spending any of them, such a run has used all of its fuel.
 Going past the frames is FuelExhausted too, without a position, having
-used the fuel spent until then.
+used the fuel spent until then.  Compiling has one bound as well: a
+program nested past `MAX_NESTING` is a type error, and each compile stage
+gets `COMPILE_FRAMES` frames, enough for any program within that limit.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ DEFAULT_FUEL = 10_000_000
 # calls take no C stack.
 RECURSION_LIMIT = 40_000
 
-# Python frames that parsing, typechecking and translating may each use
-# beyond their caller's: Python's default recursion limit.  Each turns
-# running out into its own diagnostic.
-COMPILE_FRAMES = 1000
+# The one nesting limit (see `sema`): nodes from a body to a leaf, classes in a chain.
+MAX_NESTING = 500
+
+# Python frames each compile stage may use beyond its caller's; the
+# costliest, printing, takes 7 per nested `while` and about 6 per class.
+COMPILE_FRAMES = 8 * MAX_NESTING
 
 
 class extra_frames:

@@ -11,8 +11,9 @@ what it inherits.  The object layouts of `mjinterp` and `translate` read
 the resolved `ClassInfo` fields (`path`, `all_fields`, `vtable`,
 `slot_owner`); each extends its superclass's in order, so a field or
 method slot has the same position in a class and in its subclasses.
-A body nested past `COMPILE_FRAMES` Python frames is a type error at its
-start.
+Nesting has one limit for all later stages, `outcome.MAX_NESTING`: more
+statement and expression nodes from a body to a leaf, or classes in an
+inheritance chain, are a type error at the body's start or the class.
 
 Rules beyond the obvious typing of operators:
   * single inheritance, no cycles, superclasses must exist
@@ -62,7 +63,7 @@ from .mjast import (
     VarBinding,
     WhileStmt,
 )
-from .outcome import COMPILE_FRAMES, extra_frames
+from .outcome import COMPILE_FRAMES, MAX_NESTING, extra_frames
 
 
 class MjTypeError(Exception):
@@ -164,6 +165,9 @@ def _resolve(table: ClassTable, info: ClassInfo) -> None:
     else:
         parent = table.info(info.superclass)
         info.path = [*parent.path, info.name]
+        if len(info.path) > MAX_NESTING:
+            raise MjTypeError(info.decl.span.start,
+                              f"inheritance of class '{info.name}' nested too deeply")
         info.all_fields = dict(parent.all_fields)
         info.vtable = dict(parent.vtable)
         info.slot_owner = dict(parent.slot_owner)
@@ -185,6 +189,8 @@ def _resolve(table: ClassTable, info: ClassInfo) -> None:
             raise MjTypeError(mdecl.span.start,
                               f"duplicate method '{mdecl.name}' in class '{info.name}'")
         _require_known_type(table, mdecl.return_type, mdecl.span.start)
+        for formal in mdecl.formals:
+            _require_known_type(table, formal.var_type, formal.span.start)
         above = info.vtable.get(mdecl.name)
         if above is None:
             info.slot_owner[mdecl.name] = info.name
@@ -218,18 +224,19 @@ class _Checker:
         self.table = table
         self.current_class: str | None = None
         self.scope: dict[str, tuple[VarBinding, MjType]] = {}
+        # the start of the body being checked, and the nodes open in it
+        self.start, self.depth = Pos(1, 1), 0
 
     # -- scope --------------------------------------------------------------
 
     def enter_method(self, cls: str, method: MethodDecl) -> None:
-        self.current_class = cls
+        self.current_class, self.start = cls, method.span.start
         self.scope = {fname: (VarBinding("field", owner), fty)
                       for fname, (owner, fty) in self.table.info(cls).all_fields.items()}
         for formal in method.formals:
             if formal.name in self.scope and self.scope[formal.name][0].kind != "field":
                 raise MjTypeError(formal.span.start,
                                   f"duplicate parameter '{formal.name}'")
-            _require_known_type(self.table, formal.var_type, formal.span.start)
             self.scope[formal.name] = (VarBinding("formal", cls), formal.var_type)
         for local in method.local_vars:
             if local.name in self.scope and self.scope[local.name][0].kind != "field":
@@ -238,16 +245,22 @@ class _Checker:
             _require_known_type(self.table, local.var_type, local.span.start)
             self.scope[local.name] = (VarBinding("local", cls), local.var_type)
 
-    def enter_main(self) -> None:
-        self.current_class = None
+    def enter_main(self, main: MainClass) -> None:
+        self.current_class, self.start = None, main.span.start
         self.scope = {}
+
+    def descend(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise MjTypeError(self.start, "expressions or statements nested too deeply")
 
     # -- expressions ----------------------------------------------------------
 
     def expr(self, e: Expr) -> MjType:
-        ty = self._expr(e)
-        e.ty = ty
-        return ty
+        self.descend()
+        e.ty = self._expr(e)
+        self.depth -= 1
+        return e.ty
 
     def _expect(self, e: Expr, want: MjType, what: str) -> None:
         got = self.expr(e)
@@ -320,6 +333,7 @@ class _Checker:
     # -- statements -----------------------------------------------------------
 
     def stmt(self, s: Stmt) -> None:
+        self.descend()
         if isinstance(s, BlockStmt):
             for sub in s.body:
                 self.stmt(sub)
@@ -355,29 +369,25 @@ class _Checker:
             self._expect(s.value, INT, "assigned value")
         else:
             raise AssertionError(f"unhandled statement {type(s).__name__}")
+        self.depth -= 1
 
 
 def typecheck(program: MjProgram) -> ClassTable:
     """Check the whole program, annotate the AST, return the class table."""
     table = build_class_table(program)
     checker = _Checker(table)
-    try:
-        with extra_frames(COMPILE_FRAMES):
-            for info in table.classes.values():
-                for method in info.decl.methods:
-                    start = method.span.start
-                    checker.enter_method(info.name, method)
-                    for s in method.body:
-                        checker.stmt(s)
-                    got = checker.expr(method.return_expr)
-                    if not table.is_assignable(got, method.return_type):
-                        raise MjTypeError(
-                            method.return_expr.span.start,
-                            f"return value must be {method.return_type}, got {got}")
-            start = program.main.span.start
-            checker.enter_main()
-            for s in program.main.body:
-                checker.stmt(s)
-    except RecursionError:
-        raise MjTypeError(start, "expressions or statements nested too deeply") from None
+    with extra_frames(COMPILE_FRAMES):
+        for info in table.classes.values():
+            for method in info.decl.methods:
+                checker.enter_method(info.name, method)
+                for s in method.body:
+                    checker.stmt(s)
+                got = checker.expr(method.return_expr)
+                if not table.is_assignable(got, method.return_type):
+                    raise MjTypeError(
+                        method.return_expr.span.start,
+                        f"return value must be {method.return_type}, got {got}")
+        checker.enter_main(program.main)
+        for s in program.main.body:
+            checker.stmt(s)
     return table

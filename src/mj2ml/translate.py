@@ -43,8 +43,8 @@ read and write spines (`_object`) all read.  Only the prelude, `_lookup`,
 `_array_items`, `_store` and the two `mj_alloc` sites (object
 constructors and `new int[...]`) know how the store is encoded.
 
-Translation may use `outcome.COMPILE_FRAMES` Python frames beyond its
-caller's; a program nested deeper is a ValueError.
+Translation runs within `outcome.COMPILE_FRAMES` Python frames beyond
+its caller's, which any program that typechecks fits.
 """
 
 from __future__ import annotations
@@ -599,8 +599,5 @@ def translate(program: MjProgram, table: ClassTable | None = None) -> MlProgram:
     """
     if table is None:
         table = typecheck(program)
-    try:
-        with extra_frames(COMPILE_FRAMES):
-            return _Translator(table).run(program)
-    except RecursionError:
-        raise ValueError("expressions or statements nested too deeply to translate") from None
+    with extra_frames(COMPILE_FRAMES):
+        return _Translator(table).run(program)

@@ -2,11 +2,18 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from mj2ml.cli import main
+from mj2ml.mjast import Expr, Stmt
+from mj2ml.mlast import validate_core
+from mj2ml.mlprint import print_ml_program
+from mj2ml.outcome import MAX_NESTING, extra_frames
+from mj2ml.parser import parse_source
+from mj2ml.translate import translate
 
 FAULTING = """\
 class NullCall {
@@ -171,15 +178,21 @@ class R {
 """
 
 
-def run_cli(*argv):
+def run_cli(*argv, launch=("-c", "from mj2ml.cli import entry; entry()")):
     """Run the command line in a fresh interpreter, at Python's default
     recursion limit."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-c", "from mj2ml.cli import entry; entry()", *argv],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *launch, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_running_the_cli_module_runs_the_command(tmp_path):
+    missing = str(tmp_path / "missing.java")
+    done = run_cli("run-mj", missing, launch=("-m", "mj2ml.cli"))
+    assert done.returncode == 4
+    assert done.stderr.startswith(f"cannot read {missing}")
 
 
 def test_too_deep_recursion_exits_5_without_crashing(tmp_path):
@@ -193,49 +206,128 @@ def test_too_deep_recursion_exits_5_without_crashing(tmp_path):
         assert "fault: FuelExhausted" in done.stderr
 
 
-def nested_ifs(n):
-    """A main body of `n` nested `if (true) ... else {}` around one print."""
-    body = "if (true) " * n + "System.out.println(1);" + " else {}" * n
-    return f"class N {{\n    public static void main(String[] a) {{\n        {body}\n    }}\n}}\n"
+def main_class(body, classes=""):
+    return ("class M {\n    public static void main(String[] a) {\n"
+            f"        {body}\n    }}\n}}\n{classes}")
 
 
-def test_translate_of_too_deeply_nested_statements_exits_1(tmp_path):
-    # 250 levels parse, typecheck and diff as `match`, but are too deep
-    # for the printer: a one-line diagnostic, not a traceback
-    path = write(tmp_path, "deep.java", nested_ifs(250))
-    assert run_cli("diff", path).returncode == 0
-    done = run_cli("translate", path)
-    assert done.returncode == 1
-    assert done.stdout == ""
-    assert done.stderr == f"{path}: statements nested too deeply to print as Standard ML\n"
-    path = write(tmp_path, "shallow.java", nested_ifs(200))
-    done = run_cli("translate", path)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.rstrip().endswith("val _ = mj_main ()")
+IDENTITY = "class A {\n    public int f(int x) {\n        return x;\n    }\n}\n"
 
 
-def nested_whiles(n):
-    """A main body of `n` nested `while (false)` around one print."""
-    body = "while (false) " * n + "System.out.println(1);"
-    return f"class W {{\n    public static void main(String[] a) {{\n        {body}\n    }}\n}}\n"
+def array_reads(k):
+    """`a[a[...a[0]...]]`, k reads deep, as a method's return value."""
+    return main_class("System.out.println(new A().g());",
+                      "class A {\n    public int g() {\n        int[] a;\n"
+                      f"        a = new int[1];\n        return {'a[' * k}0{']' * k};\n"
+                      "    }\n}\n")
 
 
-def test_statements_too_deep_to_translate_are_a_diagnostic(tmp_path, corpus_dir):
-    # 600 levels parse, typecheck and run, but the translator takes two
-    # frames a level: a one-line diagnostic, and an `error` row in `diff`
-    path = write(tmp_path, "Deep.java", nested_whiles(600))
-    write(tmp_path, "Factorial.java", (corpus_dir / "Factorial.java").read_text())
-    assert run_cli("run-mj", path).returncode == 0
-    message = f"{path}: expressions or statements nested too deeply to translate\n"
-    for command in ("translate", "run-ml"):
-        done = run_cli(command, path)
-        assert (done.returncode, done.stdout, done.stderr) == (1, "", message), command
-    done = run_cli("diff", str(tmp_path))
-    assert done.returncode == 3, done.stderr
-    assert done.stderr == ""
-    rows = [re.split(r" *\| *", row)[:4] for row in done.stdout.splitlines()]
-    assert ["Deep.java", "ok", "-", "error"] in rows
-    assert ["Factorial.java", "ok", "ok", "match"] in rows
+def class_chain(k):
+    """k classes, each extending the one before, and a call through the last."""
+    classes = "class C0 {\n    public int f() {\n        return 1;\n    }\n}\n"
+    classes += "".join(f"class C{i} extends C{i - 1} {{ }}\n" for i in range(1, k))
+    return main_class(f"System.out.println(new C{k - 1}().f());", classes)
+
+
+# Each way of nesting, as a source k levels deep and the deepest k that
+# typechecks: MAX_NESTING nodes from the body to its deepest leaf (the
+# `new int[...]` form takes two nodes a level), or MAX_NESTING classes.
+NESTING_FORMS = {
+    "if": (lambda k: main_class("if (true) " * k + "System.out.println(1);" + " else {}" * k),
+           MAX_NESTING - 2),
+    "while": (lambda k: main_class("while (false) " * k + "System.out.println(1);"),
+              MAX_NESTING - 2),
+    "block": (lambda k: main_class("{ " * k + "System.out.println(1);" + " }" * k),
+              MAX_NESTING - 2),
+    "plus": (lambda k: main_class(f"System.out.println({' + '.join(['1'] * (k + 1))});"),
+             MAX_NESTING - 2),
+    "not": (lambda k: main_class(f"if ({'!' * k}true) System.out.println(1); "
+                                 "else System.out.println(0);"),
+            MAX_NESTING - 2),
+    "and": (lambda k: main_class(f"if ({'true && (' * k}true{')' * k}) "
+                                 "System.out.println(1); else System.out.println(0);"),
+            MAX_NESTING - 2),
+    "call": (lambda k: main_class(f"System.out.println({'new A().f(' * k}7{')' * k});",
+                                  IDENTITY),
+             MAX_NESTING - 2),
+    "index": (array_reads, MAX_NESTING - 1),
+    "new-array": (lambda k: main_class(f"System.out.println({'new int[' * k}1{'].length' * k});"),
+                  (MAX_NESTING - 2) // 2),
+    "class-chain": (class_chain, MAX_NESTING),
+}
+
+
+def nesting(program):
+    """The most statement and expression nodes from a body to a leaf, or
+    classes in an inheritance chain, whichever is more."""
+    stack = [(node, 1) for node in program.main.body]
+    stack += [(node, 1) for cls in program.classes for method in cls.methods
+              for node in [*method.body, method.return_expr]]
+    deepest = 0
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        for f in fields(node):
+            value = getattr(node, f.name)
+            stack += [(child, depth + 1) for child in (value if isinstance(value, list) else [value])
+                      if isinstance(child, (Expr, Stmt))]
+    parents = {cls.name: cls.superclass for cls in program.classes}
+    for name in parents:
+        length = 0
+        while name is not None:
+            name, length = parents[name], length + 1
+        deepest = max(deepest, length)
+    return deepest
+
+
+@pytest.mark.parametrize("form", NESTING_FORMS)
+def test_one_nesting_limit_for_every_command(form, tmp_path, capsys):
+    source, deepest = NESTING_FORMS[form]
+    assert nesting(parse_source(source(deepest))) == MAX_NESTING
+    assert nesting(parse_source(source(deepest + 1))) > MAX_NESTING
+    # the deepest program that typechecks passes every command
+    path = write(tmp_path, "Deepest.java", source(deepest))
+    assert main(["run-mj", path]) == 0
+    mj = capsys.readouterr()
+    assert main(["run-ml", path]) == 0
+    assert capsys.readouterr() == mj and mj.err == ""
+    target = tmp_path / "Deepest.sml"
+    assert main(["translate", path, "-o", str(target)]) == 0
+    assert target.read_text().endswith("\nval _ = mj_main ()\n")
+    assert main(["diff", path]) == 0
+    rows = [re.split(r" *\| *", row)[:4] for row in capsys.readouterr().out.splitlines()]
+    assert ["Deepest.java", "ok", "ok", "match"] in rows
+    # one level deeper, every command fails the same way
+    path = write(tmp_path, "Deeper.java", source(deepest + 1))
+    errors = set()
+    for command in ("run-mj", "run-ml", "translate"):
+        assert main([command, path]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.add(captured.err)
+    [error] = errors
+    assert re.fullmatch(rf"{re.escape(path)}:\d+:\d+: .*nested too deeply\n", error)
+    assert main(["diff", path]) == 3
+    rows = [re.split(r" *\| *", row)[:4] for row in capsys.readouterr().out.splitlines()]
+    assert ["Deeper.java", "-", "-", "error"] in rows
+
+
+@pytest.mark.parametrize("form", [form for form in NESTING_FORMS
+                                  if form not in ("if", "and", "block")])
+def test_deepest_translations_print_and_validate_from_a_deep_caller(form):
+    # printing takes the most frames per level: 7 per nested `while`.  The
+    # nested `if` and `&&` forms print 5 MB each and are left to the test
+    # above; blocks leave nothing nested in the translation.
+    source, deepest = NESTING_FORMS[form]
+    ml = translate(parse_source(source(deepest)))
+
+    def at_depth(depth, run):
+        return at_depth(depth - 1, run) if depth > 0 else run()
+
+    # 900 frames deep, with at most 100 frames to spare at the call
+    with extra_frames(1000):
+        assert at_depth(900, lambda: validate_core(ml)) == []
+        assert at_depth(900, lambda: print_ml_program(ml)).endswith("\nval _ = mj_main ()\n")
 
 
 def test_diff_corpus_exits_0(corpus_dir, capsys):

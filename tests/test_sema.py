@@ -157,6 +157,20 @@ def test_unknown_return_type_is_reported_at_the_method():
         assert err.value.pos == method.span.start
 
 
+def test_unknown_formal_type_is_reported_at_the_formal():
+    # `tag` is checked first, and passes `base` an argument of a class
+    # that exists
+    src = CHAIN.replace("public int tag() { return 1; }",
+                        "public int tag() { return this.base(new A()); }")
+    src = src.replace("public int base() { return 10; }",
+                      "public int base(Foo x) { return 10; }")
+    program = parse_source(src)
+    with pytest.raises(MjTypeError) as err:
+        typecheck(program)
+    assert err.value.message == "unknown class 'Foo'"
+    assert err.value.pos == program.classes[0].methods[1].formals[0].span.start
+
+
 def test_condition_must_be_boolean():
     expect_type_error(CHAIN.replace("return 10;",
                                     "if (1) shared = 1; else shared = 2; return 10;"),

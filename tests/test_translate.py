@@ -156,8 +156,8 @@ def outcome_at_depth(depth, source):
 def test_nesting_limits_do_not_depend_on_the_callers_depth():
     main = ("class M {{ public static void main(String[] a) {{\n"
             "    System.out.println({});\n}} }}\n")
-    sources = [main.format(" + ".join(["1"] * (n + 1))) for n in range(280, 360)]
-    sources += [main.format("(" * n + "1" + ")" * n) for n in range(200, 280)]
+    sources = [main.format(" + ".join(["1"] * (n + 1))) for n in range(460, 540)]
+    sources += [main.format("(" * n + "1" + ")" * n) for n in range(960, 1040)]
     direct = [outcome_at_depth(0, src) for src in sources]
     assert [outcome_at_depth(200, src) for src in sources] == direct
     # both kinds reach their limit inside the ranges
