@@ -38,7 +38,7 @@ RECURSION_LIMIT = 40_000
 MAX_NESTING = 500
 
 # Python frames each compile stage may use beyond its caller's; the
-# costliest, printing, takes 7 per nested `while` and about 6 per class.
+# costliest, printing, takes 7 per nested `while` and 4 per chained class.
 COMPILE_FRAMES = 8 * MAX_NESTING
 
 

@@ -12,7 +12,8 @@ the resolved `ClassInfo` fields (`path`, `all_fields`, `vtable`,
 `slot_owner`); each extends its superclass's in order, so a field or
 method slot has the same position in a class and in its subclasses.
 Nesting has one limit for all later stages, `outcome.MAX_NESTING`: more
-statement and expression nodes from a body to a leaf, or classes in an
+statement and expression nodes from a body to a leaf (a field or method
+access counting one more per class above its own), or classes in an
 inheritance chain, are a type error at the body's start or the class.
 
 Rules beyond the obvious typing of operators:
@@ -109,12 +110,9 @@ class ClassTable:
     def roots(self) -> list[str]:
         return [c.name for c in self.classes.values() if c.superclass is None]
 
-    def is_subclass(self, sub: str, sup: str) -> bool:
-        return sup in self.classes[sub].path
-
     def is_assignable(self, src: MjType, dst: MjType) -> bool:
         if isinstance(src, ClassType) and isinstance(dst, ClassType):
-            return self.is_subclass(src.name, dst.name)
+            return dst.name in self.classes[src.name].path
         return src == dst
 
 
@@ -137,23 +135,19 @@ def build_class_table(program: MjProgram) -> ClassTable:
             raise MjTypeError(info.decl.span.start, f"unknown superclass '{sup}'")
         classes[sup].children.append(info.name)
 
-    for info in classes.values():
-        seen = {info.name}
-        cur = info.superclass
-        while cur is not None:
-            if cur in seen:
-                raise MjTypeError(info.decl.span.start,
-                                  f"inheritance cycle through '{info.name}'")
-            seen.add(cur)
-            cur = classes[cur].superclass
-
-    table = ClassTable(main_name, classes)
-    # Without cycles every class is reachable from a root, so this list,
-    # extended while it is walked, puts each class after its superclass.
+    # This list, extended while it is walked, puts each class after its
+    # superclass; the classes it misses have a cycle above them.
     order = [info for info in classes.values() if info.superclass is None]
     for info in order:
-        _resolve(table, info)
         order.extend(classes[child] for child in info.children)
+    reached = {info.name for info in order}
+    for info in classes.values():
+        if info.name not in reached:
+            raise MjTypeError(info.decl.span.start,
+                              f"inheritance cycle through '{info.name}'")
+    table = ClassTable(main_name, classes)
+    for info in order:
+        _resolve(table, info)
     return table
 
 
@@ -251,8 +245,25 @@ class _Checker:
 
     def descend(self) -> None:
         self.depth += 1
-        if self.depth > MAX_NESTING:
+        self.reach(None)
+
+    def reach(self, cls: str | None) -> None:
+        """Fail if the open nodes nest too deeply, counting, for a member of
+        cls, each class above cls as one more: the member is reached through
+        an object pattern one level per class of cls's chain (`translate`)."""
+        above = len(self.table.info(cls).path) - 1 if cls else 0
+        if self.depth + above > MAX_NESTING:
             raise MjTypeError(self.start, "expressions or statements nested too deeply")
+
+    def lookup(self, node: IdentExpr | AssignStmt | ArrayAssignStmt) -> MjType:
+        """Bind the variable a node reads or writes; return its type."""
+        entry = self.scope.get(node.name)
+        if entry is None:
+            raise MjTypeError(node.span.start, f"undeclared variable '{node.name}'")
+        node.binding, ty = entry
+        if node.binding.kind == "field":
+            self.reach(node.binding.decl_class)
+        return ty
 
     # -- expressions ----------------------------------------------------------
 
@@ -288,11 +299,7 @@ class _Checker:
             self._expect(e.array, INT_ARRAY, "'.length' receiver")
             return INT
         if isinstance(e, IdentExpr):
-            entry = self.scope.get(e.name)
-            if entry is None:
-                raise MjTypeError(e.span.start, f"undeclared variable '{e.name}'")
-            e.binding = entry[0]
-            return entry[1]
+            return self.lookup(e)
         if isinstance(e, ThisExpr):
             if self.current_class is None:
                 raise MjTypeError(e.span.start, "'this' cannot be used in main")
@@ -314,6 +321,7 @@ class _Checker:
                 raise MjTypeError(e.span.start,
                                   f"class '{recv.name}' has no method '{e.method}'")
             _, decl = found
+            self.reach(self.table.info(recv.name).slot_owner[e.method])
             if len(e.args) != len(decl.formals):
                 raise MjTypeError(
                     e.span.start,
@@ -347,24 +355,16 @@ class _Checker:
         elif isinstance(s, PrintStmt):
             self._expect(s.value, INT, "println argument")
         elif isinstance(s, AssignStmt):
-            entry = self.scope.get(s.name)
-            if entry is None:
-                raise MjTypeError(s.span.start, f"undeclared variable '{s.name}'")
-            binding, ty = entry
-            s.binding = binding
+            ty = self.lookup(s)
             got = self.expr(s.value)
             if not self.table.is_assignable(got, ty):
                 raise MjTypeError(s.value.span.start,
                                   f"cannot assign {got} to '{s.name}' of type {ty}")
         elif isinstance(s, ArrayAssignStmt):
-            entry = self.scope.get(s.name)
-            if entry is None:
-                raise MjTypeError(s.span.start, f"undeclared variable '{s.name}'")
-            binding, ty = entry
+            ty = self.lookup(s)
             if ty != INT_ARRAY:
                 raise MjTypeError(s.span.start,
                                   f"'{s.name}[...]=' requires int[], got {ty}")
-            s.binding = binding
             self._expect(s.index, INT, "array index")
             self._expect(s.value, INT, "assigned value")
         else:

@@ -1,6 +1,7 @@
 import pytest
 
 from mj2ml.mjast import BOOL, INT, CallExpr, ClassType, IdentExpr, print_program, walk
+from mj2ml.outcome import MAX_NESTING
 from mj2ml.parser import parse_source
 from mj2ml.sema import MjTypeError, build_class_table, typecheck
 
@@ -209,3 +210,20 @@ def test_too_deep_nesting_is_a_type_error_at_the_body_start():
             typecheck(program)
         assert "nested too deeply" in err.value.message
         assert err.value.pos == body(program).span.start
+
+
+def test_a_member_access_counts_the_classes_above_its_own():
+    # the translation reads and writes a field of a class k levels down a
+    # chain through an object pattern k levels deep, inside the body
+    main = ("class Main {\n    public static void main(String[] a) {\n"
+            "        System.out.println(1);\n    }\n}\n")
+    chain = "class C0 { }\n" + "".join(
+        f"class C{i} extends C{i - 1} {{ }}\n" for i in range(1, MAX_NESTING - 1))
+    member = ("{\n    int x;\n    public int g() {\n"
+              f"        {'while (false) ' * (MAX_NESTING - 3)}x = x + 1;\n"
+              "        return x;\n    }\n}\n")
+    typecheck(parse_source(main + chain + "class X " + member))
+    source = main + chain + f"class X extends C{MAX_NESTING - 2} " + member
+    with pytest.raises(MjTypeError) as err:
+        typecheck(parse_source(source))
+    assert "nested too deeply" in err.value.message
