@@ -245,14 +245,14 @@ class _Checker:
 
     def descend(self) -> None:
         self.depth += 1
-        self.reach(None)
+        if self.depth > MAX_NESTING:
+            raise MjTypeError(self.start, "expressions or statements nested too deeply")
 
-    def reach(self, cls: str | None) -> None:
-        """Fail if the open nodes nest too deeply, counting, for a member of
-        cls, each class above cls as one more: the member is reached through
-        an object pattern one level per class of cls's chain (`translate`)."""
-        above = len(self.table.info(cls).path) - 1 if cls else 0
-        if self.depth + above > MAX_NESTING:
+    def reach(self, cls: str) -> None:
+        """A member of cls is reached through an object pattern one level
+        per class of cls's chain (`translate`): each class above cls counts
+        as one more node open."""
+        if self.depth + len(self.table.info(cls).path) - 1 > MAX_NESTING:
             raise MjTypeError(self.start, "expressions or statements nested too deeply")
 
     def lookup(self, node: IdentExpr | AssignStmt | ArrayAssignStmt) -> MjType:
