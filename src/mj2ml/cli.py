@@ -15,7 +15,8 @@ file, and a `check --count` below 1, either of which would compare
 nothing), 5 fuel exhausted.
 Diagnostics go to stderr as `<file>:<line>:<col>: <message>`; runtime
 faults as `fault: <kind> at <line>:<col>` (the ML side has no source
-positions, so its faults carry none).
+positions, so its faults carry none); after the `diff` or `check` table,
+`<program>: <detail>` for each row that failed with a detail.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .diffharness import (
+    DiffResult,
     all_passing,
     diff_files,
     diff_generated,
@@ -128,19 +130,26 @@ def _collect_java_files(paths: list[str]) -> list[Path]:
     return files
 
 
-def cmd_diff(args: argparse.Namespace) -> int:
-    results = diff_files(_collect_java_files(args.paths), fuel=args.fuel)
+def _report_diff(results: list[DiffResult]) -> int:
+    """The report table on stdout, then why each row with a detail got
+    its verdict on stderr, in report order."""
     sys.stdout.write(render_report(results))
+    sys.stdout.flush()
+    for r in results:
+        if r.detail:
+            print(f"{r.name}: {r.detail}", file=sys.stderr)
     return EXIT_OK if all_passing(results) else EXIT_FAULT
+
+
+def cmd_diff(args: argparse.Namespace) -> int:
+    return _report_diff(diff_files(_collect_java_files(args.paths), fuel=args.fuel))
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise _CliError(EXIT_IO, "check --count must be at least 1")
     seeds = list(range(args.seed_base, args.seed_base + args.count))
-    results = diff_generated(seeds, size=args.size, fuel=args.fuel)
-    sys.stdout.write(render_report(results))
-    return EXIT_OK if all_passing(results) else EXIT_FAULT
+    return _report_diff(diff_generated(seeds, size=args.size, fuel=args.fuel))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

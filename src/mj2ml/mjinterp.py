@@ -28,17 +28,11 @@ nothing consults the class table while the program runs.  The main body
 runs in the frame `[None]`.
 
 Fuel.  Every statement and expression evaluation costs one unit of fuel,
-checked before the node's work, and a `while` pays one more unit, at its
-own position, after each pass through its body.  Running out is the
-FuelExhausted fault at the position of the node that could not pay, and
-`RunOutcome.steps` is the fuel used.  A node pays with one check for
-itself and for the pure operands it evaluates before any other operand;
-a pure operand in any other place pays for all of its nodes at once.
-Pure means literals, variables, `this`, and `!` and `<` of pure
-operands: they have no effect and cannot fault, so no output, fault,
-fault position or step count can tell this from paying node by node.
-When the fuel does not cover such a check, the fault names the node,
-in evaluation order, at which the fuel would have run out.
+which its closure pays at its node's position before calling its
+children's closures or doing its work, and a `while` pays one more unit,
+at its own position, after each pass through its body.  Running out is
+the FuelExhausted fault at the position of the node that could not pay,
+and `RunOutcome.steps` is the fuel used.
 
 Frames per call.  A call expression runs the callee's statements and
 return expression itself, so a pending MiniJava call holds one Python
@@ -77,7 +71,6 @@ from .mjast import (
     NewArrayExpr,
     NewObjectExpr,
     NotExpr,
-    Pos,
     PrintStmt,
     Stmt,
     ThisExpr,
@@ -135,136 +128,94 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
             return lambda f: f[0][index]
         return itemgetter(slots[name])
 
-    # -- expressions.  `compiled(e)` is a pair: for a pure `e`, a getter
-    # that charges nothing and the positions of its nodes in evaluation
-    # order; for any other `e`, a closure that charges its own fuel before
-    # its work, and None. --------------------------------------------------
-
-    def compiled(e: Expr) -> tuple:
-        cls = type(e)
-        if cls is IntLitExpr or cls is BoolLitExpr:
-            value = e.value
-            return (lambda f: value), [e.span.start]
-        if cls is IdentExpr:
-            return variable(e.name, e.binding), [e.span.start]
-        if cls is ThisExpr:
-            return itemgetter(0), [e.span.start]
-        if cls is NotExpr:
-            operand = compiled(e.operand)
-            get, poss = operand
-            if poss is not None:
-                return (lambda f: not get(f)), [e.span.start, *poss]
-            return not_(e, operand), None
-        if cls is BinaryExpr:
-            if e.op in _ARITHMETIC:
-                return arithmetic(e, _ARITHMETIC[e.op]), None
-            if e.op == "&&":
-                return and_(e), None
-            left, right = compiled(e.left), compiled(e.right)
-            if left[1] is not None and right[1] is not None:
-                lget, rget = left[0], right[0]
-                return (lambda f: lget(f) < rget(f)), [e.span.start, *left[1], *right[1]]
-            return less(e, left, right), None
-        return expressions[cls](e), None
-
-    def charged(part: tuple):
-        """The closure for a compiled operand: a pure one's getter behind
-        one check for all of its nodes."""
-        get, poss = part
-        if poss is None:
-            return get
-        n = len(poss)
-
-        def ev(f):
-            nonlocal fuel
-            if fuel < n:
-                raise Fault(_FUEL, poss[fuel])
-            fuel -= n
-            return get(f)
-        return ev
+    # -- expressions.  Each closure first pays its node's unit, then calls
+    # its children's closures and does the node's work. -------------------
 
     def expr(e: Expr):
-        return charged(compiled(e))
+        return expressions[type(e)](e)
 
-    def operands(node, children) -> tuple[list[Pos], list]:
-        """Positions `node` pays for with its own check, and one closure
-        per child (an expression or its compiled pair): a getter for each
-        pure child before the first impure one, which the node pays for,
-        and otherwise the child's closure."""
-        poss = [node.span.start]
-        closures = []
-        prefix = True
-        for child in children:
-            get, child_poss = child if type(child) is tuple else compiled(child)
-            prefix = prefix and child_poss is not None
-            if prefix:
-                closures.append(get)
-                poss.extend(child_poss)
-            else:
-                closures.append(charged((get, child_poss)))
-        return poss, closures
-
-    def arithmetic(e, op):
-        poss, (left, right) = operands(e, (e.left, e.right))
-        n, pos = len(poss), poss[0]
+    def literal(e: IntLitExpr | BoolLitExpr):
+        value, pos = e.value, e.span.start
 
         def ev(f):
             nonlocal fuel
-            if fuel < n:
-                raise Fault(_FUEL, poss[fuel])
-            fuel -= n
-            value = op(left(f), right(f))
-            if value < INT_MIN or value > INT_MAX:
-                raise Fault(_OVERFLOW, pos)
+            if fuel < 1:
+                raise Fault(_FUEL, pos)
+            fuel -= 1
             return value
         return ev
 
-    def less(e: BinaryExpr, left: tuple, right: tuple):
-        poss, (left, right) = operands(e, (left, right))
-        n = len(poss)
+    def ident(e: IdentExpr):
+        get, pos = variable(e.name, e.binding), e.span.start
 
         def ev(f):
             nonlocal fuel
-            if fuel < n:
-                raise Fault(_FUEL, poss[fuel])
-            fuel -= n
-            return left(f) < right(f)
+            if fuel < 1:
+                raise Fault(_FUEL, pos)
+            fuel -= 1
+            return get(f)
         return ev
 
-    def and_(e: BinaryExpr):
-        poss, (left,) = operands(e, (e.left,))
-        n = len(poss)
-        right = expr(e.right)
+    def this_(e: ThisExpr):
+        pos = e.span.start
 
         def ev(f):
             nonlocal fuel
-            if fuel < n:
-                raise Fault(_FUEL, poss[fuel])
-            fuel -= n
-            return left(f) and right(f)
+            if fuel < 1:
+                raise Fault(_FUEL, pos)
+            fuel -= 1
+            return f[0]
         return ev
 
-    def not_(e: NotExpr, operand: tuple):
-        poss, (operand,) = operands(e, (operand,))
-        n = len(poss)
+    def not_(e: NotExpr):
+        operand, pos = expr(e.operand), e.span.start
 
         def ev(f):
             nonlocal fuel
-            if fuel < n:
-                raise Fault(_FUEL, poss[fuel])
-            fuel -= n
+            if fuel < 1:
+                raise Fault(_FUEL, pos)
+            fuel -= 1
             return not operand(f)
         return ev
 
+    def binary(e: BinaryExpr):
+        left, right, pos = expr(e.left), expr(e.right), e.span.start
+        if e.op == "&&":
+            def ev(f):
+                nonlocal fuel
+                if fuel < 1:
+                    raise Fault(_FUEL, pos)
+                fuel -= 1
+                return left(f) and right(f)
+        elif e.op == "<":
+            def ev(f):
+                nonlocal fuel
+                if fuel < 1:
+                    raise Fault(_FUEL, pos)
+                fuel -= 1
+                return left(f) < right(f)
+        else:
+            op = _ARITHMETIC[e.op]
+
+            def ev(f):
+                nonlocal fuel
+                if fuel < 1:
+                    raise Fault(_FUEL, pos)
+                fuel -= 1
+                value = op(left(f), right(f))
+                if value < INT_MIN or value > INT_MAX:
+                    raise Fault(_OVERFLOW, pos)
+                return value
+        return ev
+
     def index(e: ArrayIndexExpr):
-        poss, (array, at) = operands(e, (e.array, e.index))
-        n, pos = len(poss), poss[0]
+        array, at, pos = expr(e.array), expr(e.index), e.span.start
 
         def ev(f):
             nonlocal fuel
-            if fuel < n:
-                raise Fault(_FUEL, poss[fuel])
-            fuel -= n
+            if fuel < 1:
+                raise Fault(_FUEL, pos)
+            fuel -= 1
             items = array(f)
             i = at(f)
             if items is None:
@@ -275,14 +226,13 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ev
 
     def length(e: ArrayLengthExpr):
-        poss, (array,) = operands(e, (e.array,))
-        n, pos = len(poss), poss[0]
+        array, pos = expr(e.array), e.span.start
 
         def ev(f):
             nonlocal fuel
-            if fuel < n:
-                raise Fault(_FUEL, poss[fuel])
-            fuel -= n
+            if fuel < 1:
+                raise Fault(_FUEL, pos)
+            fuel -= 1
             items = array(f)
             if items is None:
                 raise Fault(_NULL, pos)
@@ -290,14 +240,13 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ev
 
     def new_array(e: NewArrayExpr):
-        poss, (size,) = operands(e, (e.length,))
-        n, pos = len(poss), poss[0]
+        size, pos = expr(e.length), e.span.start
 
         def ev(f):
             nonlocal fuel
-            if fuel < n:
-                raise Fault(_FUEL, poss[fuel])
-            fuel -= n
+            if fuel < 1:
+                raise Fault(_FUEL, pos)
+            fuel -= 1
             k = size(f)
             if k < 0:
                 raise Fault(_NEGATIVE, pos)
@@ -321,14 +270,14 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ev
 
     def call(e: CallExpr):
-        poss, (receiver, *args) = operands(e, (e.receiver, *e.args))
-        n, pos, name = len(poss), poss[0], e.method
+        receiver, args = expr(e.receiver), tuple(expr(arg) for arg in e.args)
+        pos, name = e.span.start, e.method
 
         def ev(f):
             nonlocal fuel
-            if fuel < n:
-                raise Fault(_FUEL, poss[fuel])
-            fuel -= n
+            if fuel < 1:
+                raise Fault(_FUEL, pos)
+            fuel -= 1
             this = receiver(f)
             frame = [this]
             for arg in args:
@@ -342,9 +291,11 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
             return result(frame)
         return ev
 
-    expressions = {ArrayIndexExpr: index, ArrayLengthExpr: length,
-                    NewArrayExpr: new_array, NewObjectExpr: new_object,
-                    CallExpr: call}
+    expressions = {IntLitExpr: literal, BoolLitExpr: literal, IdentExpr: ident,
+                   ThisExpr: this_, NotExpr: not_, BinaryExpr: binary,
+                   ArrayIndexExpr: index, ArrayLengthExpr: length,
+                   NewArrayExpr: new_array, NewObjectExpr: new_object,
+                   CallExpr: call}
 
     # -- statements ---------------------------------------------------------
 
@@ -365,15 +316,14 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ex
 
     def if_(s: IfStmt):
-        poss, (cond,) = operands(s, (s.cond,))
-        n = len(poss)
+        cond, pos = expr(s.cond), s.span.start
         then, else_ = stmt(s.then_branch), stmt(s.else_branch)
 
         def ex(f):
             nonlocal fuel
-            if fuel < n:
-                raise Fault(_FUEL, poss[fuel])
-            fuel -= n
+            if fuel < 1:
+                raise Fault(_FUEL, pos)
+            fuel -= 1
             if cond(f):
                 then(f)
             else:
@@ -383,66 +333,61 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
     def while_(s: WhileStmt):
         # the statement's unit on entry and the one it pays after each
         # pass through the body both come just before the condition
-        poss, (cond,) = operands(s, (s.cond,))
-        n = len(poss)
-        body = stmt(s.body)
+        cond, body, pos = expr(s.cond), stmt(s.body), s.span.start
 
         def ex(f):
             nonlocal fuel
             while True:
-                if fuel < n:
-                    raise Fault(_FUEL, poss[fuel])
-                fuel -= n
+                if fuel < 1:
+                    raise Fault(_FUEL, pos)
+                fuel -= 1
                 if not cond(f):
                     return
                 body(f)
         return ex
 
     def print_(s: PrintStmt):
-        poss, (value,) = operands(s, (s.value,))
-        n = len(poss)
+        value, pos = expr(s.value), s.span.start
 
         def ex(f):
             nonlocal fuel
-            if fuel < n:
-                raise Fault(_FUEL, poss[fuel])
-            fuel -= n
+            if fuel < 1:
+                raise Fault(_FUEL, pos)
+            fuel -= 1
             emit(value(f))
         return ex
 
     def assign(s: AssignStmt):
-        poss, (value,) = operands(s, (s.value,))
-        n = len(poss)
+        value, pos = expr(s.value), s.span.start
         if s.binding.kind == "field":
             index = field_index[s.binding.decl_class, s.name]
 
             def ex(f):
                 nonlocal fuel
-                if fuel < n:
-                    raise Fault(_FUEL, poss[fuel])
-                fuel -= n
+                if fuel < 1:
+                    raise Fault(_FUEL, pos)
+                fuel -= 1
                 f[0][index] = value(f)
         else:
             slot = slots[s.name]
 
             def ex(f):
                 nonlocal fuel
-                if fuel < n:
-                    raise Fault(_FUEL, poss[fuel])
-                fuel -= n
+                if fuel < 1:
+                    raise Fault(_FUEL, pos)
+                fuel -= 1
                 f[slot] = value(f)
         return ex
 
     def array_assign(s: ArrayAssignStmt):
         array = variable(s.name, s.binding)
-        poss, (at, value) = operands(s, (s.index, s.value))
-        n, pos = len(poss), poss[0]
+        at, value, pos = expr(s.index), expr(s.value), s.span.start
 
         def ex(f):
             nonlocal fuel
-            if fuel < n:
-                raise Fault(_FUEL, poss[fuel])
-            fuel -= n
+            if fuel < 1:
+                raise Fault(_FUEL, pos)
+            fuel -= 1
             items = array(f)
             i = at(f)
             v = value(f)

@@ -13,7 +13,7 @@ from mj2ml.cli import main
 from mj2ml.mjast import CallExpr, Expr, Stmt
 from mj2ml.mlast import validate_core
 from mj2ml.mlprint import print_ml_program
-from mj2ml.outcome import MAX_NESTING, extra_frames
+from mj2ml.outcome import MAX_NESTING, RunOutcome, extra_frames
 from mj2ml.parser import parse_source
 from mj2ml.translate import translate
 
@@ -381,6 +381,26 @@ def test_diff_skips_programs_that_fault_on_the_source_side(tmp_path, capsys):
 def test_diff_counts_unreadable_files_as_failures(tmp_path, capsys):
     assert main(["diff", str(tmp_path / "ghost.java")]) == 3
     assert "error" in capsys.readouterr().out
+
+
+def test_diff_and_check_say_why_each_failed_row_failed_on_stderr(
+        tmp_path, corpus_dir, negative_dir, capsys):
+    assert main(["diff", str(negative_dir / "type_cycle.java"),
+                 str(corpus_dir / "Factorial.java"), str(tmp_path / "ghost.java")]) == 3
+    captured = capsys.readouterr()
+    assert "inheritance" not in captured.out and "Errno" not in captured.out
+    ghost, cycle = captured.err.splitlines()
+    assert ghost.startswith("ghost.java: [Errno 2] ")
+    assert cycle == "type_cycle.java: 7:1: inheritance cycle through 'First'"
+
+    with patch("mj2ml.diffharness.eval_program",
+               return_value=(RunOutcome(output=[-1]), None)):
+        assert main(["check", "--count", "2"]) == 3
+    captured = capsys.readouterr()
+    assert "translation printed" not in captured.out
+    assert [line.split(": ")[0] for line in captured.err.splitlines()] == [
+        "seed000", "seed001"]
+    assert captured.err.splitlines()[0].endswith(", translation printed [-1]")
 
 
 def test_diff_rejects_a_directory_without_java_files(tmp_path, capsys):

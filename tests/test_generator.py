@@ -1,3 +1,5 @@
+import hashlib
+
 from mj2ml.diffharness import diff_generated
 from mj2ml.mjast import BinaryExpr, IdentExpr, IntLitExpr, WhileStmt, print_program, walk
 from mj2ml.mjinterp import interpret_mj
@@ -69,3 +71,24 @@ def test_diff_generated_reuses_the_generator_run_only_within_its_fuel():
     full, = diff_generated([0])
     assert full.verdict == "match" and full.mj.steps == steps
     assert full.mj.output == exact.mj.output == interpret_mj(program).output
+
+
+# Generated programs cut mid-run, inside calls, inherited fields and nested
+# `&&` and `!`: one line per seed and cut (one unit short and half the fuel
+# needed) with the fault, fault position, steps and output of the cut run.
+# The programs are parsed from their text, so their nodes have positions.
+FUEL_CUTS_SHA256 = "26bdaf0de042343e123785e835b1b9a3fd6154b3b3ba214bc7a00fc2fe8fab91"
+
+
+def test_generated_runs_cut_at_the_same_node_and_step():
+    lines = []
+    for seed in range(50):
+        program = parse_source(print_program(generate_program(seed, 40)))
+        table = typecheck(program)
+        steps = interpret_mj(program, table).steps
+        for fuel in (steps - 1, steps // 2):
+            out = interpret_mj(program, table, fuel=fuel)
+            lines.append(f"{seed} {fuel} {out.fault.value} {out.fault_pos} "
+                         f"{out.steps} {out.output}")
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == FUEL_CUTS_SHA256, text
