@@ -14,11 +14,18 @@ refinements: a `let` is one closure that runs its declarations in a
 loop, and a pure subtree (variables and constants, and tuples and
 constructors of them) is one getter that charges no fuel: its parent,
 or a closure around the getter, charges for all of its nodes (see
-Fuel).
+Fuel).  And three shapes that the translated store walks run at every
+step are each one closure, superoperators after Proebsting,
+"Optimizing an ANSI C interpreter with superoperators" (1995): a call
+of a known function (see Calls); a constructor pattern whose items are
+variables, wildcards or tuples of those, such as `(k2, v) :: t`, with no
+nested matcher call; and an `if` whose condition compares pure operands
+(see Fuel).
 
 Frames.  Each activation, that is the top level and every call of an ML
 function, gets one Python list.  Slot 0 holds the parent frame, the one
-the function was defined in, and slot 1 the argument of the call.  Each
+the function was defined in, and slot 1 the argument of the call,
+which is not read when the parameter is a tuple pattern.  Each
 binding occurrence in the function's body (its parameter's variables,
 `val` and `case` bindings, and the names of a local `fun` group) has a
 slot of its own.  The compiler resolves every variable to a (depth,
@@ -30,22 +37,37 @@ failed `case` rule bound is never read by the next rule.  A `fun`
 group, top-level or local, ties its recursive knot by storing its
 closures into slots of the frame they capture.
 
-Tail calls.  An application in tail position, of a function body or of
-a `val` right-hand side, evaluates the function and then the argument,
-only then stores both in the run's pending-call slot, and returns the
+Calls.  An application in tail position, of a function body or of a
+`val` right-hand side, evaluates the function and then the argument,
+makes the callee's frame with its parameter bound, and only then stores
+the pending call, the callee's body and that frame, and returns the
 `_TAIL` marker.  The enclosing trampoline, the `let` or else the
-nearest non-tail application, enters the pending call and repeats until
-a body returns a value.  Translated `while` loops are self-tail-calls,
-so they run in constant Python stack.  A pending (non-tail) ML call
-holds one Python frame for the callee's body and one for each node
-between that body and the call: an `if`, a `case`, a `let`, or a
-node with the call as an operand.  That is 3 frames per call for a
-translated method recursion and for the list helpers that make and
-measure arrays, and 4 for the two that rebuild a list around the call
-(`mj_setnth`, `mj_update`), against 2 for the tree-walking evaluator
-this replaced.  A run has `outcome.RECURSION_LIMIT` Python frames (the
-run model in `outcome`); exceeding it reports FuelExhausted, as running
-out of fuel does.
+nearest non-tail application, runs the pending body on its frame and
+repeats until a body returns a value.  Translated `while` loops are
+self-tail-calls, so they run in constant Python stack.
+
+A call of a name that a `fun` in scope binds is compiled against that
+function's code.  Such a slot is written once, by its group's `define`,
+before any code in its scope runs, so the call site knows the callee,
+and the frame the callee was defined in is the top-level frame or the
+caller's frame a fixed number of activations out.  The call site builds
+the callee's frame `[defining frame, arg, *pad]` itself and reads no
+closure.  When the parameter is a tuple of variables and the argument a
+tuple of the same arity, the items go straight into the parameter's
+slots, `[defining frame, None, *items, *pad]`: no argument tuple is
+built and no matcher runs.  Only a function read from a value, in
+practice a method read from an object, is called through its
+`VClosure`.
+
+A pending (non-tail) ML call holds one Python frame for the callee's
+body and one for each node between that body and the call: an `if`, a
+`case`, a `let`, or a node with the call as an operand.  That is 3
+frames per call for a translated method recursion and for the list
+helpers that make and measure arrays, and 4 for the two that rebuild a
+list around the call (`mj_setnth`, `mj_update`), against 2 for the
+tree-walking evaluator this replaced.  A run has
+`outcome.RECURSION_LIMIT` Python frames (the run model in `outcome`);
+exceeding it reports FuelExhausted, as running out of fuel does.
 
 Fuel.  Every node visit costs one unit of fuel, checked before the
 node's work: a run with fuel N makes at most N visits and then reports
@@ -53,13 +75,17 @@ FuelExhausted, and `RunOutcome.steps` is the number of visits made.  A
 node charges with one check for itself and for the pure children it
 evaluates before any other child, and a pure subtree in any other place
 charges for all of its nodes at once; each raises before any of that
-work when the fuel does not cover all of it.  Reading a pure subtree
-has no effect, so no output, fault or step count can tell this from
-charging the visits one at a time: either way the run stops having
-spent all of its fuel, with the same output.  A `let` is visited once
-per declaration: each `val` and each local `fun` group costs one unit,
-the `let` itself nothing.  Installing the top-level groups costs
-nothing.
+work when the fuel does not cover all of it.  Two nodes share a check
+with a child that is not pure: an `if` whose condition is `<` or `=` of
+pure operands charges for the comparison too, and a known call whose
+tuple argument goes straight into the callee's slots charges for the
+tuple and the tuple's leading pure items.  Reading a pure subtree has
+no effect, and nothing else runs between the visits so merged, so no
+output, fault or step count can tell this from charging the visits one
+at a time: either way the run stops having spent all of its fuel, with
+the same output.  A `let` is visited once per declaration: each `val`
+and each local `fun` group costs one unit, the `let` itself nothing.
+Installing the top-level groups costs nothing.
 
 `=` and `<` are defined on integers; arithmetic outside the 63-bit
 range [-2^62, 2^62 - 1] is an IntegerOverflow fault; a `case` (or a
@@ -133,6 +159,26 @@ class VClosure:
         self.body = body
 
 
+def _plain(pats: tuple[Pat, ...]) -> bool:
+    """Whether every pattern is a variable or a wildcard."""
+    return all(type(p) is PVar or type(p) is PWild for p in pats)
+
+
+class _Fn:
+    """A `fun` as its call sites see it while the program compiles.
+
+    `arity` is the length of its parameter when that is a tuple of
+    variables and wildcards, whose items then take slots 2, 3, ... of
+    the frame, and None otherwise.  `pad`, `bind` and `body` are set,
+    as for VClosure, once the function is compiled."""
+
+    __slots__ = ("arity", "pad", "bind", "body")
+
+    def __init__(self, param: Pat):
+        plain = type(param) is PTuple and _plain(param.items)
+        self.arity = len(param.items) if plain else None
+
+
 def _compile(program: MlProgram, fuel: int, output: list[int]):
     """Compile `program` for one run with `fuel` units (at least 0).
 
@@ -140,19 +186,24 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
     and returns its value (or raises Fault), `fuel_left()` the fuel
     not yet spent.
     """
-    pend_fn = pend_arg = None
+    pend_body = pend_frame = None
+    # The top-level frame, sized once the program is compiled, and every
+    # `fun` compiled, so that the run can break their cycles at its end.
+    top: list = []
+    fns: list[_Fn] = []
 
-    # Compile-time scope: each name maps to a stack of (level, slot)
-    # pairs, innermost last; `free[level]` is the next unused slot of
-    # each open activation, the top level first.
-    scopes: dict[str, list[tuple[int, int]]] = {}
+    # Compile-time scope: each name maps to a stack of (level, slot, fn)
+    # triples, innermost last, `fn` the _Fn of a name a `fun` binds and
+    # else None; `free[level]` is the next unused slot of each open
+    # activation, the top level first.
+    scopes: dict[str, list[tuple[int, int, _Fn | None]]] = {}
     free = [1]
 
-    def declare(name: str | None, bound: list[str]) -> int:
+    def declare(name: str | None, bound: list[str], fn: _Fn | None = None) -> int:
         slot = free[-1]
         free[-1] = slot + 1
         if name is not None:
-            scopes.setdefault(name, []).append((len(free) - 1, slot))
+            scopes.setdefault(name, []).append((len(free) - 1, slot, fn))
             bound.append(name)
         return slot
 
@@ -162,23 +213,57 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
 
     def resolve(name: str) -> tuple[int, int]:
         """(depth, slot) of the innermost binding of `name`."""
-        level, slot = scopes[name][-1]
+        level, slot, _ = scopes[name][-1]
         return len(free) - 1 - level, slot
 
     # -- patterns.  A binder is a slot (a variable), None (a wildcard) or
     # a matcher m(value, frame) that stores the pattern's variables into
     # the frame and returns False when the value does not fit. ----------
 
+    def declare_all(pats: tuple[Pat, ...], bound: list[str]) -> slice:
+        """One slot for each pattern, in order: a variable's own, an
+        unnamed one for anything else."""
+        lo = free[-1]
+        for p in pats:
+            declare(p.name if type(p) is PVar else None, bound)
+        return slice(lo, free[-1])
+
     def binder(pat: Pat, bound: list[str]):
+        """A tuple or constructor pattern matches in one closure: one
+        store binds the items, and an item that is a tuple of variables
+        and wildcards, as in `(k2, v) :: t`, is checked and bound in the
+        same closure.  Only other nested patterns have matchers of their
+        own."""
         cls = type(pat)
         if cls is PVar:
             return declare(pat.name, bound)
         if cls is PWild:
             return None
         if cls is PTuple:
-            n = len(pat.items)
-            subs = sequence(pat.items, bound)
-            if type(subs) is slice:
+            pats, name = pat.items, None
+        elif cls is PCon:
+            pats, name = pat.args, pat.name
+            if name == "true":
+                return lambda v, f: v is True
+            if name == "false":
+                return lambda v, f: v is False
+            if not pats:
+                return lambda v, f: type(v) is VCon and v.name == name and not v.args
+        else:
+            raise AssertionError(f"unhandled pattern {cls.__name__}")
+        n = len(pats)
+        subs = declare_all(pats, bound)
+        # (index, slice, arity) for an item that is a tuple of variables,
+        # (index, matcher, None) for any other item that is not one
+        nested = []
+        for i, p in enumerate(pats):
+            if type(p) is PTuple and _plain(p.items):
+                nested.append((i, declare_all(p.items, bound), len(p.items)))
+            elif type(p) is not PVar and type(p) is not PWild:
+                nested.append((i, matcher(p, bound), None))
+        nested = tuple(nested)
+        if not nested:
+            if name is None:
                 def m(v, f):
                     if type(v) is tuple and len(v) == n:
                         f[subs] = v
@@ -186,55 +271,33 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                     return False
             else:
                 def m(v, f):
-                    if type(v) is not tuple or len(v) != n:
-                        return False
-                    for b, x in zip(subs, v):
-                        if type(b) is int:
-                            f[b] = x
-                        elif b is not None and not b(x, f):
-                            return False
-                    return True
-            return m
-        if cls is PCon:
-            name = pat.name
-            if name == "true":
-                return lambda v, f: v is True
-            if name == "false":
-                return lambda v, f: v is False
-            n = len(pat.args)
-            if n == 0:
-                return lambda v, f: type(v) is VCon and v.name == name and not v.args
-            subs = sequence(pat.args, bound)
-            if type(subs) is slice:
-                def m(v, f):
                     if type(v) is VCon and v.name == name and len(v.args) == n:
                         f[subs] = v.args
                         return True
                     return False
-            else:
-                def m(v, f):
-                    if type(v) is not VCon or v.name != name or len(v.args) != n:
-                        return False
-                    for b, x in zip(subs, v.args):
-                        if type(b) is int:
-                            f[b] = x
-                        elif b is not None and not b(x, f):
-                            return False
-                    return True
             return m
-        raise AssertionError(f"unhandled pattern {cls.__name__}")
 
-    def sequence(pats: tuple[Pat, ...], bound: list[str]):
-        """Binders for the items of a tuple or constructor pattern: one
-        slice of the frame when every item is a variable or a wildcard
-        (each gets a slot, so one store binds them all), else a tuple of
-        binders."""
-        if all(type(p) is PVar or type(p) is PWild for p in pats):
-            lo = free[-1]
-            for p in pats:
-                declare(p.name if type(p) is PVar else None, bound)
-            return slice(lo, lo + len(pats))
-        return tuple(binder(p, bound) for p in pats)
+        def m(v, f):
+            if name is not None:
+                if type(v) is not VCon or v.name != name:
+                    return False
+                v = v.args
+            elif type(v) is not tuple:
+                return False
+            if len(v) != n:
+                return False
+            for i, inner, k in nested:
+                x = v[i]
+                if k is None:
+                    if not inner(x, f):
+                        return False
+                elif type(x) is tuple and len(x) == k:
+                    f[inner] = x
+                else:
+                    return False
+            f[subs] = v
+            return True
+        return m
 
     def matcher(pat: Pat, bound: list[str]):
         """`binder`, always as a matcher."""
@@ -344,7 +407,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         if cls is Let:
             return let(e, tail)
         if cls is App:
-            return app(e, tail)
+            return app(e) if tail else settle(app(e))
         if cls is If:
             return if_(e, tail)
         if cls is Case:
@@ -395,12 +458,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                 fuel -= cost
                 v = rhs(f)
                 while v is _TAIL:
-                    c = pend_fn
-                    a = pend_arg
-                    frame = [c.env, a, *c.pad]
-                    if c.bind is not None and not c.bind(a, frame):
-                        raise Fault(_MATCH)
-                    v = c.body(frame)
+                    v = pend_body(pend_frame)
                 if type(bind) is int:
                     f[bind] = v
                 elif bind is not None and not bind(v, f):
@@ -413,87 +471,169 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         its functions, top-level or local.  Returns `define(frame)`, which
         stores the group's closures, each capturing `frame`, into their
         slots: the recursive knot."""
-        slots = [declare(fd.name, bound) for fd in funs]
-        compiled = tuple((slot, *function(fd)) for slot, fd in zip(slots, funs))
+        known = [_Fn(fd.param) for fd in funs]
+        slots = [declare(fd.name, bound, fn) for fd, fn in zip(funs, known)]
+        for fd, fn in zip(funs, known):
+            function(fd, fn)
+        fns.extend(known)
+        compiled = tuple((slot, fn.pad, fn.bind, fn.body) for slot, fn in zip(slots, known))
 
         def define(f):
             for slot, pad, bind, body in compiled:
                 f[slot] = VClosure(f, pad, bind, body)
         return define
 
-    def function(fd: FunDef) -> tuple:
-        """(pad, bind, body) for VClosure; compiled as a new activation."""
+    def function(fd: FunDef, fn: _Fn) -> None:
+        """Compile `fd` into `fn`, as a new activation."""
         free.append(1)
         bound: list[str] = []
         if type(fd.param) is PVar:
             declare(fd.param.name, bound)
-            bind = None
+            fn.bind = None
         else:
             declare(None, bound)
-            bind = binder(fd.param, bound)
-        body = expr(fd.body, True)
+            fn.bind = binder(fd.param, bound)
+        fn.body = expr(fd.body, True)
         forget(bound)
-        size = free.pop()
-        return (None,) * (size - 2), bind, body
+        fn.pad = (None,) * (free.pop() - 2)
 
-    def app(e: App, tail: bool):
-        (func, arg), extra = operands((e.func, e.arg))
-        cost = 1 + extra
-        if tail:
+    def app(e: App):
+        """An application, compiled for tail position: it charges, stores
+        the call as the pending (body, frame) pair and returns `_TAIL`.
+        A call of a `fun` in scope builds the callee's frame itself (see
+        Calls); any other goes through `call`."""
+        func, arg = e.func, e.arg
+        fn = None
+        if type(func) is Var:
+            level, _, fn = scopes[func.name][-1]
+        if fn is None:
+            return call(e)
+        up = None if level == 0 else ancestor(len(free) - 1 - level)
+        if type(arg) is Tuple and len(arg.items) == fn.arity:
+            (_, *items), extra = operands((func, *arg.items))
+            cost = 2 + extra
+            part = pure(arg)
+            get = tuple_of(items) if part is None else part[0]
+
             def ev(f):
-                nonlocal fuel, pend_fn, pend_arg
+                nonlocal fuel, pend_body, pend_frame
                 if fuel < cost:
                     raise Fault(_FUEL)
                 fuel -= cost
-                c = func(f)
-                a = arg(f)
-                if type(c) is VClosure:
-                    pend_fn = c
-                    pend_arg = a
-                    return _TAIL
-                if c is _PRINT:
-                    output.append(a)
-                    return UNIT
-                raise Fault(_MATCH)
+                pend_frame = [top if up is None else up(f), None, *get(f), *fn.pad]
+                pend_body = fn.body
+                return _TAIL
             return ev
+        (_, get), extra = operands((func, arg))
+        cost = 1 + extra
 
         def ev(f):
-            nonlocal fuel
+            nonlocal fuel, pend_body, pend_frame
+            if fuel < cost:
+                raise Fault(_FUEL)
+            fuel -= cost
+            a = get(f)
+            frame = [top if up is None else up(f), a, *fn.pad]
+            if fn.bind is not None and not fn.bind(a, frame):
+                raise Fault(_MATCH)
+            pend_body = fn.body
+            pend_frame = frame
+            return _TAIL
+        return ev
+
+    def ancestor(depth: int):
+        """Getter of the frame `depth` activations out from the current one."""
+        if depth == 0:
+            return lambda f: f
+        if depth == 1:
+            return itemgetter(0)
+
+        def up(f):
+            for _ in range(depth):
+                f = f[0]
+            return f
+        return up
+
+    def call(e: App):
+        """An application of whatever closure the function evaluates to,
+        or of mj_print."""
+        (func, arg), extra = operands((e.func, e.arg))
+        cost = 1 + extra
+
+        def ev(f):
+            nonlocal fuel, pend_body, pend_frame
             if fuel < cost:
                 raise Fault(_FUEL)
             fuel -= cost
             c = func(f)
             a = arg(f)
-            if type(c) is not VClosure:
-                if c is _PRINT:
-                    output.append(a)
-                    return UNIT
-                raise Fault(_MATCH)
-            while True:
+            if type(c) is VClosure:
                 frame = [c.env, a, *c.pad]
                 if c.bind is not None and not c.bind(a, frame):
                     raise Fault(_MATCH)
-                v = c.body(frame)
-                if v is not _TAIL:
-                    return v
-                c = pend_fn
-                a = pend_arg
+                pend_body = c.body
+                pend_frame = frame
+                return _TAIL
+            if c is _PRINT:
+                output.append(a)
+                return UNIT
+            raise Fault(_MATCH)
+        return ev
+
+    def settle(enter):
+        """The trampoline of an application outside tail position: run
+        `enter`, its closure for tail position, then each pending call,
+        until a body returns a value."""
+        def ev(f):
+            v = enter(f)
+            while v is _TAIL:
+                v = pend_body(pend_frame)
+            return v
         return ev
 
     def if_(e: If, tail: bool):
-        (cond,), extra = operands((e.cond,))
-        cost = 1 + extra
+        """An `if`.  One whose condition is `<` or `=` of pure operands
+        is one closure that charges for itself and for the comparison
+        with one check: nothing can print or fault between those visits."""
+        cond = e.cond
+        compare = type(cond) is PrimOp and cond.op in ("<", "=")
+        parts = [pure(x) for x in cond.args] if compare else [None]
+        fused = None not in parts
+        if fused:
+            (a, na, _), (b, nb, _) = parts
+            cost = 2 + na + nb
+        else:
+            (test,), extra = operands((cond,))
+            cost = 1 + extra
         then = expr(e.then, tail)
         orelse = expr(e.orelse, tail)
-
-        def ev(f):
-            nonlocal fuel
-            if fuel < cost:
-                raise Fault(_FUEL)
-            fuel -= cost
-            if cond(f):
-                return then(f)
-            return orelse(f)
+        if not fused:
+            def ev(f):
+                nonlocal fuel
+                if fuel < cost:
+                    raise Fault(_FUEL)
+                fuel -= cost
+                if test(f):
+                    return then(f)
+                return orelse(f)
+        elif cond.op == "<":
+            def ev(f):
+                nonlocal fuel
+                if fuel < cost:
+                    raise Fault(_FUEL)
+                fuel -= cost
+                if a(f) < b(f):
+                    return then(f)
+                return orelse(f)
+        else:
+            def ev(f):
+                nonlocal fuel
+                if fuel < cost:
+                    raise Fault(_FUEL)
+                fuel -= cost
+                if a(f) == b(f):
+                    return then(f)
+                return orelse(f)
         return ev
 
     def case(e: Case, tail: bool):
@@ -610,19 +750,22 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
     print_slot = declare("mj_print", top)
     groups = [group(funs, top) for funs in program.fun_groups]
     main = expr(program.main, False)
-    frame: list = [None] * free[0]
+    top.extend([None] * free[0])
 
     def run():
-        nonlocal pend_fn, pend_arg
-        frame[print_slot] = _PRINT
+        nonlocal pend_body, pend_frame
+        top[print_slot] = _PRINT
         for define in groups:
-            define(frame)
+            define(top)
         try:
-            return main(frame)
+            return main(top)
         finally:
-            # break the frame <-> closure cycles so the run's memory goes now
-            frame.clear()
-            pend_fn = pend_arg = None
+            # break the frame <-> closure and code <-> call site cycles so
+            # the run's memory goes now
+            top.clear()
+            pend_body = pend_frame = None
+            for fn in fns:
+                fn.body = None
 
     def fuel_left() -> int:
         return fuel

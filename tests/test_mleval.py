@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from mj2ml.diffharness import diff_source
@@ -24,6 +26,7 @@ from mj2ml.mlast import (
 from mj2ml.mleval import VCon, alloc_order, eval_program
 from mj2ml.outcome import FaultKind
 from mj2ml.parser import parse_source
+from mj2ml.randgen import generate_program
 from mj2ml.sema import typecheck
 from mj2ml.translate import translate
 
@@ -192,6 +195,62 @@ def test_tail_call_whose_argument_makes_calls():
     assert out.ok and val == 0
 
 
+def add(a, b):
+    return PrimOp("+", (a, b))
+
+
+# `fun f x = x + 1`, `fun g x = x * 2`, and three shapes of `fun f`
+INC = FunDef("f", PVar("x"), add(Var("x"), IntLit(1)))
+DOUBLE = FunDef("g", PVar("x"), PrimOp("*", (Var("x"), IntLit(2))))
+FIRST = FunDef("f", PTuple((PVar("a"), PVar("b"))), Var("a"))
+SUM = FunDef("f", PTuple((PVar("a"), PVar("b"))), add(Var("a"), Var("b")))
+TWICE = FunDef("f", PVar("x"), add(Var("x"), Var("x")))
+
+
+@pytest.mark.parametrize("main, groups, expected", [
+    # let val f = g in f 1 end: the call reads the `val`, not the `fun`
+    (Let((Val(PVar("f"), Var("g")),), App(Var("f"), IntLit(1))),
+     ((INC,), (DOUBLE,)), (2, None, 8)),
+    # a local `fun f x` shadows the top-level `fun f (a, b)`
+    (Let(((FunDef("f", PVar("x"), PrimOp("*", (Var("x"), IntLit(2)))),),),
+         App(Var("f"), IntLit(3))),
+     ((SUM,),), (6, None, 7)),
+    # a 3-tuple for a 2-tuple parameter fails to match after the charge
+    (App(Var("f"), Tuple((IntLit(1), IntLit(2), IntLit(3)))),
+     ((FIRST,),), (None, FaultKind.MATCH_FAILURE, 6)),
+    # a tuple passed through a variable
+    (Let((Val(PVar("p"), Tuple((IntLit(1), IntLit(2)))),), App(Var("f"), Var("p"))),
+     ((FIRST,),), (1, None, 8)),
+    # a `fun` called through a `val` alias
+    (Let((Val(PVar("h"), Var("f")),), App(Var("h"), IntLit(2))),
+     ((TWICE,),), (4, None, 8)),
+    # a known call outside tail position
+    (add(IntLit(1), App(Var("f"), IntLit(9))), ((INC,),), (11, None, 8)),
+], ids=["val-rebinds-fun", "local-fun-shadows", "arity-mismatch", "tuple-in-variable",
+        "val-alias", "non-tail"])
+def test_calls_of_known_functions_keep_values_faults_and_steps(main, groups, expected):
+    out, val = run(main, fun_groups=groups)
+    assert (val, out.fault, out.steps) == expected
+
+
+def test_known_calls_reach_the_frames_their_functions_were_defined_in():
+    # fun top _ = 100
+    # fun outer n = let fun inner m = if m < 1 then n + top 0 else inner (m - 1)
+    #               in inner 3 end
+    # inner reads outer's n one activation out, calls itself from its own
+    # body and is called from outer's, and calls top, defined at the top
+    # level, from two activations below it
+    inner = FunDef("inner", PVar("m"),
+                   If(PrimOp("<", (Var("m"), IntLit(1))),
+                      add(Var("n"), App(Var("top"), IntLit(0))),
+                      App(Var("inner"), PrimOp("-", (Var("m"), IntLit(1))))))
+    outer = FunDef("outer", PVar("n"), Let(((inner,),), App(Var("inner"), IntLit(3))))
+    top = FunDef("top", PWild(), IntLit(100))
+    out, val = run(add(App(Var("outer"), IntLit(7)), App(Var("outer"), IntLit(5))),
+                   fun_groups=((top,), (outer,)))
+    assert out.ok and val == 212
+
+
 # Fuel used on each side for the corpus, as the tree-walking evaluator
 # charged it: one unit per ML node visited, one per MiniJava statement
 # and expression.  A change to how either interpreter charges fuel shows
@@ -282,3 +341,17 @@ def test_both_sides_finish_a_5000_deep_method_recursion():
     result = diff_source("Down.java", DOWN % 5000)
     assert result.verdict == "match"
     assert result.mj.output == result.ml.output == [5000]
+
+
+# ML-side steps of generated programs at 100 000 fuel, one line per seed
+# 0..49 with the fault, steps and output; 48 of the 50 runs finish.
+GENERATED_ML_STEPS_SHA256 = "083072e34c834ecbe75f63ef2c12b04bc0d503c0a87b1039fd2d8f6fd53a3508"
+
+
+def test_generated_programs_take_the_pinned_ml_steps():
+    lines = []
+    for seed in range(50):
+        out, _ = eval_program(translate(generate_program(seed, 40)), fuel=100_000)
+        lines.append(f"{seed} {out.fault.value if out.fault else 'ok'} {out.steps} {out.output}")
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_ML_STEPS_SHA256, text
