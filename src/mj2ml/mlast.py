@@ -10,8 +10,9 @@ exceptions, strings, or records.  Booleans are the usual constructors
 ``true``/``false``; lists and options use the builtin ``nil``/``::``/
 ``NONE``/``SOME``.
 
-Types (`Ty*`) appear only in datatype declarations; expressions are
-untyped here and checked structurally by `validate_core`.
+Types (`Ty*`) appear only in datatype declarations, which may take type
+parameters (`TyVar`); expressions are untyped here and checked
+structurally by `validate_core`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ class MlType:
 
 @dataclass(frozen=True)
 class TyName(MlType):
+    name: str
+
+
+@dataclass(frozen=True)
+class TyVar(MlType):
+    """A type parameter of a datatype: TyVar('a') is 'a."""
     name: str
 
 
@@ -166,6 +173,7 @@ class Case(MlExpr):
 
 @dataclass(frozen=True)
 class DataCon:
+    """A constructor; one whose argument is unit is nullary."""
     name: str
     arg: MlType
 
@@ -178,8 +186,11 @@ class DataCon:
 
 @dataclass(frozen=True)
 class DataType:
+    """datatype params name = cons: `params` are the names of its type
+    variables, which its constructors' types refer to as `TyVar`s."""
     name: str
     cons: tuple[DataCon, ...]
+    params: tuple[str, ...] = ()
 
 
 @dataclass
@@ -205,7 +216,10 @@ BUILTIN_CON_ARITIES = {
     "false": 0,
 }
 
-PRIM_OPS = {"+": 2, "-": 2, "*": 2, "<": 2, "=": 2}
+# `div` and `mod` round towards negative infinity, as in SML; the core
+# fragment only divides by positive literals, so they cannot fault.
+PRIM_OPS = {"+": 2, "-": 2, "*": 2, "div": 2, "mod": 2, "<": 2, "=": 2}
+DIVISIONS = frozenset({"div", "mod"})
 
 # Names the runtime provides without a definition in the program.
 RUNTIME_VARS = frozenset({"mj_print"})
@@ -312,6 +326,9 @@ class _Validator:
             elif arity != len(e.args):
                 self.flag(path, f"primitive '{e.op}' takes {arity} "
                                 f"argument(s), got {len(e.args)}")
+            elif e.op in DIVISIONS and not (type(e.args[1]) is IntLit
+                                            and e.args[1].value > 0):
+                self.flag(path, f"'{e.op}' by something other than a positive literal")
             for i, sub in enumerate(e.args):
                 self.expr(sub, f"{path}/{e.op}.{i}")
         elif isinstance(e, If):
@@ -348,7 +365,8 @@ class _Validator:
 
 def validate_core(program: MlProgram) -> list[Violation]:
     """Structural check: core nodes only, known constructors and primitives
-    at the right arities, no unbound variables, no 1-tuples; within
+    at the right arities, `div` and `mod` only by positive literals, no
+    unbound variables, no 1-tuples; within
     `outcome.COMPILE_FRAMES` frames, which any translation fits."""
     con_arities = dict(BUILTIN_CON_ARITIES)
     checker = _Validator(con_arities)

@@ -11,16 +11,17 @@ takes the current frame and returns its node's value, calling its
 children's closures; no node of the tree is inspected while the program
 runs.  The closures are built for one run and dropped with it.  Two
 refinements: a `let` is one closure that runs its declarations in a
-loop, and a pure subtree (variables and constants, and tuples and
-constructors of them) is one getter that charges no fuel: its parent,
+loop, and a pure subtree (variables and constants, tuples and
+constructors of them, and `div` or `mod` of them by a positive literal)
+is one getter that charges no fuel: its parent,
 or a closure around the getter, charges for all of its nodes (see
-Fuel).  And three shapes that the translated store walks run at every
+Fuel).  And three shapes that translated code runs at nearly every
 step are each one closure, superoperators after Proebsting,
 "Optimizing an ANSI C interpreter with superoperators" (1995): a call
-of a known function (see Calls); a constructor pattern whose items are
-variables, wildcards or tuples of those, such as `(k2, v) :: t`, with no
-nested matcher call; and an `if` whose condition compares pure operands
-(see Fuel).
+of a known function (see Calls); a tuple or constructor pattern whose
+items are variables, wildcards or tuples of those, such as the
+`((n, h), k)` parameter of the store helpers, with no nested matcher
+call; and an `if` whose condition compares pure operands (see Fuel).
 
 Frames.  Each activation, that is the top level and every call of an ML
 function, gets one Python list.  Slot 0 holds the parent frame, the one
@@ -62,10 +63,11 @@ practice a method read from an object, is called through its
 A pending (non-tail) ML call holds one Python frame for the callee's
 body and one for each node between that body and the call: an `if`, a
 `case`, a `let`, or a node with the call as an operand.  That is 3
-frames per call for a translated method recursion and for the list
-helpers that make and measure arrays, and 4 for the two that rebuild a
-list around the call (`mj_setnth`, `mj_update`), against 2 for the
-tree-walking evaluator this replaced.  A run has
+frames per call for a translated method recursion, against 2 for the
+tree-walking evaluator this replaced.  The store's helpers (`translate`'s
+prelude) that are not tail-recursive, `mj_cons`, `mj_set` and the
+`mj_length` walk, recurse once per level of a Braun tree, O(log n) deep
+for n cells, so only method recursion comes near the limit.  A run has
 `outcome.RECURSION_LIMIT` Python frames (the run model in `outcome`);
 exceeding it reports FuelExhausted, as running out of fuel does.
 
@@ -87,7 +89,9 @@ the same output.  A `let` is visited once per declaration: each `val`
 and each local `fun` group costs one unit, the `let` itself nothing.
 Installing the top-level groups costs nothing.
 
-`=` and `<` are defined on integers; arithmetic outside the 63-bit
+`=` and `<` are defined on integers; `div` and `mod` round towards
+negative infinity, and `validate_core` admits them only with a positive
+literal divisor; arithmetic outside the 63-bit
 range [-2^62, 2^62 - 1] is an IntegerOverflow fault; a `case` (or a
 binding pattern) that no rule matches is a MatchFailure fault.
 """
@@ -95,10 +99,11 @@ binding pattern) that no rule matches is a MatchFailure fault.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, itemgetter, mul, sub
+from operator import add, floordiv, itemgetter, mod, mul, sub
 
 from .mjast import INT_MAX, INT_MIN
 from .mlast import (
+    DIVISIONS,
     App,
     Case,
     Con,
@@ -231,7 +236,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
     def binder(pat: Pat, bound: list[str]):
         """A tuple or constructor pattern matches in one closure: one
         store binds the items, and an item that is a tuple of variables
-        and wildcards, as in `(k2, v) :: t`, is checked and bound in the
+        and wildcards, as in `((n, h), k)`, is checked and bound in the
         same closure.  Only other nested patterns have matchers of their
         own."""
         cls = type(pat)
@@ -312,9 +317,10 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         return b
 
     # -- pure nodes: variables and constants, and tuples and constructors
-    # of them.  Evaluating one cannot fault or print, so a pure subtree
-    # compiles to a getter g(frame) that charges no fuel; its parent
-    # charges for its nodes. ------------------------------------------------
+    # of them, and `div` and `mod` of them by positive literals, such as
+    # the `i div 2` of a walk down the store.  Evaluating one cannot fault
+    # or print, so a pure subtree compiles to a getter g(frame) that
+    # charges no fuel; its parent charges for its nodes. ---------------------
 
     def pure(e: MlExpr):
         """(getter, node count, slot) when `e` is pure, else None; `slot`
@@ -337,6 +343,8 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         if cls is IntLit:
             value = e.value
             return (lambda f: value), 1, None
+        if cls is PrimOp:
+            return division(e)
         if cls is Tuple:
             items = e.items
         elif cls is Con:
@@ -362,6 +370,21 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             return get, count, None
         name = e.name
         return (lambda f: VCon(name, get(f))), count, None
+
+    def division(e: PrimOp):
+        """`pure` of a `div` or `mod`: one of a pure dividend by a
+        positive literal cannot fault."""
+        dividend, divisor = e.args
+        if e.op not in DIVISIONS or type(divisor) is not IntLit or divisor.value < 1:
+            return None
+        part = pure(dividend)
+        if part is None:
+            return None
+        get, n, _ = part
+        d = divisor.value
+        if e.op == "div":
+            return (lambda f: get(f) // d), n + 2, None
+        return (lambda f: get(f) % d), n + 2, None
 
     def tuple_of(getters: list):
         if not getters:
@@ -690,7 +713,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                 fuel -= cost
                 return a(f) == b(f)
         else:
-            arith = {"+": add, "-": sub, "*": mul}[op]
+            arith = {"+": add, "-": sub, "*": mul, "div": floordiv, "mod": mod}[op]
 
             def ev(f):
                 nonlocal fuel
@@ -773,19 +796,34 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
     return run, fuel_left
 
 
-def alloc_order(state_value: object) -> list[int]:
-    """Pointers in allocation order, read off a final (counter, heap) state.
+def _tree_items(tree: object) -> list:
+    """The items of a Braun tree in index order: the root, then the left
+    and right subtrees' items interleaved (indices 2j+1 and 2j+2)."""
+    if tree == VCon("Lf"):
+        return []
+    x, left, right = tree.args
+    left, right = _tree_items(left), _tree_items(right)
+    items = [x] * (1 + len(left) + len(right))
+    items[1::2], items[2::2] = left, right
+    return items
 
-    The heap conses new cells onto the front, so reversing the key list
-    recovers the order in which they were allocated.
+
+def heap_cells(state_value: object) -> list[tuple[int, object]]:
+    """The (pointer, value) cells of a final (counter, heap) state, in
+    allocation order.
+
+    The heap holds pointer k at index n - 1 - k of its Braun tree, n the
+    counter, so the newest cell is the root.
     """
     assert type(state_value) is tuple and len(state_value) == 2
-    _, heap = state_value
-    keys = []
-    while isinstance(heap, VCon) and heap.name == "::":
-        pair, heap = heap.args
-        keys.append(pair[0])
-    return list(reversed(keys))
+    n, heap = state_value
+    items = _tree_items(heap)
+    return [(n - 1 - i, items[i]) for i in reversed(range(len(items)))]
+
+
+def alloc_order(state_value: object) -> list[int]:
+    """Pointers in allocation order, read off a final (counter, heap) state."""
+    return [k for k, _ in heap_cells(state_value)]
 
 
 def eval_program(program: MlProgram, fuel: int = DEFAULT_FUEL,

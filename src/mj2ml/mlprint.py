@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from ._version import __version__
 from .mlast import (
+    TY_UNIT,
     App,
     Case,
     Con,
@@ -37,6 +38,7 @@ from .mlast import (
     TyArrow,
     TyName,
     TyTuple,
+    TyVar,
     Val,
     Var,
 )
@@ -54,7 +56,8 @@ _L_MUL = 4      # *
 _L_APP = 5      # application
 _L_ATOM = 6
 
-_OP_LEVEL = {"=": _L_CMP, "<": _L_CMP, "+": _L_ADD, "-": _L_ADD, "*": _L_MUL}
+_OP_LEVEL = {"=": _L_CMP, "<": _L_CMP, "+": _L_ADD, "-": _L_ADD,
+             "*": _L_MUL, "div": _L_MUL, "mod": _L_MUL}
 
 _SINGLE_LINE_LIMIT = 72
 
@@ -72,6 +75,8 @@ def _paren(text: str) -> str:
 def print_type(ty: MlType, level: int = 0) -> str:
     if isinstance(ty, TyName):
         return ty.name
+    if isinstance(ty, TyVar):
+        return "'" + ty.name
     if isinstance(ty, TyApp):
         return f"{print_type(ty.arg, 2)} {ty.base}"
     if isinstance(ty, TyTuple):
@@ -220,10 +225,14 @@ def _print_fun(f: FunDef, ind: str, keyword: str) -> str:
 # -- declarations -------------------------------------------------------------------
 
 def _print_datatype(dt: DataType, keyword: str) -> str:
-    lines = [f"{keyword} {dt.name} ="]
+    params = [print_type(TyVar(p)) for p in dt.params]
+    if len(params) > 1:
+        params = ["(" + ", ".join(params) + ")"]
+    lines = [" ".join([keyword, *params, dt.name, "="])]
     for i, con in enumerate(dt.cons):
         lead = "    " if i == 0 else "  | "
-        lines.append(f"{lead}{con.name} of {print_type(con.arg, 1)}")
+        arg = "" if con.arg == TY_UNIT else f" of {print_type(con.arg, 1)}"
+        lines.append(f"{lead}{con.name}{arg}")
     return "\n".join(lines)
 
 

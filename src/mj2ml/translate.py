@@ -2,10 +2,18 @@
 
 The generated program threads a heap value through every computation
 instead of using mutable state.  A state is a pair
-``(next pointer, heap)`` where the heap is an association list from
-integer pointers to ``heapval``s; allocation conses onto the front and
-hands out pointers 0, 1, 2, ...  Null is the pointer -1, which is never
-in the heap, so dereferencing it fails the lookup's match.
+``(next pointer, heap)``; allocation hands out pointers 0, 1, 2, ...
+The heap, and each array (``HArr`` of its elements), is a Braun tree
+used as a flexible array (Okasaki, *Purely Functional Data Structures*,
+1998, 10.1.2; Braun and Rem, 1983): index 0 is the root, index 2j+1 is
+index j of the left subtree and 2j+2 index j of the right.  Reading or
+writing an index takes O(log n) steps, and so does consing a new index 0
+onto the front, which shifts every other index up by one.  Allocation
+conses, so pointer k is at index n-1-k of an n-cell heap and the newest
+object, the one most likely to be used next, is the root.  Array
+element i is at index i.  Null is the pointer -1, index n, and like any
+array index outside 0 .. length-1 its walk ends in an empty subtree,
+where the helpers have no rule: the program faults with a failed match.
 
 Objects are nested tuples.  For each root class R the heap carries
 ``HObj_R`` of R's level tuple: the method slots introduced by R, then
@@ -35,13 +43,14 @@ Each of these decisions is written once.  `_Ctx` holds the ANF binders
 and the state threading: `bind` for an intermediate value, `bind_state`
 for the (state, value) of a call that returns a new state, and
 `carried`/`join` for the tuple of branch joins and loops.  `_lookup`
-reads the heap and `_store` writes it back and makes the new state
-current; field and array writes both go through it.  The object layout
-is the `levels` table of `_Translator`: per class, the (kind, name) of
-each slot of its level, which the datatypes, the constructors and the
-read and write spines (`_object`) all read.  Only the prelude, `_lookup`,
-`_array_items`, `_store` and the two `mj_alloc` sites (object
-constructors and `new int[...]`) know how the store is encoded.
+reads the heap and `_store` writes it and makes the new state current;
+field and array writes both go through it.  The object layout is the
+`levels` table of `_Translator`: per class, the (kind, name) of each
+slot of its level, which the datatypes, the constructors and the read
+and write spines (`_object`) all read.  Only the `prelude` and the
+store's types and empty tree (`STATE_TY`, `TREE`, `EMPTY`) know how the
+store is encoded: the translated code passes whole states and trees to
+the prelude's helpers and never takes one apart.
 
 Translation runs within `outcome.COMPILE_FRAMES` Python frames beyond
 its caller's, which any program that typechecks fits.
@@ -50,6 +59,7 @@ its caller's, which any program that typechecks fits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 
 from .mjast import (
     BOOL,
@@ -105,13 +115,21 @@ from .mlast import (
     TyArrow,
     TyName,
     TyTuple,
+    TyVar,
     Val,
     Var,
 )
 from .outcome import COMPILE_FRAMES, extra_frames
 from .sema import ClassTable, typecheck
 
-STATE_TY = TyTuple((TY_INT, TyApp("list", TyTuple((TY_INT, TyName("heapval"))))))
+STATE_TY = TyTuple((TY_INT, TyApp("tree", TyName("heapval"))))
+
+# datatype 'a tree = Lf | Nd of 'a * 'a tree * 'a tree
+TREE = DataType("tree", (DataCon("Lf", TY_UNIT),
+                         DataCon("Nd", TyTuple((TyVar("a"), TyApp("tree", TyVar("a")),
+                                                TyApp("tree", TyVar("a")))))),
+                params=("a",))
+EMPTY = Con("Lf")
 
 NULL_PTR = -1
 
@@ -153,6 +171,11 @@ def _tup(items: list[MlExpr]) -> MlExpr:
     """Tuple of the items: none is unit, a single item stays bare
     (1-tuples do not exist)."""
     return items[0] if len(items) == 1 else Tuple(tuple(items))
+
+
+def _call(name: str, *args: MlExpr) -> MlExpr:
+    """name applied to the tuple of the arguments."""
+    return App(Var(name), _tup(list(args)))
 
 
 def _ptup(items: list[Pat]) -> Pat:
@@ -287,10 +310,10 @@ class _Translator:
                            + [TyApp("option", ext)])
 
     def datatypes(self) -> list[DataType]:
-        heap_cons = [DataCon("HArr", TyApp("list", TY_INT))]
+        heap_cons = [DataCon("HArr", TyApp("tree", TY_INT))]
         for root in self.table.roots():
             heap_cons.append(DataCon(f"HObj_{_enc(root)}", self._level_ty(root)))
-        decls = [DataType("heapval", tuple(heap_cons))]
+        decls = [DataType("heapval", tuple(heap_cons)), TREE]
         for info in self.table.classes.values():
             if not info.children:
                 continue
@@ -331,35 +354,27 @@ class _Translator:
 
     # -- heap access ----------------------------------------------------------
 
-    def _lookup(self, ctx: _Ctx, ptr: MlExpr) -> tuple[MlExpr, MlExpr, MlExpr]:
-        """Bind the heap value at ptr; returns it with the state's counter
-        and heap."""
-        n, h = ctx.fn.fresh_temp(), ctx.fn.fresh_temp()
-        ctx.emit(PTuple((PVar(n), PVar(h))), Var(ctx.state))
-        value = ctx.bind(App(Var("mj_lookup"), Tuple((Var(h), ptr))))
-        return value, Var(n), Var(h)
+    def _lookup(self, ctx: _Ctx, ptr: MlExpr) -> MlExpr:
+        """Bind the heap value at ptr."""
+        return ctx.bind(_call("mj_lookup", Var(ctx.state), ptr))
 
-    def _store(self, ctx: _Ctx, counter: MlExpr, heap: MlExpr, ptr: MlExpr,
-               value: MlExpr) -> None:
-        """Write value at ptr into the heap that `_lookup` returned, and
-        make the new state current."""
-        new_heap = ctx.bind(App(Var("mj_update"), Tuple((heap, ptr, value))))
-        ctx.state = ctx.fn.fresh_state()
-        ctx.emit(PVar(ctx.state), Tuple((counter, new_heap)))
+    def _store(self, ctx: _Ctx, ptr: MlExpr, value: MlExpr) -> None:
+        """Write value at ptr and make the new state current."""
+        state = ctx.fn.fresh_state()
+        ctx.emit(PVar(state), _call("mj_update", Var(ctx.state), ptr, value))
+        ctx.state = state
 
-    def _array_items(self, ctx: _Ctx, ptr: MlExpr) -> tuple[MlExpr, MlExpr, MlExpr]:
-        """Bind the int list of the array at ptr; returns it with the
-        state's counter and heap."""
-        value, n, h = self._lookup(ctx, ptr)
+    def _array_items(self, ctx: _Ctx, ptr: MlExpr) -> MlExpr:
+        """Bind the int tree of the array at ptr."""
+        value = self._lookup(ctx, ptr)
         inner = ctx.fn.fresh_temp()
-        items = ctx.bind(Case(value, ((PCon("HArr", (PVar(inner),)), Var(inner)),)))
-        return items, n, h
+        return ctx.bind(Case(value, ((PCon("HArr", (PVar(inner),)), Var(inner)),)))
 
     def _read_slot(self, ctx: _Ctx, ptr: MlExpr, cls: str,
                    slot: tuple[str, str]) -> MlExpr:
         """Bind a slot of cls's level of the object at ptr, matching the
         object with every other slot wildcarded."""
-        value, _, _ = self._lookup(ctx, ptr)
+        value = self._lookup(ctx, ptr)
         tmp = ctx.fn.fresh_temp()
         hit = (cls, slot)
         pat = self._object(PCon, cls, lambda *at: PVar(tmp) if at == hit else PWild())
@@ -368,7 +383,7 @@ class _Translator:
     def _field_write(self, ctx: _Ctx, cls: str, fname: str, new_value: MlExpr) -> None:
         """Rebuild this object with a field of cls's level replaced, binding
         every other slot down to that level, and store it."""
-        value, n, h = self._lookup(ctx, Var("mj_this"))
+        value = self._lookup(ctx, Var("mj_this"))
         hole = (cls, ("field", fname))
         temps: dict = {}
 
@@ -380,7 +395,7 @@ class _Translator:
 
         pat = self._object(PCon, cls, bind_other)
         rebuilt = self._object(Con, cls, lambda *at: new_value if at == hole else Var(temps[at]))
-        self._store(ctx, n, h, Var("mj_this"), ctx.bind(Case(value, ((pat, rebuilt),))))
+        self._store(ctx, Var("mj_this"), ctx.bind(Case(value, ((pat, rebuilt),))))
 
     # -- expressions --------------------------------------------------------------------
 
@@ -416,15 +431,14 @@ class _Translator:
         if isinstance(e, ArrayIndexExpr):
             arr = self.expr(e.array, ctx)
             idx = self.expr(e.index, ctx)
-            items, _, _ = self._array_items(ctx, arr)
-            return ctx.bind(App(Var("mj_getnth"), Tuple((items, idx))))
+            items = self._array_items(ctx, arr)
+            return ctx.bind(_call("mj_get", items, idx))
         if isinstance(e, ArrayLengthExpr):
-            items, _, _ = self._array_items(ctx, self.expr(e.array, ctx))
-            return ctx.bind(App(Var("mj_length"), items))
+            items = self._array_items(ctx, self.expr(e.array, ctx))
+            return ctx.bind(_call("mj_length", items))
         if isinstance(e, NewArrayExpr):
-            zeros = ctx.bind(App(Var("mj_zeros"), self.expr(e.length, ctx)))
-            return ctx.bind_state(App(Var("mj_alloc"),
-                                      Tuple((Var(ctx.state), Con("HArr", (zeros,))))))
+            zeros = ctx.bind(_call("mj_zeros", self.expr(e.length, ctx), EMPTY))
+            return ctx.bind_state(_call("mj_alloc", Var(ctx.state), Con("HArr", (zeros,))))
         if isinstance(e, NewObjectExpr):
             return ctx.bind_state(App(Var(mangle_new(e.class_name)), Var(ctx.state)))
         if isinstance(e, CallExpr):
@@ -463,9 +477,9 @@ class _Translator:
                 ptr = ctx.var_atom(s.name)
             idx = self.expr(s.index, ctx)
             value = self.expr(s.value, ctx)
-            items, n, h = self._array_items(ctx, ptr)
-            updated = ctx.bind(App(Var("mj_setnth"), Tuple((items, idx, value))))
-            self._store(ctx, n, h, ptr, Con("HArr", (updated,)))
+            items = self._array_items(ctx, ptr)
+            updated = ctx.bind(_call("mj_set", items, idx, value))
+            self._store(ctx, ptr, Con("HArr", (updated,)))
         elif isinstance(s, IfStmt):
             cond = self.expr(s.cond, ctx)
             tctx = ctx.branch()
@@ -509,13 +523,13 @@ class _Translator:
 
     def main(self, program: MjProgram) -> FunDef:
         ctx = _Ctx(_FnScope([]), {}, "mj_s0")
-        ctx.emit(PVar("mj_s0"), Tuple((IntLit(0), Con("nil"))))
+        ctx.emit(PVar("mj_s0"), Tuple((IntLit(0), EMPTY)))
         for s in program.main.body:
             self.stmt(s, ctx)
         return FunDef("mj_main", PTuple(()), ctx.wrap(Var(ctx.state)))
 
     def run(self, program: MjProgram) -> MlProgram:
-        groups = [(f,) for f in _prelude()]
+        groups = [(f,) for f in prelude()]
         table_classes = list(self.table.classes.values())
         big: list[FunDef] = [self.constructor(info.name) for info in table_classes]
         for info in table_classes:
@@ -529,66 +543,74 @@ class _Translator:
                          main=App(Var("mj_main"), Tuple(())))
 
 
-def _prelude() -> list[FunDef]:
-    """The fixed runtime: association list heap, integer lists as arrays.
+def _nd(*items: MlExpr) -> MlExpr:
+    return Con("Nd", items)
 
-    mj_lookup, mj_getnth and mj_setnth deliberately have no nil case:
-    falling off the end (null pointer, index out of range) is a match
-    failure, which is the translated program's fault channel.
+
+def _braun_step(i: MlExpr, at_root: MlExpr, left, right) -> MlExpr:
+    """One step of a walk down a Braun tree `Nd (x, l, r)` towards
+    index i: index 0 is the node itself (`at_root`), an odd i is index
+    i div 2 of the left subtree and an even one index i div 2 - 1 of the
+    right; `left` and `right` take that index."""
+    half = PrimOp("div", (i, IntLit(2)))
+    return If(PrimOp("=", (i, IntLit(0))), at_root,
+              If(PrimOp("=", (PrimOp("mod", (i, IntLit(2))), IntLit(1))),
+                 left(half), right(PrimOp("-", (half, IntLit(1))))))
+
+
+@cache
+def prelude() -> tuple[FunDef, ...]:
+    """The fixed runtime: the store as a Braun tree, one for the heap and
+    one for each array.  Built once; every translation shares its nodes.
+
+    mj_get and mj_set deliberately have no `Lf` case: an index outside
+    the tree (null, or an array index below 0 or from the length on)
+    walks into an empty subtree, which is a match failure, the translated
+    program's fault channel.
     """
-    lookup = FunDef(
-        "mj_lookup", PTuple((PVar("h"), PVar("k"))),
-        Case(Var("h"), ((
-            PCon("::", (PTuple((PVar("k2"), PVar("v"))), PVar("t"))),
-            If(PrimOp("=", (Var("k2"), Var("k"))),
-               Var("v"),
-               App(Var("mj_lookup"), Tuple((Var("t"), Var("k")))))),)))
-    update = FunDef(
-        "mj_update", PTuple((PVar("h"), PVar("k"), PVar("w"))),
-        Case(Var("h"), ((
-            PCon("::", (PTuple((PVar("k2"), PVar("v"))), PVar("t"))),
-            If(PrimOp("=", (Var("k2"), Var("k"))),
-               Con("::", (Tuple((Var("k"), Var("w"))), Var("t"))),
-               Con("::", (Tuple((Var("k2"), Var("v"))),
-                          App(Var("mj_update"),
-                              Tuple((Var("t"), Var("k"), Var("w")))))))),)))
-    getnth = FunDef(
-        "mj_getnth", PTuple((PVar("l"), PVar("i"))),
-        Case(Var("l"), ((
-            PCon("::", (PVar("x"), PVar("t"))),
-            If(PrimOp("=", (Var("i"), IntLit(0))),
-               Var("x"),
-               App(Var("mj_getnth"),
-                   Tuple((Var("t"), PrimOp("-", (Var("i"), IntLit(1)))))))),)))
-    setnth = FunDef(
-        "mj_setnth", PTuple((PVar("l"), PVar("i"), PVar("w"))),
-        Case(Var("l"), ((
-            PCon("::", (PVar("x"), PVar("t"))),
-            If(PrimOp("=", (Var("i"), IntLit(0))),
-               Con("::", (Var("w"), Var("t"))),
-               Con("::", (Var("x"),
-                          App(Var("mj_setnth"),
-                              Tuple((Var("t"),
-                                     PrimOp("-", (Var("i"), IntLit(1))),
-                                     Var("w")))))))),)))
+    t, i, w, x, l, r, v = map(Var, "tiwxlrv")
+    node = PCon("Nd", (PVar("x"), PVar("l"), PVar("r")))
+    get = FunDef(
+        "mj_get", PTuple((PVar("t"), PVar("i"))),
+        Case(t, ((node, _braun_step(i, x, lambda j: _call("mj_get", l, j),
+                                    lambda j: _call("mj_get", r, j))),)))
+    set_ = FunDef(
+        "mj_set", PTuple((PVar("t"), PVar("i"), PVar("w"))),
+        Case(t, ((node, _braun_step(i, _nd(w, l, r),
+                                    lambda j: _nd(x, _call("mj_set", l, j, w), r),
+                                    lambda j: _nd(x, l, _call("mj_set", r, j, w)))),)))
+    # the new element becomes index 0, and index j of the old tree j + 1
+    cons = FunDef(
+        "mj_cons", PTuple((PVar("x"), PVar("t"))),
+        Case(t, ((PCon("Lf"), _nd(x, EMPTY, EMPTY)),
+                 (PCon("Nd", (PVar("v"), PVar("l"), PVar("r"))),
+                  _nd(x, _call("mj_cons", v, r), l)))))
     length = FunDef(
-        "mj_length", PVar("l"),
-        Case(Var("l"), (
-            (PCon("nil"), IntLit(0)),
-            (PCon("::", (PWild(), PVar("t"))),
-             PrimOp("+", (IntLit(1), App(Var("mj_length"), Var("t"))))))))
+        "mj_length", PVar("t"),
+        Case(t, ((PCon("Lf"), IntLit(0)),
+                 (PCon("Nd", (PWild(), PVar("l"), PVar("r"))),
+                  PrimOp("+", (PrimOp("+", (IntLit(1), _call("mj_length", l))),
+                               _call("mj_length", r)))))))
     zeros = FunDef(
-        "mj_zeros", PVar("n"),
+        "mj_zeros", PTuple((PVar("n"), PVar("t"))),
         If(PrimOp("<", (Var("n"), IntLit(1))),
-           Con("nil"),
-           Con("::", (IntLit(0),
-                      App(Var("mj_zeros"), PrimOp("-", (Var("n"), IntLit(1))))))))
+           t,
+           _call("mj_zeros", PrimOp("-", (Var("n"), IntLit(1))),
+                 _call("mj_cons", IntLit(0), t))))
+    # pointer k is index n - 1 - k of the heap, so the newest cell is its root
+    state = PTuple((PVar("n"), PVar("h")))
+    slot = PrimOp("-", (PrimOp("-", (Var("n"), IntLit(1))), Var("k")))
+    lookup = FunDef(
+        "mj_lookup", PTuple((state, PVar("k"))),
+        _call("mj_get", Var("h"), slot))
+    update = FunDef(
+        "mj_update", PTuple((state, PVar("k"), PVar("w"))),
+        Tuple((Var("n"), _call("mj_set", Var("h"), slot, w))))
     alloc = FunDef(
-        "mj_alloc", PTuple((PTuple((PVar("n"), PVar("h"))), PVar("w"))),
-        Tuple((Tuple((PrimOp("+", (Var("n"), IntLit(1))),
-                      Con("::", (Tuple((Var("n"), Var("w"))), Var("h"))))),
+        "mj_alloc", PTuple((state, PVar("w"))),
+        Tuple((Tuple((PrimOp("+", (Var("n"), IntLit(1))), _call("mj_cons", w, Var("h")))),
                Var("n"))))
-    return [lookup, update, getnth, setnth, length, zeros, alloc]
+    return (get, set_, cons, length, zeros, lookup, update, alloc)
 
 
 def translate(program: MjProgram, table: ClassTable | None = None) -> MlProgram:

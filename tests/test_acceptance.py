@@ -21,7 +21,7 @@ from mj2ml.cli import main as cli_main
 from mj2ml.lexer import LexError, tokenize
 from mj2ml.mjinterp import interpret_mj
 from mj2ml.mlast import validate_core
-from mj2ml.mleval import VCon, alloc_order, eval_program
+from mj2ml.mleval import VCon, alloc_order, eval_program, heap_cells
 from mj2ml.mlprint import print_ml_program
 from mj2ml.parser import ParseError, parse, parse_source
 from mj2ml.randgen import generate_program
@@ -196,7 +196,7 @@ def test_subclass_encoding():
     ml_outcome, final_state = eval_program(ml)
     behavior_ok = mj.output == ml_outcome.output == [3, 30, 0]
 
-    heap = dict(_heap_cells(final_state))
+    heap = dict(heap_cells(final_state))
     c_object = next(v for v in heap.values() if v.name == "HObj_A")
     depth_ok = _ext_chain(c_object) == 2
 
@@ -205,14 +205,6 @@ def test_subclass_encoding():
            f"dispatch printed {ml_outcome.output}, extension depth "
            f"{_ext_chain(c_object)}")
     assert ok
-
-
-def _heap_cells(state):
-    _, cell = state
-    while isinstance(cell, VCon) and cell.name == "::":
-        key, value = cell.args[0]
-        yield key, value
-        cell = cell.args[1]
 
 
 STAGES = {

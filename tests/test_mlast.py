@@ -12,6 +12,7 @@ from mj2ml.mlast import (
     PTuple,
     PVar,
     PWild,
+    PrimOp,
     Val,
     Var,
     validate_core,
@@ -92,3 +93,14 @@ def test_a_32000_declaration_let_validates_within_2_seconds():
     start = time.perf_counter()
     assert violations(main) == []
     assert time.perf_counter() - start < 2.0
+
+
+def test_div_and_mod_take_only_positive_literal_divisors():
+    # so that the core fragment has no division fault
+    bind_x = (Val(PVar("x"), IntLit(2)),)
+    for op in ("div", "mod"):
+        for divisor in (IntLit(0), IntLit(-2), Var("x")):
+            main = Let(bind_x, PrimOp(op, (IntLit(7), divisor)))
+            assert violations(main) == [
+                ("main/let-body", f"'{op}' by something other than a positive literal")]
+        assert violations(Let(bind_x, PrimOp(op, (Var("x"), IntLit(2))))) == []

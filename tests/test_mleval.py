@@ -23,12 +23,12 @@ from mj2ml.mlast import (
     Val,
     Var,
 )
-from mj2ml.mleval import VCon, alloc_order, eval_program
-from mj2ml.outcome import FaultKind
+from mj2ml.mleval import VCon, alloc_order, eval_program, heap_cells
+from mj2ml.outcome import DEFAULT_FUEL, FaultKind
 from mj2ml.parser import parse_source
 from mj2ml.randgen import generate_program
 from mj2ml.sema import typecheck
-from mj2ml.translate import translate
+from mj2ml.translate import prelude, translate
 
 
 def run(main, fun_groups=(), fuel=10_000_000):
@@ -42,6 +42,12 @@ def test_arithmetic_and_comparison():
     assert val is True
     out, val = run(PrimOp("=", (IntLit(3), IntLit(4))))
     assert val is False
+
+
+def test_div_and_mod_round_towards_negative_infinity():
+    for a, op, expected in ((-7, "div", -4), (-7, "mod", 1), (7, "div", 3), (6, "mod", 0)):
+        out, val = run(PrimOp(op, (IntLit(a), IntLit(2))))
+        assert out.ok and val == expected, (a, op)
 
 
 def test_addition_overflow_faults():
@@ -151,12 +157,65 @@ def test_print_builtin_collects_output():
     assert out.output == [-5, 7] and val == ()
 
 
-def test_alloc_order_reads_cons_heap_backwards():
-    w = VCon("HArr", (VCon("nil"),))
-    heap = VCon("nil")
-    for k in (0, 1, 2):
-        heap = VCon("::", ((k, w), heap))
-    assert alloc_order((3, heap)) == [0, 1, 2]
+LEAF = VCon("Lf")
+
+
+def run_prelude(main):
+    return run(main, fun_groups=[(f,) for f in prelude()])
+
+
+def zeros(n):
+    return App(Var("mj_zeros"), Tuple((IntLit(n), Con("Lf"))))
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 3, -1, -2, -5], ids=str)
+def test_an_index_outside_the_tree_fails_to_match_in_mj_get_and_mj_set(index):
+    # the walk from an index outside a 3-element tree, its length or a
+    # negative one, ends in an empty subtree, where both helpers have no rule
+    get = run_prelude(App(Var("mj_get"), Tuple((zeros(3), IntLit(index)))))[0]
+    set_ = run_prelude(App(Var("mj_set"), Tuple((zeros(3), IntLit(index), IntLit(7)))))[0]
+    fault = None if 0 <= index < 3 else FaultKind.MATCH_FAILURE
+    assert (get.fault, set_.fault) == (fault, fault)
+
+
+def test_null_fails_to_match_in_mj_lookup_and_mj_update():
+    # null is pointer -1, index n of an n-cell heap: the walk of index = length
+    heap = Tuple((IntLit(3), zeros(3)))
+    null = IntLit(-1)
+    lookup = run_prelude(App(Var("mj_lookup"), Tuple((heap, null))))[0]
+    update = run_prelude(App(Var("mj_update"), Tuple((heap, null, IntLit(7)))))[0]
+    assert lookup.fault == update.fault == FaultKind.MATCH_FAILURE
+    assert run_prelude(App(Var("mj_lookup"), Tuple((heap, IntLit(2)))))[0].ok
+
+
+def test_store_helpers_read_back_what_they_wrote():
+    # every index of trees of 0..9 elements, through mj_set, mj_get and mj_length
+    for n in range(10):
+        for i in range(n):
+            main = Let((Val(PVar("t"), App(Var("mj_set"), Tuple((zeros(n), IntLit(i),
+                                                                 IntLit(5))))),),
+                       Tuple((App(Var("mj_get"), Tuple((Var("t"), IntLit(i)))),
+                              App(Var("mj_length"), Var("t")))))
+            out, val = run_prelude(main)
+            assert out.ok and val == (5, n), (n, i)
+
+
+def cons(x, tree):
+    # mj_cons: x becomes index 0 and index j of `tree` index j + 1
+    if tree == LEAF:
+        return VCon("Nd", (x, LEAF, LEAF))
+    v, left, right = tree.args
+    return VCon("Nd", (x, cons(v, right), left))
+
+
+def test_alloc_order_reads_the_braun_heap_from_its_newest_cell():
+    # pointer k sits at index n - 1 - k, so the cell allocated last is the root
+    heap = LEAF
+    for k in range(6):
+        heap = cons(k * 10, heap)
+    assert heap.args[0] == 50
+    assert heap_cells((6, heap)) == [(k, k * 10) for k in range(6)]
+    assert alloc_order((6, heap)) == [0, 1, 2, 3, 4, 5]
 
 
 def test_let_does_not_change_what_a_closure_captured():
@@ -256,14 +315,14 @@ def test_known_calls_reach_the_frames_their_functions_were_defined_in():
 # and expression.  A change to how either interpreter charges fuel shows
 # here.
 CORPUS_STEPS = {
-    "BinarySearch": (23099, 4018),
-    "BinaryTree": (12435, 527),
-    "BubbleSort": (31890, 1856),
-    "Factorial": (598, 141),
-    "LinearSearch": (12661, 1293),
-    "LinkedList": (2834, 171),
-    "QuickSort": (18777, 1114),
-    "TreeVisitor": (7146, 303),
+    "BinarySearch": (21143, 4018),
+    "BinaryTree": (12828, 527),
+    "BubbleSort": (34770, 1856),
+    "Factorial": (681, 141),
+    "LinearSearch": (14588, 1293),
+    "LinkedList": (3503, 171),
+    "QuickSort": (20073, 1114),
+    "TreeVisitor": (7853, 303),
 }
 
 
@@ -344,8 +403,8 @@ def test_both_sides_finish_a_5000_deep_method_recursion():
 
 
 # ML-side steps of generated programs at 100 000 fuel, one line per seed
-# 0..49 with the fault, steps and output; 48 of the 50 runs finish.
-GENERATED_ML_STEPS_SHA256 = "083072e34c834ecbe75f63ef2c12b04bc0d503c0a87b1039fd2d8f6fd53a3508"
+# 0..49 with the fault, steps and output; 49 of the 50 runs finish.
+GENERATED_ML_STEPS_SHA256 = "7a1cd579734951c7636e7d11cb71be63133866e26e35b868549fd9974af4c940"
 
 
 def test_generated_programs_take_the_pinned_ml_steps():
@@ -355,3 +414,79 @@ def test_generated_programs_take_the_pinned_ml_steps():
         lines.append(f"{seed} {out.fault.value if out.fault else 'ok'} {out.steps} {out.output}")
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_ML_STEPS_SHA256, text
+
+
+BIG_ARRAY = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new A().f());
+    }
+}
+class A {
+    public int f() {
+        int[] x;
+        x = new int[14000];
+        x[12000] = 7;
+        x[13999] = 7;
+        return x.length + x[12000];
+    }
+}
+"""
+
+
+def test_a_14000_element_array_is_made_and_written_near_its_end():
+    # the store helpers recurse O(log n) deep; the list helpers before
+    # them recursed once per element and ran out of Python frames here
+    result = diff_source("Big.java", BIG_ARRAY)
+    assert result.verdict == "match" and result.ml.output == [14007]
+
+
+# Allocates n objects while it fills an int[n], then sums the array: every
+# store operation runs against a heap and an array that grow with n.
+FILLER = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new Filler().run(%d));
+    }
+}
+class Cell {
+    int value;
+    public int set(int v) {
+        value = v;
+        return value;
+    }
+}
+class Filler {
+    public int run(int n) {
+        int[] arr;
+        int i;
+        int sum;
+        Cell c;
+        arr = new int[n];
+        i = 0;
+        while (i < n) {
+            c = new Cell();
+            arr[i] = c.set(i);
+            i = i + 1;
+        }
+        sum = 0;
+        i = 0;
+        while (i < n) {
+            sum = sum + arr[i];
+            i = i + 1;
+        }
+        return sum;
+    }
+}
+"""
+
+
+def test_store_operations_take_logarithmic_steps():
+    # doubling n doubles the operations; a linear store would quadruple
+    # the steps
+    steps = {}
+    for n in (400, 800):
+        out, _ = eval_program(translate(parse_source(FILLER % n)), fuel=DEFAULT_FUEL)
+        assert out.ok and out.output == [n * (n - 1) // 2], n
+        steps[n] = out.steps
+    assert steps[800] <= 2.5 * steps[400], steps

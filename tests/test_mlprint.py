@@ -15,10 +15,12 @@ from mj2ml.mlast import (
     PrimOp,
     PWild,
     TY_INT,
+    TY_UNIT,
     Tuple,
     TyApp,
     TyName,
     TyTuple,
+    TyVar,
     Val,
     Var,
 )
@@ -100,6 +102,24 @@ def test_datatype_lines():
     assert "datatype mj_ext_A =" in text
     assert "Ext_B of int" in text
     assert "fun f x = x" in text
+
+
+def test_type_parameters_and_nullary_constructors():
+    a = TyVar("a")
+    dt = DataType("tree", (DataCon("Lf", TY_UNIT),
+                           DataCon("Nd", TyTuple((a, TyApp("tree", a), TyApp("tree", a))))),
+                  params=("a",))
+    text = print_ml_program(MlProgram([dt], [], IntLit(0)))
+    assert "datatype 'a tree =\n    Lf\n  | Nd of 'a * 'a tree * 'a tree\n" in text
+
+
+def test_div_and_mod_print_at_the_level_of_times():
+    i = Var("i")
+    half = PrimOp("div", (i, IntLit(2)))
+    assert print_expr(PrimOp("-", (half, IntLit(1)))) == "i div 2 - 1"
+    assert print_expr(PrimOp("mod", (PrimOp("+", (i, IntLit(1))), IntLit(2)))) == "(i + 1) mod 2"
+    assert print_expr(PrimOp("*", (i, half))) == "i * (i div 2)"
+    assert print_expr(PrimOp("=", (PrimOp("mod", (i, IntLit(2))), IntLit(1)))) == "i mod 2 = 1"
 
 
 def test_program_layout_and_header(corpus_files):

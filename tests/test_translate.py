@@ -10,7 +10,7 @@ from mj2ml.mlast import Let, validate_core
 from mj2ml.mlprint import print_ml_program
 from mj2ml.parser import parse_source
 from mj2ml.sema import typecheck
-from mj2ml.translate import mangle_method, mangle_new, mangle_var, translate
+from mj2ml.translate import mangle_method, mangle_new, mangle_var, prelude, translate
 
 CHAIN = """\
 class Main {
@@ -51,14 +51,14 @@ def test_corpus_translations_stay_in_the_core(corpus_files):
 # SHA-256 of each corpus file's emitted SML.  A change that alters the
 # emitted bytes on purpose must update these pins and say so.
 EMITTED_SML_SHA256 = {
-    "BinarySearch": "33de58911ad6954cd8dd8d0f4d5626b05b37ced876a22ae311067f3d3af266c3",
-    "BinaryTree": "07cac81ceedd0cd48f02511c91a56d9c57b9fd5e352812e639a3525f5b7c0702",
-    "BubbleSort": "78318dc1f5850210eeb5e02ba9b0744165778fafc927b0045d94fc75a3444112",
-    "Factorial": "038e995275de17cb040405d110b377b863b6fc1503c5de83c1d956c7c071ac4a",
-    "LinearSearch": "705de6255de11e43624889e8b4054e6514c62b9a8f6c92f56684916ce7693618",
-    "LinkedList": "d666811c58810a14fd02b6ea0f1c1047ba621acd96f5ac0656c43537a6484d8d",
-    "QuickSort": "86fc9aea2526f7a4766892c81472e75f19663c516c64e1f6b5b05fd44b2d589a",
-    "TreeVisitor": "7e6469c66814e31a4c85d330a8e765bf6cf97492eaca83ea635bdb49addc40bf",
+    "BinarySearch": "d3335cbe33dd0421ebeae95f4a2a8522b5d0f5a382454512df3767d9d68854c4",
+    "BinaryTree": "403f301620aaa6811d9efc19d9e199360e17db2d52d16f9b7700ad85b9fe7362",
+    "BubbleSort": "ae295796887b955d45ac234a5fdeffa5200244daaf82833df1aec91c6148fc23",
+    "Factorial": "06a362962d94f2b770bf8a1bfb4f23e5b999ef5ff9a5c565a70ccdc2f651bd94",
+    "LinearSearch": "84be76d058f4b6b1fc7346a58c7b5f1ad6d13aebeb25e716f4fed09b6ae9410c",
+    "LinkedList": "03b4583674761c32de2c2479eee75484835988bdde9f5db6cca3e0387ca9f14d",
+    "QuickSort": "8919f355a4285a1465783d902b7f5c562a95370209d18c3fc56e5153991d52a0",
+    "TreeVisitor": "fae9dc08fd656291ac771d4d8e1c35ff0b5cc05c2775917abfe77164ac256adc",
 }
 
 
@@ -79,7 +79,7 @@ def test_heapval_groups_one_constructor_per_root():
 def test_extension_datatypes_follow_the_hierarchy():
     ml = tr(CHAIN)
     by_name = {d.name: d for d in ml.datatypes}
-    assert set(by_name) == {"heapval", "mj_ext_A", "mj_ext_B"}
+    assert set(by_name) == {"heapval", "tree", "mj_ext_A", "mj_ext_B"}
     assert [c.name for c in by_name["mj_ext_A"].cons] == ["Ext_B"]
     assert [c.name for c in by_name["mj_ext_B"].cons] == ["Ext_C"]
 
@@ -87,9 +87,8 @@ def test_extension_datatypes_follow_the_hierarchy():
 def test_function_group_layout():
     ml = tr(CHAIN)
     names = [[f.name for f in group] for group in ml.fun_groups]
-    assert names[:7] == [["mj_lookup"], ["mj_update"], ["mj_getnth"],
-                         ["mj_setnth"], ["mj_length"], ["mj_zeros"],
-                         ["mj_alloc"]]
+    assert names[:8] == [["mj_get"], ["mj_set"], ["mj_cons"], ["mj_length"],
+                         ["mj_zeros"], ["mj_lookup"], ["mj_update"], ["mj_alloc"]]
     assert names[-1] == ["mj_main"]
     big = names[-2]
     assert big[:3] == ["mj_new_A", "mj_new_B", "mj_new_C"]
@@ -123,7 +122,7 @@ def test_generated_subclass_encoding_is_pinned():
     text = "".join(print_ml_program(translate(generate_program(s, 40)), f"seed{s:03d}")
                    for s in range(40))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "8b9b5811b8f8e26116f75948b06ef2e479b525f7e2da09c89d4fad44f8d088b8"
+        "4625387285ecb47f836c8a82f0d503c99214b952f96e2f9e855d3444c7c08144"
 
 
 def test_gen200_workload_is_pinned():
@@ -137,7 +136,7 @@ def test_gen200_workload_is_pinned():
     assert (len(source), hashlib.sha256(source).hexdigest()) == (
         624675, "4aaa6ae173174edd3a3581bb467872f20879886553696d0b1b4401880281a271")
     assert (len(sml), hashlib.sha256(sml).hexdigest()) == (
-        3633215, "abee30f2ff80f20095289685f0fa771811183a1a36e0e114c95666630cb63f38")
+        3331013, "6bb8f7fa6fd0987965da99fd123d415d6760e81f9f220e76abfad32dfc3e067c")
 
 
 def outcome_at_depth(depth, source):
@@ -231,6 +230,4 @@ def test_mangling_families_do_not_collide(v, ver, i, m, cls):
     assert mangle_var(v, ver) != mangle_method(i, m)
     assert mangle_var(v, ver) != mangle_new(cls)
     assert mangle_method(i, m) != mangle_new(cls)
-    assert mangle_var(v, ver) not in {"mj_lookup", "mj_update", "mj_getnth",
-                                      "mj_setnth", "mj_length", "mj_zeros",
-                                      "mj_alloc", "mj_print", "mj_main"}
+    assert mangle_var(v, ver) not in {f.name for f in prelude()} | {"mj_print", "mj_main"}
