@@ -22,10 +22,13 @@ layout is read off the class table's resolved classes: an object holds
 its class's `all_fields` after its vtable, and the vtable maps each
 method of the class's `vtable` to the compiled implementation (its
 statements, its return expression and its locals' defaults), each
-compiled once.  `new` copies a class's template object, which holds its
-vtable and its fields' defaults.  So method lookup is one dict read, and
-nothing consults the class table while the program runs.  The main body
-runs in the frame `[None]`.
+compiled once.  Only the class table's live methods (see `sema`) are
+compiled, and a vtable holds only those: a call's receiver was made by
+a `new` a run can reach, and the call reads a slot a run can reach, so
+its implementation is there.  `new` copies a class's template object,
+which holds its vtable and its fields' defaults.  So method lookup is
+one dict read, and nothing consults the class table while the program
+runs.  The main body runs in the frame `[None]`.
 
 Fuel.  Every statement and expression evaluation costs one unit of fuel,
 which its closure pays at its node's position before calling its
@@ -414,10 +417,11 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
 
     code = {(name, mname): method(decl)
             for name, info in table.classes.items()
-            for mname, decl in info.methods.items()}
+            for mname, decl in info.methods.items() if (name, mname) in table.live}
     for name, info in table.classes.items():
         for mname, (impl, _) in info.vtable.items():
-            vtables[name][mname] = code[impl, mname]
+            if (impl, mname) in code:
+                vtables[name][mname] = code[impl, mname]
     slots.clear()
     main = tuple(stmt(s) for s in program.main.body)
 

@@ -7,8 +7,7 @@ holds a sequence of declarations, each a `val` binding (`Val`) or a
 group of mutually recursive functions (a tuple of `FunDef`s, the shape
 of each item of `MlProgram.fun_groups`).  There are no refs,
 exceptions, strings, or records.  Booleans are the usual constructors
-``true``/``false``; lists and options use the builtin ``nil``/``::``/
-``NONE``/``SOME``.
+``true``/``false``, and options the builtin ``NONE``/``SOME``.
 
 Types (`Ty*`) appear only in datatype declarations, which may take type
 parameters (`TyVar`); expressions are untyped here and checked
@@ -208,8 +207,6 @@ class MlProgram:
 
 
 BUILTIN_CON_ARITIES = {
-    "nil": 0,
-    "::": 2,
     "NONE": 0,
     "SOME": 1,
     "true": 0,

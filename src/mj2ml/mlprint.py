@@ -50,11 +50,10 @@ PRINT_HELPER = ('fun mj_print n = print (String.map (fn c => '
 # Expression precedence levels, loosest first.
 _L_LOW = 0      # if, case
 _L_CMP = 1      # = <
-_L_CONS = 2     # ::  (right associative)
-_L_ADD = 3      # + -
-_L_MUL = 4      # *
-_L_APP = 5      # application
-_L_ATOM = 6
+_L_ADD = 2      # + -
+_L_MUL = 3      # *
+_L_APP = 4      # application
+_L_ATOM = 5
 
 _OP_LEVEL = {"=": _L_CMP, "<": _L_CMP, "+": _L_ADD, "-": _L_ADD,
              "*": _L_MUL, "div": _L_MUL, "mod": _L_MUL}
@@ -100,9 +99,6 @@ def print_pat(pat: Pat, atomic: bool = False) -> str:
     if isinstance(pat, PTuple):
         return "(" + ", ".join(print_pat(p) for p in pat.items) + ")"
     if isinstance(pat, PCon):
-        if pat.name == "::":
-            text = f"{print_pat(pat.args[0], atomic=True)} :: {print_pat(pat.args[1])}"
-            return _paren(text) if atomic else text
         if not pat.args:
             return pat.name
         if len(pat.args) == 1:
@@ -155,10 +151,6 @@ def print_expr(expr: MlExpr, ind: str = "", level: int = 0) -> str:
 
 
 def _print_con(expr: Con, ind: str, level: int) -> str:
-    if expr.name == "::":
-        head = print_expr(expr.args[0], ind, _L_CONS + 1)
-        tail = print_expr(expr.args[1], ind, _L_CONS)
-        return _wrap(f"{head} :: {tail}", level > _L_CONS)
     if not expr.args:
         return expr.name
     if len(expr.args) == 1:

@@ -16,6 +16,16 @@ statement and expression nodes from a body to a leaf (a field or method
 access counting one more per class above its own), or classes in an
 inheritance chain, are a type error at the body's start or the class.
 
+`typecheck` also fills in what a run can reach from main (`_mark_live`),
+from the `new C` and the method slot each call reads that it records
+while checking a body: the classes instantiated (`instantiated`), the
+(slot owner, method) slots read (`read_slots`) and the (declaring class,
+method) declarations that can run (`live`).  Both back ends read these:
+`translate` emits a constructor for each instantiated class, a method
+slot in an object only when the slot is read, and a function only for a
+live method; `mjinterp` compiles only live methods.  Every method is
+still checked, so a type error in one that never runs is reported.
+
 Rules beyond the obvious typing of operators:
   * single inheritance, no cycles, superclasses must exist
   * every type a declaration names (field, return, formal, local) is a
@@ -100,6 +110,12 @@ class ClassTable:
     def __init__(self, main_name: str, classes: dict[str, ClassInfo]):
         self.main_name = main_name
         self.classes = classes
+        # What a run can reach from main, filled in by `typecheck`: the
+        # classes instantiated, the (slot owner, method) slots read, and
+        # the (declaring class, method) declarations that can run.
+        self.instantiated: set[str] = set()
+        self.read_slots: set[tuple[str, str]] = set()
+        self.live: set[tuple[str, str]] = set()
 
     def info(self, name: str) -> ClassInfo:
         return self.classes[name]
@@ -220,11 +236,15 @@ class _Checker:
         self.scope: dict[str, tuple[VarBinding, MjType]] = {}
         # the start of the body being checked, and the nodes open in it
         self.start, self.depth = Pos(1, 1), 0
+        # the classes the body instantiates and the method slots it reads
+        self.news: set[str] = set()
+        self.reads: set[tuple[str, str]] = set()
 
     # -- scope --------------------------------------------------------------
 
     def enter_method(self, cls: str, method: MethodDecl) -> None:
         self.current_class, self.start = cls, method.span.start
+        self.news, self.reads = set(), set()
         self.scope = {fname: (VarBinding("field", owner), fty)
                       for fname, (owner, fty) in self.table.info(cls).all_fields.items()}
         for formal in method.formals:
@@ -241,6 +261,7 @@ class _Checker:
 
     def enter_main(self, main: MainClass) -> None:
         self.current_class, self.start = None, main.span.start
+        self.news, self.reads = set(), set()
         self.scope = {}
 
     def descend(self) -> None:
@@ -310,6 +331,7 @@ class _Checker:
         if isinstance(e, NewObjectExpr):
             if not self.table.has(e.class_name):
                 raise MjTypeError(e.span.start, f"unknown class '{e.class_name}'")
+            self.news.add(e.class_name)
             return ClassType(e.class_name)
         if isinstance(e, CallExpr):
             recv = self.expr(e.receiver)
@@ -321,7 +343,9 @@ class _Checker:
                 raise MjTypeError(e.span.start,
                                   f"class '{recv.name}' has no method '{e.method}'")
             _, decl = found
-            self.reach(self.table.info(recv.name).slot_owner[e.method])
+            owner = self.table.info(recv.name).slot_owner[e.method]
+            self.reach(owner)
+            self.reads.add((owner, e.method))
             if len(e.args) != len(decl.formals):
                 raise MjTypeError(
                     e.span.start,
@@ -373,9 +397,11 @@ class _Checker:
 
 
 def typecheck(program: MjProgram) -> ClassTable:
-    """Check the whole program, annotate the AST, return the class table."""
+    """Check the whole program, annotate the AST, and return the class
+    table with what a run can reach filled in (`_mark_live`)."""
     table = build_class_table(program)
     checker = _Checker(table)
+    uses: dict[tuple[str, str] | None, tuple[set[str], set[tuple[str, str]]]] = {}
     with extra_frames(COMPILE_FRAMES):
         for info in table.classes.values():
             for method in info.decl.methods:
@@ -387,7 +413,42 @@ def typecheck(program: MjProgram) -> ClassTable:
                     raise MjTypeError(
                         method.return_expr.span.start,
                         f"return value must be {method.return_type}, got {got}")
+                uses[info.name, method.name] = checker.news, checker.reads
         checker.enter_main(program.main)
         for s in program.main.body:
             checker.stmt(s)
+        uses[None] = checker.news, checker.reads
+    _mark_live(table, uses)
     return table
+
+
+def _mark_live(table: ClassTable, uses: dict) -> None:
+    """Fill in what a run can reach: rapid type analysis (Bacon and
+    Sweeney, 1996) from main (key None in `uses`, which maps each body to
+    the classes it instantiates and the slots it reads).
+
+    A read slot (I, m) makes C's implementation of m live for every
+    instantiated class C with I in its path, not only for the subclasses
+    of the call's static receiver class: every object of C carries the
+    slot, and the slot must hold a function that is emitted."""
+    instantiated, read, live = table.instantiated, table.read_slots, table.live
+    pending: list[tuple[str, str] | None] = [None]
+
+    def reach(cls: str, method: str) -> None:
+        impl = (table.info(cls).vtable[method][0], method)
+        if impl not in live:
+            live.add(impl)
+            pending.append(impl)
+
+    while pending:
+        news, reads = uses[pending.pop()]
+        for cls in news - instantiated:
+            instantiated.add(cls)
+            for method, owner in table.info(cls).slot_owner.items():
+                if (owner, method) in read:
+                    reach(cls, method)
+        for owner, method in reads - read:
+            read.add((owner, method))
+            for cls in instantiated:
+                if table.info(cls).slot_owner.get(method) == owner:
+                    reach(cls, method)

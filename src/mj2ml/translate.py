@@ -16,8 +16,9 @@ array index outside 0 .. length-1 its walk ends in an empty subtree,
 where the helpers have no rule: the program faults with a failed match.
 
 Objects are nested tuples.  For each root class R the heap carries
-``HObj_R`` of R's level tuple: the method slots introduced by R, then
-the fields introduced by R, then one extension slot of type
+``HObj_R`` of R's level tuple: the method slots introduced by R that a
+call of the program can read (`ClassTable.read_slots`), then the fields
+introduced by R, then one extension slot of type
 ``mj_ext_R option`` (or ``unit option`` for classes nobody extends).
 Each direct subclass D contributes a constructor ``Ext_D`` carrying D's
 own level tuple, so an object's extension depth equals its inheritance
@@ -37,7 +38,12 @@ local tail-recursive function over that tuple.
 Every generated function takes and returns the state: methods are
 ``fn (state, self, args) -> (state, result)`` where args is (), a bare
 value, or a tuple by arity; constructors are state -> (state, pointer);
-``mj_main`` is unit -> state and returns the final state.
+``mj_main`` is unit -> state and returns the final state.  Only what a
+run can reach is emitted (see `sema`): a constructor for each class
+instantiated, and a function for each live method.  Every slot an
+instantiated object carries is read somewhere, and its class's
+implementation of that slot is live, so each slot holds an emitted
+function.
 
 Each of these decisions is written once.  `_Ctx` holds the ANF binders
 and the state threading: `bind` for an intermediate value, `bind_state`
@@ -285,9 +291,11 @@ class _Translator:
     def __init__(self, table: ClassTable):
         self.table = table
         # Each class's level of an object, before its extension slot: the
-        # method slots the class introduces, then the fields it declares.
+        # method slots the class introduces that a run can read, then the
+        # fields it declares.
         self.levels = {
-            name: [("method", m) for m, owner in info.slot_owner.items() if owner == name]
+            name: [("method", m) for m, owner in info.slot_owner.items()
+                   if owner == name and (owner, m) in table.read_slots]
                   + [("field", f) for f in info.fields]
             for name, info in table.classes.items()}
 
@@ -530,11 +538,13 @@ class _Translator:
 
     def run(self, program: MjProgram) -> MlProgram:
         groups = [(f,) for f in prelude()]
-        table_classes = list(self.table.classes.values())
-        big: list[FunDef] = [self.constructor(info.name) for info in table_classes]
-        for info in table_classes:
+        table = self.table
+        big: list[FunDef] = [self.constructor(name) for name in table.classes
+                             if name in table.instantiated]
+        for info in table.classes.values():
             for decl in info.decl.methods:
-                big.append(self.method(info.index, decl))
+                if (info.name, decl.name) in table.live:
+                    big.append(self.method(info.index, decl))
         if big:
             groups.append(tuple(big))
         groups.append((self.main(program),))

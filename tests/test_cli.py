@@ -319,11 +319,6 @@ def test_one_nesting_limit_for_every_command(form, tmp_path, capsys):
     target = tmp_path / "Deepest.sml"
     assert main(["translate", path, "-o", str(target)]) == 0
     assert target.read_text().endswith("\nval _ = mj_main ()\n")
-    if form == "class-chain":
-        # run-ml compiles every constructor of a chain, O(n^2) nodes, and
-        # spends most of the 9 s a 500-class chain takes in the garbage
-        # collector: the chain runs at a fifth of the limit
-        path = write(tmp_path, "Deepest.java", source(deepest // 5))
     assert main(["run-mj", path]) == 0
     mj = capsys.readouterr()
     assert main(["run-ml", path]) == 0

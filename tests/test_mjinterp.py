@@ -6,6 +6,7 @@ from mj2ml.mjast import INT_MAX
 from mj2ml.mjinterp import interpret_mj
 from mj2ml.outcome import FaultKind
 from mj2ml.parser import parse_source
+from mj2ml.sema import typecheck
 
 
 def run(source, fuel=10_000_000, alloc_trace=None):
@@ -184,6 +185,29 @@ class Derived extends Base {
 """
     out = run(src)
     assert out.output == [2]
+
+
+def test_only_live_method_bodies_are_compiled():
+    src = worker("        return 1;",
+                 extra="    public int unused() { return this.run() + 1; }")
+    program = parse_source(src)
+    table = typecheck(program)
+    assert table.live == {("W", "run")}
+    # compiling the uncalled method would now fail
+    unused = table.info("W").methods["unused"]
+    unused.body = unused.return_expr = None
+    out = interpret_mj(program, table)
+    assert out.ok and out.output == [1]
+
+
+def test_a_call_on_a_class_never_instantiated_faults_on_null():
+    body = "        Base b;\n        return b.tag();"
+    src = worker(body) + "class Base {\n    public int tag() { return 1; }\n}\n"
+    program = parse_source(src)
+    table = typecheck(program)
+    assert "Base" not in table.instantiated and table.live == {("W", "run")}
+    out = interpret_mj(program, table)
+    assert out.fault == FaultKind.NULL_DEREFERENCE and str(out.fault_pos) == "10:16"
 
 
 def test_alloc_trace_counts_objects_and_arrays_in_order():

@@ -92,9 +92,9 @@ def test_integer_pattern_does_not_match_booleans():
     assert val == 7
 
 
-def test_cons_patterns_destructure_lists():
-    xs = Con("::", (IntLit(5), Con("::", (IntLit(6), Con("nil")))))
-    main = Case(xs, ((PCon("::", (PVar("h"), PWild())), Var("h")),))
+def test_constructor_patterns_destructure_trees():
+    t = Con("Nd", (IntLit(5), Con("Nd", (IntLit(6), Con("Lf"), Con("Lf"))), Con("Lf")))
+    main = Case(t, ((PCon("Nd", (PVar("h"), PWild(), PWild())), Var("h")),))
     out, val = run(main)
     assert val == 5
 
@@ -404,7 +404,7 @@ def test_both_sides_finish_a_5000_deep_method_recursion():
 
 # ML-side steps of generated programs at 100 000 fuel, one line per seed
 # 0..49 with the fault, steps and output; 49 of the 50 runs finish.
-GENERATED_ML_STEPS_SHA256 = "7a1cd579734951c7636e7d11cb71be63133866e26e35b868549fd9974af4c940"
+GENERATED_ML_STEPS_SHA256 = "d7548f3184607b1ba7ca84c9ee865c1659b8bdebc98cb437a9fbb5d5b5bb4566"
 
 
 def test_generated_programs_take_the_pinned_ml_steps():

@@ -78,12 +78,13 @@ def test_nested_lets_collapse_into_one_block():
 
 
 def test_case_rules_align():
-    e = Case(Var("x"), ((PCon("nil"), IntLit(0)),
-                        (PCon("::", (PVar("h"), PWild())), Var("h"))))
+    e = Case(Var("x"), ((PCon("Lf"), IntLit(0)),
+                        (PCon("Nd", (PVar("h"), PWild(), PWild())), Var("h"))))
     lines = print_expr(e).splitlines()
     assert lines[0] == "case x of"
-    assert lines[1].lstrip().startswith("nil =>")
-    assert lines[2].lstrip().startswith("| :: ") or "::" in lines[2]
+    assert lines[1].lstrip().startswith("Lf =>")
+    assert lines[2].lstrip().startswith("| Nd (h, _, _) =>")
+    assert lines[1].index("Lf") == lines[2].index("Nd")
 
 
 def test_constructor_patterns_parenthesize_when_atomic():

@@ -227,3 +227,23 @@ def test_a_member_access_counts_the_classes_above_its_own():
     with pytest.raises(MjTypeError) as err:
         typecheck(parse_source(source))
     assert "nested too deeply" in err.value.message
+
+
+def test_a_read_slot_keeps_every_instantiated_implementation():
+    # `new B().f()` reads A's slot f; an A object carries that slot too,
+    # so A.f is live although no call's receiver class is A (rapid type
+    # analysis per receiver would leave it dead)
+    _, table = check("""\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new B().f() + new U().g(new A()));
+    }
+}
+class A { public int f() { return 1; } public int h() { return 2; } }
+class B extends A { public int f() { return 3; } }
+class U { public int g(A a) { return 4; } }
+class Unused extends B { public int f() { return 5; } }
+""")
+    assert table.instantiated == {"A", "B", "U"}
+    assert table.read_slots == {("A", "f"), ("U", "g")}
+    assert table.live == {("A", "f"), ("B", "f"), ("U", "g")}

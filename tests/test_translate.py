@@ -4,6 +4,7 @@ from dataclasses import fields, is_dataclass
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mj2ml.cli import main
 from mj2ml.diffharness import diff_source
 from mj2ml.mjast import print_program
 from mj2ml.mlast import Let, validate_core
@@ -15,6 +16,8 @@ from mj2ml.translate import mangle_method, mangle_new, mangle_var, prelude, tran
 CHAIN = """\
 class Main {
     public static void main(String[] a) {
+        System.out.println(new A().tag());
+        System.out.println(new B().tag());
         System.out.println(new C().tag());
     }
 }
@@ -58,7 +61,7 @@ EMITTED_SML_SHA256 = {
     "LinearSearch": "84be76d058f4b6b1fc7346a58c7b5f1ad6d13aebeb25e716f4fed09b6ae9410c",
     "LinkedList": "03b4583674761c32de2c2479eee75484835988bdde9f5db6cca3e0387ca9f14d",
     "QuickSort": "8919f355a4285a1465783d902b7f5c562a95370209d18c3fc56e5153991d52a0",
-    "TreeVisitor": "fae9dc08fd656291ac771d4d8e1c35ff0b5cc05c2775917abfe77164ac256adc",
+    "TreeVisitor": "f1f640eb798a672ee7a44f745f4ee114b7df0e50d664c68e009495b6542ca182",
 }
 
 
@@ -103,6 +106,93 @@ def test_methods_mangle_with_declaring_class_index():
         assert mangle_new(cls) in flat
 
 
+UNREACHED = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new A().used());
+    }
+}
+
+class A {
+    public int used() { return 1; }
+    public int unused() { return this.helper() + new Never().f(); }
+    public int helper() { return 2; }
+}
+
+class Never {
+    public int f() { return 3; }
+}
+"""
+
+
+def function_names(ml):
+    return {f.name for group in ml.fun_groups for f in group}
+
+
+def test_uncalled_methods_and_uninstantiated_classes_emit_nothing():
+    ml = tr(UNREACHED)
+    names = function_names(ml)
+    assert {mangle_new("A"), mangle_method(0, "used")} <= names
+    assert mangle_method(0, "unused") not in names
+    assert mangle_new("Never") not in names
+    # A's level holds the one slot read, so the constructor names no other method
+    sml = print_ml_program(ml, "Unreached")
+    assert "unused" not in sml and mangle_method(1, "f") not in sml
+    assert diff_source("Unreached", UNREACHED).verdict == "match"
+
+
+def test_a_method_reached_only_from_dead_code_is_dead():
+    program = parse_source(UNREACHED)
+    table = typecheck(program)
+    assert table.live == {("A", "used")}
+    assert table.instantiated == {"A"}
+    assert table.read_slots == {("A", "used")}
+    names = function_names(translate(program, table))
+    assert mangle_method(0, "helper") not in names
+    assert mangle_method(1, "f") not in names
+
+
+SUBCLASS_ONLY = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new User().run(new B()));
+    }
+}
+
+class User {
+    public int run(A x) { return x.get(); }
+}
+
+class A {
+    public int get() { return 1; }
+}
+
+class B extends A {
+    public int get() { return 2; }
+}
+"""
+
+
+def test_an_override_only_a_subclass_instance_reaches_is_emitted():
+    names = function_names(tr(SUBCLASS_ONLY))
+    assert {mangle_method(0, "run"), mangle_method(2, "get"), mangle_new("B")} <= names
+    assert mangle_method(1, "get") not in names
+    assert mangle_new("A") not in names
+    result = diff_source("SubclassOnly", SUBCLASS_ONLY)
+    assert result.verdict == "match" and result.ml.output == [2]
+
+
+def test_a_type_error_in_an_uncalled_method_is_still_reported(tmp_path, capsys):
+    source = UNREACHED.replace("public int helper() { return 2; }",
+                               "public int helper() { return true; }")
+    path = tmp_path / "Unreached.java"
+    path.write_text(source)
+    assert main(["translate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}:10:34: return value must be int, got boolean\n"
+
+
 def test_main_calls_the_entry_function():
     ml = tr(CHAIN)
     text = repr(ml.main)
@@ -122,7 +212,7 @@ def test_generated_subclass_encoding_is_pinned():
     text = "".join(print_ml_program(translate(generate_program(s, 40)), f"seed{s:03d}")
                    for s in range(40))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "4625387285ecb47f836c8a82f0d503c99214b952f96e2f9e855d3444c7c08144"
+        "4f64bf9753d5c0fb8e5bb489882755b3a56b5ed9b693d59acce24595ffbceac3"
 
 
 def test_gen200_workload_is_pinned():
@@ -136,7 +226,7 @@ def test_gen200_workload_is_pinned():
     assert (len(source), hashlib.sha256(source).hexdigest()) == (
         624675, "4aaa6ae173174edd3a3581bb467872f20879886553696d0b1b4401880281a271")
     assert (len(sml), hashlib.sha256(sml).hexdigest()) == (
-        3331013, "6bb8f7fa6fd0987965da99fd123d415d6760e81f9f220e76abfad32dfc3e067c")
+        2675965, "a22c646a72aff430d4c90ea1086ff2149f7769c1783a2de7ac2438c03927fd78")
 
 
 def outcome_at_depth(depth, source):
