@@ -12,6 +12,11 @@ exceptions, strings, or records.  Booleans are the usual constructors
 Types (`Ty*`) appear only in datatype declarations, which may take type
 parameters (`TyVar`); expressions are untyped here and checked
 structurally by `validate_core`.
+
+The translation emits A-normal form, and `mlprint` relies on it: a
+`let`, `case` or `if` is never an operand, that is a tuple or constructor
+item, a primitive's operand, an applied function or its argument, an
+`if` condition or a `case` scrutinee.  `validate_core` checks this too.
 """
 
 from __future__ import annotations
@@ -296,7 +301,10 @@ class _Validator:
             self.forget(bound)
         return names
 
-    def expr(self, e: MlExpr, path: str) -> None:
+    def expr(self, e: MlExpr, path: str, operand: bool = False) -> None:
+        """Check `e`; an `operand` must not be a `let`, `case` or `if`."""
+        if operand and isinstance(e, (Let, Case, If)):
+            self.flag(path, f"'{type(e).__name__.lower()}' as an operand")
         if isinstance(e, Var):
             if e.name not in self.scope:
                 self.flag(path, f"unbound variable '{e.name}'")
@@ -306,7 +314,7 @@ class _Validator:
             if len(e.items) == 1:
                 self.flag(path, "1-element tuple")
             for i, sub in enumerate(e.items):
-                self.expr(sub, f"{path}/tuple.{i}")
+                self.expr(sub, f"{path}/tuple.{i}", operand=True)
         elif isinstance(e, Con):
             arity = self.con_arities.get(e.name)
             if arity is None:
@@ -315,7 +323,7 @@ class _Validator:
                 self.flag(path, f"constructor '{e.name}' takes {arity} "
                                 f"argument(s), got {len(e.args)}")
             for i, sub in enumerate(e.args):
-                self.expr(sub, f"{path}/{e.name}.{i}")
+                self.expr(sub, f"{path}/{e.name}.{i}", operand=True)
         elif isinstance(e, PrimOp):
             arity = PRIM_OPS.get(e.op)
             if arity is None:
@@ -327,9 +335,9 @@ class _Validator:
                                             and e.args[1].value > 0):
                 self.flag(path, f"'{e.op}' by something other than a positive literal")
             for i, sub in enumerate(e.args):
-                self.expr(sub, f"{path}/{e.op}.{i}")
+                self.expr(sub, f"{path}/{e.op}.{i}", operand=True)
         elif isinstance(e, If):
-            self.expr(e.cond, f"{path}/if-cond")
+            self.expr(e.cond, f"{path}/if-cond", operand=True)
             self.expr(e.then, f"{path}/if-then")
             self.expr(e.orelse, f"{path}/if-else")
         elif isinstance(e, Let):
@@ -346,10 +354,10 @@ class _Validator:
             self.expr(e.body, f"{path}/let-body")
             self.forget(declared)
         elif isinstance(e, App):
-            self.expr(e.func, f"{path}/app-fn")
-            self.expr(e.arg, f"{path}/app-arg")
+            self.expr(e.func, f"{path}/app-fn", operand=True)
+            self.expr(e.arg, f"{path}/app-arg", operand=True)
         elif isinstance(e, Case):
-            self.expr(e.scrutinee, f"{path}/case-scrutinee")
+            self.expr(e.scrutinee, f"{path}/case-scrutinee", operand=True)
             if not e.rules:
                 self.flag(path, "case with no rules")
             for i, (pat, rhs) in enumerate(e.rules):
@@ -363,7 +371,8 @@ class _Validator:
 def validate_core(program: MlProgram) -> list[Violation]:
     """Structural check: core nodes only, known constructors and primitives
     at the right arities, `div` and `mod` only by positive literals, no
-    unbound variables, no 1-tuples; within
+    unbound variables, no 1-tuples, and no `let`, `case` or `if` as an
+    operand, so that every tree it accepts prints; within
     `outcome.COMPILE_FRAMES` frames, which any translation fits."""
     con_arities = dict(BUILTIN_CON_ARITIES)
     checker = _Validator(con_arities)

@@ -2,9 +2,20 @@
 
 The output is deterministic byte for byte: layout decisions depend only
 on the tree.  Indentation is two spaces.  Negative integer literals use
-`~`.  Parenthesisation is conservative; `let ... end` is self-bracketing
-and never parenthesised.  Each `Let` prints as one let/in/end around
-its declarations in order; the printer merges and splits nothing.
+`~`.  Parenthesisation is conservative.  Each `Let` prints as one
+let/in/end around its declarations in order; the printer merges and
+splits nothing.
+
+The printer relies on the A-normal form the translation emits, which
+`validate_core` checks: a `let`, `case` or `if` stands only where a value
+is bound or returned (a `val` or `fun` right-hand side, a `let` body, an
+`if` branch, a `case` rule, the entry expression), and every operand is
+an atom or a one-line expression.  So it has two levels.  `_line` prints
+an operand on one line.  `_block` prints a bound or returned value as a
+list of lines: the first continues the caller's line, and each later one
+carries its own indentation.  A parent splices its children's lines into
+its own, so the text of each line is built once, and the bytes printing
+copies are linear in its output.
 
 The one piece of source that is not generated from the tree is the
 printing helper `mj_print`, which uses strings and is therefore outside
@@ -61,14 +72,6 @@ _OP_LEVEL = {"=": _L_CMP, "<": _L_CMP, "+": _L_ADD, "-": _L_ADD,
 _SINGLE_LINE_LIMIT = 72
 
 
-def _int_text(value: int) -> str:
-    return str(value) if value >= 0 else "~" + str(-value)
-
-
-def _paren(text: str) -> str:
-    return "(" + text + ")"
-
-
 # -- types --------------------------------------------------------------------
 
 def print_type(ty: MlType, level: int = 0) -> str:
@@ -82,10 +85,10 @@ def print_type(ty: MlType, level: int = 0) -> str:
         if not ty.items:
             return "unit"
         text = " * ".join(print_type(item, 2) for item in ty.items)
-        return _paren(text) if level > 1 else text
+        return f"({text})" if level > 1 else text
     if isinstance(ty, TyArrow):
         text = f"{print_type(ty.param, 1)} -> {print_type(ty.result, 0)}"
-        return _paren(text) if level > 0 else text
+        return f"({text})" if level > 0 else text
     raise AssertionError(f"unhandled type {type(ty).__name__}")
 
 
@@ -105,113 +108,93 @@ def print_pat(pat: Pat, atomic: bool = False) -> str:
             text = f"{pat.name} {print_pat(pat.args[0], atomic=True)}"
         else:
             text = pat.name + " (" + ", ".join(print_pat(p) for p in pat.args) + ")"
-        return _paren(text) if atomic else text
+        return f"({text})" if atomic else text
     raise AssertionError(f"unhandled pattern {type(pat).__name__}")
 
 
 # -- expressions ------------------------------------------------------------------
 
-def _is_multiline(text: str) -> bool:
-    return "\n" in text
-
-
-def _wrap(text: str, need_paren: bool) -> str:
-    return _paren(text) if need_paren else text
-
-
-def print_expr(expr: MlExpr, ind: str = "", level: int = 0) -> str:
-    """Render; continuation lines are prefixed with `ind`."""
+def _line(expr: MlExpr, level: int = _L_LOW) -> str:
+    """An operand, on one line, parenthesised if looser than `level`."""
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, IntLit):
-        return _int_text(expr.value)
+        return str(expr.value) if expr.value >= 0 else f"~{-expr.value}"
     if isinstance(expr, Tuple):
-        if not expr.items:
-            return "()"
-        inner = ", ".join(print_expr(item, ind + "  ", _L_LOW) for item in expr.items)
-        return "(" + inner + ")"
-    if isinstance(expr, Con):
-        return _print_con(expr, ind, level)
+        return "(" + ", ".join(map(_line, expr.items)) + ")"
     if isinstance(expr, PrimOp):
         own = _OP_LEVEL[expr.op]
-        left = print_expr(expr.args[0], ind, own)
-        right = print_expr(expr.args[1], ind, own + 1)
-        return _wrap(f"{left} {expr.op} {right}", level > own)
-    if isinstance(expr, App):
-        func = print_expr(expr.func, ind, _L_APP)
-        arg = print_expr(expr.arg, ind + "  ", _L_ATOM)
-        return _wrap(f"{func} {arg}", level > _L_APP)
+        text = f"{_line(expr.args[0], own)} {expr.op} {_line(expr.args[1], own + 1)}"
+        return f"({text})" if level > own else text
+    if isinstance(expr, Con):
+        if not expr.args:
+            return expr.name
+        # applied like a function to its one argument, or to their tuple
+        if len(expr.args) == 1:
+            text = f"{expr.name} {_line(expr.args[0], _L_ATOM)}"
+        else:
+            text = f"{expr.name} ({', '.join(map(_line, expr.args))})"
+    elif isinstance(expr, App):
+        text = f"{_line(expr.func, _L_APP)} {_line(expr.arg, _L_ATOM)}"
+    else:
+        raise AssertionError(f"unhandled operand {type(expr).__name__}")
+    return f"({text})" if level > _L_APP else text
+
+
+def _block(expr: MlExpr, ind: str) -> list[str]:
+    """A bound or returned value; lines after the first start with `ind`."""
+    if not isinstance(expr, (If, Case, Let)):
+        return [_line(expr)]
+    deeper = ind + "  "
     if isinstance(expr, If):
-        return _wrap(_print_if(expr, ind), level > _L_LOW)
+        cond = _line(expr.cond)
+        then, orelse = _block(expr.then, deeper), _block(expr.orelse, deeper)
+        if len(then) == len(orelse) == 1:
+            text = f"if {cond} then {then[0]} else {orelse[0]}"
+            if len(text) <= _SINGLE_LINE_LIMIT:
+                return [text]
+        return [f"if {cond}", f"{ind}then {then[0]}", *then[1:],
+                f"{ind}else {orelse[0]}", *orelse[1:]]
     if isinstance(expr, Case):
-        return _wrap(_print_case(expr, ind), level > _L_LOW)
-    if isinstance(expr, Let):
-        return _print_let(expr, ind)
-    raise AssertionError(f"unhandled expression {type(expr).__name__}")
-
-
-def _print_con(expr: Con, ind: str, level: int) -> str:
-    if not expr.args:
-        return expr.name
-    if len(expr.args) == 1:
-        arg = print_expr(expr.args[0], ind + "  ", _L_ATOM)
-        return _wrap(f"{expr.name} {arg}", level > _L_APP)
-    inner = ", ".join(print_expr(a, ind + "  ", _L_LOW) for a in expr.args)
-    return _wrap(f"{expr.name} ({inner})", level > _L_APP)
-
-
-def _print_if(expr: If, ind: str) -> str:
-    cond = print_expr(expr.cond, ind + "  ", _L_LOW)
-    then = print_expr(expr.then, ind + "  ", _L_LOW)
-    orelse = print_expr(expr.orelse, ind + "  ", _L_LOW)
-    one_line = f"if {cond} then {then} else {orelse}"
-    if not _is_multiline(one_line) and len(one_line) <= _SINGLE_LINE_LIMIT:
-        return one_line
-    return (f"if {cond}\n"
-            f"{ind}then {then}\n"
-            f"{ind}else {orelse}")
-
-
-def _print_case(expr: Case, ind: str) -> str:
-    scrut = print_expr(expr.scrutinee, ind + "  ", _L_LOW)
-    lines = [f"case {scrut} of"]
-    for i, (pat, rhs) in enumerate(expr.rules):
-        lead = f"{ind}    " if i == 0 else f"{ind}  | "
-        body = print_expr(rhs, ind + "      ", _L_LOW)
-        lines.append(f"{lead}{print_pat(pat)} => {body}")
-    return "\n".join(lines)
-
-
-def _print_let(expr: Let, ind: str) -> str:
-    inner = ind + "  "
+        lines = [f"case {_line(expr.scrutinee)} of"]
+        for i, (pat, rhs) in enumerate(expr.rules):
+            body = _block(rhs, ind + "      ")
+            lead = "    " if i == 0 else "  | "
+            lines += [f"{ind}{lead}{print_pat(pat)} => {body[0]}", *body[1:]]
+        return lines
+    # a Let
     lines = ["let"]
     for decl in expr.decls:
         if isinstance(decl, Val):
-            rhs = print_expr(decl.rhs, inner + "  ", _L_LOW)
-            head = f"{inner}val {print_pat(decl.pat)} ="
-            if _is_multiline(rhs) or len(head) + len(rhs) + 1 > _SINGLE_LINE_LIMIT + len(inner):
-                lines.append(head)
-                lines.append(f"{inner}  {rhs}")
-            else:
-                lines.append(f"{head} {rhs}")
+            lines += _bind(f"{deeper}val {print_pat(decl.pat)} =", decl.rhs, deeper)
         else:
-            lines.extend(_print_group(decl, inner))
-    lines.append(f"{ind}in")
-    lines.append(f"{inner}{print_expr(expr.body, inner, _L_LOW)}")
-    lines.append(f"{ind}end")
-    return "\n".join(lines)
+            lines += _group(decl, deeper)
+    body = _block(expr.body, deeper)
+    lines += [f"{ind}in", deeper + body[0], *body[1:], f"{ind}end"]
+    return lines
 
 
-def _print_group(funs: tuple[FunDef, ...], ind: str) -> list[str]:
-    return [_print_fun(f, ind, "fun" if j == 0 else "and") for j, f in enumerate(funs)]
+def _bind(head: str, rhs: MlExpr, ind: str) -> list[str]:
+    """`head rhs` on the head's line if it fits, else `rhs` from the next
+    line; `head` starts with `ind`."""
+    body = _block(rhs, ind + "  ")
+    if len(body) == 1 and len(head) + len(body[0]) < _SINGLE_LINE_LIMIT + len(ind):
+        return [f"{head} {body[0]}"]
+    return [head, ind + "  " + body[0], *body[1:]]
 
 
-def _print_fun(f: FunDef, ind: str, keyword: str) -> str:
-    head = f"{ind}{keyword} {f.name} {print_pat(f.param, atomic=True)} ="
-    body = print_expr(f.body, ind + "  ", _L_LOW)
-    if not _is_multiline(body) and len(head) + len(body) + 1 <= _SINGLE_LINE_LIMIT + len(ind):
-        return f"{head} {body}"
-    return f"{head}\n{ind}  {body}"
+def _group(funs: tuple[FunDef, ...], ind: str) -> list[str]:
+    lines = []
+    for j, f in enumerate(funs):
+        keyword = "fun" if j == 0 else "and"
+        lines += _bind(f"{ind}{keyword} {f.name} {print_pat(f.param, atomic=True)} =",
+                       f.body, ind)
+    return lines
+
+
+def print_expr(expr: MlExpr, ind: str = "") -> str:
+    """Render; continuation lines are prefixed with `ind`."""
+    return "\n".join(_block(expr, ind))
 
 
 # -- declarations -------------------------------------------------------------------
@@ -231,11 +214,16 @@ def _print_datatype(dt: DataType, keyword: str) -> str:
 def print_ml_program(program: MlProgram, source_name: str = "source") -> str:
     """Full SML source: header, print helper, datatypes, functions, entry.
 
-    The printer recurses once per nesting level of the tree, within
-    `outcome.COMPILE_FRAMES` frames, which any translation fits.
+    Printing recurses once per nested `let`, `case`, `if` or operand,
+    within `outcome.COMPILE_FRAMES` frames, which any translation fits:
+    at `outcome.MAX_NESTING` the deepest, nested `while`s, take 4 frames a
+    level (`if`, `let`, and `_group` and `_bind` for the loop's `fun`),
+    2 000 in all, and a chain of classes 2 a class.
     """
+    # SML comments nest: a `(*` or `*)` in the name would unbalance the header
+    name = source_name.replace("(*", "( *").replace("*)", "* )")
     parts = [
-        f"(* {source_name}, translated by mj2ml {__version__}. *)",
+        f"(* {name}, translated by mj2ml {__version__}. *)",
         "(* The heap is an explicit value threaded through every function: *)",
         "(* mj_s<n> are heap states, mj_<x>_<n> the bindings of variable x. *)",
         "",
@@ -248,7 +236,7 @@ def print_ml_program(program: MlProgram, source_name: str = "source") -> str:
         parts.append("")
     with extra_frames(COMPILE_FRAMES):
         for group in program.fun_groups:
-            parts.extend(_print_group(group, ""))
-            parts.append("")
-        parts.append(f"val _ = {print_expr(program.main, '  ', _L_LOW)}")
+            parts += [*_group(group, ""), ""]
+        main = _block(program.main, "  ")
+    parts += [f"val _ = {main[0]}", *main[1:]]
     return "\n".join(parts) + "\n"

@@ -8,7 +8,7 @@ from unittest.mock import patch
 
 import pytest
 
-from mj2ml import sema
+from mj2ml import mlprint, sema
 from mj2ml.cli import main
 from mj2ml.mjast import CallExpr, Expr, Stmt
 from mj2ml.mlast import validate_core
@@ -341,12 +341,9 @@ def test_one_nesting_limit_for_every_command(form, tmp_path, capsys):
     assert ["Deeper.java", "-", "-", "error"] in rows
 
 
-@pytest.mark.parametrize("form", [form for form in NESTING_FORMS
-                                  if form not in ("if", "and", "block")])
+@pytest.mark.parametrize("form", [form for form in NESTING_FORMS if form != "block"])
 def test_deepest_translations_print_and_validate_from_a_deep_caller(form):
-    # printing takes the most frames per level: 7 per nested `while`.  The
-    # nested `if` and `&&` forms print 5 MB each and are left to the test
-    # above; blocks leave nothing nested in the translation.
+    # blocks leave nothing nested in the translation
     source, deepest = NESTING_FORMS[form]
     ml = translate(parse_source(source(deepest)))
 
@@ -357,6 +354,16 @@ def test_deepest_translations_print_and_validate_from_a_deep_caller(form):
     with extra_frames(1000):
         assert at_depth(900, lambda: validate_core(ml)) == []
         assert at_depth(900, lambda: print_ml_program(ml)).endswith("\nval _ = mj_main ()\n")
+
+
+def test_the_deepest_while_prints_in_4_frames_a_level():
+    # a nested `while` is an `if` whose branch is a `let` declaring a `fun`,
+    # which print in 4 frames: `_block` for each of the `if` and the `let`,
+    # `_group` and `_bind` for the `fun`
+    source, deepest = NESTING_FORMS["while"]
+    ml = translate(parse_source(source(deepest)))
+    with patch.object(mlprint, "COMPILE_FRAMES", 5 * MAX_NESTING):
+        assert print_ml_program(ml).endswith("\nval _ = mj_main ()\n")
 
 
 def test_diff_corpus_exits_0(corpus_dir, capsys):

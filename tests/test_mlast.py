@@ -1,7 +1,10 @@
 import time
 
+import pytest
+
 from mj2ml.mlast import (
     App,
+    Case,
     Con,
     FunDef,
     If,
@@ -13,6 +16,7 @@ from mj2ml.mlast import (
     PVar,
     PWild,
     PrimOp,
+    Tuple,
     Val,
     Var,
     validate_core,
@@ -104,3 +108,24 @@ def test_div_and_mod_take_only_positive_literal_divisors():
             assert violations(main) == [
                 ("main/let-body", f"'{op}' by something other than a positive literal")]
         assert violations(Let(bind_x, PrimOp(op, (Var("x"), IntLit(2))))) == []
+
+
+
+@pytest.mark.parametrize("node", ["let", "case", "if"])
+def test_a_let_case_or_if_is_flagged_as_an_operand(node):
+    # the A-normal form that `mlprint` relies on: these print on one line only
+    block = {"let": Let((Val(PVar("x"), IntLit(1)),), Var("x")),
+             "case": Case(IntLit(1), ((PWild(), IntLit(1)),)),
+             "if": If(Con("true"), Con("true"), Con("false"))}[node]
+    positions = {"tuple.0": Tuple((block, IntLit(1))),   # (let ... end, 1)
+                 "SOME.0": Con("SOME", (block,)),
+                 "+.0": PrimOp("+", (block, IntLit(1))),
+                 "app-fn": App(block, IntLit(1)),
+                 "app-arg": App(Var("f"), block),       # f (case ...)
+                 "if-cond": If(block, IntLit(1), IntLit(2)),
+                 "case-scrutinee": Case(block, ((PWild(), IntLit(1)),))}
+    f = FunDef("f", PVar("n"), Var("n"))
+    for position, main in positions.items():
+        assert violations(main, [(f,)]) == [(f"main/{position}", f"'{node}' as an operand")]
+    # bound or returned, it is fine
+    assert violations(Let((Val(PVar("y"), block),), If(Con("true"), block, block))) == []

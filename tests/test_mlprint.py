@@ -140,3 +140,29 @@ def test_printing_is_deterministic(corpus_files):
     a = print_ml_program(translate(parse_source(src)))
     b = print_ml_program(translate(parse_source(src)))
     assert a == b
+
+
+def comment_depths(text):
+    """The SML comment depth after each line; None once a `*)` closes nothing."""
+    depth, depths = 0, []
+    for line in text.splitlines():
+        i = 0
+        while i < len(line):
+            if line.startswith("(*", i):
+                depth, i = depth + 1, i + 2
+            elif line.startswith("*)", i):
+                if depth == 0:
+                    return None
+                depth, i = depth - 1, i + 2
+            else:
+                i += 1
+        depths.append(depth)
+    return depths
+
+
+def test_the_header_comment_closes_whatever_the_file_name():
+    program = MlProgram([], [], IntLit(0))
+    for name in ("odd(*name.java", "odd*)name.java", "(*)", "a(**)b.java", "plain.java"):
+        text = print_ml_program(program, source_name=name)
+        assert comment_depths(text) == [0] * len(text.splitlines()), name
+        assert text.splitlines()[0].startswith("(* ") and text.splitlines()[0].endswith(" *)")
