@@ -157,8 +157,12 @@ def _block(expr: MlExpr, ind: str) -> list[str]:
                 f"{ind}else {orelse[0]}", *orelse[1:]]
     if isinstance(expr, Case):
         lines = [f"case {_line(expr.scrutinee)} of"]
+        last = len(expr.rules) - 1
         for i, (pat, rhs) in enumerate(expr.rules):
             body = _block(rhs, ind + "      ")
+            if i < last and _ends_in_case(rhs):
+                # else the inner case would take this case's later rules
+                body = [f"({body[0]}", *body[1:-1], body[-1] + ")"]
             lead = "    " if i == 0 else "  | "
             lines += [f"{ind}{lead}{print_pat(pat)} => {body[0]}", *body[1:]]
         return lines
@@ -172,6 +176,14 @@ def _block(expr: MlExpr, ind: str) -> list[str]:
     body = _block(expr.body, deeper)
     lines += [f"{ind}in", deeper + body[0], *body[1:], f"{ind}end"]
     return lines
+
+
+def _ends_in_case(expr: MlExpr) -> bool:
+    """Whether the text of expr ends in a `case`'s last rule, where SML
+    reads any `| rule` that follows as one more rule of that `case`."""
+    while isinstance(expr, If):
+        expr = expr.orelse
+    return isinstance(expr, Case)
 
 
 def _bind(head: str, rhs: MlExpr, ind: str) -> list[str]:

@@ -166,3 +166,34 @@ def test_the_header_comment_closes_whatever_the_file_name():
         text = print_ml_program(program, source_name=name)
         assert comment_depths(text) == [0] * len(text.splitlines()), name
         assert text.splitlines()[0].startswith("(* ") and text.splitlines()[0].endswith(" *)")
+
+
+def test_a_case_that_ends_a_rule_other_than_the_last_is_bracketed():
+    # SML extends a match as far right as it can, so unbracketed the outer
+    # `| false => 3` would be read as a third rule of the inner case
+    inner = Case(Con("false"), ((PCon("true"), IntLit(1)), (PCon("false"), IntLit(2))))
+    outer = Case(Con("false"), ((PCon("true"), inner), (PCon("false"), IntLit(3))))
+    assert print_expr(outer).splitlines() == [
+        "case false of",
+        "    true => (case false of",
+        "          true => 1",
+        "        | false => 2)",
+        "  | false => 3",
+    ]
+    # the same when the inner case is the `else` of an `if` ending the rule
+    outer = Case(Con("false"), ((PCon("true"), If(Var("c"), IntLit(0), inner)),
+                                (PCon("false"), IntLit(3))))
+    assert print_expr(outer).splitlines() == [
+        "case false of",
+        "    true => (if c",
+        "      then 0",
+        "      else case false of",
+        "            true => 1",
+        "          | false => 2)",
+        "  | false => 3",
+    ]
+    # a case ending the last rule, or closed by `end`, needs no brackets
+    last = Case(Con("false"), ((PCon("false"), IntLit(3)), (PCon("true"), inner)))
+    closed = Case(Con("false"), ((PCon("true"), Let((Val(PVar("x"), IntLit(0)),), inner)),
+                                 (PCon("false"), IntLit(3))))
+    assert "(" not in print_expr(last) and "(" not in print_expr(closed)
