@@ -65,9 +65,9 @@ body and one for each node between that body and the call: an `if`, a
 `case`, a `let`, or a node with the call as an operand.  That is 3
 frames per call for a translated method recursion, against 2 for the
 tree-walking evaluator this replaced.  The store's helpers (`translate`'s
-prelude) that are not tail-recursive, `mj_cons`, `mj_set` and the
-`mj_length` walk, recurse once per level of a Braun tree, O(log n) deep
-for n cells, so only method recursion comes near the limit.  A run has
+prelude) that are not tail-recursive, `mj_cons`, `mj_set` and
+`mj_zeros`, recurse once per level of a Braun tree, O(log n) deep for n
+cells, so only method recursion comes near the limit.  A run has
 `outcome.RECURSION_LIMIT` Python frames (the run model in `outcome`);
 exceeding it reports FuelExhausted, as running out of fuel does.
 
@@ -729,7 +729,8 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
     def construct(e: Tuple | Con):
         """A tuple, or a constructor application, with an impure part.
         A pair is built in the closure itself, so that a call in it, as
-        in `x :: f y`, holds no extra Python frame."""
+        in the array write `HArr (n, mj_set (t, i, v))`, holds no extra
+        Python frame."""
         items, extra = operands(e.items if type(e) is Tuple else e.args)
         cost = 1 + extra
         name = e.name if type(e) is Con else None

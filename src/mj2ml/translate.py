@@ -3,17 +3,17 @@
 The generated program threads a heap value through every computation
 instead of using mutable state.  A state is a pair
 ``(next pointer, heap)``; allocation hands out pointers 0, 1, 2, ...
-The heap, and each array (``HArr`` of its elements), is a Braun tree
-used as a flexible array (Okasaki, *Purely Functional Data Structures*,
-1998, 10.1.2; Braun and Rem, 1983): index 0 is the root, index 2j+1 is
-index j of the left subtree and 2j+2 index j of the right.  Reading or
-writing an index takes O(log n) steps, and so does consing a new index 0
-onto the front, which shifts every other index up by one.  Allocation
-conses, so pointer k is at index n-1-k of an n-cell heap and the newest
-object, the one most likely to be used next, is the root.  Array
-element i is at index i.  Null is the pointer -1, index n, and like any
-array index outside 0 .. length-1 its walk ends in an empty subtree,
-where the helpers have no rule: the program faults with a failed match.
+The heap, and each array's elements, is a Braun tree used as a flexible
+array (Okasaki, *Purely Functional Data Structures*, 1998, 10.1.2; Braun
+and Rem, 1983): index 0 is the root, index 2j+1 is index j of the left
+subtree and 2j+2 index j of the right.  Reading or writing an index, or
+consing a new index 0 onto the front, takes O(log n) steps.  Allocation
+conses, so pointer k is at index n-1-k of an n-cell heap: the newest
+object is the root.  An array is ``HArr (length, elements)``, element i
+at index i, so ``a.length`` is O(1); ``new int[n]`` builds its zeros by
+halving, O(log^2 n).  Null is the pointer -1, index n, and like any array
+index outside 0 .. length-1 its walk ends in an empty subtree, where the
+helpers have no rule: the program faults with a failed match.
 
 Objects are nested tuples.  For each root class R the heap carries
 ``HObj_R`` of R's level tuple: the method slots introduced by R that a
@@ -318,7 +318,7 @@ class _Translator:
                            + [TyApp("option", ext)])
 
     def datatypes(self) -> list[DataType]:
-        heap_cons = [DataCon("HArr", TyApp("tree", TY_INT))]
+        heap_cons = [DataCon("HArr", TyTuple((TY_INT, TyApp("tree", TY_INT))))]
         for root in self.table.roots():
             heap_cons.append(DataCon(f"HObj_{_enc(root)}", self._level_ty(root)))
         decls = [DataType("heapval", tuple(heap_cons)), TREE]
@@ -372,11 +372,16 @@ class _Translator:
         ctx.emit(PVar(state), _call("mj_update", Var(ctx.state), ptr, value))
         ctx.state = state
 
-    def _array_items(self, ctx: _Ctx, ptr: MlExpr) -> MlExpr:
-        """Bind the int tree of the array at ptr."""
-        value = self._lookup(ctx, ptr)
-        inner = ctx.fn.fresh_temp()
-        return ctx.bind(Case(value, ((PCon("HArr", (PVar(inner),)), Var(inner)),)))
+    def _array(self, ctx: _Ctx, ptr: MlExpr, use) -> MlExpr:
+        """Bind `use(length, items)` of the array `HArr (length, items)` at
+        ptr; an argument of `use` names its part when called, else `_`."""
+        value, parts = self._lookup(ctx, ptr), [PWild(), PWild()]
+
+        def part(k: int) -> MlExpr:
+            parts[k] = PVar(ctx.fn.fresh_temp())
+            return Var(parts[k].name)
+        rhs = use(lambda: part(0), lambda: part(1))
+        return ctx.bind(Case(value, ((PCon("HArr", tuple(parts)), rhs),)))
 
     def _read_slot(self, ctx: _Ctx, ptr: MlExpr, cls: str,
                    slot: tuple[str, str]) -> MlExpr:
@@ -439,14 +444,13 @@ class _Translator:
         if isinstance(e, ArrayIndexExpr):
             arr = self.expr(e.array, ctx)
             idx = self.expr(e.index, ctx)
-            items = self._array_items(ctx, arr)
-            return ctx.bind(_call("mj_get", items, idx))
+            return self._array(ctx, arr, lambda n, t: _call("mj_get", t(), idx))
         if isinstance(e, ArrayLengthExpr):
-            items = self._array_items(ctx, self.expr(e.array, ctx))
-            return ctx.bind(_call("mj_length", items))
+            return self._array(ctx, self.expr(e.array, ctx), lambda n, t: n())
         if isinstance(e, NewArrayExpr):
-            zeros = ctx.bind(_call("mj_zeros", self.expr(e.length, ctx), EMPTY))
-            return ctx.bind_state(_call("mj_alloc", Var(ctx.state), Con("HArr", (zeros,))))
+            n = self.expr(e.length, ctx)
+            zeros = ctx.bind(_call("mj_zeros", n))
+            return ctx.bind_state(_call("mj_alloc", Var(ctx.state), Con("HArr", (n, zeros))))
         if isinstance(e, NewObjectExpr):
             return ctx.bind_state(App(Var(mangle_new(e.class_name)), Var(ctx.state)))
         if isinstance(e, CallExpr):
@@ -485,9 +489,8 @@ class _Translator:
                 ptr = ctx.var_atom(s.name)
             idx = self.expr(s.index, ctx)
             value = self.expr(s.value, ctx)
-            items = self._array_items(ctx, ptr)
-            updated = ctx.bind(_call("mj_set", items, idx, value))
-            self._store(ctx, ptr, Con("HArr", (updated,)))
+            self._store(ctx, ptr, self._array(ctx, ptr, lambda n, t: Con(
+                "HArr", (n(), _call("mj_set", t(), idx, value)))))
         elif isinstance(s, IfStmt):
             cond = self.expr(s.cond, ctx)
             tctx = ctx.branch()
@@ -571,7 +574,8 @@ def _braun_step(i: MlExpr, at_root: MlExpr, left, right) -> MlExpr:
 @cache
 def prelude() -> tuple[FunDef, ...]:
     """The fixed runtime: the store as a Braun tree, one for the heap and
-    one for each array.  Built once; every translation shares its nodes.
+    one for each array's elements, whose length `HArr` stores beside
+    them.  Built once; every translation shares its nodes.
 
     mj_get and mj_set deliberately have no `Lf` case: an index outside
     the tree (null, or an array index below 0 or from the length on)
@@ -595,18 +599,14 @@ def prelude() -> tuple[FunDef, ...]:
         Case(t, ((PCon("Lf"), _nd(x, EMPTY, EMPTY)),
                  (PCon("Nd", (PVar("v"), PVar("l"), PVar("r"))),
                   _nd(x, _call("mj_cons", v, r), l)))))
-    length = FunDef(
-        "mj_length", PVar("t"),
-        Case(t, ((PCon("Lf"), IntLit(0)),
-                 (PCon("Nd", (PWild(), PVar("l"), PVar("r"))),
-                  PrimOp("+", (PrimOp("+", (IntLit(1), _call("mj_length", l))),
-                               _call("mj_length", r)))))))
-    zeros = FunDef(
-        "mj_zeros", PTuple((PVar("n"), PVar("t"))),
-        If(PrimOp("<", (Var("n"), IntLit(1))),
-           t,
-           _call("mj_zeros", PrimOp("-", (Var("n"), IntLit(1))),
-                 _call("mj_cons", IntLit(0), t))))
+    # n zeros: one tree of (n - 1) div 2 on both sides, one more consed left if n is even
+    n, zero = Var("n"), IntLit(0)
+    half = _call("mj_zeros", PrimOp("div", (PrimOp("-", (n, IntLit(1))), IntLit(2))))
+    zeros = FunDef("mj_zeros", PVar("n"), If(
+        PrimOp("<", (n, IntLit(1))), EMPTY,
+        Let((Val(PVar("t"), half),),
+            If(PrimOp("=", (PrimOp("mod", (n, IntLit(2))), IntLit(1))),
+               _nd(zero, t, t), _nd(zero, _call("mj_cons", zero, t), t)))))
     # pointer k is index n - 1 - k of the heap, so the newest cell is its root
     state = PTuple((PVar("n"), PVar("h")))
     slot = PrimOp("-", (PrimOp("-", (Var("n"), IntLit(1))), Var("k")))
@@ -620,7 +620,7 @@ def prelude() -> tuple[FunDef, ...]:
         "mj_alloc", PTuple((state, PVar("w"))),
         Tuple((Tuple((PrimOp("+", (Var("n"), IntLit(1))), _call("mj_cons", w, Var("h")))),
                Var("n"))))
-    return (get, set_, cons, length, zeros, lookup, update, alloc)
+    return (get, set_, cons, zeros, lookup, update, alloc)
 
 
 def translate(program: MjProgram, table: ClassTable | None = None) -> MlProgram:

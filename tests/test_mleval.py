@@ -23,7 +23,7 @@ from mj2ml.mlast import (
     Val,
     Var,
 )
-from mj2ml.mleval import VCon, alloc_order, eval_program, heap_cells
+from mj2ml.mleval import VCon, _tree_items, alloc_order, eval_program, heap_cells
 from mj2ml.outcome import DEFAULT_FUEL, FaultKind
 from mj2ml.parser import parse_source
 from mj2ml.randgen import generate_program
@@ -165,7 +165,7 @@ def run_prelude(main):
 
 
 def zeros(n):
-    return App(Var("mj_zeros"), Tuple((IntLit(n), Con("Lf"))))
+    return App(Var("mj_zeros"), IntLit(n))
 
 
 @pytest.mark.parametrize("index", [0, 1, 2, 3, -1, -2, -5], ids=str)
@@ -189,15 +189,26 @@ def test_null_fails_to_match_in_mj_lookup_and_mj_update():
 
 
 def test_store_helpers_read_back_what_they_wrote():
-    # every index of trees of 0..9 elements, through mj_set, mj_get and mj_length
+    # every index of trees of 0..9 elements, through mj_set and mj_get,
+    # with the written tree's items counted
     for n in range(10):
         for i in range(n):
             main = Let((Val(PVar("t"), App(Var("mj_set"), Tuple((zeros(n), IntLit(i),
                                                                  IntLit(5))))),),
-                       Tuple((App(Var("mj_get"), Tuple((Var("t"), IntLit(i)))),
-                              App(Var("mj_length"), Var("t")))))
+                       Tuple((App(Var("mj_get"), Tuple((Var("t"), IntLit(i)))), Var("t"))))
             out, val = run_prelude(main)
-            assert out.ok and val == (5, n), (n, i)
+            assert out.ok and (val[0], len(_tree_items(val[1]))) == (5, n), (n, i)
+
+
+def test_mj_zeros_reads_zero_below_its_size_and_fails_to_match_at_it():
+    for n in range(65):
+        main = Let((Val(PVar("t"), zeros(n)),),
+                   Tuple(tuple(App(Var("mj_get"), Tuple((Var("t"), IntLit(i))))
+                               for i in range(n)) + (Var("t"),)))
+        out, val = run_prelude(main)
+        assert out.ok and val[:-1] == (0,) * n and _tree_items(val[-1]) == [0] * n, n
+        past = run_prelude(App(Var("mj_get"), Tuple((zeros(n), IntLit(n)))))[0]
+        assert past.fault == FaultKind.MATCH_FAILURE, n
 
 
 def cons(x, tree):
@@ -315,13 +326,13 @@ def test_known_calls_reach_the_frames_their_functions_were_defined_in():
 # and expression.  A change to how either interpreter charges fuel shows
 # here.
 CORPUS_STEPS = {
-    "BinarySearch": (21143, 4018),
+    "BinarySearch": (20242, 4018),
     "BinaryTree": (12828, 527),
-    "BubbleSort": (34770, 1856),
+    "BubbleSort": (34087, 1856),
     "Factorial": (681, 141),
-    "LinearSearch": (14588, 1293),
+    "LinearSearch": (14213, 1293),
     "LinkedList": (3503, 171),
-    "QuickSort": (20073, 1114),
+    "QuickSort": (19600, 1114),
     "TreeVisitor": (7853, 303),
 }
 
@@ -380,6 +391,46 @@ class A {
 """
 
 
+LENGTH_LOOP = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new A().sum(%d));
+    }
+}
+class A {
+    public int sum(int n) {
+        int[] x;
+        int i;
+        int s;
+        x = new int[n];
+        i = 0;
+        s = 0;
+        while (i < x.length) {
+            x[i] = i;
+            s = s + x[i];
+            i = i + 1;
+        }
+        return s;
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("n", [1000, 5000])
+def test_a_loop_bounded_by_the_array_length_matches(n):
+    # an array carries its length, so `x.length` takes a constant number
+    # of steps; walking the tree for it ran the ML side out of fuel here
+    result = diff_source("Length.java", LENGTH_LOOP % n)
+    assert result.verdict == "match" and result.ml.output == [n * (n - 1) // 2]
+
+
+def test_a_new_array_takes_fewer_steps_than_it_has_elements():
+    # mj_zeros builds by halving, O(log^2 n) steps
+    program = parse_source(ZEROS % 1000)
+    out, _ = eval_program(translate(program, typecheck(program)))
+    assert out.ok and out.output == [1000] and out.steps < 1000
+
+
 @pytest.mark.parametrize("template, n", [(DOWN, 9994), (ZEROS, 9995)], ids=["down", "zeros"])
 def test_deep_non_tail_recursion_finishes(template, n):
     # the deepest method recursion and the largest array the tree-walking
@@ -404,7 +455,7 @@ def test_both_sides_finish_a_5000_deep_method_recursion():
 
 # ML-side steps of generated programs at 100 000 fuel, one line per seed
 # 0..49 with the fault, steps and output; 49 of the 50 runs finish.
-GENERATED_ML_STEPS_SHA256 = "d7548f3184607b1ba7ca84c9ee865c1659b8bdebc98cb437a9fbb5d5b5bb4566"
+GENERATED_ML_STEPS_SHA256 = "3f1398c0e452978ef92bc3d96570732f4d267230746b8b2f3f065853045e2150"
 
 
 def test_generated_programs_take_the_pinned_ml_steps():

@@ -54,14 +54,14 @@ def test_corpus_translations_stay_in_the_core(corpus_files):
 # SHA-256 of each corpus file's emitted SML.  A change that alters the
 # emitted bytes on purpose must update these pins and say so.
 EMITTED_SML_SHA256 = {
-    "BinarySearch": "d3335cbe33dd0421ebeae95f4a2a8522b5d0f5a382454512df3767d9d68854c4",
-    "BinaryTree": "403f301620aaa6811d9efc19d9e199360e17db2d52d16f9b7700ad85b9fe7362",
-    "BubbleSort": "ae295796887b955d45ac234a5fdeffa5200244daaf82833df1aec91c6148fc23",
-    "Factorial": "06a362962d94f2b770bf8a1bfb4f23e5b999ef5ff9a5c565a70ccdc2f651bd94",
-    "LinearSearch": "84be76d058f4b6b1fc7346a58c7b5f1ad6d13aebeb25e716f4fed09b6ae9410c",
-    "LinkedList": "03b4583674761c32de2c2479eee75484835988bdde9f5db6cca3e0387ca9f14d",
-    "QuickSort": "8919f355a4285a1465783d902b7f5c562a95370209d18c3fc56e5153991d52a0",
-    "TreeVisitor": "f1f640eb798a672ee7a44f745f4ee114b7df0e50d664c68e009495b6542ca182",
+    "BinarySearch": "baface89ce23accf3e18111e389eae8d0612b5dbe40a26398aba4da3d388b0f7",
+    "BinaryTree": "0871f69674270143fd8b5519df95f21b86f1b3463c2d2eda5fccd2379f3f2237",
+    "BubbleSort": "2213d8208b05ce19ccd3c78fe59d7daedd1c7ac8186536a285a0cf88a7f0233e",
+    "Factorial": "39a73b7e65e194626953bd2715f6d4e8bf0da87d8864a7b0db4d2036d81c2b35",
+    "LinearSearch": "7ca09ab885c40d6f93c642cb080089d24c31919638076def7a1a392210da407d",
+    "LinkedList": "39d0c01c87f65ce7649e2a357773ac9c78ac5a45230eeb1131736c9843414fa4",
+    "QuickSort": "b6f04d1808a64b5bbc72b6b8c267043b7f089a307b17b2d257de7c6841d7e89e",
+    "TreeVisitor": "20550d783a0054aa95a257da818fe2ae7caff8282ccdd89f935f9e9d4248a292",
 }
 
 
@@ -90,8 +90,8 @@ def test_extension_datatypes_follow_the_hierarchy():
 def test_function_group_layout():
     ml = tr(CHAIN)
     names = [[f.name for f in group] for group in ml.fun_groups]
-    assert names[:8] == [["mj_get"], ["mj_set"], ["mj_cons"], ["mj_length"],
-                         ["mj_zeros"], ["mj_lookup"], ["mj_update"], ["mj_alloc"]]
+    assert names[:7] == [["mj_get"], ["mj_set"], ["mj_cons"], ["mj_zeros"],
+                         ["mj_lookup"], ["mj_update"], ["mj_alloc"]]
     assert names[-1] == ["mj_main"]
     big = names[-2]
     assert big[:3] == ["mj_new_A", "mj_new_B", "mj_new_C"]
@@ -212,7 +212,7 @@ def test_generated_subclass_encoding_is_pinned():
     text = "".join(print_ml_program(translate(generate_program(s, 40)), f"seed{s:03d}")
                    for s in range(40))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "4f64bf9753d5c0fb8e5bb489882755b3a56b5ed9b693d59acce24595ffbceac3"
+        "7fec80f575d8ab7315c580fe4f70b45ddc96b028fb88ecba779b6d9993535763"
 
 
 def test_gen200_workload_is_pinned():
@@ -226,7 +226,7 @@ def test_gen200_workload_is_pinned():
     assert (len(source), hashlib.sha256(source).hexdigest()) == (
         624675, "4aaa6ae173174edd3a3581bb467872f20879886553696d0b1b4401880281a271")
     assert (len(sml), hashlib.sha256(sml).hexdigest()) == (
-        2675965, "a22c646a72aff430d4c90ea1086ff2149f7769c1783a2de7ac2438c03927fd78")
+        2636923, "23ec5d41e05ee39a0e18947750cf927206fd7986fba40471eaef251078363302")
 
 
 def outcome_at_depth(depth, source):
