@@ -8,12 +8,12 @@ array (Okasaki, *Purely Functional Data Structures*, 1998, 10.1.2; Braun
 and Rem, 1983): index 0 is the root, index 2j+1 is index j of the left
 subtree and 2j+2 index j of the right.  Reading or writing an index, or
 consing a new index 0 onto the front, takes O(log n) steps.  Allocation
-conses, so pointer k is at index n-1-k of an n-cell heap: the newest
-object is the root.  An array is ``HArr (length, elements)``, element i
-at index i, so ``a.length`` is O(1); ``new int[n]`` builds its zeros by
-halving, O(log^2 n).  Null is the pointer -1, index n, and like any array
-index outside 0 .. length-1 its walk ends in an empty subtree, where the
-helpers have no rule: the program faults with a failed match.
+conses, so pointer k is at index n-1-k of an n-cell heap and the newest
+object, the likeliest to be used next, is the root.  An array is
+``HArr (length, elements)``, element i at index i; ``a.length`` is O(1)
+and ``new int[n]`` builds by halving, O(log^2 n).  Null, pointer -1, is
+index n, and like any array index outside 0 .. length-1 its walk ends in
+an empty subtree, where the helpers have no rule: a MatchFailure fault.
 
 Objects are nested tuples.  For each root class R the heap carries
 ``HObj_R`` of R's level tuple: the method slots introduced by R that a
