@@ -30,10 +30,14 @@ whole constructor spine around the changed slot and reinstalls the
 object in the heap.
 
 Statements become let bindings in evaluation order, one binding per
-intermediate value (administrative normal form).  An assignment binds a
-fresh version ``mj_<x>_<n>`` of the variable; control flow joins carry
-the state and every method variable through tuples; a while loop is a
-local tail-recursive function over that tuple.
+intermediate value (administrative normal form).  An assignment binds
+its value directly to a fresh version ``mj_<x>_<n>`` of the variable.
+An `if` join carries, in a tuple, the state and the variables either
+branch assigns; a while loop is a local tail-recursive function over
+the state and the variables its body assigns, and reads the others as
+free variables.  Each state name is bound once, like a value in SSA
+form (Appel, "SSA is Functional Programming", 1998), so a heap cell read
+in a state is read once and its value reused until the state changes.
 
 Every generated function takes and returns the state: methods are
 ``fn (state, self, args) -> (state, result)`` where args is (), a bare
@@ -49,14 +53,15 @@ Each of these decisions is written once.  `_Ctx` holds the ANF binders
 and the state threading: `bind` for an intermediate value, `bind_state`
 for the (state, value) of a call that returns a new state, and
 `carried`/`join` for the tuple of branch joins and loops.  `_lookup`
-reads the heap and `_store` writes it and makes the new state current;
-field and array writes both go through it.  The object layout is the
-`levels` table of `_Translator`: per class, the (kind, name) of each
-slot of its level, which the datatypes, the constructors and the read
-and write spines (`_object`) all read.  Only the `prelude` and the
-store's types and empty tree (`STATE_TY`, `TREE`, `EMPTY`) know how the
-store is encoded: the translated code passes whole states and trees to
-the prelude's helpers and never takes one apart.
+reads the heap, once per cell and state, and `_store` writes it and
+makes the new state current; field and array writes both go through
+it.  The object layout is the `levels` table of `_Translator`: per
+class, the (kind, name) of each slot of its level, which the datatypes,
+the constructors and the read and write spines (`_object`) all read.
+Only the `prelude` and the store's types and empty tree (`STATE_TY`,
+`TREE`, `EMPTY`) know how the store is encoded: the translated code
+passes whole states and trees to the prelude's helpers and never takes
+one apart.
 
 Translation runs within `outcome.COMPILE_FRAMES` Python frames beyond
 its caller's, which any program that typechecks fits.
@@ -198,6 +203,7 @@ class _FnScope:
     """Counters and variable bookkeeping for one generated function."""
 
     var_order: list[str]
+    loop_assigns: dict[int, set[str]]
     next_temp: int = 0
     next_state: int = 1
     next_loop: int = 0
@@ -228,22 +234,40 @@ class _FnScope:
 
 @dataclass
 class _Ctx:
-    """A straight-line run of declarations, the current state name and
-    the current version of every variable.  Branches get their own copy.
+    """A straight-line run of declarations, the current state name, the
+    current version of every variable, and the heap values known in the
+    current state.  Branches get their own copy.
 
     The bindings of the ANF translation go through these methods: `bind`
     names one intermediate value, `bind_state` the (state, value) pair of
     a call that returns a new state, and `join` (or, for a loop's
     parameter, `rebind`) the (state, variables...) tuple that `carried`
-    builds at the end of branches and loop bodies."""
+    builds at the end of branches and loop bodies.  That tuple holds the
+    state and only the variables the `if` or `while` assigns, in
+    `var_order`; every other variable keeps its version, which a loop's
+    `fun` reads as a free variable.
+
+    `reads` maps a pointer atom to the atom holding its heap value in the
+    current state: `_lookup` reuses it and `_store` records the value it
+    wrote.  `mj_lookup` is pure, so a second read of the same pointer in
+    the same state would give the same value (and never runs if the first
+    faulted).  Every new state, from a call, an allocation, a store, a join
+    or a loop parameter, goes through `advance`, which empties the map."""
 
     fn: _FnScope
     versions: dict[str, int]
     state: str
+    reads: dict[MlExpr, MlExpr] = dc_field(default_factory=dict)
     bindings: list[Decl] = dc_field(default_factory=list)
 
     def branch(self) -> "_Ctx":
-        return _Ctx(self.fn, dict(self.versions), self.state)
+        return _Ctx(self.fn, dict(self.versions), self.state, dict(self.reads))
+
+    def advance(self) -> str:
+        """Make a fresh state current, with nothing read from it yet."""
+        self.state = self.fn.fresh_state()
+        self.reads = {}
+        return self.state
 
     def emit(self, pat: Pat, rhs: MlExpr) -> None:
         self.bindings.append(Val(pat, rhs))
@@ -252,39 +276,73 @@ class _Ctx:
         """The run's declarations around `result`."""
         return Let(tuple(self.bindings), result) if self.bindings else result
 
-    def bind(self, rhs: MlExpr) -> MlExpr:
-        """Bind rhs to a fresh temporary and return it."""
-        tmp = self.fn.fresh_temp()
-        self.emit(PVar(tmp), rhs)
-        return Var(tmp)
+    def bind(self, rhs: MlExpr, name: str | None = None) -> MlExpr:
+        """Bind rhs to `name`, or to a fresh temporary, and return it."""
+        name = name or self.fn.fresh_temp()
+        self.emit(PVar(name), rhs)
+        return Var(name)
 
-    def bind_state(self, rhs: MlExpr) -> MlExpr:
+    def bind_state(self, rhs: MlExpr, name: str | None = None) -> MlExpr:
         """Bind the (state, value) that rhs returns; the state becomes
-        current and the value is returned."""
-        state, tmp = self.fn.fresh_state(), self.fn.fresh_temp()
-        self.emit(PTuple((PVar(state), PVar(tmp))), rhs)
-        self.state = state
-        return Var(tmp)
+        current and the value, named as by `bind`, is returned."""
+        state = self.advance()
+        name = name or self.fn.fresh_temp()
+        self.emit(PTuple((PVar(state), PVar(name))), rhs)
+        return Var(name)
 
     def var_atom(self, name: str) -> MlExpr:
         return Var(mangle_var(name, self.versions[name]))
 
-    def carried(self) -> MlExpr:
-        """The (state, variables...) tuple that joins and loops carry."""
-        return _tup([Var(self.state)] + [self.var_atom(x) for x in self.fn.var_order])
+    def changed(self, *branches: "_Ctx") -> list[str]:
+        """The variables, in `var_order`, whose version differs in any of
+        the branches."""
+        return [x for x in self.fn.var_order
+                if any(b.versions[x] != self.versions[x] for b in branches)]
 
-    def rebind(self) -> Pat:
-        """Make a fresh state and fresh versions of every variable current;
-        returns the pattern that binds them from a `carried` tuple."""
-        self.state = self.fn.fresh_state()
-        for x in self.fn.var_order:
+    def carried(self, names: list[str]) -> MlExpr:
+        """The (state, variables...) tuple of the named variables that a
+        join or loop carries."""
+        return _tup([Var(self.state)] + [self.var_atom(x) for x in names])
+
+    def rebind(self, names: list[str]) -> Pat:
+        """Make a fresh state and fresh versions of the named variables
+        current; returns the pattern that binds them from a `carried`
+        tuple."""
+        self.advance()
+        for x in names:
             self.versions[x] = self.fn.fresh_version(x)
         return _ptup([PVar(self.state)] + [PVar(mangle_var(x, self.versions[x]))
-                                           for x in self.fn.var_order])
+                                           for x in names])
 
-    def join(self, rhs: MlExpr) -> None:
+    def join(self, rhs: MlExpr, names: list[str]) -> None:
         """Bind the carried tuple that rhs returns (see `rebind`)."""
-        self.emit(self.rebind(), rhs)
+        self.emit(self.rebind(names), rhs)
+
+
+def _loop_assigns(body: list[Stmt]) -> dict[int, set[str]]:
+    """The local variables and formals that each `while` in body assigns,
+    by the loop's id.  One walk with an explicit stack, so nesting costs
+    no Python frames and no rewalk: a loop's set joins the enclosing
+    loop's as the walk leaves it."""
+    found: dict[int, set[str]] = {}
+    sets: list[set[str]] = [set()]
+    todo: list = list(body)
+    while todo:
+        s = todo.pop()
+        if isinstance(s, tuple):
+            # the end of the body of the loop s[0]
+            found[id(s[0])] = sets.pop()
+            sets[-1] |= found[id(s[0])]
+        elif isinstance(s, BlockStmt):
+            todo += s.body
+        elif isinstance(s, IfStmt):
+            todo += (s.then_branch, s.else_branch)
+        elif isinstance(s, WhileStmt):
+            sets.append(set())
+            todo += ((s,), s.body)
+        elif isinstance(s, AssignStmt) and s.binding.kind != "field":
+            sets[-1].add(s.name)
+    return found
 
 
 class _Translator:
@@ -363,35 +421,40 @@ class _Translator:
     # -- heap access ----------------------------------------------------------
 
     def _lookup(self, ctx: _Ctx, ptr: MlExpr) -> MlExpr:
-        """Bind the heap value at ptr."""
-        return ctx.bind(_call("mj_lookup", Var(ctx.state), ptr))
+        """The heap value at ptr: the one known in this state, else a
+        fresh binding of it."""
+        if ptr not in ctx.reads:
+            ctx.reads[ptr] = ctx.bind(_call("mj_lookup", Var(ctx.state), ptr))
+        return ctx.reads[ptr]
 
     def _store(self, ctx: _Ctx, ptr: MlExpr, value: MlExpr) -> None:
-        """Write value at ptr and make the new state current."""
-        state = ctx.fn.fresh_state()
-        ctx.emit(PVar(state), _call("mj_update", Var(ctx.state), ptr, value))
-        ctx.state = state
+        """Write value at ptr and make the new state current, where the
+        value at ptr is known."""
+        update = _call("mj_update", Var(ctx.state), ptr, value)
+        ctx.emit(PVar(ctx.advance()), update)
+        ctx.reads[ptr] = value
 
-    def _array(self, ctx: _Ctx, ptr: MlExpr, use) -> MlExpr:
+    def _array(self, ctx: _Ctx, ptr: MlExpr, use, name: str | None = None) -> MlExpr:
         """Bind `use(length, items)` of the array `HArr (length, items)` at
-        ptr; an argument of `use` names its part when called, else `_`."""
+        ptr, to `name` if given; an argument of `use` names its part when
+        called, else `_`."""
         value, parts = self._lookup(ctx, ptr), [PWild(), PWild()]
 
         def part(k: int) -> MlExpr:
             parts[k] = PVar(ctx.fn.fresh_temp())
             return Var(parts[k].name)
         rhs = use(lambda: part(0), lambda: part(1))
-        return ctx.bind(Case(value, ((PCon("HArr", tuple(parts)), rhs),)))
+        return ctx.bind(Case(value, ((PCon("HArr", tuple(parts)), rhs),)), name)
 
     def _read_slot(self, ctx: _Ctx, ptr: MlExpr, cls: str,
-                   slot: tuple[str, str]) -> MlExpr:
-        """Bind a slot of cls's level of the object at ptr, matching the
-        object with every other slot wildcarded."""
+                   slot: tuple[str, str], name: str | None = None) -> MlExpr:
+        """Bind a slot of cls's level of the object at ptr, to `name` if
+        given, matching the object with every other slot wildcarded."""
         value = self._lookup(ctx, ptr)
         tmp = ctx.fn.fresh_temp()
         hit = (cls, slot)
         pat = self._object(PCon, cls, lambda *at: PVar(tmp) if at == hit else PWild())
-        return ctx.bind(Case(value, ((pat, Var(tmp)),)))
+        return ctx.bind(Case(value, ((pat, Var(tmp)),)), name)
 
     def _field_write(self, ctx: _Ctx, cls: str, fname: str, new_value: MlExpr) -> None:
         """Rebuild this object with a field of cls's level replaced, binding
@@ -412,9 +475,10 @@ class _Translator:
 
     # -- expressions --------------------------------------------------------------------
 
-    def expr(self, e: Expr, ctx: _Ctx) -> MlExpr:
+    def expr(self, e: Expr, ctx: _Ctx, name: str | None = None) -> MlExpr:
         """Translate to an atom, emitting bindings for all intermediate
-        steps in evaluation order."""
+        steps in evaluation order.  With `name`, a value that needs a
+        binding of its own is bound to that name."""
         if isinstance(e, IntLitExpr):
             return IntLit(e.value)
         if isinstance(e, BoolLitExpr):
@@ -425,7 +489,7 @@ class _Translator:
             assert e.binding is not None
             if e.binding.kind == "field":
                 return self._read_slot(ctx, Var("mj_this"), e.binding.decl_class,
-                                       ("field", e.name))
+                                       ("field", e.name), name)
             return ctx.var_atom(e.name)
         if isinstance(e, BinaryExpr):
             left = self.expr(e.left, ctx)
@@ -435,31 +499,33 @@ class _Translator:
                 right = self.expr(e.right, rctx)
                 then = rctx.wrap(Tuple((Var(rctx.state), right)))
                 orelse = Tuple((Var(ctx.state), Con("false")))
-                return ctx.bind_state(If(left, then, orelse))
+                return ctx.bind_state(If(left, then, orelse), name)
             # the other operators are ML primitives of the same symbol
             right = self.expr(e.right, ctx)
-            return ctx.bind(PrimOp(e.op, (left, right)))
+            return ctx.bind(PrimOp(e.op, (left, right)), name)
         if isinstance(e, NotExpr):
-            return ctx.bind(If(self.expr(e.operand, ctx), Con("false"), Con("true")))
+            return ctx.bind(If(self.expr(e.operand, ctx), Con("false"), Con("true")), name)
         if isinstance(e, ArrayIndexExpr):
             arr = self.expr(e.array, ctx)
             idx = self.expr(e.index, ctx)
-            return self._array(ctx, arr, lambda n, t: _call("mj_get", t(), idx))
+            return self._array(ctx, arr, lambda n, t: _call("mj_get", t(), idx), name)
         if isinstance(e, ArrayLengthExpr):
-            return self._array(ctx, self.expr(e.array, ctx), lambda n, t: n())
+            return self._array(ctx, self.expr(e.array, ctx), lambda n, t: n(), name)
         if isinstance(e, NewArrayExpr):
             n = self.expr(e.length, ctx)
             zeros = ctx.bind(_call("mj_zeros", n))
-            return ctx.bind_state(_call("mj_alloc", Var(ctx.state), Con("HArr", (n, zeros))))
+            return ctx.bind_state(_call("mj_alloc", Var(ctx.state), Con("HArr", (n, zeros))),
+                                  name)
         if isinstance(e, NewObjectExpr):
-            return ctx.bind_state(App(Var(mangle_new(e.class_name)), Var(ctx.state)))
+            return ctx.bind_state(App(Var(mangle_new(e.class_name)), Var(ctx.state)), name)
         if isinstance(e, CallExpr):
             assert e.receiver_class is not None
             receiver = self.expr(e.receiver, ctx)
             args = [self.expr(a, ctx) for a in e.args]
             intro_cls = self.table.info(e.receiver_class).slot_owner[e.method]
             method = self._read_slot(ctx, receiver, intro_cls, ("method", e.method))
-            return ctx.bind_state(App(method, Tuple((Var(ctx.state), receiver, _tup(args)))))
+            return ctx.bind_state(App(method, Tuple((Var(ctx.state), receiver, _tup(args)))),
+                                  name)
         raise AssertionError(f"unhandled expression {type(e).__name__}")
 
     # -- statements ----------------------------------------------------------------------
@@ -472,13 +538,17 @@ class _Translator:
             value = self.expr(s.value, ctx)
             ctx.emit(PWild(), App(Var("mj_print"), value))
         elif isinstance(s, AssignStmt):
-            value = self.expr(s.value, ctx)
             assert s.binding is not None
             if s.binding.kind == "field":
+                value = self.expr(s.value, ctx)
                 self._field_write(ctx, s.binding.decl_class, s.name, value)
             else:
+                # the value is bound under the new version's name, not copied to it
                 version = ctx.fn.fresh_version(s.name)
-                ctx.emit(PVar(mangle_var(s.name, version)), value)
+                name = mangle_var(s.name, version)
+                value = self.expr(s.value, ctx, name)
+                if value != Var(name):
+                    ctx.emit(PVar(name), value)
                 ctx.versions[s.name] = version
         elif isinstance(s, ArrayAssignStmt):
             assert s.binding is not None
@@ -497,31 +567,36 @@ class _Translator:
             self.stmt(s.then_branch, tctx)
             ectx = ctx.branch()
             self.stmt(s.else_branch, ectx)
-            ctx.join(If(cond, tctx.wrap(tctx.carried()), ectx.wrap(ectx.carried())))
+            names = ctx.changed(tctx, ectx)
+            ctx.join(If(cond, tctx.wrap(tctx.carried(names)), ectx.wrap(ectx.carried(names))),
+                     names)
         elif isinstance(s, WhileStmt):
             self._while(s, ctx)
         else:
             raise AssertionError(f"unhandled statement {type(s).__name__}")
 
     def _while(self, s: WhileStmt, ctx: _Ctx) -> None:
-        """A local tail-recursive function over the carried tuple, called
-        once and joined."""
+        """A local tail-recursive function over the carried tuple of the
+        variables the body assigns, called once and joined."""
+        assigned = ctx.fn.loop_assigns[id(s)]
+        names = [x for x in ctx.fn.var_order if x in assigned]
         loop = ctx.fn.fresh_loop()
         inner = ctx.branch()
-        param = inner.rebind()
+        param = inner.rebind(names)
         cond = self.expr(s.cond, inner)
         body = inner.branch()
         self.stmt(s.body, body)
-        then = body.wrap(App(Var(loop), body.carried()))
-        loop_fn = FunDef(loop, param, inner.wrap(If(cond, then, inner.carried())))
+        then = body.wrap(App(Var(loop), body.carried(names)))
+        loop_fn = FunDef(loop, param, inner.wrap(If(cond, then, inner.carried(names))))
         ctx.bindings.append((loop_fn,))
-        ctx.join(App(Var(loop), ctx.carried()))
+        ctx.join(App(Var(loop), ctx.carried(names)), names)
 
     # -- whole functions --------------------------------------------------------------------
 
     def method(self, class_index: int, decl: MethodDecl) -> FunDef:
         var_order = [f.name for f in decl.formals] + [v.name for v in decl.local_vars]
-        ctx = _Ctx(_FnScope(var_order), dict.fromkeys(var_order, 0), "mj_s0")
+        ctx = _Ctx(_FnScope(var_order, _loop_assigns(decl.body)),
+                   dict.fromkeys(var_order, 0), "mj_s0")
         for local in decl.local_vars:
             ctx.emit(PVar(mangle_var(local.name, 0)), _default_value(local.var_type))
         for s in decl.body:
@@ -533,7 +608,7 @@ class _Translator:
                       ctx.wrap(Tuple((Var(ctx.state), result))))
 
     def main(self, program: MjProgram) -> FunDef:
-        ctx = _Ctx(_FnScope([]), {}, "mj_s0")
+        ctx = _Ctx(_FnScope([], _loop_assigns(program.main.body)), {}, "mj_s0")
         ctx.emit(PVar("mj_s0"), Tuple((IntLit(0), EMPTY)))
         for s in program.main.body:
             self.stmt(s, ctx)
@@ -580,7 +655,8 @@ def prelude() -> tuple[FunDef, ...]:
     mj_get and mj_set deliberately have no `Lf` case: an index outside
     the tree (null, or an array index below 0 or from the length on)
     walks into an empty subtree, which is a match failure, the translated
-    program's fault channel.
+    program's fault channel.  mj_zeros has no rule for a negative size,
+    so `new int[n]` with n < 0 fails the same way.
     """
     t, i, w, x, l, r, v = map(Var, "tiwxlrv")
     node = PCon("Nd", (PVar("x"), PVar("l"), PVar("r")))
@@ -599,11 +675,12 @@ def prelude() -> tuple[FunDef, ...]:
         Case(t, ((PCon("Lf"), _nd(x, EMPTY, EMPTY)),
                  (PCon("Nd", (PVar("v"), PVar("l"), PVar("r"))),
                   _nd(x, _call("mj_cons", v, r), l)))))
-    # n zeros: one tree of (n - 1) div 2 on both sides, one more consed left if n is even
+    # n zeros: one tree of (n - 1) div 2 on both sides, one more consed left
+    # if n is even; a negative n has no rule, like an index outside the tree
     n, zero = Var("n"), IntLit(0)
     half = _call("mj_zeros", PrimOp("div", (PrimOp("-", (n, IntLit(1))), IntLit(2))))
     zeros = FunDef("mj_zeros", PVar("n"), If(
-        PrimOp("<", (n, IntLit(1))), EMPTY,
+        PrimOp("<", (n, IntLit(1))), Case(PrimOp("<", (n, zero)), ((PCon("false"), EMPTY),)),
         Let((Val(PVar("t"), half),),
             If(PrimOp("=", (PrimOp("mod", (n, IntLit(2))), IntLit(1))),
                _nd(zero, t, t), _nd(zero, _call("mj_cons", zero, t), t)))))

@@ -153,6 +153,38 @@ def test_ml_fault_line_has_no_position(tmp_path, capsys):
     assert " at " not in err
 
 
+NEGATIVE_SIZE = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new A().f());
+    }
+}
+class A {
+    public int f() {
+        int[] x;
+        System.out.println(7);
+        x = new int[0];
+        System.out.println(x.length);
+        x = new int[0 - 3];
+        System.out.println(x.length);
+        return 1;
+    }
+}
+"""
+
+
+def test_a_negative_array_size_faults_on_both_sides_after_the_same_output(tmp_path, capsys):
+    # `new int[0]` is an empty array; `mj_zeros` has no rule for a negative size
+    path = write(tmp_path, "Negative.java", NEGATIVE_SIZE)
+    assert main(["run-mj", path]) == 3
+    mj = capsys.readouterr()
+    assert main(["run-ml", path]) == 3
+    ml = capsys.readouterr()
+    assert mj.out == ml.out == "7\n0\n"
+    assert mj.err == "fault: NegativeArraySize at 12:13\n"
+    assert ml.err == "fault: MatchFailure\n"
+
+
 def test_missing_file_exits_4(capsys):
     assert main(["run-mj", "no/such/file.java"]) == 4
     assert "file.java" in capsys.readouterr().err

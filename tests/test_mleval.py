@@ -326,14 +326,14 @@ def test_known_calls_reach_the_frames_their_functions_were_defined_in():
 # and expression.  A change to how either interpreter charges fuel shows
 # here.
 CORPUS_STEPS = {
-    "BinarySearch": (20242, 4018),
-    "BinaryTree": (12828, 527),
-    "BubbleSort": (34087, 1856),
-    "Factorial": (681, 141),
-    "LinearSearch": (14213, 1293),
-    "LinkedList": (3503, 171),
-    "QuickSort": (19600, 1114),
-    "TreeVisitor": (7853, 303),
+    "BinarySearch": (17892, 4018),
+    "BinaryTree": (8805, 527),
+    "BubbleSort": (27574, 1856),
+    "Factorial": (650, 141),
+    "LinearSearch": (10175, 1293),
+    "LinkedList": (3351, 171),
+    "QuickSort": (16701, 1114),
+    "TreeVisitor": (7641, 303),
 }
 
 
@@ -455,7 +455,7 @@ def test_both_sides_finish_a_5000_deep_method_recursion():
 
 # ML-side steps of generated programs at 100 000 fuel, one line per seed
 # 0..49 with the fault, steps and output; 49 of the 50 runs finish.
-GENERATED_ML_STEPS_SHA256 = "3f1398c0e452978ef92bc3d96570732f4d267230746b8b2f3f065853045e2150"
+GENERATED_ML_STEPS_SHA256 = "22e5a98308b9031b5a8682d8fca4aaeb16d2c925da449c046643ccfcc280452a"
 
 
 def test_generated_programs_take_the_pinned_ml_steps():

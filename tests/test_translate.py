@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import fields, is_dataclass
 
 from hypothesis import given
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 from mj2ml.cli import main
 from mj2ml.diffharness import diff_source
 from mj2ml.mjast import print_program
-from mj2ml.mlast import Let, validate_core
+from mj2ml.mlast import App, FunDef, If, Let, PTuple, PVar, Val, Var, validate_core
 from mj2ml.mlprint import print_ml_program
 from mj2ml.parser import parse_source
+from mj2ml.randgen import generate_program
 from mj2ml.sema import typecheck
 from mj2ml.translate import mangle_method, mangle_new, mangle_var, prelude, translate
 
@@ -54,14 +56,14 @@ def test_corpus_translations_stay_in_the_core(corpus_files):
 # SHA-256 of each corpus file's emitted SML.  A change that alters the
 # emitted bytes on purpose must update these pins and say so.
 EMITTED_SML_SHA256 = {
-    "BinarySearch": "baface89ce23accf3e18111e389eae8d0612b5dbe40a26398aba4da3d388b0f7",
-    "BinaryTree": "0871f69674270143fd8b5519df95f21b86f1b3463c2d2eda5fccd2379f3f2237",
-    "BubbleSort": "2213d8208b05ce19ccd3c78fe59d7daedd1c7ac8186536a285a0cf88a7f0233e",
-    "Factorial": "39a73b7e65e194626953bd2715f6d4e8bf0da87d8864a7b0db4d2036d81c2b35",
-    "LinearSearch": "7ca09ab885c40d6f93c642cb080089d24c31919638076def7a1a392210da407d",
-    "LinkedList": "39d0c01c87f65ce7649e2a357773ac9c78ac5a45230eeb1131736c9843414fa4",
-    "QuickSort": "b6f04d1808a64b5bbc72b6b8c267043b7f089a307b17b2d257de7c6841d7e89e",
-    "TreeVisitor": "20550d783a0054aa95a257da818fe2ae7caff8282ccdd89f935f9e9d4248a292",
+    "BinarySearch": "dde1a27c257f3192e76a1bc98d6e95ab0f59f9bf2ccf68ae8df5bc509419cc7a",
+    "BinaryTree": "7115402182409c9c180ad3fa304cb062a054df0a14de346ff7889b37e051efe0",
+    "BubbleSort": "544d050bd98bd6746d7910d564f683e90d348e51eddadd14c7a954e38f38ef0d",
+    "Factorial": "55586ff9e9ea74f61aa4ca72720f7bf08aad5505e6ce2c883c9c572efb5e8bcb",
+    "LinearSearch": "e4227bcdd30bc8e518fd245234f67c270512ddb2908627d1c470b10824a4c295",
+    "LinkedList": "bcdaa6aff0ba02a58f98e0d2bea54f108049c55a8e71fd274f1f6e53cbada158",
+    "QuickSort": "83cf386a0afd553ea9d89301006e6d4b47a90544ef6b350280a1f6d289f34dda",
+    "TreeVisitor": "0b62e6a568b0659f8564e8db3a39e6b4fa9b5b43183bb8146a66d8a22e85eee9",
 }
 
 
@@ -200,7 +202,6 @@ def test_main_calls_the_entry_function():
 
 
 def test_generated_programs_stay_in_the_core():
-    from mj2ml.randgen import generate_program
     for seed in range(10):
         assert validate_core(translate(generate_program(seed, 40))) == []
 
@@ -208,17 +209,15 @@ def test_generated_programs_stay_in_the_core():
 def test_generated_subclass_encoding_is_pinned():
     # seeds 0..39 hold 20 programs with a subclass, 2 of them three levels
     # deep; the corpus has one file with `extends`
-    from mj2ml.randgen import generate_program
     text = "".join(print_ml_program(translate(generate_program(s, 40)), f"seed{s:03d}")
                    for s in range(40))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "7fec80f575d8ab7315c580fe4f70b45ddc96b028fb88ecba779b6d9993535763"
+        "71b14bab973716455156b69c2c7255f17d8c68db9c7221190399bcbe986eeb51"
 
 
 def test_gen200_workload_is_pinned():
     # the benchmark's gen200 programs compare across commits only while
     # the generator and the translation are byte-stable
-    from mj2ml.randgen import generate_program
     programs = [generate_program(s, 40) for s in range(200)]
     source = "".join(map(print_program, programs)).encode()
     sml = "".join(print_ml_program(translate(p), f"seed{s:03d}")
@@ -226,7 +225,107 @@ def test_gen200_workload_is_pinned():
     assert (len(source), hashlib.sha256(source).hexdigest()) == (
         624675, "4aaa6ae173174edd3a3581bb467872f20879886553696d0b1b4401880281a271")
     assert (len(sml), hashlib.sha256(sml).hexdigest()) == (
-        2636923, "23ec5d41e05ee39a0e18947750cf927206fd7986fba40471eaef251078363302")
+        2200314, "9352cea5172cf4999c089c919808e5de0d7cef14f2b7bc4f92d85f9e2d147db2")
+
+
+PLUMBING = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new A().loop());
+        System.out.println(new A().pick(1, 2));
+        System.out.println(new A().twice());
+        System.out.println(new A().around());
+        System.out.println(new A().written());
+        System.out.println(new A().stale());
+    }
+}
+class A {
+    int x;
+    int y;
+    public int loop() {
+        int a;
+        int b;
+        int c;
+        int d;
+        int e;
+        a = 1;
+        b = 2;
+        c = 3;
+        d = 4;
+        e = 0;
+        while (e < 50) { e = e + a + b + c + d; }
+        return e;
+    }
+    public int pick(int p, int q) {
+        if (p < q) System.out.println(p); else System.out.println(q);
+        return p;
+    }
+    public int twice() { return x + y; }
+    public int around() { return x + this.twice() + y; }
+    public int written() {
+        x = 5;
+        return x;
+    }
+    public int stale() {
+        int before;
+        x = 1;
+        before = x;
+        y = this.bump();
+        return before * 10 + x;
+    }
+    public int bump() {
+        x = 7;
+        return 0;
+    }
+}
+"""
+
+
+def plumbing_method(name):
+    ml = tr(PLUMBING)
+    return next(f for group in ml.fun_groups for f in group if f.name == mangle_method(0, name))
+
+
+def lookups(fn):
+    return sum(app.func == Var("mj_lookup") for app in nodes(fn, App))
+
+
+def test_a_loop_carries_the_state_and_only_the_variables_it_assigns():
+    # a, b, c and d are free variables of the loop's `fun`
+    [loop] = [f for f in nodes(plumbing_method("loop"), FunDef) if f.name == "mj_loop0"]
+    assert loop.param == PTuple((PVar("mj_s1"), PVar(mangle_var("e", 2))))
+
+
+def test_an_if_that_assigns_nothing_carries_only_the_state():
+    [join] = [v for v in nodes(plumbing_method("pick"), Val) if isinstance(v.rhs, If)]
+    assert join.pat == PVar("mj_s1")
+
+
+def test_a_heap_cell_is_read_once_per_state():
+    assert lookups(plumbing_method("twice")) == 1
+    # the call makes a new state, whose `this` is read again
+    assert lookups(plumbing_method("around")) == 2
+    # the read after a field write uses the object the write stored
+    assert lookups(plumbing_method("written")) == 1
+
+
+def test_a_read_after_a_call_sees_the_callees_write():
+    result = diff_source("Plumbing.java", PLUMBING)
+    assert result.verdict == "match"
+    assert result.ml.output == [50, 1, 1, 0, 0, 5, 17]
+
+
+# an assignment's value copied from the ANF temporary that holds it
+TEMP_COPY = re.compile(r"^ *val mj_\w+_\d+ = mj_v\d+$", re.M)
+
+
+def test_assignments_bind_their_value_directly(corpus_files):
+    texts = [print_ml_program(tr(path.read_text())) for path in corpus_files]
+    texts += [print_ml_program(translate(generate_program(s, 40))) for s in range(200)]
+    assert [copy for text in texts for copy in TEMP_COPY.findall(text)] == []
+    # the pattern finds the copies the translation used to emit
+    assert TEMP_COPY.findall("  val mj_x_3 = mj_v24\nval mj_v1_1 = mj_v1\n") == [
+        "  val mj_x_3 = mj_v24", "val mj_v1_1 = mj_v1"]
 
 
 def outcome_at_depth(depth, source):
@@ -254,12 +353,12 @@ def test_nesting_limits_do_not_depend_on_the_callers_depth():
     assert direct[79] != "ok" and direct[159] != "ok"
 
 
-def lets(root):
-    """Every `Let` reachable from `root`."""
+def nodes(root, kind):
+    """Every node of type `kind` reachable from `root`."""
     stack = [root]
     while stack:
         node = stack.pop()
-        if isinstance(node, Let):
+        if isinstance(node, kind):
             yield node
         if is_dataclass(node):
             stack.extend(getattr(node, f.name) for f in fields(node))
@@ -271,10 +370,9 @@ def test_each_let_is_a_whole_run_of_declarations(corpus_files):
     # mlprint prints each `Let` as one let/in/end and merges none, so the
     # emitted SML keeps its shape only while no `Let` is empty and none
     # is the body of another
-    from mj2ml.randgen import generate_program
     programs = [tr(path.read_text()) for path in corpus_files]
     programs += [translate(generate_program(s, 40)) for s in range(40)]
-    found = [let for ml in programs for let in lets(ml)]
+    found = [let for ml in programs for let in nodes(ml, Let)]
     assert found
     for let in found:
         assert let.decls and not isinstance(let.body, Let)
