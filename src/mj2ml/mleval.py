@@ -36,7 +36,14 @@ indexes lists.  Since no two binding occurrences share a slot, a later
 `let` never overwrites a value an earlier closure captured, and what a
 failed `case` rule bound is never read by the next rule.  A `fun`
 group, top-level or local, ties its recursive knot by storing its
-closures into slots of the frame they capture.
+closures into slots of the frame they capture, but only for the names
+that escape: those read as a value somewhere, such as a method stored
+in an object or a function passed as an argument.  A name that is only
+ever called, as every translated `while` loop and every prelude helper
+is, gets no closure, since its call sites know its code (see Calls).
+So a run leaves no frame <-> closure cycle behind a loop, and the heap
+states such a frame holds go as soon as reference counting frees them,
+not when the cyclic collector next runs.
 
 Calls.  An application in tail position, of a function body or of a
 `val` right-hand side, evaluates the function and then the argument,
@@ -56,8 +63,9 @@ the callee's frame `[defining frame, arg, *pad]` itself and reads no
 closure.  When the parameter is a tuple of variables and the argument a
 tuple of the same arity, the items go straight into the parameter's
 slots, `[defining frame, None, *items, *pad]`: no argument tuple is
-built and no matcher runs.  Only a function read from a value, in
-practice a method read from an object, is called through its
+built and no matcher runs.  The name in the function position is not
+read, though its visit is charged.  Only a function read from a value,
+in practice a method read from an object, is called through its
 `VClosure`.
 
 A pending (non-tail) ML call holds one Python frame for the callee's
@@ -175,13 +183,16 @@ class _Fn:
     `arity` is the length of its parameter when that is a tuple of
     variables and wildcards, whose items then take slots 2, 3, ... of
     the frame, and None otherwise.  `pad`, `bind` and `body` are set,
-    as for VClosure, once the function is compiled."""
+    as for VClosure, once the function is compiled.  `escapes` is set
+    once its name is read as a value rather than called (see Frames):
+    only then does the run build its VClosure."""
 
-    __slots__ = ("arity", "pad", "bind", "body")
+    __slots__ = ("arity", "escapes", "pad", "bind", "body")
 
     def __init__(self, param: Pat):
         plain = type(param) is PTuple and _plain(param.items)
         self.arity = len(param.items) if plain else None
+        self.escapes = False
 
 
 def _compile(program: MlProgram, fuel: int, output: list[int]):
@@ -217,8 +228,11 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             scopes[name].pop()
 
     def resolve(name: str) -> tuple[int, int]:
-        """(depth, slot) of the innermost binding of `name`."""
-        level, slot, _ = scopes[name][-1]
+        """(depth, slot) of the innermost binding of `name`, which is
+        read as a value: a `fun` it names escapes."""
+        level, slot, fn = scopes[name][-1]
+        if fn is not None:
+            fn.escapes = True
         return len(free) - 1 - level, slot
 
     # -- patterns.  A binder is a slot (a variable), None (a wildcard) or
@@ -492,18 +506,21 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
     def group(funs: tuple[FunDef, ...], bound: list[str]):
         """Declare a group's names in the current activation and compile
         its functions, top-level or local.  Returns `define(frame)`, which
-        stores the group's closures, each capturing `frame`, into their
-        slots: the recursive knot."""
+        stores the closure of each function that escapes, capturing
+        `frame`, into its slot: the recursive knot.  Whether one escapes
+        is known only once the whole program is compiled, so `define`
+        reads it when it runs."""
         known = [_Fn(fd.param) for fd in funs]
         slots = [declare(fd.name, bound, fn) for fd, fn in zip(funs, known)]
         for fd, fn in zip(funs, known):
             function(fd, fn)
         fns.extend(known)
-        compiled = tuple((slot, fn.pad, fn.bind, fn.body) for slot, fn in zip(slots, known))
+        pairs = tuple(zip(slots, known))
 
         def define(f):
-            for slot, pad, bind, body in compiled:
-                f[slot] = VClosure(f, pad, bind, body)
+            for slot, fn in pairs:
+                if fn.escapes:
+                    f[slot] = VClosure(f, fn.pad, fn.bind, fn.body)
         return define
 
     def function(fd: FunDef, fn: _Fn) -> None:
@@ -524,7 +541,9 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         """An application, compiled for tail position: it charges, stores
         the call as the pending (body, frame) pair and returns `_TAIL`.
         A call of a `fun` in scope builds the callee's frame itself (see
-        Calls); any other goes through `call`."""
+        Calls), charging for the function's `Var` without reading it, so
+        that the call does not make the function escape; any other goes
+        through `call`."""
         func, arg = e.func, e.arg
         fn = None
         if type(func) is Var:
@@ -533,8 +552,8 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             return call(e)
         up = None if level == 0 else ancestor(len(free) - 1 - level)
         if type(arg) is Tuple and len(arg.items) == fn.arity:
-            (_, *items), extra = operands((func, *arg.items))
-            cost = 2 + extra
+            items, extra = operands(arg.items)
+            cost = 3 + extra
             part = pure(arg)
             get = tuple_of(items) if part is None else part[0]
 
@@ -547,8 +566,8 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                 pend_body = fn.body
                 return _TAIL
             return ev
-        (_, get), extra = operands((func, arg))
-        cost = 1 + extra
+        (get,), extra = operands((arg,))
+        cost = 2 + extra
 
         def ev(f):
             nonlocal fuel, pend_body, pend_frame

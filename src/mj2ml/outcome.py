@@ -14,11 +14,21 @@ Going past the frames is FuelExhausted too, without a position, having
 used the fuel spent until then.  Compiling has one bound as well: a
 program nested past `MAX_NESTING` is a type error, and each compile stage
 gets `COMPILE_FRAMES` frames, enough for any program within that limit.
+
+The cyclic collector's policy lives here too.  It is off while a
+program compiles: everything the compile step allocates is kept until
+the run ends, so a collection then would only traverse it again.  It
+is back as the caller had it for the run itself.  A run of a translated
+program makes no reference cycles (see Frames in `mleval`), but a
+MiniJava run makes real ones, such as an object whose field points to
+itself, and only the collector frees those; with it off, a loop that
+makes one per iteration would grow without bound.
 """
 
 from __future__ import annotations
 
 import enum
+import gc
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -108,14 +118,22 @@ def run_compiled(compile: Callable, fuel: int) -> tuple[RunOutcome, object | Non
 
     `compile(fuel, output)` builds the run, printing to `output`, and
     returns `(run, fuel_left)`: `run()` executes it and returns its
-    value, `fuel_left()` the fuel not yet spent.
+    value, `fuel_left()` the fuel not yet spent.  The cyclic collector
+    is off while `compile` runs (see the module docstring) and as the
+    caller had it during `run()`.
     """
     fuel = max(fuel, 0)
     outcome = RunOutcome()
     value = None
     spent_all = False
     with extra_frames(RECURSION_LIMIT):
-        run, fuel_left = compile(fuel, outcome.output)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run, fuel_left = compile(fuel, outcome.output)
+        finally:
+            if enabled:
+                gc.enable()
         try:
             value = run()
         except Fault as fault:
