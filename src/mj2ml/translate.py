@@ -449,12 +449,18 @@ class _Translator:
     def _read_slot(self, ctx: _Ctx, ptr: MlExpr, cls: str,
                    slot: tuple[str, str], name: str | None = None) -> MlExpr:
         """Bind a slot of cls's level of the object at ptr, to `name` if
-        given, matching the object with every other slot wildcarded."""
+        given, matching the object with every other slot wildcarded.  A
+        slot already read in this state is reused, unless `name` is given:
+        an assignment binds its own version, not a copy of the atom."""
+        key = (ptr, cls, slot)
+        if name is None and key in ctx.reads:
+            return ctx.reads[key]
         value = self._lookup(ctx, ptr)
         tmp = ctx.fn.fresh_temp()
         hit = (cls, slot)
         pat = self._object(PCon, cls, lambda *at: PVar(tmp) if at == hit else PWild())
-        return ctx.bind(Case(value, ((pat, Var(tmp)),)), name)
+        ctx.reads[key] = ctx.bind(Case(value, ((pat, Var(tmp)),)), name)
+        return ctx.reads[key]
 
     def _field_write(self, ctx: _Ctx, cls: str, fname: str, new_value: MlExpr) -> None:
         """Rebuild this object with a field of cls's level replaced, binding
