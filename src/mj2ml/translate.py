@@ -53,9 +53,9 @@ Each of these decisions is written once.  `_Ctx` holds the ANF binders
 and the state threading: `bind` for an intermediate value, `bind_state`
 for the (state, value) of a call that returns a new state, and
 `carried`/`join` for the tuple of branch joins and loops.  `_lookup`
-reads the heap, once per cell and state, and `_store` writes it and
-makes the new state current; field and array writes both go through
-it.  The object layout is the `levels` table of `_Translator`: per
+reads the heap, and `_read_slot` an object's slot, once per cell or slot
+and state, and `_store` writes it and makes the new state current; field
+and array writes both go through it.  The object layout is the `levels` table of `_Translator`: per
 class, the (kind, name) of each slot of its level, which the datatypes,
 the constructors and the read and write spines (`_object`) all read.
 Only the `prelude` and the store's types and empty tree (`STATE_TY`,
@@ -249,15 +249,18 @@ class _Ctx:
 
     `reads` maps a pointer atom to the atom holding its heap value in the
     current state: `_lookup` reuses it and `_store` records the value it
-    wrote.  `mj_lookup` is pure, so a second read of the same pointer in
-    the same state would give the same value (and never runs if the first
-    faulted).  Every new state, from a call, an allocation, a store, a join
-    or a loop parameter, goes through `advance`, which empties the map."""
+    wrote.  It also maps a (pointer, class, slot) triple to the atom holding
+    that slot of the object, which `_read_slot` reuses.  `mj_lookup` and
+    a slot's `case` are pure, so a second read of the same pointer or slot
+    in the same state would give the same value (and never runs if the
+    first faulted).  Every new state, from a call, an allocation, a store,
+    a join or a loop parameter, goes through `advance`, which empties the
+    map."""
 
     fn: _FnScope
     versions: dict[str, int]
     state: str
-    reads: dict[MlExpr, MlExpr] = dc_field(default_factory=dict)
+    reads: dict[object, MlExpr] = dc_field(default_factory=dict)
     bindings: list[Decl] = dc_field(default_factory=list)
 
     def branch(self) -> "_Ctx":

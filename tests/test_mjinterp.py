@@ -1,10 +1,12 @@
+import gc
 import math
+import tracemalloc
 
 import pytest
 
 from mj2ml.mjast import INT_MAX
 from mj2ml.mjinterp import interpret_mj
-from mj2ml.outcome import FaultKind
+from mj2ml.outcome import FaultKind, run_compiled
 from mj2ml.parser import parse_source
 from mj2ml.sema import typecheck
 
@@ -219,6 +221,84 @@ def test_alloc_trace_counts_objects_and_arrays_in_order():
     out = run(src, alloc_trace=trace)
     assert out.ok
     assert trace == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_run_compiled_keeps_the_callers_collector_setting(enabled):
+    seen = {}
+
+    def compile_(fuel, output):
+        seen["compile"] = gc.isenabled()
+
+        def run():
+            seen["run"] = gc.isenabled()
+            return 0
+        return run, lambda: fuel
+
+    def broken(fuel, output):
+        raise ValueError("no program")
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        out, value = run_compiled(compile_, 10)
+        after_run = gc.isenabled()
+        with pytest.raises(ValueError):
+            run_compiled(broken, 10)
+        after_raise = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert out.ok and value == 0
+    assert seen == {"compile": False, "run": enabled}
+    assert after_run is after_raise is enabled
+
+
+# Each iteration makes an object whose field points to itself: a cycle that
+# only the cyclic collector frees, so the collector must stay on in a run.
+SELF_LINKS = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new Loop().run(%d));
+    }
+}
+class Node {
+    Node next;
+    public int link() {
+        next = this;
+        return 0;
+    }
+}
+class Loop {
+    public int run(int n) {
+        int i;
+        int r;
+        Node c;
+        i = 0;
+        while (i < n) {
+            c = new Node();
+            r = c.link();
+            i = i + 1;
+        }
+        return i;
+    }
+}
+"""
+
+
+def test_a_run_making_a_cycle_per_iteration_stays_in_bounded_memory():
+    # with the collector off for the run the peak was 3.44 MB at 50 000
+    # iterations, against 0.07 MB with it on
+    n = 30_000
+    program = parse_source(SELF_LINKS % n)
+    table = typecheck(program)
+    tracemalloc.start()
+    try:
+        out = interpret_mj(program, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.ok and out.output == [n]
+    assert peak < 1 << 20, peak
 
 
 # Where each corpus run stops with one unit less fuel than it needs: the

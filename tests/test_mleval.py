@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import pytest
@@ -275,6 +276,9 @@ DOUBLE = FunDef("g", PVar("x"), PrimOp("*", (Var("x"), IntLit(2))))
 FIRST = FunDef("f", PTuple((PVar("a"), PVar("b"))), Var("a"))
 SUM = FunDef("f", PTuple((PVar("a"), PVar("b"))), add(Var("a"), Var("b")))
 TWICE = FunDef("f", PVar("x"), add(Var("x"), Var("x")))
+# `fun apply (g, x) = g x` and a local `fun inc y = y + 1`
+APPLY = FunDef("apply", PTuple((PVar("g"), PVar("x"))), App(Var("g"), Var("x")))
+LOCAL_INC = FunDef("inc", PVar("y"), add(Var("y"), IntLit(1)))
 
 
 @pytest.mark.parametrize("main, groups, expected", [
@@ -296,8 +300,19 @@ TWICE = FunDef("f", PVar("x"), add(Var("x"), Var("x")))
      ((TWICE,),), (4, None, 8)),
     # a known call outside tail position
     (add(IntLit(1), App(Var("f"), IntLit(9))), ((INC,),), (11, None, 8)),
+    # known calls with a tuple argument, pure or not, and with a single
+    # argument, pure or not: the function position is charged, not read
+    (App(Var("f"), Tuple((IntLit(1), IntLit(2)))), ((SUM,),), (3, None, 8)),
+    (App(Var("f"), Tuple((IntLit(1), add(IntLit(2), IntLit(3))))), ((SUM,),), (6, None, 10)),
+    (App(Var("f"), IntLit(9)), ((INC,),), (10, None, 6)),
+    (App(Var("f"), add(IntLit(9), IntLit(1))), ((INC,),), (11, None, 8)),
+    # a local `fun` both called and passed as a value keeps its closure
+    (Let(((LOCAL_INC,),), add(App(Var("inc"), IntLit(1)),
+                              App(Var("apply"), Tuple((Var("inc"), IntLit(4)))))),
+     ((APPLY,),), (7, None, 19)),
 ], ids=["val-rebinds-fun", "local-fun-shadows", "arity-mismatch", "tuple-in-variable",
-        "val-alias", "non-tail"])
+        "val-alias", "non-tail", "known-tuple", "known-tuple-impure", "known-single",
+        "known-single-impure", "local-fun-escapes"])
 def test_calls_of_known_functions_keep_values_faults_and_steps(main, groups, expected):
     out, val = run(main, fun_groups=groups)
     assert (val, out.fault, out.steps) == expected
@@ -530,6 +545,27 @@ class Filler {
     }
 }
 """
+
+
+def cyclic_garbage_of_a_run(program):
+    """Objects the collector finds unreachable after one run of `program`
+    made with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        out = eval_program(program)[0]
+    finally:
+        gc.enable()
+    assert out.ok
+    return gc.collect()
+
+
+def test_a_run_leaves_no_cyclic_garbage_that_grows_with_the_heap():
+    # each loop entry used to leave a frame <-> closure cycle holding the
+    # loop's heap states: 1 374 objects at n = 100, 10 390 at n = 1 600
+    counts = [cyclic_garbage_of_a_run(translate(parse_source(FILLER % n)))
+              for n in (100, 1600)]
+    assert counts[0] == counts[1], counts
 
 
 def test_store_operations_take_logarithmic_steps():
