@@ -287,7 +287,7 @@ class Loop {
 
 def test_a_run_making_a_cycle_per_iteration_stays_in_bounded_memory():
     # with the collector off for the run the peak was 3.44 MB at 50 000
-    # iterations, against 0.07 MB with it on
+    # iterations, against 0.06 MB with it on
     n = 30_000
     program = parse_source(SELF_LINKS % n)
     table = typecheck(program)
