@@ -21,12 +21,13 @@ from .lexer import LexError, Token, TokenKind, tokenize
 from .mjast import MjProgram, print_program
 from .mjinterp import interpret_mj
 from .mlast import MlProgram, Violation, validate_core
-from .mleval import alloc_order, eval_program
+from .mleval import eval_program
 from .mlprint import print_ml_program
 from .outcome import DEFAULT_FUEL, FaultKind, RunOutcome
 from .parser import ParseError, parse, parse_source
 from .randgen import generate_program
 from .sema import ClassTable, MjTypeError, typecheck
+from .store import alloc_order
 from .translate import translate
 
 __all__ = [

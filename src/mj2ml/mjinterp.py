@@ -49,7 +49,6 @@ since it is the same resource-limit channel.
 
 from __future__ import annotations
 
-from itertools import count
 from operator import add, itemgetter, mul, sub
 
 from .mjast import (
@@ -94,21 +93,13 @@ _DEFAULTS = {INT: 0, BOOL: False}
 _ARITHMETIC = {"+": add, "-": sub, "*": mul}
 
 
-def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int],
-             alloc_trace: list[int] | None):
+def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]):
     """Compile `program` for one run with `fuel` units (at least 0).
 
     Returns `(run, fuel_left)`: `run()` executes the main body (or
     raises Fault), `fuel_left()` returns the fuel not yet spent.
     """
     emit = output.append
-    if alloc_trace is None:
-        traced = None
-    else:
-        pointers = count()
-
-        def traced():
-            alloc_trace.append(next(pointers))
 
     # Compile-time layout: each class's vtable (filled once the methods
     # are compiled) and template object, each field's index in its
@@ -253,8 +244,6 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
             k = size(f)
             if k < 0:
                 raise Fault(_NEGATIVE, pos)
-            if traced is not None:
-                traced()
             return [0] * k
         return ev
 
@@ -267,8 +256,6 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
             if fuel < 1:
                 raise Fault(_FUEL, pos)
             fuel -= 1
-            if traced is not None:
-                traced()
             return template.copy()
         return ev
 
@@ -443,15 +430,10 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
 
 
 def interpret_mj(program: MjProgram, table: ClassTable | None = None,
-                 fuel: int = DEFAULT_FUEL,
-                 alloc_trace: list[int] | None = None) -> RunOutcome:
-    """Run a typechecked program; typechecks first when no table is given.
-
-    `alloc_trace`, when given, gets one pointer per allocation, objects
-    and arrays alike, numbered from 0 in allocation order.
-    """
+                 fuel: int = DEFAULT_FUEL) -> RunOutcome:
+    """Run a typechecked program; typechecks first when no table is given."""
     if table is None:
         table = typecheck(program)
     outcome, _ = run_compiled(
-        lambda fuel, output: _compile(program, table, fuel, output, alloc_trace), fuel)
+        lambda fuel, output: _compile(program, table, fuel, output), fuel)
     return outcome

@@ -19,9 +19,9 @@ Fuel).  And three shapes that translated code runs at nearly every
 step are each one closure, superoperators after Proebsting,
 "Optimizing an ANSI C interpreter with superoperators" (1995): a call
 of a known function (see Calls); a tuple or constructor pattern whose
-items are variables, wildcards or tuples of those, such as the
-`((n, h), k)` parameter of the store helpers, with no nested matcher
-call; and an `if` whose condition compares pure operands (see Fuel).
+items are variables, wildcards or tuples of those, such as a
+`((a, b), c)` parameter, with no nested matcher call; and an `if` whose
+condition compares pure operands (see Fuel).
 
 Frames.  Each activation, that is the top level and every call of an ML
 function, gets one Python list.  Slot 0 holds the parent frame, the one
@@ -39,11 +39,11 @@ group, top-level or local, ties its recursive knot by storing its
 closures into slots of the frame they capture, but only for the names
 that escape: those read as a value somewhere, such as a method stored
 in an object or a function passed as an argument.  A name that is only
-ever called, as every translated `while` loop and every prelude helper
-is, gets no closure, since its call sites know its code (see Calls).
-So a run leaves no frame <-> closure cycle behind a loop, and the heap
-states such a frame holds go as soon as reference counting frees them,
-not when the cyclic collector next runs.
+ever called, as every translated `while` loop is, gets no closure,
+since its call sites know its code (see Calls).  So a run leaves no
+frame <-> closure cycle behind a loop, and the heap states such a frame
+holds go as soon as reference counting frees them, not when the cyclic
+collector next runs.
 
 Calls.  An application in tail position, of a function body or of a
 `val` right-hand side, evaluates the function and then the argument,
@@ -72,10 +72,7 @@ A pending (non-tail) ML call holds one Python frame for the callee's
 body and one for each node between that body and the call: an `if`, a
 `case`, a `let`, or a node with the call as an operand.  That is 3
 frames per call for a translated method recursion, against 2 for the
-tree-walking evaluator this replaced.  The store's helpers (`translate`'s
-prelude) that are not tail-recursive, `mj_cons`, `mj_set` and
-`mj_zeros`, recurse once per level of a Braun tree, O(log n) deep for n
-cells, so only method recursion comes near the limit.  A run has
+tree-walking evaluator this replaced.  A run has
 `outcome.RECURSION_LIMIT` Python frames (the run model in `outcome`);
 exceeding it reports FuelExhausted, as running out of fuel does.
 
@@ -332,9 +329,9 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
 
     # -- pure nodes: variables and constants, and tuples and constructors
     # of them, and `div` and `mod` of them by positive literals, such as
-    # the `i div 2` of a walk down the store.  Evaluating one cannot fault
-    # or print, so a pure subtree compiles to a getter g(frame) that
-    # charges no fuel; its parent charges for its nodes. ---------------------
+    # `i div 2`.  Evaluating one cannot fault or print, so a pure subtree
+    # compiles to a getter g(frame) that charges no fuel; its parent
+    # charges for its nodes. --------------------------------------------------
 
     def pure(e: MlExpr):
         """(getter, node count, slot) when `e` is pure, else None; `slot`
@@ -748,8 +745,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
     def construct(e: Tuple | Con):
         """A tuple, or a constructor application, with an impure part.
         A pair is built in the closure itself, so that a call in it, as
-        in the array write `HArr (n, mj_set (t, i, v))`, holds no extra
-        Python frame."""
+        in `C (n, f (t, i))`, holds no extra Python frame."""
         items, extra = operands(e.items if type(e) is Tuple else e.args)
         cost = 1 + extra
         name = e.name if type(e) is Con else None
@@ -814,36 +810,6 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         return fuel
 
     return run, fuel_left
-
-
-def _tree_items(tree: object) -> list:
-    """The items of a Braun tree in index order: the root, then the left
-    and right subtrees' items interleaved (indices 2j+1 and 2j+2)."""
-    if tree == VCon("Lf"):
-        return []
-    x, left, right = tree.args
-    left, right = _tree_items(left), _tree_items(right)
-    items = [x] * (1 + len(left) + len(right))
-    items[1::2], items[2::2] = left, right
-    return items
-
-
-def heap_cells(state_value: object) -> list[tuple[int, object]]:
-    """The (pointer, value) cells of a final (counter, heap) state, in
-    allocation order.
-
-    The heap holds pointer k at index n - 1 - k of its Braun tree, n the
-    counter, so the newest cell is the root.
-    """
-    assert type(state_value) is tuple and len(state_value) == 2
-    n, heap = state_value
-    items = _tree_items(heap)
-    return [(n - 1 - i, items[i]) for i in reversed(range(len(items)))]
-
-
-def alloc_order(state_value: object) -> list[int]:
-    """Pointers in allocation order, read off a final (counter, heap) state."""
-    return [k for k, _ in heap_cells(state_value)]
 
 
 def eval_program(program: MlProgram, fuel: int = DEFAULT_FUEL,

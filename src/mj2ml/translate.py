@@ -1,19 +1,8 @@
 """Translation from MiniJava to the pure core ML fragment.
 
 The generated program threads a heap value through every computation
-instead of using mutable state.  A state is a pair
-``(next pointer, heap)``; allocation hands out pointers 0, 1, 2, ...
-The heap, and each array's elements, is a Braun tree used as a flexible
-array (Okasaki, *Purely Functional Data Structures*, 1998, 10.1.2; Braun
-and Rem, 1983): index 0 is the root, index 2j+1 is index j of the left
-subtree and 2j+2 index j of the right.  Reading or writing an index, or
-consing a new index 0 onto the front, takes O(log n) steps.  Allocation
-conses, so pointer k is at index n-1-k of an n-cell heap and the newest
-object, the likeliest to be used next, is the root.  An array is
-``HArr (length, elements)``, element i at index i; ``a.length`` is O(1)
-and ``new int[n]`` builds by halving, O(log^2 n).  Null, pointer -1, is
-index n, and like any array index outside 0 .. length-1 its walk ends in
-an empty subtree, where the helpers have no rule: a MatchFailure fault.
+instead of using mutable state.  How that value, and each array in it,
+is encoded is the `store` module's alone.
 
 Objects are nested tuples.  For each root class R the heap carries
 ``HObj_R`` of R's level tuple: the method slots introduced by R that a
@@ -55,13 +44,12 @@ for the (state, value) of a call that returns a new state, and
 `carried`/`join` for the tuple of branch joins and loops.  `_lookup`
 reads the heap, and `_read_slot` an object's slot, once per cell or slot
 and state, and `_store` writes it and makes the new state current; field
-and array writes both go through it.  The object layout is the `levels` table of `_Translator`: per
-class, the (kind, name) of each slot of its level, which the datatypes,
-the constructors and the read and write spines (`_object`) all read.
-Only the `prelude` and the store's types and empty tree (`STATE_TY`,
-`TREE`, `EMPTY`) know how the store is encoded: the translated code
-passes whole states and trees to the prelude's helpers and never takes
-one apart.
+and array writes both go through it.  The object layout is the `levels`
+table of `_Translator`: per class, the (kind, name) of each slot of its
+level, which the datatypes, the constructors and the read and write
+spines (`_object`) all read.  Every heap and array access is built by
+`store`, whose prelude of helpers each translation starts with.  What
+each `if` and `while` assigns is found once per method, by `_assigns`.
 
 Translation runs within `outcome.COMPILE_FRAMES` Python frames beyond
 its caller's, which any program that typechecks fits.
@@ -70,7 +58,6 @@ its caller's, which any program that typechecks fits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cache
 
 from .mjast import (
     BOOL,
@@ -126,23 +113,12 @@ from .mlast import (
     TyArrow,
     TyName,
     TyTuple,
-    TyVar,
     Val,
     Var,
 )
+from . import store
 from .outcome import COMPILE_FRAMES, extra_frames
 from .sema import ClassTable, typecheck
-
-STATE_TY = TyTuple((TY_INT, TyApp("tree", TyName("heapval"))))
-
-# datatype 'a tree = Lf | Nd of 'a * 'a tree * 'a tree
-TREE = DataType("tree", (DataCon("Lf", TY_UNIT),
-                         DataCon("Nd", TyTuple((TyVar("a"), TyApp("tree", TyVar("a")),
-                                                TyApp("tree", TyVar("a")))))),
-                params=("a",))
-EMPTY = Con("Lf")
-
-NULL_PTR = -1
 
 
 def _enc(name: str) -> str:
@@ -175,18 +151,13 @@ def _default_value(ty: MjType) -> MlExpr:
         return IntLit(0)
     if ty == BOOL:
         return Con("false")
-    return IntLit(NULL_PTR)
+    return IntLit(store.NULL_PTR)
 
 
 def _tup(items: list[MlExpr]) -> MlExpr:
     """Tuple of the items: none is unit, a single item stays bare
     (1-tuples do not exist)."""
     return items[0] if len(items) == 1 else Tuple(tuple(items))
-
-
-def _call(name: str, *args: MlExpr) -> MlExpr:
-    """name applied to the tuple of the arguments."""
-    return App(Var(name), _tup(list(args)))
 
 
 def _ptup(items: list[Pat]) -> Pat:
@@ -203,7 +174,7 @@ class _FnScope:
     """Counters and variable bookkeeping for one generated function."""
 
     var_order: list[str]
-    loop_assigns: dict[int, set[str]]
+    assigns: dict[int, set[str]]
     next_temp: int = 0
     next_state: int = 1
     next_loop: int = 0
@@ -231,6 +202,10 @@ class _FnScope:
         self.maxver[var] += 1
         return self.maxver[var]
 
+    def assigned(self, s: IfStmt | WhileStmt) -> list[str]:
+        """The variables s assigns, in `var_order`."""
+        return [x for x in self.var_order if x in self.assigns[id(s)]]
+
 
 @dataclass
 class _Ctx:
@@ -250,10 +225,10 @@ class _Ctx:
     `reads` maps a pointer atom to the atom holding its heap value in the
     current state: `_lookup` reuses it and `_store` records the value it
     wrote.  It also maps a (pointer, class, slot) triple to the atom holding
-    that slot of the object, which `_read_slot` reuses.  `mj_lookup` and
-    a slot's `case` are pure, so a second read of the same pointer or slot
-    in the same state would give the same value (and never runs if the
-    first faulted).  Every new state, from a call, an allocation, a store,
+    that slot of the object, which `_read_slot` reuses.  A heap lookup
+    and a slot's `case` are pure, so a second read of the same pointer or
+    slot in the same state would give the same value (and never runs if
+    the first faulted).  Every new state, from a call, an allocation, a store,
     a join or a loop parameter, goes through `advance`, which empties the
     map."""
 
@@ -296,12 +271,6 @@ class _Ctx:
     def var_atom(self, name: str) -> MlExpr:
         return Var(mangle_var(name, self.versions[name]))
 
-    def changed(self, *branches: "_Ctx") -> list[str]:
-        """The variables, in `var_order`, whose version differs in any of
-        the branches."""
-        return [x for x in self.fn.var_order
-                if any(b.versions[x] != self.versions[x] for b in branches)]
-
     def carried(self, names: list[str]) -> MlExpr:
         """The (state, variables...) tuple of the named variables that a
         join or loop carries."""
@@ -322,24 +291,26 @@ class _Ctx:
         self.emit(self.rebind(names), rhs)
 
 
-def _loop_assigns(body: list[Stmt]) -> dict[int, set[str]]:
-    """The local variables and formals that each `while` in body assigns,
-    by the loop's id.  One walk with an explicit stack, so nesting costs
-    no Python frames and no rewalk: a loop's set joins the enclosing
-    loop's as the walk leaves it."""
+def _assigns(body: list[Stmt]) -> dict[int, set[str]]:
+    """The local variables and formals that each `if` and `while` in body
+    assigns, in either branch or in the loop's body, by the statement's
+    id.  One walk with an explicit stack, so nesting costs no Python
+    frames and no rewalk: a statement's set joins the enclosing one's as
+    the walk leaves it."""
     found: dict[int, set[str]] = {}
     sets: list[set[str]] = [set()]
     todo: list = list(body)
     while todo:
         s = todo.pop()
         if isinstance(s, tuple):
-            # the end of the body of the loop s[0]
+            # the end of the branches or the body of s[0]
             found[id(s[0])] = sets.pop()
             sets[-1] |= found[id(s[0])]
         elif isinstance(s, BlockStmt):
             todo += s.body
         elif isinstance(s, IfStmt):
-            todo += (s.then_branch, s.else_branch)
+            sets.append(set())
+            todo += ((s,), s.then_branch, s.else_branch)
         elif isinstance(s, WhileStmt):
             sets.append(set())
             todo += ((s,), s.body)
@@ -369,8 +340,8 @@ class _Translator:
             return _ml_value_ty(info.fields[name])
         decl = info.vtable[name][1]
         arg_ty = _payload_ty([_ml_value_ty(f.var_type) for f in decl.formals])
-        return TyArrow(TyTuple((STATE_TY, TY_INT, arg_ty)),
-                       TyTuple((STATE_TY, _ml_value_ty(decl.return_type))))
+        return TyArrow(TyTuple((store.STATE_TY, TY_INT, arg_ty)),
+                       TyTuple((store.STATE_TY, _ml_value_ty(decl.return_type))))
 
     def _level_ty(self, cls: str) -> MlType:
         info = self.table.info(cls)
@@ -379,10 +350,8 @@ class _Translator:
                            + [TyApp("option", ext)])
 
     def datatypes(self) -> list[DataType]:
-        heap_cons = [DataCon("HArr", TyTuple((TY_INT, TyApp("tree", TY_INT))))]
-        for root in self.table.roots():
-            heap_cons.append(DataCon(f"HObj_{_enc(root)}", self._level_ty(root)))
-        decls = [DataType("heapval", tuple(heap_cons)), TREE]
+        decls = store.datatypes([DataCon(f"HObj_{_enc(root)}", self._level_ty(root))
+                                 for root in self.table.roots()])
         for info in self.table.classes.values():
             if not info.children:
                 continue
@@ -418,7 +387,7 @@ class _Translator:
                 return _default_value(self.table.info(level_cls).fields[name])
             return Var(mangle_method(self.table.info(info.vtable[name][0]).index, name))
 
-        body = App(Var("mj_alloc"), Tuple((Var("mj_s0"), self._object(Con, cls, initial))))
+        body = store.alloc(Var("mj_s0"), self._object(Con, cls, initial))
         return FunDef(mangle_new(cls), PVar("mj_s0"), body)
 
     # -- heap access ----------------------------------------------------------
@@ -427,27 +396,15 @@ class _Translator:
         """The heap value at ptr: the one known in this state, else a
         fresh binding of it."""
         if ptr not in ctx.reads:
-            ctx.reads[ptr] = ctx.bind(_call("mj_lookup", Var(ctx.state), ptr))
+            ctx.reads[ptr] = ctx.bind(store.lookup(Var(ctx.state), ptr))
         return ctx.reads[ptr]
 
     def _store(self, ctx: _Ctx, ptr: MlExpr, value: MlExpr) -> None:
         """Write value at ptr and make the new state current, where the
         value at ptr is known."""
-        update = _call("mj_update", Var(ctx.state), ptr, value)
+        update = store.update(Var(ctx.state), ptr, value)
         ctx.emit(PVar(ctx.advance()), update)
         ctx.reads[ptr] = value
-
-    def _array(self, ctx: _Ctx, ptr: MlExpr, use, name: str | None = None) -> MlExpr:
-        """Bind `use(length, items)` of the array `HArr (length, items)` at
-        ptr, to `name` if given; an argument of `use` names its part when
-        called, else `_`."""
-        value, parts = self._lookup(ctx, ptr), [PWild(), PWild()]
-
-        def part(k: int) -> MlExpr:
-            parts[k] = PVar(ctx.fn.fresh_temp())
-            return Var(parts[k].name)
-        rhs = use(lambda: part(0), lambda: part(1))
-        return ctx.bind(Case(value, ((PCon("HArr", tuple(parts)), rhs),)), name)
 
     def _read_slot(self, ctx: _Ctx, ptr: MlExpr, cls: str,
                    slot: tuple[str, str], name: str | None = None) -> MlExpr:
@@ -517,14 +474,16 @@ class _Translator:
         if isinstance(e, ArrayIndexExpr):
             arr = self.expr(e.array, ctx)
             idx = self.expr(e.index, ctx)
-            return self._array(ctx, arr, lambda n, t: _call("mj_get", t(), idx), name)
+            return ctx.bind(store.array_get(self._lookup(ctx, arr), idx, ctx.fn.fresh_temp),
+                            name)
         if isinstance(e, ArrayLengthExpr):
-            return self._array(ctx, self.expr(e.array, ctx), lambda n, t: n(), name)
+            arr = self.expr(e.array, ctx)
+            return ctx.bind(store.array_length(self._lookup(ctx, arr), ctx.fn.fresh_temp),
+                            name)
         if isinstance(e, NewArrayExpr):
             n = self.expr(e.length, ctx)
-            zeros = ctx.bind(_call("mj_zeros", n))
-            return ctx.bind_state(_call("mj_alloc", Var(ctx.state), Con("HArr", (n, zeros))),
-                                  name)
+            zeros = ctx.bind(store.zeros(n))
+            return ctx.bind_state(store.alloc_array(Var(ctx.state), n, zeros), name)
         if isinstance(e, NewObjectExpr):
             return ctx.bind_state(App(Var(mangle_new(e.class_name)), Var(ctx.state)), name)
         if isinstance(e, CallExpr):
@@ -568,15 +527,15 @@ class _Translator:
                 ptr = ctx.var_atom(s.name)
             idx = self.expr(s.index, ctx)
             value = self.expr(s.value, ctx)
-            self._store(ctx, ptr, self._array(ctx, ptr, lambda n, t: Con(
-                "HArr", (n(), _call("mj_set", t(), idx, value)))))
+            array = store.array_set(self._lookup(ctx, ptr), idx, value, ctx.fn.fresh_temp)
+            self._store(ctx, ptr, ctx.bind(array))
         elif isinstance(s, IfStmt):
             cond = self.expr(s.cond, ctx)
             tctx = ctx.branch()
             self.stmt(s.then_branch, tctx)
             ectx = ctx.branch()
             self.stmt(s.else_branch, ectx)
-            names = ctx.changed(tctx, ectx)
+            names = ctx.fn.assigned(s)
             ctx.join(If(cond, tctx.wrap(tctx.carried(names)), ectx.wrap(ectx.carried(names))),
                      names)
         elif isinstance(s, WhileStmt):
@@ -587,8 +546,7 @@ class _Translator:
     def _while(self, s: WhileStmt, ctx: _Ctx) -> None:
         """A local tail-recursive function over the carried tuple of the
         variables the body assigns, called once and joined."""
-        assigned = ctx.fn.loop_assigns[id(s)]
-        names = [x for x in ctx.fn.var_order if x in assigned]
+        names = ctx.fn.assigned(s)
         loop = ctx.fn.fresh_loop()
         inner = ctx.branch()
         param = inner.rebind(names)
@@ -604,7 +562,7 @@ class _Translator:
 
     def method(self, class_index: int, decl: MethodDecl) -> FunDef:
         var_order = [f.name for f in decl.formals] + [v.name for v in decl.local_vars]
-        ctx = _Ctx(_FnScope(var_order, _loop_assigns(decl.body)),
+        ctx = _Ctx(_FnScope(var_order, _assigns(decl.body)),
                    dict.fromkeys(var_order, 0), "mj_s0")
         for local in decl.local_vars:
             ctx.emit(PVar(mangle_var(local.name, 0)), _default_value(local.var_type))
@@ -617,14 +575,14 @@ class _Translator:
                       ctx.wrap(Tuple((Var(ctx.state), result))))
 
     def main(self, program: MjProgram) -> FunDef:
-        ctx = _Ctx(_FnScope([], _loop_assigns(program.main.body)), {}, "mj_s0")
-        ctx.emit(PVar("mj_s0"), Tuple((IntLit(0), EMPTY)))
+        ctx = _Ctx(_FnScope([], _assigns(program.main.body)), {}, "mj_s0")
+        ctx.emit(PVar("mj_s0"), store.EMPTY_STATE)
         for s in program.main.body:
             self.stmt(s, ctx)
         return FunDef("mj_main", PTuple(()), ctx.wrap(Var(ctx.state)))
 
     def run(self, program: MjProgram) -> MlProgram:
-        groups = [(f,) for f in prelude()]
+        groups = [(f,) for f in store.prelude()]
         table = self.table
         big: list[FunDef] = [self.constructor(name) for name in table.classes
                              if name in table.instantiated]
@@ -638,75 +596,6 @@ class _Translator:
         return MlProgram(datatypes=self.datatypes(),
                          fun_groups=groups,
                          main=App(Var("mj_main"), Tuple(())))
-
-
-def _nd(*items: MlExpr) -> MlExpr:
-    return Con("Nd", items)
-
-
-def _braun_step(i: MlExpr, at_root: MlExpr, left, right) -> MlExpr:
-    """One step of a walk down a Braun tree `Nd (x, l, r)` towards
-    index i: index 0 is the node itself (`at_root`), an odd i is index
-    i div 2 of the left subtree and an even one index i div 2 - 1 of the
-    right; `left` and `right` take that index."""
-    half = PrimOp("div", (i, IntLit(2)))
-    return If(PrimOp("=", (i, IntLit(0))), at_root,
-              If(PrimOp("=", (PrimOp("mod", (i, IntLit(2))), IntLit(1))),
-                 left(half), right(PrimOp("-", (half, IntLit(1))))))
-
-
-@cache
-def prelude() -> tuple[FunDef, ...]:
-    """The fixed runtime: the store as a Braun tree, one for the heap and
-    one for each array's elements, whose length `HArr` stores beside
-    them.  Built once; every translation shares its nodes.
-
-    mj_get and mj_set deliberately have no `Lf` case: an index outside
-    the tree (null, or an array index below 0 or from the length on)
-    walks into an empty subtree, which is a match failure, the translated
-    program's fault channel.  mj_zeros has no rule for a negative size,
-    so `new int[n]` with n < 0 fails the same way.
-    """
-    t, i, w, x, l, r, v = map(Var, "tiwxlrv")
-    node = PCon("Nd", (PVar("x"), PVar("l"), PVar("r")))
-    get = FunDef(
-        "mj_get", PTuple((PVar("t"), PVar("i"))),
-        Case(t, ((node, _braun_step(i, x, lambda j: _call("mj_get", l, j),
-                                    lambda j: _call("mj_get", r, j))),)))
-    set_ = FunDef(
-        "mj_set", PTuple((PVar("t"), PVar("i"), PVar("w"))),
-        Case(t, ((node, _braun_step(i, _nd(w, l, r),
-                                    lambda j: _nd(x, _call("mj_set", l, j, w), r),
-                                    lambda j: _nd(x, l, _call("mj_set", r, j, w)))),)))
-    # the new element becomes index 0, and index j of the old tree j + 1
-    cons = FunDef(
-        "mj_cons", PTuple((PVar("x"), PVar("t"))),
-        Case(t, ((PCon("Lf"), _nd(x, EMPTY, EMPTY)),
-                 (PCon("Nd", (PVar("v"), PVar("l"), PVar("r"))),
-                  _nd(x, _call("mj_cons", v, r), l)))))
-    # n zeros: one tree of (n - 1) div 2 on both sides, one more consed left
-    # if n is even; a negative n has no rule, like an index outside the tree
-    n, zero = Var("n"), IntLit(0)
-    half = _call("mj_zeros", PrimOp("div", (PrimOp("-", (n, IntLit(1))), IntLit(2))))
-    zeros = FunDef("mj_zeros", PVar("n"), If(
-        PrimOp("<", (n, IntLit(1))), Case(PrimOp("<", (n, zero)), ((PCon("false"), EMPTY),)),
-        Let((Val(PVar("t"), half),),
-            If(PrimOp("=", (PrimOp("mod", (n, IntLit(2))), IntLit(1))),
-               _nd(zero, t, t), _nd(zero, _call("mj_cons", zero, t), t)))))
-    # pointer k is index n - 1 - k of the heap, so the newest cell is its root
-    state = PTuple((PVar("n"), PVar("h")))
-    slot = PrimOp("-", (PrimOp("-", (Var("n"), IntLit(1))), Var("k")))
-    lookup = FunDef(
-        "mj_lookup", PTuple((state, PVar("k"))),
-        _call("mj_get", Var("h"), slot))
-    update = FunDef(
-        "mj_update", PTuple((state, PVar("k"), PVar("w"))),
-        Tuple((Var("n"), _call("mj_set", Var("h"), slot, w))))
-    alloc = FunDef(
-        "mj_alloc", PTuple((state, PVar("w"))),
-        Tuple((Tuple((PrimOp("+", (Var("n"), IntLit(1))), _call("mj_cons", w, Var("h")))),
-               Var("n"))))
-    return (get, set_, cons, zeros, lookup, update, alloc)
 
 
 def translate(program: MjProgram, table: ClassTable | None = None) -> MlProgram:

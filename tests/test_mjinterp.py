@@ -11,8 +11,8 @@ from mj2ml.parser import parse_source
 from mj2ml.sema import typecheck
 
 
-def run(source, fuel=10_000_000, alloc_trace=None):
-    return interpret_mj(parse_source(source), fuel=fuel, alloc_trace=alloc_trace)
+def run(source, fuel=10_000_000):
+    return interpret_mj(parse_source(source), fuel=fuel)
 
 
 def worker(body, main_expr="new W().run()", extra=""):
@@ -210,17 +210,6 @@ def test_a_call_on_a_class_never_instantiated_faults_on_null():
     assert "Base" not in table.instantiated and table.live == {("W", "run")}
     out = interpret_mj(program, table)
     assert out.fault == FaultKind.NULL_DEREFERENCE and str(out.fault_pos) == "10:16"
-
-
-def test_alloc_trace_counts_objects_and_arrays_in_order():
-    body = ("        int[] xs;\n        W w;\n"
-            "        xs = new int[2];\n        w = new W2();\n"
-            "        xs = new int[1];\n        return xs.length;")
-    src = worker(body) + "\nclass W2 extends W {\n}\n"
-    trace = []
-    out = run(src, alloc_trace=trace)
-    assert out.ok
-    assert trace == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

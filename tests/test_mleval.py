@@ -24,12 +24,13 @@ from mj2ml.mlast import (
     Val,
     Var,
 )
-from mj2ml.mleval import VCon, _tree_items, alloc_order, eval_program, heap_cells
+from mj2ml.mleval import VCon, eval_program
 from mj2ml.outcome import DEFAULT_FUEL, FaultKind
 from mj2ml.parser import parse_source
 from mj2ml.randgen import generate_program
 from mj2ml.sema import typecheck
-from mj2ml.translate import prelude, translate
+from mj2ml.store import prelude
+from mj2ml.translate import translate
 
 
 def run(main, fun_groups=(), fuel=10_000_000):
@@ -158,9 +159,6 @@ def test_print_builtin_collects_output():
     assert out.output == [-5, 7] and val == ()
 
 
-LEAF = VCon("Lf")
-
-
 def run_prelude(main):
     return run(main, fun_groups=[(f,) for f in prelude()])
 
@@ -177,57 +175,6 @@ def test_an_index_outside_the_tree_fails_to_match_in_mj_get_and_mj_set(index):
     set_ = run_prelude(App(Var("mj_set"), Tuple((zeros(3), IntLit(index), IntLit(7)))))[0]
     fault = None if 0 <= index < 3 else FaultKind.MATCH_FAILURE
     assert (get.fault, set_.fault) == (fault, fault)
-
-
-def test_null_fails_to_match_in_mj_lookup_and_mj_update():
-    # null is pointer -1, index n of an n-cell heap: the walk of index = length
-    heap = Tuple((IntLit(3), zeros(3)))
-    null = IntLit(-1)
-    lookup = run_prelude(App(Var("mj_lookup"), Tuple((heap, null))))[0]
-    update = run_prelude(App(Var("mj_update"), Tuple((heap, null, IntLit(7)))))[0]
-    assert lookup.fault == update.fault == FaultKind.MATCH_FAILURE
-    assert run_prelude(App(Var("mj_lookup"), Tuple((heap, IntLit(2)))))[0].ok
-
-
-def test_store_helpers_read_back_what_they_wrote():
-    # every index of trees of 0..9 elements, through mj_set and mj_get,
-    # with the written tree's items counted
-    for n in range(10):
-        for i in range(n):
-            main = Let((Val(PVar("t"), App(Var("mj_set"), Tuple((zeros(n), IntLit(i),
-                                                                 IntLit(5))))),),
-                       Tuple((App(Var("mj_get"), Tuple((Var("t"), IntLit(i)))), Var("t"))))
-            out, val = run_prelude(main)
-            assert out.ok and (val[0], len(_tree_items(val[1]))) == (5, n), (n, i)
-
-
-def test_mj_zeros_reads_zero_below_its_size_and_fails_to_match_at_it():
-    for n in range(65):
-        main = Let((Val(PVar("t"), zeros(n)),),
-                   Tuple(tuple(App(Var("mj_get"), Tuple((Var("t"), IntLit(i))))
-                               for i in range(n)) + (Var("t"),)))
-        out, val = run_prelude(main)
-        assert out.ok and val[:-1] == (0,) * n and _tree_items(val[-1]) == [0] * n, n
-        past = run_prelude(App(Var("mj_get"), Tuple((zeros(n), IntLit(n)))))[0]
-        assert past.fault == FaultKind.MATCH_FAILURE, n
-
-
-def cons(x, tree):
-    # mj_cons: x becomes index 0 and index j of `tree` index j + 1
-    if tree == LEAF:
-        return VCon("Nd", (x, LEAF, LEAF))
-    v, left, right = tree.args
-    return VCon("Nd", (x, cons(v, right), left))
-
-
-def test_alloc_order_reads_the_braun_heap_from_its_newest_cell():
-    # pointer k sits at index n - 1 - k, so the cell allocated last is the root
-    heap = LEAF
-    for k in range(6):
-        heap = cons(k * 10, heap)
-    assert heap.args[0] == 50
-    assert heap_cells((6, heap)) == [(k, k * 10) for k in range(6)]
-    assert alloc_order((6, heap)) == [0, 1, 2, 3, 4, 5]
 
 
 def test_let_does_not_change_what_a_closure_captured():

@@ -1,0 +1,100 @@
+"""The store module: the prelude's helpers run through the core ML
+evaluator, the decoding of a final state, and the module's sole
+ownership of the encoding."""
+
+import re
+from pathlib import Path
+
+import mj2ml
+from mj2ml.mlast import App, IntLit, Let, MlProgram, PTuple, PVar, PWild, Tuple, Val, Var
+from mj2ml.mleval import VCon, eval_program
+from mj2ml.outcome import FaultKind
+from mj2ml.store import EMPTY_STATE, _tree_items, alloc, alloc_order, heap_cells, prelude
+
+LEAF = VCon("Lf")
+
+
+def run_prelude(main):
+    program = MlProgram((), tuple((f,) for f in prelude()), main)
+    return eval_program(program, fuel=10_000_000)
+
+
+def zeros(n):
+    return App(Var("mj_zeros"), IntLit(n))
+
+
+def test_null_fails_to_match_in_mj_lookup_and_mj_update():
+    # null is pointer -1, index n of an n-cell heap: the walk of index = length
+    heap = Tuple((IntLit(3), zeros(3)))
+    null = IntLit(-1)
+    lookup = run_prelude(App(Var("mj_lookup"), Tuple((heap, null))))[0]
+    update = run_prelude(App(Var("mj_update"), Tuple((heap, null, IntLit(7)))))[0]
+    assert lookup.fault == update.fault == FaultKind.MATCH_FAILURE
+    assert run_prelude(App(Var("mj_lookup"), Tuple((heap, IntLit(2)))))[0].ok
+
+
+def test_store_helpers_read_back_what_they_wrote():
+    # every index of trees of 0..9 elements, through mj_set and mj_get,
+    # with the written tree's items counted
+    for n in range(10):
+        for i in range(n):
+            main = Let((Val(PVar("t"), App(Var("mj_set"), Tuple((zeros(n), IntLit(i),
+                                                                 IntLit(5))))),),
+                       Tuple((App(Var("mj_get"), Tuple((Var("t"), IntLit(i)))), Var("t"))))
+            out, val = run_prelude(main)
+            assert out.ok and (val[0], len(_tree_items(val[1]))) == (5, n), (n, i)
+
+
+def test_mj_zeros_reads_zero_below_its_size_and_fails_to_match_at_it():
+    for n in range(65):
+        main = Let((Val(PVar("t"), zeros(n)),),
+                   Tuple(tuple(App(Var("mj_get"), Tuple((Var("t"), IntLit(i))))
+                               for i in range(n)) + (Var("t"),)))
+        out, val = run_prelude(main)
+        assert out.ok and val[:-1] == (0,) * n and _tree_items(val[-1]) == [0] * n, n
+        past = run_prelude(App(Var("mj_get"), Tuple((zeros(n), IntLit(n)))))[0]
+        assert past.fault == FaultKind.MATCH_FAILURE, n
+
+
+def cons(x, tree):
+    # mj_cons: x becomes index 0 and index j of `tree` index j + 1
+    if tree == LEAF:
+        return VCon("Nd", (x, LEAF, LEAF))
+    v, left, right = tree.args
+    return VCon("Nd", (x, cons(v, right), left))
+
+
+def test_alloc_order_reads_the_braun_heap_from_its_newest_cell():
+    # pointer k sits at index n - 1 - k, so the cell allocated last is the root
+    heap = LEAF
+    for k in range(6):
+        heap = cons(k * 10, heap)
+    assert heap.args[0] == 50
+    assert heap_cells((6, heap)) == [(k, k * 10) for k in range(6)]
+    assert alloc_order((6, heap)) == [0, 1, 2, 3, 4, 5]
+
+
+
+
+def test_a_state_decodes_to_what_was_allocated():
+    # k allocations from the empty state, value 10 p at pointer p
+    for k in range(65):
+        allocs = tuple(Val(PTuple((PVar(f"s{p + 1}"), PWild())),
+                           alloc(Var(f"s{p}"), IntLit(10 * p))) for p in range(k))
+        out, state = run_prelude(Let((Val(PVar("s0"), EMPTY_STATE), *allocs), Var(f"s{k}")))
+        assert out.ok and heap_cells(state) == [(p, 10 * p) for p in range(k)], k
+        assert alloc_order(state) == list(range(k)), k
+
+
+# The store's constructors and the prelude's helpers, which only store.py
+# may name.
+ENCODING = re.compile(r"\b(HArr|Lf|Nd|Braun|mj_(get|set|cons|zeros|lookup|update|alloc))\b")
+
+
+def test_only_the_store_module_knows_the_encoding():
+    found = [f"{path.name}:{n}: {line.strip()}"
+             for path in sorted(Path(mj2ml.__file__).parent.glob("*.py"))
+             if path.name != "store.py"
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if ENCODING.search(line)]
+    assert found == [], "\n".join(found)

@@ -13,7 +13,8 @@ from mj2ml.mlprint import print_ml_program
 from mj2ml.parser import parse_source
 from mj2ml.randgen import generate_program
 from mj2ml.sema import typecheck
-from mj2ml.translate import mangle_method, mangle_new, mangle_var, prelude, translate
+from mj2ml.store import prelude
+from mj2ml.translate import mangle_method, mangle_new, mangle_var, translate
 
 CHAIN = """\
 class Main {
