@@ -17,10 +17,6 @@ reproducible run to run.
 
 from __future__ import annotations
 
-import re
-import shutil
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -147,52 +143,3 @@ def render_report(results: list[DiffResult]) -> str:
     lines.append("")
     lines.append(f"{len(results)} program(s); {summary}")
     return "\n".join(lines) + "\n"
-
-
-# -- running the emitted text on a real SML system, when one is installed ----
-
-_INT_LINE = re.compile(r"^-?\d+$")
-
-
-def find_sml_system() -> str | None:
-    """Name of an installed SML implementation, in order of preference."""
-    for cmd in ("mlton", "polyc", "sml"):
-        if shutil.which(cmd):
-            return cmd
-    return None
-
-
-def run_system_sml(sml_text: str, timeout: float = 120.0) -> list[int]:
-    """Compile and run with the installed SML system; returns printed ints.
-
-    Raises RuntimeError when no system is installed or the run fails.
-    """
-    system = find_sml_system()
-    if system is None:
-        raise RuntimeError("no SML system installed")
-    with tempfile.TemporaryDirectory(prefix="mj2ml-") as tmp:
-        tmpdir = Path(tmp)
-        src = tmpdir / "program.sml"
-        src.write_text(sml_text)
-        if system in ("mlton", "polyc"):
-            exe = tmpdir / "program"
-            compile_cmd = ([system, "-output", str(exe), str(src)]
-                           if system == "mlton"
-                           else [system, "-o", str(exe), str(src)])
-            built = subprocess.run(compile_cmd, capture_output=True, text=True,
-                                   timeout=timeout)
-            if built.returncode != 0:
-                raise RuntimeError(f"{system} failed:\n{built.stderr}")
-            ran = subprocess.run([str(exe)], capture_output=True, text=True,
-                                 timeout=timeout)
-            if ran.returncode != 0:
-                raise RuntimeError(f"compiled program failed:\n{ran.stderr}")
-            out = ran.stdout
-        else:
-            ran = subprocess.run([system], input=src.read_text(),
-                                 capture_output=True, text=True, timeout=timeout)
-            if ran.returncode != 0:
-                raise RuntimeError(f"sml failed:\n{ran.stderr}")
-            out = ran.stdout
-        return [int(line) for line in out.splitlines()
-                if _INT_LINE.match(line.strip())]

@@ -435,5 +435,6 @@ def interpret_mj(program: MjProgram, table: ClassTable | None = None,
     if table is None:
         table = typecheck(program)
     outcome, _ = run_compiled(
-        lambda fuel, output: _compile(program, table, fuel, output), fuel)
+        lambda fuel, output: _compile(program, table, fuel, output), fuel,
+        makes_cycles=True)
     return outcome

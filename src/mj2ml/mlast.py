@@ -6,8 +6,10 @@ application, conditionals and pattern matching.  As in SML, a `let`
 holds a sequence of declarations, each a `val` binding (`Val`) or a
 group of mutually recursive functions (a tuple of `FunDef`s, the shape
 of each item of `MlProgram.fun_groups`).  There are no refs,
-exceptions, strings, or records.  Booleans are the usual constructors
-``true``/``false``, and options the builtin ``NONE``/``SOME``.
+exceptions, strings, or records, and no function values: a `fun` name
+is only ever applied, so the fragment is first-order.  Booleans are
+the usual constructors ``true``/``false``, and options the builtin
+``NONE``/``SOME``.
 
 Types (`Ty*`) appear only in datatype declarations, which may take type
 parameters (`TyVar`); expressions are untyped here and checked
@@ -53,12 +55,6 @@ class TyApp(MlType):
 @dataclass(frozen=True)
 class TyTuple(MlType):
     items: tuple[MlType, ...]
-
-
-@dataclass(frozen=True)
-class TyArrow(MlType):
-    param: MlType
-    result: MlType
 
 
 TY_INT = TyName("int")
@@ -240,17 +236,18 @@ class _Validator:
     def __init__(self, con_arities: dict[str, int]):
         self.con_arities = con_arities
         self.violations: list[Violation] = []
-        # the names in scope, each with the number of binders binding it;
-        # a binding construct declares its names and forgets them on exit
-        self.scope: dict[str, int] = dict.fromkeys(RUNTIME_VARS, 1)
+        # the names in scope, each with whether each binder binding it,
+        # innermost last, is a function's; a binding construct declares
+        # its names and forgets them on exit
+        self.scope: dict[str, list[bool]] = {name: [True] for name in RUNTIME_VARS}
 
-    def declare(self, names) -> None:
+    def declare(self, names, functions: bool = False) -> None:
         for name in names:
-            self.scope[name] = self.scope.get(name, 0) + 1
+            self.scope.setdefault(name, []).append(functions)
 
     def forget(self, names) -> None:
         for name in names:
-            self.scope[name] -= 1
+            self.scope[name].pop()
             if not self.scope[name]:
                 del self.scope[name]
 
@@ -294,7 +291,7 @@ class _Validator:
         names = [f.name for f in funs]
         if len(set(names)) != len(names):
             self.flag(path, "duplicate function name in group")
-        self.declare(names)
+        self.declare(names, functions=True)
         for f in funs:
             bound = self.bind(f.param, f"{path}/fun {f.name}/param")
             self.expr(f.body, f"{path}/fun {f.name}")
@@ -308,6 +305,8 @@ class _Validator:
         if isinstance(e, Var):
             if e.name not in self.scope:
                 self.flag(path, f"unbound variable '{e.name}'")
+            elif self.scope[e.name][-1]:
+                self.flag(path, f"function '{e.name}' read as a value")
         elif isinstance(e, IntLit):
             pass
         elif isinstance(e, Tuple):
@@ -354,7 +353,15 @@ class _Validator:
             self.expr(e.body, f"{path}/let-body")
             self.forget(declared)
         elif isinstance(e, App):
-            self.expr(e.func, f"{path}/app-fn", operand=True)
+            func = e.func
+            if not isinstance(func, Var):
+                self.expr(func, f"{path}/app-fn", operand=True)
+                if not isinstance(func, (Let, Case, If)):  # flagged as an operand
+                    self.flag(f"{path}/app-fn", "only a function's name can be applied")
+            elif func.name not in self.scope:
+                self.flag(f"{path}/app-fn", f"unbound variable '{func.name}'")
+            elif not self.scope[func.name][-1]:
+                self.flag(f"{path}/app-fn", f"'{func.name}' is applied but is not a function")
             self.expr(e.arg, f"{path}/app-arg", operand=True)
         elif isinstance(e, Case):
             self.expr(e.scrutinee, f"{path}/case-scrutinee", operand=True)
@@ -372,8 +379,11 @@ def validate_core(program: MlProgram) -> list[Violation]:
     """Structural check: core nodes only, known constructors and primitives
     at the right arities, `div` and `mod` only by positive literals, no
     unbound variables, no 1-tuples, and no `let`, `case` or `if` as an
-    operand, so that every tree it accepts prints; within
-    `outcome.COMPILE_FRAMES` frames, which any translation fits."""
+    operand, so that every tree it accepts prints.  The fragment is
+    first-order: a `fun` name (or the runtime's `mj_print`) is only
+    applied, never read as a value, and only such a name is applied.
+    It runs within `outcome.COMPILE_FRAMES` frames, which any
+    translation fits."""
     con_arities = dict(BUILTIN_CON_ARITIES)
     checker = _Validator(con_arities)
     for dt in program.datatypes:

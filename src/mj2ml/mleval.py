@@ -1,8 +1,10 @@
 """Evaluator for the core ML fragment: the tree is compiled to closures.
 
-Values are Python ints and bools, tuples for ML tuples, `VCon` for
-datatype values, and `VClosure`s, which only `fun` declarations create:
-the fragment has no `fn` and no literal patterns.
+Values are Python ints and bools, tuples for ML tuples and `VCon` for
+datatype values.  There are no function values: the fragment has no
+`fn`, and a `fun` name is only ever applied, never read as a value
+(`validate_core` rejects a program that does, and compiling one is an
+AssertionError).  The fragment has no literal patterns either.
 
 Before a run, `_compile` turns the program into Python closures after
 Feeley and Lapalme, "Using closures for code generation" (1987): one
@@ -27,46 +29,38 @@ Frames.  Each activation, that is the top level and every call of an ML
 function, gets one Python list.  Slot 0 holds the parent frame, the one
 the function was defined in, and slot 1 the argument of the call,
 which is not read when the parameter is a tuple pattern.  Each
-binding occurrence in the function's body (its parameter's variables,
-`val` and `case` bindings, and the names of a local `fun` group) has a
-slot of its own.  The compiler resolves every variable to a (depth,
-slot) pair, depth counting the functions between the use and the
-binding, so scoping is done once, in one pass, and the program only
-indexes lists.  Since no two binding occurrences share a slot, a later
-`let` never overwrites a value an earlier closure captured, and what a
-failed `case` rule bound is never read by the next rule.  A `fun`
-group, top-level or local, ties its recursive knot by storing its
-closures into slots of the frame they capture, but only for the names
-that escape: those read as a value somewhere, such as a method stored
-in an object or a function passed as an argument.  A name that is only
-ever called, as every translated `while` loop is, gets no closure,
-since its call sites know its code (see Calls).  So a run leaves no
-frame <-> closure cycle behind a loop, and the heap states such a frame
-holds go as soon as reference counting frees them, not when the cyclic
-collector next runs.
+binding occurrence of a value in the function's body (its parameter's
+variables, `val` and `case` bindings) has a slot of its own; a `fun`
+name has none, since nothing reads it.  The compiler resolves every
+variable to a (depth, slot) pair, depth counting the functions between
+the use and the binding, so scoping is done once, in one pass, and the
+program only indexes lists.  Since no two binding occurrences share a
+slot, a later `let` never overwrites a value an earlier one bound, and
+what a failed `case` rule bound is never read by the next rule.  A
+frame points only at frames made before it, and a value holds only
+older values, so a run makes no reference cycle: its memory goes as
+soon as reference counting frees it.
 
-Calls.  An application in tail position, of a function body or of a
-`val` right-hand side, evaluates the function and then the argument,
-makes the callee's frame with its parameter bound, and only then stores
-the pending call, the callee's body and that frame, and returns the
-`_TAIL` marker.  The enclosing trampoline, the `let` or else the
-nearest non-tail application, runs the pending body on its frame and
-repeats until a body returns a value.  Translated `while` loops are
-self-tail-calls, so they run in constant Python stack.
+Calls.  Every call is known: the function position names a `fun` in
+scope, or the runtime's `mj_print`, which appends its argument to the
+output and returns unit.  A call of a `fun` is compiled against that
+function's code, and the frame the callee was defined in is the
+top-level frame or the caller's frame a fixed number of activations
+out.  The call site builds the callee's frame `[defining frame, arg,
+*pad]` itself.  When the parameter is a tuple of variables and the
+argument a tuple of the same arity, the items go straight into the
+parameter's slots, `[defining frame, None, *items, *pad]`: no argument
+tuple is built and no matcher runs.  The name in the function position
+is not read, though its visit is charged.
 
-A call of a name that a `fun` in scope binds is compiled against that
-function's code.  Such a slot is written once, by its group's `define`,
-before any code in its scope runs, so the call site knows the callee,
-and the frame the callee was defined in is the top-level frame or the
-caller's frame a fixed number of activations out.  The call site builds
-the callee's frame `[defining frame, arg, *pad]` itself and reads no
-closure.  When the parameter is a tuple of variables and the argument a
-tuple of the same arity, the items go straight into the parameter's
-slots, `[defining frame, None, *items, *pad]`: no argument tuple is
-built and no matcher runs.  The name in the function position is not
-read, though its visit is charged.  Only a function read from a value,
-in practice a method read from an object, is called through its
-`VClosure`.
+An application in tail position, of a function body or of a `val`
+right-hand side, evaluates the argument, makes the callee's frame with
+its parameter bound, and only then stores the pending call, the
+callee's body and that frame, and returns the `_TAIL` marker.  The
+enclosing trampoline, the `let` or else the nearest non-tail
+application, runs the pending body on its frame and repeats until a
+body returns a value.  Translated `while` loops are self-tail-calls, so
+they run in constant Python stack.
 
 A pending (non-tail) ML call holds one Python frame for the callee's
 body and one for each node between that body and the call: an `if`, a
@@ -139,8 +133,12 @@ _OVERFLOW = FaultKind.INTEGER_OVERFLOW
 # Returned by a tail application once it has stored the pending call.
 _TAIL = object()
 
-# The value bound to mj_print.
+# What the runtime's mj_print is bound to while a program compiles.
 _PRINT = object()
+
+
+def _skip(frame) -> None:
+    """A local `fun` group's step of its `let`: nothing runs."""
 
 # Nullary constructors that are Python values.
 _CONSTANTS = {"true": True, "false": False}
@@ -150,23 +148,6 @@ _CONSTANTS = {"true": True, "false": False}
 class VCon:
     name: str
     args: tuple = ()
-
-
-class VClosure:
-    """An ML function value: the frame it was defined in, plus its code.
-
-    A call makes the frame `[env, arg, *pad]`; `bind` is the parameter's
-    matcher (None when the parameter is a variable, which is slot 1) and
-    `body` the compiled body.
-    """
-
-    __slots__ = ("env", "pad", "bind", "body")
-
-    def __init__(self, env: list, pad: tuple, bind, body):
-        self.env = env
-        self.pad = pad
-        self.bind = bind
-        self.body = body
 
 
 def _plain(pats: tuple[Pat, ...]) -> bool:
@@ -179,17 +160,16 @@ class _Fn:
 
     `arity` is the length of its parameter when that is a tuple of
     variables and wildcards, whose items then take slots 2, 3, ... of
-    the frame, and None otherwise.  `pad`, `bind` and `body` are set,
-    as for VClosure, once the function is compiled.  `escapes` is set
-    once its name is read as a value rather than called (see Frames):
-    only then does the run build its VClosure."""
+    the frame, and None otherwise.  Once the function is compiled,
+    `pad` holds a None for each frame slot after slot 1, `bind` is the
+    parameter's matcher (None when the parameter is a variable, which
+    is slot 1) and `body` the compiled body."""
 
-    __slots__ = ("arity", "escapes", "pad", "bind", "body")
+    __slots__ = ("arity", "pad", "bind", "body")
 
     def __init__(self, param: Pat):
         plain = type(param) is PTuple and _plain(param.items)
         self.arity = len(param.items) if plain else None
-        self.escapes = False
 
 
 def _compile(program: MlProgram, fuel: int, output: list[int]):
@@ -200,23 +180,21 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
     not yet spent.
     """
     pend_body = pend_frame = None
-    # The top-level frame, sized once the program is compiled, and every
-    # `fun` compiled, so that the run can break their cycles at its end.
-    top: list = []
+    # Every `fun` compiled, so that the run can break their cycles at its end.
     fns: list[_Fn] = []
 
-    # Compile-time scope: each name maps to a stack of (level, slot, fn)
-    # triples, innermost last, `fn` the _Fn of a name a `fun` binds and
-    # else None; `free[level]` is the next unused slot of each open
-    # activation, the top level first.
-    scopes: dict[str, list[tuple[int, int, _Fn | None]]] = {}
+    # Compile-time scope: each name maps to a stack of (level, binding)
+    # pairs, innermost last, `binding` the slot of a value or the _Fn of
+    # a name a `fun` binds (`_PRINT` for mj_print); `free[level]` is the
+    # next unused slot of each open activation, the top level first.
+    scopes: dict[str, list[tuple[int, object]]] = {"mj_print": [(0, _PRINT)]}
     free = [1]
 
-    def declare(name: str | None, bound: list[str], fn: _Fn | None = None) -> int:
+    def declare(name: str | None, bound: list[str]) -> int:
         slot = free[-1]
         free[-1] = slot + 1
         if name is not None:
-            scopes.setdefault(name, []).append((len(free) - 1, slot, fn))
+            scopes.setdefault(name, []).append((len(free) - 1, slot))
             bound.append(name)
         return slot
 
@@ -225,11 +203,10 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             scopes[name].pop()
 
     def resolve(name: str) -> tuple[int, int]:
-        """(depth, slot) of the innermost binding of `name`, which is
-        read as a value: a `fun` it names escapes."""
-        level, slot, fn = scopes[name][-1]
-        if fn is not None:
-            fn.escapes = True
+        """(depth, slot) of the innermost binding of `name`, a value."""
+        level, slot = scopes[name][-1]
+        if type(slot) is not int:
+            raise AssertionError(f"the function '{name}' is read as a value")
         return len(free) - 1 - level, slot
 
     # -- patterns.  A binder is a slot (a variable), None (a wildcard) or
@@ -441,7 +418,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         if cls is Let:
             return let(e, tail)
         if cls is App:
-            return app(e) if tail else settle(app(e))
+            return app(e, tail)
         if cls is If:
             return if_(e, tail)
         if cls is Case:
@@ -479,7 +456,8 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                     rhs, cost = part[0], 1 + part[1]
                 steps.append((cost, rhs, binder(decl.pat, bound)))
             else:
-                steps.append((1, group(decl, bound), None))
+                group(decl, bound)
+                steps.append((1, _skip, None))
         body = expr(e.body, tail)
         forget(bound)
         steps = tuple(steps)
@@ -500,25 +478,17 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             return body(f)
         return ev
 
-    def group(funs: tuple[FunDef, ...], bound: list[str]):
+    def group(funs: tuple[FunDef, ...], bound: list[str]) -> None:
         """Declare a group's names in the current activation and compile
-        its functions, top-level or local.  Returns `define(frame)`, which
-        stores the closure of each function that escapes, capturing
-        `frame`, into its slot: the recursive knot.  Whether one escapes
-        is known only once the whole program is compiled, so `define`
-        reads it when it runs."""
+        its functions, top-level or local."""
         known = [_Fn(fd.param) for fd in funs]
-        slots = [declare(fd.name, bound, fn) for fd, fn in zip(funs, known)]
+        level = len(free) - 1
+        for fd, fn in zip(funs, known):
+            scopes.setdefault(fd.name, []).append((level, fn))
+            bound.append(fd.name)
         for fd, fn in zip(funs, known):
             function(fd, fn)
         fns.extend(known)
-        pairs = tuple(zip(slots, known))
-
-        def define(f):
-            for slot, fn in pairs:
-                if fn.escapes:
-                    f[slot] = VClosure(f, fn.pad, fn.bind, fn.body)
-        return define
 
     def function(fd: FunDef, fn: _Fn) -> None:
         """Compile `fd` into `fn`, as a new activation."""
@@ -534,19 +504,25 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         forget(bound)
         fn.pad = (None,) * (free.pop() - 2)
 
-    def app(e: App):
-        """An application, compiled for tail position: it charges, stores
-        the call as the pending (body, frame) pair and returns `_TAIL`.
-        A call of a `fun` in scope builds the callee's frame itself (see
-        Calls), charging for the function's `Var` without reading it, so
-        that the call does not make the function escape; any other goes
-        through `call`."""
+    def app(e: App, tail: bool):
+        """An application of a `fun` in scope, or of mj_print (see
+        Calls).  It charges for the function's `Var` without reading it.
+        A call, compiled for tail position, builds the callee's frame,
+        stores the call as the pending (body, frame) pair and returns
+        `_TAIL`; elsewhere `settle` runs it."""
         func, arg = e.func, e.arg
-        fn = None
-        if type(func) is Var:
-            level, _, fn = scopes[func.name][-1]
-        if fn is None:
-            return call(e)
+        if type(func) is not Var:
+            raise AssertionError("an application of something other than a function's name")
+        level, fn = scopes[func.name][-1]
+        if fn is _PRINT:
+            return print_(arg)
+        if type(fn) is not _Fn:
+            raise AssertionError(f"'{func.name}' is applied but is not a function")
+        enter = known(fn, level, arg)
+        return enter if tail else settle(enter)
+
+    def known(fn: _Fn, level: int, arg: MlExpr):
+        """The call of `fn`, defined `level` activations below the top."""
         up = None if level == 0 else ancestor(len(free) - 1 - level)
         if type(arg) is Tuple and len(arg.items) == fn.arity:
             items, extra = operands(arg.items)
@@ -593,30 +569,18 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             return f
         return up
 
-    def call(e: App):
-        """An application of whatever closure the function evaluates to,
-        or of mj_print."""
-        (func, arg), extra = operands((e.func, e.arg))
-        cost = 1 + extra
+    def print_(arg: MlExpr):
+        """`mj_print arg`: appends the int to the output, returns unit."""
+        (get,), extra = operands((arg,))
+        cost = 2 + extra
 
         def ev(f):
-            nonlocal fuel, pend_body, pend_frame
+            nonlocal fuel
             if fuel < cost:
                 raise Fault(_FUEL)
             fuel -= cost
-            c = func(f)
-            a = arg(f)
-            if type(c) is VClosure:
-                frame = [c.env, a, *c.pad]
-                if c.bind is not None and not c.bind(a, frame):
-                    raise Fault(_MATCH)
-                pend_body = c.body
-                pend_frame = frame
-                return _TAIL
-            if c is _PRINT:
-                output.append(a)
-                return UNIT
-            raise Fault(_MATCH)
+            output.append(get(f))
+            return UNIT
         return ev
 
     def settle(enter):
@@ -783,25 +747,21 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                 return VCon(name, get(f))
         return ev
 
-    # -- the top level: mj_print, then each group of functions -------------
+    # -- the top level: each group of functions, then the entry ------------
 
-    top: list[str] = []
-    print_slot = declare("mj_print", top)
-    groups = [group(funs, top) for funs in program.fun_groups]
+    top_names: list[str] = []
+    for funs in program.fun_groups:
+        group(funs, top_names)
     main = expr(program.main, False)
-    top.extend([None] * free[0])
+    # the top-level frame, which the functions defined there run under
+    top = [None] * free[0]
 
     def run():
         nonlocal pend_body, pend_frame
-        top[print_slot] = _PRINT
-        for define in groups:
-            define(top)
         try:
             return main(top)
         finally:
-            # break the frame <-> closure and code <-> call site cycles so
-            # the run's memory goes now
-            top.clear()
+            # break the code <-> call site cycles so the run's memory goes now
             pend_body = pend_frame = None
             for fn in fns:
                 fn.body = None
@@ -818,4 +778,5 @@ def eval_program(program: MlProgram, fuel: int = DEFAULT_FUEL,
 
     The value is None when the run faulted.
     """
-    return run_compiled(lambda fuel, output: _compile(program, fuel, output), fuel)
+    return run_compiled(lambda fuel, output: _compile(program, fuel, output), fuel,
+                        makes_cycles=False)

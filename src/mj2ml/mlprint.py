@@ -46,7 +46,6 @@ from .mlast import (
     PWild,
     Tuple,
     TyApp,
-    TyArrow,
     TyName,
     TyTuple,
     TyVar,
@@ -74,21 +73,19 @@ _SINGLE_LINE_LIMIT = 72
 
 # -- types --------------------------------------------------------------------
 
-def print_type(ty: MlType, level: int = 0) -> str:
+def print_type(ty: MlType, atomic: bool = False) -> str:
+    """A type; with `atomic`, a tuple type is parenthesised."""
     if isinstance(ty, TyName):
         return ty.name
     if isinstance(ty, TyVar):
         return "'" + ty.name
     if isinstance(ty, TyApp):
-        return f"{print_type(ty.arg, 2)} {ty.base}"
+        return f"{print_type(ty.arg, True)} {ty.base}"
     if isinstance(ty, TyTuple):
         if not ty.items:
             return "unit"
-        text = " * ".join(print_type(item, 2) for item in ty.items)
-        return f"({text})" if level > 1 else text
-    if isinstance(ty, TyArrow):
-        text = f"{print_type(ty.param, 1)} -> {print_type(ty.result, 0)}"
-        return f"({text})" if level > 0 else text
+        text = " * ".join(print_type(item, True) for item in ty.items)
+        return f"({text})" if atomic else text
     raise AssertionError(f"unhandled type {type(ty).__name__}")
 
 
@@ -218,7 +215,7 @@ def _print_datatype(dt: DataType, keyword: str) -> str:
     lines = [" ".join([keyword, *params, dt.name, "="])]
     for i, con in enumerate(dt.cons):
         lead = "    " if i == 0 else "  | "
-        arg = "" if con.arg == TY_UNIT else f" of {print_type(con.arg, 1)}"
+        arg = "" if con.arg == TY_UNIT else f" of {print_type(con.arg)}"
         lines.append(f"{lead}{con.name}{arg}")
     return "\n".join(lines)
 

@@ -15,14 +15,19 @@ used the fuel spent until then.  Compiling has one bound as well: a
 program nested past `MAX_NESTING` is a type error, and each compile stage
 gets `COMPILE_FRAMES` frames, enough for any program within that limit.
 
-The cyclic collector's policy lives here too.  It is off while a
-program compiles: everything the compile step allocates is kept until
-the run ends, so a collection then would only traverse it again.  It
-is back as the caller had it for the run itself.  A run of a translated
-program makes no reference cycles (see Frames in `mleval`), but a
-MiniJava run makes real ones, such as an object whose field points to
-itself, and only the collector frees those; with it off, a loop that
-makes one per iteration would grow without bound.
+The cyclic collector's policy lives here too, and the caller of
+`run_compiled` says which interpreter it runs.  The collector is off
+while a program compiles: everything the compile step allocates is kept
+until the run ends, so a collection then would only traverse it again.
+A run of a translated program keeps it off as well.  Its values are
+ints, bools, tuples and datatype values, and a frame points only at
+older frames (see Frames in `mleval`), so it makes no reference cycle
+for the collector to find, and reference counting frees all it drops.
+A MiniJava run gets the collector back as the caller had it: it makes
+real cycles, such as an object whose field points to itself, and only
+the collector frees those; with it off, a loop that makes one per
+iteration would grow without bound.  Either way the caller's setting is
+restored when the run ends.
 """
 
 from __future__ import annotations
@@ -112,15 +117,18 @@ class RunOutcome:
         return f"fault: {self.fault.value}"
 
 
-def run_compiled(compile: Callable, fuel: int) -> tuple[RunOutcome, object | None]:
+def run_compiled(compile: Callable, fuel: int, *,
+                 makes_cycles: bool) -> tuple[RunOutcome, object | None]:
     """Run a program once under the run model; returns the outcome and
     the program's value, None when the run faulted.
 
     `compile(fuel, output)` builds the run, printing to `output`, and
     returns `(run, fuel_left)`: `run()` executes it and returns its
-    value, `fuel_left()` the fuel not yet spent.  The cyclic collector
-    is off while `compile` runs (see the module docstring) and as the
-    caller had it during `run()`.
+    value, `fuel_left()` the fuel not yet spent.  `makes_cycles` is
+    true for a MiniJava run and false for an ML one.  The cyclic
+    collector is off while `compile` runs, and during `run()` too unless
+    the run makes cycles, in which case it is as the caller had it (see
+    the module docstring).
     """
     fuel = max(fuel, 0)
     outcome = RunOutcome()
@@ -131,17 +139,19 @@ def run_compiled(compile: Callable, fuel: int) -> tuple[RunOutcome, object | Non
         gc.disable()
         try:
             run, fuel_left = compile(fuel, outcome.output)
+            if enabled and makes_cycles:
+                gc.enable()
+            try:
+                value = run()
+            except Fault as fault:
+                outcome.fault = fault.kind
+                outcome.fault_pos = fault.pos
+                spent_all = fault.kind is FaultKind.FUEL_EXHAUSTED
+            except RecursionError:
+                outcome.fault = FaultKind.FUEL_EXHAUSTED
         finally:
             if enabled:
                 gc.enable()
-        try:
-            value = run()
-        except Fault as fault:
-            outcome.fault = fault.kind
-            outcome.fault_pos = fault.pos
-            spent_all = fault.kind is FaultKind.FUEL_EXHAUSTED
-        except RecursionError:
-            outcome.fault = FaultKind.FUEL_EXHAUSTED
     outcome.steps = fuel if spent_all else fuel - fuel_left()
     return outcome, value
 

@@ -21,9 +21,10 @@ from the `new C` and the method slot each call reads that it records
 while checking a body: the classes instantiated (`instantiated`), the
 (slot owner, method) slots read (`read_slots`) and the (declaring class,
 method) declarations that can run (`live`).  Both back ends read these:
-`translate` emits a constructor for each instantiated class, a method
-slot in an object only when the slot is read, and a function only for a
-live method; `mjinterp` compiles only live methods.  Every method is
+`translate` emits a constructor for each instantiated class and a
+function only for a live method, and dispatches each call among the
+instantiated classes its receiver can be an object of; `mjinterp`
+compiles only live methods.  Every method is
 still checked, so a type error in one that never runs is reported.
 
 Rules beyond the obvious typing of operators:
@@ -429,8 +430,9 @@ def _mark_live(table: ClassTable, uses: dict) -> None:
 
     A read slot (I, m) makes C's implementation of m live for every
     instantiated class C with I in its path, not only for the subclasses
-    of the call's static receiver class: every object of C carries the
-    slot, and the slot must hold a function that is emitted."""
+    of the call's static receiver class.  That is a superset of what the
+    calls can reach, so every implementation a call runs, in either back
+    end, is live."""
     instantiated, read, live = table.instantiated, table.read_slots, table.live
     pending: list[tuple[str, str] | None] = [None]
 

@@ -4,19 +4,24 @@ The generated program threads a heap value through every computation
 instead of using mutable state.  How that value, and each array in it,
 is encoded is the `store` module's alone.
 
-Objects are nested tuples.  For each root class R the heap carries
-``HObj_R`` of R's level tuple: the method slots introduced by R that a
-call of the program can read (`ClassTable.read_slots`), then the fields
-introduced by R, then one extension slot of type
-``mj_ext_R option`` (or ``unit option`` for classes nobody extends).
-Each direct subclass D contributes a constructor ``Ext_D`` carrying D's
-own level tuple, so an object's extension depth equals its inheritance
-depth and the innermost extension slot holds NONE.  Method slots are
-filled at construction with the most derived implementation for the
-object's dynamic class, so a call just projects a slot and applies it:
-no dispatch logic exists at call sites.  Field update rebuilds the
-whole constructor spine around the changed slot and reinstalls the
-object in the heap.
+Objects hold only their fields.  For each root class R the heap
+carries ``HObj_R`` of R's level tuple: the fields introduced by R, then
+one extension slot of type ``mj_ext_R option`` (or ``unit option`` for
+classes nobody extends).  Each direct subclass D contributes a
+constructor ``Ext_D`` carrying D's own level tuple, so an object's
+extension depth equals its inheritance depth, the innermost extension
+slot holds NONE, and the `Ext_` spine names the object's class.  Field
+update rebuilds the whole constructor spine around the changed field
+and reinstalls the object in the heap.
+
+Calls are dispatched statically, so the emitted program has no function
+values.  Rapid type analysis (see `sema`) gives the classes a run can
+instantiate, and of those, the ones a call's receiver can be an object
+of.  When all of them run the same implementation, as nearly every call
+does, the call is a known call of it, behind a null check
+``case recv < 0 of false => ...`` unless the receiver is `this` or a
+`new` object.  Otherwise the call reads the receiver and matches its
+class on the spine, with one rule, a known call, for each class.
 
 Statements become let bindings in evaluation order, one binding per
 intermediate value (administrative normal form).  An assignment binds
@@ -33,21 +38,20 @@ Every generated function takes and returns the state: methods are
 value, or a tuple by arity; constructors are state -> (state, pointer);
 ``mj_main`` is unit -> state and returns the final state.  Only what a
 run can reach is emitted (see `sema`): a constructor for each class
-instantiated, and a function for each live method.  Every slot an
-instantiated object carries is read somewhere, and its class's
-implementation of that slot is live, so each slot holds an emitted
-function.
+instantiated, and a function for each live method.  The implementation
+a call runs for an instantiated class is live, so each known call names
+an emitted function.
 
 Each of these decisions is written once.  `_Ctx` holds the ANF binders
 and the state threading: `bind` for an intermediate value, `bind_state`
 for the (state, value) of a call that returns a new state, and
 `carried`/`join` for the tuple of branch joins and loops.  `_lookup`
-reads the heap, and `_read_slot` an object's slot, once per cell or slot
-and state, and `_store` writes it and makes the new state current; field
-and array writes both go through it.  The object layout is the `levels`
-table of `_Translator`: per class, the (kind, name) of each slot of its
-level, which the datatypes, the constructors and the read and write
-spines (`_object`) all read.  Every heap and array access is built by
+reads the heap, and `_read_field` a field of `this`, once per cell or
+field and state, and `_store` writes it and makes the new state current;
+field and array writes both go through it.  The object layout is each
+class's `fields`, level by level down its `path`, which the datatypes,
+the constructors, the read and write spines and the dispatch patterns
+(`_object`) all read.  `_call` dispatches.  Every heap and array access is built by
 `store`, whose prelude of helpers each translation starts with.  What
 each `if` and `while` assigns is found once per method, by `_assigns`.
 
@@ -110,7 +114,6 @@ from .mlast import (
     PWild,
     Tuple,
     TyApp,
-    TyArrow,
     TyName,
     TyTuple,
     Val,
@@ -224,10 +227,10 @@ class _Ctx:
 
     `reads` maps a pointer atom to the atom holding its heap value in the
     current state: `_lookup` reuses it and `_store` records the value it
-    wrote.  It also maps a (pointer, class, slot) triple to the atom holding
-    that slot of the object, which `_read_slot` reuses.  A heap lookup
-    and a slot's `case` are pure, so a second read of the same pointer or
-    slot in the same state would give the same value (and never runs if
+    wrote.  It also maps a (class, field) pair to the atom holding that
+    field of `this`, which `_read_field` reuses.  A heap lookup and a
+    field's `case` are pure, so a second read of the same pointer or
+    field in the same state would give the same value (and never runs if
     the first faulted).  Every new state, from a call, an allocation, a store,
     a join or a loop parameter, goes through `advance`, which empties the
     map."""
@@ -322,31 +325,13 @@ def _assigns(body: list[Stmt]) -> dict[int, set[str]]:
 class _Translator:
     def __init__(self, table: ClassTable):
         self.table = table
-        # Each class's level of an object, before its extension slot: the
-        # method slots the class introduces that a run can read, then the
-        # fields it declares.
-        self.levels = {
-            name: [("method", m) for m, owner in info.slot_owner.items()
-                   if owner == name and (owner, m) in table.read_slots]
-                  + [("field", f) for f in info.fields]
-            for name, info in table.classes.items()}
 
     # -- object layout --------------------------------------------------------
-
-    def _slot_ty(self, cls: str, slot: tuple[str, str]) -> MlType:
-        kind, name = slot
-        info = self.table.info(cls)
-        if kind == "field":
-            return _ml_value_ty(info.fields[name])
-        decl = info.vtable[name][1]
-        arg_ty = _payload_ty([_ml_value_ty(f.var_type) for f in decl.formals])
-        return TyArrow(TyTuple((store.STATE_TY, TY_INT, arg_ty)),
-                       TyTuple((store.STATE_TY, _ml_value_ty(decl.return_type))))
 
     def _level_ty(self, cls: str) -> MlType:
         info = self.table.info(cls)
         ext = TyName(f"mj_ext_{_enc(cls)}") if info.children else TY_UNIT
-        return _payload_ty([self._slot_ty(cls, slot) for slot in self.levels[cls]]
+        return _payload_ty([_ml_value_ty(ty) for ty in info.fields.values()]
                            + [TyApp("option", ext)])
 
     def datatypes(self) -> list[DataType]:
@@ -364,28 +349,23 @@ class _Translator:
 
     def _object(self, make, cls: str, item):
         """The object, or with `make` = PCon the pattern, of a class that
-        is or extends cls, down to cls's level.  `item(level_class, slot)`
-        gives each slot, called in slot order from the root class's level
-        down, and `item(cls, None)` last, for the extension slot of cls's
-        level.  Each level above holds its slots and then the extension
-        slot `SOME (Ext_<next class> <next level>)`."""
+        is or extends cls, down to cls's level.  `item(level_class, field)`
+        gives each field, called in layout order from the root class's
+        level down, and `item(cls, None)` last, for the extension slot of
+        cls's level.  Each level above holds its fields and then the
+        extension slot `SOME (Ext_<next class> <next level>)`."""
         path = self.table.info(cls).path
-        levels = [[item(c, slot) for slot in self.levels[c]] for c in path]
+        levels = [[item(c, f) for f in self.table.info(c).fields] for c in path]
         inner = (*levels[-1], item(cls, None))
         for c, items in zip(reversed(path[1:]), reversed(levels[:-1])):
             inner = (*items, make("SOME", (make(f"Ext_{_enc(c)}", inner),)))
         return make(f"HObj_{_enc(path[0])}", inner)
 
     def constructor(self, cls: str) -> FunDef:
-        info = self.table.info(cls)
-
-        def initial(level_cls, slot):
-            if slot is None:
+        def initial(level_cls, fname):
+            if fname is None:
                 return Con("NONE")
-            kind, name = slot
-            if kind == "field":
-                return _default_value(self.table.info(level_cls).fields[name])
-            return Var(mangle_method(self.table.info(info.vtable[name][0]).index, name))
+            return _default_value(self.table.info(level_cls).fields[fname])
 
         body = store.alloc(Var("mj_s0"), self._object(Con, cls, initial))
         return FunDef(mangle_new(cls), PVar("mj_s0"), body)
@@ -406,19 +386,18 @@ class _Translator:
         ctx.emit(PVar(ctx.advance()), update)
         ctx.reads[ptr] = value
 
-    def _read_slot(self, ctx: _Ctx, ptr: MlExpr, cls: str,
-                   slot: tuple[str, str], name: str | None = None) -> MlExpr:
-        """Bind a slot of cls's level of the object at ptr, to `name` if
-        given, matching the object with every other slot wildcarded.  A
-        slot already read in this state is reused, unless `name` is given:
-        an assignment binds its own version, not a copy of the atom."""
-        key = (ptr, cls, slot)
+    def _read_field(self, ctx: _Ctx, cls: str, fname: str,
+                    name: str | None = None) -> MlExpr:
+        """Bind a field of cls's level of this object, to `name` if given,
+        matching the object with every other slot wildcarded.  A field
+        already read in this state is reused, unless `name` is given: an
+        assignment binds its own version, not a copy of the atom."""
+        key = (cls, fname)
         if name is None and key in ctx.reads:
             return ctx.reads[key]
-        value = self._lookup(ctx, ptr)
+        value = self._lookup(ctx, Var("mj_this"))
         tmp = ctx.fn.fresh_temp()
-        hit = (cls, slot)
-        pat = self._object(PCon, cls, lambda *at: PVar(tmp) if at == hit else PWild())
+        pat = self._object(PCon, cls, lambda *at: PVar(tmp) if at == key else PWild())
         ctx.reads[key] = ctx.bind(Case(value, ((pat, Var(tmp)),)), name)
         return ctx.reads[key]
 
@@ -426,7 +405,7 @@ class _Translator:
         """Rebuild this object with a field of cls's level replaced, binding
         every other slot down to that level, and store it."""
         value = self._lookup(ctx, Var("mj_this"))
-        hole = (cls, ("field", fname))
+        hole = (cls, fname)
         temps: dict = {}
 
         def bind_other(*at):
@@ -438,6 +417,54 @@ class _Translator:
         pat = self._object(PCon, cls, bind_other)
         rebuilt = self._object(Con, cls, lambda *at: new_value if at == hole else Var(temps[at]))
         self._store(ctx, Var("mj_this"), ctx.bind(Case(value, ((pat, rebuilt),))))
+
+    # -- calls ------------------------------------------------------------------
+
+    def _targets(self, cls: str, method: str) -> dict[str, str]:
+        """Each instantiated class that is or extends cls, in declaration
+        order, mapped to the class whose implementation of method its
+        objects run: the objects a call on a cls receiver can reach."""
+        table = self.table
+        return {c: info.vtable[method][0] for c, info in table.classes.items()
+                if c in table.instantiated and cls in info.path}
+
+    def _call(self, e: CallExpr, ctx: _Ctx, name: str | None) -> MlExpr:
+        """A method call, dispatched statically.  Each object a call can
+        reach (`_targets`) runs a known implementation, so the call is a
+        known call of it when they all run the same one, behind a null
+        check unless the receiver is `this` or a `new` object.  Otherwise
+        it reads the receiver and matches its class on the `Ext_` spine,
+        one rule, and one known call, per class.  Both check where
+        MiniJava does, after the receiver and the arguments: a null
+        receiver fails the check, or the heap lookup, to match."""
+        assert e.receiver_class is not None
+        receiver = self.expr(e.receiver, ctx)
+        args = _tup([self.expr(a, ctx) for a in e.args])
+        targets = self._targets(e.receiver_class, e.method)
+        state = Var(ctx.state)
+
+        def call(impl: str) -> MlExpr:
+            return App(Var(mangle_method(self.table.info(impl).index, e.method)),
+                       Tuple((state, receiver, args)))
+
+        impls = set(targets.values())
+        if len(impls) > 1:
+            obj = self._lookup(ctx, receiver)
+            rules = []
+            for cls, impl in targets.items():
+                exact = PCon("NONE") if self.table.info(cls).children else PWild()
+                pat = self._object(PCon, cls, lambda c, f: exact if f is None else PWild())
+                rules.append((pat, call(impl)))
+            return ctx.bind_state(Case(obj, tuple(rules)), name)
+        if impls:
+            result = call(impls.pop())
+        else:
+            # no object a call can reach: the receiver is null
+            decl = self.table.info(e.receiver_class).vtable[e.method][1]
+            result = Tuple((state, _default_value(decl.return_type)))
+        if not isinstance(e.receiver, (ThisExpr, NewObjectExpr)):
+            result = Case(PrimOp("<", (receiver, IntLit(0))), ((PCon("false"), result),))
+        return ctx.bind_state(result, name)
 
     # -- expressions --------------------------------------------------------------------
 
@@ -454,8 +481,7 @@ class _Translator:
         if isinstance(e, IdentExpr):
             assert e.binding is not None
             if e.binding.kind == "field":
-                return self._read_slot(ctx, Var("mj_this"), e.binding.decl_class,
-                                       ("field", e.name), name)
+                return self._read_field(ctx, e.binding.decl_class, e.name, name)
             return ctx.var_atom(e.name)
         if isinstance(e, BinaryExpr):
             left = self.expr(e.left, ctx)
@@ -487,13 +513,7 @@ class _Translator:
         if isinstance(e, NewObjectExpr):
             return ctx.bind_state(App(Var(mangle_new(e.class_name)), Var(ctx.state)), name)
         if isinstance(e, CallExpr):
-            assert e.receiver_class is not None
-            receiver = self.expr(e.receiver, ctx)
-            args = [self.expr(a, ctx) for a in e.args]
-            intro_cls = self.table.info(e.receiver_class).slot_owner[e.method]
-            method = self._read_slot(ctx, receiver, intro_cls, ("method", e.method))
-            return ctx.bind_state(App(method, Tuple((Var(ctx.state), receiver, _tup(args)))),
-                                  name)
+            return self._call(e, ctx, name)
         raise AssertionError(f"unhandled expression {type(e).__name__}")
 
     # -- statements ----------------------------------------------------------------------
@@ -521,8 +541,7 @@ class _Translator:
         elif isinstance(s, ArrayAssignStmt):
             assert s.binding is not None
             if s.binding.kind == "field":
-                ptr = self._read_slot(ctx, Var("mj_this"), s.binding.decl_class,
-                                      ("field", s.name))
+                ptr = self._read_field(ctx, s.binding.decl_class, s.name)
             else:
                 ptr = ctx.var_atom(s.name)
             idx = self.expr(s.index, ctx)

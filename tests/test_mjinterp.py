@@ -214,32 +214,46 @@ def test_a_call_on_a_class_never_instantiated_faults_on_null():
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_run_compiled_keeps_the_callers_collector_setting(enabled):
-    seen = {}
+    # a MiniJava run, which makes cycles, gets the caller's setting back;
+    # an ML run, which makes none, keeps the collector off; both restore it
+    def check(makes_cycles):
+        seen = {}
 
-    def compile_(fuel, output):
-        seen["compile"] = gc.isenabled()
+        def compile_(fuel, output):
+            seen["compile"] = gc.isenabled()
 
-        def run():
-            seen["run"] = gc.isenabled()
-            return 0
-        return run, lambda: fuel
+            def run():
+                seen["run"] = gc.isenabled()
+                return 0
+            return run, lambda: fuel
 
-    def broken(fuel, output):
-        raise ValueError("no program")
+        def broken(fuel, output):
+            raise ValueError("no program")
+
+        def failing(fuel, output):
+            def run():
+                raise ValueError("no run")
+            return run, lambda: fuel
+
+        out, value = run_compiled(compile_, 10, makes_cycles=makes_cycles)
+        after_run = gc.isenabled()
+        with pytest.raises(ValueError):
+            run_compiled(broken, 10, makes_cycles=makes_cycles)
+        after_raise = gc.isenabled()
+        with pytest.raises(ValueError):
+            run_compiled(failing, 10, makes_cycles=makes_cycles)
+        after_failed_run = gc.isenabled()
+        assert out.ok and value == 0
+        assert seen == {"compile": False, "run": enabled and makes_cycles}
+        assert after_run is after_raise is after_failed_run is enabled
 
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        out, value = run_compiled(compile_, 10)
-        after_run = gc.isenabled()
-        with pytest.raises(ValueError):
-            run_compiled(broken, 10)
-        after_raise = gc.isenabled()
+        check(makes_cycles=True)
+        check(makes_cycles=False)
     finally:
         (gc.enable if was else gc.disable)()
-    assert out.ok and value == 0
-    assert seen == {"compile": False, "run": enabled}
-    assert after_run is after_raise is enabled
 
 
 # Each iteration makes an object whose field points to itself: a cycle that

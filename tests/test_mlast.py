@@ -21,6 +21,7 @@ from mj2ml.mlast import (
     Var,
     validate_core,
 )
+from mj2ml.mleval import eval_program
 
 
 def violations(main, fun_groups=()):
@@ -129,3 +130,52 @@ def test_a_let_case_or_if_is_flagged_as_an_operand(node):
         assert violations(main, [(f,)]) == [(f"main/{position}", f"'{node}' as an operand")]
     # bound or returned, it is fine
     assert violations(Let((Val(PVar("y"), block),), If(Con("true"), block, block))) == []
+
+
+def add(a, b):
+    return PrimOp("+", (a, b))
+
+
+# `fun f x = x + 1`, `fun g x = x * 2`, `fun apply (g, x) = g x` and a
+# local `fun inc y = y + 1`
+INC = FunDef("f", PVar("x"), add(Var("x"), IntLit(1)))
+DOUBLE = FunDef("g", PVar("x"), PrimOp("*", (Var("x"), IntLit(2))))
+APPLY = FunDef("apply", PTuple((PVar("g"), PVar("x"))), App(Var("g"), Var("x")))
+LOCAL_INC = FunDef("inc", PVar("y"), add(Var("y"), IntLit(1)))
+
+
+@pytest.mark.parametrize("main, groups, expected", [
+    # let val f = g in f 1 end
+    (Let((Val(PVar("f"), Var("g")),), App(Var("f"), IntLit(1))), [(INC,), (DOUBLE,)],
+     [("main/let0-rhs", "function 'g' read as a value"),
+      ("main/let-body/app-fn", "'f' is applied but is not a function")]),
+    # let val h = f in h 2 end
+    (Let((Val(PVar("h"), Var("f")),), App(Var("h"), IntLit(2))), [(INC,)],
+     [("main/let0-rhs", "function 'f' read as a value"),
+      ("main/let-body/app-fn", "'h' is applied but is not a function")]),
+    # let fun inc y = y + 1 in inc 1 + apply (inc, 4) end
+    (Let(((LOCAL_INC,),), add(App(Var("inc"), IntLit(1)),
+                              App(Var("apply"), Tuple((Var("inc"), IntLit(4)))))),
+     [(APPLY,)],
+     [("group0/fun apply/app-fn", "'g' is applied but is not a function"),
+      ("main/let-body/+.1/app-arg/tuple.0", "function 'inc' read as a value")]),
+], ids=["val-rebinds-fun", "val-alias", "local-fun-escapes"])
+def test_a_fun_read_as_a_value_is_rejected(main, groups, expected):
+    # the core fragment is first-order: a `fun` is only ever applied, and
+    # the evaluator has no function values to run these with
+    assert violations(main, groups) == expected
+    with pytest.raises(AssertionError):
+        eval_program(MlProgram([], groups, main))
+
+
+def test_only_a_functions_name_is_applied():
+    # (1, 2) 3, and mj_print read as a value
+    assert violations(App(Tuple((IntLit(1), IntLit(2))), IntLit(3))) == [
+        ("main/app-fn", "only a function's name can be applied")]
+    assert violations(Let((Val(PVar("p"), Var("mj_print")),), IntLit(0))) == [
+        ("main/let0-rhs", "function 'mj_print' read as a value")]
+    # a value shadowing a `fun` is a value, and a `fun` shadowing it a function
+    shadowed = Let((Val(PVar("f"), IntLit(1)),), add(Var("f"), App(Var("mj_print"), Var("f"))))
+    assert violations(shadowed, [(INC,)]) == []
+    assert violations(Let((Val(PVar("f"), IntLit(1)), (INC,)), App(Var("f"), Var("f")))) == [
+        ("main/let-body/app-arg", "function 'f' read as a value")]

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from mj2ml.cli import main
 from mj2ml.diffharness import diff_source
 from mj2ml.mjast import print_program
+from mj2ml.mleval import eval_program
 from mj2ml.mlast import App, Case, FunDef, If, Let, PTuple, PVar, Val, Var, validate_core
 from mj2ml.mlprint import print_ml_program
+from mj2ml.outcome import FaultKind
 from mj2ml.parser import parse_source
 from mj2ml.randgen import generate_program
 from mj2ml.sema import typecheck
@@ -57,14 +59,14 @@ def test_corpus_translations_stay_in_the_core(corpus_files):
 # SHA-256 of each corpus file's emitted SML.  A change that alters the
 # emitted bytes on purpose must update these pins and say so.
 EMITTED_SML_SHA256 = {
-    "BinarySearch": "e932119958e6d3e7df57f26a02950f93666e2c829d08c206cef05c2272e2d34c",
-    "BinaryTree": "25baace6c6907019890fc34b68e33d790912d9636101899149ca3b14a6420b3d",
-    "BubbleSort": "1ed1697946bf571fbfd2ec81fa00a22c81ab4ce8c8be87a8de79e6067ebb8db9",
-    "Factorial": "55586ff9e9ea74f61aa4ca72720f7bf08aad5505e6ce2c883c9c572efb5e8bcb",
-    "LinearSearch": "e4227bcdd30bc8e518fd245234f67c270512ddb2908627d1c470b10824a4c295",
-    "LinkedList": "bcdaa6aff0ba02a58f98e0d2bea54f108049c55a8e71fd274f1f6e53cbada158",
-    "QuickSort": "571ec549e7389c79df0fabb55b7e612202d309a81b6d3c2161a060004d2c9018",
-    "TreeVisitor": "0b62e6a568b0659f8564e8db3a39e6b4fa9b5b43183bb8146a66d8a22e85eee9",
+    "BinarySearch": "859d8428498a317ed99914890e9f0b14df27b12a22e9ae5f84569ce4af2e9bc2",
+    "BinaryTree": "290ba405142883db68424dba293aceda3e1deab347f659252a22fbbc093ff853",
+    "BubbleSort": "8a1ad8391143759bc3a6689aa9dcdf7e8801f1c2453ea0d6a86889f9445f6aaa",
+    "Factorial": "2a095efcd9659c366318f4fd806d5ee0dcaf24b28a9746da01f9637662481784",
+    "LinearSearch": "d2a401ed90ef3d82f3e70c10fa5ced9ff12cb978e4a592ca1d12d199c0fe5925",
+    "LinkedList": "9e4420c4d6038133e5cf8651ccb404e51b0a273dae3f9b8cf3dc98283bb9c54f",
+    "QuickSort": "a7a6f380a069969b7c4dee4097395bf64b5bddccfc5eba4c954ad1e6f10d2206",
+    "TreeVisitor": "29a8aa7b3d42c8838df457d0a38e9ea268c501a1420c49a920967be4a376bc77",
 }
 
 
@@ -138,7 +140,7 @@ def test_uncalled_methods_and_uninstantiated_classes_emit_nothing():
     assert {mangle_new("A"), mangle_method(0, "used")} <= names
     assert mangle_method(0, "unused") not in names
     assert mangle_new("Never") not in names
-    # A's level holds the one slot read, so the constructor names no other method
+    # an object holds no methods, so the constructor names none
     sml = print_ml_program(ml, "Unreached")
     assert "unused" not in sml and mangle_method(1, "f") not in sml
     assert diff_source("Unreached", UNREACHED).verdict == "match"
@@ -213,7 +215,7 @@ def test_generated_subclass_encoding_is_pinned():
     text = "".join(print_ml_program(translate(generate_program(s, 40)), f"seed{s:03d}")
                    for s in range(40))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "03cb9e538a24be9105553bbe7a4b8551563fe42fa5e11c38c292f4c7ca408199"
+        "41e7ac08967b62e397074f0cecf914ec16a37117ec79707f152edcf58301dbc1"
 
 
 def test_gen200_workload_is_pinned():
@@ -226,7 +228,7 @@ def test_gen200_workload_is_pinned():
     assert (len(source), hashlib.sha256(source).hexdigest()) == (
         624675, "4aaa6ae173174edd3a3581bb467872f20879886553696d0b1b4401880281a271")
     assert (len(sml), hashlib.sha256(sml).hexdigest()) == (
-        2141966, "7dd33e2b21aafca0c3f0cada46a34cbe30033f4794f072ae5e6e05d2f5836ddf")
+        1923486, "2f5bbbd432accfd692b6b464213a1b79b7ea344b882117814c66c029bf7beaf1")
 
 
 PLUMBING = """\
@@ -442,3 +444,130 @@ def test_mangling_families_do_not_collide(v, ver, i, m, cls):
     assert mangle_var(v, ver) != mangle_new(cls)
     assert mangle_method(i, m) != mangle_new(cls)
     assert mangle_var(v, ver) not in {f.name for f in prelude()} | {"mj_print", "mj_main"}
+
+
+ALIASING = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new A().f());
+    }
+}
+class A {
+    public int f() {
+        int[] s;
+        int[] t;
+        int x;
+        s = new int[4];
+        t = s;
+        x = s[1];
+        t[1] = 5;
+        return s[1] + x;
+    }
+}
+"""
+
+
+def test_a_write_through_an_alias_is_seen_by_the_next_read():
+    # t and s name one array: the read of s[1] after `t[1] = 5` must not
+    # reuse the value read before it
+    result = diff_source("Aliasing.java", ALIASING)
+    assert result.verdict == "match"
+    assert result.mj.output == result.ml.output == [5]
+
+
+REASSIGNED_RECEIVER = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new Driver().go());
+    }
+}
+class Driver {
+    public int go() {
+        Shape s;
+        int total;
+        s = new Square();
+        total = s.area(3);
+        s = new Circle();
+        total = total * 100 + s.area(3);
+        s = new Square();
+        return total * 100 + s.area(4);
+    }
+}
+class Shape {
+    public int area(int n) { return 0; }
+}
+class Square extends Shape {
+    public int area(int n) { return n * n; }
+}
+class Circle extends Shape {
+    public int area(int n) { return 3 * n * n; }
+}
+"""
+
+
+def test_a_call_dispatches_on_the_class_its_receiver_holds_now():
+    # one call site, s.area, sees a Square, then a Circle, then a Square
+    result = diff_source("Reassigned.java", REASSIGNED_RECEIVER)
+    assert result.verdict == "match"
+    assert result.mj.output == result.ml.output == [92716]
+    # each call matches the receiver's class, one rule per class
+    [go] = [f for group in tr(REASSIGNED_RECEIVER).fun_groups for f in group
+            if f.name == mangle_method(0, "go")]
+    assert sum(len(case.rules) == 2 for case in nodes(go, Case)) == 3
+
+
+NULL_RECEIVER = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new A().f());
+    }
+}
+class A {
+    A next;
+    public int f() { return next.m(this.p()); }
+    public int p() {
+        System.out.println(7);
+        return 1;
+    }
+    public int m(int x) { return x; }
+}
+"""
+
+
+def test_a_call_on_a_null_field_faults_after_its_arguments():
+    # m reads no field, so only the call's null check can fault, and it
+    # checks after the argument has printed, where MiniJava checks
+    result = diff_source("Null.java", NULL_RECEIVER)
+    assert result.verdict == "skipped-faulting"
+    assert result.mj.output == [7] and result.mj.fault is FaultKind.NULL_DEREFERENCE
+    ml, _ = eval_program(translate(parse_source(NULL_RECEIVER)))
+    assert ml.output == [7] and ml.fault is FaultKind.MATCH_FAILURE
+
+
+NEVER_INSTANTIATED = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new A().f());
+    }
+}
+class A {
+    Base b;
+    public int f() {
+        System.out.println(3);
+        return b.tag();
+    }
+}
+class Base {
+    public int tag() { return 1; }
+}
+"""
+
+
+def test_a_call_no_object_can_reach_is_only_a_null_check():
+    # no Base is ever made, so b is null and no implementation is emitted
+    assert mangle_method(1, "tag") not in function_names(tr(NEVER_INSTANTIATED))
+    result = diff_source("Never.java", NEVER_INSTANTIATED)
+    assert result.verdict == "skipped-faulting"
+    assert result.mj.output == [3] and result.mj.fault is FaultKind.NULL_DEREFERENCE
+    ml, _ = eval_program(tr(NEVER_INSTANTIATED))
+    assert ml.output == [3] and ml.fault is FaultKind.MATCH_FAILURE
