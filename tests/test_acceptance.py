@@ -216,6 +216,27 @@ STAGES = {
     "parse": (ParseError, 1),
     "type": (MjTypeError, 2),
 }
+# What each ill-formed program is rejected with: position and message.
+DIAGNOSTICS = {
+    "lex_bad_char.java": "3:30: unexpected character '#'",
+    "lex_huge_literal.java": "3:28: integer literal 4611686018427387904 exceeds the 63-bit range",
+    "lex_unterminated_comment.java": "3:9: unterminated block comment",
+    "parse_double_equals.java": "10:15: expected ')', found operator '='",
+    "parse_missing_else.java": "5:5: expected 'else', found punctuation '}'",
+    "parse_missing_return.java":
+        "11:5: expected a statement or 'return', found punctuation '}'",
+    "parse_unbalanced_brace.java": "4:6: expected '}', found end of input",
+    "type_bad_arg_count.java": "3:28: method 'add' expects 2 argument(s), got 3",
+    "type_bad_operand.java": "10:13: left operand of '+' must be int, got boolean",
+    "type_bad_override.java":
+        "14:5: method 'calc' in class 'Child' changes the signature of the method it overrides",
+    "type_cycle.java": "7:1: inheritance cycle through 'First'",
+    "type_non_bool_cond.java": "11:16: 'while' condition must be boolean, got int",
+    "type_print_bool.java": "3:28: println argument must be int, got boolean",
+    "type_this_in_main.java": "3:28: 'this' cannot be used in main",
+    "type_undeclared_var.java": "10:13: undeclared variable 'y'",
+    "type_unknown_class.java": "3:28: unknown class 'Ghost'",
+}
 
 
 def test_negative_suite(negative_files, capsys):
@@ -230,8 +251,11 @@ def test_negative_suite(negative_files, capsys):
         except (LexError, ParseError, MjTypeError) as err:
             if not isinstance(err, exc_type):
                 failures.append(f"{path.name}: {type(err).__name__}")
+            if str(err) != DIAGNOSTICS.get(path.name):
+                failures.append(f"{path.name}: {err}")
         code = cli_main(["run-mj", str(path)])
-        capsys.readouterr()
+        if capsys.readouterr().err != f"{path}:{DIAGNOSTICS.get(path.name)}\n":
+            failures.append(f"{path.name}: the command printed another diagnostic")
         if code != wanted_code:
             failures.append(f"{path.name}: exit {code} != {wanted_code}")
     with capsys.disabled():

@@ -113,6 +113,29 @@ def test_non_ascii_letter_rejected():
         assert (err.value.pos.col, err.value.message) == (col, "unexpected character 'é'")
 
 
+@pytest.mark.parametrize("source, expected", [
+    ("/**/", []),
+    ("//a\n", []),
+    ("//a/\n", []),
+    ("x /**/ y", [("x", 1, 1), ("y", 1, 8)]),
+    ("a/**//**/b", [("a", 1, 1), ("b", 1, 10)]),
+    ("/*/ x */y", [("y", 1, 9)]),
+])
+def test_a_comment_is_skipped_whole(source, expected):
+    # a comment is never taken back in part to make a token of its text
+    assert [(t.lexeme, t.line, t.col) for t in tokenize(source)] == expected
+
+
+@pytest.mark.parametrize("source, diagnostic", [
+    ("/* a */ /* b", "1:9: unterminated block comment"),
+    ("/**/#", "1:5: unexpected character '#'"),
+])
+def test_an_error_after_a_comment_is_reported_where_it_starts(source, diagnostic):
+    with pytest.raises(LexError) as err:
+        tokenize(source)
+    assert str(err.value) == diagnostic
+
+
 LEXEMES = st.one_of(
     st.sampled_from(sorted(KEYWORDS)),
     st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,6}", fullmatch=True).filter(

@@ -1,10 +1,11 @@
+import hashlib
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mj2ml.lexer import LexError
+from mj2ml.lexer import LexError, tokenize
 from mj2ml.mjast import (
     ArrayIndexExpr,
     ArrayLengthExpr,
@@ -16,8 +17,10 @@ from mj2ml.mjast import (
     NotExpr,
     ThisExpr,
     print_program,
+    walk,
 )
-from mj2ml.parser import ParseError, parse_expression, parse_source
+from mj2ml.parser import ParseError, parse, parse_expression, parse_source
+from mj2ml.randgen import generate_program
 
 
 def test_times_binds_tighter_than_plus():
@@ -139,6 +142,43 @@ def test_corpus_round_trips_through_printer(corpus_files):
         program = parse_source(path.read_text())
         reprinted = print_program(program)
         assert parse_source(reprinted) == program
+
+
+# SHA-256 of every token as (kind, lexeme, line, col) and of every node
+# as (type, span start, span end), preorder, over the corpus and over
+# print_program(generate_program(s, 40)) for s in 0..199.
+FRONT_END_SHA256 = {
+    "corpus tokens":
+        "53eac58b8d652c3d07a6dc43691b538829d9423a996cc6ef628ac9066bc5ef88",
+    "corpus spans":
+        "6f0771b7bfe8497868e744a79b739f778258646ada7ec5b90a8bdcd1053a2b59",
+    "generated tokens":
+        "7c5a8a78ee3c40bd9892013c74f74cca294c6ea54d8051e812748862c4a6361c",
+    "generated spans":
+        "5f29df48bd8b8f453aa6f1c7065771b3c256db87dc3acf0a66314a69f481c68a",
+}
+
+
+def front_end_digests(sources):
+    tokens, spans = hashlib.sha256(), hashlib.sha256()
+    for source in sources:
+        toks = tokenize(source)
+        for t in toks:
+            tokens.update(f"{t.kind.name} {t.lexeme!r} {t.line} {t.col}\n".encode())
+        for node in walk(parse(toks)):
+            span = getattr(node, "span", None)
+            if span is not None:
+                spans.update(f"{type(node).__name__} {span.start} {span.end}\n".encode())
+    return tokens.hexdigest(), spans.hexdigest()
+
+
+def test_tokens_and_spans_are_pinned(corpus_files):
+    digests = {}
+    for name, sources in (
+            ("corpus", [path.read_text() for path in corpus_files]),
+            ("generated", [print_program(generate_program(s, 40)) for s in range(200)])):
+        digests[f"{name} tokens"], digests[f"{name} spans"] = front_end_digests(sources)
+    assert digests == FRONT_END_SHA256
 
 
 @settings(max_examples=200, deadline=None)
