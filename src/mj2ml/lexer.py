@@ -5,16 +5,19 @@ comments (``//``) and block comments (``/* */``, non-nesting) are
 discarded.  Concatenating the lexemes of the output reproduces the
 input minus whitespace and comments.
 
-One compiled pattern, `_TOKEN`, is matched at each position in turn; its
-named groups are the kinds of text.  Tokens never span lines, so line
-and column come from the newlines in the skipped text alone.
+One compiled pattern, `_TOKEN`, is matched once per token, each match
+starting where the last one ended: a possessive run of whitespace and
+comments, then the token, whose named group is its kind.  Tokens never
+span lines, so line and column come from the newlines in the skipped run
+alone.  A `Token` is a NamedTuple, built with ``tuple.__new__`` rather
+than its Python-level constructor.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .mjast import INT_MAX, Pos
 
@@ -39,8 +42,7 @@ class TokenKind(enum.Enum):
     PUNCT = "punctuation"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
     line: int
@@ -56,18 +58,24 @@ class Token:
         return Pos(self.line, self.col + len(self.lexeme))
 
 
-# The groups are tried in order, so a "/*" that `skip` cannot close is
-# `open`; text that no group matches is an error.
+# Whitespace and comments, group `skip`, are skipped possessively: a
+# comment once matched is never given back, so no part of its text comes
+# out as a token ("//a" holds no "a", "/**/" no "/*").  The token is
+# optional, so the pattern matches at every position; a match without
+# one ends at the end of the input or at an error: a "/*" the skip could
+# not close, or a character no token starts with.
 _TOKEN = re.compile(
-    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)"
-    r"|(?P<open>/\*)"
-    r"|(?P<int>[0-9]+)"
+    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*+)"
+    r"(?:(?P<int>[0-9]+)"
     r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<op>" + "|".join(map(re.escape, OPERATORS)) + ")"
-    r"|(?P<punct>[" + re.escape(PUNCTUATION) + "])",
+    r"|(?P<punct>[" + re.escape(PUNCTUATION) + "]))?",
     re.DOTALL,
 )
-_KINDS = {"int": TokenKind.INT, "op": TokenKind.OP, "punct": TokenKind.PUNCT}
+# The kind of each token group, by group number; `skip` is group 1.
+_KINDS = (None, None, TokenKind.INT, TokenKind.IDENT, TokenKind.OP, TokenKind.PUNCT)
+_SKIP, _WORD = _TOKEN.groupindex["skip"], _TOKEN.groupindex["word"]
+_new = tuple.__new__
 
 
 class LexError(Exception):
@@ -85,26 +93,28 @@ def tokenize(source: str) -> list[Token]:
     comments, and on integer literals beyond the 63-bit signed range.
     """
     tokens: list[Token] = []
+    append = tokens.append
     line, line_start = 1, 0
-    i, n = 0, len(source)
-    while i < n:
-        m = _TOKEN.match(source, i)
-        col = i - line_start + 1
-        if m is None:
-            raise LexError(Pos(line, col), f"unexpected character {source[i]!r}")
-        kind, text = m.lastgroup, m.group()
-        if kind == "skip":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = i + text.rindex("\n") + 1
-        elif kind == "open":
-            raise LexError(Pos(line, col), "unterminated block comment")
-        elif kind == "int" and int(text) > INT_MAX:
-            raise LexError(Pos(line, col), f"integer literal {text} exceeds the 63-bit range")
-        elif kind == "word":
-            tokens.append(Token(TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT,
-                                text, line, col))
-        else:
-            tokens.append(Token(_KINDS[kind], text, line, col))
-        i = m.end()
+    for m in _TOKEN.finditer(source):
+        group = m.lastindex
+        start = m.end(_SKIP)
+        skipped = m[_SKIP]
+        if "\n" in skipped:
+            line += skipped.count("\n")
+            line_start = source.rindex("\n", 0, start) + 1
+        if group == _SKIP:
+            if start == len(source):
+                return tokens
+            pos = Pos(line, start - line_start + 1)
+            if source.startswith("/*", start):
+                raise LexError(pos, "unterminated block comment")
+            raise LexError(pos, f"unexpected character {source[start]!r}")
+        text = m[group]
+        kind = _KINDS[group]
+        if group == _WORD and text in KEYWORDS:
+            kind = TokenKind.KEYWORD
+        elif kind is TokenKind.INT and int(text) > INT_MAX:
+            raise LexError(Pos(line, start - line_start + 1),
+                           f"integer literal {text} exceeds the 63-bit range")
+        append(_new(Token, (kind, text, line, start - line_start + 1)))
     return tokens

@@ -15,21 +15,21 @@ round trips are structurally stable for any well-formed tree, including
 generated ones that never moved through the parser.
 
 Structural equality ignores source spans and checker annotations (those
-fields carry ``compare=False``).
+fields carry ``compare=False``).  A position and a span are NamedTuples,
+which the parser builds for nearly every node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 # Integer semantics shared by both interpreters: 63-bit signed range.
 INT_MIN = -(2**62)
 INT_MAX = 2**62 - 1
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
     line: int
     col: int
 
@@ -37,8 +37,7 @@ class Pos:
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     start: Pos
     end: Pos
 

@@ -9,6 +9,16 @@ one method parses by precedence climbing over ``mjast.BINARY_LEVEL``
 (``*``, ``+``/``-``, ``<``, ``&&``); they associate to the left.
 
 Parenthesised expressions are parsed but not represented; see mjast.
+Each level of parentheses takes 4 Python frames (expression, unary,
+postfix, primary), so within `outcome.COMPILE_FRAMES` 997 nested
+parentheses around a ``println`` argument parse and 998 do not.
+
+The parser is on the path of every command that reads a file, so its
+token plumbing is kept cheap: it keeps the token count beside its
+index, tests the next token's kind and lexeme in place, steps over a
+token it has just tested with ``i += 1``, and builds positions and
+spans, which are tuples, with ``tuple.__new__``, skipping the
+NamedTuple's Python-level constructor.
 """
 
 from __future__ import annotations
@@ -58,55 +68,68 @@ class ParseError(Exception):
         self.message = message
 
 
+_new = tuple.__new__
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self.n = len(tokens)
         self.i = 0
 
     # -- token plumbing -----------------------------------------------------
 
-    def _eof_pos(self) -> Pos:
-        if self.tokens:
-            return self.tokens[-1].end_pos
-        return Pos(1, 1)
+    def peek(self) -> Token | None:
+        return self.tokens[self.i] if self.i < self.n else None
 
-    def peek(self, offset: int = 0) -> Token | None:
-        j = self.i + offset
-        return self.tokens[j] if j < len(self.tokens) else None
+    def here(self) -> Pos:
+        """Where the next token starts, or where the input ends."""
+        if self.i < self.n:
+            return self.tokens[self.i].pos
+        return self.tokens[-1].end_pos if self.tokens else Pos(1, 1)
 
     def at(self, kind: TokenKind, lexeme: str | None = None, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        if tok is None or tok.kind is not kind:
+        j = self.i + offset
+        if j >= self.n:
             return False
-        return lexeme is None or tok.lexeme == lexeme
+        tok = self.tokens[j]
+        return tok.kind is kind and (lexeme is None or tok.lexeme == lexeme)
 
     def describe(self, tok: Token | None) -> str:
         return "end of input" if tok is None else f"{tok.kind.value} {tok.lexeme!r}"
 
     def error(self, expected: str) -> ParseError:
-        tok = self.peek()
-        pos = tok.pos if tok else self._eof_pos()
-        return ParseError(pos, f"expected {expected}, found {self.describe(tok)}")
+        return ParseError(self.here(), f"expected {expected}, found {self.describe(self.peek())}")
 
     def take(self, kind: TokenKind, lexeme: str | None = None, expected: str | None = None) -> Token:
-        if not self.at(kind, lexeme):
-            raise self.error(expected or (repr(lexeme) if lexeme else kind.value))
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def prev_end(self) -> Pos:
-        return self.tokens[self.i - 1].end_pos if self.i > 0 else Pos(1, 1)
+        i = self.i
+        if i < self.n:
+            tok = self.tokens[i]
+            if tok.kind is kind and (lexeme is None or tok.lexeme == lexeme):
+                self.i = i + 1
+                return tok
+        raise self.error(expected or (repr(lexeme) if lexeme else kind.value))
 
     def take_ident(self, what: str) -> Token:
         return self.take(TokenKind.IDENT, expected=what)
+
+    def start(self) -> Pos:
+        """Take the next token, known to be there; return where it starts."""
+        tok = self.tokens[self.i]
+        self.i += 1
+        return _new(Pos, (tok.line, tok.col))
+
+    def span(self, start: Pos) -> Span:
+        """From `start` to the end of the last token taken."""
+        tok = self.tokens[self.i - 1]
+        return _new(Span, (start, _new(Pos, (tok.line, tok.col + len(tok.lexeme)))))
 
     # -- productions --------------------------------------------------------
 
     def program(self) -> MjProgram:
         main = self.main_class()
         classes = []
-        while self.peek() is not None:
+        while self.i < self.n:
             classes.append(self.class_decl())
         return MjProgram(main, classes)
 
@@ -130,14 +153,14 @@ class _Parser:
             body.append(self.statement())
         self.take(TokenKind.PUNCT, "}")
         self.take(TokenKind.PUNCT, "}")
-        return MainClass(name, arg_name, body, span=Span(start, self.prev_end()))
+        return MainClass(name, arg_name, body, span=self.span(start))
 
     def class_decl(self) -> ClassDecl:
         start = self.take(TokenKind.KEYWORD, "class", "'class'").pos
         name = self.take_ident("class name").lexeme
         superclass = None
         if self.at(TokenKind.KEYWORD, "extends"):
-            self.take(TokenKind.KEYWORD, "extends")
+            self.i += 1
             superclass = self.take_ident("superclass name").lexeme
         self.take(TokenKind.PUNCT, "{")
         fields = []
@@ -147,7 +170,7 @@ class _Parser:
         while self.at(TokenKind.KEYWORD, "public"):
             methods.append(self.method_decl())
         self.take(TokenKind.PUNCT, "}")
-        return ClassDecl(name, superclass, fields, methods, span=Span(start, self.prev_end()))
+        return ClassDecl(name, superclass, fields, methods, span=self.span(start))
 
     def at_var_decl(self) -> bool:
         if self.at(TokenKind.KEYWORD, "int") or self.at(TokenKind.KEYWORD, "boolean"):
@@ -155,22 +178,22 @@ class _Parser:
         return self.at(TokenKind.IDENT) and self.at(TokenKind.IDENT, offset=1)
 
     def var_decl(self) -> VarDecl:
-        start = self.peek().pos
+        start = self.here()
         var_type = self.type_spec()
         name = self.take_ident("variable name").lexeme
         self.take(TokenKind.PUNCT, ";")
-        return VarDecl(name, var_type, span=Span(start, self.prev_end()))
+        return VarDecl(name, var_type, span=self.span(start))
 
     def type_spec(self) -> MjType:
         if self.at(TokenKind.KEYWORD, "int"):
-            self.take(TokenKind.KEYWORD, "int")
+            self.i += 1
             if self.at(TokenKind.PUNCT, "["):
-                self.take(TokenKind.PUNCT, "[")
+                self.i += 1
                 self.take(TokenKind.PUNCT, "]")
                 return INT_ARRAY
             return INT
         if self.at(TokenKind.KEYWORD, "boolean"):
-            self.take(TokenKind.KEYWORD, "boolean")
+            self.i += 1
             return BOOL
         if self.at(TokenKind.IDENT):
             return ClassType(self.take(TokenKind.IDENT).lexeme)
@@ -184,13 +207,13 @@ class _Parser:
         formals = []
         if not self.at(TokenKind.PUNCT, ")"):
             while True:
-                fstart = self.peek().pos
+                fstart = self.here()
                 ftype = self.type_spec()
                 fname = self.take_ident("parameter name").lexeme
-                formals.append(VarDecl(fname, ftype, span=Span(fstart, self.prev_end())))
+                formals.append(VarDecl(fname, ftype, span=self.span(fstart)))
                 if not self.at(TokenKind.PUNCT, ","):
                     break
-                self.take(TokenKind.PUNCT, ",")
+                self.i += 1
         self.take(TokenKind.PUNCT, ")")
         self.take(TokenKind.PUNCT, "{")
         local_vars = []
@@ -198,72 +221,72 @@ class _Parser:
             local_vars.append(self.var_decl())
         body = []
         while not self.at(TokenKind.KEYWORD, "return"):
-            if self.peek() is None or self.at(TokenKind.PUNCT, "}"):
+            if self.i >= self.n or self.at(TokenKind.PUNCT, "}"):
                 raise self.error("a statement or 'return'")
             body.append(self.statement())
-        self.take(TokenKind.KEYWORD, "return")
+        self.i += 1
         return_expr = self.expression()
         self.take(TokenKind.PUNCT, ";")
         self.take(TokenKind.PUNCT, "}")
         return MethodDecl(name, return_type, formals, local_vars, body, return_expr,
-                          span=Span(start, self.prev_end()))
+                          span=self.span(start))
 
     def statement(self) -> Stmt:
-        tok = self.peek()
-        if tok is None:
+        if self.i >= self.n:
             raise self.error("a statement")
-        if self.at(TokenKind.PUNCT, "{"):
-            start = self.take(TokenKind.PUNCT, "{").pos
-            body = []
-            while not self.at(TokenKind.PUNCT, "}"):
-                body.append(self.statement())
-            self.take(TokenKind.PUNCT, "}")
-            return BlockStmt(body, span=Span(start, self.prev_end()))
-        if self.at(TokenKind.KEYWORD, "if"):
-            start = self.take(TokenKind.KEYWORD, "if").pos
-            self.take(TokenKind.PUNCT, "(")
-            cond = self.expression()
-            self.take(TokenKind.PUNCT, ")")
-            then_branch = self.statement()
-            self.take(TokenKind.KEYWORD, "else", expected="'else'")
-            else_branch = self.statement()
-            return IfStmt(cond, then_branch, else_branch, span=Span(start, self.prev_end()))
-        if self.at(TokenKind.KEYWORD, "while"):
-            start = self.take(TokenKind.KEYWORD, "while").pos
-            self.take(TokenKind.PUNCT, "(")
-            cond = self.expression()
-            self.take(TokenKind.PUNCT, ")")
-            body = self.statement()
-            return WhileStmt(cond, body, span=Span(start, self.prev_end()))
-        if self.at(TokenKind.KEYWORD, "System"):
-            start = self.take(TokenKind.KEYWORD, "System").pos
-            self.take(TokenKind.PUNCT, ".")
-            self.take(TokenKind.KEYWORD, "out", "'out'")
-            self.take(TokenKind.PUNCT, ".")
-            self.take(TokenKind.KEYWORD, "println", "'println'")
-            self.take(TokenKind.PUNCT, "(")
-            value = self.expression()
-            self.take(TokenKind.PUNCT, ")")
-            self.take(TokenKind.PUNCT, ";")
-            return PrintStmt(value, span=Span(start, self.prev_end()))
-        if self.at(TokenKind.IDENT):
-            name_tok = self.take(TokenKind.IDENT)
+        tok = self.tokens[self.i]
+        kind, lexeme = tok.kind, tok.lexeme
+        if kind is TokenKind.IDENT:
+            start = self.start()
             if self.at(TokenKind.OP, "="):
-                self.take(TokenKind.OP, "=")
+                self.i += 1
                 value = self.expression()
                 self.take(TokenKind.PUNCT, ";")
-                return AssignStmt(name_tok.lexeme, value,
-                                  span=Span(name_tok.pos, self.prev_end()))
+                return AssignStmt(lexeme, value, span=self.span(start))
             if self.at(TokenKind.PUNCT, "["):
-                self.take(TokenKind.PUNCT, "[")
+                self.i += 1
                 index = self.expression()
                 self.take(TokenKind.PUNCT, "]")
                 self.take(TokenKind.OP, "=", expected="'='")
                 value = self.expression()
                 self.take(TokenKind.PUNCT, ";")
-                return ArrayAssignStmt(name_tok.lexeme, index, value,
-                                       span=Span(name_tok.pos, self.prev_end()))
+                return ArrayAssignStmt(lexeme, index, value, span=self.span(start))
             raise self.error("'=' or '[' after identifier")
+        if kind is TokenKind.PUNCT and lexeme == "{":
+            start = self.start()
+            body = []
+            while not self.at(TokenKind.PUNCT, "}"):
+                body.append(self.statement())
+            self.i += 1
+            return BlockStmt(body, span=self.span(start))
+        if kind is TokenKind.KEYWORD:
+            if lexeme == "if":
+                start = self.start()
+                self.take(TokenKind.PUNCT, "(")
+                cond = self.expression()
+                self.take(TokenKind.PUNCT, ")")
+                then_branch = self.statement()
+                self.take(TokenKind.KEYWORD, "else", expected="'else'")
+                else_branch = self.statement()
+                return IfStmt(cond, then_branch, else_branch, span=self.span(start))
+            if lexeme == "while":
+                start = self.start()
+                self.take(TokenKind.PUNCT, "(")
+                cond = self.expression()
+                self.take(TokenKind.PUNCT, ")")
+                body = self.statement()
+                return WhileStmt(cond, body, span=self.span(start))
+            if lexeme == "System":
+                start = self.start()
+                self.take(TokenKind.PUNCT, ".")
+                self.take(TokenKind.KEYWORD, "out", "'out'")
+                self.take(TokenKind.PUNCT, ".")
+                self.take(TokenKind.KEYWORD, "println", "'println'")
+                self.take(TokenKind.PUNCT, "(")
+                value = self.expression()
+                self.take(TokenKind.PUNCT, ")")
+                self.take(TokenKind.PUNCT, ";")
+                return PrintStmt(value, span=self.span(start))
         raise self.error("a statement")
 
     # -- expressions, precedence climbing ------------------------------------
@@ -274,36 +297,43 @@ class _Parser:
         right operand takes only operators tighter than its own, so
         equal levels associate to the left."""
         left = self.unary_expr()
-        while True:
-            tok = self.peek()
-            level = BINARY_LEVEL.get(tok.lexeme, 0) if tok is not None else 0
+        tokens, n = self.tokens, self.n
+        while self.i < n:
+            tok = tokens[self.i]
+            level = BINARY_LEVEL.get(tok.lexeme, 0) if tok.kind is TokenKind.OP else 0
             if level < min_level:
-                return left
-            self.take(TokenKind.OP)
+                break
+            self.i += 1
             right = self.expression(level + 1)
             left = BinaryExpr(tok.lexeme, left, right,
-                              span=Span(left.span.start, right.span.end))
+                              span=_new(Span, (left.span.start, right.span.end)))
+        return left
 
     def unary_expr(self) -> Expr:
-        if self.at(TokenKind.OP, "!"):
-            start = self.take(TokenKind.OP, "!").pos
+        i = self.i
+        if i < self.n and self.tokens[i].lexeme == "!" and self.tokens[i].kind is TokenKind.OP:
+            start = self.start()
             operand = self.unary_expr()
-            return NotExpr(operand, span=Span(start, operand.span.end))
+            return NotExpr(operand, span=_new(Span, (start, operand.span.end)))
         return self.postfix_expr()
 
     def postfix_expr(self) -> Expr:
         expr = self.primary_expr()
-        while True:
-            if self.at(TokenKind.PUNCT, "["):
-                self.take(TokenKind.PUNCT, "[")
+        tokens, n = self.tokens, self.n
+        while self.i < n:
+            tok = tokens[self.i]
+            if tok.kind is not TokenKind.PUNCT:
+                break
+            if tok.lexeme == "[":
+                self.i += 1
                 index = self.expression()
                 self.take(TokenKind.PUNCT, "]")
-                expr = ArrayIndexExpr(expr, index, span=Span(expr.span.start, self.prev_end()))
-            elif self.at(TokenKind.PUNCT, "."):
-                self.take(TokenKind.PUNCT, ".")
+                expr = ArrayIndexExpr(expr, index, span=self.span(expr.span.start))
+            elif tok.lexeme == ".":
+                self.i += 1
                 if self.at(TokenKind.KEYWORD, "length"):
-                    self.take(TokenKind.KEYWORD, "length")
-                    expr = ArrayLengthExpr(expr, span=Span(expr.span.start, self.prev_end()))
+                    self.i += 1
+                    expr = ArrayLengthExpr(expr, span=self.span(expr.span.start))
                     continue
                 method = self.take_ident("method name after '.'").lexeme
                 self.take(TokenKind.PUNCT, "(")
@@ -313,42 +343,41 @@ class _Parser:
                         args.append(self.expression())
                         if not self.at(TokenKind.PUNCT, ","):
                             break
-                        self.take(TokenKind.PUNCT, ",")
+                        self.i += 1
                 self.take(TokenKind.PUNCT, ")")
-                expr = CallExpr(expr, method, args, span=Span(expr.span.start, self.prev_end()))
+                expr = CallExpr(expr, method, args, span=self.span(expr.span.start))
             else:
-                return expr
+                break
+        return expr
 
     def primary_expr(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
+        if self.i >= self.n:
             raise self.error("an expression")
-        if tok.kind is TokenKind.INT:
-            self.take(TokenKind.INT)
-            return IntLitExpr(int(tok.lexeme), span=Span(tok.pos, tok.end_pos))
-        if tok.kind is TokenKind.KEYWORD and tok.lexeme in ("true", "false"):
-            self.take(TokenKind.KEYWORD)
-            return BoolLitExpr(tok.lexeme == "true", span=Span(tok.pos, tok.end_pos))
-        if self.at(TokenKind.KEYWORD, "this"):
-            self.take(TokenKind.KEYWORD, "this")
-            return ThisExpr(span=Span(tok.pos, tok.end_pos))
-        if tok.kind is TokenKind.IDENT:
-            self.take(TokenKind.IDENT)
-            return IdentExpr(tok.lexeme, span=Span(tok.pos, tok.end_pos))
-        if self.at(TokenKind.KEYWORD, "new"):
-            start = self.take(TokenKind.KEYWORD, "new").pos
-            if self.at(TokenKind.KEYWORD, "int"):
-                self.take(TokenKind.KEYWORD, "int")
-                self.take(TokenKind.PUNCT, "[")
-                length = self.expression()
-                self.take(TokenKind.PUNCT, "]")
-                return NewArrayExpr(length, span=Span(start, self.prev_end()))
-            name = self.take_ident("class name after 'new'").lexeme
-            self.take(TokenKind.PUNCT, "(")
-            self.take(TokenKind.PUNCT, ")")
-            return NewObjectExpr(name, span=Span(start, self.prev_end()))
-        if self.at(TokenKind.PUNCT, "("):
-            self.take(TokenKind.PUNCT, "(")
+        tok = self.tokens[self.i]
+        kind, lexeme = tok.kind, tok.lexeme
+        if kind is TokenKind.IDENT:
+            return IdentExpr(lexeme, span=self.span(self.start()))
+        if kind is TokenKind.INT:
+            return IntLitExpr(int(lexeme), span=self.span(self.start()))
+        if kind is TokenKind.KEYWORD:
+            if lexeme == "this":
+                return ThisExpr(span=self.span(self.start()))
+            if lexeme == "true" or lexeme == "false":
+                return BoolLitExpr(lexeme == "true", span=self.span(self.start()))
+            if lexeme == "new":
+                start = self.start()
+                if self.at(TokenKind.KEYWORD, "int"):
+                    self.i += 1
+                    self.take(TokenKind.PUNCT, "[")
+                    length = self.expression()
+                    self.take(TokenKind.PUNCT, "]")
+                    return NewArrayExpr(length, span=self.span(start))
+                name = self.take_ident("class name after 'new'").lexeme
+                self.take(TokenKind.PUNCT, "(")
+                self.take(TokenKind.PUNCT, ")")
+                return NewObjectExpr(name, span=self.span(start))
+        elif kind is TokenKind.PUNCT and lexeme == "(":
+            self.i += 1
             inner = self.expression()
             self.take(TokenKind.PUNCT, ")")
             return inner
@@ -363,9 +392,7 @@ def parse(tokens: list[Token]) -> MjProgram:
         with extra_frames(COMPILE_FRAMES):
             return parser.program()
     except RecursionError:
-        tok = parser.peek()
-        raise ParseError(tok.pos if tok else parser._eof_pos(),
-                         "expressions or statements nested too deeply") from None
+        raise ParseError(parser.here(), "expressions or statements nested too deeply") from None
 
 
 def parse_source(source: str) -> MjProgram:

@@ -1,5 +1,6 @@
 import hashlib
 import string
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,35 @@ def test_too_deep_nesting_is_a_parse_error_where_the_parser_gave_up():
     open_col = MINIMAL.splitlines()[2].index("42") + 1
     assert err.value.pos.line == 3
     assert open_col <= err.value.pos.col < open_col + 2000
+
+
+def test_997_nested_parentheses_parse_and_998_do_not():
+    # each parenthesis takes 4 frames (expression, unary, postfix,
+    # primary) of the parser's COMPILE_FRAMES, as the README states.  The
+    # parse runs in a new thread: the recursion limit also counts calls
+    # that the test runner makes through C, which `extra_frames` cannot see
+    results = []
+
+    def parse_nested():
+        for n in (997, 998):
+            try:
+                parse_source(MINIMAL.replace("42", "(" * n + "42" + ")" * n))
+                results.append("ok")
+            except ParseError as err:
+                results.append(err.message)
+
+    thread = threading.Thread(target=parse_nested)
+    thread.start()
+    thread.join()
+    assert results == ["ok", "expressions or statements nested too deeply"]
+
+
+@pytest.mark.parametrize("tail", ["(", "(int x, "])
+def test_input_ending_in_a_parameter_list_is_a_parse_error(tail):
+    with pytest.raises(ParseError) as err:
+        parse_source(MINIMAL + "class B { public int f" + tail)
+    assert err.value.message == "expected a type, found end of input"
+    assert err.value.pos.line == 6
 
 
 def test_statement_spans_nest_inside_method_span(corpus_files):
