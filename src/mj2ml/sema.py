@@ -17,10 +17,11 @@ access counting one more per class above its own), or classes in an
 inheritance chain, are a type error at the body's start or the class.
 
 `typecheck` also fills in what a run can reach from main (`_mark_live`),
-from the `new C` and the method slot each call reads that it records
-while checking a body: the classes instantiated (`instantiated`), the
-(slot owner, method) slots read (`read_slots`) and the (declaring class,
-method) declarations that can run (`live`).  Both back ends read these:
+from the `new C` and the (receiver class, method) of each call that it
+records while checking a body: the classes instantiated
+(`instantiated`), the (static receiver class, method) pairs called
+(`calls`) and the (declaring class, method) declarations that can run
+(`live`).  Both back ends read these:
 `translate` emits a constructor for each instantiated class and a
 function only for a live method, and dispatches each call among the
 instantiated classes its receiver can be an object of; `mjinterp`
@@ -112,10 +113,10 @@ class ClassTable:
         self.main_name = main_name
         self.classes = classes
         # What a run can reach from main, filled in by `typecheck`: the
-        # classes instantiated, the (slot owner, method) slots read, and
-        # the (declaring class, method) declarations that can run.
+        # classes instantiated, the (static receiver class, method) pairs
+        # called, and the (declaring class, method) declarations that can run.
         self.instantiated: set[str] = set()
-        self.read_slots: set[tuple[str, str]] = set()
+        self.calls: set[tuple[str, str]] = set()
         self.live: set[tuple[str, str]] = set()
 
     def info(self, name: str) -> ClassInfo:
@@ -237,15 +238,16 @@ class _Checker:
         self.scope: dict[str, tuple[VarBinding, MjType]] = {}
         # the start of the body being checked, and the nodes open in it
         self.start, self.depth = Pos(1, 1), 0
-        # the classes the body instantiates and the method slots it reads
+        # the classes the body instantiates and the (receiver class,
+        # method) pairs it calls
         self.news: set[str] = set()
-        self.reads: set[tuple[str, str]] = set()
+        self.calls: set[tuple[str, str]] = set()
 
     # -- scope --------------------------------------------------------------
 
     def enter_method(self, cls: str, method: MethodDecl) -> None:
         self.current_class, self.start = cls, method.span.start
-        self.news, self.reads = set(), set()
+        self.news, self.calls = set(), set()
         self.scope = {fname: (VarBinding("field", owner), fty)
                       for fname, (owner, fty) in self.table.info(cls).all_fields.items()}
         for formal in method.formals:
@@ -262,7 +264,7 @@ class _Checker:
 
     def enter_main(self, main: MainClass) -> None:
         self.current_class, self.start = None, main.span.start
-        self.news, self.reads = set(), set()
+        self.news, self.calls = set(), set()
         self.scope = {}
 
     def descend(self) -> None:
@@ -344,9 +346,8 @@ class _Checker:
                 raise MjTypeError(e.span.start,
                                   f"class '{recv.name}' has no method '{e.method}'")
             _, decl = found
-            owner = self.table.info(recv.name).slot_owner[e.method]
-            self.reach(owner)
-            self.reads.add((owner, e.method))
+            self.reach(self.table.info(recv.name).slot_owner[e.method])
+            self.calls.add((recv.name, e.method))
             if len(e.args) != len(decl.formals):
                 raise MjTypeError(
                     e.span.start,
@@ -414,11 +415,11 @@ def typecheck(program: MjProgram) -> ClassTable:
                     raise MjTypeError(
                         method.return_expr.span.start,
                         f"return value must be {method.return_type}, got {got}")
-                uses[info.name, method.name] = checker.news, checker.reads
+                uses[info.name, method.name] = checker.news, checker.calls
         checker.enter_main(program.main)
         for s in program.main.body:
             checker.stmt(s)
-        uses[None] = checker.news, checker.reads
+        uses[None] = checker.news, checker.calls
     _mark_live(table, uses)
     return table
 
@@ -426,14 +427,14 @@ def typecheck(program: MjProgram) -> ClassTable:
 def _mark_live(table: ClassTable, uses: dict) -> None:
     """Fill in what a run can reach: rapid type analysis (Bacon and
     Sweeney, 1996) from main (key None in `uses`, which maps each body to
-    the classes it instantiates and the slots it reads).
+    the classes it instantiates and the (receiver class, method) pairs it
+    calls).
 
-    A read slot (I, m) makes C's implementation of m live for every
-    instantiated class C with I in its path, not only for the subclasses
-    of the call's static receiver class.  That is a superset of what the
-    calls can reach, so every implementation a call runs, in either back
-    end, is live."""
-    instantiated, read, live = table.instantiated, table.read_slots, table.live
+    A call (R, m) makes C's implementation of m live for each
+    instantiated class C that is or extends R: the objects a call on an R
+    receiver can reach, as `translate._targets` dispatches among them.
+    Every implementation a call runs, in either back end, is live."""
+    instantiated, called, live = table.instantiated, table.calls, table.live
     pending: list[tuple[str, str] | None] = [None]
 
     def reach(cls: str, method: str) -> None:
@@ -443,14 +444,15 @@ def _mark_live(table: ClassTable, uses: dict) -> None:
             pending.append(impl)
 
     while pending:
-        news, reads = uses[pending.pop()]
+        news, calls = uses[pending.pop()]
         for cls in news - instantiated:
             instantiated.add(cls)
-            for method, owner in table.info(cls).slot_owner.items():
-                if (owner, method) in read:
+            path = table.info(cls).path
+            for receiver, method in called:
+                if receiver in path:
                     reach(cls, method)
-        for owner, method in reads - read:
-            read.add((owner, method))
+        for receiver, method in calls - called:
+            called.add((receiver, method))
             for cls in instantiated:
-                if table.info(cls).slot_owner.get(method) == owner:
+                if receiver in table.info(cls).path:
                     reach(cls, method)

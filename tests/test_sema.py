@@ -229,10 +229,10 @@ def test_a_member_access_counts_the_classes_above_its_own():
     assert "nested too deeply" in err.value.message
 
 
-def test_a_read_slot_keeps_every_instantiated_implementation():
-    # `new B().f()` reads A's slot f; an A object carries that slot too,
-    # so A.f is live although no call's receiver class is A (rapid type
-    # analysis per receiver would leave it dead)
+def test_a_call_keeps_only_the_implementations_its_receiver_can_reach():
+    # `new B().f()` is a call of f on a B receiver: an A object is
+    # instantiated but is no B, so A.f is dead, and so is Unused.f, whose
+    # class is never instantiated
     _, table = check("""\
 class Main {
     public static void main(String[] a) {
@@ -245,5 +245,5 @@ class U { public int g(A a) { return 4; } }
 class Unused extends B { public int f() { return 5; } }
 """)
     assert table.instantiated == {"A", "B", "U"}
-    assert table.read_slots == {("A", "f"), ("U", "g")}
-    assert table.live == {("A", "f"), ("B", "f"), ("U", "g")}
+    assert table.calls == {("B", "f"), ("U", "g")}
+    assert table.live == {("B", "f"), ("U", "g")}
