@@ -61,9 +61,10 @@ class Token(NamedTuple):
 # Whitespace and comments, group `skip`, are skipped possessively: a
 # comment once matched is never given back, so no part of its text comes
 # out as a token ("//a" holds no "a", "/**/" no "/*").  The token is
-# optional, so the pattern matches at every position; a match without
-# one ends at the end of the input or at an error: a "/*" the skip could
-# not close, or a character no token starts with.
+# optional, so the pattern matches at every position, and each match
+# starts where the last one ended; the first match without a token ends
+# at the end of the input or at an error: a "/*" the skip could not
+# close, or a character no token starts with.
 _TOKEN = re.compile(
     r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*+)"
     r"(?:(?P<int>[0-9]+)"
@@ -96,19 +97,14 @@ def tokenize(source: str) -> list[Token]:
     append = tokens.append
     line, line_start = 1, 0
     for m in _TOKEN.finditer(source):
-        group = m.lastindex
         start = m.end(_SKIP)
         skipped = m[_SKIP]
         if "\n" in skipped:
             line += skipped.count("\n")
             line_start = source.rindex("\n", 0, start) + 1
+        group = m.lastindex
         if group == _SKIP:
-            if start == len(source):
-                return tokens
-            pos = Pos(line, start - line_start + 1)
-            if source.startswith("/*", start):
-                raise LexError(pos, "unterminated block comment")
-            raise LexError(pos, f"unexpected character {source[start]!r}")
+            break
         text = m[group]
         kind = _KINDS[group]
         if group == _WORD and text in KEYWORDS:
@@ -117,4 +113,9 @@ def tokenize(source: str) -> list[Token]:
             raise LexError(Pos(line, start - line_start + 1),
                            f"integer literal {text} exceeds the 63-bit range")
         append(_new(Token, (kind, text, line, start - line_start + 1)))
+    if start < len(source):
+        pos = Pos(line, start - line_start + 1)
+        if source.startswith("/*", start):
+            raise LexError(pos, "unterminated block comment")
+        raise LexError(pos, f"unexpected character {source[start]!r}")
     return tokens
