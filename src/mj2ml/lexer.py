@@ -58,13 +58,14 @@ class Token(NamedTuple):
         return Pos(self.line, self.col + len(self.lexeme))
 
 
-# Whitespace and comments, group `skip`, are skipped possessively: a
-# comment once matched is never given back, so no part of its text comes
-# out as a token ("//a" holds no "a", "/**/" no "/*").  The token is
-# optional, so the pattern matches at every position, and each match
-# starts where the last one ended; the first match without a token ends
-# at the end of the input or at an error: a "/*" the skip could not
-# close, or a character no token starts with.
+# Whitespace and comments, group `skip`, open every match.  The skip is
+# possessive and the token after it optional, so the pattern matches at
+# every position and never backtracks into the skip: a comment once
+# matched is never given back, and no part of its text comes out as a
+# token ("//a" holds no "a", "/**/" no "/*").  Each match starts where
+# the last one ended; the first match without a token ends at the end of
+# the input or at an error: a "/*" the skip could not close, or a
+# character no token starts with.
 _TOKEN = re.compile(
     r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*+)"
     r"(?:(?P<int>[0-9]+)"
