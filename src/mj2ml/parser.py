@@ -11,7 +11,8 @@ one method parses by precedence climbing over ``mjast.BINARY_LEVEL``
 Parenthesised expressions are parsed but not represented; see mjast.
 Each level of parentheses takes 4 Python frames (expression, unary,
 postfix, primary), so within `outcome.COMPILE_FRAMES` 997 nested
-parentheses around a ``println`` argument parse and 998 do not.
+parentheses around a ``println`` argument parse and 998 do not on
+CPython 3.11 (999 from 3.12 on; see the README).
 
 The parser is on the path of every command that reads a file, so its
 token plumbing is kept cheap: it keeps the token count beside its

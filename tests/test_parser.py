@@ -128,15 +128,19 @@ def test_too_deep_nesting_is_a_parse_error_where_the_parser_gave_up():
     assert open_col <= err.value.pos.col < open_col + 2000
 
 
-def test_997_nested_parentheses_parse_and_998_do_not():
+def test_997_nested_parentheses_parse_and_1000_do_not():
     # each parenthesis takes 4 frames (expression, unary, postfix,
-    # primary) of the parser's COMPILE_FRAMES, as the README states.  The
-    # parse runs in a new thread: the recursion limit also counts calls
-    # that the test runner makes through C, which `extra_frames` cannot see
+    # primary) of the parser's COMPILE_FRAMES: at 3 997 would fail, at 5
+    # 1000 would parse.  Where between them the bound falls depends on
+    # the interpreter: CPython 3.11 stops at 998, whose recursion limit
+    # also counts each entry from C; 3.12 on counts Python frames alone
+    # and stops at 999.  The parse runs in a new thread, so calls that
+    # the test runner makes through C, which `extra_frames` cannot see,
+    # do not count
     results = []
 
     def parse_nested():
-        for n in (997, 998):
+        for n in (997, 1000):
             try:
                 parse_source(MINIMAL.replace("42", "(" * n + "42" + ")" * n))
                 results.append("ok")
