@@ -2,14 +2,14 @@
 
 The expression language is a small pure subset of Standard ML: tuples,
 datatype constructors, primitive integer operators, `let`,
-application, conditionals and pattern matching.  As in SML, a `let`
-holds a sequence of declarations, each a `val` binding (`Val`) or a
-group of mutually recursive functions (a tuple of `FunDef`s, the shape
-of each item of `MlProgram.fun_groups`).  There are no refs,
-exceptions, strings, or records, and no function values: a `fun` name
-is only ever applied, so the fragment is first-order.  Booleans are
-the usual constructors ``true``/``false``, and options the builtin
-``NONE``/``SOME``.
+application, conditionals and pattern matching.  Every function is
+declared at the top level, in a group of mutually recursive functions
+(a tuple of `FunDef`s, an item of `MlProgram.fun_groups`), and a `let`
+holds only `val` bindings (`Val`), so a function's free names are the
+top-level functions alone.  There are no refs, exceptions, strings, or
+records, and no function values: a `fun` name is only ever applied, so
+the fragment is first-order.  Booleans are the usual constructors
+``true``/``false``, and options the builtin ``NONE``/``SOME``.
 
 Types (`Ty*`) appear only in datatype declarations, which may take type
 parameters (`TyVar`); expressions are untyped here and checked
@@ -144,16 +144,11 @@ class Val:
     rhs: MlExpr
 
 
-# A declaration: a `Val`, or a `fun f p = e and g q = e' ...` group whose
-# functions see each other.
-Decl = Val | tuple[FunDef, ...]
-
-
 @dataclass(frozen=True)
 class Let(MlExpr):
-    """let decl1 decl2 ... in body end: each declaration sees the ones
-    before it, and `body` sees them all."""
-    decls: tuple[Decl, ...]
+    """let val ... val ... in body end: each binding sees the ones before
+    it, and `body` sees them all."""
+    decls: tuple[Val, ...]
     body: MlExpr
 
 
@@ -285,9 +280,9 @@ class _Validator:
         else:
             self.flag(path, f"not a core pattern: {type(pat).__name__}")
 
-    def group(self, funs: tuple[FunDef, ...], path: str) -> list[str]:
-        """Check a group of mutually recursive functions, top-level or
-        local; declares the group's names and returns them."""
+    def group(self, funs: tuple[FunDef, ...], path: str) -> None:
+        """Check a top-level group of mutually recursive functions; declares
+        the group's names for it and the groups and entry after it."""
         names = [f.name for f in funs]
         if len(set(names)) != len(names):
             self.flag(path, "duplicate function name in group")
@@ -296,7 +291,6 @@ class _Validator:
             bound = self.bind(f.param, f"{path}/fun {f.name}/param")
             self.expr(f.body, f"{path}/fun {f.name}")
             self.forget(bound)
-        return names
 
     def expr(self, e: MlExpr, path: str, operand: bool = False) -> None:
         """Check `e`; an `operand` must not be a `let`, `case` or `if`."""
@@ -346,7 +340,7 @@ class _Validator:
                     self.expr(decl.rhs, f"{path}/let{i}-rhs")
                     declared.extend(self.bind(decl.pat, f"{path}/let{i}-pat"))
                 elif isinstance(decl, tuple):
-                    declared.extend(self.group(decl, f"{path}/let{i}"))
+                    self.flag(f"{path}/let{i}", "'fun' inside a 'let'")
                 else:
                     self.flag(f"{path}/let{i}",
                               f"not a core declaration: {type(decl).__name__}")
@@ -379,7 +373,8 @@ def validate_core(program: MlProgram) -> list[Violation]:
     """Structural check: core nodes only, known constructors and primitives
     at the right arities, `div` and `mod` only by positive literals, no
     unbound variables, no 1-tuples, and no `let`, `case` or `if` as an
-    operand, so that every tree it accepts prints.  The fragment is
+    operand, so that every tree it accepts prints.  Every function is
+    top-level: a `let` declares only `val`s.  The fragment is
     first-order: a `fun` name (or the runtime's `mj_print`) is only
     applied, never read as a value, and only such a name is applied.
     It runs within `outcome.COMPILE_FRAMES` frames, which any

@@ -25,33 +25,32 @@ items are variables, wildcards or tuples of those, such as a
 `((a, b), c)` parameter, with no nested matcher call; and an `if` whose
 condition compares pure operands (see Fuel).
 
-Frames.  Each activation, that is the top level and every call of an ML
-function, gets one Python list.  Slot 0 holds the parent frame, the one
-the function was defined in, and slot 1 the argument of the call,
-which is not read when the parameter is a tuple pattern.  Each
-binding occurrence of a value in the function's body (its parameter's
-variables, `val` and `case` bindings) has a slot of its own; a `fun`
-name has none, since nothing reads it.  The compiler resolves every
-variable to a (depth, slot) pair, depth counting the functions between
-the use and the binding, so scoping is done once, in one pass, and the
-program only indexes lists.  Since no two binding occurrences share a
-slot, a later `let` never overwrites a value an earlier one bound, and
-what a failed `case` rule bound is never read by the next rule.  A
-frame points only at frames made before it, and a value holds only
-older values, so a run makes no reference cycle: its memory goes as
-soon as reference counting frees it.
+Frames.  Every function is top-level and a `let` declares only `val`s
+(`validate_core` checks both), so a function reads only its own
+variables and there is one activation level.  Each call of an ML
+function, and the entry expression, gets one Python list, its frame.
+Slot 0 of a function's frame holds the argument of the call, which is
+not read when the parameter is a tuple pattern.  Each binding
+occurrence of a value in the body (the parameter's variables, `val`
+and `case` bindings) has a slot of its own; a `fun` name has none,
+since nothing reads it.  The compiler resolves every variable to its
+slot, so scoping is done once, in one pass, and the program only
+indexes lists.  Since no two binding occurrences share a slot, a later
+`let` never overwrites a value an earlier one bound, and what a failed
+`case` rule bound is never read by the next rule.  A frame holds only
+values, and a value holds only older values, so a run makes no
+reference cycle: its memory goes as soon as reference counting frees
+it.
 
-Calls.  Every call is known: the function position names a `fun` in
-scope, or the runtime's `mj_print`, which appends its argument to the
+Calls.  Every call is known: the function position names a top-level
+`fun`, or the runtime's `mj_print`, which appends its argument to the
 output and returns unit.  A call of a `fun` is compiled against that
-function's code, and the frame the callee was defined in is the
-top-level frame or the caller's frame a fixed number of activations
-out.  The call site builds the callee's frame `[defining frame, arg,
-*pad]` itself.  When the parameter is a tuple of variables and the
-argument a tuple of the same arity, the items go straight into the
-parameter's slots, `[defining frame, None, *items, *pad]`: no argument
-tuple is built and no matcher runs.  The name in the function position
-is not read, though its visit is charged.
+function's code, and the call site builds the callee's frame
+`[arg, *pad]` itself.  When the parameter is a tuple of variables and
+the argument a tuple of the same arity, the items go straight into the
+parameter's slots, `[None, *items, *pad]`: no argument tuple is built
+and no matcher runs.  The name in the function position is not read,
+though its visit is charged.
 
 An application in tail position, of a function body or of a `val`
 right-hand side, evaluates the argument, makes the callee's frame with
@@ -85,8 +84,8 @@ no effect, and nothing else runs between the visits so merged, so no
 output, fault or step count can tell this from charging the visits one
 at a time: either way the run stops having spent all of its fuel, with
 the same output.  A `let` is visited once per declaration: each `val`
-and each local `fun` group costs one unit, the `let` itself nothing.
-Installing the top-level groups costs nothing.
+costs one unit, the `let` itself nothing.  Installing the top-level
+groups costs nothing.
 
 `=` and `<` are defined on integers; `div` and `mod` round towards
 negative infinity, and `validate_core` admits them only with a positive
@@ -136,10 +135,6 @@ _TAIL = object()
 # What the runtime's mj_print is bound to while a program compiles.
 _PRINT = object()
 
-
-def _skip(frame) -> None:
-    """A local `fun` group's step of its `let`: nothing runs."""
-
 # Nullary constructors that are Python values.
 _CONSTANTS = {"true": True, "false": False}
 
@@ -159,11 +154,11 @@ class _Fn:
     """A `fun` as its call sites see it while the program compiles.
 
     `arity` is the length of its parameter when that is a tuple of
-    variables and wildcards, whose items then take slots 2, 3, ... of
+    variables and wildcards, whose items then take slots 1, 2, ... of
     the frame, and None otherwise.  Once the function is compiled,
-    `pad` holds a None for each frame slot after slot 1, `bind` is the
+    `pad` holds a None for each frame slot after slot 0, `bind` is the
     parameter's matcher (None when the parameter is a variable, which
-    is slot 1) and `body` the compiled body."""
+    is slot 0) and `body` the compiled body."""
 
     __slots__ = ("arity", "pad", "bind", "body")
 
@@ -183,18 +178,19 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
     # Every `fun` compiled, so that the run can break their cycles at its end.
     fns: list[_Fn] = []
 
-    # Compile-time scope: each name maps to a stack of (level, binding)
-    # pairs, innermost last, `binding` the slot of a value or the _Fn of
-    # a name a `fun` binds (`_PRINT` for mj_print); `free[level]` is the
-    # next unused slot of each open activation, the top level first.
-    scopes: dict[str, list[tuple[int, object]]] = {"mj_print": [(0, _PRINT)]}
-    free = [1]
+    # Compile-time scope: each name maps to a stack of bindings, innermost
+    # last, each the slot of a value or the _Fn of a name a `fun` binds
+    # (`_PRINT` for mj_print); `free` is the next unused slot of the
+    # frame being compiled.
+    scopes: dict[str, list[object]] = {"mj_print": [_PRINT]}
+    free = 0
 
     def declare(name: str | None, bound: list[str]) -> int:
-        slot = free[-1]
-        free[-1] = slot + 1
+        nonlocal free
+        slot = free
+        free += 1
         if name is not None:
-            scopes.setdefault(name, []).append((len(free) - 1, slot))
+            scopes.setdefault(name, []).append(slot)
             bound.append(name)
         return slot
 
@@ -202,12 +198,12 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         for name in bound:
             scopes[name].pop()
 
-    def resolve(name: str) -> tuple[int, int]:
-        """(depth, slot) of the innermost binding of `name`, a value."""
-        level, slot = scopes[name][-1]
+    def resolve(name: str) -> int:
+        """The slot of the innermost binding of `name`, a value."""
+        slot = scopes[name][-1]
         if type(slot) is not int:
             raise AssertionError(f"the function '{name}' is read as a value")
-        return len(free) - 1 - level, slot
+        return slot
 
     # -- patterns.  A binder is a slot (a variable), None (a wildcard) or
     # a matcher m(value, frame) that stores the pattern's variables into
@@ -216,10 +212,10 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
     def declare_all(pats: tuple[Pat, ...], bound: list[str]) -> slice:
         """One slot for each pattern, in order: a variable's own, an
         unnamed one for anything else."""
-        lo = free[-1]
+        lo = free
         for p in pats:
             declare(p.name if type(p) is PVar else None, bound)
-        return slice(lo, free[-1])
+        return slice(lo, free)
 
     def binder(pat: Pat, bound: list[str]):
         """A tuple or constructor pattern matches in one closure: one
@@ -312,22 +308,11 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
 
     def pure(e: MlExpr):
         """(getter, node count, slot) when `e` is pure, else None; `slot`
-        is set when `e` is a variable of the current frame."""
+        is set when `e` is a variable."""
         cls = type(e)
         if cls is Var:
-            depth, slot = resolve(e.name)
-            if depth == 0:
-                return itemgetter(slot), 1, slot
-            if depth == 1:
-                return (lambda f: f[0][slot]), 1, None
-            if depth == 2:
-                return (lambda f: f[0][0][slot]), 1, None
-
-            def get(f):
-                for _ in range(depth):
-                    f = f[0]
-                return f[slot]
-            return get, 1, None
+            slot = resolve(e.name)
+            return itemgetter(slot), 1, slot
         if cls is IntLit:
             value = e.value
             return (lambda f: value), 1, None
@@ -448,16 +433,14 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         steps = []
         bound: list[str] = []
         for decl in e.decls:
-            if type(decl) is Val:
-                part = pure(decl.rhs)
-                if part is None:
-                    rhs, cost = expr(decl.rhs, True), 1
-                else:
-                    rhs, cost = part[0], 1 + part[1]
-                steps.append((cost, rhs, binder(decl.pat, bound)))
+            if type(decl) is not Val:
+                raise AssertionError("a `let` declaring something other than a `val`")
+            part = pure(decl.rhs)
+            if part is None:
+                rhs, cost = expr(decl.rhs, True), 1
             else:
-                group(decl, bound)
-                steps.append((1, _skip, None))
+                rhs, cost = part[0], 1 + part[1]
+            steps.append((cost, rhs, binder(decl.pat, bound)))
         body = expr(e.body, tail)
         forget(bound)
         steps = tuple(steps)
@@ -478,21 +461,10 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             return body(f)
         return ev
 
-    def group(funs: tuple[FunDef, ...], bound: list[str]) -> None:
-        """Declare a group's names in the current activation and compile
-        its functions, top-level or local."""
-        known = [_Fn(fd.param) for fd in funs]
-        level = len(free) - 1
-        for fd, fn in zip(funs, known):
-            scopes.setdefault(fd.name, []).append((level, fn))
-            bound.append(fd.name)
-        for fd, fn in zip(funs, known):
-            function(fd, fn)
-        fns.extend(known)
-
     def function(fd: FunDef, fn: _Fn) -> None:
-        """Compile `fd` into `fn`, as a new activation."""
-        free.append(1)
+        """Compile `fd` into `fn`, its frame's slots from 0."""
+        nonlocal free
+        free = 0
         bound: list[str] = []
         if type(fd.param) is PVar:
             declare(fd.param.name, bound)
@@ -502,7 +474,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             fn.bind = binder(fd.param, bound)
         fn.body = expr(fd.body, True)
         forget(bound)
-        fn.pad = (None,) * (free.pop() - 2)
+        fn.pad = (None,) * (free - 1)
 
     def app(e: App, tail: bool):
         """An application of a `fun` in scope, or of mj_print (see
@@ -513,17 +485,16 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         func, arg = e.func, e.arg
         if type(func) is not Var:
             raise AssertionError("an application of something other than a function's name")
-        level, fn = scopes[func.name][-1]
+        fn = scopes[func.name][-1]
         if fn is _PRINT:
             return print_(arg)
         if type(fn) is not _Fn:
             raise AssertionError(f"'{func.name}' is applied but is not a function")
-        enter = known(fn, level, arg)
+        enter = known(fn, arg)
         return enter if tail else settle(enter)
 
-    def known(fn: _Fn, level: int, arg: MlExpr):
-        """The call of `fn`, defined `level` activations below the top."""
-        up = None if level == 0 else ancestor(len(free) - 1 - level)
+    def known(fn: _Fn, arg: MlExpr):
+        """The call of `fn`."""
         if type(arg) is Tuple and len(arg.items) == fn.arity:
             items, extra = operands(arg.items)
             cost = 3 + extra
@@ -535,7 +506,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                 if fuel < cost:
                     raise Fault(_FUEL)
                 fuel -= cost
-                pend_frame = [top if up is None else up(f), None, *get(f), *fn.pad]
+                pend_frame = [None, *get(f), *fn.pad]
                 pend_body = fn.body
                 return _TAIL
             return ev
@@ -548,26 +519,13 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                 raise Fault(_FUEL)
             fuel -= cost
             a = get(f)
-            frame = [top if up is None else up(f), a, *fn.pad]
+            frame = [a, *fn.pad]
             if fn.bind is not None and not fn.bind(a, frame):
                 raise Fault(_MATCH)
             pend_body = fn.body
             pend_frame = frame
             return _TAIL
         return ev
-
-    def ancestor(depth: int):
-        """Getter of the frame `depth` activations out from the current one."""
-        if depth == 0:
-            return lambda f: f
-        if depth == 1:
-            return itemgetter(0)
-
-        def up(f):
-            for _ in range(depth):
-                f = f[0]
-            return f
-        return up
 
     def print_(arg: MlExpr):
         """`mj_print arg`: appends the int to the output, returns unit."""
@@ -749,12 +707,17 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
 
     # -- the top level: each group of functions, then the entry ------------
 
-    top_names: list[str] = []
     for funs in program.fun_groups:
-        group(funs, top_names)
+        group = [_Fn(fd.param) for fd in funs]
+        for fd, fn in zip(funs, group):
+            scopes.setdefault(fd.name, []).append(fn)
+        for fd, fn in zip(funs, group):
+            function(fd, fn)
+        fns += group
+    free = 0
     main = expr(program.main, False)
-    # the top-level frame, which the functions defined there run under
-    top = [None] * free[0]
+    # the entry expression's frame
+    top = [None] * free
 
     def run():
         nonlocal pend_body, pend_frame

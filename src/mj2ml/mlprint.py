@@ -10,7 +10,8 @@ The printer relies on the A-normal form the translation emits, which
 `validate_core` checks: a `let`, `case` or `if` stands only where a value
 is bound or returned (a `val` or `fun` right-hand side, a `let` body, an
 `if` branch, a `case` rule, the entry expression), and every operand is
-an atom or a one-line expression.  So it has two levels.  `_line` prints
+an atom or a one-line expression.  Every `fun` is top-level, so a `let`
+prints only `val`s.  So the printer has two levels.  `_line` prints
 an operand on one line.  `_block` prints a bound or returned value as a
 list of lines: the first continues the caller's line, and each later one
 carries its own indentation.  A parent splices its children's lines into
@@ -31,7 +32,6 @@ from .mlast import (
     Case,
     Con,
     DataType,
-    FunDef,
     If,
     IntLit,
     Let,
@@ -49,7 +49,6 @@ from .mlast import (
     TyName,
     TyTuple,
     TyVar,
-    Val,
     Var,
 )
 from .outcome import COMPILE_FRAMES, extra_frames
@@ -166,10 +165,7 @@ def _block(expr: MlExpr, ind: str) -> list[str]:
     # a Let
     lines = ["let"]
     for decl in expr.decls:
-        if isinstance(decl, Val):
-            lines += _bind(f"{deeper}val {print_pat(decl.pat)} =", decl.rhs, deeper)
-        else:
-            lines += _group(decl, deeper)
+        lines += _bind(f"{deeper}val {print_pat(decl.pat)} =", decl.rhs, deeper)
     body = _block(expr.body, deeper)
     lines += [f"{ind}in", deeper + body[0], *body[1:], f"{ind}end"]
     return lines
@@ -190,15 +186,6 @@ def _bind(head: str, rhs: MlExpr, ind: str) -> list[str]:
     if len(body) == 1 and len(head) + len(body[0]) < _SINGLE_LINE_LIMIT + len(ind):
         return [f"{head} {body[0]}"]
     return [head, ind + "  " + body[0], *body[1:]]
-
-
-def _group(funs: tuple[FunDef, ...], ind: str) -> list[str]:
-    lines = []
-    for j, f in enumerate(funs):
-        keyword = "fun" if j == 0 else "and"
-        lines += _bind(f"{ind}{keyword} {f.name} {print_pat(f.param, atomic=True)} =",
-                       f.body, ind)
-    return lines
 
 
 def print_expr(expr: MlExpr, ind: str = "") -> str:
@@ -225,9 +212,11 @@ def print_ml_program(program: MlProgram, source_name: str = "source") -> str:
 
     Printing recurses once per nested `let`, `case`, `if` or operand,
     within `outcome.COMPILE_FRAMES` frames, which any translation fits:
-    at `outcome.MAX_NESTING` the deepest, nested `while`s, take 4 frames a
-    level (`if`, `let`, and `_group` and `_bind` for the loop's `fun`),
-    2 000 in all, and a chain of classes 2 a class.
+    at `outcome.MAX_NESTING` the deepest, nested `if`s, take 3 frames a
+    level (`_block` for the `if` and for the `let` of its branch, and
+    `_bind` for the `val` that joins the inner `if`), 1 501 in all, and a
+    chain of classes 2 a class.  A `while` nests nothing: its loop is a
+    top-level function that the enclosing code only calls.
     """
     # SML comments nest: a `(*` or `*)` in the name would unbalance the header
     name = source_name.replace("(*", "( *").replace("*)", "* )")
@@ -245,7 +234,11 @@ def print_ml_program(program: MlProgram, source_name: str = "source") -> str:
         parts.append("")
     with extra_frames(COMPILE_FRAMES):
         for group in program.fun_groups:
-            parts += [*_group(group, ""), ""]
+            for j, f in enumerate(group):
+                keyword = "fun" if j == 0 else "and"
+                parts += _bind(f"{keyword} {f.name} {print_pat(f.param, atomic=True)} =",
+                               f.body, "")
+            parts.append("")
         main = _block(program.main, "  ")
     parts += [f"val _ = {main[0]}", *main[1:]]
     return "\n".join(parts) + "\n"

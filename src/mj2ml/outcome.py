@@ -20,9 +20,9 @@ The cyclic collector's policy lives here too, and the caller of
 while a program compiles: everything the compile step allocates is kept
 until the run ends, so a collection then would only traverse it again.
 A run of a translated program keeps it off as well.  Its values are
-ints, bools, tuples and datatype values, and a frame points only at
-older frames (see Frames in `mleval`), so it makes no reference cycle
-for the collector to find, and reference counting frees all it drops.
+ints, bools, tuples and datatype values, and a frame holds only values
+(see Frames in `mleval`), so it makes no reference cycle for the
+collector to find, and reference counting frees all it drops.
 A MiniJava run gets the collector back as the caller had it: it makes
 real cycles, such as an object whose field points to itself, and only
 the collector frees those; with it off, a loop that makes one per
@@ -53,9 +53,9 @@ RECURSION_LIMIT = 40_000
 MAX_NESTING = 500
 
 # Python frames each compile stage may use beyond its caller's.  Bisected
-# over every way of nesting to MAX_NESTING, the costliest are parsing, 5
-# per `&& (` (2 501 frames), and printing, 4 per nested `while` (2 000);
-# no stage takes more than 2 per chained class.
+# over every way of nesting to MAX_NESTING, the costliest is parsing, 5
+# per `&& (` (2 501 frames); printing takes at most 3 per nested `if`
+# (1 501), and no stage takes more than 2 per chained class.
 COMPILE_FRAMES = 8 * MAX_NESTING
 
 

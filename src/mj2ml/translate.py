@@ -27,20 +27,24 @@ Statements become let bindings in evaluation order, one binding per
 intermediate value (administrative normal form).  An assignment binds
 its value directly to a fresh version ``mj_<x>_<n>`` of the variable.
 An `if` join carries, in a tuple, the state and the variables either
-branch assigns; a while loop is a local tail-recursive function over
-the state and the variables its body assigns, and reads the others as
-free variables.  Each state name is bound once, like a value in SSA
-form (Appel, "SSA is Functional Programming", 1998), so a heap cell read
-in a state is read once and its value reused until the state changes.
+branch assigns.  A while loop is a top-level tail-recursive function
+``mj_loop<k>``, lambda-lifted (Johnsson, 1985): it takes the state, the
+variables it assigns, those it only reads and ``mj_this`` if it reads
+`this` or a field, and returns the state and the variables it assigns.
+Each state name is bound once, like a value in SSA form (Appel, "SSA is
+Functional Programming", 1998), so a heap cell read in a state is read
+once and its value reused until the state changes.
 
 Every generated function takes and returns the state: methods are
 ``fn (state, self, args) -> (state, result)`` where args is (), a bare
 value, or a tuple by arity; constructors are state -> (state, pointer);
-``mj_main`` is unit -> state and returns the final state.  Only what a
-run can reach is emitted (see `sema`): a constructor for each class
-instantiated, and a function for each live method.  The implementation
-a call runs for an instantiated class is live, so each known call names
-an emitted function.
+``mj_main`` is unit -> state and returns the final state.  A method
+whose last binding is the (state, value) it returns, as of a call, ends
+in that binding's right-hand side instead.  Only what a run can reach
+is emitted (see `sema`): a constructor for each class instantiated, and
+a function for each live method.  The implementation a call runs for an
+instantiated class is live, so each known call names an emitted
+function.
 
 Each of these decisions is written once.  `_Ctx` holds the ANF binders
 and the state threading: `bind` for an intermediate value, `bind_state`
@@ -53,7 +57,8 @@ class's `fields`, level by level down its `path`, which the datatypes,
 the constructors, the read and write spines and the dispatch patterns
 (`_object`) all read.  `_call` dispatches.  Every heap and array access is built by
 `store`, whose prelude of helpers each translation starts with.  What
-each `if` and `while` assigns is found once per method, by `_assigns`.
+each `if` and `while` assigns and reads is found once per method, by
+`_assigns`.
 
 Translation runs within `outcome.COMPILE_FRAMES` Python frames beyond
 its caller's, which any program that typechecks fits.
@@ -98,7 +103,6 @@ from .mlast import (
     Con,
     DataCon,
     DataType,
-    Decl,
     FunDef,
     If,
     IntLit,
@@ -177,10 +181,9 @@ class _FnScope:
     """Counters and variable bookkeeping for one generated function."""
 
     var_order: list[str]
-    assigns: dict[int, set[str]]
+    uses: dict[int, tuple[set[str], set[str]]]
     next_temp: int = 0
     next_state: int = 1
-    next_loop: int = 0
     maxver: dict[str, int] = dc_field(init=False)
 
     def __post_init__(self) -> None:
@@ -196,18 +199,19 @@ class _FnScope:
         self.next_state += 1
         return name
 
-    def fresh_loop(self) -> str:
-        name = f"mj_loop{self.next_loop}"
-        self.next_loop += 1
-        return name
-
     def fresh_version(self, var: str) -> int:
         self.maxver[var] += 1
         return self.maxver[var]
 
     def assigned(self, s: IfStmt | WhileStmt) -> list[str]:
         """The variables s assigns, in `var_order`."""
-        return [x for x in self.var_order if x in self.assigns[id(s)]]
+        return [x for x in self.var_order if x in self.uses[id(s)][0]]
+
+    def only_read(self, s: WhileStmt) -> list[str]:
+        """The variables s reads and does not assign, in `var_order`, then
+        "this" if s reads `this` or a field."""
+        assigned, reads = self.uses[id(s)]
+        return [x for x in [*self.var_order, "this"] if x in reads and x not in assigned]
 
 
 @dataclass
@@ -222,8 +226,8 @@ class _Ctx:
     parameter, `rebind`) the (state, variables...) tuple that `carried`
     builds at the end of branches and loop bodies.  That tuple holds the
     state and only the variables the `if` or `while` assigns, in
-    `var_order`; every other variable keeps its version, which a loop's
-    `fun` reads as a free variable.
+    `var_order`; every other variable keeps its version, which a loop
+    also takes as a parameter of that name when it reads it.
 
     `reads` maps a pointer atom to the atom holding its heap value in the
     current state: `_lookup` reuses it and `_store` records the value it
@@ -239,7 +243,7 @@ class _Ctx:
     versions: dict[str, int]
     state: str
     reads: dict[object, MlExpr] = dc_field(default_factory=dict)
-    bindings: list[Decl] = dc_field(default_factory=list)
+    bindings: list[Val] = dc_field(default_factory=list)
 
     def branch(self) -> "_Ctx":
         return _Ctx(self.fn, dict(self.versions), self.state, dict(self.reads))
@@ -274,57 +278,87 @@ class _Ctx:
     def var_atom(self, name: str) -> MlExpr:
         return Var(mangle_var(name, self.versions[name]))
 
-    def carried(self, names: list[str]) -> MlExpr:
-        """The (state, variables...) tuple of the named variables that a
-        join or loop carries."""
-        return _tup([Var(self.state)] + [self.var_atom(x) for x in names])
+    def carried(self, names: list[str], extra: tuple[Var, ...] = ()) -> MlExpr:
+        """The (state, variables..., extra...) tuple of the named
+        variables that a join or loop carries, and of a loop's extra
+        atoms, which it passes unchanged."""
+        return _tup([Var(self.state), *map(self.var_atom, names), *extra])
 
-    def rebind(self, names: list[str]) -> Pat:
+    def rebind(self, names: list[str], extra: tuple[Var, ...] = ()) -> Pat:
         """Make a fresh state and fresh versions of the named variables
-        current; returns the pattern that binds them from a `carried`
-        tuple."""
+        current; returns the pattern that binds them, and the extra atoms
+        under their own names, from a `carried` tuple."""
         self.advance()
         for x in names:
             self.versions[x] = self.fn.fresh_version(x)
-        return _ptup([PVar(self.state)] + [PVar(mangle_var(x, self.versions[x]))
-                                           for x in names])
+        return _ptup([PVar(self.state), *(PVar(mangle_var(x, self.versions[x])) for x in names),
+                      *(PVar(a.name) for a in extra)])
 
     def join(self, rhs: MlExpr, names: list[str]) -> None:
         """Bind the carried tuple that rhs returns (see `rebind`)."""
         self.emit(self.rebind(names), rhs)
 
 
-def _assigns(body: list[Stmt]) -> dict[int, set[str]]:
+def _assigns(body: list[Stmt]) -> dict[int, tuple[set[str], set[str]]]:
     """The local variables and formals that each `if` and `while` in body
-    assigns, in either branch or in the loop's body, by the statement's
-    id.  One walk with an explicit stack, so nesting costs no Python
-    frames and no rewalk: a statement's set joins the enclosing one's as
-    the walk leaves it."""
-    found: dict[int, set[str]] = {}
-    sets: list[set[str]] = [set()]
+    assigns, and those it reads, by the statement's id; the reads hold
+    "this" (a keyword, so no variable's name) when the statement reads
+    `this` or a field, or writes a field.  One walk with an explicit
+    stack, so nesting costs no Python frames and no rewalk: a statement's
+    sets join the enclosing one's as the walk leaves it."""
+    found: dict[int, tuple[set[str], set[str]]] = {}
+    sets: list[tuple[set[str], set[str]]] = [(set(), set())]
     todo: list = list(body)
     while todo:
         s = todo.pop()
+        assigned, reads = sets[-1]
         if isinstance(s, tuple):
-            # the end of the branches or the body of s[0]
+            # the end of s[0], whose sets these are: they join the enclosing ones
             found[id(s[0])] = sets.pop()
-            sets[-1] |= found[id(s[0])]
+            sets[-1][0].update(assigned)
+            sets[-1][1].update(reads)
         elif isinstance(s, BlockStmt):
             todo += s.body
         elif isinstance(s, IfStmt):
-            sets.append(set())
-            todo += ((s,), s.then_branch, s.else_branch)
+            sets.append((set(), set()))
+            todo += ((s,), s.cond, s.then_branch, s.else_branch)
         elif isinstance(s, WhileStmt):
-            sets.append(set())
-            todo += ((s,), s.body)
-        elif isinstance(s, AssignStmt) and s.binding.kind != "field":
-            sets[-1].add(s.name)
+            sets.append((set(), set()))
+            todo += ((s,), s.cond, s.body)
+        elif isinstance(s, AssignStmt):
+            if s.binding.kind == "field":
+                reads.add("this")
+            else:
+                assigned.add(s.name)
+            todo.append(s.value)
+        elif isinstance(s, ArrayAssignStmt):
+            reads.add("this" if s.binding.kind == "field" else s.name)
+            todo += (s.index, s.value)
+        elif isinstance(s, PrintStmt):
+            todo.append(s.value)
+        elif isinstance(s, (IdentExpr, ThisExpr)):
+            local = isinstance(s, IdentExpr) and s.binding.kind != "field"
+            reads.add(s.name if local else "this")
+        elif isinstance(s, BinaryExpr):
+            todo += (s.left, s.right)
+        elif isinstance(s, NotExpr):
+            todo.append(s.operand)
+        elif isinstance(s, ArrayIndexExpr):
+            todo += (s.array, s.index)
+        elif isinstance(s, ArrayLengthExpr):
+            todo.append(s.array)
+        elif isinstance(s, NewArrayExpr):
+            todo.append(s.length)
+        elif isinstance(s, CallExpr):
+            todo += (s.receiver, *s.args)
     return found
 
 
 class _Translator:
     def __init__(self, table: ClassTable):
         self.table = table
+        # the translated loops, numbered across the program
+        self.loops: list[FunDef] = []
 
     # -- object layout --------------------------------------------------------
 
@@ -563,19 +597,24 @@ class _Translator:
             raise AssertionError(f"unhandled statement {type(s).__name__}")
 
     def _while(self, s: WhileStmt, ctx: _Ctx) -> None:
-        """A local tail-recursive function over the carried tuple of the
-        variables the body assigns, called once and joined."""
+        """A top-level tail-recursive function `mj_loop<k>`, called once
+        and joined.  It takes the state, the variables the loop assigns,
+        those it only reads and `mj_this` if it reads `this` or a field,
+        and returns the state and the variables it assigns."""
         names = ctx.fn.assigned(s)
-        loop = ctx.fn.fresh_loop()
+        reads = tuple(Var("mj_this") if x == "this" else ctx.var_atom(x)
+                      for x in ctx.fn.only_read(s))
         inner = ctx.branch()
-        param = inner.rebind(names)
+        param = inner.rebind(names, reads)
         cond = self.expr(s.cond, inner)
         body = inner.branch()
         self.stmt(s.body, body)
-        then = body.wrap(App(Var(loop), body.carried(names)))
-        loop_fn = FunDef(loop, param, inner.wrap(If(cond, then, inner.carried(names))))
-        ctx.bindings.append((loop_fn,))
-        ctx.join(App(Var(loop), ctx.carried(names)), names)
+        # numbered after the loops it holds
+        loop = Var(f"mj_loop{len(self.loops)}")
+        then = body.wrap(App(loop, body.carried(names, reads)))
+        exit_ = inner.carried(names)
+        self.loops.append(FunDef(loop.name, param, inner.wrap(If(cond, then, exit_))))
+        ctx.join(App(loop, ctx.carried(names, reads)), names)
 
     # -- whole functions --------------------------------------------------------------------
 
@@ -587,11 +626,16 @@ class _Translator:
             ctx.emit(PVar(mangle_var(local.name, 0)), _default_value(local.var_type))
         for s in decl.body:
             self.stmt(s, ctx)
-        result = self.expr(decl.return_expr, ctx)
+        value = self.expr(decl.return_expr, ctx)
+        result: MlExpr = Tuple((Var(ctx.state), value))
+        if (isinstance(value, Var) and ctx.bindings
+                and ctx.bindings[-1].pat == PTuple((PVar(ctx.state), PVar(value.name)))):
+            # the last binding binds the (state, value) returned, as of a
+            # call: the method ends in its right-hand side instead
+            result = ctx.bindings.pop().rhs
         param = PTuple((PVar("mj_s0"), PVar("mj_this"),
                         _ptup([PVar(mangle_var(f.name, 0)) for f in decl.formals])))
-        return FunDef(mangle_method(class_index, decl.name), param,
-                      ctx.wrap(Tuple((Var(ctx.state), result))))
+        return FunDef(mangle_method(class_index, decl.name), param, ctx.wrap(result))
 
     def main(self, program: MjProgram) -> FunDef:
         ctx = _Ctx(_FnScope([], _assigns(program.main.body)), {}, "mj_s0")
@@ -609,9 +653,11 @@ class _Translator:
             for decl in info.decl.methods:
                 if (info.name, decl.name) in table.live:
                     big.append(self.method(info.index, decl))
+        main = self.main(program)
+        big += self.loops
         if big:
             groups.append(tuple(big))
-        groups.append((self.main(program),))
+        groups.append((main,))
         return MlProgram(datatypes=self.datatypes(),
                          fun_groups=groups,
                          main=App(Var("mj_main"), Tuple(())))

@@ -11,10 +11,11 @@ import pytest
 from mj2ml import mlprint, sema
 from mj2ml.cli import main
 from mj2ml.mjast import CallExpr, Expr, Stmt
-from mj2ml.mlast import validate_core
+from mj2ml.mlast import Case, If, Let, Val, validate_core
 from mj2ml.mlprint import print_ml_program
 from mj2ml.outcome import MAX_NESTING, RunOutcome, extra_frames
 from mj2ml.parser import parse_source
+from mj2ml.randgen import generate_program
 from mj2ml.translate import translate
 
 FAULTING = """\
@@ -388,14 +389,40 @@ def test_deepest_translations_print_and_validate_from_a_deep_caller(form):
         assert at_depth(900, lambda: print_ml_program(ml)).endswith("\nval _ = mj_main ()\n")
 
 
-def test_the_deepest_while_prints_in_4_frames_a_level():
-    # a nested `while` is an `if` whose branch is a `let` declaring a `fun`,
-    # which print in 4 frames: `_block` for each of the `if` and the `let`,
-    # `_group` and `_bind` for the `fun`
-    source, deepest = NESTING_FORMS["while"]
+def test_the_deepest_if_prints_in_3_frames_a_level():
+    # the costliest form to print: a nested `if` is the right-hand side of
+    # a `val` in the `let` of its enclosing `if`'s branch, which print in 3
+    # frames, `_block` for each of the `if` and the `let` and `_bind` for
+    # the `val` (1 501 frames in all from a script; the 50 spare frames are
+    # for a caller that re-enters the interpreter from C, as pytest does)
+    source, deepest = NESTING_FORMS["if"]
     ml = translate(parse_source(source(deepest)))
-    with patch.object(mlprint, "COMPILE_FRAMES", 5 * MAX_NESTING):
+    with patch.object(mlprint, "COMPILE_FRAMES", 3 * MAX_NESTING + 50):
         assert print_ml_program(ml).endswith("\nval _ = mj_main ()\n")
+
+
+def test_no_translation_declares_a_fun_inside_a_let(corpus_files):
+    # every function is top-level, loops included, however deep they nest
+    programs = [translate(parse_source(path.read_text())) for path in corpus_files]
+    programs += [translate(generate_program(s, 40)) for s in range(200)]
+    programs += [translate(parse_source(source(deepest)))
+                 for source, deepest in NESTING_FORMS.values()]
+    loops = 0
+    for ml in programs:
+        # in A-normal form (which validate_core checks) a `let` stands only
+        # in a function body, a `val`, a `let` body, an `if` branch or a rule
+        stack = [ml.main, *(f.body for group in ml.fun_groups for f in group)]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Let):
+                assert all(isinstance(decl, Val) for decl in node.decls)
+                stack += [decl.rhs for decl in node.decls] + [node.body]
+            elif isinstance(node, If):
+                stack += [node.then, node.orelse]
+            elif isinstance(node, Case):
+                stack += [rhs for _, rhs in node.rules]
+        loops += sum(f.name.startswith("mj_loop") for group in ml.fun_groups for f in group)
+    assert loops > 498
 
 
 def test_diff_corpus_exits_0(corpus_dir, capsys):

@@ -41,13 +41,16 @@ def test_a_name_is_unbound_before_the_declaration_that_binds_it():
     assert violations(main) == [("main/let0-rhs", "unbound variable 'b'")]
 
 
-def test_local_group_sees_itself_and_earlier_declarations_only():
-    # let val x = 1 fun f n = g x and g n = f y val y = 2 in f 0 end
-    group = (FunDef("f", PVar("n"), App(Var("g"), Var("x"))),
-             FunDef("g", PVar("n"), App(Var("f"), Var("y"))))
-    main = Let((Val(PVar("x"), IntLit(1)), group, Val(PVar("y"), IntLit(2))),
-               App(Var("f"), IntLit(0)))
-    assert violations(main) == [("main/let1/fun g/app-arg", "unbound variable 'y'")]
+def test_a_group_sees_itself_and_earlier_groups_only():
+    # fun h n = f n
+    # fun f n = g (h n) and g n = f m
+    # f 0: h cannot call the later group, and m is bound nowhere
+    h = FunDef("h", PVar("n"), App(Var("f"), Var("n")))
+    group = (FunDef("f", PVar("n"), App(Var("g"), App(Var("h"), Var("n")))),
+             FunDef("g", PVar("n"), App(Var("f"), Var("m"))))
+    assert violations(App(Var("f"), IntLit(0)), [(h,), group]) == [
+        ("group0/fun h/app-fn", "unbound variable 'f'"),
+        ("group1/fun g/app-arg", "unbound variable 'm'")]
 
 
 def test_inner_let_bindings_do_not_leak():
@@ -66,8 +69,10 @@ def test_inner_let_bindings_do_not_leak():
 def test_duplicate_names_in_a_group_are_flagged_local_and_top_level():
     f0 = FunDef("f", PWild(), IntLit(0))
     f1 = FunDef("f", PWild(), IntLit(1))
+    # a group in a `let` is flagged for being there, and declares nothing
     local = Let(((f0, f1),), App(Var("f"), IntLit(0)))
-    assert violations(local) == [("main/let0", "duplicate function name in group")]
+    assert violations(local) == [("main/let0", "'fun' inside a 'let'"),
+                                 ("main/let-body/app-fn", "unbound variable 'f'")]
     top = App(Var("f"), IntLit(0))
     assert violations(top, [(f0, f1)]) == [("group0", "duplicate function name in group")]
 
@@ -83,7 +88,8 @@ def test_val_patterns_are_checked():
 
 
 def test_a_declaration_must_be_a_val_or_a_group():
-    # a bare FunDef where a one-function group belongs
+    # a bare FunDef, which is not even a group (and a group is a `fun`
+    # inside a `let`, see test_a_fun_inside_a_let_is_rejected)
     main = Let((FunDef("f", PWild(), IntLit(0)),), IntLit(0))
     assert violations(main) == [("main/let0", "not a core declaration: FunDef")]
 
@@ -153,12 +159,15 @@ LOCAL_INC = FunDef("inc", PVar("y"), add(Var("y"), IntLit(1)))
     (Let((Val(PVar("h"), Var("f")),), App(Var("h"), IntLit(2))), [(INC,)],
      [("main/let0-rhs", "function 'f' read as a value"),
       ("main/let-body/app-fn", "'h' is applied but is not a function")]),
-    # let fun inc y = y + 1 in inc 1 + apply (inc, 4) end
+    # let fun inc y = y + 1 in inc 1 + apply (inc, 4) end: `inc` is local,
+    # so it is flagged for that and not in scope where it escapes
     (Let(((LOCAL_INC,),), add(App(Var("inc"), IntLit(1)),
                               App(Var("apply"), Tuple((Var("inc"), IntLit(4)))))),
      [(APPLY,)],
      [("group0/fun apply/app-fn", "'g' is applied but is not a function"),
-      ("main/let-body/+.1/app-arg/tuple.0", "function 'inc' read as a value")]),
+      ("main/let0", "'fun' inside a 'let'"),
+      ("main/let-body/+.0/app-fn", "unbound variable 'inc'"),
+      ("main/let-body/+.1/app-arg/tuple.0", "unbound variable 'inc'")]),
 ], ids=["val-rebinds-fun", "val-alias", "local-fun-escapes"])
 def test_a_fun_read_as_a_value_is_rejected(main, groups, expected):
     # the core fragment is first-order: a `fun` is only ever applied, and
@@ -174,8 +183,51 @@ def test_only_a_functions_name_is_applied():
         ("main/app-fn", "only a function's name can be applied")]
     assert violations(Let((Val(PVar("p"), Var("mj_print")),), IntLit(0))) == [
         ("main/let0-rhs", "function 'mj_print' read as a value")]
-    # a value shadowing a `fun` is a value, and a `fun` shadowing it a function
+    # a value shadowing a `fun` is a value; no `fun` shadows a value, since
+    # a `let` declares none
     shadowed = Let((Val(PVar("f"), IntLit(1)),), add(Var("f"), App(Var("mj_print"), Var("f"))))
     assert violations(shadowed, [(INC,)]) == []
     assert violations(Let((Val(PVar("f"), IntLit(1)), (INC,)), App(Var("f"), Var("f")))) == [
-        ("main/let-body/app-arg", "function 'f' read as a value")]
+        ("main/let1", "'fun' inside a 'let'"),
+        ("main/let-body/app-fn", "'f' is applied but is not a function")]
+
+
+def fac(name):
+    # fun fac n = if n < 1 then 1 else n * fac (n - 1)
+    n = Var("n")
+    recurse = App(Var(name), PrimOp("-", (n, IntLit(1))))
+    return FunDef(name, PVar("n"),
+                  If(PrimOp("<", (n, IntLit(1))), IntLit(1), PrimOp("*", (n, recurse))))
+
+
+@pytest.mark.parametrize("main, groups, expected", [
+    # let fun fac n = ... in fac 10 end
+    (Let(((fac("fac"),),), App(Var("fac"), IntLit(10))), [],
+     [("main/let0", "'fun' inside a 'let'"),
+      ("main/let-body/app-fn", "unbound variable 'fac'")]),
+    # let val x = 1 fun g _ = x val x = 2 in g () + 10 * x end: g would
+    # read the x it was declared after
+    (Let((Val(PVar("x"), IntLit(1)), (FunDef("g", PWild(), Var("x")),),
+          Val(PVar("x"), IntLit(2))),
+         add(App(Var("g"), Tuple(())), PrimOp("*", (IntLit(10), Var("x"))))), [],
+     [("main/let1", "'fun' inside a 'let'"),
+      ("main/let-body/+.0/app-fn", "unbound variable 'g'")]),
+    # let fun f x = x + 1 in f 3 end, shadowing a top-level f
+    (Let(((INC,),), App(Var("f"), IntLit(3))), [(fac("f"),)],
+     [("main/let0", "'fun' inside a 'let'")]),
+    # fun outer n = let fun inner m = if m < 1 then n else inner (m - 1)
+    # in inner 3 end: inner would read outer's n as a free variable
+    (App(Var("outer"), IntLit(7)),
+     [(FunDef("outer", PVar("n"), Let(((FunDef("inner", PVar("m"), If(
+         PrimOp("<", (Var("m"), IntLit(1))), Var("n"),
+         App(Var("inner"), PrimOp("-", (Var("m"), IntLit(1)))))),),),
+         App(Var("inner"), IntLit(3)))),)],
+     [("group0/fun outer/let0", "'fun' inside a 'let'"),
+      ("group0/fun outer/let-body/app-fn", "unbound variable 'inner'")]),
+], ids=["recursive", "reads-a-val", "shadows-a-top-level-fun", "reads-a-parameter"])
+def test_a_fun_inside_a_let_is_rejected(main, groups, expected):
+    # every function of the core fragment is top-level, and the evaluator
+    # has one activation level to run them in
+    assert violations(main, groups) == expected
+    with pytest.raises(AssertionError):
+        eval_program(MlProgram([], groups, main))

@@ -122,13 +122,13 @@ def test_mutual_recursion_via_one_group():
     assert val is False
 
 
-def test_letfun_ties_the_knot_locally():
+def test_a_top_level_fun_calls_itself_outside_tail_position():
     fac = FunDef("fac", PVar("n"),
                  If(PrimOp("<", (Var("n"), IntLit(1))),
                     IntLit(1),
                     PrimOp("*", (Var("n"),
                                  App(Var("fac"), PrimOp("-", (Var("n"), IntLit(1))))))))
-    out, val = run(Let(((fac,),), App(Var("fac"), IntLit(10))))
+    out, val = run(App(Var("fac"), IntLit(10)), fun_groups=((fac,),))
     assert val == 3628800
 
 
@@ -177,17 +177,6 @@ def test_an_index_outside_the_tree_fails_to_match_in_mj_get_and_mj_set(index):
     assert (get.fault, set_.fault) == (fault, fault)
 
 
-def test_let_does_not_change_what_a_closure_captured():
-    # let val x = 1 fun g _ = x val x = 2 in g () + 10 * x end
-    main = Let((Val(PVar("x"), IntLit(1)),
-                (FunDef("g", PWild(), Var("x")),),
-                Val(PVar("x"), IntLit(2))),
-               PrimOp("+", (App(Var("g"), Tuple(())),
-                            PrimOp("*", (IntLit(10), Var("x"))))))
-    out, val = run(main)
-    assert out.ok and val == 21
-
-
 def test_failed_case_rule_binds_nothing():
     # let x = 5 in case (SOME 1, NONE) of (SOME x, SOME _) => 0 | _ => x
     main = Let((Val(PVar("x"), IntLit(5)),),
@@ -224,10 +213,9 @@ SUM = FunDef("f", PTuple((PVar("a"), PVar("b"))), add(Var("a"), Var("b")))
 
 
 @pytest.mark.parametrize("main, groups, expected", [
-    # a local `fun f x` shadows the top-level `fun f (a, b)`
-    (Let(((FunDef("f", PVar("x"), PrimOp("*", (Var("x"), IntLit(2)))),),),
-         App(Var("f"), IntLit(3))),
-     ((SUM,),), (6, None, 7)),
+    # a later group's `fun f x` shadows the earlier `fun f (a, b)`
+    (App(Var("f"), IntLit(3)),
+     ((SUM,), (FunDef("f", PVar("x"), PrimOp("*", (Var("x"), IntLit(2)))),)), (6, None, 6)),
     # a 3-tuple for a 2-tuple parameter fails to match after the charge
     (App(Var("f"), Tuple((IntLit(1), IntLit(2), IntLit(3)))),
      ((FIRST,),), (None, FaultKind.MATCH_FAILURE, 6)),
@@ -242,28 +230,28 @@ SUM = FunDef("f", PTuple((PVar("a"), PVar("b"))), add(Var("a"), Var("b")))
     (App(Var("f"), Tuple((IntLit(1), add(IntLit(2), IntLit(3))))), ((SUM,),), (6, None, 10)),
     (App(Var("f"), IntLit(9)), ((INC,),), (10, None, 6)),
     (App(Var("f"), add(IntLit(9), IntLit(1))), ((INC,),), (11, None, 8)),
-], ids=["local-fun-shadows", "arity-mismatch", "tuple-in-variable", "non-tail",
+], ids=["later-fun-shadows", "arity-mismatch", "tuple-in-variable", "non-tail",
         "known-tuple", "known-tuple-impure", "known-single", "known-single-impure"])
 def test_calls_of_known_functions_keep_values_faults_and_steps(main, groups, expected):
     out, val = run(main, fun_groups=groups)
     assert (val, out.fault, out.steps) == expected
 
 
-def test_known_calls_reach_the_frames_their_functions_were_defined_in():
+def test_a_lifted_function_reads_what_its_caller_passes():
     # fun top _ = 100
-    # fun outer n = let fun inner m = if m < 1 then n + top 0 else inner (m - 1)
-    #               in inner 3 end
-    # inner reads outer's n one activation out, calls itself from its own
-    # body and is called from outer's, and calls top, defined at the top
-    # level, from two activations below it
-    inner = FunDef("inner", PVar("m"),
+    # fun inner (m, n) = if m < 1 then n + top 0 else inner (m - 1, n)
+    # and outer n = inner (3, n)
+    # inner, as a translated loop is, takes the variable it only reads
+    # from its caller and passes it on to itself; each call's frame holds
+    # its own n, and every function reads top-level ones alone
+    inner = FunDef("inner", PTuple((PVar("m"), PVar("n"))),
                    If(PrimOp("<", (Var("m"), IntLit(1))),
                       add(Var("n"), App(Var("top"), IntLit(0))),
-                      App(Var("inner"), PrimOp("-", (Var("m"), IntLit(1))))))
-    outer = FunDef("outer", PVar("n"), Let(((inner,),), App(Var("inner"), IntLit(3))))
+                      App(Var("inner"), Tuple((PrimOp("-", (Var("m"), IntLit(1))), Var("n"))))))
+    outer = FunDef("outer", PVar("n"), App(Var("inner"), Tuple((IntLit(3), Var("n")))))
     top = FunDef("top", PWild(), IntLit(100))
     out, val = run(add(App(Var("outer"), IntLit(7)), App(Var("outer"), IntLit(5))),
-                   fun_groups=((top,), (outer,)))
+                   fun_groups=((top,), (inner, outer)))
     assert out.ok and val == 212
 
 
@@ -272,14 +260,14 @@ def test_known_calls_reach_the_frames_their_functions_were_defined_in():
 # and expression.  A change to how either interpreter charges fuel shows
 # here.
 CORPUS_STEPS = {
-    "BinarySearch": (16320, 4018),
-    "BinaryTree": (6640, 527),
-    "BubbleSort": (24021, 1856),
-    "Factorial": (363, 141),
-    "LinearSearch": (9771, 1293),
-    "LinkedList": (2172, 171),
-    "QuickSort": (14825, 1114),
-    "TreeVisitor": (4656, 303),
+    "BinarySearch": (16529, 4018),
+    "BinaryTree": (6596, 527),
+    "BubbleSort": (24149, 1856),
+    "Factorial": (319, 141),
+    "LinearSearch": (9705, 1293),
+    "LinkedList": (2169, 171),
+    "QuickSort": (14912, 1114),
+    "TreeVisitor": (4592, 303),
 }
 
 
@@ -401,7 +389,7 @@ def test_both_sides_finish_a_5000_deep_method_recursion():
 
 # ML-side steps of generated programs at 100 000 fuel, one line per seed
 # 0..49 with the fault, steps and output; 49 of the 50 runs finish.
-GENERATED_ML_STEPS_SHA256 = "cd9fa301eb7a0d81c5d7e851551715d144c7ae4e860e78bd6c67446d3eefa5d2"
+GENERATED_ML_STEPS_SHA256 = "9da32dbb7a48863bcf0581b5dde46dc9790c7ae8a9506815d4e66ef634c2531f"
 
 
 def test_generated_programs_take_the_pinned_ml_steps():

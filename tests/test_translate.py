@@ -9,7 +9,7 @@ from mj2ml.cli import main
 from mj2ml.diffharness import diff_source
 from mj2ml.mjast import print_program
 from mj2ml.mleval import eval_program
-from mj2ml.mlast import App, Case, FunDef, If, Let, PTuple, PVar, Val, Var, validate_core
+from mj2ml.mlast import App, Case, FunDef, If, Let, PTuple, PVar, Tuple, Val, Var, validate_core
 from mj2ml.mlprint import print_ml_program
 from mj2ml.outcome import FaultKind
 from mj2ml.parser import parse_source
@@ -59,14 +59,14 @@ def test_corpus_translations_stay_in_the_core(corpus_files):
 # SHA-256 of each corpus file's emitted SML.  A change that alters the
 # emitted bytes on purpose must update these pins and say so.
 EMITTED_SML_SHA256 = {
-    "BinarySearch": "859d8428498a317ed99914890e9f0b14df27b12a22e9ae5f84569ce4af2e9bc2",
-    "BinaryTree": "290ba405142883db68424dba293aceda3e1deab347f659252a22fbbc093ff853",
-    "BubbleSort": "8a1ad8391143759bc3a6689aa9dcdf7e8801f1c2453ea0d6a86889f9445f6aaa",
-    "Factorial": "2a095efcd9659c366318f4fd806d5ee0dcaf24b28a9746da01f9637662481784",
-    "LinearSearch": "d2a401ed90ef3d82f3e70c10fa5ced9ff12cb978e4a592ca1d12d199c0fe5925",
-    "LinkedList": "9e4420c4d6038133e5cf8651ccb404e51b0a273dae3f9b8cf3dc98283bb9c54f",
-    "QuickSort": "a7a6f380a069969b7c4dee4097395bf64b5bddccfc5eba4c954ad1e6f10d2206",
-    "TreeVisitor": "29a8aa7b3d42c8838df457d0a38e9ea268c501a1420c49a920967be4a376bc77",
+    "BinarySearch": "0ce538bedf4db50a6c128726034bf23898928335e7604d54f6af2f7dfc19b844",
+    "BinaryTree": "33ef12f7dfd9896f8255759c409712d5c9c511696c0f566420d6f4b1836d249f",
+    "BubbleSort": "b201ece20dc2c9f643de2742899a963a5a46bb5ea957a700b48e01fbf70a0836",
+    "Factorial": "dca47d1513a51bb85b4412c6ecce3fbf4175c6fa2085d7dfb305aa242243ac27",
+    "LinearSearch": "ae43d79fb0ae7831799686f3ec89d89ed97bb3554103fa11e2ceb72cfa1f9310",
+    "LinkedList": "082bdc5751baa4e7f2ec464d25fe3e4da426f4a0c8bcfbccb4188d2f03c70ddc",
+    "QuickSort": "5f4914da08b0667ab82ead0b2300284bc5e2c25b35bd45d685e09c54fd2f1d49",
+    "TreeVisitor": "1c7733b17b1f5640a7f936adcb4e77c8b17c21aa1234fce7f33d16989c05f311",
 }
 
 
@@ -215,7 +215,7 @@ def test_generated_subclass_encoding_is_pinned():
     text = "".join(print_ml_program(translate(generate_program(s, 40)), f"seed{s:03d}")
                    for s in range(40))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "41e7ac08967b62e397074f0cecf914ec16a37117ec79707f152edcf58301dbc1"
+        "c602b10953edd1fdd109cfc38e95c3e68acc69f86dc5c3921dcadb20a74d8669"
 
 
 def test_gen200_workload_is_pinned():
@@ -228,7 +228,7 @@ def test_gen200_workload_is_pinned():
     assert (len(source), hashlib.sha256(source).hexdigest()) == (
         624675, "4aaa6ae173174edd3a3581bb467872f20879886553696d0b1b4401880281a271")
     assert (len(sml), hashlib.sha256(sml).hexdigest()) == (
-        1907667, "c20e6f0592831c0615939c22334446db2d1a8a13ff3d8b094a9c5a4f3c8ea48a")
+        1820660, "8f7f15506391937d0b689a5789b33807b41418bafb0edef5be1918d12e225fb9")
 
 
 PLUMBING = """\
@@ -308,9 +308,29 @@ def slot_reads(fn):
 
 
 def test_a_loop_carries_the_state_and_only_the_variables_it_assigns():
-    # a, b, c and d are free variables of the loop's `fun`
-    [loop] = [f for f in nodes(plumbing_method("loop"), FunDef) if f.name == "mj_loop0"]
-    assert loop.param == PTuple((PVar("mj_s1"), PVar(mangle_var("e", 2))))
+    # the loop's top-level function also takes a, b, c and d, which it
+    # only reads, after e; it returns the state and e alone, and the
+    # method, which returns e, ends in the loop's call
+    [loop] = [f for group in tr(PLUMBING).fun_groups for f in group if f.name == "mj_loop0"]
+    e = mangle_var("e", 2)
+    assert loop.param == PTuple((PVar("mj_s1"), PVar(e),
+                                 *(PVar(mangle_var(x, 1)) for x in "abcd")))
+    assert loop.body.body.orelse == Tuple((Var("mj_s1"), Var(e)))
+    call = plumbing_method("loop").body.body
+    assert call == App(Var("mj_loop0"), Tuple((Var("mj_s0"), Var(mangle_var("e", 1)),
+                                               *(Var(mangle_var(x, 1)) for x in "abcd"))))
+
+
+def test_a_return_of_a_call_ends_in_the_call(corpus_dir):
+    # TreeVisitor's accept returns what v.visit(this) returns: it ends in
+    # the `case` on v's class, whose every rule is a call, rather than
+    # binding the call's (state, value) and rebuilding that tuple
+    ml = tr((corpus_dir / "TreeVisitor.java").read_text())
+    [accept] = [f for group in ml.fun_groups for f in group if f.name.endswith("_accept")]
+    dispatch = accept.body.body
+    assert isinstance(dispatch, Case) and len(dispatch.rules) == 3
+    assert all(isinstance(rhs, App) and rhs.func.name.endswith("_visit")
+               for _, rhs in dispatch.rules)
 
 
 def test_an_if_that_assigns_nothing_carries_only_the_state():
