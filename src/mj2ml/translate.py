@@ -311,46 +311,48 @@ def _assigns(body: list[Stmt]) -> dict[int, tuple[set[str], set[str]]]:
     todo: list = list(body)
     while todo:
         s = todo.pop()
-        assigned, reads = sets[-1]
-        if isinstance(s, tuple):
-            # the end of s[0], whose sets these are: they join the enclosing ones
-            found[id(s[0])] = sets.pop()
-            sets[-1][0].update(assigned)
-            sets[-1][1].update(reads)
-        elif isinstance(s, BlockStmt):
+        kind = type(s)
+        # the commonest kinds first; literals and `new` objects read nothing
+        if kind is IdentExpr:
+            sets[-1][1].add(s.name if s.binding.kind != "field" else "this")
+        elif kind is BinaryExpr:
+            todo += (s.left, s.right)
+        elif kind is AssignStmt:
+            if s.binding.kind == "field":
+                sets[-1][1].add("this")
+            else:
+                sets[-1][0].add(s.name)
+            todo.append(s.value)
+        elif kind is BlockStmt:
             todo += s.body
-        elif isinstance(s, IfStmt):
+        elif kind is PrintStmt:
+            todo.append(s.value)
+        elif kind is CallExpr:
+            todo += (s.receiver, *s.args)
+        elif kind is IfStmt:
             sets.append((set(), set()))
             todo += ((s,), s.cond, s.then_branch, s.else_branch)
-        elif isinstance(s, WhileStmt):
+        elif kind is WhileStmt:
             sets.append((set(), set()))
             todo += ((s,), s.cond, s.body)
-        elif isinstance(s, AssignStmt):
-            if s.binding.kind == "field":
-                reads.add("this")
-            else:
-                assigned.add(s.name)
-            todo.append(s.value)
-        elif isinstance(s, ArrayAssignStmt):
-            reads.add("this" if s.binding.kind == "field" else s.name)
+        elif kind is tuple:
+            # the end of s[0]: its sets join the enclosing ones
+            found[id(s[0])] = assigned, reads = sets.pop()
+            sets[-1][0].update(assigned)
+            sets[-1][1].update(reads)
+        elif kind is ArrayAssignStmt:
+            sets[-1][1].add(s.name if s.binding.kind != "field" else "this")
             todo += (s.index, s.value)
-        elif isinstance(s, PrintStmt):
-            todo.append(s.value)
-        elif isinstance(s, (IdentExpr, ThisExpr)):
-            local = isinstance(s, IdentExpr) and s.binding.kind != "field"
-            reads.add(s.name if local else "this")
-        elif isinstance(s, BinaryExpr):
-            todo += (s.left, s.right)
-        elif isinstance(s, NotExpr):
-            todo.append(s.operand)
-        elif isinstance(s, ArrayIndexExpr):
-            todo += (s.array, s.index)
-        elif isinstance(s, ArrayLengthExpr):
+        elif kind is ArrayLengthExpr:
             todo.append(s.array)
-        elif isinstance(s, NewArrayExpr):
+        elif kind is ArrayIndexExpr:
+            todo += (s.array, s.index)
+        elif kind is NotExpr:
+            todo.append(s.operand)
+        elif kind is NewArrayExpr:
             todo.append(s.length)
-        elif isinstance(s, CallExpr):
-            todo += (s.receiver, *s.args)
+        elif kind is ThisExpr:
+            sets[-1][1].add("this")
     return found
 
 
