@@ -55,7 +55,7 @@ MAX_NESTING = 500
 # Python frames each compile stage may use beyond its caller's.  Bisected
 # over every way of nesting to MAX_NESTING, the costliest is parsing, 5
 # per `&& (` (2 501 frames); printing takes at most 3 per nested `if`
-# (1 501), and no stage takes more than 2 per chained class.
+# (1 501), and no stage recurses per chained class.
 COMPILE_FRAMES = 8 * MAX_NESTING
 
 

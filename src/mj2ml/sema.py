@@ -8,13 +8,12 @@ get `.receiver_class`.  Later stages rely on those annotations.
 `build_class_table` resolves inheritance once, each class after its
 superclass whatever the declaration order, and checks each class against
 what it inherits.  The object layouts of `mjinterp` and `translate` read
-the resolved `ClassInfo` fields (`path`, `all_fields`, `vtable`,
-`slot_owner`); each extends its superclass's in order, so a field or
-method slot has the same position in a class and in its subclasses.
-Nesting has one limit for all later stages, `outcome.MAX_NESTING`: more
-statement and expression nodes from a body to a leaf (a field or method
-access counting one more per class above its own), or classes in an
-inheritance chain, are a type error at the body's start or the class.
+the resolved `ClassInfo` fields (`path`, `all_fields`, `vtable`); each
+extends its superclass's in order, so a field or method slot has the
+same position in a class and in its subclasses.  Nesting has one limit
+for all later stages, `outcome.MAX_NESTING`: more statement and
+expression nodes from a body to a leaf, or classes in an inheritance
+chain, are a type error at the body's start or the class.
 
 `typecheck` also fills in what a run can reach from main (`_mark_live`),
 from the `new C` and the (receiver class, method) of each call that it
@@ -104,8 +103,6 @@ class ClassInfo:
     all_fields: dict[str, tuple[str, MjType]] = field(default_factory=dict)
     # every method in slot order: name -> (implementing class, declaration)
     vtable: dict[str, tuple[str, MethodDecl]] = field(default_factory=dict)
-    # every method in slot order: name -> the class that introduced its slot
-    slot_owner: dict[str, str] = field(default_factory=dict)
 
 
 class ClassTable:
@@ -124,9 +121,6 @@ class ClassTable:
 
     def has(self, name: str) -> bool:
         return name in self.classes
-
-    def roots(self) -> list[str]:
-        return [c.name for c in self.classes.values() if c.superclass is None]
 
     def is_assignable(self, src: MjType, dst: MjType) -> bool:
         if isinstance(src, ClassType) and isinstance(dst, ClassType):
@@ -182,7 +176,6 @@ def _resolve(table: ClassTable, info: ClassInfo) -> None:
                               f"inheritance of class '{info.name}' nested too deeply")
         info.all_fields = dict(parent.all_fields)
         info.vtable = dict(parent.vtable)
-        info.slot_owner = dict(parent.slot_owner)
     for fdecl in info.decl.fields:
         if fdecl.name in info.fields:
             raise MjTypeError(fdecl.span.start,
@@ -204,9 +197,7 @@ def _resolve(table: ClassTable, info: ClassInfo) -> None:
         for formal in mdecl.formals:
             _require_known_type(table, formal.var_type, formal.span.start)
         above = info.vtable.get(mdecl.name)
-        if above is None:
-            info.slot_owner[mdecl.name] = info.name
-        else:
+        if above is not None:
             _, parent_decl = above
             same = (len(parent_decl.formals) == len(mdecl.formals)
                     and all(a.var_type == b.var_type
@@ -272,21 +263,12 @@ class _Checker:
         if self.depth > MAX_NESTING:
             raise MjTypeError(self.start, "expressions or statements nested too deeply")
 
-    def reach(self, cls: str) -> None:
-        """A member of cls is reached through an object pattern one level
-        per class of cls's chain (`translate`): each class above cls counts
-        as one more node open."""
-        if self.depth + len(self.table.info(cls).path) - 1 > MAX_NESTING:
-            raise MjTypeError(self.start, "expressions or statements nested too deeply")
-
     def lookup(self, node: IdentExpr | AssignStmt | ArrayAssignStmt) -> MjType:
         """Bind the variable a node reads or writes; return its type."""
         entry = self.scope.get(node.name)
         if entry is None:
             raise MjTypeError(node.span.start, f"undeclared variable '{node.name}'")
         node.binding, ty = entry
-        if node.binding.kind == "field":
-            self.reach(node.binding.decl_class)
         return ty
 
     # -- expressions ----------------------------------------------------------
@@ -346,7 +328,6 @@ class _Checker:
                 raise MjTypeError(e.span.start,
                                   f"class '{recv.name}' has no method '{e.method}'")
             _, decl = found
-            self.reach(self.table.info(recv.name).slot_owner[e.method])
             self.calls.add((recv.name, e.method))
             if len(e.args) != len(decl.formals):
                 raise MjTypeError(

@@ -16,7 +16,7 @@ index n, and like any array index outside 0 .. length-1 its walk ends in
 an empty subtree, where the helpers have no rule: a MatchFailure fault.
 
 This module is the only one that knows that encoding.  It holds the
-store's types (`STATE_TY`, the `heapval` and `tree` datatypes), the
+store's types (the `heapval` and `tree` datatypes), the
 `prelude` of helpers emitted with every program, and a builder for the
 ML expression of each store operation the translation emits: `lookup`,
 `update` and `alloc` of a state, `zeros` and `alloc_array` for a new
@@ -56,14 +56,11 @@ from .mlast import (
     PWild,
     Tuple,
     TyApp,
-    TyName,
     TyTuple,
     TyVar,
     Val,
     Var,
 )
-
-STATE_TY = TyTuple((TY_INT, TyApp("tree", TyName("heapval"))))
 
 # datatype 'a tree = Lf | Nd of 'a * 'a tree * 'a tree
 TREE = DataType("tree", (DataCon("Lf", TY_UNIT),

@@ -4,15 +4,14 @@ The generated program threads a heap value through every computation
 instead of using mutable state.  How that value, and each array in it,
 is encoded is the `store` module's alone.
 
-Objects hold only their fields.  For each root class R the heap
-carries ``HObj_R`` of R's level tuple: the fields introduced by R, then
-one extension slot of type ``mj_ext_R option`` (or ``unit option`` for
-classes nobody extends).  Each direct subclass D contributes a
-constructor ``Ext_D`` carrying D's own level tuple, so an object's
-extension depth equals its inheritance depth, the innermost extension
-slot holds NONE, and the `Ext_` spine names the object's class.  Field
-update rebuilds the whole constructor spine around the changed field
-and reinstalls the object in the heap.
+Objects hold only their fields.  For each class C a run can
+instantiate, the heap's values have one constructor ``HObj_C`` of all
+of C's fields, the root class's first (`ClassInfo.all_fields`, the
+layout `mjinterp` uses too), so an object's constructor names its
+class.  A field of `this` is read or written by matching the object
+with one rule for each class whose objects run the method being
+translated: its receiver classes.  A write rebuilds the object around
+the changed field and reinstalls it in the heap.
 
 Calls are dispatched statically, so the emitted program has no function
 values.  Rapid type analysis (see `sema`) gives the classes a run can
@@ -21,7 +20,7 @@ of.  When all of them run the same implementation, as nearly every call
 does, the call is a known call of it, behind a null check
 ``case recv < 0 of false => ...`` unless the receiver is `this` or a
 `new` object.  Otherwise the call reads the receiver and matches its
-class on the spine, with one rule, a known call, for each class.
+class on its constructor, with one rule, a known call, for each class.
 
 Statements become let bindings in evaluation order, one binding per
 intermediate value (administrative normal form).  An assignment binds
@@ -33,32 +32,35 @@ variables it assigns, those it only reads and ``mj_this`` if it reads
 `this` or a field, and returns the state and the variables it assigns.
 Each state name is bound once, like a value in SSA form (Appel, "SSA is
 Functional Programming", 1998), so a heap cell read in a state is read
-once and its value reused until the state changes.
+once and its value reused until the state changes.  A run of bindings
+whose last one binds exactly the value the run ends with, as a call's
+(state, value) or a join's tuple can, ends in that binding's right-hand
+side instead: a method that returns what a call returns, or an `if`
+branch whose last statement assigns what a call returns, ends in the
+call.
 
 Every generated function takes and returns the state: methods are
 ``fn (state, self, args) -> (state, result)`` where args is (), a bare
 value, or a tuple by arity; constructors are state -> (state, pointer);
-``mj_main`` is unit -> state and returns the final state.  A method
-whose last binding is the (state, value) it returns, as of a call, ends
-in that binding's right-hand side instead.  Only what a run can reach
-is emitted (see `sema`): a constructor for each class instantiated, and
-a function for each live method.  The implementation a call runs for an
-instantiated class is live, so each known call names an emitted
-function.
+``mj_main`` is unit -> state and returns the final state.  Only what a
+run can reach is emitted (see `sema`): a constructor for each class
+instantiated, and a function for each live method.  The implementation
+a call runs for an instantiated class is live, so each known call names
+an emitted function.
 
 Each of these decisions is written once.  `_Ctx` holds the ANF binders
 and the state threading: `bind` for an intermediate value, `bind_state`
-for the (state, value) of a call that returns a new state, and
-`carried`/`join` for the tuple of branch joins and loops.  `_lookup`
-reads the heap, and `_read_field` a field of `this`, once per cell or
-field and state, and `_store` writes it and makes the new state current;
-field and array writes both go through it.  The object layout is each
-class's `fields`, level by level down its `path`, which the datatypes,
-the constructors, the read and write spines and the dispatch patterns
-(`_object`) all read.  `_call` dispatches.  Every heap and array access is built by
-`store`, whose prelude of helpers each translation starts with.  What
-each `if` and `while` assigns and reads is found once per method, by
-`_assigns`.
+for the (state, value) of a call that returns a new state,
+`carried`/`join` for the tuple of branch joins and loops, and `wrap`
+for the end of a run.  `_lookup` reads the heap, and `_read_field` a
+field of `this`, once per cell or field and state, and `_store` writes
+it and makes the new state current; field and array writes both go
+through it.  The object layout is each class's `all_fields`, which the
+datatypes, the constructors and the field and dispatch patterns
+(`_object`) all read.  `_call` dispatches.  Every heap and array access
+is built by `store`, whose prelude of helpers each translation starts
+with.  What each `if` and `while` assigns and reads is found once per
+method, by `_assigns`.
 
 Translation runs within `outcome.COMPILE_FRAMES` Python frames beyond
 its caller's, which any program that typechecks fits.
@@ -97,7 +99,6 @@ from .mjast import (
 from .mlast import (
     TY_BOOL,
     TY_INT,
-    TY_UNIT,
     App,
     Case,
     Con,
@@ -117,8 +118,6 @@ from .mlast import (
     PVar,
     PWild,
     Tuple,
-    TyApp,
-    TyName,
     TyTuple,
     Val,
     Var,
@@ -176,12 +175,26 @@ def _payload_ty(items: list[MlType]) -> MlType:
     return items[0] if len(items) == 1 else TyTuple(tuple(items))
 
 
+def _as_expr(pat: Pat) -> MlExpr | None:
+    """A pattern of variables and tuples read as an expression; None for
+    any other pattern."""
+    if isinstance(pat, PVar):
+        return Var(pat.name)
+    if isinstance(pat, PTuple):
+        items = tuple(map(_as_expr, pat.items))
+        return None if None in items else Tuple(items)
+    return None
+
+
 @dataclass
 class _FnScope:
-    """Counters and variable bookkeeping for one generated function."""
+    """Counters and variable bookkeeping for one generated function, and
+    the classes whose objects run it, on which a field of `this` is
+    matched (none in main)."""
 
     var_order: list[str]
     uses: dict[int, tuple[set[str], set[str]]]
+    receivers: list[str]
     next_temp: int = 0
     next_state: int = 1
     maxver: dict[str, int] = dc_field(init=False)
@@ -231,8 +244,8 @@ class _Ctx:
 
     `reads` maps a pointer atom to the atom holding its heap value in the
     current state: `_lookup` reuses it and `_store` records the value it
-    wrote.  It also maps a (class, field) pair to the atom holding that
-    field of `this`, which `_read_field` reuses.  A heap lookup and a
+    wrote.  It also maps a field's name to the atom holding that field
+    of `this`, which `_read_field` reuses.  A heap lookup and a
     field's `case` are pure, so a second read of the same pointer or
     field in the same state would give the same value (and never runs if
     the first faulted).  Every new state, from a call, an allocation, a store,
@@ -258,8 +271,13 @@ class _Ctx:
         self.bindings.append(Val(pat, rhs))
 
     def wrap(self, result: MlExpr) -> MlExpr:
-        """The run's declarations around `result`."""
-        return Let(tuple(self.bindings), result) if self.bindings else result
+        """The run's declarations around `result`.  A last one that binds
+        exactly `result`, as a call's (state, value) or a join's tuple
+        does, is left out, and the run ends in its right-hand side."""
+        bindings = self.bindings
+        if bindings and _as_expr(bindings[-1].pat) == result:
+            bindings, result = bindings[:-1], bindings[-1].rhs
+        return Let(tuple(bindings), result) if bindings else result
 
     def bind(self, rhs: MlExpr, name: str | None = None) -> MlExpr:
         """Bind rhs to `name`, or to a fresh temporary, and return it."""
@@ -362,48 +380,24 @@ class _Translator:
         # the translated loops, numbered across the program
         self.loops: list[FunDef] = []
 
-    # -- object layout --------------------------------------------------------
-
-    def _level_ty(self, cls: str) -> MlType:
-        info = self.table.info(cls)
-        ext = TyName(f"mj_ext_{_enc(cls)}") if info.children else TY_UNIT
-        return _payload_ty([_ml_value_ty(ty) for ty in info.fields.values()]
-                           + [TyApp("option", ext)])
+    # -- objects ----------------------------------------------------------------
 
     def datatypes(self) -> list[DataType]:
-        decls = store.datatypes([DataCon(f"HObj_{_enc(root)}", self._level_ty(root))
-                                 for root in self.table.roots()])
-        for info in self.table.classes.values():
-            if not info.children:
-                continue
-            cons = [DataCon(f"Ext_{_enc(child)}", self._level_ty(child))
-                    for child in info.children]
-            decls.append(DataType(f"mj_ext_{_enc(info.name)}", tuple(cons)))
-        return decls
-
-    # -- object spines ----------------------------------------------------------
+        return store.datatypes([
+            DataCon(f"HObj_{_enc(c)}",
+                    _payload_ty([_ml_value_ty(ty) for _, ty in info.all_fields.values()]))
+            for c, info in self.table.classes.items() if c in self.table.instantiated])
 
     def _object(self, make, cls: str, item):
-        """The object, or with `make` = PCon the pattern, of a class that
-        is or extends cls, down to cls's level.  `item(level_class, field)`
-        gives each field, called in layout order from the root class's
-        level down, and `item(cls, None)` last, for the extension slot of
-        cls's level.  Each level above holds its fields and then the
-        extension slot `SOME (Ext_<next class> <next level>)`."""
-        path = self.table.info(cls).path
-        levels = [[item(c, f) for f in self.table.info(c).fields] for c in path]
-        inner = (*levels[-1], item(cls, None))
-        for c, items in zip(reversed(path[1:]), reversed(levels[:-1])):
-            inner = (*items, make("SOME", (make(f"Ext_{_enc(c)}", inner),)))
-        return make(f"HObj_{_enc(path[0])}", inner)
+        """The object, or with `make` = PCon the pattern, of class cls:
+        `HObj_<cls>` of `item(field)` for each of its fields, the root
+        class's first."""
+        return make(f"HObj_{_enc(cls)}", tuple(map(item, self.table.info(cls).all_fields)))
 
     def constructor(self, cls: str) -> FunDef:
-        def initial(level_cls, fname):
-            if fname is None:
-                return Con("NONE")
-            return _default_value(self.table.info(level_cls).fields[fname])
-
-        body = store.alloc(Var("mj_s0"), self._object(Con, cls, initial))
+        fields = self.table.info(cls).all_fields
+        body = store.alloc(Var("mj_s0"),
+                           self._object(Con, cls, lambda f: _default_value(fields[f][1])))
         return FunDef(mangle_new(cls), PVar("mj_s0"), body)
 
     # -- heap access ----------------------------------------------------------
@@ -422,37 +416,38 @@ class _Translator:
         ctx.emit(PVar(ctx.advance()), update)
         ctx.reads[ptr] = value
 
-    def _read_field(self, ctx: _Ctx, cls: str, fname: str,
-                    name: str | None = None) -> MlExpr:
-        """Bind a field of cls's level of this object, to `name` if given,
-        matching the object with every other slot wildcarded.  A field
-        already read in this state is reused, unless `name` is given: an
-        assignment binds its own version, not a copy of the atom."""
-        key = (cls, fname)
-        if name is None and key in ctx.reads:
-            return ctx.reads[key]
+    def _read_field(self, ctx: _Ctx, fname: str, name: str | None = None) -> MlExpr:
+        """Bind a field of this object, to `name` if given, matching the
+        object with one rule per receiver class and every other field
+        wildcarded.  A field already read in this state is reused, unless
+        `name` is given: an assignment binds its own version, not a copy
+        of the atom."""
+        if name is None and fname in ctx.reads:
+            return ctx.reads[fname]
         value = self._lookup(ctx, Var("mj_this"))
         tmp = ctx.fn.fresh_temp()
-        pat = self._object(PCon, cls, lambda *at: PVar(tmp) if at == key else PWild())
-        ctx.reads[key] = ctx.bind(Case(value, ((pat, Var(tmp)),)), name)
-        return ctx.reads[key]
+        rules = tuple((self._object(PCon, c, lambda f: PVar(tmp) if f == fname else PWild()),
+                       Var(tmp)) for c in ctx.fn.receivers)
+        ctx.reads[fname] = ctx.bind(Case(value, rules), name)
+        return ctx.reads[fname]
 
-    def _field_write(self, ctx: _Ctx, cls: str, fname: str, new_value: MlExpr) -> None:
-        """Rebuild this object with a field of cls's level replaced, binding
-        every other slot down to that level, and store it."""
+    def _field_write(self, ctx: _Ctx, fname: str, new_value: MlExpr) -> None:
+        """Rebuild this object with a field replaced, one rule per receiver
+        class binding every other field, and store it."""
         value = self._lookup(ctx, Var("mj_this"))
-        hole = (cls, fname)
-        temps: dict = {}
+        temps: dict[str, str] = {}
 
-        def bind_other(*at):
-            if at == hole:
+        def bind_other(f):
+            if f == fname:
                 return PWild()
-            temps[at] = ctx.fn.fresh_temp()
-            return PVar(temps[at])
+            if f not in temps:
+                temps[f] = ctx.fn.fresh_temp()
+            return PVar(temps[f])
 
-        pat = self._object(PCon, cls, bind_other)
-        rebuilt = self._object(Con, cls, lambda *at: new_value if at == hole else Var(temps[at]))
-        self._store(ctx, Var("mj_this"), ctx.bind(Case(value, ((pat, rebuilt),))))
+        rules = tuple((self._object(PCon, c, bind_other),
+                       self._object(Con, c, lambda f: new_value if f == fname else Var(temps[f])))
+                      for c in ctx.fn.receivers)
+        self._store(ctx, Var("mj_this"), ctx.bind(Case(value, rules)))
 
     # -- calls ------------------------------------------------------------------
 
@@ -469,7 +464,7 @@ class _Translator:
         reach (`_targets`) runs a known implementation, so the call is a
         known call of it when they all run the same one, behind a null
         check unless the receiver is `this` or a `new` object.  Otherwise
-        it reads the receiver and matches its class on the `Ext_` spine,
+        it reads the receiver and matches its class on its constructor,
         one rule, and one known call, per class.  Both check where
         MiniJava does, after the receiver and the arguments: a null
         receiver fails the check, or the heap lookup, to match."""
@@ -485,13 +480,9 @@ class _Translator:
 
         impls = set(targets.values())
         if len(impls) > 1:
-            obj = self._lookup(ctx, receiver)
-            rules = []
-            for cls, impl in targets.items():
-                exact = PCon("NONE") if self.table.info(cls).children else PWild()
-                pat = self._object(PCon, cls, lambda c, f: exact if f is None else PWild())
-                rules.append((pat, call(impl)))
-            return ctx.bind_state(Case(obj, tuple(rules)), name)
+            rules = tuple((self._object(PCon, cls, lambda f: PWild()), call(impl))
+                          for cls, impl in targets.items())
+            return ctx.bind_state(Case(self._lookup(ctx, receiver), rules), name)
         if impls:
             result = call(impls.pop())
         else:
@@ -517,7 +508,7 @@ class _Translator:
         if isinstance(e, IdentExpr):
             assert e.binding is not None
             if e.binding.kind == "field":
-                return self._read_field(ctx, e.binding.decl_class, e.name, name)
+                return self._read_field(ctx, e.name, name)
             return ctx.var_atom(e.name)
         if isinstance(e, BinaryExpr):
             left = self.expr(e.left, ctx)
@@ -565,7 +556,7 @@ class _Translator:
             assert s.binding is not None
             if s.binding.kind == "field":
                 value = self.expr(s.value, ctx)
-                self._field_write(ctx, s.binding.decl_class, s.name, value)
+                self._field_write(ctx, s.name, value)
             else:
                 # the value is bound under the new version's name, not copied to it
                 version = ctx.fn.fresh_version(s.name)
@@ -577,7 +568,7 @@ class _Translator:
         elif isinstance(s, ArrayAssignStmt):
             assert s.binding is not None
             if s.binding.kind == "field":
-                ptr = self._read_field(ctx, s.binding.decl_class, s.name)
+                ptr = self._read_field(ctx, s.name)
             else:
                 ptr = ctx.var_atom(s.name)
             idx = self.expr(s.index, ctx)
@@ -620,27 +611,23 @@ class _Translator:
 
     # -- whole functions --------------------------------------------------------------------
 
-    def method(self, class_index: int, decl: MethodDecl) -> FunDef:
+    def method(self, cls: str, decl: MethodDecl) -> FunDef:
+        receivers = [c for c, impl in self._targets(cls, decl.name).items() if impl == cls]
         var_order = [f.name for f in decl.formals] + [v.name for v in decl.local_vars]
-        ctx = _Ctx(_FnScope(var_order, _assigns(decl.body)),
+        ctx = _Ctx(_FnScope(var_order, _assigns(decl.body), receivers),
                    dict.fromkeys(var_order, 0), "mj_s0")
         for local in decl.local_vars:
             ctx.emit(PVar(mangle_var(local.name, 0)), _default_value(local.var_type))
         for s in decl.body:
             self.stmt(s, ctx)
         value = self.expr(decl.return_expr, ctx)
-        result: MlExpr = Tuple((Var(ctx.state), value))
-        if (isinstance(value, Var) and ctx.bindings
-                and ctx.bindings[-1].pat == PTuple((PVar(ctx.state), PVar(value.name)))):
-            # the last binding binds the (state, value) returned, as of a
-            # call: the method ends in its right-hand side instead
-            result = ctx.bindings.pop().rhs
         param = PTuple((PVar("mj_s0"), PVar("mj_this"),
                         _ptup([PVar(mangle_var(f.name, 0)) for f in decl.formals])))
-        return FunDef(mangle_method(class_index, decl.name), param, ctx.wrap(result))
+        return FunDef(mangle_method(self.table.info(cls).index, decl.name), param,
+                      ctx.wrap(Tuple((Var(ctx.state), value))))
 
     def main(self, program: MjProgram) -> FunDef:
-        ctx = _Ctx(_FnScope([], _assigns(program.main.body)), {}, "mj_s0")
+        ctx = _Ctx(_FnScope([], _assigns(program.main.body), []), {}, "mj_s0")
         ctx.emit(PVar("mj_s0"), store.EMPTY_STATE)
         for s in program.main.body:
             self.stmt(s, ctx)
@@ -654,7 +641,7 @@ class _Translator:
         for info in table.classes.values():
             for decl in info.decl.methods:
                 if (info.name, decl.name) in table.live:
-                    big.append(self.method(info.index, decl))
+                    big.append(self.method(info.name, decl))
         main = self.main(program)
         big += self.loops
         if big:

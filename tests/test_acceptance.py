@@ -24,7 +24,7 @@ from mj2ml.cli import main as cli_main
 from mj2ml.lexer import LexError, tokenize
 from mj2ml.mjinterp import interpret_mj
 from mj2ml.mlast import validate_core
-from mj2ml.mleval import VCon, eval_program
+from mj2ml.mleval import eval_program
 from mj2ml.mlprint import print_ml_program
 from mj2ml.parser import ParseError, parse, parse_source
 from mj2ml.randgen import generate_program
@@ -175,39 +175,27 @@ class C extends B {
 """
 
 
-def _ext_chain(obj: VCon) -> int:
-    # follow the extension slot (always last) down to the innermost NONE
-    depth = 0
-    ext = obj.args[-1]
-    while isinstance(ext, VCon) and ext.name == "SOME":
-        depth += 1
-        ext = ext.args[0].args[-1]
-    assert isinstance(ext, VCon) and ext.name == "NONE"
-    return depth
-
-
 def test_subclass_encoding():
     program = parse_source(SUBCLASS_PROGRAM)
     ml = translate(program)
 
+    # one constructor per instantiated class, holding all of its fields
     by_name = {d.name: [c.name for c in d.cons] for d in ml.datatypes}
-    structure_ok = (by_name.get("mj_ext_A") == ["Ext_B"]
-                    and by_name.get("mj_ext_B") == ["Ext_C"]
-                    and "mj_ext_C" not in by_name
-                    and "HObj_A" in by_name.get("heapval", []))
+    structure_ok = by_name == {"heapval": ["HArr", "HObj_Driver", "HObj_C"],
+                               "tree": ["Lf", "Nd"]}
 
     mj = interpret_mj(program)
     ml_outcome, final_state = eval_program(ml)
     behavior_ok = mj.output == ml_outcome.output == [3, 30, 0]
 
     heap = dict(heap_cells(final_state))
-    c_object = next(v for v in heap.values() if v.name == "HObj_A")
-    depth_ok = _ext_chain(c_object) == 2
+    c_object = next(v for v in heap.values() if v.name == "HObj_C")
+    # base, then mid
+    fields_ok = c_object.args == (0, 0)
 
-    ok = structure_ok and behavior_ok and depth_ok
+    ok = structure_ok and behavior_ok and fields_ok
     report("three-level subclass encoding, structure and dispatch", ok,
-           f"dispatch printed {ml_outcome.output}, extension depth "
-           f"{_ext_chain(c_object)}")
+           f"dispatch printed {ml_outcome.output}, C object {c_object}")
     assert ok
 
 

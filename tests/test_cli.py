@@ -10,7 +10,7 @@ import pytest
 
 from mj2ml import mlprint, sema
 from mj2ml.cli import main
-from mj2ml.mjast import CallExpr, Expr, Stmt
+from mj2ml.mjast import Expr, Stmt
 from mj2ml.mlast import Case, If, Let, Val, validate_core
 from mj2ml.mlprint import print_ml_program
 from mj2ml.outcome import MAX_NESTING, RunOutcome, extra_frames
@@ -281,8 +281,8 @@ def member_in_loops(k):
 # Each way of nesting, as a source k levels deep and the deepest k that
 # typechecks: MAX_NESTING nodes from the body to its deepest leaf (the
 # `new int[...]` form takes two nodes a level, and `x` in the member form
-# one more for each of the MEMBER_CHAIN - 1 classes above its own),
-# or MAX_NESTING classes.
+# none for the MEMBER_CHAIN - 1 classes above its own), or MAX_NESTING
+# classes.
 NESTING_FORMS = {
     "if": (lambda k: main_class("if (true) " * k + "System.out.println(1);" + " else {}" * k),
            MAX_NESTING - 2),
@@ -305,36 +305,24 @@ NESTING_FORMS = {
     "new-array": (lambda k: main_class(f"System.out.println({'new int[' * k}1{'].length' * k});"),
                   (MAX_NESTING - 2) // 2),
     "class-chain": (class_chain, MAX_NESTING),
-    "member": (member_in_loops, MAX_NESTING - MEMBER_CHAIN - 2),
+    "member": (member_in_loops, MAX_NESTING - 3),
 }
 
 
 def nesting(source):
-    """The most statement and expression nodes from a body to a leaf, a
-    field or method access counting one more for each class above the
-    member's own, or classes in an inheritance chain, whichever is more."""
+    """The most statement and expression nodes from a body to a leaf, or
+    classes in an inheritance chain, whichever is more."""
     program = parse_source(source)
-    # typechecked past the limit, for the classes that members belong to
+    # typechecked past the limit, for the inheritance chains
     with patch.object(sema, "MAX_NESTING", 2 * MAX_NESTING):
         table = sema.typecheck(program)
-
-    def above(node):
-        binding = getattr(node, "binding", None)
-        if isinstance(node, CallExpr):
-            owner = table.info(node.receiver_class).slot_owner[node.method]
-        elif binding is not None and binding.kind == "field":
-            owner = binding.decl_class
-        else:
-            return 0
-        return len(table.info(owner).path) - 1
-
     stack = [(node, 1) for node in program.main.body]
     stack += [(node, 1) for cls in program.classes for method in cls.methods
               for node in [*method.body, method.return_expr]]
     deepest = 0
     while stack:
         node, depth = stack.pop()
-        deepest = max(deepest, depth + above(node))
+        deepest = max(deepest, depth)
         for f in fields(node):
             value = getattr(node, f.name)
             stack += [(child, depth + 1) for child in (value if isinstance(value, list) else [value])
@@ -390,11 +378,13 @@ def test_deepest_translations_print_and_validate_from_a_deep_caller(form):
 
 
 def test_the_deepest_if_prints_in_3_frames_a_level():
-    # the costliest form to print: a nested `if` is the right-hand side of
-    # a `val` in the `let` of its enclosing `if`'s branch, which print in 3
-    # frames, `_block` for each of the `if` and the `let` and `_bind` for
-    # the `val` (1 501 frames in all from a script; the 50 spare frames are
-    # for a caller that re-enters the interpreter from C, as pytest does)
+    # a branch that holds only a nested `if` ends in it, 1 frame a level
+    # (506 in all from a script); followed by a statement, the `if` is the
+    # right-hand side of a `val` in the branch's `let`, 3 frames a level
+    # (`_block` for each of the `if` and the `let` and `_bind` for the
+    # `val`) for the 2 nodes of the `if` and its block (753 in all at 249
+    # levels); the 50 spare frames are for a caller that re-enters the
+    # interpreter from C, as pytest does
     source, deepest = NESTING_FORMS["if"]
     ml = translate(parse_source(source(deepest)))
     with patch.object(mlprint, "COMPILE_FRAMES", 3 * MAX_NESTING + 50):

@@ -260,14 +260,14 @@ def test_a_lifted_function_reads_what_its_caller_passes():
 # and expression.  A change to how either interpreter charges fuel shows
 # here.
 CORPUS_STEPS = {
-    "BinarySearch": (16529, 4018),
-    "BinaryTree": (6596, 527),
-    "BubbleSort": (24149, 1856),
-    "Factorial": (319, 141),
-    "LinearSearch": (9705, 1293),
-    "LinkedList": (2169, 171),
-    "QuickSort": (14912, 1114),
-    "TreeVisitor": (4592, 303),
+    "BinarySearch": (16526, 4018),
+    "BinaryTree": (6365, 527),
+    "BubbleSort": (24146, 1856),
+    "Factorial": (318, 141),
+    "LinearSearch": (9642, 1293),
+    "LinkedList": (2158, 171),
+    "QuickSort": (14909, 1114),
+    "TreeVisitor": (4518, 303),
 }
 
 
@@ -389,7 +389,7 @@ def test_both_sides_finish_a_5000_deep_method_recursion():
 
 # ML-side steps of generated programs at 100 000 fuel, one line per seed
 # 0..49 with the fault, steps and output; 49 of the 50 runs finish.
-GENERATED_ML_STEPS_SHA256 = "9da32dbb7a48863bcf0581b5dde46dc9790c7ae8a9506815d4e66ef634c2531f"
+GENERATED_ML_STEPS_SHA256 = "b454f581345b1fcf8931eeb434d30840e4c995b9da963d45c8aef94fa9f629b6"
 
 
 def test_generated_programs_take_the_pinned_ml_steps():

@@ -9,7 +9,8 @@ from mj2ml.cli import main
 from mj2ml.diffharness import diff_source
 from mj2ml.mjast import print_program
 from mj2ml.mleval import eval_program
-from mj2ml.mlast import App, Case, FunDef, If, Let, PTuple, PVar, Tuple, Val, Var, validate_core
+from mj2ml.mlast import (TY_INT, App, Case, FunDef, If, Let, PTuple, PVar, Tuple, TyTuple, Val,
+                          Var, validate_core)
 from mj2ml.mlprint import print_ml_program
 from mj2ml.outcome import FaultKind
 from mj2ml.parser import parse_source
@@ -59,14 +60,14 @@ def test_corpus_translations_stay_in_the_core(corpus_files):
 # SHA-256 of each corpus file's emitted SML.  A change that alters the
 # emitted bytes on purpose must update these pins and say so.
 EMITTED_SML_SHA256 = {
-    "BinarySearch": "0ce538bedf4db50a6c128726034bf23898928335e7604d54f6af2f7dfc19b844",
-    "BinaryTree": "33ef12f7dfd9896f8255759c409712d5c9c511696c0f566420d6f4b1836d249f",
-    "BubbleSort": "b201ece20dc2c9f643de2742899a963a5a46bb5ea957a700b48e01fbf70a0836",
-    "Factorial": "dca47d1513a51bb85b4412c6ecce3fbf4175c6fa2085d7dfb305aa242243ac27",
-    "LinearSearch": "ae43d79fb0ae7831799686f3ec89d89ed97bb3554103fa11e2ceb72cfa1f9310",
-    "LinkedList": "082bdc5751baa4e7f2ec464d25fe3e4da426f4a0c8bcfbccb4188d2f03c70ddc",
-    "QuickSort": "5f4914da08b0667ab82ead0b2300284bc5e2c25b35bd45d685e09c54fd2f1d49",
-    "TreeVisitor": "1c7733b17b1f5640a7f936adcb4e77c8b17c21aa1234fce7f33d16989c05f311",
+    "BinarySearch": "5f852571c1a32afaec35950922f10899a318170e3b8c0fd3bf55a2ee4da670a0",
+    "BinaryTree": "4f51efaedb419a9774944c47fd0d3f73d181245880ed74f0b7c2c433b8363312",
+    "BubbleSort": "46abb6cb07d80ddd31ba97dd92a072650806bc8952b3b3a421ec5d4e888344e2",
+    "Factorial": "f8eb082a5cf71a5c20998075049220d12f7d7ab7157682b00c34bb8523ed43d4",
+    "LinearSearch": "766032329dc458863ab74bb8c8f6579fa2e1d188366a673ab03181af814358f2",
+    "LinkedList": "a313616bedd6dfb8568137d78513abbc958775f6e0369a3f4812b948ba73f554",
+    "QuickSort": "80ea497127e192341958daf4abe0ba7b0b4ea3d833b2a96b4eddd87372c38c58",
+    "TreeVisitor": "33f45971433fd91bbae4dcce8751a4fa46924edd403d4699fbd9d133d5c163f2",
 }
 
 
@@ -77,19 +78,15 @@ def test_corpus_emitted_sml_is_pinned(corpus_files):
     assert digests == EMITTED_SML_SHA256
 
 
-def test_heapval_groups_one_constructor_per_root():
+def test_heapval_holds_one_constructor_per_instantiated_class():
+    # an object is one constructor of all its fields, the root class's
+    # first; a class never instantiated has none
     ml = tr(CHAIN)
-    heapval = next(d for d in ml.datatypes if d.name == "heapval")
-    names = [c.name for c in heapval.cons]
-    assert names == ["HArr", "HObj_A"]
-
-
-def test_extension_datatypes_follow_the_hierarchy():
-    ml = tr(CHAIN)
-    by_name = {d.name: d for d in ml.datatypes}
-    assert set(by_name) == {"heapval", "tree", "mj_ext_A", "mj_ext_B"}
-    assert [c.name for c in by_name["mj_ext_A"].cons] == ["Ext_B"]
-    assert [c.name for c in by_name["mj_ext_B"].cons] == ["Ext_C"]
+    assert [d.name for d in ml.datatypes] == ["heapval", "tree"]
+    pair = TyTuple((TY_INT, TY_INT))
+    assert [(c.name, c.arg) for c in ml.datatypes[0].cons][1:] == [
+        ("HObj_A", TY_INT), ("HObj_B", pair), ("HObj_C", pair)]
+    assert [c.name for c in tr(UNREACHED).datatypes[0].cons] == ["HArr", "HObj_A"]
 
 
 def test_function_group_layout():
@@ -215,7 +212,7 @@ def test_generated_subclass_encoding_is_pinned():
     text = "".join(print_ml_program(translate(generate_program(s, 40)), f"seed{s:03d}")
                    for s in range(40))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "c602b10953edd1fdd109cfc38e95c3e68acc69f86dc5c3921dcadb20a74d8669"
+        "c5ef2bad54f9915642b5e54d9cbd8cd73842ddd5ac06a32ac992336ecdcacbbe"
 
 
 def test_gen200_workload_is_pinned():
@@ -228,7 +225,7 @@ def test_gen200_workload_is_pinned():
     assert (len(source), hashlib.sha256(source).hexdigest()) == (
         624675, "4aaa6ae173174edd3a3581bb467872f20879886553696d0b1b4401880281a271")
     assert (len(sml), hashlib.sha256(sml).hexdigest()) == (
-        1820660, "8f7f15506391937d0b689a5789b33807b41418bafb0edef5be1918d12e225fb9")
+        1786320, "6f443581b1de0aa33929feb84c443a8f92b48085f49e4b4783d87f7929db51b2")
 
 
 PLUMBING = """\
@@ -331,6 +328,66 @@ def test_a_return_of_a_call_ends_in_the_call(corpus_dir):
     assert isinstance(dispatch, Case) and len(dispatch.rules) == 3
     assert all(isinstance(rhs, App) and rhs.func.name.endswith("_visit")
                for _, rhs in dispatch.rules)
+
+
+DOWN = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new R().down(5));
+    }
+}
+class R {
+    public int down(int n) {
+        int r;
+        if (n < 1) r = 7; else r = this.down(n - 1);
+        return r;
+    }
+}
+"""
+
+
+def test_a_branch_whose_last_binding_is_its_join_tuple_ends_in_it():
+    # the `else` binds the callee's (state, value) as its (state, r) join
+    # tuple, so it ends in the call, and the method in the `if`: a tail call
+    ml = tr(DOWN)
+    down = next(f for group in ml.fun_groups for f in group if f.name == mangle_method(0, "down"))
+    [branch] = nodes(down, If)
+    assert down.body.body is branch
+    assert branch.orelse.body == App(Var(mangle_method(0, "down")),
+                                     Tuple((Var("mj_s0"), Var("mj_this"), Var("mj_v1"))))
+    assert diff_source("Down.java", DOWN).ml.output == [7]
+
+
+INHERITED_FIELD = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new A().set(3));
+        System.out.println(new B().set(4));
+    }
+}
+class A {
+    int x;
+    public int set(int v) { x = v; return this.get(); }
+    public int get() { return x; }
+}
+class B extends A {
+    int y;
+}
+"""
+
+
+def test_an_inherited_method_reads_and_writes_its_field_in_every_receiver_class():
+    # A's methods run on A and B objects, two constructors of the heap's
+    # values: a field read or write matches `this` with a rule for each
+    result = diff_source("Inherited.java", INHERITED_FIELD)
+    assert result.verdict == "match" and result.mj.output == result.ml.output == [3, 4]
+    ml = tr(INHERITED_FIELD)
+    methods = {f.name: f for group in ml.fun_groups for f in group}
+    [read] = nodes(methods[mangle_method(0, "get")], Case)
+    assert [pat.name for pat, _ in read.rules] == ["HObj_A", "HObj_B"]
+    [write] = nodes(methods[mangle_method(0, "set")], Case)
+    assert [(pat.name, rhs.name) for pat, rhs in write.rules] == [("HObj_A", "HObj_A"),
+                                                                  ("HObj_B", "HObj_B")]
 
 
 def test_an_if_that_assigns_nothing_carries_only_the_state():
