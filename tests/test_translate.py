@@ -78,15 +78,25 @@ def test_corpus_emitted_sml_is_pinned(corpus_files):
     assert digests == EMITTED_SML_SHA256
 
 
-def test_heapval_holds_one_constructor_per_instantiated_class():
-    # an object is one constructor of all its fields, the root class's
-    # first; a class never instantiated has none
+def test_heapval_groups_one_constructor_per_root():
+    # an object is one constructor per instantiated class, of all its
+    # fields with its root class's first, so a hierarchy's constructors
+    # share the root's prefix; a class never instantiated has none
     ml = tr(CHAIN)
-    assert [d.name for d in ml.datatypes] == ["heapval", "tree"]
+    heapval = next(d for d in ml.datatypes if d.name == "heapval")
     pair = TyTuple((TY_INT, TY_INT))
-    assert [(c.name, c.arg) for c in ml.datatypes[0].cons][1:] == [
+    assert [(c.name, c.arg) for c in heapval.cons][1:] == [
         ("HObj_A", TY_INT), ("HObj_B", pair), ("HObj_C", pair)]
     assert [c.name for c in tr(UNREACHED).datatypes[0].cons] == ["HArr", "HObj_A"]
+
+
+def test_extension_datatypes_follow_the_hierarchy():
+    # the hierarchy lives in the flat constructors alone: no extension
+    # datatype or option slot follows it any more
+    ml = tr(CHAIN)
+    assert [d.name for d in ml.datatypes] == ["heapval", "tree"]
+    sml = print_ml_program(ml, "Chain.java")
+    assert re.search(r"\b(option|SOME|NONE)\b|Ext_|mj_ext_", sml) is None
 
 
 def test_function_group_layout():
