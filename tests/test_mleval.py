@@ -374,6 +374,14 @@ def test_deep_non_tail_recursion_finishes(template, n):
     assert out.ok and out.output == [n]
 
 
+def test_the_ml_side_alone_finishes_a_13000_deep_method_recursion():
+    # 3 Python frames per pending ML call reach depth 13 331 under
+    # RECURSION_LIMIT; 4 would stop near 10 000
+    program = parse_source(DOWN % 13000)
+    out, _ = eval_program(translate(program, typecheck(program)))
+    assert out.ok and out.output == [13000]
+
+
 def test_minijava_finishes_a_9500_deep_method_recursion():
     # 4 Python frames per pending call reach depth 9998 under
     # RECURSION_LIMIT; 5, as the tree-walking interpreter took, only 7998
@@ -485,6 +493,27 @@ def test_a_run_leaves_no_cyclic_garbage_that_grows_with_the_heap():
     counts = [cyclic_garbage_of_a_run(translate(parse_source(FILLER % n)))
               for n in (100, 1600)]
     assert counts[0] == counts[1], counts
+
+
+# (fuel, fault, steps, output) of the ML side of each corpus program and
+# of FILLER at n = 50, at 21 evenly spaced fuels from 0 to the steps the
+# run needs and at each of them +-1: where every check falls, and what a
+# run cut there has printed.
+FUEL_CUTS_ML_SHA256 = "2f1f4351b9799cb30d954f69853c903778d3b6aaa4647cd92b830dc214c0abd4"
+
+
+def test_ml_runs_cut_at_any_fuel_keep_their_faults_steps_and_output(corpus_files):
+    programs = {path.stem: translate(parse_source(path.read_text())) for path in corpus_files}
+    programs["Filler50"] = translate(parse_source(FILLER % 50))
+    lines = []
+    for name, program in programs.items():
+        steps = eval_program(program)[0].steps
+        for fuel in sorted({k * steps // 20 + d for k in range(21) for d in (-1, 0, 1)}):
+            out = eval_program(program, fuel=fuel)[0]
+            lines.append(f"{name} {fuel} {out.fault.value if out.fault else 'ok'} "
+                         f"{out.steps} {out.output}")
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == FUEL_CUTS_ML_SHA256, text
 
 
 def test_store_operations_take_logarithmic_steps():
