@@ -9,7 +9,7 @@ holds only `val` bindings (`Val`), so a function's free names are the
 top-level functions alone.  There are no refs, exceptions, strings, or
 records, and no function values: a `fun` name is only ever applied, so
 the fragment is first-order.  Booleans are the usual constructors
-``true``/``false``, and options the builtin ``NONE``/``SOME``.
+``true``/``false``, the only builtin ones.
 
 Types (`Ty*`) appear only in datatype declarations, which may take type
 parameters (`TyVar`); expressions are untyped here and checked
@@ -203,8 +203,6 @@ class MlProgram:
 
 
 BUILTIN_CON_ARITIES = {
-    "NONE": 0,
-    "SOME": 1,
     "true": 0,
     "false": 0,
 }
@@ -256,7 +254,14 @@ class _Validator:
     def flag(self, path: str, message: str) -> None:
         self.violations.append(Violation(path, message))
 
-    def pattern_vars(self, pat: Pat, path: str, seen: set[str]) -> None:
+    def pattern_vars(self, pat: Pat, path: str, seen: set[str], item: bool = False) -> None:
+        """Check `pat` and add its variables to `seen`; an `item` of a
+        tuple or constructor pattern is a variable, a wildcard or a tuple
+        of those."""
+        flat = (PVar, PWild)
+        if item and not (isinstance(pat, flat) or isinstance(pat, PTuple)
+                         and all(isinstance(sub, flat) for sub in pat.items)):
+            self.flag(path, "a pattern item other than a variable, a wildcard or a tuple of those")
         if isinstance(pat, PVar):
             if pat.name in seen:
                 self.flag(path, f"duplicate variable '{pat.name}' in pattern")
@@ -267,7 +272,7 @@ class _Validator:
             if len(pat.items) == 1:
                 self.flag(path, "1-element tuple pattern")
             for i, sub in enumerate(pat.items):
-                self.pattern_vars(sub, f"{path}.{i}", seen)
+                self.pattern_vars(sub, f"{path}.{i}", seen, item=True)
         elif isinstance(pat, PCon):
             arity = self.con_arities.get(pat.name)
             if arity is None:
@@ -276,7 +281,7 @@ class _Validator:
                 self.flag(path, f"constructor '{pat.name}' takes {arity} "
                                 f"argument(s), pattern has {len(pat.args)}")
             for i, sub in enumerate(pat.args):
-                self.pattern_vars(sub, f"{path}.{i}", seen)
+                self.pattern_vars(sub, f"{path}.{i}", seen, item=True)
         else:
             self.flag(path, f"not a core pattern: {type(pat).__name__}")
 
@@ -371,7 +376,8 @@ class _Validator:
 
 def validate_core(program: MlProgram) -> list[Violation]:
     """Structural check: core nodes only, known constructors and primitives
-    at the right arities, `div` and `mod` only by positive literals, no
+    at the right arities, patterns whose items are variables, wildcards
+    or tuples of those, `div` and `mod` only by positive literals, no
     unbound variables, no 1-tuples, and no `let`, `case` or `if` as an
     operand, so that every tree it accepts prints.  Every function is
     top-level: a `let` declares only `val`s.  The fragment is

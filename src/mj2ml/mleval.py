@@ -11,19 +11,41 @@ Feeley and Lapalme, "Using closures for code generation" (1987): one
 closure per expression node and one matcher per pattern.  A closure
 takes the current frame and returns its node's value, calling its
 children's closures; no node of the tree is inspected while the program
-runs.  The closures are built for one run and dropped with it.  Two
-refinements: a `let` is one closure that runs its declarations in a
-loop, and a pure subtree (variables and constants, tuples and
-constructors of them, and `div` or `mod` of them by a positive literal)
-is one getter that charges no fuel: its parent,
-or a closure around the getter, charges for all of its nodes (see
-Fuel).  And three shapes that translated code runs at nearly every
-step are each one closure, superoperators after Proebsting,
-"Optimizing an ANSI C interpreter with superoperators" (1995): a call
-of a known function (see Calls); a tuple or constructor pattern whose
-items are variables, wildcards or tuples of those, such as a
-`((a, b), c)` parameter, with no nested matcher call; and an `if` whose
-condition compares pure operands (see Fuel).
+runs.  The closures are built for one run and dropped with it.  A `let`
+is one closure that runs its declarations in a loop, and a pure subtree
+(variables and constants, tuples and constructors of them, and `div` or
+`mod` of them by a positive literal) is one getter that charges no fuel:
+its parent, or a closure around the getter, charges for all of its
+nodes (see Fuel).
+
+Superoperators.  The shapes that translated code, and above all its
+store helpers, run at nearly every step are each one closure, after
+Proebsting, "Optimizing an ANSI C interpreter with superoperators"
+(1995).  Each makes the fuel checks of the closures it replaces, of the
+same amounts and in the same order, so no output, fault or step count
+can tell them apart:
+- operands in place: a variable or a constant is a slot of the frame
+  (see Frames).  An `if` that compares two of them, a `+`, `-` or `<`
+  of two of them and a `div` or `mod` of one by a literal read those
+  slots in their own closure, with no getter call.  The `if` charges 2
+  and the primitive 1, plus 1 per operand, with one check; a `div` or
+  `mod`, being pure, is charged by its parent (see Fuel);
+- a `case` whose rules are all constructor patterns of distinct
+  constructors, each with variables and wildcards for items, such as
+  `B (x, l, r)` or `A | B (v, l, r)`: after its one check, for the
+  `case` and a pure scrutinee's nodes, the same closure tests the name
+  (one rule) or looks the rule up by it (several), stores the items and
+  enters the rule's right-hand side;
+- a call of a known function, with one check for the application, its
+  function position and, when the argument goes straight into the
+  parameter's slots, the tuple and its leading pure items: the closure
+  builds the callee's frame, and outside tail position it also enters
+  the callee's body and runs the pending calls (see Calls);
+- a tuple, a constructor or a call frame of 2 or 3 items is built in
+  its closure from the items' closures, with no tuple getter between;
+- a tuple or constructor pattern binds its items with one store; an
+  item that is itself a tuple of variables and wildcards, as in a
+  `((n, h), k)` parameter, is then matched on its slot.
 
 Frames.  Every function is top-level and a `let` declares only `val`s
 (`validate_core` checks both), so a function reads only its own
@@ -35,9 +57,13 @@ occurrence of a value in the body (the parameter's variables, `val`
 and `case` bindings) has a slot of its own; a `fun` name has none,
 since nothing reads it.  The compiler resolves every variable to its
 slot, so scoping is done once, in one pass, and the program only
-indexes lists.  Since no two binding occurrences share a slot, a later
-`let` never overwrites a value an earlier one bound, and what a failed
-`case` rule bound is never read by the next rule.  A frame holds only
+indexes lists.  A constant (a literal, a nullary constructor such as
+`true`, or unit) has a slot as well, one for each distinct constant of
+the function, which every frame of the function holds from the start,
+so a constant is read as a variable is.  Since no two
+binding occurrences share a slot, a later `let` never overwrites a
+value an earlier one bound, and what a failed `case` rule bound is
+never read by the next rule.  A frame holds only
 values, and a value holds only older values, so a run makes no
 reference cycle: its memory goes as soon as reference counting frees
 it.
@@ -46,10 +72,11 @@ Calls.  Every call is known: the function position names a top-level
 `fun`, or the runtime's `mj_print`, which appends its argument to the
 output and returns unit.  A call of a `fun` is compiled against that
 function's code, and the call site builds the callee's frame
-`[arg, *pad]` itself.  When the parameter is a tuple of variables and
-the argument a tuple of the same arity, the items go straight into the
-parameter's slots, `[None, *items, *pad]`: no argument tuple is built
-and no matcher runs.  The name in the function position is not read,
+`[arg, *pad]` itself, `pad` being the function's initial slots after
+slot 0.  When the parameter is a tuple of variables and the argument a
+tuple of the same arity, the items go straight into the parameter's
+slots, `[None, *items, *rest]`: no argument tuple is built and no
+matcher runs.  The name in the function position is not read,
 though its visit is charged.
 
 An application in tail position, of a function body or of a `val`
@@ -63,8 +90,10 @@ they run in constant Python stack.
 
 A pending (non-tail) ML call holds one Python frame for the callee's
 body and one for each node between that body and the call: an `if`, a
-`case`, a `let`, or a node with the call as an operand.  That is 3
-frames per call for a translated method recursion, against 2 for the
+`case`, a `let`, or a node with the call as an operand, and the call's
+own closure, which enters the body, unless it is a `val`'s right-hand
+side.  That is 3 frames per pending call for a translated method
+recursion (a `let`, an `if` and a `let`), against 2 for the
 tree-walking evaluator this replaced.  A run has
 `outcome.RECURSION_LIMIT` Python frames (the run model in `outcome`);
 exceeding it reports FuelExhausted, as running out of fuel does.
@@ -156,11 +185,13 @@ class _Fn:
     `arity` is the length of its parameter when that is a tuple of
     variables and wildcards, whose items then take slots 1, 2, ... of
     the frame, and None otherwise.  Once the function is compiled,
-    `pad` holds a None for each frame slot after slot 0, `bind` is the
-    parameter's matcher (None when the parameter is a variable, which
-    is slot 0) and `body` the compiled body."""
+    `pad` holds the initial values of the frame's slots after slot 0,
+    None but for the constants (see Frames), and `rest` those after the
+    parameter's items; `bind` is the parameter's matcher (None when the
+    parameter is a variable, which is slot 0) and `body` the compiled
+    body."""
 
-    __slots__ = ("arity", "pad", "bind", "body")
+    __slots__ = ("arity", "pad", "rest", "bind", "body")
 
     def __init__(self, param: Pat):
         plain = type(param) is PTuple and _plain(param.items)
@@ -181,9 +212,11 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
     # Compile-time scope: each name maps to a stack of bindings, innermost
     # last, each the slot of a value or the _Fn of a name a `fun` binds
     # (`_PRINT` for mj_print); `free` is the next unused slot of the
-    # frame being compiled.
+    # frame being compiled, and `consts` maps each constant of that
+    # frame to its (slot, value).
     scopes: dict[str, list[object]] = {"mj_print": [_PRINT]}
     free = 0
+    consts: dict[object, tuple[int, object]] = {}
 
     def declare(name: str | None, bound: list[str]) -> int:
         nonlocal free
@@ -205,6 +238,23 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             raise AssertionError(f"the function '{name}' is read as a value")
         return slot
 
+    def constant(key: object, value: object) -> int:
+        """The slot that holds `value` in every frame of the code being
+        compiled; `key` tells constants apart (an int, a constructor's
+        name, or () for unit)."""
+        nonlocal free
+        if key not in consts:
+            consts[key] = (free, value)
+            free += 1
+        return consts[key][0]
+
+    def new_frame() -> list:
+        """The initial slots of a frame of the code just compiled."""
+        frame = [None] * free
+        for slot, value in consts.values():
+            frame[slot] = value
+        return frame
+
     # -- patterns.  A binder is a slot (a variable), None (a wildcard) or
     # a matcher m(value, frame) that stores the pattern's variables into
     # the frame and returns False when the value does not fit. ----------
@@ -219,10 +269,10 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
 
     def binder(pat: Pat, bound: list[str]):
         """A tuple or constructor pattern matches in one closure: one
-        store binds the items, and an item that is a tuple of variables
-        and wildcards, as in `((n, h), k)`, is checked and bound in the
-        same closure.  Only other nested patterns have matchers of their
-        own."""
+        store binds the items.  An item may itself be a tuple of
+        variables and wildcards, as in `((n, h), k)`: it is bound to an
+        unnamed slot, and its own matcher runs on that slot next.  Any
+        other nested pattern is outside the fragment (`validate_core`)."""
         cls = type(pat)
         if cls is PVar:
             return declare(pat.name, bound)
@@ -242,51 +292,28 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             raise AssertionError(f"unhandled pattern {cls.__name__}")
         n = len(pats)
         subs = declare_all(pats, bound)
-        # (index, slice, arity) for an item that is a tuple of variables,
-        # (index, matcher, None) for any other item that is not one
-        nested = []
-        for i, p in enumerate(pats):
+        if name is None:
+            def m(v, f):
+                if type(v) is tuple and len(v) == n:
+                    f[subs] = v
+                    return True
+                return False
+        else:
+            def m(v, f):
+                if type(v) is VCon and v.name == name and len(v.args) == n:
+                    f[subs] = v.args
+                    return True
+                return False
+        for slot, p in enumerate(pats, subs.start):
             if type(p) is PTuple and _plain(p.items):
-                nested.append((i, declare_all(p.items, bound), len(p.items)))
+                m = and_then(m, slot, binder(p, bound))
             elif type(p) is not PVar and type(p) is not PWild:
-                nested.append((i, matcher(p, bound), None))
-        nested = tuple(nested)
-        if not nested:
-            if name is None:
-                def m(v, f):
-                    if type(v) is tuple and len(v) == n:
-                        f[subs] = v
-                        return True
-                    return False
-            else:
-                def m(v, f):
-                    if type(v) is VCon and v.name == name and len(v.args) == n:
-                        f[subs] = v.args
-                        return True
-                    return False
-            return m
-
-        def m(v, f):
-            if name is not None:
-                if type(v) is not VCon or v.name != name:
-                    return False
-                v = v.args
-            elif type(v) is not tuple:
-                return False
-            if len(v) != n:
-                return False
-            for i, inner, k in nested:
-                x = v[i]
-                if k is None:
-                    if not inner(x, f):
-                        return False
-                elif type(x) is tuple and len(x) == k:
-                    f[inner] = x
-                else:
-                    return False
-            f[subs] = v
-            return True
+                raise AssertionError("a nested pattern other than a tuple of variables")
         return m
+
+    def and_then(outer, slot: int, inner):
+        """`outer`, and then `inner` on what it bound to `slot`."""
+        return lambda v, f: outer(v, f) and inner(f[slot], f)
 
     def matcher(pat: Pat, bound: list[str]):
         """`binder`, always as a matcher."""
@@ -308,27 +335,29 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
 
     def pure(e: MlExpr):
         """(getter, node count, slot) when `e` is pure, else None; `slot`
-        is set when `e` is a variable."""
+        is set when `e` is a variable or a constant."""
         cls = type(e)
         if cls is Var:
             slot = resolve(e.name)
-            return itemgetter(slot), 1, slot
-        if cls is IntLit:
-            value = e.value
-            return (lambda f: value), 1, None
-        if cls is PrimOp:
+        elif cls is IntLit:
+            slot = constant(e.value, e.value)
+        elif cls is PrimOp:
             return division(e)
-        if cls is Tuple:
-            items = e.items
-        elif cls is Con:
-            items = e.args
-            if not items:
-                value = _CONSTANTS[e.name] if e.name in _CONSTANTS else VCon(e.name)
-                return (lambda f: value), 1, None
+        elif cls is Con and not e.args:
+            name = e.name
+            slot = constant(name, _CONSTANTS[name] if name in _CONSTANTS else VCon(name))
+        elif cls is Tuple and not e.items:
+            slot = constant((), UNIT)
+        elif cls is Tuple or cls is Con:
+            return compound(e)
         else:
             return None
+        return itemgetter(slot), 1, slot
+
+    def compound(e: Tuple | Con):
+        """`pure` of a tuple or constructor with items."""
         parts = []
-        for x in items:
+        for x in e.items if type(e) is Tuple else e.args:
             part = pure(x)
             if part is None:
                 return None
@@ -339,7 +368,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             get = itemgetter(*slots)
         else:
             get = tuple_of([g for g, _, _ in parts])
-        if cls is Tuple:
+        if type(e) is Tuple:
             return get, count, None
         name = e.name
         return (lambda f: VCon(name, get(f))), count, None
@@ -353,15 +382,17 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         part = pure(dividend)
         if part is None:
             return None
-        get, n, _ = part
+        get, n, s = part
         d = divisor.value
+        if s is None:
+            if e.op == "div":
+                return (lambda f: get(f) // d), n + 2, None
+            return (lambda f: get(f) % d), n + 2, None
         if e.op == "div":
-            return (lambda f: get(f) // d), n + 2, None
-        return (lambda f: get(f) % d), n + 2, None
+            return (lambda f: f[s] // d), n + 2, None
+        return (lambda f: f[s] % d), n + 2, None
 
     def tuple_of(getters: list):
-        if not getters:
-            return lambda f: UNIT
         if len(getters) == 1:
             [a] = getters
             return lambda f: (a(f),)
@@ -391,6 +422,14 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                 calls.append(part[0])
                 extra += part[1]
         return calls, extra
+
+    def slots_of(children: tuple[MlExpr, ...]) -> tuple[list, int] | None:
+        """The slots of `children` and their node count, when each is a
+        variable or a constant, which a closure then reads in place."""
+        parts = [pure(x) for x in children]
+        if any(part is None or part[2] is None for part in parts):
+            return None
+        return [part[2] for part in parts], sum(part[1] for part in parts)
 
     # -- expressions.  Each closure takes the frame, checks and charges its
     # fuel, then does its work. ------------------------------------------------
@@ -465,6 +504,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         """Compile `fd` into `fn`, its frame's slots from 0."""
         nonlocal free
         free = 0
+        consts.clear()
         bound: list[str] = []
         if type(fd.param) is PVar:
             declare(fd.param.name, bound)
@@ -474,14 +514,14 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             fn.bind = binder(fd.param, bound)
         fn.body = expr(fd.body, True)
         forget(bound)
-        fn.pad = (None,) * (free - 1)
+        frame = new_frame()
+        fn.pad = tuple(frame[1:])
+        if fn.arity is not None:
+            fn.rest = tuple(frame[1 + fn.arity:])
 
     def app(e: App, tail: bool):
         """An application of a `fun` in scope, or of mj_print (see
-        Calls).  It charges for the function's `Var` without reading it.
-        A call, compiled for tail position, builds the callee's frame,
-        stores the call as the pending (body, frame) pair and returns
-        `_TAIL`; elsewhere `settle` runs it."""
+        Calls).  It charges for the function's `Var` without reading it."""
         func, arg = e.func, e.arg
         if type(func) is not Var:
             raise AssertionError("an application of something other than a function's name")
@@ -490,14 +530,51 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             return print_(arg)
         if type(fn) is not _Fn:
             raise AssertionError(f"'{func.name}' is applied but is not a function")
-        enter = known(fn, arg)
-        return enter if tail else settle(enter)
+        return call(fn, arg, tail)
 
-    def known(fn: _Fn, arg: MlExpr):
-        """The call of `fn`."""
+    def call(fn: _Fn, arg: MlExpr, tail: bool):
+        """The call of `fn`, as one closure that builds the callee's frame
+        (see Calls).  Compiled for tail position, it stores the call as
+        the pending (body, frame) pair and returns `_TAIL`; elsewhere it
+        runs the body, and then each pending call until a body returns
+        a value."""
         if type(arg) is Tuple and len(arg.items) == fn.arity:
             items, extra = operands(arg.items)
             cost = 3 + extra
+            if len(items) == 2:
+                a, b = items
+
+                def ev(f):
+                    nonlocal fuel, pend_body, pend_frame
+                    if fuel < cost:
+                        raise Fault(_FUEL)
+                    fuel -= cost
+                    frame = [None, a(f), b(f), *fn.rest]
+                    if tail:
+                        pend_body, pend_frame = fn.body, frame
+                        return _TAIL
+                    v = fn.body(frame)
+                    while v is _TAIL:
+                        v = pend_body(pend_frame)
+                    return v
+                return ev
+            if len(items) == 3:
+                a, b, c = items
+
+                def ev(f):
+                    nonlocal fuel, pend_body, pend_frame
+                    if fuel < cost:
+                        raise Fault(_FUEL)
+                    fuel -= cost
+                    frame = [None, a(f), b(f), c(f), *fn.rest]
+                    if tail:
+                        pend_body, pend_frame = fn.body, frame
+                        return _TAIL
+                    v = fn.body(frame)
+                    while v is _TAIL:
+                        v = pend_body(pend_frame)
+                    return v
+                return ev
             part = pure(arg)
             get = tuple_of(items) if part is None else part[0]
 
@@ -506,9 +583,14 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                 if fuel < cost:
                     raise Fault(_FUEL)
                 fuel -= cost
-                pend_frame = [None, *get(f), *fn.pad]
-                pend_body = fn.body
-                return _TAIL
+                frame = [None, *get(f), *fn.rest]
+                if tail:
+                    pend_body, pend_frame = fn.body, frame
+                    return _TAIL
+                v = fn.body(frame)
+                while v is _TAIL:
+                    v = pend_body(pend_frame)
+                return v
             return ev
         (get,), extra = operands((arg,))
         cost = 2 + extra
@@ -522,9 +604,13 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             frame = [a, *fn.pad]
             if fn.bind is not None and not fn.bind(a, frame):
                 raise Fault(_MATCH)
-            pend_body = fn.body
-            pend_frame = frame
-            return _TAIL
+            if tail:
+                pend_body, pend_frame = fn.body, frame
+                return _TAIL
+            v = fn.body(frame)
+            while v is _TAIL:
+                v = pend_body(pend_frame)
+            return v
         return ev
 
     def print_(arg: MlExpr):
@@ -541,28 +627,19 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             return UNIT
         return ev
 
-    def settle(enter):
-        """The trampoline of an application outside tail position: run
-        `enter`, its closure for tail position, then each pending call,
-        until a body returns a value."""
-        def ev(f):
-            v = enter(f)
-            while v is _TAIL:
-                v = pend_body(pend_frame)
-            return v
-        return ev
-
     def if_(e: If, tail: bool):
         """An `if`.  One whose condition is `<` or `=` of pure operands
         is one closure that charges for itself and for the comparison
-        with one check: nothing can print or fault between those visits."""
+        with one check: nothing can print or fault between those visits.
+        Operands that are variables or constants are read in place."""
         cond = e.cond
         compare = type(cond) is PrimOp and cond.op in ("<", "=")
         parts = [pure(x) for x in cond.args] if compare else [None]
         fused = None not in parts
         if fused:
-            (a, na, _), (b, nb, _) = parts
+            (a, na, s), (b, nb, t) = parts
             cost = 2 + na + nb
+            less = cond.op == "<"
         else:
             (test,), extra = operands((cond,))
             cost = 1 + extra
@@ -577,7 +654,26 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                 if test(f):
                     return then(f)
                 return orelse(f)
-        elif cond.op == "<":
+        elif s is not None and t is not None:
+            if less:
+                def ev(f):
+                    nonlocal fuel
+                    if fuel < cost:
+                        raise Fault(_FUEL)
+                    fuel -= cost
+                    if f[s] < f[t]:
+                        return then(f)
+                    return orelse(f)
+            else:
+                def ev(f):
+                    nonlocal fuel
+                    if fuel < cost:
+                        raise Fault(_FUEL)
+                    fuel -= cost
+                    if f[s] == f[t]:
+                        return then(f)
+                    return orelse(f)
+        elif less:
             def ev(f):
                 nonlocal fuel
                 if fuel < cost:
@@ -598,11 +694,52 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         return ev
 
     def case(e: Case, tail: bool):
+        """A `case`.  One whose rules are all constructor patterns with
+        variables and wildcards for items, each of another constructor,
+        tests, binds and enters the right-hand side in its own closure:
+        a name test for one rule, a table of the rules' names for more."""
         (scrutinee,), extra = operands((e.scrutinee,))
         cost = 1 + extra
+        names = {pat.name for pat, _ in e.rules if type(pat) is PCon
+                 and pat.name not in _CONSTANTS and _plain(pat.args)}
+        if len(names) == len(e.rules):
+            table = {}
+            for pat, rhs in e.rules:
+                bound: list[str] = []
+                subs = declare_all(pat.args, bound)
+                table[pat.name] = (len(pat.args), subs, expr(rhs, tail))
+                forget(bound)
+            if len(table) == 1:
+                [(name, (n, subs, rhs))] = table.items()
+
+                def ev(f):
+                    nonlocal fuel
+                    if fuel < cost:
+                        raise Fault(_FUEL)
+                    fuel -= cost
+                    v = scrutinee(f)
+                    if type(v) is VCon and v.name == name and len(v.args) == n:
+                        f[subs] = v.args
+                        return rhs(f)
+                    raise Fault(_MATCH)
+                return ev
+
+            def ev(f):
+                nonlocal fuel
+                if fuel < cost:
+                    raise Fault(_FUEL)
+                fuel -= cost
+                v = scrutinee(f)
+                if type(v) is VCon and v.name in table:
+                    n, subs, rhs = table[v.name]
+                    if len(v.args) == n:
+                        f[subs] = v.args
+                        return rhs(f)
+                raise Fault(_MATCH)
+            return ev
         rules = []
         for pat, rhs in e.rules:
-            bound: list[str] = []
+            bound = []
             m = matcher(pat, bound)
             rules.append((m, expr(rhs, tail)))
             forget(bound)
@@ -633,9 +770,43 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         return ev
 
     def prim(e: PrimOp):
+        """A primitive.  `+`, `-` and `<` of variables and constants read
+        them in place."""
+        op = e.op
+        read = slots_of(e.args) if op in ("+", "-", "<") else None
+        if read is not None:
+            (s, t), extra = read
+            cost = 1 + extra
+            if op == "<":
+                def ev(f):
+                    nonlocal fuel
+                    if fuel < cost:
+                        raise Fault(_FUEL)
+                    fuel -= cost
+                    return f[s] < f[t]
+            elif op == "+":
+                def ev(f):
+                    nonlocal fuel
+                    if fuel < cost:
+                        raise Fault(_FUEL)
+                    fuel -= cost
+                    r = f[s] + f[t]
+                    if INT_MIN <= r <= INT_MAX:
+                        return r
+                    raise Fault(_OVERFLOW)
+            else:
+                def ev(f):
+                    nonlocal fuel
+                    if fuel < cost:
+                        raise Fault(_FUEL)
+                    fuel -= cost
+                    r = f[s] - f[t]
+                    if INT_MIN <= r <= INT_MAX:
+                        return r
+                    raise Fault(_OVERFLOW)
+            return ev
         (a, b), extra = operands(e.args)
         cost = 1 + extra
-        op = e.op
         if op == "<":
             def ev(f):
                 nonlocal fuel
@@ -666,8 +837,9 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
 
     def construct(e: Tuple | Con):
         """A tuple, or a constructor application, with an impure part.
-        A pair is built in the closure itself, so that a call in it, as
-        in `C (n, f (t, i))`, holds no extra Python frame."""
+        Two or three items are built in the closure itself, so that a
+        call in one, as in `C (n, f (t, i))`, holds no extra Python
+        frame."""
         items, extra = operands(e.items if type(e) is Tuple else e.args)
         cost = 1 + extra
         name = e.name if type(e) is Con else None
@@ -687,6 +859,23 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                         raise Fault(_FUEL)
                     fuel -= cost
                     return VCon(name, (a(f), b(f)))
+            return ev
+        if len(items) == 3:
+            a, b, c = items
+            if name is None:
+                def ev(f):
+                    nonlocal fuel
+                    if fuel < cost:
+                        raise Fault(_FUEL)
+                    fuel -= cost
+                    return (a(f), b(f), c(f))
+            else:
+                def ev(f):
+                    nonlocal fuel
+                    if fuel < cost:
+                        raise Fault(_FUEL)
+                    fuel -= cost
+                    return VCon(name, (a(f), b(f), c(f)))
             return ev
         get = tuple_of(items)
         if name is None:
@@ -715,9 +904,15 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             function(fd, fn)
         fns += group
     free = 0
+    consts.clear()
     main = expr(program.main, False)
     # the entry expression's frame
-    top = [None] * free
+    top = new_frame()
+    # The helpers above refer to each other through their cells; emptying
+    # those leaves no cycle of compile-time objects for the collector.
+    del (declare, forget, resolve, constant, new_frame, declare_all, binder, and_then,
+         matcher, pure, compound, division, tuple_of, operands, slots_of, expr, let,
+         function, app, call, print_, if_, case, prim, construct)
 
     def run():
         nonlocal pend_body, pend_frame

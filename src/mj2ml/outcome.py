@@ -22,7 +22,11 @@ until the run ends, so a collection then would only traverse it again.
 A run of a translated program keeps it off as well.  Its values are
 ints, bools, tuples and datatype values, and a frame holds only values
 (see Frames in `mleval`), so it makes no reference cycle for the
-collector to find, and reference counting frees all it drops.
+collector to find, and reference counting frees all it drops.  Its
+compile step leaves none either: `mleval._compile` empties the cells
+through which its helpers refer to each other before it returns, and
+the run breaks the links between functions and their call sites when
+it ends, so the closures go with the run.
 A MiniJava run gets the collector back as the caller had it: it makes
 real cycles, such as an object whose field points to itself, and only
 the collector frees those; with it off, a loop that makes one per

@@ -3,9 +3,12 @@ import time
 import pytest
 
 from mj2ml.mlast import (
+    TY_UNIT,
     App,
     Case,
     Con,
+    DataCon,
+    DataType,
     FunDef,
     If,
     IntLit,
@@ -17,6 +20,7 @@ from mj2ml.mlast import (
     PWild,
     PrimOp,
     Tuple,
+    TyVar,
     Val,
     Var,
     validate_core,
@@ -24,8 +28,13 @@ from mj2ml.mlast import (
 from mj2ml.mleval import eval_program
 
 
-def violations(main, fun_groups=()):
-    program = MlProgram([], list(fun_groups), main)
+# datatype 'a option = NONE | SOME of 'a
+OPTION = DataType("option", (DataCon("NONE", TY_UNIT), DataCon("SOME", TyVar("a"))),
+                  params=("a",))
+
+
+def violations(main, fun_groups=(), datatypes=()):
+    program = MlProgram(list(datatypes), list(fun_groups), main)
     return [(v.path, v.message) for v in validate_core(program)]
 
 
@@ -83,7 +92,7 @@ def test_val_patterns_are_checked():
     assert violations(one_tuple) == [("main/let0-pat", "1-element tuple pattern")]
     wrong_arity = Let((Val(PCon("SOME", (PVar("a"), PVar("b"))),
                            Con("SOME", (IntLit(1),))),), IntLit(0))
-    assert violations(wrong_arity) == [
+    assert violations(wrong_arity, datatypes=[OPTION]) == [
         ("main/let0-pat", "constructor 'SOME' takes 1 argument(s), pattern has 2")]
 
 
@@ -133,7 +142,8 @@ def test_a_let_case_or_if_is_flagged_as_an_operand(node):
                  "case-scrutinee": Case(block, ((PWild(), IntLit(1)),))}
     f = FunDef("f", PVar("n"), Var("n"))
     for position, main in positions.items():
-        assert violations(main, [(f,)]) == [(f"main/{position}", f"'{node}' as an operand")]
+        assert violations(main, [(f,)], [OPTION]) == [
+            (f"main/{position}", f"'{node}' as an operand")]
     # bound or returned, it is fine
     assert violations(Let((Val(PVar("y"), block),), If(Con("true"), block, block))) == []
 
