@@ -694,10 +694,10 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         return ev
 
     def case(e: Case, tail: bool):
-        """A `case`.  One whose rules are all constructor patterns with
-        variables and wildcards for items, each of another constructor,
+        """A `case`.  One whose rules are all constructor patterns of
+        different constructors, with variables and wildcards for items,
         tests, binds and enters the right-hand side in its own closure:
-        a name test for one rule, a table of the rules' names for more."""
+        a name test for one rule, a table of the rules by name for more."""
         (scrutinee,), extra = operands((e.scrutinee,))
         cost = 1 + extra
         names = {pat.name for pat, _ in e.rules if type(pat) is PCon
