@@ -254,6 +254,56 @@ def test_calls_of_known_functions_keep_values_faults_and_steps(main, groups, exp
     assert (val, out.fault, out.steps) == expected
 
 
+def with_i(body):
+    return Let((Val(PVar("i"), IntLit(9)),), body)
+
+
+F2 = App(Var("f"), IntLit(2))
+HALF = PrimOp("div", (Var("i"), IntLit(2)))
+
+# Shapes the translation never emits, each run with `fun f x = x + 1`
+# in scope, and its (value, fault, steps): `<` and `=` of a call or of
+# arithmetic, `<` of a pure operand that is no variable or constant,
+# a `div` or `mod` of a `div`, and a 3-tuple with a call in it.
+COLD_SHAPES = {
+    "less-call": (PrimOp("<", (F2, IntLit(3))), (False, None, 8)),
+    "less-arith": (PrimOp("<", (IntLit(2), add(IntLit(1), IntLit(2)))), (True, None, 5)),
+    "equal-call": (PrimOp("=", (IntLit(3), F2)), (True, None, 8)),
+    "equal-arith": (PrimOp("=", (add(IntLit(1), IntLit(2)), IntLit(3))), (True, None, 5)),
+    "if-less-call": (If(PrimOp("<", (F2, IntLit(3))), IntLit(1), IntLit(2)), (2, None, 10)),
+    "if-less-div": (with_i(If(PrimOp("<", (HALF, IntLit(3))), IntLit(1), IntLit(2))),
+                    (2, None, 9)),
+    "div-of-div": (with_i(PrimOp("div", (HALF, IntLit(2)))), (2, None, 7)),
+    "mod-of-div-in-tuple": (with_i(Tuple((PrimOp("mod", (HALF, IntLit(3))), F2))),
+                            ((1, 3), None, 14)),
+    "impure-3-tuple": (Tuple((IntLit(1), F2, IntLit(3))), ((1, 3, 3), None, 9)),
+    "print-in-3-tuple": (Tuple((App(Var("mj_print"), IntLit(1)), F2,
+                                PrimOp("<", (F2, IntLit(2))))), (((), 3, False), None, 18)),
+}
+
+# (fuel, fault, steps, output) of each shape above cut at every fuel from
+# 0 to its steps: where every check falls, and what a cut run has printed.
+COLD_SHAPE_CUTS_SHA256 = "561086d2a676b30f89262a41e99b9b5bed43b3fa54ce25ac7d0bd49c453eb970"
+
+
+@pytest.mark.parametrize("name", COLD_SHAPES)
+def test_shapes_the_translation_never_emits_keep_values_faults_and_steps(name):
+    main, expected = COLD_SHAPES[name]
+    out, val = run(main, fun_groups=((INC,),))
+    assert (val, out.fault, out.steps) == expected
+
+
+def test_shapes_the_translation_never_emits_cut_at_any_fuel():
+    lines = []
+    for name, (main, (_, _, steps)) in COLD_SHAPES.items():
+        for fuel in range(steps + 1):
+            out, _ = run(main, fun_groups=((INC,),), fuel=fuel)
+            lines.append(f"{name} {fuel} {out.fault.value if out.fault else 'ok'} "
+                         f"{out.steps} {out.output}")
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == COLD_SHAPE_CUTS_SHA256, text
+
+
 def test_a_lifted_function_reads_what_its_caller_passes():
     # fun top _ = 100
     # fun inner (m, n) = if m < 1 then n + top 0 else inner (m - 1, n)
