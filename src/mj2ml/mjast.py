@@ -107,7 +107,6 @@ BINARY_LEVEL = {"&&": 1, "<": 2, "+": 3, "-": 3, "*": 4}
 @dataclass
 class Expr:
     span: Span = field(default=DUMMY_SPAN, kw_only=True, compare=False, repr=False)
-    ty: Optional[MjType] = field(default=None, kw_only=True, compare=False, repr=False)
 
 
 @dataclass

@@ -9,7 +9,10 @@ holds only `val` bindings (`Val`), so a function's free names are the
 top-level functions alone.  There are no refs, exceptions, strings, or
 records, and no function values: a `fun` name is only ever applied, so
 the fragment is first-order.  Booleans are the usual constructors
-``true``/``false``, the only builtin ones.
+``true``/``false``, the only builtin ones.  Matching takes only the
+forms the translation emits: a `case` has one `true` or `false` rule,
+or one rule for each of some distinct constructors, and only a `case`
+rule matches a constructor (see `validate_core`).
 
 Types (`Ty*`) appear only in datatype declarations, which may take type
 parameters (`TyVar`); expressions are untyped here and checked
@@ -245,7 +248,8 @@ class _Validator:
                 del self.scope[name]
 
     def bind(self, pat: Pat, path: str) -> set[str]:
-        """Check `pat` and declare its variables; returns them."""
+        """Check a `val` pattern or a parameter and declare its variables;
+        returns them."""
         bound: set[str] = set()
         self.pattern_vars(pat, path, bound)
         self.declare(bound)
@@ -254,14 +258,11 @@ class _Validator:
     def flag(self, path: str, message: str) -> None:
         self.violations.append(Violation(path, message))
 
-    def pattern_vars(self, pat: Pat, path: str, seen: set[str], item: bool = False) -> None:
-        """Check `pat` and add its variables to `seen`; an `item` of a
-        tuple or constructor pattern is a variable, a wildcard or a tuple
-        of those."""
-        flat = (PVar, PWild)
-        if item and not (isinstance(pat, flat) or isinstance(pat, PTuple)
-                         and all(isinstance(sub, flat) for sub in pat.items)):
-            self.flag(path, "a pattern item other than a variable, a wildcard or a tuple of those")
+    def pattern_vars(self, pat: Pat, path: str, seen: set[str], depth: int = 0) -> None:
+        """Check a `val` pattern or a parameter, or an item of one `depth`
+        tuples down, and add its variables to `seen`: a variable, a
+        wildcard or a tuple of those, whose items may be tuples of
+        variables and wildcards."""
         if isinstance(pat, PVar):
             if pat.name in seen:
                 self.flag(path, f"duplicate variable '{pat.name}' in pattern")
@@ -269,21 +270,46 @@ class _Validator:
         elif isinstance(pat, PWild):
             pass
         elif isinstance(pat, PTuple):
+            if depth > 1:
+                self.flag(path, "a tuple pattern inside a tuple item")
             if len(pat.items) == 1:
                 self.flag(path, "1-element tuple pattern")
             for i, sub in enumerate(pat.items):
-                self.pattern_vars(sub, f"{path}.{i}", seen, item=True)
+                self.pattern_vars(sub, f"{path}.{i}", seen, depth + 1)
         elif isinstance(pat, PCon):
-            arity = self.con_arities.get(pat.name)
-            if arity is None:
-                self.flag(path, f"unknown constructor '{pat.name}' in pattern")
-            elif arity != len(pat.args):
-                self.flag(path, f"constructor '{pat.name}' takes {arity} "
-                                f"argument(s), pattern has {len(pat.args)}")
-            for i, sub in enumerate(pat.args):
-                self.pattern_vars(sub, f"{path}.{i}", seen, item=True)
+            self.flag(path, "a constructor pattern outside a 'case' rule")
         else:
             self.flag(path, f"not a core pattern: {type(pat).__name__}")
+
+    def rule(self, pat: Pat, path: str, rules: int, names: set[str]) -> set[str]:
+        """Check the pattern of a rule of a `case` of `rules` rules, the
+        constructors of the rules before it being `names`, and declare its
+        variables; returns them.  A rule is a constructor pattern whose items are
+        variables and wildcards, its constructor has no other rule, and
+        a `true` or `false` rule is its `case`'s only rule."""
+        if not isinstance(pat, PCon):
+            self.flag(path, "a 'case' rule other than a constructor pattern")
+            return self.bind(pat, path)
+        if pat.name in BUILTIN_CON_ARITIES and rules > 1:
+            self.flag(path, f"a '{pat.name}' rule beside other rules")
+        elif pat.name in names:
+            self.flag(path, f"a second rule for constructor '{pat.name}'")
+        names.add(pat.name)
+        arity = self.con_arities.get(pat.name)
+        if arity is None:
+            self.flag(path, f"unknown constructor '{pat.name}' in pattern")
+        elif arity != len(pat.args):
+            self.flag(path, f"constructor '{pat.name}' takes {arity} "
+                            f"argument(s), pattern has {len(pat.args)}")
+        bound: set[str] = set()
+        for i, sub in enumerate(pat.args):
+            if isinstance(sub, (PVar, PWild)):
+                self.pattern_vars(sub, f"{path}.{i}", bound)
+            else:
+                self.flag(f"{path}.{i}", "a constructor pattern item other than "
+                                         "a variable or a wildcard")
+        self.declare(bound)
+        return bound
 
     def group(self, funs: tuple[FunDef, ...], path: str) -> None:
         """Check a top-level group of mutually recursive functions; declares
@@ -366,8 +392,9 @@ class _Validator:
             self.expr(e.scrutinee, f"{path}/case-scrutinee", operand=True)
             if not e.rules:
                 self.flag(path, "case with no rules")
+            names: set[str] = set()
             for i, (pat, rhs) in enumerate(e.rules):
-                bound = self.bind(pat, f"{path}/case-rule{i}-pat")
+                bound = self.rule(pat, f"{path}/case-rule{i}-pat", len(e.rules), names)
                 self.expr(rhs, f"{path}/case-rule{i}")
                 self.forget(bound)
         else:
@@ -376,15 +403,19 @@ class _Validator:
 
 def validate_core(program: MlProgram) -> list[Violation]:
     """Structural check: core nodes only, known constructors and primitives
-    at the right arities, patterns whose items are variables, wildcards
-    or tuples of those, `div` and `mod` only by positive literals, no
+    at the right arities, `div` and `mod` only by positive literals, no
     unbound variables, no 1-tuples, and no `let`, `case` or `if` as an
-    operand, so that every tree it accepts prints.  Every function is
-    top-level: a `let` declares only `val`s.  The fragment is
-    first-order: a `fun` name (or the runtime's `mj_print`) is only
-    applied, never read as a value, and only such a name is applied.
-    It runs within `outcome.COMPILE_FRAMES` frames, which any
-    translation fits."""
+    operand, so that every tree it accepts prints.  Patterns take the
+    forms the translation emits.  A `val` pattern or a parameter is a
+    variable, a wildcard or a tuple of those, whose items may be tuples
+    of variables and wildcards.  A `case` has either one rule `true` or
+    `false`, or one rule for each of some distinct constructors, whose
+    items are variables and wildcards; a constructor pattern appears
+    nowhere else.  Every function is top-level: a `let` declares only
+    `val`s.  The fragment is first-order: a `fun` name (or the runtime's
+    `mj_print`) is only applied, never read as a value, and only such a
+    name is applied.  It runs within `outcome.COMPILE_FRAMES` frames,
+    which any translation fits."""
     con_arities = dict(BUILTIN_CON_ARITIES)
     checker = _Validator(con_arities)
     for dt in program.datatypes:

@@ -4,19 +4,25 @@ Values are Python ints and bools, tuples for ML tuples and `VCon` for
 datatype values.  There are no function values: the fragment has no
 `fn`, and a `fun` name is only ever applied, never read as a value
 (`validate_core` rejects a program that does, and compiling one is an
-AssertionError).  The fragment has no literal patterns either.
+AssertionError).  The fragment has no literal patterns either, and its
+patterns take two forms, which `validate_core` checks and compiling
+anything else is an AssertionError: a `val` pattern or a parameter is a
+variable, a wildcard or a tuple of those, whose items may be tuples of
+variables and wildcards; and a `case` has either one rule `true` or
+`false`, or one rule for each of some distinct constructors, whose items
+are variables and wildcards.
 
 Before a run, `_compile` turns the program into Python closures after
 Feeley and Lapalme, "Using closures for code generation" (1987): one
-closure per expression node and one matcher per pattern.  A closure
+closure per expression node and one binder per pattern.  A closure
 takes the current frame and returns its node's value, calling its
 children's closures; no node of the tree is inspected while the program
 runs.  The closures are built for one run and dropped with it.  A `let`
 is one closure that runs its declarations in a loop, and a pure subtree
 (variables and constants, tuples and constructors of them, and `div` or
-`mod` of them by a positive literal) is one getter that charges no fuel:
-its parent, or a closure around the getter, charges for all of its
-nodes (see Fuel).
+`mod` of a variable or a constant by a positive literal) is one getter
+that charges no fuel: its parent, or a closure around the getter,
+charges for all of its nodes (see Fuel).
 
 Superoperators.  The shapes that translated code, and above all its
 store helpers, run at nearly every step are each one closure, after
@@ -30,22 +36,23 @@ can tell them apart:
   slots in their own closure, with no getter call.  The `if` charges 2
   and the primitive 1, plus 1 per operand, with one check; a `div` or
   `mod`, being pure, is charged by its parent (see Fuel);
-- a `case` whose rules are all constructor patterns of distinct
-  constructors, each with variables and wildcards for items, such as
-  `B (x, l, r)` or `A | B (v, l, r)`: after its one check, for the
-  `case` and a pure scrutinee's nodes, the same closure tests the name
-  (one rule) or looks the rule up by it (several), stores the items and
-  enters the rule's right-hand side;
+- a `case` is one of three closures, one for each of its forms: one
+  `true` or `false` rule, tested with `is` (so the int 1 is not `true`);
+  one constructor rule, such as `B (x, l, r)`, tested by name; and
+  several, such as `A | B (v, l, r)`, looked up by name in a table.
+  After its one check, for the `case` and a pure scrutinee's nodes, the
+  closure stores the items and enters the rule's right-hand side;
 - a call of a known function, with one check for the application, its
   function position and, when the argument goes straight into the
   parameter's slots, the tuple and its leading pure items: the closure
   builds the callee's frame, and outside tail position it also enters
   the callee's body and runs the pending calls (see Calls);
-- a tuple, a constructor or a call frame of 2 or 3 items is built in
-  its closure from the items' closures, with no tuple getter between;
-- a tuple or constructor pattern binds its items with one store; an
-  item that is itself a tuple of variables and wildcards, as in a
-  `((n, h), k)` parameter, is then matched on its slot.
+- a tuple of 2 items, or a constructor or a call frame of 2 or 3, is
+  built in its closure from the items' closures, with no tuple getter
+  between;
+- a tuple pattern binds its items with one store; an item that is
+  itself a tuple of variables and wildcards, as in a `((n, h), k)`
+  parameter, is then matched on its slot.
 
 Frames.  Every function is top-level and a `let` declares only `val`s
 (`validate_core` checks both), so a function reads only its own
@@ -62,8 +69,7 @@ indexes lists.  A constant (a literal, a nullary constructor such as
 the function, which every frame of the function holds from the start,
 so a constant is read as a variable is.  Since no two
 binding occurrences share a slot, a later `let` never overwrites a
-value an earlier one bound, and what a failed `case` rule bound is
-never read by the next rule.  A frame holds only
+value an earlier one bound.  A frame holds only
 values, and a value holds only older values, so a run makes no
 reference cycle: its memory goes as soon as reference counting frees
 it.
@@ -76,7 +82,7 @@ function's code, and the call site builds the callee's frame
 slot 0.  When the parameter is a tuple of variables and the argument a
 tuple of the same arity, the items go straight into the parameter's
 slots, `[None, *items, *rest]`: no argument tuple is built and no
-matcher runs.  The name in the function position is not read,
+binder runs.  The name in the function position is not read,
 though its visit is charged.
 
 An application in tail position, of a function body or of a `val`
@@ -93,8 +99,7 @@ body and one for each node between that body and the call: an `if`, a
 `case`, a `let`, or a node with the call as an operand, and the call's
 own closure, which enters the body, unless it is a `val`'s right-hand
 side.  That is 3 frames per pending call for a translated method
-recursion (a `let`, an `if` and a `let`), against 2 for the
-tree-walking evaluator this replaced.  A run has
+recursion (a `let`, an `if` and a `let`).  A run has
 `outcome.RECURSION_LIMIT` Python frames (the run model in `outcome`);
 exceeding it reports FuelExhausted, as running out of fuel does.
 
@@ -105,8 +110,9 @@ node charges with one check for itself and for the pure children it
 evaluates before any other child, and a pure subtree in any other place
 charges for all of its nodes at once; each raises before any of that
 work when the fuel does not cover all of it.  Two nodes share a check
-with a child that is not pure: an `if` whose condition is `<` or `=` of
-pure operands charges for the comparison too, and a known call whose
+with a child that is not pure: an `if` whose condition is `=` of pure
+operands, or `<` of variables and constants, charges for the comparison
+too, and a known call whose
 tuple argument goes straight into the callee's slots charges for the
 tuple and the tuple's leading pure items.  Reading a pure subtree has
 no effect, and nothing else runs between the visits so merged, so no
@@ -119,14 +125,15 @@ groups costs nothing.
 `=` and `<` are defined on integers; `div` and `mod` round towards
 negative infinity, and `validate_core` admits them only with a positive
 literal divisor; arithmetic outside the 63-bit
-range [-2^62, 2^62 - 1] is an IntegerOverflow fault; a `case` (or a
-binding pattern) that no rule matches is a MatchFailure fault.
+range [-2^62, 2^62 - 1] is an IntegerOverflow fault; a `case` that
+no rule matches, or a tuple pattern given a tuple of another length, is
+a MatchFailure fault.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, floordiv, itemgetter, mod, mul, sub
+from operator import add, eq, floordiv, itemgetter, lt, mod, mul, sub
 
 from .mjast import INT_MAX, INT_MIN
 from .mlast import (
@@ -268,42 +275,28 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         return slice(lo, free)
 
     def binder(pat: Pat, bound: list[str]):
-        """A tuple or constructor pattern matches in one closure: one
-        store binds the items.  An item may itself be a tuple of
-        variables and wildcards, as in `((n, h), k)`: it is bound to an
-        unnamed slot, and its own matcher runs on that slot next.  Any
-        other nested pattern is outside the fragment (`validate_core`)."""
+        """The binder of a `val` pattern or a parameter.  A tuple pattern
+        matches in one closure: one store binds the items.  An item may
+        itself be a tuple of variables and wildcards, as in `((n, h), k)`:
+        it is bound to an unnamed slot, and its own matcher runs on that
+        slot next.  Any other pattern is outside the fragment
+        (`validate_core`)."""
         cls = type(pat)
         if cls is PVar:
             return declare(pat.name, bound)
         if cls is PWild:
             return None
-        if cls is PTuple:
-            pats, name = pat.items, None
-        elif cls is PCon:
-            pats, name = pat.args, pat.name
-            if name == "true":
-                return lambda v, f: v is True
-            if name == "false":
-                return lambda v, f: v is False
-            if not pats:
-                return lambda v, f: type(v) is VCon and v.name == name and not v.args
-        else:
-            raise AssertionError(f"unhandled pattern {cls.__name__}")
+        if cls is not PTuple:
+            raise AssertionError(f"a {cls.__name__} outside a `case` rule")
+        pats = pat.items
         n = len(pats)
         subs = declare_all(pats, bound)
-        if name is None:
-            def m(v, f):
-                if type(v) is tuple and len(v) == n:
-                    f[subs] = v
-                    return True
-                return False
-        else:
-            def m(v, f):
-                if type(v) is VCon and v.name == name and len(v.args) == n:
-                    f[subs] = v.args
-                    return True
-                return False
+
+        def m(v, f):
+            if type(v) is tuple and len(v) == n:
+                f[subs] = v
+                return True
+            return False
         for slot, p in enumerate(pats, subs.start):
             if type(p) is PTuple and _plain(p.items):
                 m = and_then(m, slot, binder(p, bound))
@@ -315,23 +308,11 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         """`outer`, and then `inner` on what it bound to `slot`."""
         return lambda v, f: outer(v, f) and inner(f[slot], f)
 
-    def matcher(pat: Pat, bound: list[str]):
-        """`binder`, always as a matcher."""
-        b = binder(pat, bound)
-        if b is None:
-            return lambda v, f: True
-        if type(b) is int:
-            def m(v, f):
-                f[b] = v
-                return True
-            return m
-        return b
-
     # -- pure nodes: variables and constants, and tuples and constructors
-    # of them, and `div` and `mod` of them by positive literals, such as
-    # `i div 2`.  Evaluating one cannot fault or print, so a pure subtree
-    # compiles to a getter g(frame) that charges no fuel; its parent
-    # charges for its nodes. --------------------------------------------------
+    # of them, and `div` and `mod` of a variable or a constant by a
+    # positive literal, such as `i div 2`.  Evaluating one cannot fault
+    # or print, so a pure subtree compiles to a getter g(frame) that
+    # charges no fuel; its parent charges for its nodes. -------------------
 
     def pure(e: MlExpr):
         """(getter, node count, slot) when `e` is pure, else None; `slot`
@@ -374,20 +355,16 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         return (lambda f: VCon(name, get(f))), count, None
 
     def division(e: PrimOp):
-        """`pure` of a `div` or `mod`: one of a pure dividend by a
-        positive literal cannot fault."""
+        """`pure` of a `div` or `mod`: one of a variable or a constant by
+        a positive literal cannot fault.  Any other is a primitive."""
         dividend, divisor = e.args
         if e.op not in DIVISIONS or type(divisor) is not IntLit or divisor.value < 1:
             return None
         part = pure(dividend)
-        if part is None:
+        if part is None or part[2] is None:
             return None
-        get, n, s = part
+        _, n, s = part
         d = divisor.value
-        if s is None:
-            if e.op == "div":
-                return (lambda f: get(f) // d), n + 2, None
-            return (lambda f: get(f) % d), n + 2, None
         if e.op == "div":
             return (lambda f: f[s] // d), n + 2, None
         return (lambda f: f[s] % d), n + 2, None
@@ -628,18 +605,19 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         return ev
 
     def if_(e: If, tail: bool):
-        """An `if`.  One whose condition is `<` or `=` of pure operands
-        is one closure that charges for itself and for the comparison
-        with one check: nothing can print or fault between those visits.
-        Operands that are variables or constants are read in place."""
+        """An `if`.  One whose condition is `=` of pure operands, or `<`
+        of variables and constants, is one closure that charges for
+        itself and for the comparison with one check: nothing can print
+        or fault between those visits.  Operands that are variables or
+        constants are read in place."""
         cond = e.cond
         compare = type(cond) is PrimOp and cond.op in ("<", "=")
         parts = [pure(x) for x in cond.args] if compare else [None]
-        fused = None not in parts
+        less = compare and cond.op == "<"
+        fused = None not in parts and not (less and None in (parts[0][2], parts[1][2]))
         if fused:
             (a, na, s), (b, nb, t) = parts
             cost = 2 + na + nb
-            less = cond.op == "<"
         else:
             (test,), extra = operands((cond,))
             cost = 1 + extra
@@ -673,15 +651,6 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                     if f[s] == f[t]:
                         return then(f)
                     return orelse(f)
-        elif less:
-            def ev(f):
-                nonlocal fuel
-                if fuel < cost:
-                    raise Fault(_FUEL)
-                fuel -= cost
-                if a(f) < b(f):
-                    return then(f)
-                return orelse(f)
         else:
             def ev(f):
                 nonlocal fuel
@@ -694,35 +663,41 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         return ev
 
     def case(e: Case, tail: bool):
-        """A `case`.  One whose rules are all constructor patterns of
-        different constructors, with variables and wildcards for items,
-        tests, binds and enters the right-hand side in its own closure:
-        a name test for one rule, a table of the rules by name for more."""
+        """A `case`, in one of the fragment's forms, as one closure that
+        tests the scrutinee, binds the items and enters the right-hand
+        side: one `true` or `false` rule, tested with `is`; one
+        constructor rule, tested by name; or rules of distinct
+        constructors, in a table by name.  Any other `case` is outside
+        the fragment (`validate_core`)."""
         (scrutinee,), extra = operands((e.scrutinee,))
         cost = 1 + extra
+        pat = e.rules[0][0] if len(e.rules) == 1 else None
+        if type(pat) is PCon and pat.name in _CONSTANTS and not pat.args:
+            want = _CONSTANTS[pat.name]
+            rhs = expr(e.rules[0][1], tail)
+
+            def ev(f):
+                nonlocal fuel
+                if fuel < cost:
+                    raise Fault(_FUEL)
+                fuel -= cost
+                if scrutinee(f) is want:
+                    return rhs(f)
+                raise Fault(_MATCH)
+            return ev
         names = {pat.name for pat, _ in e.rules if type(pat) is PCon
                  and pat.name not in _CONSTANTS and _plain(pat.args)}
-        if len(names) == len(e.rules):
-            table = {}
-            for pat, rhs in e.rules:
-                bound: list[str] = []
-                subs = declare_all(pat.args, bound)
-                table[pat.name] = (len(pat.args), subs, expr(rhs, tail))
-                forget(bound)
-            if len(table) == 1:
-                [(name, (n, subs, rhs))] = table.items()
-
-                def ev(f):
-                    nonlocal fuel
-                    if fuel < cost:
-                        raise Fault(_FUEL)
-                    fuel -= cost
-                    v = scrutinee(f)
-                    if type(v) is VCon and v.name == name and len(v.args) == n:
-                        f[subs] = v.args
-                        return rhs(f)
-                    raise Fault(_MATCH)
-                return ev
+        if not names or len(names) != len(e.rules):
+            raise AssertionError("a `case` other than one `true` or `false` rule "
+                                 "or rules of distinct constructors")
+        table = {}
+        for pat, rhs in e.rules:
+            bound: list[str] = []
+            subs = declare_all(pat.args, bound)
+            table[pat.name] = (len(pat.args), subs, expr(rhs, tail))
+            forget(bound)
+        if len(table) == 1:
+            [(name, (n, subs, rhs))] = table.items()
 
             def ev(f):
                 nonlocal fuel
@@ -730,32 +705,11 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                     raise Fault(_FUEL)
                 fuel -= cost
                 v = scrutinee(f)
-                if type(v) is VCon and v.name in table:
-                    n, subs, rhs = table[v.name]
-                    if len(v.args) == n:
-                        f[subs] = v.args
-                        return rhs(f)
-                raise Fault(_MATCH)
-            return ev
-        rules = []
-        for pat, rhs in e.rules:
-            bound = []
-            m = matcher(pat, bound)
-            rules.append((m, expr(rhs, tail)))
-            forget(bound)
-        if len(rules) == 1:
-            [(m, rhs)] = rules
-
-            def ev(f):
-                nonlocal fuel
-                if fuel < cost:
-                    raise Fault(_FUEL)
-                fuel -= cost
-                if m(scrutinee(f), f):
+                if type(v) is VCon and v.name == name and len(v.args) == n:
+                    f[subs] = v.args
                     return rhs(f)
                 raise Fault(_MATCH)
             return ev
-        rules = tuple(rules)
 
         def ev(f):
             nonlocal fuel
@@ -763,15 +717,18 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                 raise Fault(_FUEL)
             fuel -= cost
             v = scrutinee(f)
-            for m, rhs in rules:
-                if m(v, f):
+            if type(v) is VCon and v.name in table:
+                n, subs, rhs = table[v.name]
+                if len(v.args) == n:
+                    f[subs] = v.args
                     return rhs(f)
             raise Fault(_MATCH)
         return ev
 
     def prim(e: PrimOp):
         """A primitive.  `+`, `-` and `<` of variables and constants read
-        them in place."""
+        them in place; any other takes its operator from a table and
+        checks the result's range, which a comparison's bool is in."""
         op = e.op
         read = slots_of(e.args) if op in ("+", "-", "<") else None
         if read is not None:
@@ -807,39 +764,24 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             return ev
         (a, b), extra = operands(e.args)
         cost = 1 + extra
-        if op == "<":
-            def ev(f):
-                nonlocal fuel
-                if fuel < cost:
-                    raise Fault(_FUEL)
-                fuel -= cost
-                return a(f) < b(f)
-        elif op == "=":
-            def ev(f):
-                nonlocal fuel
-                if fuel < cost:
-                    raise Fault(_FUEL)
-                fuel -= cost
-                return a(f) == b(f)
-        else:
-            arith = {"+": add, "-": sub, "*": mul, "div": floordiv, "mod": mod}[op]
+        arith = {"+": add, "-": sub, "*": mul, "div": floordiv, "mod": mod, "<": lt, "=": eq}[op]
 
-            def ev(f):
-                nonlocal fuel
-                if fuel < cost:
-                    raise Fault(_FUEL)
-                fuel -= cost
-                r = arith(a(f), b(f))
-                if INT_MIN <= r <= INT_MAX:
-                    return r
-                raise Fault(_OVERFLOW)
+        def ev(f):
+            nonlocal fuel
+            if fuel < cost:
+                raise Fault(_FUEL)
+            fuel -= cost
+            r = arith(a(f), b(f))
+            if INT_MIN <= r <= INT_MAX:
+                return r
+            raise Fault(_OVERFLOW)
         return ev
 
     def construct(e: Tuple | Con):
         """A tuple, or a constructor application, with an impure part.
-        Two or three items are built in the closure itself, so that a
-        call in one, as in `C (n, f (t, i))`, holds no extra Python
-        frame."""
+        Two items, or a constructor's three, are built in the closure
+        itself, so that a call in one, as in `C (n, f (t, i))`, holds no
+        extra Python frame."""
         items, extra = operands(e.items if type(e) is Tuple else e.args)
         cost = 1 + extra
         name = e.name if type(e) is Con else None
@@ -860,22 +802,15 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                     fuel -= cost
                     return VCon(name, (a(f), b(f)))
             return ev
-        if len(items) == 3:
+        if len(items) == 3 and name is not None:
             a, b, c = items
-            if name is None:
-                def ev(f):
-                    nonlocal fuel
-                    if fuel < cost:
-                        raise Fault(_FUEL)
-                    fuel -= cost
-                    return (a(f), b(f), c(f))
-            else:
-                def ev(f):
-                    nonlocal fuel
-                    if fuel < cost:
-                        raise Fault(_FUEL)
-                    fuel -= cost
-                    return VCon(name, (a(f), b(f), c(f)))
+
+            def ev(f):
+                nonlocal fuel
+                if fuel < cost:
+                    raise Fault(_FUEL)
+                fuel -= cost
+                return VCon(name, (a(f), b(f), c(f)))
             return ev
         get = tuple_of(items)
         if name is None:
@@ -911,7 +846,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
     # The helpers above refer to each other through their cells; emptying
     # those leaves no cycle of compile-time objects for the collector.
     del (declare, forget, resolve, constant, new_frame, declare_all, binder, and_then,
-         matcher, pure, compound, division, tuple_of, operands, slots_of, expr, let,
+         pure, compound, division, tuple_of, operands, slots_of, expr, let,
          function, app, call, print_, if_, case, prim, construct)
 
     def run():

@@ -1,9 +1,9 @@
 """Class table construction and typechecking.
 
 `typecheck` builds the inheritance table, then checks every method body
-and the main statement list.  It annotates the AST in place: every
-expression gets `.ty`, identifier reads/writes get `.binding`, and calls
-get `.receiver_class`.  Later stages rely on those annotations.
+and the main statement list.  It annotates the AST in place: identifier
+reads/writes get `.binding`, and calls get `.receiver_class`.  Later
+stages rely on those annotations.
 
 `build_class_table` resolves inheritance once, each class after its
 superclass whatever the declaration order, and checks each class against
@@ -13,7 +13,10 @@ extends its superclass's in order, so a field or method slot has the
 same position in a class and in its subclasses.  Nesting has one limit
 for all later stages, `outcome.MAX_NESTING`: more statement and
 expression nodes from a body to a leaf, or classes in an inheritance
-chain, are a type error at the body's start or the class.
+chain, are a type error at the body's start or the class.  The chain
+limit guards memory, not Python frames: a class copies its superclass's
+`path`, `all_fields` and `vtable`, and `mjinterp` builds a template for
+each class, so a chain of k classes that each add a field costs O(k^2).
 
 `typecheck` also fills in what a run can reach from main (`_mark_live`),
 from the `new C` and the (receiver class, method) of each call that it
@@ -275,9 +278,9 @@ class _Checker:
 
     def expr(self, e: Expr) -> MjType:
         self.descend()
-        e.ty = self._expr(e)
+        ty = self._expr(e)
         self.depth -= 1
-        return e.ty
+        return ty
 
     def _expect(self, e: Expr, want: MjType, what: str) -> None:
         got = self.expr(e)

@@ -86,14 +86,20 @@ def test_duplicate_names_in_a_group_are_flagged_local_and_top_level():
     assert violations(top, [(f0, f1)]) == [("group0", "duplicate function name in group")]
 
 
+OUTSIDE = "a constructor pattern outside a 'case' rule"
+
+
 def test_val_patterns_are_checked():
-    # let val (x) = 1 in 0 end; let val SOME (a, b) = SOME 1 in 0 end
+    # let val (x) = 1 in 0 end; let val SOME (a, b) = SOME 1 in 0 end,
+    # which only a `case` rule could match; case SOME 1 of SOME (a, b) => 0
     one_tuple = Let((Val(PTuple((PVar("x"),)), IntLit(1)),), IntLit(0))
     assert violations(one_tuple) == [("main/let0-pat", "1-element tuple pattern")]
-    wrong_arity = Let((Val(PCon("SOME", (PVar("a"), PVar("b"))),
-                           Con("SOME", (IntLit(1),))),), IntLit(0))
-    assert violations(wrong_arity, datatypes=[OPTION]) == [
-        ("main/let0-pat", "constructor 'SOME' takes 1 argument(s), pattern has 2")]
+    wrong_arity = PCon("SOME", (PVar("a"), PVar("b")))
+    in_val = Let((Val(wrong_arity, Con("SOME", (IntLit(1),))),), IntLit(0))
+    assert violations(in_val, datatypes=[OPTION]) == [("main/let0-pat", OUTSIDE)]
+    in_rule = Case(Con("SOME", (IntLit(1),)), ((wrong_arity, IntLit(0)),))
+    assert violations(in_rule, datatypes=[OPTION]) == [
+        ("main/case-rule0-pat", "constructor 'SOME' takes 1 argument(s), pattern has 2")]
 
 
 def test_a_declaration_must_be_a_val_or_a_group():
@@ -131,7 +137,7 @@ def test_div_and_mod_take_only_positive_literal_divisors():
 def test_a_let_case_or_if_is_flagged_as_an_operand(node):
     # the A-normal form that `mlprint` relies on: these print on one line only
     block = {"let": Let((Val(PVar("x"), IntLit(1)),), Var("x")),
-             "case": Case(IntLit(1), ((PWild(), IntLit(1)),)),
+             "case": Case(Con("true"), ((PCon("true"), IntLit(1)),)),
              "if": If(Con("true"), Con("true"), Con("false"))}[node]
     positions = {"tuple.0": Tuple((block, IntLit(1))),   # (let ... end, 1)
                  "SOME.0": Con("SOME", (block,)),
@@ -139,7 +145,7 @@ def test_a_let_case_or_if_is_flagged_as_an_operand(node):
                  "app-fn": App(block, IntLit(1)),
                  "app-arg": App(Var("f"), block),       # f (case ...)
                  "if-cond": If(block, IntLit(1), IntLit(2)),
-                 "case-scrutinee": Case(block, ((PWild(), IntLit(1)),))}
+                 "case-scrutinee": Case(block, ((PCon("false"), IntLit(1)),))}
     f = FunDef("f", PVar("n"), Var("n"))
     for position, main in positions.items():
         assert violations(main, [(f,)], [OPTION]) == [
@@ -241,3 +247,53 @@ def test_a_fun_inside_a_let_is_rejected(main, groups, expected):
     assert violations(main, groups) == expected
     with pytest.raises(AssertionError):
         eval_program(MlProgram([], groups, main))
+
+
+RULE = "a 'case' rule other than a constructor pattern"
+SOME1 = Con("SOME", (IntLit(1),))
+
+
+@pytest.mark.parametrize("main, groups, expected", [
+    # case SOME 1 of x => 0
+    (Case(SOME1, ((PVar("x"), IntLit(0)),)), [], [("main/case-rule0-pat", RULE)]),
+    # case SOME 1 of SOME x => x | _ => 0
+    (Case(SOME1, ((PCon("SOME", (PVar("x"),)), Var("x")), (PWild(), IntLit(0)))), [],
+     [("main/case-rule1-pat", RULE)]),
+    # case (1, 2) of (a, b) => a
+    (Case(Tuple((IntLit(1), IntLit(2))), ((PTuple((PVar("a"), PVar("b"))), Var("a")),)), [],
+     [("main/case-rule0-pat", RULE)]),
+    # case SOME 1 of SOME x => x | SOME _ => 0
+    (Case(SOME1, ((PCon("SOME", (PVar("x"),)), Var("x")), (PCon("SOME", (PWild(),)), IntLit(0)))),
+     [], [("main/case-rule1-pat", "a second rule for constructor 'SOME'")]),
+    # case true of true => 1 | false => 0
+    (Case(Con("true"), ((PCon("true"), IntLit(1)), (PCon("false"), IntLit(0)))), [],
+     [("main/case-rule0-pat", "a 'true' rule beside other rules"),
+      ("main/case-rule1-pat", "a 'false' rule beside other rules")]),
+    # case NONE of NONE => 1 | false => 0
+    (Case(Con("NONE"), ((PCon("NONE"), IntLit(1)), (PCon("false"), IntLit(0)))), [],
+     [("main/case-rule1-pat", "a 'false' rule beside other rules")]),
+    # case SOME (SOME 1) of SOME (SOME x) => x
+    (Case(Con("SOME", (SOME1,)), ((PCon("SOME", (PCon("SOME", (PVar("x"),)),)), IntLit(0)),)),
+     [], [("main/case-rule0-pat.0",
+           "a constructor pattern item other than a variable or a wildcard")]),
+    # let val SOME x = SOME 1 in 0 end
+    (Let((Val(PCon("SOME", (PVar("x"),)), SOME1),), IntLit(0)), [], [("main/let0-pat", OUTSIDE)]),
+    # fun f (n, SOME _) = n; f (1, NONE)
+    (App(Var("f"), Tuple((IntLit(1), Con("NONE")))),
+     [(FunDef("f", PTuple((PVar("n"), PCon("SOME", (PWild(),)))), Var("n")),)],
+     [("group0/fun f/param.1", OUTSIDE)]),
+    # let val ((a, (b, c)), d) = ((1, (2, 3)), 4) in a end
+    (Let((Val(PTuple((PTuple((PVar("a"), PTuple((PVar("b"), PVar("c"))))), PVar("d"))),
+              Tuple((Tuple((IntLit(1), Tuple((IntLit(2), IntLit(3))))), IntLit(4)))),),
+         Var("a")), [],
+     [("main/let0-pat.0.1", "a tuple pattern inside a tuple item")]),
+], ids=["variable-rule", "wildcard-rule", "tuple-rule", "duplicate-constructors",
+        "two-bool-rules", "bool-beside-constructor", "nested-constructor",
+        "constructor-in-val", "constructor-in-parameter", "tuple-in-tuple-item"])
+def test_a_case_or_pattern_the_translation_never_emits_is_rejected(main, groups, expected):
+    # a `case` has one `true` or `false` rule or one rule for each of some
+    # distinct constructors, with variables and wildcards for items; a
+    # `val` pattern or a parameter has tuples one level deep at most
+    assert violations(main, groups, [OPTION]) == expected
+    with pytest.raises(AssertionError):
+        eval_program(MlProgram([OPTION], groups, main))

@@ -8,6 +8,7 @@ from mj2ml.mjast import INT_MAX, INT_MIN
 from mj2ml.mjinterp import interpret_mj
 from mj2ml.mlast import (
     TY_INT,
+    TY_UNIT,
     App,
     Case,
     Con,
@@ -24,6 +25,7 @@ from mj2ml.mlast import (
     PrimOp,
     PWild,
     Tuple,
+    TyVar,
     Val,
     Var,
     validate_core,
@@ -35,9 +37,6 @@ from mj2ml.randgen import generate_program
 from mj2ml.sema import typecheck
 from mj2ml.store import prelude
 from mj2ml.translate import translate
-
-
-NESTED = "a pattern item other than a variable, a wildcard or a tuple of those"
 
 
 def run(main, fun_groups=(), fuel=10_000_000):
@@ -78,12 +77,23 @@ def test_if_requires_boolean_and_selects_branch():
     assert val == 10
 
 
+# datatype 'a option = NONE | SOME of 'a, and datatype ab = A of int | B of int
+OPTION = DataType("option", (DataCon("NONE", TY_UNIT), DataCon("SOME", TyVar("a"))),
+                  params=("a",))
+AB = DataType("ab", (DataCon("A", TY_INT), DataCon("B", TY_INT)))
+
+
 def test_case_first_matching_rule_wins():
+    # case SOME 2 of NONE => 100 | SOME x => x | _ => 300: no rule comes
+    # first, since rules of distinct constructors cannot overlap, and a
+    # wildcard rule, which could, is outside the fragment
     main = Case(Con("SOME", (IntLit(2),)), ((PCon("NONE"), IntLit(100)),
                                             (PCon("SOME", (PVar("x"),)), Var("x")),
                                             (PWild(), IntLit(300))))
-    out, val = run(main)
-    assert val == 2
+    assert [(v.path, v.message) for v in validate_core(MlProgram([OPTION], [], main))] == [
+        ("main/case-rule2-pat", "a 'case' rule other than a constructor pattern")]
+    with pytest.raises(AssertionError):
+        run(main)
 
 
 def test_case_without_match_faults():
@@ -92,13 +102,12 @@ def test_case_without_match_faults():
 
 
 def test_integer_pattern_does_not_match_booleans():
-    # true is the Python True, which is also the int 1: a constructor
-    # pattern must not confuse it with a datatype value or with false
-    main = Case(Con("true"), ((PCon("SOME", (PWild(),)), IntLit(9)),
-                              (PCon("false"), IntLit(8)),
-                              (PCon("true"), IntLit(7))))
-    out, val = run(main)
-    assert val == 7
+    # true is the Python True, which is also the int 1: a `true` or
+    # `false` rule must not confuse it with false or with 1
+    assert run(Case(Con("true"), ((PCon("true"), IntLit(7)),)))[1] == 7
+    for scrutinee, rule in ((Con("true"), "false"), (IntLit(1), "true")):
+        out, val = run(Case(scrutinee, ((PCon(rule), IntLit(7)),)))
+        assert out.fault == FaultKind.MATCH_FAILURE and val is None, rule
 
 
 def test_constructor_patterns_destructure_trees():
@@ -185,24 +194,14 @@ def test_an_index_outside_the_tree_fails_to_match_in_mj_get_and_mj_set(index):
 
 
 def test_failed_case_rule_binds_nothing():
-    # let x = 5 in case A 1 of B x => 0 | _ => x
+    # let x = 5 in case A 1 of B x => 0 | A _ => x: the x of the rule not
+    # taken has a slot of its own, so the outer x is read
     main = Let((Val(PVar("x"), IntLit(5)),),
                Case(Con("A", (IntLit(1),)), ((PCon("B", (PVar("x"),)), IntLit(0)),
-                                             (PWild(), Var("x")))))
+                                             (PCon("A", (PWild(),)), Var("x")))))
+    assert validate_core(MlProgram([AB], [], main)) == []
     out, val = run(main)
     assert out.ok and val == 5
-    # a constructor pattern nested in another, as in `(A x, B _)`, is
-    # outside the fragment: a rule has only variables, wildcards and
-    # tuples of those below its tuple or constructor
-    nested = Let((Val(PVar("x"), IntLit(5)),),
-                 Case(Tuple((Con("A", (IntLit(1),)), Con("B", (IntLit(2),)))),
-                      ((PTuple((PCon("A", (PVar("x"),)), PCon("B", (PWild(),)))), IntLit(0)),
-                       (PWild(), Var("x")))))
-    datatypes = [DataType("ab", (DataCon("A", TY_INT), DataCon("B", TY_INT)))]
-    assert [(v.path, v.message) for v in validate_core(MlProgram(datatypes, [], nested))] == [
-        ("main/let-body/case-rule0-pat.0", NESTED), ("main/let-body/case-rule0-pat.1", NESTED)]
-    with pytest.raises(AssertionError):
-        run(nested)
 
 
 def test_tail_call_whose_argument_makes_calls():
@@ -227,31 +226,6 @@ def add(a, b):
 INC = FunDef("f", PVar("x"), add(Var("x"), IntLit(1)))
 FIRST = FunDef("f", PTuple((PVar("a"), PVar("b"))), Var("a"))
 SUM = FunDef("f", PTuple((PVar("a"), PVar("b"))), add(Var("a"), Var("b")))
-
-
-@pytest.mark.parametrize("main, groups, expected", [
-    # a later group's `fun f x` shadows the earlier `fun f (a, b)`
-    (App(Var("f"), IntLit(3)),
-     ((SUM,), (FunDef("f", PVar("x"), PrimOp("*", (Var("x"), IntLit(2)))),)), (6, None, 6)),
-    # a 3-tuple for a 2-tuple parameter fails to match after the charge
-    (App(Var("f"), Tuple((IntLit(1), IntLit(2), IntLit(3)))),
-     ((FIRST,),), (None, FaultKind.MATCH_FAILURE, 6)),
-    # a tuple passed through a variable
-    (Let((Val(PVar("p"), Tuple((IntLit(1), IntLit(2)))),), App(Var("f"), Var("p"))),
-     ((FIRST,),), (1, None, 8)),
-    # a known call outside tail position
-    (add(IntLit(1), App(Var("f"), IntLit(9))), ((INC,),), (11, None, 8)),
-    # known calls with a tuple argument, pure or not, and with a single
-    # argument, pure or not: the function position is charged, not read
-    (App(Var("f"), Tuple((IntLit(1), IntLit(2)))), ((SUM,),), (3, None, 8)),
-    (App(Var("f"), Tuple((IntLit(1), add(IntLit(2), IntLit(3))))), ((SUM,),), (6, None, 10)),
-    (App(Var("f"), IntLit(9)), ((INC,),), (10, None, 6)),
-    (App(Var("f"), add(IntLit(9), IntLit(1))), ((INC,),), (11, None, 8)),
-], ids=["later-fun-shadows", "arity-mismatch", "tuple-in-variable", "non-tail",
-        "known-tuple", "known-tuple-impure", "known-single", "known-single-impure"])
-def test_calls_of_known_functions_keep_values_faults_and_steps(main, groups, expected):
-    out, val = run(main, fun_groups=groups)
-    assert (val, out.fault, out.steps) == expected
 
 
 def with_i(body):
@@ -281,16 +255,37 @@ COLD_SHAPES = {
                                 PrimOp("<", (F2, IntLit(2))))), (((), 3, False), None, 18)),
 }
 
-# (fuel, fault, steps, output) of each shape above cut at every fuel from
-# 0 to its steps: where every check falls, and what a cut run has printed.
-COLD_SHAPE_CUTS_SHA256 = "561086d2a676b30f89262a41e99b9b5bed43b3fa54ce25ac7d0bd49c453eb970"
 
-
-@pytest.mark.parametrize("name", COLD_SHAPES)
-def test_shapes_the_translation_never_emits_keep_values_faults_and_steps(name):
-    main, expected = COLD_SHAPES[name]
-    out, val = run(main, fun_groups=((INC,),))
+@pytest.mark.parametrize("main, groups, expected", [
+    # a later group's `fun f x` shadows the earlier `fun f (a, b)`
+    (App(Var("f"), IntLit(3)),
+     ((SUM,), (FunDef("f", PVar("x"), PrimOp("*", (Var("x"), IntLit(2)))),)), (6, None, 6)),
+    # a 3-tuple for a 2-tuple parameter fails to match after the charge
+    (App(Var("f"), Tuple((IntLit(1), IntLit(2), IntLit(3)))),
+     ((FIRST,),), (None, FaultKind.MATCH_FAILURE, 6)),
+    # a tuple passed through a variable
+    (Let((Val(PVar("p"), Tuple((IntLit(1), IntLit(2)))),), App(Var("f"), Var("p"))),
+     ((FIRST,),), (1, None, 8)),
+    # a known call outside tail position
+    (add(IntLit(1), App(Var("f"), IntLit(9))), ((INC,),), (11, None, 8)),
+    # known calls with a tuple argument, pure or not, and with a single
+    # argument, pure or not: the function position is charged, not read
+    (App(Var("f"), Tuple((IntLit(1), IntLit(2)))), ((SUM,),), (3, None, 8)),
+    (App(Var("f"), Tuple((IntLit(1), add(IntLit(2), IntLit(3))))), ((SUM,),), (6, None, 10)),
+    (App(Var("f"), IntLit(9)), ((INC,),), (10, None, 6)),
+    (App(Var("f"), add(IntLit(9), IntLit(1))), ((INC,),), (11, None, 8)),
+    *[(main, ((INC,),), expected) for main, expected in COLD_SHAPES.values()],
+], ids=["later-fun-shadows", "arity-mismatch", "tuple-in-variable", "non-tail",
+        "known-tuple", "known-tuple-impure", "known-single", "known-single-impure",
+        *COLD_SHAPES])
+def test_calls_of_known_functions_keep_values_faults_and_steps(main, groups, expected):
+    out, val = run(main, fun_groups=groups)
     assert (val, out.fault, out.steps) == expected
+
+
+# (fuel, fault, steps, output) of each of COLD_SHAPES cut at every fuel
+# from 0 to its steps: where every check falls, and what a cut run has printed.
+COLD_SHAPE_CUTS_SHA256 = "561086d2a676b30f89262a41e99b9b5bed43b3fa54ce25ac7d0bd49c453eb970"
 
 
 def test_shapes_the_translation_never_emits_cut_at_any_fuel():
