@@ -90,7 +90,10 @@ def print_type(ty: MlType, atomic: bool = False) -> str:
 
 # -- patterns -------------------------------------------------------------------
 
-def print_pat(pat: Pat, atomic: bool = False) -> str:
+def print_pat(pat: Pat) -> str:
+    """A pattern.  A constructor pattern is only a `case` rule's own, with
+    variables and wildcards for items (`validate_core`), so it is never
+    parenthesised."""
     if isinstance(pat, PVar):
         return pat.name
     if isinstance(pat, PWild):
@@ -101,10 +104,8 @@ def print_pat(pat: Pat, atomic: bool = False) -> str:
         if not pat.args:
             return pat.name
         if len(pat.args) == 1:
-            text = f"{pat.name} {print_pat(pat.args[0], atomic=True)}"
-        else:
-            text = pat.name + " (" + ", ".join(print_pat(p) for p in pat.args) + ")"
-        return f"({text})" if atomic else text
+            return f"{pat.name} {print_pat(pat.args[0])}"
+        return pat.name + " (" + ", ".join(print_pat(p) for p in pat.args) + ")"
     raise AssertionError(f"unhandled pattern {type(pat).__name__}")
 
 
@@ -240,7 +241,7 @@ def print_ml_program(program: MlProgram, source_name: str = "source") -> str:
         for group in program.fun_groups:
             for j, f in enumerate(group):
                 keyword = "fun" if j == 0 else "and"
-                parts += _bind(f"{keyword} {f.name} {print_pat(f.param, atomic=True)} =",
+                parts += _bind(f"{keyword} {f.name} {print_pat(f.param)} =",
                                f.body, "")
             parts.append("")
         main = _block(program.main, "  ")

@@ -14,13 +14,16 @@ object, the likeliest to be used next, is the root.  An array is
 and ``new int[n]`` builds by halving, O(log^2 n).  Null, pointer -1, is
 index n, and like any array index outside 0 .. length-1 its walk ends in
 an empty subtree, where the helpers have no rule: a MatchFailure fault.
+An unshared local array, one that cannot escape its method (see
+`translate`), is such an `HArr` value threaded by the method like an
+`int`, and never a cell; every other array is a heap cell.
 
 This module is the only one that knows that encoding.  It holds the
 store's types (the `heapval` and `tree` datatypes), the
 `prelude` of helpers emitted with every program, and a builder for the
 ML expression of each store operation the translation emits: `lookup`,
-`update` and `alloc` of a state, `zeros` and `alloc_array` for a new
-array, and the single-rule `case`s that read an array's length
+`update` and `alloc` of a state, `zeros` and `new_array` for a new
+array's value and `alloc_array` to allocate one, and the single-rule `case`s that read an array's length
 (`array_length`) or an element (`array_get`) or write one
 (`array_set`).  A builder whose pattern names a part of the array takes
 the caller's supply of fresh names.  `heap_cells` and `alloc_order` read
@@ -111,9 +114,14 @@ def zeros(length: MlExpr) -> MlExpr:
     return _call("mj_zeros", length)
 
 
+def new_array(length: MlExpr, elements: MlExpr) -> MlExpr:
+    """The array value of length elements."""
+    return Con("HArr", (length, elements))
+
+
 def alloc_array(state: MlExpr, length: MlExpr, elements: MlExpr) -> MlExpr:
     """`alloc` of the array of length elements."""
-    return alloc(state, Con("HArr", (length, elements)))
+    return alloc(state, new_array(length, elements))
 
 
 def _array_case(value: MlExpr, length: PVar | PWild, elements: PVar | PWild,

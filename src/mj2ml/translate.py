@@ -39,6 +39,18 @@ side instead: a method that returns what a call returns, or an `if`
 branch whose last statement assigns what a call returns, ends in the
 call.
 
+Arrays are heap cells, reached through a pointer, unless they are
+unshared.  An `int[]` local whose only uses are ``x = new int[e]``,
+``x[i]``, ``x[i] = v`` and ``x.length``, and which is definitely
+assigned (JLS ch. 16) before each use but ``new``, cannot be reached by
+any other name, so it is the array value itself, threaded by the method
+like an `int` local: each write binds a new version of it, and joins and
+loops carry it (escape analysis for Java: Choi et al. and Blanchet,
+OOPSLA 1999).  Any other array, a field, a formal, or a local that is
+copied, passed, returned, stored in a field or may be read before it is
+assigned, is a heap cell.  An unboxed local never holds null, and a
+local's default value is bound only if some path reads it.
+
 Every generated function takes and returns the state: methods are
 ``fn (state, self, args) -> (state, result)`` where args is (), a bare
 value, or a tuple by arity; constructors are state -> (state, pointer);
@@ -55,12 +67,12 @@ for the (state, value) of a call that returns a new state,
 for the end of a run.  `_lookup` reads the heap, and `_read_field` a
 field of `this`, once per cell or field and state, and `_store` writes
 it and makes the new state current; field and array writes both go
-through it.  The object layout is each class's `all_fields`, which the
+through it, as every array read goes through `_array`.  The object layout is each class's `all_fields`, which the
 datatypes, the constructors and the field and dispatch patterns
 (`_object`) all read.  `_call` dispatches.  Every heap and array access
 is built by `store`, whose prelude of helpers each translation starts
-with.  What each `if` and `while` assigns and reads is found once per
-method, by `_assigns`.
+with.  What each `if` and `while` assigns and reads, and which array
+locals are unboxed, is found once per method, by `_assigns`.
 
 Translation runs within `outcome.COMPILE_FRAMES` Python frames beyond
 its caller's, which any program that typechecks fits.
@@ -73,6 +85,7 @@ from dataclasses import dataclass, field as dc_field
 from .mjast import (
     BOOL,
     INT,
+    INT_ARRAY,
     ArrayAssignStmt,
     ArrayIndexExpr,
     ArrayLengthExpr,
@@ -188,16 +201,20 @@ def _as_expr(pat: Pat) -> MlExpr | None:
 
 @dataclass
 class _FnScope:
-    """Counters and variable bookkeeping for one generated function, and
-    the classes whose objects run it, on which a field of `this` is
-    matched (none in main)."""
+    """Counters and variable bookkeeping for one generated function, the
+    classes whose objects run it, on which a field of `this` is matched
+    (none in main), and the array locals it keeps out of the store
+    (`_assigns`).  `initial` collects the variables read at version 0:
+    a local's default is bound only if it is read."""
 
     var_order: list[str]
     uses: dict[int, tuple[set[str], set[str]]]
+    unboxed: frozenset[str]
     receivers: list[str]
     next_temp: int = 0
     next_state: int = 1
     maxver: dict[str, int] = dc_field(init=False)
+    initial: set[str] = dc_field(default_factory=set)
 
     def __post_init__(self) -> None:
         self.maxver = dict.fromkeys(self.var_order, 0)
@@ -223,8 +240,8 @@ class _FnScope:
     def only_read(self, s: WhileStmt) -> list[str]:
         """The variables s reads and does not assign, in `var_order`, then
         "this" if s reads `this` or a field."""
-        assigned, reads = self.uses[id(s)]
-        return [x for x in [*self.var_order, "this"] if x in reads and x not in assigned]
+        reads = self.uses[id(s)][1]
+        return [x for x in [*self.var_order, "this"] if x in reads]
 
 
 @dataclass
@@ -294,7 +311,10 @@ class _Ctx:
         return Var(name)
 
     def var_atom(self, name: str) -> MlExpr:
-        return Var(mangle_var(name, self.versions[name]))
+        version = self.versions[name]
+        if version == 0:
+            self.fn.initial.add(name)
+        return Var(mangle_var(name, version))
 
     def carried(self, names: list[str], extra: tuple[Var, ...] = ()) -> MlExpr:
         """The (state, variables..., extra...) tuple of the named
@@ -317,61 +337,124 @@ class _Ctx:
         self.emit(self.rebind(names), rhs)
 
 
-def _assigns(body: list[Stmt]) -> dict[int, tuple[set[str], set[str]]]:
-    """The local variables and formals that each `if` and `while` in body
-    assigns, and those it reads, by the statement's id; the reads hold
-    "this" (a keyword, so no variable's name) when the statement reads
-    `this` or a field, or writes a field.  One walk with an explicit
-    stack, so nesting costs no Python frames and no rewalk: a statement's
-    sets join the enclosing one's as the walk leaves it."""
-    found: dict[int, tuple[set[str], set[str]]] = {}
-    sets: list[tuple[set[str], set[str]]] = [(set(), set())]
-    todo: list = list(body)
+# the markers `_assigns` leaves on its stack, each taken after what it follows
+_ELSE, _JOIN, _LOOP, _SET = range(4)
+
+
+def _assigns(body: list[Stmt], result: Expr | None = None, arrays: frozenset[str] = frozenset()
+             ) -> tuple[dict[int, tuple[set[str], set[str]]], frozenset[str]]:
+    """What each `if` and `while` in body assigns and reads, and which of
+    the `int[]` locals `arrays` the method keeps out of the store.
+
+    An array local is unboxed when its only uses are `x = new int[e]`,
+    `x[i]`, `x[i] = v` and `x.length`, and x is definitely assigned (JLS
+    ch. 16) before each of them but `new`: any other use (a copy, a call
+    argument, a return, a field store) can let the array escape, and a
+    use before the first assignment reads null.  Body and then `result`,
+    the method's return expression, are walked once, in evaluation order.
+
+    Each `if` and `while` maps, by its id, to the local variables and
+    formals it assigns and to those it only reads; the reads hold "this"
+    (a keyword, so no variable's name) when it reads `this` or a field,
+    or writes a field.  An array write to an unboxed local assigns it,
+    but an unboxed local that is not definitely assigned after the
+    statement is not counted: no path reads that value, so no join or
+    loop carries it.  The walk keeps an explicit stack, so nesting costs
+    no Python frames: a statement's sets join the enclosing one's as the
+    walk leaves it."""
+    # per statement: (assigned, read, array-written, definitely assigned after)
+    found: dict[int, tuple[set[str], set[str], set[str], frozenset[str]]] = {}
+    sets: list[tuple[set[str], set[str], set[str]]] = [(set(), set(), set())]
+    escaped: set[str] = set()
+    # the arrays definitely assigned here, and at the `if`s being walked
+    assigned_here: frozenset[str] = frozenset()
+    saved: list[frozenset[str]] = []
+    todo: list = [result] if result is not None else []
+    todo += reversed(body)
     while todo:
         s = todo.pop()
         kind = type(s)
         # the commonest kinds first; literals and `new` objects read nothing
         if kind is IdentExpr:
-            sets[-1][1].add(s.name if s.binding.kind != "field" else "this")
+            if s.binding.kind == "field":
+                sets[-1][1].add("this")
+            else:
+                sets[-1][1].add(s.name)
+                if s.name in arrays:
+                    escaped.add(s.name)
         elif kind is BinaryExpr:
-            todo += (s.left, s.right)
+            todo += (s.right, s.left)
         elif kind is AssignStmt:
             if s.binding.kind == "field":
                 sets[-1][1].add("this")
             else:
                 sets[-1][0].add(s.name)
+                if s.name in arrays:
+                    if type(s.value) is NewArrayExpr:
+                        todo.append((_SET, s.name))
+                    else:
+                        escaped.add(s.name)
             todo.append(s.value)
         elif kind is BlockStmt:
-            todo += s.body
+            todo += reversed(s.body)
         elif kind is PrintStmt:
             todo.append(s.value)
         elif kind is CallExpr:
-            todo += (s.receiver, *s.args)
+            todo += (*reversed(s.args), s.receiver)
         elif kind is IfStmt:
-            sets.append((set(), set()))
-            todo += ((s,), s.cond, s.then_branch, s.else_branch)
+            sets.append((set(), set(), set()))
+            todo += ((_JOIN, s), s.else_branch, (_ELSE, assigned_here), s.then_branch, s.cond)
         elif kind is WhileStmt:
-            sets.append((set(), set()))
-            todo += ((s,), s.cond, s.body)
+            sets.append((set(), set(), set()))
+            todo += ((_LOOP, s, assigned_here), s.body, s.cond)
         elif kind is tuple:
-            # the end of s[0]: its sets join the enclosing ones
-            found[id(s[0])] = assigned, reads = sets.pop()
-            sets[-1][0].update(assigned)
-            sets[-1][1].update(reads)
+            tag = s[0]
+            if tag == _SET:
+                assigned_here = assigned_here | {s[1]}
+                continue
+            if tag == _ELSE:
+                saved.append(assigned_here)
+                assigned_here = s[1]
+                continue
+            # the end of s[1]: an `if` assigns what both branches do, and
+            # a loop may run no times; its sets join the enclosing ones
+            assigned_here = assigned_here & saved.pop() if tag == _JOIN else s[2]
+            mine = sets.pop()
+            found[id(s[1])] = (*mine, assigned_here)
+            for outer, inner in zip(sets[-1], mine):
+                outer.update(inner)
         elif kind is ArrayAssignStmt:
-            sets[-1][1].add(s.name if s.binding.kind != "field" else "this")
-            todo += (s.index, s.value)
-        elif kind is ArrayLengthExpr:
-            todo.append(s.array)
-        elif kind is ArrayIndexExpr:
-            todo += (s.array, s.index)
+            if s.binding.kind == "field":
+                sets[-1][1].add("this")
+            else:
+                sets[-1][1].add(s.name)
+                if s.name in arrays:
+                    sets[-1][2].add(s.name)
+                    if s.name not in assigned_here:
+                        escaped.add(s.name)
+            todo += (s.value, s.index)
+        elif kind is ArrayIndexExpr or kind is ArrayLengthExpr:
+            if kind is ArrayIndexExpr:
+                todo.append(s.index)
+            array = s.array
+            if type(array) is IdentExpr and array.name in arrays:
+                sets[-1][1].add(array.name)
+                if array.name not in assigned_here:
+                    escaped.add(array.name)
+            else:
+                todo.append(array)
         elif kind is NotExpr:
             todo.append(s.operand)
         elif kind is NewArrayExpr:
             todo.append(s.length)
         elif kind is ThisExpr:
             sets[-1][1].add("this")
-    return found
+    unboxed = arrays - escaped
+    uses = {}
+    for key, (assigned, reads, written, after) in found.items():
+        assigned |= written & unboxed
+        uses[key] = assigned - (unboxed - after), reads - assigned
+    return uses, unboxed
 
 
 class _Translator:
@@ -448,6 +531,20 @@ class _Translator:
                        self._object(Con, c, lambda f: new_value if f == fname else Var(temps[f])))
                       for c in ctx.fn.receivers)
         self._store(ctx, Var("mj_this"), ctx.bind(Case(value, rules)))
+
+    # -- arrays -----------------------------------------------------------------
+
+    def _array(self, ctx: _Ctx, e: Expr, atom: MlExpr) -> MlExpr:
+        """The array value of e, which evaluated to atom: an unboxed
+        local's atom is the array itself, any other is a pointer to it."""
+        if isinstance(e, IdentExpr) and e.name in ctx.fn.unboxed:
+            return atom
+        return self._lookup(ctx, atom)
+
+    def _new_array(self, e: NewArrayExpr, ctx: _Ctx) -> tuple[MlExpr, MlExpr]:
+        """The length and the elements of a new array."""
+        n = self.expr(e.length, ctx)
+        return n, ctx.bind(store.zeros(n))
 
     # -- calls ------------------------------------------------------------------
 
@@ -527,15 +624,14 @@ class _Translator:
         if isinstance(e, ArrayIndexExpr):
             arr = self.expr(e.array, ctx)
             idx = self.expr(e.index, ctx)
-            return ctx.bind(store.array_get(self._lookup(ctx, arr), idx, ctx.fn.fresh_temp),
-                            name)
+            return ctx.bind(store.array_get(self._array(ctx, e.array, arr), idx,
+                                            ctx.fn.fresh_temp), name)
         if isinstance(e, ArrayLengthExpr):
             arr = self.expr(e.array, ctx)
-            return ctx.bind(store.array_length(self._lookup(ctx, arr), ctx.fn.fresh_temp),
-                            name)
+            return ctx.bind(store.array_length(self._array(ctx, e.array, arr),
+                                               ctx.fn.fresh_temp), name)
         if isinstance(e, NewArrayExpr):
-            n = self.expr(e.length, ctx)
-            zeros = ctx.bind(store.zeros(n))
+            n, zeros = self._new_array(e, ctx)
             return ctx.bind_state(store.alloc_array(Var(ctx.state), n, zeros), name)
         if isinstance(e, NewObjectExpr):
             return ctx.bind_state(App(Var(mangle_new(e.class_name)), Var(ctx.state)), name)
@@ -561,7 +657,11 @@ class _Translator:
                 # the value is bound under the new version's name, not copied to it
                 version = ctx.fn.fresh_version(s.name)
                 name = mangle_var(s.name, version)
-                value = self.expr(s.value, ctx, name)
+                if s.name in ctx.fn.unboxed:
+                    assert isinstance(s.value, NewArrayExpr)
+                    value = ctx.bind(store.new_array(*self._new_array(s.value, ctx)), name)
+                else:
+                    value = self.expr(s.value, ctx, name)
                 if value != Var(name):
                     ctx.emit(PVar(name), value)
                 ctx.versions[s.name] = version
@@ -573,8 +673,15 @@ class _Translator:
                 ptr = ctx.var_atom(s.name)
             idx = self.expr(s.index, ctx)
             value = self.expr(s.value, ctx)
-            array = store.array_set(self._lookup(ctx, ptr), idx, value, ctx.fn.fresh_temp)
-            self._store(ctx, ptr, ctx.bind(array))
+            if s.name in ctx.fn.unboxed:
+                # the written array is the local's next version
+                version = ctx.fn.fresh_version(s.name)
+                ctx.bind(store.array_set(ptr, idx, value, ctx.fn.fresh_temp),
+                         mangle_var(s.name, version))
+                ctx.versions[s.name] = version
+            else:
+                array = store.array_set(self._lookup(ctx, ptr), idx, value, ctx.fn.fresh_temp)
+                self._store(ctx, ptr, ctx.bind(array))
         elif isinstance(s, IfStmt):
             cond = self.expr(s.cond, ctx)
             tctx = ctx.branch()
@@ -614,20 +721,24 @@ class _Translator:
     def method(self, cls: str, decl: MethodDecl) -> FunDef:
         receivers = [c for c, impl in self._targets(cls, decl.name).items() if impl == cls]
         var_order = [f.name for f in decl.formals] + [v.name for v in decl.local_vars]
-        ctx = _Ctx(_FnScope(var_order, _assigns(decl.body), receivers),
-                   dict.fromkeys(var_order, 0), "mj_s0")
-        for local in decl.local_vars:
-            ctx.emit(PVar(mangle_var(local.name, 0)), _default_value(local.var_type))
+        arrays = frozenset(v.name for v in decl.local_vars if v.var_type == INT_ARRAY)
+        fn = _FnScope(var_order, *_assigns(decl.body, decl.return_expr, arrays), receivers)
+        ctx = _Ctx(fn, dict.fromkeys(var_order, 0), "mj_s0")
         for s in decl.body:
             self.stmt(s, ctx)
         value = self.expr(decl.return_expr, ctx)
+        # a local's default is bound only where some path reads it; an
+        # unboxed array is assigned before every read
+        assert not fn.initial & fn.unboxed
+        ctx.bindings[:0] = [Val(PVar(mangle_var(v.name, 0)), _default_value(v.var_type))
+                            for v in decl.local_vars if v.name in fn.initial]
         param = PTuple((PVar("mj_s0"), PVar("mj_this"),
                         _ptup([PVar(mangle_var(f.name, 0)) for f in decl.formals])))
         return FunDef(mangle_method(self.table.info(cls).index, decl.name), param,
                       ctx.wrap(Tuple((Var(ctx.state), value))))
 
     def main(self, program: MjProgram) -> FunDef:
-        ctx = _Ctx(_FnScope([], _assigns(program.main.body), []), {}, "mj_s0")
+        ctx = _Ctx(_FnScope([], *_assigns(program.main.body), []), {}, "mj_s0")
         ctx.emit(PVar("mj_s0"), store.EMPTY_STATE)
         for s in program.main.body:
             self.stmt(s, ctx)

@@ -112,6 +112,8 @@ class AllocOrder {
     }
 }
 class Maker {
+    int[] first;
+    int[] second;
     public int build() {
         Pair p;
         int[] xs;
@@ -119,9 +121,11 @@ class Maker {
         int[] ys;
         p = new Pair();
         xs = new int[3];
+        first = xs;
         q = new Pair();
         ys = new int[1];
-        return p.ping() + q.ping() + xs.length + ys.length;
+        second = ys;
+        return p.ping() + q.ping() + first.length + second.length;
     }
 }
 class Pair {
@@ -132,7 +136,8 @@ class Pair {
 
 def test_allocation_discipline():
     # MiniJava has no pointers to compare, so only the translation's heap
-    # is read: objects and arrays alike take pointers 0, 1, 2, ...
+    # is read: objects and arrays alike take pointers 0, 1, 2, ...  Both
+    # arrays escape into fields, so both stay in the store
     program = parse_source(ALLOC_PROGRAM)
     mj = interpret_mj(program)
     ml_outcome, final_state = eval_program(translate(program))

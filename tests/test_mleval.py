@@ -35,7 +35,7 @@ from mj2ml.outcome import DEFAULT_FUEL, FaultKind
 from mj2ml.parser import parse_source
 from mj2ml.randgen import generate_program
 from mj2ml.sema import typecheck
-from mj2ml.store import prelude
+from mj2ml.store import heap_cells, prelude
 from mj2ml.translate import translate
 
 
@@ -322,14 +322,14 @@ def test_a_lifted_function_reads_what_its_caller_passes():
 # and expression.  A change to how either interpreter charges fuel shows
 # here.
 CORPUS_STEPS = {
-    "BinarySearch": (16526, 4018),
-    "BinaryTree": (6365, 527),
-    "BubbleSort": (24146, 1856),
-    "Factorial": (318, 141),
-    "LinearSearch": (9642, 1293),
-    "LinkedList": (2158, 171),
-    "QuickSort": (14909, 1114),
-    "TreeVisitor": (4518, 303),
+    "BinarySearch": (16450, 4018),
+    "BinaryTree": (6297, 527),
+    "BubbleSort": (24138, 1856),
+    "Factorial": (296, 141),
+    "LinearSearch": (9542, 1293),
+    "LinkedList": (2138, 171),
+    "QuickSort": (14851, 1114),
+    "TreeVisitor": (4482, 303),
 }
 
 
@@ -459,7 +459,7 @@ def test_both_sides_finish_a_5000_deep_method_recursion():
 
 # ML-side steps of generated programs at 100 000 fuel, one line per seed
 # 0..49 with the fault, steps and output; 49 of the 50 runs finish.
-GENERATED_ML_STEPS_SHA256 = "b454f581345b1fcf8931eeb434d30840e4c995b9da963d45c8aef94fa9f629b6"
+GENERATED_ML_STEPS_SHA256 = "7c54c94e7baf247f1cb8bb7aebf1e5ac6af90c537490025405a097c41af9b867"
 
 
 def test_generated_programs_take_the_pinned_ml_steps():
@@ -561,7 +561,7 @@ def test_a_run_leaves_no_cyclic_garbage_that_grows_with_the_heap():
 # of FILLER at n = 50, at 21 evenly spaced fuels from 0 to the steps the
 # run needs and at each of them +-1: where every check falls, and what a
 # run cut there has printed.
-FUEL_CUTS_ML_SHA256 = "2f1f4351b9799cb30d954f69853c903778d3b6aaa4647cd92b830dc214c0abd4"
+FUEL_CUTS_ML_SHA256 = "a909635eddcfd86a89b1251ff7ec6cc8d9937f2be54dcb15c9e2570e7d734e19"
 
 
 def test_ml_runs_cut_at_any_fuel_keep_their_faults_steps_and_output(corpus_files):
@@ -584,6 +584,48 @@ def test_a_run_of_a_corpus_program_leaves_no_cyclic_garbage(corpus_files):
     counts = {path.stem: cyclic_garbage_of_a_run(translate(parse_source(path.read_text())))
               for path in corpus_files}
     assert counts == dict.fromkeys(counts, 0)
+
+
+# SHA-256 of the final heaps: for the corpus every cell, as `heap_cells`
+# gives it; for seeds 0..199 at size 40 and FILLER at the heap-scale
+# workload's sizes, the object cells only, as (constructor, fields) in
+# allocation order.  Their fields hold no pointers, so where the arrays
+# live cannot move them.
+CORPUS_HEAP_SHA256 = "6da39897914efe42ff602f5c9556758739622b17db7b8b1006819a545ca332c3"
+GENERATED_OBJECT_HEAP_SHA256 = "4840054393512919896ef09fb3c78a72dfa5b7f15fe8af09c3fbbf628a0bd476"
+FILLER_OBJECT_HEAP_SHA256 = "1a3950b94231e33bc8e558400b1e1469965805446be2a60dad4275ed9fad2fad"
+
+
+def final_state(program):
+    out, state = eval_program(program)
+    assert out.ok, out
+    return state
+
+
+def object_cells(state):
+    return [(value.name, value.args) for _, value in heap_cells(state) if value.name != "HArr"]
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_the_corpus_final_heaps_are_pinned(corpus_files):
+    lines = [f"{path.stem} {heap_cells(final_state(translate(parse_source(path.read_text()))))!r}"
+             for path in corpus_files]
+    assert digest(lines) == CORPUS_HEAP_SHA256
+
+
+def test_the_generated_final_object_heaps_are_pinned():
+    lines = [f"{seed} {object_cells(final_state(translate(generate_program(seed, 40))))!r}"
+             for seed in range(200)]
+    assert digest(lines) == GENERATED_OBJECT_HEAP_SHA256
+
+
+def test_the_heap_scale_final_object_heaps_are_pinned():
+    lines = [f"{n} {object_cells(final_state(translate(parse_source(FILLER % n))))!r}"
+             for n in (50, 100, 200, 400)]
+    assert digest(lines) == FILLER_OBJECT_HEAP_SHA256
 
 
 def test_store_operations_take_logarithmic_steps():

@@ -87,9 +87,11 @@ def test_case_rules_align():
     assert lines[1].index("Lf") == lines[2].index("Nd")
 
 
-def test_constructor_patterns_parenthesize_when_atomic():
-    pat = PCon("SOME", (PCon("Ext_B", (PVar("x"),)),))
-    assert print_pat(pat, atomic=True) == "(SOME (Ext_B x))"
+def test_constructor_patterns_print_flat():
+    # a constructor pattern is only a `case` rule's own, with variables
+    # and wildcards for items, so nothing around it needs parentheses
+    assert print_pat(PCon("C", (PVar("x"),))) == "C x"
+    assert print_pat(PCon("C", (PVar("x"), PWild()))) == "C (x, _)"
 
 
 def test_tuple_pattern():

@@ -2,6 +2,7 @@ import hashlib
 import re
 from dataclasses import fields, is_dataclass
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ from mj2ml.outcome import FaultKind
 from mj2ml.parser import parse_source
 from mj2ml.randgen import generate_program
 from mj2ml.sema import typecheck
-from mj2ml.store import prelude
+from mj2ml.store import alloc_order, heap_cells, prelude
 from mj2ml.translate import mangle_method, mangle_new, mangle_var, translate
 
 CHAIN = """\
@@ -60,14 +61,14 @@ def test_corpus_translations_stay_in_the_core(corpus_files):
 # SHA-256 of each corpus file's emitted SML.  A change that alters the
 # emitted bytes on purpose must update these pins and say so.
 EMITTED_SML_SHA256 = {
-    "BinarySearch": "5f852571c1a32afaec35950922f10899a318170e3b8c0fd3bf55a2ee4da670a0",
-    "BinaryTree": "4f51efaedb419a9774944c47fd0d3f73d181245880ed74f0b7c2c433b8363312",
-    "BubbleSort": "46abb6cb07d80ddd31ba97dd92a072650806bc8952b3b3a421ec5d4e888344e2",
-    "Factorial": "f8eb082a5cf71a5c20998075049220d12f7d7ab7157682b00c34bb8523ed43d4",
-    "LinearSearch": "766032329dc458863ab74bb8c8f6579fa2e1d188366a673ab03181af814358f2",
-    "LinkedList": "a313616bedd6dfb8568137d78513abbc958775f6e0369a3f4812b948ba73f554",
-    "QuickSort": "80ea497127e192341958daf4abe0ba7b0b4ea3d833b2a96b4eddd87372c38c58",
-    "TreeVisitor": "33f45971433fd91bbae4dcce8751a4fa46924edd403d4699fbd9d133d5c163f2",
+    "BinarySearch": "2b79377ababdb9d6f05055b6857ab7be918b3d4cafb5b5aad94938d5b4cfb4dc",
+    "BinaryTree": "9029ad451a63090976d9094f9e2975fd17fee692cba76726edb2f0410d1bddb3",
+    "BubbleSort": "af26b7d5eb06b9cf39119aeb7de9fb59f092cb3c2465cd41ddf9019957f795cf",
+    "Factorial": "eb3b1918fc34e4c606d0212e21b445a0bd1ddad573e9d6f5c15c2c6c0355da89",
+    "LinearSearch": "ca3ab583501a277faa6ce15ffdf412289095de4e18880af25ee472dcf2761481",
+    "LinkedList": "904de5c83b52d10ed5bd8e31d92ac21611a01021b78eb1af696671b243a1295f",
+    "QuickSort": "e529ccf94db53d7c58273f9c0f286dde944f7a3ca3df9b1b8bb3bf60c4f0c809",
+    "TreeVisitor": "27b48dd83839edf8a1938d2d95dcf65f69fa05f2568c7a776a0e7cb16f375e6b",
 }
 
 
@@ -222,7 +223,7 @@ def test_generated_subclass_encoding_is_pinned():
     text = "".join(print_ml_program(translate(generate_program(s, 40)), f"seed{s:03d}")
                    for s in range(40))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "c5ef2bad54f9915642b5e54d9cbd8cd73842ddd5ac06a32ac992336ecdcacbbe"
+        "388f2a4b006e5ae10f1cca4630e88230133cdcac5640cb080d95852efc27ce82"
 
 
 def test_gen200_workload_is_pinned():
@@ -235,7 +236,7 @@ def test_gen200_workload_is_pinned():
     assert (len(source), hashlib.sha256(source).hexdigest()) == (
         624675, "4aaa6ae173174edd3a3581bb467872f20879886553696d0b1b4401880281a271")
     assert (len(sml), hashlib.sha256(sml).hexdigest()) == (
-        1786320, "6f443581b1de0aa33929feb84c443a8f92b48085f49e4b4783d87f7929db51b2")
+        1682809, "b8976902a603937d057d610f6919c1d078dbebc90172543a2d58ec147931e34e")
 
 
 PLUMBING = """\
@@ -572,6 +573,125 @@ def test_a_write_through_an_alias_is_seen_by_the_next_read():
     result = diff_source("Aliasing.java", ALIASING)
     assert result.verdict == "match"
     assert result.mj.output == result.ml.output == [5]
+
+
+ESCAPE_MAIN = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(%s);
+    }
+}
+"""
+
+# One program for each use that keeps an `int[]` local in the store, then
+# one whose local is a value: (main's argument, class A, output, the
+# final heap's constructors in allocation order).
+ARRAY_USES = {
+    "copy": ("new A().f()", """\
+class A {
+    public int f() {
+        int[] x;
+        int[] y;
+        x = new int[2];
+        y = x;
+        y[1] = 4;
+        return x[1];
+    }
+}
+""", [4], ["HObj_A", "HArr"]),
+    "call-argument": ("new A().f()", """\
+class A {
+    public int f() {
+        int[] x;
+        x = new int[2];
+        x[0] = 3;
+        return this.g(x);
+    }
+    public int g(int[] b) { return b[0] + b.length; }
+}
+""", [5], ["HObj_A", "HArr"]),
+    "return": ("new A().f()", """\
+class A {
+    public int f() {
+        int[] x;
+        x = this.make();
+        return x[0] + x.length;
+    }
+    public int[] make() {
+        int[] b;
+        b = new int[3];
+        b[0] = 7;
+        return b;
+    }
+}
+""", [10], ["HObj_A", "HArr"]),
+    "field-store": ("new A().f()", """\
+class A {
+    int[] kept;
+    public int f() {
+        int[] x;
+        x = new int[2];
+        kept = x;
+        x[1] = 6;
+        return kept[1];
+    }
+}
+""", [6], ["HObj_A", "HArr"]),
+    "array-formal": ("new A().g(new int[1])", """\
+class A {
+    public int g(int[] b) {
+        b = new int[3];
+        b[2] = 8;
+        return b[2] + b.length;
+    }
+}
+""", [11], ["HObj_A", "HArr", "HArr"]),
+    "read-before-assignment": ("new A().f(3)", """\
+class A {
+    public int f(int n) {
+        int[] x;
+        if (0 < n) x = new int[n]; else {}
+        return x.length;
+    }
+}
+""", [3], ["HObj_A", "HArr"]),
+    "unboxed": ("new A().f(3)", """\
+class A {
+    public int f(int n) {
+        int[] x;
+        int i;
+        if (0 < n) x = new int[n]; else x = new int[1];
+        i = 0;
+        while (i < x.length) {
+            x[i] = i + 1;
+            i = i + 1;
+        }
+        return x[n - 1] + x.length;
+    }
+}
+""", [6], ["HObj_A"]),
+}
+
+
+@pytest.mark.parametrize("use", ARRAY_USES)
+def test_an_array_local_leaves_the_store_only_when_it_cannot_escape(use):
+    argument, source, output, cells = ARRAY_USES[use]
+    source = ESCAPE_MAIN % argument + source
+    result = diff_source(f"{use}.java", source)
+    assert result.verdict == "match" and result.ml.output == output
+    out, state = eval_program(tr(source))
+    assert out.ok and alloc_order(state) == list(range(len(cells)))
+    assert [value.name for _, value in heap_cells(state)] == cells
+
+
+def test_a_read_that_may_come_before_the_assignment_reads_null():
+    _, source, _, _ = ARRAY_USES["read-before-assignment"]
+    source = ESCAPE_MAIN % "new A().f(0)" + source
+    result = diff_source("Null.java", source)
+    assert result.verdict == "skipped-faulting"
+    assert result.mj.fault is FaultKind.NULL_DEREFERENCE
+    ml, _ = eval_program(tr(source))
+    assert ml.fault is FaultKind.MATCH_FAILURE
 
 
 REASSIGNED_RECEIVER = """\
