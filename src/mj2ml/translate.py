@@ -411,18 +411,17 @@ def _assigns(body: list[Stmt], result: Expr | None = None, arrays: frozenset[str
             tag = s[0]
             if tag == _SET:
                 assigned_here = assigned_here | {s[1]}
-                continue
-            if tag == _ELSE:
+            elif tag == _ELSE:
                 saved.append(assigned_here)
                 assigned_here = s[1]
-                continue
-            # the end of s[1]: an `if` assigns what both branches do, and
-            # a loop may run no times; its sets join the enclosing ones
-            assigned_here = assigned_here & saved.pop() if tag == _JOIN else s[2]
-            mine = sets.pop()
-            found[id(s[1])] = (*mine, assigned_here)
-            for outer, inner in zip(sets[-1], mine):
-                outer.update(inner)
+            else:
+                # the end of s[1]: an `if` assigns what both branches do,
+                # and a loop may run no times; its sets join the enclosing ones
+                assigned_here = assigned_here & saved.pop() if tag == _JOIN else s[2]
+                mine = sets.pop()
+                found[id(s[1])] = (*mine, assigned_here)
+                for outer, inner in zip(sets[-1], mine):
+                    outer.update(inner)
         elif kind is ArrayAssignStmt:
             if s.binding.kind == "field":
                 sets[-1][1].add("this")
