@@ -208,7 +208,7 @@ class _FnScope:
     a local's default is bound only if it is read."""
 
     var_order: list[str]
-    uses: dict[int, tuple[set[str], set[str]]]
+    uses: dict[int, tuple[set[str], ...]]
     unboxed: frozenset[str]
     receivers: list[str]
     next_temp: int = 0
@@ -240,8 +240,8 @@ class _FnScope:
     def only_read(self, s: WhileStmt) -> list[str]:
         """The variables s reads and does not assign, in `var_order`, then
         "this" if s reads `this` or a field."""
-        reads = self.uses[id(s)][1]
-        return [x for x in [*self.var_order, "this"] if x in reads]
+        assigned, reads = self.uses[id(s)][:2]
+        return [x for x in [*self.var_order, "this"] if x in reads and x not in assigned]
 
 
 @dataclass
@@ -342,7 +342,7 @@ _ELSE, _JOIN, _LOOP, _SET = range(4)
 
 
 def _assigns(body: list[Stmt], result: Expr | None = None, arrays: frozenset[str] = frozenset()
-             ) -> tuple[dict[int, tuple[set[str], set[str]]], frozenset[str]]:
+             ) -> tuple[dict[int, tuple[set[str], ...]], frozenset[str]]:
     """What each `if` and `while` in body assigns and reads, and which of
     the `int[]` locals `arrays` the method keeps out of the store.
 
@@ -351,10 +351,12 @@ def _assigns(body: list[Stmt], result: Expr | None = None, arrays: frozenset[str
     ch. 16) before each of them but `new`: any other use (a copy, a call
     argument, a return, a field store) can let the array escape, and a
     use before the first assignment reads null.  Body and then `result`,
-    the method's return expression, are walked once, in evaluation order.
+    the method's return expression, are walked once, each statement after
+    those that run before it (an expression assigns nothing, so the parts
+    of one are taken in any order).
 
     Each `if` and `while` maps, by its id, to the local variables and
-    formals it assigns and to those it only reads; the reads hold "this"
+    formals it assigns and to those it reads; the reads hold "this"
     (a keyword, so no variable's name) when it reads `this` or a field,
     or writes a field.  An array write to an unboxed local assigns it,
     but an unboxed local that is not definitely assigned after the
@@ -383,7 +385,7 @@ def _assigns(body: list[Stmt], result: Expr | None = None, arrays: frozenset[str
                 if s.name in arrays:
                     escaped.add(s.name)
         elif kind is BinaryExpr:
-            todo += (s.right, s.left)
+            todo += (s.left, s.right)
         elif kind is AssignStmt:
             if s.binding.kind == "field":
                 sets[-1][1].add("this")
@@ -400,7 +402,7 @@ def _assigns(body: list[Stmt], result: Expr | None = None, arrays: frozenset[str
         elif kind is PrintStmt:
             todo.append(s.value)
         elif kind is CallExpr:
-            todo += (*reversed(s.args), s.receiver)
+            todo += (s.receiver, *s.args)
         elif kind is IfStmt:
             sets.append((set(), set(), set()))
             todo += ((_JOIN, s), s.else_branch, (_ELSE, assigned_here), s.then_branch, s.cond)
@@ -431,7 +433,7 @@ def _assigns(body: list[Stmt], result: Expr | None = None, arrays: frozenset[str
                     sets[-1][2].add(s.name)
                     if s.name not in assigned_here:
                         escaped.add(s.name)
-            todo += (s.value, s.index)
+            todo += (s.index, s.value)
         elif kind is ArrayIndexExpr or kind is ArrayLengthExpr:
             if kind is ArrayIndexExpr:
                 todo.append(s.index)
@@ -449,11 +451,15 @@ def _assigns(body: list[Stmt], result: Expr | None = None, arrays: frozenset[str
         elif kind is ThisExpr:
             sets[-1][1].add("this")
     unboxed = arrays - escaped
-    uses = {}
-    for key, (assigned, reads, written, after) in found.items():
-        assigned |= written & unboxed
-        uses[key] = assigned - (unboxed - after), reads - assigned
-    return uses, unboxed
+    if unboxed:
+        for assigned, reads, written, after in found.values():
+            # a local that is not definitely assigned after the statement
+            # was assigned before each read in it
+            dead = unboxed - after
+            assigned |= written & unboxed
+            assigned -= dead
+            reads -= dead
+    return found, unboxed
 
 
 class _Translator:

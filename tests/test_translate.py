@@ -670,6 +670,25 @@ class A {
     }
 }
 """, [6], ["HObj_A"]),
+    # made anew in each round, so no round reads the last one's array
+    "unboxed-per-round": ("new A().f(3)", """\
+class A {
+    public int f(int n) {
+        int[] x;
+        int i;
+        int s;
+        i = 0;
+        s = 0;
+        while (i < n) {
+            x = new int[i + 1];
+            x[i] = i;
+            s = s + x[i] + x.length;
+            i = i + 1;
+        }
+        return s;
+    }
+}
+""", [9], ["HObj_A"]),
 }
 
 
