@@ -655,6 +655,17 @@ class A {
     }
 }
 """, [3], ["HObj_A", "HArr"]),
+    "write-before-assignment": ("new A().f(3)", """\
+class A {
+    public int f(int n) {
+        int[] x;
+        if (0 < n) x = new int[n]; else {}
+        x[0] = 5;
+        x = new int[2];
+        return x.length;
+    }
+}
+""", [2], ["HObj_A", "HArr", "HArr"]),
     "unboxed": ("new A().f(3)", """\
 class A {
     public int f(int n) {
