@@ -117,6 +117,25 @@ def test_constructor_patterns_destructure_trees():
     assert val == 5
 
 
+B12 = Con("B", (IntLit(1), IntLit(2)))
+XY = (PVar("x"), PVar("y"))
+
+
+@pytest.mark.parametrize("main, fault, steps, value", [
+    (Let((Val(PTuple((PVar("a"), PVar("b"))), B12),), Var("a")), FaultKind.MATCH_FAILURE, 4, None),
+    (Let((Val(PTuple((PVar("a"), PVar("b"))), Con("Lf")),), Var("a")),
+     FaultKind.MATCH_FAILURE, 2, None),
+    (Case(Tuple((IntLit(1), IntLit(2))), ((PCon("B", XY), Var("x")),)),
+     FaultKind.MATCH_FAILURE, 4, None),
+    (Case(B12, ((PCon("B", (PVar("x"),)), Var("x")),)), FaultKind.MATCH_FAILURE, 4, None),
+    (Case(B12, ((PCon("B", XY), Var("y")),)), None, 5, 2),
+], ids=["tuple-pattern-of-B", "tuple-pattern-of-Lf", "B-rule-of-a-tuple", "B-rule-of-one-item",
+        "B-rule-of-two-items"])
+def test_tuples_and_datatype_values_never_match_each_others_patterns(main, fault, steps, value):
+    out, val = run(main)
+    assert (out.fault, out.steps, val) == (fault, steps, value)
+
+
 def test_deep_tail_recursion_runs_in_constant_stack():
     # 200_000 calls: far past the Python recursion limit, fine under TCO
     go = FunDef("go", PVar("n"),
