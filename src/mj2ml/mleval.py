@@ -132,7 +132,7 @@ a MatchFailure fault.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
 from operator import add, eq, floordiv, itemgetter, lt, mod, mul, sub
 
 from .mjast import INT_MAX, INT_MIN
@@ -158,6 +158,7 @@ from .mlast import (
     Var,
 )
 from .outcome import DEFAULT_FUEL, Fault, FaultKind, RunOutcome, run_compiled
+from .store import prelude
 
 UNIT = ()
 
@@ -173,12 +174,6 @@ _PRINT = object()
 
 # Nullary constructors that are Python values.
 _CONSTANTS = {"true": True, "false": False}
-
-
-@dataclass(slots=True)
-class VCon:
-    name: str
-    args: tuple = ()
 
 
 def _plain(pats: tuple[Pat, ...]) -> bool:
@@ -205,23 +200,42 @@ class _Fn:
         self.arity = len(param.items) if plain else None
 
 
+# This thread's compiler (see `_compile`).
+_THREAD = threading.local()
+
+
 def _compile(program: MlProgram, fuel: int, output: list[int]):
-    """Compile `program` for one run with `fuel` units (at least 0).
+    """Compile `program` for one run with `fuel` units (at least 0),
+    printing to `output`, with this thread's compiler, which the thread's
+    first run makes.
 
     Returns `(run, fuel_left)`: `run()` evaluates the entry expression
     and returns its value (or raises Fault), `fuel_left()` the fuel
     not yet spent.
     """
+    try:
+        compile_run = _THREAD.compile_run
+    except AttributeError:
+        compile_run = _THREAD.compile_run = _compiler()
+    return compile_run(program, fuel, output)
+
+
+def _compiler():
+    """A compiler, which holds the cells that every closure it builds
+    shares: the fuel, the output and the pending call.  It compiles the
+    store's helpers, `store.prelude()`, once, and returns
+    `compile_run(program, fuel, output)`, which compiles the rest of a
+    program for one run (see `_compile`)."""
+    fuel = 0
+    output: list[int] = []
     pend_body = pend_frame = None
-    # Every `fun` compiled, so that the run can break their cycles at its end.
-    fns: list[_Fn] = []
 
     # Compile-time scope: each name maps to a stack of bindings, innermost
     # last, each the slot of a value or the _Fn of a name a `fun` binds
     # (`_PRINT` for mj_print); `free` is the next unused slot of the
     # frame being compiled, and `consts` maps each constant of that
     # frame to its (slot, value).
-    scopes: dict[str, list[object]] = {"mj_print": [_PRINT]}
+    scopes: dict[str, list[object]] = {}
     free = 0
     consts: dict[object, tuple[int, object]] = {}
 
@@ -326,7 +340,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             return division(e)
         elif cls is Con and not e.args:
             name = e.name
-            slot = constant(name, _CONSTANTS[name] if name in _CONSTANTS else VCon(name))
+            slot = constant(name, _CONSTANTS[name] if name in _CONSTANTS else [name])
         elif cls is Tuple and not e.items:
             slot = constant((), UNIT)
         elif cls is Tuple or cls is Con:
@@ -345,14 +359,28 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
             parts.append(part)
         count = 1 + sum(n for _, n, _ in parts)
         slots = [slot for _, _, slot in parts]
+        if type(e) is Con:
+            if None in slots:
+                return con_of(e.name, [g for g, _, _ in parts]), count, None
+            return con_at(e.name, slots), count, None
         if len(slots) >= 2 and None not in slots:
-            get = itemgetter(*slots)
-        else:
-            get = tuple_of([g for g, _, _ in parts])
-        if type(e) is Tuple:
-            return get, count, None
-        name = e.name
-        return (lambda f: VCon(name, get(f))), count, None
+            return itemgetter(*slots), count, None
+        return tuple_of([g for g, _, _ in parts]), count, None
+
+    def con_at(name: str, slots: list[int]):
+        """The getter of the constructor `name` of the variables and
+        constants at `slots`, read in place."""
+        if len(slots) == 1:
+            [s] = slots
+            return lambda f: [name, f[s]]
+        if len(slots) == 2:
+            s, t = slots
+            return lambda f: [name, f[s], f[t]]
+        if len(slots) == 3:
+            s, t, u = slots
+            return lambda f: [name, f[s], f[t], f[u]]
+        get = itemgetter(*slots)
+        return lambda f: [name, *get(f)]
 
     def division(e: PrimOp):
         """`pure` of a `div` or `mod`: one of a variable or a constant by
@@ -368,6 +396,20 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         if e.op == "div":
             return (lambda f: f[s] // d), n + 2, None
         return (lambda f: f[s] % d), n + 2, None
+
+    def con_of(name: str, getters: list):
+        """The getter of the constructor `name` of the getters' values."""
+        if len(getters) == 1:
+            [a] = getters
+            return lambda f: [name, a(f)]
+        if len(getters) == 2:
+            a, b = getters
+            return lambda f: [name, a(f), b(f)]
+        if len(getters) == 3:
+            a, b, c = getters
+            return lambda f: [name, a(f), b(f), c(f)]
+        getters = tuple(getters)
+        return lambda f: [name, *[g(f) for g in getters]]
 
     def tuple_of(getters: list):
         if len(getters) == 1:
@@ -693,8 +735,9 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
         table = {}
         for pat, rhs in e.rules:
             bound: list[str] = []
-            subs = declare_all(pat.args, bound)
-            table[pat.name] = (len(pat.args), subs, expr(rhs, tail))
+            tag = declare(None, bound)
+            subs = slice(tag, declare_all(pat.args, bound).stop)
+            table[pat.name] = (1 + len(pat.args), subs, expr(rhs, tail))
             forget(bound)
         if len(table) == 1:
             [(name, (n, subs, rhs))] = table.items()
@@ -705,8 +748,8 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                     raise Fault(_FUEL)
                 fuel -= cost
                 v = scrutinee(f)
-                if type(v) is VCon and v.name == name and len(v.args) == n:
-                    f[subs] = v.args
+                if type(v) is list and len(v) == n and v[0] == name:
+                    f[subs] = v
                     return rhs(f)
                 raise Fault(_MATCH)
             return ev
@@ -717,10 +760,10 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                 raise Fault(_FUEL)
             fuel -= cost
             v = scrutinee(f)
-            if type(v) is VCon and v.name in table:
-                n, subs, rhs = table[v.name]
-                if len(v.args) == n:
-                    f[subs] = v.args
+            if type(v) is list and v[0] in table:
+                n, subs, rhs = table[v[0]]
+                if len(v) == n:
+                    f[subs] = v
                     return rhs(f)
             raise Fault(_MATCH)
         return ev
@@ -800,7 +843,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                     if fuel < cost:
                         raise Fault(_FUEL)
                     fuel -= cost
-                    return VCon(name, (a(f), b(f)))
+                    return [name, a(f), b(f)]
             return ev
         if len(items) == 3 and name is not None:
             a, b, c = items
@@ -810,7 +853,7 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                 if fuel < cost:
                     raise Fault(_FUEL)
                 fuel -= cost
-                return VCon(name, (a(f), b(f), c(f)))
+                return [name, a(f), b(f), c(f)]
             return ev
         get = tuple_of(items)
         if name is None:
@@ -826,43 +869,88 @@ def _compile(program: MlProgram, fuel: int, output: list[int]):
                 if fuel < cost:
                     raise Fault(_FUEL)
                 fuel -= cost
-                return VCon(name, get(f))
+                return [name, *get(f)]
         return ev
 
     # -- the top level: each group of functions, then the entry ------------
 
-    for funs in program.fun_groups:
-        group = [_Fn(fd.param) for fd in funs]
-        for fd, fn in zip(funs, group):
-            scopes.setdefault(fd.name, []).append(fn)
-        for fd, fn in zip(funs, group):
-            function(fd, fn)
-        fns += group
-    free = 0
-    consts.clear()
-    main = expr(program.main, False)
-    # the entry expression's frame
-    top = new_frame()
-    # The helpers above refer to each other through their cells; emptying
-    # those leaves no cycle of compile-time objects for the collector.
-    del (declare, forget, resolve, constant, new_frame, declare_all, binder, and_then,
-         pure, compound, division, tuple_of, operands, slots_of, expr, let,
-         function, app, call, print_, if_, case, prim, construct)
+    def reset() -> None:
+        """The scope of a program's top level before its first group."""
+        scopes.clear()
+        scopes["mj_print"] = [_PRINT]
 
-    def run():
-        nonlocal pend_body, pend_frame
-        try:
-            return main(top)
-        finally:
-            # break the code <-> call site cycles so the run's memory goes now
-            pend_body = pend_frame = None
-            for fn in fns:
-                fn.body = None
+    def group(funs: tuple[FunDef, ...]) -> list[_Fn]:
+        """Compile a group of `fun`s, in scope from here on."""
+        fns = [_Fn(fd.param) for fd in funs]
+        for fd, fn in zip(funs, fns):
+            scopes.setdefault(fd.name, []).append(fn)
+        for fd, fn in zip(funs, fns):
+            function(fd, fn)
+        return fns
+
+    def top_level() -> dict[str, object]:
+        """The innermost binding of each name in scope."""
+        return {name: stack[-1] for name, stack in scopes.items() if stack}
+
+    # The store's helpers, each a group of one, compiled once.
+    shared: dict[int, tuple[FunDef, _Fn, dict[str, object]]] = {}
+    reset()
+    for fd in prelude():
+        before = top_level()
+        [fn] = group((fd,))
+        shared[id(fd)] = (fd, fn, before)
+
+    def compiled(funs: tuple[FunDef, ...]) -> _Fn | None:
+        """The code compiled once for `funs`, when the group is one of the
+        store's helpers, by identity, and every name that was in scope
+        where the helper was compiled still means what it meant there, so
+        that its calls reach the same code; else None."""
+        if len(funs) != 1 or id(funs[0]) not in shared:
+            return None
+        fd, fn, before = shared[id(funs[0])]
+        if fd is not funs[0]:
+            return None
+        for name, binding in before.items():
+            stack = scopes.get(name)
+            if not stack or stack[-1] is not binding:
+                return None
+        return fn
+
+    def compile_run(program: MlProgram, fuel_: int, output_: list[int]):
+        nonlocal fuel, output, free
+        reset()
+        # The `fun`s compiled for this run, whose links the run breaks at its end.
+        fns: list[_Fn] = []
+        for funs in program.fun_groups:
+            fn = compiled(funs)
+            if fn is None:
+                fns += group(funs)
+            else:
+                scopes.setdefault(funs[0].name, []).append(fn)
+        free = 0
+        consts.clear()
+        main = expr(program.main, False)
+        # the entry expression's frame
+        top = new_frame()
+        reset()
+        consts.clear()
+        fuel, output = fuel_, output_
+
+        def run():
+            nonlocal pend_body, pend_frame
+            try:
+                return main(top)
+            finally:
+                # break the code <-> call site cycles so the run's memory goes now
+                pend_body = pend_frame = None
+                for fn in fns:
+                    fn.body = None
+        return run, fuel_left
 
     def fuel_left() -> int:
         return fuel
 
-    return run, fuel_left
+    return compile_run
 
 
 def eval_program(program: MlProgram, fuel: int = DEFAULT_FUEL,

@@ -39,6 +39,7 @@ from __future__ import annotations
 import enum
 import gc
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -67,15 +68,24 @@ MAX_NESTING = 500
 COMPILE_FRAMES = 8 * MAX_NESTING
 
 
+# Held by each `extra_frames` block: the recursion limit is the process's,
+# so blocks of two threads run one after the other.  Re-entrant, since a
+# block may run inside another of its own thread.
+_FRAMES_LOCK = threading.RLock()
+
+
 class extra_frames:
     """Context manager: the block may use `n` Python frames beyond those
     its caller holds, however deep the caller is.  The recursion limit is
-    set from the current depth on entry and restored on exit."""
+    set from the current depth on entry and restored on exit.  A block
+    holds `_FRAMES_LOCK` throughout, so a block in another thread waits
+    for it instead of changing the limit under it."""
 
     def __init__(self, n: int):
         self.n = n
 
     def __enter__(self) -> None:
+        _FRAMES_LOCK.acquire()
         depth, frame = 0, sys._getframe(1)
         while frame is not None:
             depth += 1
@@ -85,6 +95,7 @@ class extra_frames:
 
     def __exit__(self, *exc_info) -> None:
         sys.setrecursionlimit(self.saved)
+        _FRAMES_LOCK.release()
 
 
 class FaultKind(enum.Enum):

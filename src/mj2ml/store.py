@@ -37,6 +37,7 @@ Python frame limit of a run (`outcome.RECURSION_LIMIT`).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 
 from .mlast import (
@@ -225,12 +226,30 @@ def prelude() -> tuple[FunDef, ...]:
 # -- reading a final state back ----------------------------------------------
 
 
-def _tree_items(tree) -> list:
+@dataclass(slots=True)
+class VCon:
+    """A datatype value read back from a run: its constructor's name and
+    its items."""
+    name: str
+    args: tuple = ()
+
+
+def _record(value: object) -> object:
+    """A run's value with each datatype value, a list `[name, *items]`
+    (see `mleval`), as a `VCon`."""
+    if type(value) is list:
+        return VCon(value[0], tuple(_record(x) for x in value[1:]))
+    if type(value) is tuple:
+        return tuple(_record(x) for x in value)
+    return value
+
+
+def _tree_items(tree: list) -> list:
     """The items of a Braun tree value in index order: the root, then the
     left and right subtrees' items interleaved (indices 2j+1 and 2j+2)."""
-    if tree.name == "Lf":
+    if len(tree) == 1:
         return []
-    x, left, right = tree.args
+    _, x, left, right = tree
     left, right = _tree_items(left), _tree_items(right)
     items = [x] * (1 + len(left) + len(right))
     items[1::2], items[2::2] = left, right
@@ -239,7 +258,7 @@ def _tree_items(tree) -> list:
 
 def heap_cells(state_value: object) -> list[tuple[int, object]]:
     """The (pointer, value) cells of a final (counter, heap) state value,
-    in allocation order.
+    in allocation order, each value with its datatype values as `VCon`s.
 
     The heap holds pointer k at index n - 1 - k of its Braun tree, n the
     counter, so the newest cell is the root.
@@ -247,9 +266,11 @@ def heap_cells(state_value: object) -> list[tuple[int, object]]:
     assert type(state_value) is tuple and len(state_value) == 2
     n, heap = state_value
     items = _tree_items(heap)
-    return [(n - 1 - i, items[i]) for i in reversed(range(len(items)))]
+    return [(n - 1 - i, _record(items[i])) for i in reversed(range(len(items)))]
 
 
 def alloc_order(state_value: object) -> list[int]:
     """Pointers in allocation order, read off a final (counter, heap) state."""
-    return [k for k, _ in heap_cells(state_value)]
+    assert type(state_value) is tuple and len(state_value) == 2
+    n, heap = state_value
+    return list(range(n - len(_tree_items(heap)), n))

@@ -1,8 +1,12 @@
 import gc
 import hashlib
+import sys
+import threading
+import time
 
 import pytest
 
+from mj2ml import mleval
 from mj2ml.diffharness import diff_source
 from mj2ml.mjast import INT_MAX, INT_MIN
 from mj2ml.mjinterp import interpret_mj
@@ -30,8 +34,8 @@ from mj2ml.mlast import (
     Var,
     validate_core,
 )
-from mj2ml.mleval import VCon, eval_program
-from mj2ml.outcome import DEFAULT_FUEL, FaultKind
+from mj2ml.mleval import eval_program
+from mj2ml.outcome import DEFAULT_FUEL, FaultKind, extra_frames
 from mj2ml.parser import parse_source
 from mj2ml.randgen import generate_program
 from mj2ml.sema import typecheck
@@ -184,7 +188,7 @@ def test_fuel_runs_out_after_exactly_the_visits_it_paid_for():
         assert out.output == ([1] if fuel >= 8 else []), fuel
         assert out.fault == (None if fuel >= 9 else FaultKind.FUEL_EXHAUSTED), fuel
         assert out.steps == min(fuel, 9), fuel
-    assert val == (VCon("SOME", (5,)), (), 5)
+    assert val == (["SOME", 5], (), 5)
 
 
 def test_print_builtin_collects_output():
@@ -463,6 +467,31 @@ def test_the_ml_side_alone_finishes_a_13000_deep_method_recursion():
     assert out.ok and out.output == [13000]
 
 
+def test_a_deep_run_keeps_its_frames_while_another_thread_sets_the_limit():
+    # the recursion limit is the process's: a block of another thread
+    # that set it to its own depth + 50 ran this run out of frames
+    program = parse_source(DOWN % 13000)
+    program = translate(program, typecheck(program))
+    limit = sys.getrecursionlimit()
+    started, stop = threading.Event(), threading.Event()
+
+    def churn():
+        while not stop.is_set():
+            with extra_frames(50):
+                started.set()
+                time.sleep(0.002)
+    thread = threading.Thread(target=churn)
+    thread.start()
+    try:
+        started.wait()
+        out, _ = eval_program(program)
+    finally:
+        stop.set()
+        thread.join()
+    assert out.ok and out.output == [13000]
+    assert sys.getrecursionlimit() == limit
+
+
 def test_minijava_finishes_a_9500_deep_method_recursion():
     # 4 Python frames per pending call reach depth 9998 under
     # RECURSION_LIMIT; 5, as the tree-walking interpreter took, only 7998
@@ -603,6 +632,89 @@ def test_a_run_of_a_corpus_program_leaves_no_cyclic_garbage(corpus_files):
     counts = {path.stem: cyclic_garbage_of_a_run(translate(parse_source(path.read_text())))
               for path in corpus_files}
     assert counts == dict.fromkeys(counts, 0)
+
+
+def outcome_of(program, fuel=DEFAULT_FUEL):
+    """What a run shows: output, fault, steps and the final heap."""
+    out, state = eval_program(program, fuel=fuel)
+    return out.output, out.fault, out.steps, None if out.fault else repr(heap_cells(state))
+
+
+def in_a_new_thread(work):
+    """`work()` in a thread of its own, which compiles with a compiler
+    of its own; returns what it returned."""
+    results = []
+
+    def target():
+        assert not hasattr(mleval._THREAD, "compile_run")
+        results.append(work())
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join()
+    [result] = results
+    return result
+
+
+def test_a_program_runs_alike_first_after_others_and_in_another_thread(corpus_files):
+    programs = [translate(parse_source(path.read_text())) for path in corpus_files]
+    tree = programs[1]  # BinaryTree, whose heap holds objects
+    steps = eval_program(tree)[0].steps
+
+    def runs():
+        return [outcome_of(tree), outcome_of(tree, steps // 2)]
+
+    def first_then_after_others():
+        first = runs()
+        for program in programs:
+            eval_program(program)
+        return first, runs()
+
+    first, after = in_a_new_thread(first_then_after_others)
+    assert first[0][1:3] == (None, steps) and first[1][1] == FaultKind.FUEL_EXHAUSTED
+    assert after == first
+    assert in_a_new_thread(runs) == first
+    assert runs() == first
+
+
+def test_a_compile_that_fails_leaves_the_next_run_unchanged(corpus_files):
+    # `let val y = x in case y of _ => 1 end` fails to compile with `y`
+    # in scope and slots taken, after the store's helpers were bound and
+    # a `fun mj_print x = x` shadowed the runtime's
+    program = translate(parse_source(corpus_files[1].read_text()))
+    before = outcome_of(program)
+    silent = FunDef("mj_print", PVar("x"), Var("x"))
+    bad = FunDef("f", PVar("x"), Let((Val(PVar("y"), Var("x")),),
+                                     Case(Var("y"), ((PWild(), IntLit(1)),))))
+    groups = (*[(f,) for f in prelude()], (silent,), (bad,))
+    with pytest.raises(AssertionError):
+        run(App(Var("f"), IntLit(0)), fun_groups=groups)
+    assert outcome_of(program) == before
+
+
+# mj_get (t, i) = 42, which every index of every tree reads
+OWN_GET = FunDef("mj_get", PTuple((PVar("t"), PVar("i"))), IntLit(42))
+# mj_lookup ((1, Lf), 0): the store's own mj_get walks into Lf
+LOOKUP = App(Var("mj_lookup"), Tuple((Tuple((IntLit(1), Con("Lf"))), IntLit(0))))
+
+
+def test_a_program_that_defines_its_own_store_helper_runs_its_own_definition():
+    helpers = [(f,) for f in prelude()]
+    lookup = [group for group in helpers if group[0].name == "mj_lookup"]
+    assert run(LOOKUP, fun_groups=helpers)[0].fault == FaultKind.MATCH_FAILURE
+    # the store's mj_lookup after the program's own mj_get calls that one
+    out, val = run(LOOKUP, fun_groups=[(OWN_GET,), *lookup])
+    assert out.ok and val == 42
+    out, val = run(LOOKUP, fun_groups=[*helpers, (OWN_GET,), *lookup])
+    assert out.ok and val == 42
+    # the store's helpers before it still call the store's own
+    out, val = run(Tuple((LOOKUP, App(Var("mj_get"), Tuple((Con("Lf"), IntLit(0)))))),
+                   fun_groups=[*helpers, (OWN_GET,)])
+    assert out.fault == FaultKind.MATCH_FAILURE
+    out, val = run(App(Var("mj_get"), Tuple((Con("Lf"), IntLit(0)))),
+                   fun_groups=[*helpers, (OWN_GET,)])
+    assert out.ok and val == 42
+    # and a run of the store's helpers alone is as before
+    assert run(LOOKUP, fun_groups=helpers)[0].fault == FaultKind.MATCH_FAILURE
 
 
 # SHA-256 of the final heaps: for the corpus every cell, as `heap_cells`

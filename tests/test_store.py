@@ -7,11 +7,11 @@ from pathlib import Path
 
 import mj2ml
 from mj2ml.mlast import App, IntLit, Let, MlProgram, PTuple, PVar, PWild, Tuple, Val, Var
-from mj2ml.mleval import VCon, eval_program
+from mj2ml.mleval import eval_program
 from mj2ml.outcome import FaultKind
 from mj2ml.store import EMPTY_STATE, _tree_items, alloc, alloc_order, heap_cells, prelude
 
-LEAF = VCon("Lf")
+LEAF = ["Lf"]
 
 
 def run_prelude(main):
@@ -59,9 +59,9 @@ def test_mj_zeros_reads_zero_below_its_size_and_fails_to_match_at_it():
 def cons(x, tree):
     # mj_cons: x becomes index 0 and index j of `tree` index j + 1
     if tree == LEAF:
-        return VCon("Nd", (x, LEAF, LEAF))
-    v, left, right = tree.args
-    return VCon("Nd", (x, cons(v, right), left))
+        return ["Nd", x, LEAF, LEAF]
+    _, v, left, right = tree
+    return ["Nd", x, cons(v, right), left]
 
 
 def test_alloc_order_reads_the_braun_heap_from_its_newest_cell():
@@ -69,7 +69,7 @@ def test_alloc_order_reads_the_braun_heap_from_its_newest_cell():
     heap = LEAF
     for k in range(6):
         heap = cons(k * 10, heap)
-    assert heap.args[0] == 50
+    assert heap[1] == 50
     assert heap_cells((6, heap)) == [(k, k * 10) for k in range(6)]
     assert alloc_order((6, heap)) == [0, 1, 2, 3, 4, 5]
 
