@@ -1,10 +1,15 @@
 """Evaluator for the core ML fragment: the tree is compiled to closures.
 
-Values are Python ints and bools, tuples for ML tuples and `VCon` for
-datatype values.  There are no function values: the fragment has no
-`fn`, and a `fun` name is only ever applied, never read as a value
-(`validate_core` rejects a program that does, and compiling one is an
-AssertionError).  The fragment has no literal patterns either, and its
+Values are Python ints and bools, tuples for ML tuples and lists for
+datatype values: `C (x, y)` is `[name, x, y]`, `name` being C's name,
+built by a list display of its exact length, and a nullary constructor
+is `[name]` (`true` and `false` are Python's).  So `type()` tells a
+tuple from a datatype value, and neither matches the other's patterns.
+A run never changes a list it built; `store.heap_cells` reads a final
+state back as `store.VCon` records.  There are no function values: the
+fragment has no `fn`, and a `fun` name is only ever applied, never read
+as a value (`validate_core` rejects a program that does, and compiling
+one is an AssertionError).  The fragment has no literal patterns either, and its
 patterns take two forms, which `validate_core` checks and compiling
 anything else is an AssertionError: a `val` pattern or a parameter is a
 variable, a wildcard or a tuple of those, whose items may be tuples of
@@ -17,12 +22,17 @@ Feeley and Lapalme, "Using closures for code generation" (1987): one
 closure per expression node and one binder per pattern.  A closure
 takes the current frame and returns its node's value, calling its
 children's closures; no node of the tree is inspected while the program
-runs.  The closures are built for one run and dropped with it.  A `let`
-is one closure that runs its declarations in a loop, and a pure subtree
-(variables and constants, tuples and constructors of them, and `div` or
-`mod` of a variable or a constant by a positive literal) is one getter
-that charges no fuel: its parent, or a closure around the getter,
-charges for all of its nodes (see Fuel).
+runs.  Each thread makes one compiler, at its first run, which holds
+the cells every closure shares (the fuel, the output and the pending
+call) and compiles the store's helpers, `store.prelude()`, once.  A
+program's group that is one of those helpers, by identity, reuses that
+code while every name in scope where the helper was compiled still
+means what it meant there; everything else is compiled for one run and
+dropped with it.  A `let` is one closure that runs its declarations in
+a loop, and a pure subtree (variables and constants, tuples and
+constructors of them, and `div` or `mod` of a variable or a constant by
+a positive literal) is one getter that charges no fuel: its parent, or
+a closure around the getter, charges for all of its nodes (see Fuel).
 
 Superoperators.  The shapes that translated code, and above all its
 store helpers, run at nearly every step are each one closure, after
@@ -38,17 +48,20 @@ can tell them apart:
   `mod`, being pure, is charged by its parent (see Fuel);
 - a `case` is one of three closures, one for each of its forms: one
   `true` or `false` rule, tested with `is` (so the int 1 is not `true`);
-  one constructor rule, such as `B (x, l, r)`, tested by name; and
-  several, such as `A | B (v, l, r)`, looked up by name in a table.
-  After its one check, for the `case` and a pure scrutinee's nodes, the
-  closure stores the items and enters the rule's right-hand side;
+  one constructor rule, such as `B (x, l, r)`, tested by its length and
+  name; and several, such as `A | B (v, l, r)`, looked up by name in a
+  table and then tested by length.  After its one check, for the `case`
+  and a pure scrutinee's nodes, the closure stores the whole list, name
+  and items, into the rule's slots with one slice store and enters the
+  rule's right-hand side;
 - a call of a known function, with one check for the application, its
   function position and, when the argument goes straight into the
   parameter's slots, the tuple and its leading pure items: the closure
   builds the callee's frame, and outside tail position it also enters
   the callee's body and runs the pending calls (see Calls);
 - a tuple of 2 items, or a constructor or a call frame of 2 or 3, is
-  built in its closure from the items' closures, with no tuple getter
+  built in its closure from the items' closures, and a constructor of
+  1 to 3 variables and constants from their slots, with no tuple getter
   between;
 - a tuple pattern binds its items with one store; an item that is
   itself a tuple of variables and wildcards, as in a `((n, h), k)`
@@ -59,20 +72,23 @@ Frames.  Every function is top-level and a `let` declares only `val`s
 variables and there is one activation level.  Each call of an ML
 function, and the entry expression, gets one Python list, its frame.
 Slot 0 of a function's frame holds the argument of the call, which is
-not read when the parameter is a tuple pattern.  Each binding
-occurrence of a value in the body (the parameter's variables, `val`
-and `case` bindings) has a slot of its own; a `fun` name has none,
-since nothing reads it.  The compiler resolves every variable to its
-slot, so scoping is done once, in one pass, and the program only
-indexes lists.  A constant (a literal, a nullary constructor such as
-`true`, or unit) has a slot as well, one for each distinct constant of
-the function, which every frame of the function holds from the start,
-so a constant is read as a variable is.  Since no two
-binding occurrences share a slot, a later `let` never overwrites a
-value an earlier one bound.  A frame holds only
-values, and a value holds only older values, so a run makes no
-reference cycle: its memory goes as soon as reference counting frees
-it.
+not read when the parameter is a tuple pattern.  Each binding occurrence
+of a value in the body (the parameter's variables, `val` and `case`
+bindings) has a slot of its own, and a constructor rule of k items takes
+k + 1 consecutive slots, the first an unnamed one for the name; a `fun`
+name has none, since nothing reads it.  The compiler resolves every
+variable to its slot, so scoping is done once, in one pass, and the
+program only indexes lists.  A constant (a literal, a nullary
+constructor such as `true`, or unit) has a slot as well, one for each
+distinct constant of the function, which every frame of the function
+holds from the start, so a constant is read as a variable is.  Since no
+two binding occurrences share a slot, a later `let` never overwrites a
+value an earlier one bound.  A frame holds only values, and a value
+holds only older values, so a run makes no reference cycle: its memory
+goes as soon as reference counting frees it.  What a run compiled goes
+with it too: the run breaks the links between its own functions and
+their call sites when it ends, and the store's helpers, which live as
+long as their thread's compiler, refer to no run's code.
 
 Calls.  Every call is known: the function position names a top-level
 `fun`, or the runtime's `mj_print`, which appends its argument to the
@@ -207,7 +223,8 @@ _THREAD = threading.local()
 def _compile(program: MlProgram, fuel: int, output: list[int]):
     """Compile `program` for one run with `fuel` units (at least 0),
     printing to `output`, with this thread's compiler, which the thread's
-    first run makes.
+    first run makes.  The run must end before the thread compiles the
+    next, whose fuel, output and pending call share the same cells.
 
     Returns `(run, fuel_left)`: `run()` evaluates the entry expression
     and returns its value (or raises Fault), `fuel_left()` the fuel
@@ -855,21 +872,14 @@ def _compiler():
                 fuel -= cost
                 return [name, a(f), b(f), c(f)]
             return ev
-        get = tuple_of(items)
-        if name is None:
-            def ev(f):
-                nonlocal fuel
-                if fuel < cost:
-                    raise Fault(_FUEL)
-                fuel -= cost
-                return get(f)
-        else:
-            def ev(f):
-                nonlocal fuel
-                if fuel < cost:
-                    raise Fault(_FUEL)
-                fuel -= cost
-                return [name, *get(f)]
+        get = tuple_of(items) if name is None else con_of(name, items)
+
+        def ev(f):
+            nonlocal fuel
+            if fuel < cost:
+                raise Fault(_FUEL)
+            fuel -= cost
+            return get(f)
         return ev
 
     # -- the top level: each group of functions, then the entry ------------
@@ -892,7 +902,9 @@ def _compiler():
         """The innermost binding of each name in scope."""
         return {name: stack[-1] for name, stack in scopes.items() if stack}
 
-    # The store's helpers, each a group of one, compiled once.
+    # The store's helpers, each a group of one, compiled once, by the
+    # identity of their FunDef; an entry keeps its FunDef alive, so that
+    # no other object can take its id.
     shared: dict[int, tuple[FunDef, _Fn, dict[str, object]]] = {}
     reset()
     for fd in prelude():
@@ -902,14 +914,12 @@ def _compiler():
 
     def compiled(funs: tuple[FunDef, ...]) -> _Fn | None:
         """The code compiled once for `funs`, when the group is one of the
-        store's helpers, by identity, and every name that was in scope
-        where the helper was compiled still means what it meant there, so
-        that its calls reach the same code; else None."""
+        store's helpers and every name that was in scope where the helper
+        was compiled still means what it meant there, so that its calls
+        reach the same code; else None."""
         if len(funs) != 1 or id(funs[0]) not in shared:
             return None
-        fd, fn, before = shared[id(funs[0])]
-        if fd is not funs[0]:
-            return None
+        _, fn, before = shared[id(funs[0])]
         for name, binding in before.items():
             stack = scopes.get(name)
             if not stack or stack[-1] is not binding:

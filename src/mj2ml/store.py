@@ -27,7 +27,9 @@ array's value and `alloc_array` to allocate one, and the single-rule `case`s tha
 (`array_length`) or an element (`array_get`) or write one
 (`array_set`).  A builder whose pattern names a part of the array takes
 the caller's supply of fresh names.  `heap_cells` and `alloc_order` read
-a final state back.
+a final state back: `mleval` holds a datatype value as a list
+`[name, *items]`, and `heap_cells` gives each cell with its datatype
+values as `VCon` records.
 
 The helpers that are not tail-recursive, `mj_cons`, `mj_set` and
 `mj_zeros`, recurse once per level of a tree, O(log n) deep for n cells,
