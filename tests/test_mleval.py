@@ -483,11 +483,12 @@ def test_a_deep_run_keeps_its_frames_while_another_thread_sets_the_limit():
     thread = threading.Thread(target=churn)
     thread.start()
     try:
-        started.wait()
+        assert started.wait(timeout=60)
         out, _ = eval_program(program)
     finally:
         stop.set()
-        thread.join()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
     assert out.ok and out.output == [13000]
     assert sys.getrecursionlimit() == limit
 
@@ -650,7 +651,8 @@ def in_a_new_thread(work):
         results.append(work())
     thread = threading.Thread(target=target)
     thread.start()
-    thread.join()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
     [result] = results
     return result
 
@@ -674,6 +676,29 @@ def test_a_program_runs_alike_first_after_others_and_in_another_thread(corpus_fi
     assert after == first
     assert in_a_new_thread(runs) == first
     assert runs() == first
+
+
+def test_runs_from_four_threads_at_once_equal_a_sequential_pass(corpus_files):
+    # each thread compiles with a compiler of its own, whose fuel no other
+    # thread's run sets before this run's steps are read
+    programs = [translate(parse_source(path.read_text())) for path in corpus_files]
+    expected = [outcome_of(program) for program in programs]
+    seen = [None] * 4
+
+    def work(k):
+        seen[k] = [[outcome_of(program) for program in programs] for _ in range(10)]
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [[expected] * 10] * 4
 
 
 def test_a_compile_that_fails_leaves_the_next_run_unchanged(corpus_files):
@@ -706,12 +731,11 @@ def test_a_program_that_defines_its_own_store_helper_runs_its_own_definition():
     assert out.ok and val == 42
     out, val = run(LOOKUP, fun_groups=[*helpers, (OWN_GET,), *lookup])
     assert out.ok and val == 42
-    # the store's helpers before it still call the store's own
-    out, val = run(Tuple((LOOKUP, App(Var("mj_get"), Tuple((Con("Lf"), IntLit(0)))))),
-                   fun_groups=[*helpers, (OWN_GET,)])
-    assert out.fault == FaultKind.MATCH_FAILURE
-    out, val = run(App(Var("mj_get"), Tuple((Con("Lf"), IntLit(0)))),
-                   fun_groups=[*helpers, (OWN_GET,)])
+    # the store's helpers before it still call the store's own, and the
+    # program's own calls reach its own
+    later = [*helpers, (OWN_GET,)]
+    assert run(LOOKUP, fun_groups=later)[0].fault == FaultKind.MATCH_FAILURE
+    out, val = run(App(Var("mj_get"), Tuple((Con("Lf"), IntLit(0)))), fun_groups=later)
     assert out.ok and val == 42
     # and a run of the store's helpers alone is as before
     assert run(LOOKUP, fun_groups=helpers)[0].fault == FaultKind.MATCH_FAILURE
