@@ -737,6 +737,12 @@ def test_a_program_that_defines_its_own_store_helper_runs_its_own_definition():
     assert run(LOOKUP, fun_groups=later)[0].fault == FaultKind.MATCH_FAILURE
     out, val = run(App(Var("mj_get"), Tuple((Con("Lf"), IntLit(0)))), fun_groups=later)
     assert out.ok and val == 42
+    # the store's mj_get after the program's own shadows it
+    out = run(LOOKUP, fun_groups=[(OWN_GET,), *helpers])[0]
+    assert (out.fault, out.steps) == (FaultKind.MATCH_FAILURE, 18)
+    # the program's own mj_get among the store's: the helpers after it call it
+    out, val = run(LOOKUP, fun_groups=[*helpers[:4], (OWN_GET,), *helpers[4:]])
+    assert out.ok and (val, out.steps) == (42, 17)
     # and a run of the store's helpers alone is as before
     assert run(LOOKUP, fun_groups=helpers)[0].fault == FaultKind.MATCH_FAILURE
 
