@@ -22,17 +22,21 @@ Feeley and Lapalme, "Using closures for code generation" (1987): one
 closure per expression node and one binder per pattern.  A closure
 takes the current frame and returns its node's value, calling its
 children's closures; no node of the tree is inspected while the program
-runs.  Each thread makes one compiler, at its first run, which holds
-the cells every closure shares (the fuel, the output and the pending
-call) and compiles the store's helpers, `store.prelude()`, once.  A
-program's group that is one of those helpers, by identity, reuses that
-code while every name in scope where the helper was compiled still
-means what it meant there; everything else is compiled for one run and
-dropped with it.  A `let` is one closure that runs its declarations in
-a loop, and a pure subtree (variables and constants, tuples and
-constructors of them, and `div` or `mod` of a variable or a constant by
-a positive literal) is one getter that charges no fuel: its parent, or
-a closure around the getter, charges for all of its nodes (see Fuel).
+runs.  The process has one compiler, made at import, which holds the
+cells every closure shares (the fuel, the output and the pending call)
+and compiles the store's helpers, `store.prelude()`, once, in order.
+A program whose groups start with some of those helpers, the same
+objects in the same order and each a group of its own, reuses their
+code: every name in scope there means what it meant when they were
+compiled.  Every translation starts with all of them.  Everything else
+is compiled for one run and dropped with it.  Since runs share the
+compiler's cells, one must end, and its steps be read, before the next
+compiles: `run_compiled` holds a process-wide lock for all of that.
+A `let` is one closure that runs its declarations in a loop, and a pure
+subtree (variables and constants, tuples and constructors of them, and
+`div` or `mod` of a variable or a constant by a positive literal) is one
+getter that charges no fuel: its parent, or a closure around the getter,
+charges for all of its nodes (see Fuel).
 
 Superoperators.  The shapes that translated code, and above all its
 store helpers, run at nearly every step are each one closure, after
@@ -88,7 +92,7 @@ holds only older values, so a run makes no reference cycle: its memory
 goes as soon as reference counting frees it.  What a run compiled goes
 with it too: the run breaks the links between its own functions and
 their call sites when it ends, and the store's helpers, which live as
-long as their thread's compiler, refer to no run's code.
+long as the process, refer to no run's code.
 
 Calls.  Every call is known: the function position names a top-level
 `fun`, or the runtime's `mj_print`, which appends its argument to the
@@ -148,7 +152,6 @@ a MatchFailure fault.
 
 from __future__ import annotations
 
-import threading
 from operator import add, eq, floordiv, itemgetter, lt, mod, mul, sub
 
 from .mjast import INT_MAX, INT_MIN
@@ -216,33 +219,10 @@ class _Fn:
         self.arity = len(param.items) if plain else None
 
 
-# This thread's compiler (see `_compile`).
-_THREAD = threading.local()
-
-
-def _compile(program: MlProgram, fuel: int, output: list[int]):
-    """Compile `program` for one run with `fuel` units (at least 0),
-    printing to `output`, with this thread's compiler, which the thread's
-    first run makes.  The run must end before the thread compiles the
-    next, whose fuel, output and pending call share the same cells.
-
-    Returns `(run, fuel_left)`: `run()` evaluates the entry expression
-    and returns its value (or raises Fault), `fuel_left()` the fuel
-    not yet spent.
-    """
-    try:
-        compile_run = _THREAD.compile_run
-    except AttributeError:
-        compile_run = _THREAD.compile_run = _compiler()
-    return compile_run(program, fuel, output)
-
-
 def _compiler():
     """A compiler, which holds the cells that every closure it builds
     shares: the fuel, the output and the pending call.  It compiles the
-    store's helpers, `store.prelude()`, once, and returns
-    `compile_run(program, fuel, output)`, which compiles the rest of a
-    program for one run (see `_compile`)."""
+    store's helpers, `store.prelude()`, once, and returns `_compile`."""
     fuel = 0
     output: list[int] = []
     pend_body = pend_frame = None
@@ -269,9 +249,17 @@ def _compiler():
         for name in bound:
             scopes[name].pop()
 
+    def binding(name: str) -> object:
+        """The innermost binding of `name`; an unbound name is outside
+        the fragment."""
+        stack = scopes.get(name)
+        if not stack:
+            raise AssertionError(f"'{name}' is not bound")
+        return stack[-1]
+
     def resolve(name: str) -> int:
         """The slot of the innermost binding of `name`, a value."""
-        slot = scopes[name][-1]
+        slot = binding(name)
         if type(slot) is not int:
             raise AssertionError(f"the function '{name}' is read as a value")
         return slot
@@ -416,22 +404,10 @@ def _compiler():
 
     def con_of(name: str, getters: list):
         """The getter of the constructor `name` of the getters' values."""
-        if len(getters) == 1:
-            [a] = getters
-            return lambda f: [name, a(f)]
-        if len(getters) == 2:
-            a, b = getters
-            return lambda f: [name, a(f), b(f)]
-        if len(getters) == 3:
-            a, b, c = getters
-            return lambda f: [name, a(f), b(f), c(f)]
         getters = tuple(getters)
         return lambda f: [name, *[g(f) for g in getters]]
 
     def tuple_of(getters: list):
-        if len(getters) == 1:
-            [a] = getters
-            return lambda f: (a(f),)
         if len(getters) == 2:
             a, b = getters
             return lambda f: (a(f), b(f))
@@ -561,7 +537,7 @@ def _compiler():
         func, arg = e.func, e.arg
         if type(func) is not Var:
             raise AssertionError("an application of something other than a function's name")
-        fn = scopes[func.name][-1]
+        fn = binding(func.name)
         if fn is _PRINT:
             return print_(arg)
         if type(fn) is not _Fn:
@@ -898,45 +874,33 @@ def _compiler():
             function(fd, fn)
         return fns
 
-    def top_level() -> dict[str, object]:
-        """The innermost binding of each name in scope."""
-        return {name: stack[-1] for name, stack in scopes.items() if stack}
-
-    # The store's helpers, each a group of one, compiled once, by the
-    # identity of their FunDef; an entry keeps its FunDef alive, so that
-    # no other object can take its id.
-    shared: dict[int, tuple[FunDef, _Fn, dict[str, object]]] = {}
+    # The store's helpers, each a group of one, compiled once, in order.
     reset()
-    for fd in prelude():
-        before = top_level()
-        [fn] = group((fd,))
-        shared[id(fd)] = (fd, fn, before)
-
-    def compiled(funs: tuple[FunDef, ...]) -> _Fn | None:
-        """The code compiled once for `funs`, when the group is one of the
-        store's helpers and every name that was in scope where the helper
-        was compiled still means what it meant there, so that its calls
-        reach the same code; else None."""
-        if len(funs) != 1 or id(funs[0]) not in shared:
-            return None
-        _, fn, before = shared[id(funs[0])]
-        for name, binding in before.items():
-            stack = scopes.get(name)
-            if not stack or stack[-1] is not binding:
-                return None
-        return fn
+    shared = [(fd, *group((fd,))) for fd in prelude()]
 
     def compile_run(program: MlProgram, fuel_: int, output_: list[int]):
+        """Compile `program` for one run with `fuel_` units (at least 0),
+        printing to `output_`.  The store's helper k is reused when groups
+        0..k of the program are helpers 0..k, each a group of its own.
+
+        Returns `(run, fuel_left)`: `run()` evaluates the entry expression
+        and returns its value (or raises Fault), `fuel_left()` the fuel
+        not yet spent.  The run must end, and its fuel left be read,
+        before the next compile, which sets the same cells.
+        """
         nonlocal fuel, output, free
         reset()
+        groups = program.fun_groups
+        reused = 0
+        for (fd, fn), funs in zip(shared, groups):
+            if len(funs) != 1 or funs[0] is not fd:
+                break
+            scopes.setdefault(fd.name, []).append(fn)
+            reused += 1
         # The `fun`s compiled for this run, whose links the run breaks at its end.
         fns: list[_Fn] = []
-        for funs in program.fun_groups:
-            fn = compiled(funs)
-            if fn is None:
-                fns += group(funs)
-            else:
-                scopes.setdefault(funs[0].name, []).append(fn)
+        for funs in groups[reused:]:
+            fns += group(funs)
         free = 0
         consts.clear()
         main = expr(program.main, False)
@@ -961,6 +925,12 @@ def _compiler():
         return fuel
 
     return compile_run
+
+
+# The process's one compiler.  `run_compiled` holds a process-wide lock
+# for a whole compile and run, the steps read included, so the runs of
+# two threads never share its cells.
+_compile = _compiler()
 
 
 def eval_program(program: MlProgram, fuel: int = DEFAULT_FUEL,

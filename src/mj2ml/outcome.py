@@ -16,7 +16,8 @@ program nested past `MAX_NESTING` is a type error, and each compile stage
 gets `COMPILE_FRAMES` frames, enough for any program within that limit.
 The recursion limit is the process's, so each run and each compile
 stage holds one process-wide lock while it sets the limit and runs (see
-`extra_frames`): calls from several threads run one at a time.
+`extra_frames`): calls from several threads run one at a time, and a
+run reads its steps before it lets go of the lock.
 
 The cyclic collector's policy lives here too, and the caller of
 `run_compiled` says which interpreter it runs.  The collector is off
@@ -26,11 +27,11 @@ A run of a translated program keeps it off as well.  Its values are
 ints, bools, tuples and datatype values, and a frame holds only values
 (see Frames in `mleval`), so it makes no reference cycle for the
 collector to find, and reference counting frees all it drops.  Its
-compile step leaves none either: the helpers of each thread's `mleval`
-compiler refer to each other, but they live as long as the thread, as
-do the store helpers they compiled once, and the run breaks the links
-between its own functions and their call sites when it ends, so the
-closures compiled for it go with the run.
+compile step leaves none either: the helpers of `mleval`'s one compiler
+refer to each other, but they live as long as the process, as do the
+store helpers they compiled once, and the run breaks the links between
+its own functions and their call sites when it ends, so the closures
+compiled for it go with the run.
 A MiniJava run gets the collector back as the caller had it: it makes
 real cycles, such as an object whose field points to itself, and only
 the collector frees those; with it off, a loop that makes one per
@@ -175,7 +176,9 @@ def run_compiled(compile: Callable, fuel: int, *,
         finally:
             if enabled:
                 gc.enable()
-    outcome.steps = fuel if spent_all else fuel - fuel_left()
+        # read while the lock is held: `fuel_left` reads a cell that the
+        # next run's compile, in any thread, sets
+        outcome.steps = fuel if spent_all else fuel - fuel_left()
     return outcome, value
 
 

@@ -6,7 +6,6 @@ import time
 
 import pytest
 
-from mj2ml import mleval
 from mj2ml.diffharness import diff_source
 from mj2ml.mjast import INT_MAX, INT_MIN
 from mj2ml.mjinterp import interpret_mj
@@ -642,12 +641,10 @@ def outcome_of(program, fuel=DEFAULT_FUEL):
 
 
 def in_a_new_thread(work):
-    """`work()` in a thread of its own, which compiles with a compiler
-    of its own; returns what it returned."""
+    """`work()` in a thread of its own; returns what it returned."""
     results = []
 
     def target():
-        assert not hasattr(mleval._THREAD, "compile_run")
         results.append(work())
     thread = threading.Thread(target=target)
     thread.start()
@@ -679,8 +676,9 @@ def test_a_program_runs_alike_first_after_others_and_in_another_thread(corpus_fi
 
 
 def test_runs_from_four_threads_at_once_equal_a_sequential_pass(corpus_files):
-    # each thread compiles with a compiler of its own, whose fuel no other
-    # thread's run sets before this run's steps are read
+    # the threads share one compiler: each run holds the process-wide lock
+    # of `extra_frames` from its compile to its steps read, so no other
+    # thread's compile sets the fuel before this run's steps are read
     programs = [translate(parse_source(path.read_text())) for path in corpus_files]
     expected = [outcome_of(program) for program in programs]
     seen = [None] * 4
@@ -701,18 +699,31 @@ def test_runs_from_four_threads_at_once_equal_a_sequential_pass(corpus_files):
     assert seen == [[expected] * 10] * 4
 
 
-def test_a_compile_that_fails_leaves_the_next_run_unchanged(corpus_files):
-    # `let val y = x in case y of _ => 1 end` fails to compile with `y`
-    # in scope and slots taken, after the store's helpers were bound and
-    # a `fun mj_print x = x` shadowed the runtime's
+# `fun f x = let val y = x in case y of _ => 1 end`, which fails to
+# compile with `y` in scope and slots taken
+BAD_CASE = FunDef("f", PVar("x"), Let((Val(PVar("y"), Var("x")),),
+                                      Case(Var("y"), ((PWild(), IntLit(1)),))))
+# `fun f x = let val y = x in y end` and then `fun g x = y`, which reads
+# the `y` that f's `let` bound and dropped
+BOUND_IN_F = FunDef("f", PVar("x"), Let((Val(PVar("y"), Var("x")),), Var("y")))
+READS_FS_Y = FunDef("g", PVar("x"), Var("y"))
+
+
+@pytest.mark.parametrize("groups, main, message", [
+    ([(BAD_CASE,)], App(Var("f"), IntLit(0)), "a `case` other than"),
+    ([], Var("nope"), "'nope' is not bound"),
+    ([], App(Var("g"), IntLit(1)), "'g' is not bound"),
+    ([(BOUND_IN_F,), (READS_FS_Y,)], App(Var("g"), IntLit(1)), "'y' is not bound"),
+], ids=["case", "unbound-entry", "unbound-function", "out-of-scope-value"])
+def test_a_compile_that_fails_leaves_the_next_run_unchanged(corpus_files, groups, main,
+                                                            message):
+    # each fails to compile, as outside the fragment, after the store's
+    # helpers were bound and a `fun mj_print x = x` shadowed the runtime's
     program = translate(parse_source(corpus_files[1].read_text()))
     before = outcome_of(program)
     silent = FunDef("mj_print", PVar("x"), Var("x"))
-    bad = FunDef("f", PVar("x"), Let((Val(PVar("y"), Var("x")),),
-                                     Case(Var("y"), ((PWild(), IntLit(1)),))))
-    groups = (*[(f,) for f in prelude()], (silent,), (bad,))
-    with pytest.raises(AssertionError):
-        run(App(Var("f"), IntLit(0)), fun_groups=groups)
+    with pytest.raises(AssertionError, match=message):
+        run(main, fun_groups=[*[(f,) for f in prelude()], (silent,), *groups])
     assert outcome_of(program) == before
 
 
