@@ -16,20 +16,24 @@ index n, and like any array index outside 0 .. length-1 its walk ends in
 an empty subtree, where the helpers have no rule: a MatchFailure fault.
 An unshared local array, one that cannot escape its method (see
 `translate`), is such an `HArr` value threaded by the method like an
-`int`, and never a cell; every other array is a heap cell.
+`int`, and never a cell; every other array is a heap cell.  Before its
+first assignment such a local is `ANull` (`NULL_ARRAY`), the array
+null, which no array access matches: a MatchFailure fault too.
+`heapval` declares `ANull` only for a program that binds it.
 
 This module is the only one that knows that encoding.  It holds the
 store's types (the `heapval` and `tree` datatypes), the
 `prelude` of helpers emitted with every program, and a builder for the
 ML expression of each store operation the translation emits: `lookup`,
 `update` and `alloc` of a state, `zeros` and `new_array` for a new
-array's value and `alloc_array` to allocate one, and the single-rule `case`s that read an array's length
-(`array_length`) or an element (`array_get`) or write one
-(`array_set`).  A builder whose pattern names a part of the array takes
-the caller's supply of fresh names.  `heap_cells` and `alloc_order` read
-a final state back: `mleval` holds a datatype value as a list
-`[name, *items]`, and `heap_cells` gives each cell with its datatype
-values as `VCon` records.
+array's value and `alloc_array` to allocate one, the single-rule
+`case`s that read an array's length (`array_length`) or an element
+(`array_get`) or write one (`array_set`), and `null_check`, the guard
+of a call on a pointer that may be null.  A builder whose pattern names
+a part of the array takes the caller's supply of fresh names.
+`heap_cells` and `alloc_order` read a final state back: `mleval` holds a
+datatype value as a list `[name, *items]`, and `heap_cells` gives each
+cell with its datatype values as `VCon` records.
 
 The helpers that are not tail-recursive, `mj_cons`, `mj_set` and
 `mj_zeros`, recurse once per level of a tree, O(log n) deep for n cells,
@@ -77,16 +81,27 @@ EMPTY = Con("Lf")
 
 NULL_PTR = -1
 
+# The value of an unboxed array local before its first assignment: no
+# array access has a rule for it, so each is a match failure.
+NULL_ARRAY = Con("ANull")
+
 # The state before the first allocation.
 EMPTY_STATE = Tuple((IntLit(0), EMPTY))
 
 
-def datatypes(objects: list[DataCon]) -> list[DataType]:
+def datatypes(objects: list[DataCon], null_array: bool) -> list[DataType]:
     """The store's datatypes: `heapval`, whose values are the heap's
     cells, an array `HArr (length, elements)` or one of the `objects`
-    constructors, and then the tree."""
+    constructors, and `NULL_ARRAY` when `null_array` (the program binds
+    it), and then the tree."""
     array = DataCon("HArr", TyTuple((TY_INT, TyApp("tree", TY_INT))))
-    return [DataType("heapval", (array, *objects)), TREE]
+    null = (DataCon("ANull", TY_UNIT),) if null_array else ()
+    return [DataType("heapval", (array, *null, *objects)), TREE]
+
+
+def null_check(ptr: MlExpr, body: MlExpr) -> MlExpr:
+    """body, or a match failure when ptr is null."""
+    return Case(PrimOp("<", (ptr, IntLit(0))), ((PCon("false"), body),))
 
 
 def _call(name: str, *args: MlExpr) -> MlExpr:
@@ -130,7 +145,7 @@ def alloc_array(state: MlExpr, length: MlExpr, elements: MlExpr) -> MlExpr:
 def _array_case(value: MlExpr, length: PVar | PWild, elements: PVar | PWild,
                 rhs: MlExpr) -> MlExpr:
     """rhs of the parts of the array value: one rule, which every array
-    matches."""
+    but `ANull` matches."""
     return Case(value, ((PCon("HArr", (length, elements)), rhs),))
 
 

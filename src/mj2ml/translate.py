@@ -17,10 +17,10 @@ Calls are dispatched statically, so the emitted program has no function
 values.  Rapid type analysis (see `sema`) gives the classes a run can
 instantiate, and of those, the ones a call's receiver can be an object
 of.  When all of them run the same implementation, as nearly every call
-does, the call is a known call of it, behind a null check
-``case recv < 0 of false => ...`` unless the receiver is `this` or a
-`new` object.  Otherwise the call reads the receiver and matches its
-class on its constructor, with one rule, a known call, for each class.
+does, the call is a known call of it, behind `store.null_check` of
+the receiver unless the receiver is `this` or a `new` object.
+Otherwise the call reads the receiver and matches its class on its
+constructor, with one rule, a known call, for each class.
 
 Statements become let bindings in evaluation order, one binding per
 intermediate value (administrative normal form).  An assignment binds
@@ -41,15 +41,15 @@ call.
 
 Arrays are heap cells, reached through a pointer, unless they are
 unshared.  An `int[]` local whose only uses are ``x = new int[e]``,
-``x[i]``, ``x[i] = v`` and ``x.length``, and which is definitely
-assigned (JLS ch. 16) before each use but ``new``, cannot be reached by
-any other name, so it is the array value itself, threaded by the method
-like an `int` local: each write binds a new version of it, and joins and
-loops carry it (escape analysis for Java: Choi et al. and Blanchet,
-OOPSLA 1999).  Any other array, a field, a formal, or a local that is
-copied, passed, returned, stored in a field or may be read before it is
-assigned, is a heap cell.  An unboxed local never holds null, and a
-local's default value is bound only if some path reads it.
+``x[i]``, ``x[i] = v`` and ``x.length`` cannot be reached by any other
+name, so it is the array value itself, threaded by the method like an
+`int` local: each write binds a new version of it, and joins and loops
+carry it (escape analysis for Java: Choi et al. and Blanchet, OOPSLA
+1999).  Before its first assignment it is `store.NULL_ARRAY`, on which
+every array access fails to match, as one through a null pointer does.
+Any other array, a field, a formal, or a local that is copied, passed,
+returned or stored in a field, is a heap cell.  A local's default value
+is bound only if some path reads it.
 
 Every generated function takes and returns the state: methods are
 ``fn (state, self, args) -> (state, result)`` where args is (), a bare
@@ -337,40 +337,27 @@ class _Ctx:
         self.emit(self.rebind(names), rhs)
 
 
-# the markers `_assigns` leaves on its stack, each taken after what it follows
-_ELSE, _JOIN, _LOOP, _SET = range(4)
-
-
 def _assigns(body: list[Stmt], result: Expr | None = None, arrays: frozenset[str] = frozenset()
              ) -> tuple[dict[int, tuple[set[str], ...]], frozenset[str]]:
     """What each `if` and `while` in body assigns and reads, and which of
     the `int[]` locals `arrays` the method keeps out of the store.
 
     An array local is unboxed when its only uses are `x = new int[e]`,
-    `x[i]`, `x[i] = v` and `x.length`, and x is definitely assigned (JLS
-    ch. 16) before each of them but `new`: any other use (a copy, a call
-    argument, a return, a field store) can let the array escape, and a
-    use before the first assignment reads null.  Body and then `result`,
-    the method's return expression, are walked once, each statement after
-    those that run before it (an expression assigns nothing, so the parts
-    of one are taken in any order).
+    `x[i]`, `x[i] = v` and `x.length`: any other use (a copy, a call
+    argument, a return, a field store) can let the array escape.  Body
+    and then `result`, the method's return expression, are walked once.
 
     Each `if` and `while` maps, by its id, to the local variables and
     formals it assigns and to those it reads; the reads hold "this"
     (a keyword, so no variable's name) when it reads `this` or a field,
-    or writes a field.  An array write to an unboxed local assigns it,
-    but an unboxed local that is not definitely assigned after the
-    statement is not counted: no path reads that value, so no join or
-    loop carries it.  The walk keeps an explicit stack, so nesting costs
-    no Python frames: a statement's sets join the enclosing one's as the
-    walk leaves it."""
-    # per statement: (assigned, read, array-written, definitely assigned after)
-    found: dict[int, tuple[set[str], set[str], set[str], frozenset[str]]] = {}
+    or writes a field.  An array write to an unboxed local assigns it.
+    The walk keeps an explicit stack, so nesting costs no Python frames:
+    a 1-tuple `(s,)` marks the end of s, where its sets join the
+    enclosing one's."""
+    # per statement: (assigned, read, array-written)
+    found: dict[int, tuple[set[str], set[str], set[str]]] = {}
     sets: list[tuple[set[str], set[str], set[str]]] = [(set(), set(), set())]
     escaped: set[str] = set()
-    # the arrays definitely assigned here, and at the `if`s being walked
-    assigned_here: frozenset[str] = frozenset()
-    saved: list[frozenset[str]] = []
     todo: list = [result] if result is not None else []
     todo += reversed(body)
     while todo:
@@ -391,11 +378,8 @@ def _assigns(body: list[Stmt], result: Expr | None = None, arrays: frozenset[str
                 sets[-1][1].add("this")
             else:
                 sets[-1][0].add(s.name)
-                if s.name in arrays:
-                    if type(s.value) is NewArrayExpr:
-                        todo.append((_SET, s.name))
-                    else:
-                        escaped.add(s.name)
+                if s.name in arrays and type(s.value) is not NewArrayExpr:
+                    escaped.add(s.name)
             todo.append(s.value)
         elif kind is BlockStmt:
             todo += reversed(s.body)
@@ -405,25 +389,15 @@ def _assigns(body: list[Stmt], result: Expr | None = None, arrays: frozenset[str
             todo += (s.receiver, *s.args)
         elif kind is IfStmt:
             sets.append((set(), set(), set()))
-            todo += ((_JOIN, s), s.else_branch, (_ELSE, assigned_here), s.then_branch, s.cond)
+            todo += ((s,), s.else_branch, s.then_branch, s.cond)
         elif kind is WhileStmt:
             sets.append((set(), set(), set()))
-            todo += ((_LOOP, s, assigned_here), s.body, s.cond)
+            todo += ((s,), s.body, s.cond)
         elif kind is tuple:
-            tag = s[0]
-            if tag == _SET:
-                assigned_here = assigned_here | {s[1]}
-            elif tag == _ELSE:
-                saved.append(assigned_here)
-                assigned_here = s[1]
-            else:
-                # the end of s[1]: an `if` assigns what both branches do,
-                # and a loop may run no times; its sets join the enclosing ones
-                assigned_here = assigned_here & saved.pop() if tag == _JOIN else s[2]
-                mine = sets.pop()
-                found[id(s[1])] = (*mine, assigned_here)
-                for outer, inner in zip(sets[-1], mine):
-                    outer.update(inner)
+            mine = sets.pop()
+            found[id(s[0])] = mine
+            for outer, inner in zip(sets[-1], mine):
+                outer.update(inner)
         elif kind is ArrayAssignStmt:
             if s.binding.kind == "field":
                 sets[-1][1].add("this")
@@ -431,8 +405,6 @@ def _assigns(body: list[Stmt], result: Expr | None = None, arrays: frozenset[str
                 sets[-1][1].add(s.name)
                 if s.name in arrays:
                     sets[-1][2].add(s.name)
-                    if s.name not in assigned_here:
-                        escaped.add(s.name)
             todo += (s.index, s.value)
         elif kind is ArrayIndexExpr or kind is ArrayLengthExpr:
             if kind is ArrayIndexExpr:
@@ -440,8 +412,6 @@ def _assigns(body: list[Stmt], result: Expr | None = None, arrays: frozenset[str
             array = s.array
             if type(array) is IdentExpr and array.name in arrays:
                 sets[-1][1].add(array.name)
-                if array.name not in assigned_here:
-                    escaped.add(array.name)
             else:
                 todo.append(array)
         elif kind is NotExpr:
@@ -451,14 +421,8 @@ def _assigns(body: list[Stmt], result: Expr | None = None, arrays: frozenset[str
         elif kind is ThisExpr:
             sets[-1][1].add("this")
     unboxed = arrays - escaped
-    if unboxed:
-        for assigned, reads, written, after in found.values():
-            # a local that is not definitely assigned after the statement
-            # was assigned before each read in it
-            dead = unboxed - after
-            assigned |= written & unboxed
-            assigned -= dead
-            reads -= dead
+    for assigned, _, written in found.values():
+        assigned |= written & unboxed
     return found, unboxed
 
 
@@ -467,6 +431,8 @@ class _Translator:
         self.table = table
         # the translated loops, numbered across the program
         self.loops: list[FunDef] = []
+        # whether some method binds an unboxed array local's null
+        self.null_array = False
 
     # -- objects ----------------------------------------------------------------
 
@@ -474,7 +440,8 @@ class _Translator:
         return store.datatypes([
             DataCon(f"HObj_{_enc(c)}",
                     _payload_ty([_ml_value_ty(ty) for _, ty in info.all_fields.values()]))
-            for c, info in self.table.classes.items() if c in self.table.instantiated])
+            for c, info in self.table.classes.items() if c in self.table.instantiated],
+            self.null_array)
 
     def _object(self, make, cls: str, item):
         """The object, or with `make` = PCon the pattern, of class cls:
@@ -592,7 +559,7 @@ class _Translator:
             decl = self.table.info(e.receiver_class).vtable[e.method][1]
             result = Tuple((state, _default_value(decl.return_type)))
         if not isinstance(e.receiver, (ThisExpr, NewObjectExpr)):
-            result = Case(PrimOp("<", (receiver, IntLit(0))), ((PCon("false"), result),))
+            result = store.null_check(receiver, result)
         return ctx.bind_state(result, name)
 
     # -- expressions --------------------------------------------------------------------
@@ -733,10 +700,12 @@ class _Translator:
             self.stmt(s, ctx)
         value = self.expr(decl.return_expr, ctx)
         # a local's default is bound only where some path reads it; an
-        # unboxed array is assigned before every read
-        assert not fn.initial & fn.unboxed
-        ctx.bindings[:0] = [Val(PVar(mangle_var(v.name, 0)), _default_value(v.var_type))
+        # unboxed array's is the array null
+        ctx.bindings[:0] = [Val(PVar(mangle_var(v.name, 0)),
+                                store.NULL_ARRAY if v.name in fn.unboxed
+                                else _default_value(v.var_type))
                             for v in decl.local_vars if v.name in fn.initial]
+        self.null_array |= bool(fn.initial & fn.unboxed)
         param = PTuple((PVar("mj_s0"), PVar("mj_this"),
                         _ptup([PVar(mangle_var(f.name, 0)) for f in decl.formals])))
         return FunDef(mangle_method(self.table.info(cls).index, decl.name), param,

@@ -699,6 +699,27 @@ def test_runs_from_four_threads_at_once_equal_a_sequential_pass(corpus_files):
     assert seen == [[expected] * 10] * 4
 
 
+def test_every_steps_read_holds_the_lock(monkeypatch, corpus_files):
+    # the four-thread test sees a steps read outside the lock only when a
+    # thread switch falls just before it; this sees every read
+    from mj2ml import mleval, outcome
+
+    held = []
+    compile_ = mleval._compile
+
+    def wrapped(*args):
+        run, fuel_left = compile_(*args)
+
+        def checked_fuel_left():
+            held.append(outcome._FRAMES_LOCK._is_owned())
+            return fuel_left()
+        return run, checked_fuel_left
+    monkeypatch.setattr(mleval, "_compile", wrapped)
+    for path in corpus_files:
+        assert eval_program(translate(parse_source(path.read_text())))[0].ok
+    assert held == [True] * len(corpus_files)
+
+
 # `fun f x = let val y = x in case y of _ => 1 end`, which fails to
 # compile with `y` in scope and slots taken
 BAD_CASE = FunDef("f", PVar("x"), Let((Val(PVar("y"), Var("x")),),

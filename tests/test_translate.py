@@ -10,8 +10,8 @@ from mj2ml.cli import main
 from mj2ml.diffharness import diff_source
 from mj2ml.mjast import print_program
 from mj2ml.mleval import eval_program
-from mj2ml.mlast import (TY_INT, App, Case, FunDef, If, Let, PTuple, PVar, Tuple, TyTuple, Val,
-                          Var, validate_core)
+from mj2ml.mlast import (TY_INT, App, Case, Con, FunDef, If, Let, PTuple, PVar, Tuple, TyTuple,
+                          Val, Var, validate_core)
 from mj2ml.mlprint import print_ml_program
 from mj2ml.outcome import FaultKind
 from mj2ml.parser import parse_source
@@ -584,7 +584,7 @@ class Main {
 """
 
 # One program for each use that keeps an `int[]` local in the store, then
-# one whose local is a value: (main's argument, class A, output, the
+# those whose local is a value: (main's argument, class A, output, the
 # final heap's constructors in allocation order).
 ARRAY_USES = {
     "copy": ("new A().f()", """\
@@ -646,26 +646,6 @@ class A {
     }
 }
 """, [11], ["HObj_A", "HArr", "HArr"]),
-    "read-before-assignment": ("new A().f(3)", """\
-class A {
-    public int f(int n) {
-        int[] x;
-        if (0 < n) x = new int[n]; else {}
-        return x.length;
-    }
-}
-""", [3], ["HObj_A", "HArr"]),
-    "write-before-assignment": ("new A().f(3)", """\
-class A {
-    public int f(int n) {
-        int[] x;
-        if (0 < n) x = new int[n]; else {}
-        x[0] = 5;
-        x = new int[2];
-        return x.length;
-    }
-}
-""", [2], ["HObj_A", "HArr", "HArr"]),
     "unboxed": ("new A().f(3)", """\
 class A {
     public int f(int n) {
@@ -700,6 +680,28 @@ class A {
     }
 }
 """, [9], ["HObj_A"]),
+    # read or written where it may be unassigned: on that path it is the
+    # array null, `ANull`, and here it is assigned
+    "read-before-assignment": ("new A().f(3)", """\
+class A {
+    public int f(int n) {
+        int[] x;
+        if (0 < n) x = new int[n]; else {}
+        return x.length;
+    }
+}
+""", [3], ["HObj_A"]),
+    "write-before-assignment": ("new A().f(3)", """\
+class A {
+    public int f(int n) {
+        int[] x;
+        if (0 < n) x = new int[n]; else {}
+        x[0] = 5;
+        x = new int[2];
+        return x.length;
+    }
+}
+""", [2], ["HObj_A"]),
 }
 
 
@@ -714,14 +716,63 @@ def test_an_array_local_leaves_the_store_only_when_it_cannot_escape(use):
     assert [value.name for _, value in heap_cells(state)] == cells
 
 
+# An unboxed local used where it may be unassigned, after printing n:
+# assigned when 0 < n, the array null when n = 0.
+UNASSIGNED_ARRAY = """\
+class A {
+    public int f(int n) {
+        int[] x;
+        int i;
+        System.out.println(n);
+        %s
+        return n;
+    }
+}
+"""
+MAYBE_ASSIGNED = "if (0 < n) x = new int[n]; else {}"
+UNASSIGNED_USES = {
+    "length": f"{MAYBE_ASSIGNED} System.out.println(x.length);",
+    "index": f"{MAYBE_ASSIGNED} System.out.println(x[0]);",
+    "write": f"{MAYBE_ASSIGNED} x[0] = 5;",
+    # assigned only in the loop's body, read after it ran no rounds
+    "after-zero-rounds": "i = 0; while (i < n) { x = new int[i + 1]; i = i + 1; } "
+                         "System.out.println(x.length);",
+}
+
+
 def test_a_read_that_may_come_before_the_assignment_reads_null():
-    _, source, _, _ = ARRAY_USES["read-before-assignment"]
-    source = ESCAPE_MAIN % "new A().f(0)" + source
-    result = diff_source("Null.java", source)
-    assert result.verdict == "skipped-faulting"
-    assert result.mj.fault is FaultKind.NULL_DEREFERENCE
-    ml, _ = eval_program(tr(source))
-    assert ml.fault is FaultKind.MATCH_FAILURE
+    for use, body in UNASSIGNED_USES.items():
+        source = ESCAPE_MAIN % "new A().f(%d)" + UNASSIGNED_ARRAY % body
+        assigned = source % 3
+        assert diff_source("Assigned.java", assigned).verdict == "match", use
+        out, state = eval_program(tr(assigned))
+        assert out.ok and [value.name for _, value in heap_cells(state)] == ["HObj_A"], use
+        result = diff_source("Null.java", source % 0)
+        assert result.verdict == "skipped-faulting", use
+        assert result.mj.output == [0] and result.mj.fault is FaultKind.NULL_DEREFERENCE, use
+        ml, _ = eval_program(tr(source % 0))
+        assert ml.output == [0] and ml.fault is FaultKind.MATCH_FAILURE, use
+
+
+def test_the_array_null_is_declared_exactly_when_an_unboxed_default_is_read(corpus_files):
+    sources = {use: ESCAPE_MAIN % argument + source
+               for use, (argument, source, _, _) in ARRAY_USES.items()}
+    sources.update((use, ESCAPE_MAIN % "new A().f(0)" + UNASSIGNED_ARRAY % body)
+                   for use, body in UNASSIGNED_USES.items())
+    sources.update((path.stem, path.read_text()) for path in corpus_files)
+    declared = set()
+    for name, source in sources.items():
+        ml = tr(source)
+        [heapval] = [d for d in ml.datatypes if d.name == "heapval"]
+        read = any(con.name == "ANull" for con in nodes(ml.fun_groups, Con))
+        assert ("ANull" in [c.name for c in heapval.cons]) == read, name
+        assert validate_core(ml) == [], name
+        if read:
+            declared.add(name)
+    # a loop that makes its array anew in each round carries the unassigned
+    # local into its first round
+    assert declared == {"read-before-assignment", "write-before-assignment",
+                        "unboxed-per-round", *UNASSIGNED_USES}
 
 
 REASSIGNED_RECEIVER = """\
