@@ -30,6 +30,13 @@ instantiated classes its receiver can be an object of; `mjinterp`
 compiles only live methods.  Every method is
 still checked, so a type error in one that never runs is reported.
 
+The same walk records each `int[]` variable that a body reads other
+than as `x[i]` or `x.length`, or assigns other than from `new int[e]`:
+through such a use the array can be reached by another name.  Each
+method's `int[]` locals with no such use cannot escape, and `typecheck`
+stores them as `unboxed[(class, method)]`; `translate` keeps them out
+of the store.
+
 Rules beyond the obvious typing of operators:
   * single inheritance, no cycles, superclasses must exist
   * every type a declaration names (field, return, formal, local) is a
@@ -63,6 +70,7 @@ from .mjast import (
     Expr,
     IdentExpr,
     IfStmt,
+    IntArrayType,
     IntLitExpr,
     MainClass,
     MethodDecl,
@@ -118,6 +126,8 @@ class ClassTable:
         self.instantiated: set[str] = set()
         self.calls: set[tuple[str, str]] = set()
         self.live: set[tuple[str, str]] = set()
+        # Each (class, method)'s `int[]` locals that cannot escape.
+        self.unboxed: dict[tuple[str, str], frozenset[str]] = {}
 
     def info(self, name: str) -> ClassInfo:
         return self.classes[name]
@@ -236,12 +246,17 @@ class _Checker:
         # method) pairs it calls
         self.news: set[str] = set()
         self.calls: set[tuple[str, str]] = set()
+        # the `int[]` variables the body reads other than as `x[i]` or
+        # `x.length`, or assigns other than from `new int[e]`, and the
+        # array operand of the `x[i]` or `x.length` being checked
+        self.escaped: set[str] = set()
+        self.cells: Expr | None = None
 
     # -- scope --------------------------------------------------------------
 
     def enter_method(self, cls: str, method: MethodDecl) -> None:
         self.current_class, self.start = cls, method.span.start
-        self.news, self.calls = set(), set()
+        self.news, self.calls, self.escaped = set(), set(), set()
         self.scope = {fname: (VarBinding("field", owner), fty)
                       for fname, (owner, fty) in self.table.info(cls).all_fields.items()}
         for formal in method.formals:
@@ -301,14 +316,19 @@ class _Checker:
             self._expect(e.operand, BOOL, "operand of '!'")
             return BOOL
         if isinstance(e, ArrayIndexExpr):
+            self.cells = e.array
             self._expect(e.array, INT_ARRAY, "indexed value")
             self._expect(e.index, INT, "array index")
             return INT
         if isinstance(e, ArrayLengthExpr):
+            self.cells = e.array
             self._expect(e.array, INT_ARRAY, "'.length' receiver")
             return INT
         if isinstance(e, IdentExpr):
-            return self.lookup(e)
+            ty = self.lookup(e)
+            if type(ty) is IntArrayType and e is not self.cells:
+                self.escaped.add(e.name)
+            return ty
         if isinstance(e, ThisExpr):
             if self.current_class is None:
                 raise MjTypeError(e.span.start, "'this' cannot be used in main")
@@ -370,6 +390,8 @@ class _Checker:
             if not self.table.is_assignable(got, ty):
                 raise MjTypeError(s.value.span.start,
                                   f"cannot assign {got} to '{s.name}' of type {ty}")
+            if type(ty) is IntArrayType and type(s.value) is not NewArrayExpr:
+                self.escaped.add(s.name)
         elif isinstance(s, ArrayAssignStmt):
             ty = self.lookup(s)
             if ty != INT_ARRAY:
@@ -400,6 +422,9 @@ def typecheck(program: MjProgram) -> ClassTable:
                         method.return_expr.span.start,
                         f"return value must be {method.return_type}, got {got}")
                 uses[info.name, method.name] = checker.news, checker.calls
+                table.unboxed[info.name, method.name] = frozenset(
+                    v.name for v in method.local_vars
+                    if v.var_type == INT_ARRAY and v.name not in checker.escaped)
         checker.enter_main(program.main)
         for s in program.main.body:
             checker.stmt(s)

@@ -23,26 +23,31 @@ Otherwise the call reads the receiver and matches its class on its
 constructor, with one rule, a known call, for each class.
 
 Statements become let bindings in evaluation order, one binding per
-intermediate value (administrative normal form).  An assignment binds
-its value directly to a fresh version ``mj_<x>_<n>`` of the variable.
-An `if` join carries, in a tuple, the state and the variables either
-branch assigns.  A while loop is a top-level tail-recursive function
-``mj_loop<k>``, lambda-lifted (Johnsson, 1985): it takes the state, the
-variables it assigns, those it only reads and ``mj_this`` if it reads
-`this` or a field, and returns the state and the variables it assigns.
-Each state name is bound once, like a value in SSA form (Appel, "SSA is
-Functional Programming", 1998), so a heap cell read in a state is read
-once and its value reused until the state changes.  A run of bindings
-whose last one binds exactly the value the run ends with, as a call's
-(state, value) or a join's tuple can, ends in that binding's right-hand
-side instead: a method that returns what a call returns, or an `if`
-branch whose last statement assigns what a call returns, ends in the
-call.
+intermediate value (administrative normal form).  An assignment binds its
+value directly to a fresh version ``mj_<x>_<n>`` of the variable, like a
+value in SSA form (Appel, "SSA is Functional Programming", 1998).  The
+versions are numbered as the translation goes, and the joins come from
+them (SSA construction on the fly, as in "Simple and Efficient
+Construction of Static Single Assignment Form", CC 2013): an `if` join
+carries, in a tuple, the state and the variables whose version either
+branch changed.  A while loop is a top-level tail-recursive function
+``mj_loop<k>``, lambda-lifted (Johnsson, 1985).  Its condition and body
+are translated with every variable under its name at loop entry; it then
+takes the state, the variables the body assigned, the others it read and
+``mj_this`` if it read `this` or a field, all under those names, and
+returns the state and the variables the body assigned.  Each state name
+is bound once too, so a heap cell read in a state is read once and its
+value reused until the state changes.  A run of bindings whose last one
+binds exactly the value the run ends with, as a call's (state, value) or
+a join's tuple can, ends in that binding's right-hand side instead: a
+method that returns what a call returns, or an `if` branch whose last
+statement assigns what a call returns, ends in the call.
 
 Arrays are heap cells, reached through a pointer, unless they are
 unshared.  An `int[]` local whose only uses are ``x = new int[e]``,
 ``x[i]``, ``x[i] = v`` and ``x.length`` cannot be reached by any other
-name, so it is the array value itself, threaded by the method like an
+name (`ClassTable.unboxed`, which `sema` finds while it checks the
+method), so it is the array value itself, threaded by the method like an
 `int` local: each write binds a new version of it, and joins and loops
 carry it (escape analysis for Java: Choi et al. and Blanchet, OOPSLA
 1999).  Before its first assignment it is `store.NULL_ARRAY`, on which
@@ -63,16 +68,18 @@ an emitted function.
 Each of these decisions is written once.  `_Ctx` holds the ANF binders
 and the state threading: `bind` for an intermediate value, `bind_state`
 for the (state, value) of a call that returns a new state,
-`carried`/`join` for the tuple of branch joins and loops, and `wrap`
-for the end of a run.  `_lookup` reads the heap, and `_read_field` a
-field of `this`, once per cell or field and state, and `_store` writes
-it and makes the new state current; field and array writes both go
-through it, as every array read goes through `_array`.  The object layout is each class's `all_fields`, which the
-datatypes, the constructors and the field and dispatch patterns
-(`_object`) all read.  `_call` dispatches.  Every heap and array access
-is built by `store`, whose prelude of helpers each translation starts
-with.  What each `if` and `while` assigns and reads, and which array
-locals are unboxed, is found once per method, by `_assigns`.
+`carried`/`join` for the tuple of branch joins and loops, `changed` for
+the variables they carry, and `wrap` for the end of a run.  `_lookup`
+reads the heap, and `_read_field` a field of `this`, once per cell or
+field and state, and `_store` writes it and makes the new state current;
+field and array writes both go through it, as every array read goes
+through `_array`.  The object layout is each class's `all_fields`, which
+the datatypes, the constructors and the field and dispatch patterns
+(`_object`) all read.  `_call` dispatches.  Every heap and array access is
+built by `store`, whose prelude of helpers each translation starts
+with.  What each `if` and `while` assigns and reads is found by
+translating it: a variable's version tells whether it was assigned, and
+`_Ctx.log` which variables were read.
 
 Translation runs within `outcome.COMPILE_FRAMES` Python frames beyond
 its caller's, which any program that typechecks fits.
@@ -85,7 +92,6 @@ from dataclasses import dataclass, field as dc_field
 from .mjast import (
     BOOL,
     INT,
-    INT_ARRAY,
     ArrayAssignStmt,
     ArrayIndexExpr,
     ArrayLengthExpr,
@@ -204,11 +210,10 @@ class _FnScope:
     """Counters and variable bookkeeping for one generated function, the
     classes whose objects run it, on which a field of `this` is matched
     (none in main), and the array locals it keeps out of the store
-    (`_assigns`).  `initial` collects the variables read at version 0:
-    a local's default is bound only if it is read."""
+    (`ClassTable.unboxed`).  `initial` collects the variables read at
+    version 0: a local's default is bound only if it is read."""
 
     var_order: list[str]
-    uses: dict[int, tuple[set[str], ...]]
     unboxed: frozenset[str]
     receivers: list[str]
     next_temp: int = 0
@@ -233,16 +238,6 @@ class _FnScope:
         self.maxver[var] += 1
         return self.maxver[var]
 
-    def assigned(self, s: IfStmt | WhileStmt) -> list[str]:
-        """The variables s assigns, in `var_order`."""
-        return [x for x in self.var_order if x in self.uses[id(s)][0]]
-
-    def only_read(self, s: WhileStmt) -> list[str]:
-        """The variables s reads and does not assign, in `var_order`, then
-        "this" if s reads `this` or a field."""
-        assigned, reads = self.uses[id(s)][:2]
-        return [x for x in [*self.var_order, "this"] if x in reads and x not in assigned]
-
 
 @dataclass
 class _Ctx:
@@ -252,12 +247,17 @@ class _Ctx:
 
     The bindings of the ANF translation go through these methods: `bind`
     names one intermediate value, `bind_state` the (state, value) pair of
-    a call that returns a new state, and `join` (or, for a loop's
-    parameter, `rebind`) the (state, variables...) tuple that `carried`
-    builds at the end of branches and loop bodies.  That tuple holds the
-    state and only the variables the `if` or `while` assigns, in
-    `var_order`; every other variable keeps its version, which a loop
-    also takes as a parameter of that name when it reads it.
+    a call that returns a new state, and `join` the (state, variables...)
+    tuple that `carried` builds at the end of branches and loop bodies.
+    A join holds the state and only the variables whose version some
+    branch changed (`changed`), in `var_order`; every other variable
+    keeps its version.
+
+    `log` collects the variables read, by `var_atom`, and "this" (a
+    keyword, so no variable's name) wherever `this()` emits ``mj_this``.
+    Branches share it, and each loop starts its own: what a loop's
+    condition and body read, and so the calls of the loops they hold, is
+    what the loop takes (`_Translator._while`).
 
     `reads` maps a pointer atom to the atom holding its heap value in the
     current state: `_lookup` reuses it and `_store` records the value it
@@ -265,18 +265,19 @@ class _Ctx:
     of `this`, which `_read_field` reuses.  A heap lookup and a
     field's `case` are pure, so a second read of the same pointer or
     field in the same state would give the same value (and never runs if
-    the first faulted).  Every new state, from a call, an allocation, a store,
-    a join or a loop parameter, goes through `advance`, which empties the
-    map."""
+    the first faulted).  Every new state, from a call, an allocation, a
+    store or a join, goes through `advance`, which empties the map; a
+    loop's state parameter starts a `_Ctx` of its own."""
 
     fn: _FnScope
     versions: dict[str, int]
     state: str
     reads: dict[object, MlExpr] = dc_field(default_factory=dict)
+    log: set[str] = dc_field(default_factory=set)
     bindings: list[Val] = dc_field(default_factory=list)
 
     def branch(self) -> "_Ctx":
-        return _Ctx(self.fn, dict(self.versions), self.state, dict(self.reads))
+        return _Ctx(self.fn, dict(self.versions), self.state, dict(self.reads), self.log)
 
     def advance(self) -> str:
         """Make a fresh state current, with nothing read from it yet."""
@@ -310,120 +311,38 @@ class _Ctx:
         self.emit(PTuple((PVar(state), PVar(name))), rhs)
         return Var(name)
 
-    def var_atom(self, name: str) -> MlExpr:
+    def var_atom(self, name: str) -> Var:
         version = self.versions[name]
         if version == 0:
             self.fn.initial.add(name)
+        self.log.add(name)
         return Var(mangle_var(name, version))
 
-    def carried(self, names: list[str], extra: tuple[Var, ...] = ()) -> MlExpr:
-        """The (state, variables..., extra...) tuple of the named
-        variables that a join or loop carries, and of a loop's extra
-        atoms, which it passes unchanged."""
-        return _tup([Var(self.state), *map(self.var_atom, names), *extra])
+    def this(self) -> Var:
+        self.log.add("this")
+        return Var("mj_this")
 
-    def rebind(self, names: list[str], extra: tuple[Var, ...] = ()) -> Pat:
-        """Make a fresh state and fresh versions of the named variables
-        current; returns the pattern that binds them, and the extra atoms
-        under their own names, from a `carried` tuple."""
+    def atom(self, name: str) -> Var:
+        """The atom of a variable, or `mj_this` for "this"."""
+        return self.this() if name == "this" else self.var_atom(name)
+
+    def changed(self, *branches: "_Ctx") -> list[str]:
+        """The variables whose version some branch changed, in `var_order`."""
+        return [x for x, v in self.versions.items() if any(b.versions[x] != v for b in branches)]
+
+    def carried(self, names: list[str]) -> MlExpr:
+        """The (state, atoms...) tuple of the named variables, and of
+        `mj_this` for "this", that a join or loop carries."""
+        return _tup([Var(self.state), *map(self.atom, names)])
+
+    def join(self, rhs: MlExpr, names: list[str]) -> None:
+        """Bind the `carried` tuple of the named variables that rhs
+        returns: a fresh state and fresh versions become current."""
         self.advance()
         for x in names:
             self.versions[x] = self.fn.fresh_version(x)
-        return _ptup([PVar(self.state), *(PVar(mangle_var(x, self.versions[x])) for x in names),
-                      *(PVar(a.name) for a in extra)])
-
-    def join(self, rhs: MlExpr, names: list[str]) -> None:
-        """Bind the carried tuple that rhs returns (see `rebind`)."""
-        self.emit(self.rebind(names), rhs)
-
-
-def _assigns(body: list[Stmt], result: Expr | None = None, arrays: frozenset[str] = frozenset()
-             ) -> tuple[dict[int, tuple[set[str], ...]], frozenset[str]]:
-    """What each `if` and `while` in body assigns and reads, and which of
-    the `int[]` locals `arrays` the method keeps out of the store.
-
-    An array local is unboxed when its only uses are `x = new int[e]`,
-    `x[i]`, `x[i] = v` and `x.length`: any other use (a copy, a call
-    argument, a return, a field store) can let the array escape.  Body
-    and then `result`, the method's return expression, are walked once.
-
-    Each `if` and `while` maps, by its id, to the local variables and
-    formals it assigns and to those it reads; the reads hold "this"
-    (a keyword, so no variable's name) when it reads `this` or a field,
-    or writes a field.  An array write to an unboxed local assigns it.
-    The walk keeps an explicit stack, so nesting costs no Python frames:
-    a 1-tuple `(s,)` marks the end of s, where its sets join the
-    enclosing one's."""
-    # per statement: (assigned, read, array-written)
-    found: dict[int, tuple[set[str], set[str], set[str]]] = {}
-    sets: list[tuple[set[str], set[str], set[str]]] = [(set(), set(), set())]
-    escaped: set[str] = set()
-    todo: list = [result] if result is not None else []
-    todo += reversed(body)
-    while todo:
-        s = todo.pop()
-        kind = type(s)
-        # the commonest kinds first; literals and `new` objects read nothing
-        if kind is IdentExpr:
-            if s.binding.kind == "field":
-                sets[-1][1].add("this")
-            else:
-                sets[-1][1].add(s.name)
-                if s.name in arrays:
-                    escaped.add(s.name)
-        elif kind is BinaryExpr:
-            todo += (s.left, s.right)
-        elif kind is AssignStmt:
-            if s.binding.kind == "field":
-                sets[-1][1].add("this")
-            else:
-                sets[-1][0].add(s.name)
-                if s.name in arrays and type(s.value) is not NewArrayExpr:
-                    escaped.add(s.name)
-            todo.append(s.value)
-        elif kind is BlockStmt:
-            todo += reversed(s.body)
-        elif kind is PrintStmt:
-            todo.append(s.value)
-        elif kind is CallExpr:
-            todo += (s.receiver, *s.args)
-        elif kind is IfStmt:
-            sets.append((set(), set(), set()))
-            todo += ((s,), s.else_branch, s.then_branch, s.cond)
-        elif kind is WhileStmt:
-            sets.append((set(), set(), set()))
-            todo += ((s,), s.body, s.cond)
-        elif kind is tuple:
-            mine = sets.pop()
-            found[id(s[0])] = mine
-            for outer, inner in zip(sets[-1], mine):
-                outer.update(inner)
-        elif kind is ArrayAssignStmt:
-            if s.binding.kind == "field":
-                sets[-1][1].add("this")
-            else:
-                sets[-1][1].add(s.name)
-                if s.name in arrays:
-                    sets[-1][2].add(s.name)
-            todo += (s.index, s.value)
-        elif kind is ArrayIndexExpr or kind is ArrayLengthExpr:
-            if kind is ArrayIndexExpr:
-                todo.append(s.index)
-            array = s.array
-            if type(array) is IdentExpr and array.name in arrays:
-                sets[-1][1].add(array.name)
-            else:
-                todo.append(array)
-        elif kind is NotExpr:
-            todo.append(s.operand)
-        elif kind is NewArrayExpr:
-            todo.append(s.length)
-        elif kind is ThisExpr:
-            sets[-1][1].add("this")
-    unboxed = arrays - escaped
-    for assigned, _, written in found.values():
-        assigned |= written & unboxed
-    return found, unboxed
+        versions = (PVar(mangle_var(x, self.versions[x])) for x in names)
+        self.emit(_ptup([PVar(self.state), *versions]), rhs)
 
 
 class _Translator:
@@ -479,7 +398,7 @@ class _Translator:
         of the atom."""
         if name is None and fname in ctx.reads:
             return ctx.reads[fname]
-        value = self._lookup(ctx, Var("mj_this"))
+        value = self._lookup(ctx, ctx.this())
         tmp = ctx.fn.fresh_temp()
         rules = tuple((self._object(PCon, c, lambda f: PVar(tmp) if f == fname else PWild()),
                        Var(tmp)) for c in ctx.fn.receivers)
@@ -489,7 +408,8 @@ class _Translator:
     def _field_write(self, ctx: _Ctx, fname: str, new_value: MlExpr) -> None:
         """Rebuild this object with a field replaced, one rule per receiver
         class binding every other field, and store it."""
-        value = self._lookup(ctx, Var("mj_this"))
+        this = ctx.this()
+        value = self._lookup(ctx, this)
         temps: dict[str, str] = {}
 
         def bind_other(f):
@@ -502,7 +422,7 @@ class _Translator:
         rules = tuple((self._object(PCon, c, bind_other),
                        self._object(Con, c, lambda f: new_value if f == fname else Var(temps[f])))
                       for c in ctx.fn.receivers)
-        self._store(ctx, Var("mj_this"), ctx.bind(Case(value, rules)))
+        self._store(ctx, this, ctx.bind(Case(value, rules)))
 
     # -- arrays -----------------------------------------------------------------
 
@@ -573,7 +493,7 @@ class _Translator:
         if isinstance(e, BoolLitExpr):
             return Con("true" if e.value else "false")
         if isinstance(e, ThisExpr):
-            return Var("mj_this")
+            return ctx.this()
         if isinstance(e, IdentExpr):
             assert e.binding is not None
             if e.binding.kind == "field":
@@ -660,7 +580,7 @@ class _Translator:
             self.stmt(s.then_branch, tctx)
             ectx = ctx.branch()
             self.stmt(s.else_branch, ectx)
-            names = ctx.fn.assigned(s)
+            names = ctx.changed(tctx, ectx)
             ctx.join(If(cond, tctx.wrap(tctx.carried(names)), ectx.wrap(ectx.carried(names))),
                      names)
         elif isinstance(s, WhileStmt):
@@ -670,31 +590,34 @@ class _Translator:
 
     def _while(self, s: WhileStmt, ctx: _Ctx) -> None:
         """A top-level tail-recursive function `mj_loop<k>`, called once
-        and joined.  It takes the state, the variables the loop assigns,
-        those it only reads and `mj_this` if it reads `this` or a field,
-        and returns the state and the variables it assigns."""
-        names = ctx.fn.assigned(s)
-        reads = tuple(Var("mj_this") if x == "this" else ctx.var_atom(x)
-                      for x in ctx.fn.only_read(s))
-        inner = ctx.branch()
-        param = inner.rebind(names, reads)
+        and joined.  Its condition and body are translated first, with
+        every variable under its name at loop entry and a fresh state, so
+        no heap read of the caller's crosses into it.  It takes the state,
+        the variables the body assigns (`changed`), then the others it
+        reads and `mj_this` if it reads `this` or a field (its `log`),
+        each under that same name; it returns the state and the variables
+        the body assigns."""
+        inner = _Ctx(ctx.fn, dict(ctx.versions), ctx.fn.fresh_state())
+        entry = inner.state
         cond = self.expr(s.cond, inner)
         body = inner.branch()
         self.stmt(s.body, body)
+        names = inner.changed(body)
+        exit_ = inner.carried(names)
+        params = names + [x for x in [*inner.versions, "this"] if x in inner.log and x not in names]
         # numbered after the loops it holds
         loop = Var(f"mj_loop{len(self.loops)}")
-        then = body.wrap(App(loop, body.carried(names, reads)))
-        exit_ = inner.carried(names)
+        then = body.wrap(App(loop, body.carried(params)))
+        param = _ptup([PVar(entry), *(PVar(inner.atom(x).name) for x in params)])
         self.loops.append(FunDef(loop.name, param, inner.wrap(If(cond, then, exit_))))
-        ctx.join(App(loop, ctx.carried(names, reads)), names)
+        ctx.join(App(loop, ctx.carried(params)), names)
 
     # -- whole functions --------------------------------------------------------------------
 
     def method(self, cls: str, decl: MethodDecl) -> FunDef:
         receivers = [c for c, impl in self._targets(cls, decl.name).items() if impl == cls]
         var_order = [f.name for f in decl.formals] + [v.name for v in decl.local_vars]
-        arrays = frozenset(v.name for v in decl.local_vars if v.var_type == INT_ARRAY)
-        fn = _FnScope(var_order, *_assigns(decl.body, decl.return_expr, arrays), receivers)
+        fn = _FnScope(var_order, self.table.unboxed[cls, decl.name], receivers)
         ctx = _Ctx(fn, dict.fromkeys(var_order, 0), "mj_s0")
         for s in decl.body:
             self.stmt(s, ctx)
@@ -712,7 +635,7 @@ class _Translator:
                       ctx.wrap(Tuple((Var(ctx.state), value))))
 
     def main(self, program: MjProgram) -> FunDef:
-        ctx = _Ctx(_FnScope([], *_assigns(program.main.body), []), {}, "mj_s0")
+        ctx = _Ctx(_FnScope([], frozenset(), []), {}, "mj_s0")
         ctx.emit(PVar("mj_s0"), store.EMPTY_STATE)
         for s in program.main.body:
             self.stmt(s, ctx)

@@ -297,3 +297,41 @@ def test_a_case_or_pattern_the_translation_never_emits_is_rejected(main, groups,
     assert violations(main, groups, [OPTION]) == expected
     with pytest.raises(AssertionError):
         eval_program(MlProgram([OPTION], groups, main))
+
+
+# datatype twice = NONE: NONE is also OPTION's
+TWICE = DataType("twice", (DataCon("NONE", TY_UNIT),))
+
+
+@pytest.mark.parametrize("main, datatypes, expected", [
+    # let val (x, x) = (1, 2) in x end
+    (Let((Val(PTuple((PVar("x"), PVar("x"))), Tuple((IntLit(1), IntLit(2)))),), Var("x")), [],
+     [("main/let0-pat.1", "duplicate variable 'x' in pattern")]),
+    # a `val` whose pattern is an expression
+    (Let((Val(Var("x"), IntLit(1)),), IntLit(0)), [], [("main/let0-pat", "not a core pattern: Var")]),
+    # case SOME 1 of NADA => 0
+    (Case(SOME1, ((PCon("NADA"), IntLit(0)),)), [OPTION],
+     [("main/case-rule0-pat", "unknown constructor 'NADA' in pattern")]),
+    # (1)
+    (Tuple((IntLit(1),)), [], [("main", "1-element tuple")]),
+    # NADA
+    (Con("NADA"), [], [("main", "unknown constructor 'NADA'")]),
+    # SOME applied to nothing
+    (Con("SOME"), [OPTION], [("main", "constructor 'SOME' takes 1 argument(s), got 0")]),
+    # 1 ^ 2
+    (PrimOp("^", (IntLit(1), IntLit(2))), [], [("main", "unknown primitive '^'")]),
+    # + applied to one operand
+    (PrimOp("+", (IntLit(1),)), [], [("main", "primitive '+' takes 2 argument(s), got 1")]),
+    # case SOME 1 of (no rules)
+    (Case(SOME1, ()), [OPTION], [("main", "case with no rules")]),
+    # a function declaration where the entry expression goes
+    (INC, [], [("main", "not a core expression: FunDef")]),
+    # NONE declared by two datatypes
+    (IntLit(0), [OPTION, TWICE], [("datatype twice", "constructor 'NONE' declared twice")]),
+], ids=["duplicate-pattern-variable", "non-core-pattern", "unknown-pattern-constructor",
+        "one-tuple", "unknown-constructor", "constructor-arity", "unknown-primitive",
+        "primitive-arity", "case-without-rules", "non-core-expression", "constructor-twice"])
+def test_each_name_arity_and_node_rule_is_enforced(main, datatypes, expected):
+    # the checks on names, arities and node kinds that no translation
+    # trips; an ML type checker replacing `validate_core` must keep them
+    assert violations(main, datatypes=datatypes) == expected

@@ -187,6 +187,33 @@ def test_argument_types_checked():
                       "must be int")
 
 
+# Each remaining rule, as (text of CHAIN, its replacement) and the message.
+REJECTED = {
+    "extends-main": (("class A {", "class A extends Main {"),
+                     "cannot extend main class 'Main'"),
+    "duplicate-field": (("int extra;", "int extra; int extra;"),
+                        "duplicate field 'extra' in class 'B'"),
+    "duplicate-method": (("public int base() { return 10; }",
+                          "public int base() { return 10; } public int base() { return 11; }"),
+                         "duplicate method 'base' in class 'A'"),
+    "duplicate-parameter": (("public int base() { return 10; }",
+                             "public int base(int n, int n) { return n; }"),
+                            "duplicate parameter 'n'"),
+    "missing-method": (("new C().tag()", "new C().gone()"), "class 'C' has no method 'gone'"),
+    "incompatible-assignment": (("return 10;", "shared = true; return 10;"),
+                                "cannot assign boolean to 'shared' of type int"),
+    "index-non-array": (("return 10;", "shared[0] = 1; return 10;"),
+                        "'shared[...]=' requires int[], got int"),
+}
+
+
+@pytest.mark.parametrize("rule", REJECTED)
+def test_each_declaration_and_statement_rule_is_enforced(rule):
+    (old, new), fragment = REJECTED[rule]
+    assert old in CHAIN
+    expect_type_error(CHAIN.replace(old, new, 1), fragment)
+
+
 def test_this_rejected_in_main():
     expect_type_error(CHAIN.replace("new C().tag()", "this.tag()"), "this")
 

@@ -61,13 +61,13 @@ def test_corpus_translations_stay_in_the_core(corpus_files):
 # SHA-256 of each corpus file's emitted SML.  A change that alters the
 # emitted bytes on purpose must update these pins and say so.
 EMITTED_SML_SHA256 = {
-    "BinarySearch": "2b79377ababdb9d6f05055b6857ab7be918b3d4cafb5b5aad94938d5b4cfb4dc",
+    "BinarySearch": "cbfc921ae6bed05ba9c0536ea7815ed17a8fac22b839572d739d51d340cc16b6",
     "BinaryTree": "9029ad451a63090976d9094f9e2975fd17fee692cba76726edb2f0410d1bddb3",
-    "BubbleSort": "af26b7d5eb06b9cf39119aeb7de9fb59f092cb3c2465cd41ddf9019957f795cf",
+    "BubbleSort": "f993d65ded2234c1d1e6969773cc125a22bb84f0552405c0a570a789307a6a98",
     "Factorial": "eb3b1918fc34e4c606d0212e21b445a0bd1ddad573e9d6f5c15c2c6c0355da89",
-    "LinearSearch": "ca3ab583501a277faa6ce15ffdf412289095de4e18880af25ee472dcf2761481",
-    "LinkedList": "904de5c83b52d10ed5bd8e31d92ac21611a01021b78eb1af696671b243a1295f",
-    "QuickSort": "e529ccf94db53d7c58273f9c0f286dde944f7a3ca3df9b1b8bb3bf60c4f0c809",
+    "LinearSearch": "8bb2c0dd008dc2977f903702e905d26ce420832c57886e8c6e5f5cb7478589a3",
+    "LinkedList": "6f20d602c0995321e710180c5c23a89391ad879dbc5ae1dba2412f907e49a180",
+    "QuickSort": "b6b4b7c45b14408d14dad44b7b2b6aa3f76104dfcda2c43bb4b165d0361d8244",
     "TreeVisitor": "27b48dd83839edf8a1938d2d95dcf65f69fa05f2568c7a776a0e7cb16f375e6b",
 }
 
@@ -223,7 +223,7 @@ def test_generated_subclass_encoding_is_pinned():
     text = "".join(print_ml_program(translate(generate_program(s, 40)), f"seed{s:03d}")
                    for s in range(40))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "388f2a4b006e5ae10f1cca4630e88230133cdcac5640cb080d95852efc27ce82"
+        "e2dd3243e432556da2ff2e492bc28a5fdd07daf532b0869d3e6edc7a45c51bed"
 
 
 def test_gen200_workload_is_pinned():
@@ -236,7 +236,7 @@ def test_gen200_workload_is_pinned():
     assert (len(source), hashlib.sha256(source).hexdigest()) == (
         624675, "4aaa6ae173174edd3a3581bb467872f20879886553696d0b1b4401880281a271")
     assert (len(sml), hashlib.sha256(sml).hexdigest()) == (
-        1682809, "b8976902a603937d057d610f6919c1d078dbebc90172543a2d58ec147931e34e")
+        1682438, "3e9c70f2ad4a8fc27a3d1f82c88727fba7eb909e5b7d220d05d795bddb69c147")
 
 
 PLUMBING = """\
@@ -317,16 +317,41 @@ def slot_reads(fn):
 
 def test_a_loop_carries_the_state_and_only_the_variables_it_assigns():
     # the loop's top-level function also takes a, b, c and d, which it
-    # only reads, after e; it returns the state and e alone, and the
-    # method, which returns e, ends in the loop's call
+    # only reads, after e, each under its name at loop entry; it returns
+    # the state and e alone, and the method, which returns e, ends in the
+    # loop's call
     [loop] = [f for group in tr(PLUMBING).fun_groups for f in group if f.name == "mj_loop0"]
-    e = mangle_var("e", 2)
+    e = mangle_var("e", 1)
     assert loop.param == PTuple((PVar("mj_s1"), PVar(e),
                                  *(PVar(mangle_var(x, 1)) for x in "abcd")))
     assert loop.body.body.orelse == Tuple((Var("mj_s1"), Var(e)))
     call = plumbing_method("loop").body.body
     assert call == App(Var("mj_loop0"), Tuple((Var("mj_s0"), Var(mangle_var("e", 1)),
                                                *(Var(mangle_var(x, 1)) for x in "abcd"))))
+
+
+def test_a_loop_binds_each_variable_under_its_name_at_entry(corpus_files):
+    # each mj_loop<k> is called once outside its own body, and its
+    # parameter binds that call's arguments, apart from the state, under
+    # the names they have there: a loop rebinds nothing on entry
+    programs = [parse_source(path.read_text()) for path in corpus_files]
+    programs += [generate_program(seed, 40) for seed in range(200)]
+    loops = 0
+    for program in programs:
+        funs = [f for group in translate(program).fun_groups for f in group]
+        calls = {}
+        for f in funs:
+            for app in nodes(f.body, App):
+                if app.func.name != f.name:
+                    calls.setdefault(app.func.name, []).append(app.arg)
+        for loop in funs:
+            if loop.name.startswith("mj_loop"):
+                [arg] = calls[loop.name]
+                args = arg.items if isinstance(arg, Tuple) else (arg,)
+                params = loop.param.items if isinstance(loop.param, PTuple) else (loop.param,)
+                assert [a.name for a in args[1:]] == [p.name for p in params[1:]], loop.name
+                loops += 1
+    assert loops == 724
 
 
 def test_a_return_of_a_call_ends_in_the_call(corpus_dir):
@@ -711,7 +736,11 @@ def test_an_array_local_leaves_the_store_only_when_it_cannot_escape(use):
     source = ESCAPE_MAIN % argument + source
     result = diff_source(f"{use}.java", source)
     assert result.verdict == "match" and result.ml.output == output
-    out, state = eval_program(tr(source))
+    program = parse_source(source)
+    table = typecheck(program)
+    unboxed = any("x" in names for names in table.unboxed.values())
+    assert unboxed == ("HArr" not in cells)
+    out, state = eval_program(translate(program, table))
     assert out.ok and alloc_order(state) == list(range(len(cells)))
     assert [value.name for _, value in heap_cells(state)] == cells
 
