@@ -33,8 +33,7 @@ from .diffharness import (
     diff_generated,
     render_report,
 )
-from .lexer import LexError
-from .mjast import MjProgram, print_program
+from .mjast import MjProgram, SourceError, print_program
 from .mjinterp import interpret_mj
 from .mleval import eval_program
 from .mlprint import print_ml_program
@@ -48,7 +47,7 @@ from .outcome import (
     RunOutcome,
     exit_code_for,
 )
-from .parser import ParseError, parse_source
+from .parser import parse_source
 from .randgen import GenerationError, generate_program
 from .sema import ClassTable, MjTypeError, typecheck
 from .translate import translate
@@ -81,15 +80,10 @@ def _frontend(path: str) -> tuple[MjProgram, ClassTable]:
     source = _read_file(path)
     try:
         program = parse_source(source)
-    except (LexError, ParseError) as err:
-        raise _CliError(EXIT_SYNTAX,
-                        f"{path}:{err.pos.line}:{err.pos.col}: {err.message}")
-    try:
-        table = typecheck(program)
-    except MjTypeError as err:
-        raise _CliError(EXIT_TYPE,
-                        f"{path}:{err.pos.line}:{err.pos.col}: {err.message}")
-    return program, table
+        return program, typecheck(program)
+    except SourceError as err:
+        code = EXIT_TYPE if isinstance(err, MjTypeError) else EXIT_SYNTAX
+        raise _CliError(code, f"{path}:{err.pos}: {err.message}")
 
 
 def _report_run(outcome: RunOutcome) -> int:

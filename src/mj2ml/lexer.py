@@ -19,7 +19,7 @@ import enum
 import re
 from typing import NamedTuple
 
-from .mjast import INT_MAX, Pos
+from .mjast import INT_MAX, Pos, SourceError
 
 KEYWORDS = frozenset(
     {
@@ -80,11 +80,8 @@ _SKIP, _WORD = _TOKEN.groupindex["skip"], _TOKEN.groupindex["word"]
 _new = tuple.__new__
 
 
-class LexError(Exception):
-    def __init__(self, pos: Pos, message: str):
-        super().__init__(f"{pos}: {message}")
-        self.pos = pos
-        self.message = message
+class LexError(SourceError):
+    """Text outside the lexical grammar."""
 
 
 def tokenize(source: str) -> list[Token]:

@@ -14,9 +14,14 @@ re-derives parentheses from `BINARY_LEVEL`, so parse -> print -> parse
 round trips are structurally stable for any well-formed tree, including
 generated ones that never moved through the parser.
 
-Structural equality ignores source spans and checker annotations (those
-fields carry ``compare=False``).  A position and a span are NamedTuples,
-which the parser builds for nearly every node.
+Every node carries one source position, `pos`: where its first token
+starts, or for a binary or postfix node its left operand's.  Structural
+equality ignores positions and checker annotations (those fields carry
+``compare=False``).  A position is a NamedTuple.  The checker's
+`binding` of an identifier is its kind, "field", "formal" or "local".
+
+The front end's errors, `LexError`, `ParseError` and `MjTypeError`,
+are each a `SourceError`: a position and a message.
 """
 
 from __future__ import annotations
@@ -37,13 +42,16 @@ class Pos(NamedTuple):
         return f"{self.line}:{self.col}"
 
 
-class Span(NamedTuple):
-    start: Pos
-    end: Pos
-
-
 DUMMY_POS = Pos(0, 0)
-DUMMY_SPAN = Span(DUMMY_POS, DUMMY_POS)
+
+
+class SourceError(Exception):
+    """An error in the source text, at a position."""
+
+    def __init__(self, pos: Pos, message: str):
+        super().__init__(f"{pos}: {message}")
+        self.pos = pos
+        self.message = message
 
 
 # ---------------------------------------------------------------------------
@@ -84,18 +92,6 @@ BOOL = BoolType()
 INT_ARRAY = IntArrayType()
 
 
-@dataclass(frozen=True)
-class VarBinding:
-    """Resolution of a bare identifier, attached by the type checker.
-
-    kind is 'local', 'formal' or 'field'; decl_class names the class that
-    introduces the field (fields only).
-    """
-
-    kind: str
-    decl_class: Optional[str] = None
-
-
 # ---------------------------------------------------------------------------
 # Expressions
 
@@ -106,7 +102,7 @@ BINARY_LEVEL = {"&&": 1, "<": 2, "+": 3, "-": 3, "*": 4}
 
 @dataclass
 class Expr:
-    span: Span = field(default=DUMMY_SPAN, kw_only=True, compare=False, repr=False)
+    pos: Pos = field(default=DUMMY_POS, kw_only=True, compare=False, repr=False)
 
 
 @dataclass
@@ -155,7 +151,7 @@ class BoolLitExpr(Expr):
 @dataclass
 class IdentExpr(Expr):
     name: str
-    binding: Optional[VarBinding] = field(default=None, kw_only=True, compare=False, repr=False)
+    binding: Optional[str] = field(default=None, kw_only=True, compare=False, repr=False)
 
 
 @dataclass
@@ -178,7 +174,7 @@ class NewObjectExpr(Expr):
 
 @dataclass
 class Stmt:
-    span: Span = field(default=DUMMY_SPAN, kw_only=True, compare=False, repr=False)
+    pos: Pos = field(default=DUMMY_POS, kw_only=True, compare=False, repr=False)
 
 
 @dataclass
@@ -208,7 +204,7 @@ class PrintStmt(Stmt):
 class AssignStmt(Stmt):
     name: str
     value: Expr
-    binding: Optional[VarBinding] = field(default=None, kw_only=True, compare=False, repr=False)
+    binding: Optional[str] = field(default=None, kw_only=True, compare=False, repr=False)
 
 
 @dataclass
@@ -216,7 +212,7 @@ class ArrayAssignStmt(Stmt):
     name: str
     index: Expr
     value: Expr
-    binding: Optional[VarBinding] = field(default=None, kw_only=True, compare=False, repr=False)
+    binding: Optional[str] = field(default=None, kw_only=True, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +222,7 @@ class ArrayAssignStmt(Stmt):
 class VarDecl:
     name: str
     var_type: MjType
-    span: Span = field(default=DUMMY_SPAN, kw_only=True, compare=False, repr=False)
+    pos: Pos = field(default=DUMMY_POS, kw_only=True, compare=False, repr=False)
 
 
 @dataclass
@@ -237,7 +233,7 @@ class MethodDecl:
     local_vars: list[VarDecl]
     body: list[Stmt]
     return_expr: Expr
-    span: Span = field(default=DUMMY_SPAN, kw_only=True, compare=False, repr=False)
+    pos: Pos = field(default=DUMMY_POS, kw_only=True, compare=False, repr=False)
 
 
 @dataclass
@@ -246,7 +242,7 @@ class ClassDecl:
     superclass: Optional[str]
     fields: list[VarDecl]
     methods: list[MethodDecl]
-    span: Span = field(default=DUMMY_SPAN, kw_only=True, compare=False, repr=False)
+    pos: Pos = field(default=DUMMY_POS, kw_only=True, compare=False, repr=False)
 
 
 @dataclass
@@ -254,7 +250,7 @@ class MainClass:
     name: str
     arg_name: str
     body: list[Stmt]
-    span: Span = field(default=DUMMY_SPAN, kw_only=True, compare=False, repr=False)
+    pos: Pos = field(default=DUMMY_POS, kw_only=True, compare=False, repr=False)
 
 
 @dataclass

@@ -17,18 +17,22 @@ for one run and dropped with it.
 Frames and classes.  Each method call gets one Python list: slot 0 holds
 `this`, then come the formals in order and then the locals, which start
 at their defaults (0, false, null).  The compiler resolves every local
-and formal to its slot and every field to its index in the object.  The
-layout is read off the class table's resolved classes: an object holds
-its class's `all_fields` after its vtable, and the vtable maps each
-method of the class's `vtable` to the compiled implementation (its
-statements, its return expression and its locals' defaults), each
-compiled once.  Only the class table's live methods (see `sema`) are
-compiled, and a vtable holds only those: a call's receiver was made by
-a `new` a run can reach, and the call reads a slot a run can reach, so
-its implementation is there.  `new` copies a class's template object,
-which holds its vtable and its fields' defaults.  So method lookup is
-one dict read, and nothing consults the class table while the program
-runs.  The main body runs in the frame `[None]`.
+and formal (by the node's `binding`) to its slot and every field to its
+index in the object.  The layout is read off the class table's resolved
+classes: an object holds its class's `all_fields` after its vtable.
+Each class's `all_fields` extends its superclass's, so a field has the
+index it has in the objects of the class whose method is compiled, where
+the compiler looks it up, in every object the method runs on.  The
+vtable maps each method of the class's `vtable` to the compiled
+implementation (its statements, its return expression and its locals'
+defaults), each compiled once.  Only the class table's live methods
+(see `sema`) are compiled, and a vtable holds only those: a call's
+receiver was made by a `new` a run can reach, and the call reads a slot
+a run can reach, so its implementation is there.  `new` copies a
+class's template object, which holds its vtable and its fields'
+defaults.  So method lookup is one dict read, and nothing consults the
+class table while the program runs.  The main body runs in the frame
+`[None]`.
 
 Fuel.  Every statement and expression evaluation costs one unit of fuel,
 which its closure pays at its node's position before calling its
@@ -102,23 +106,21 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
     emit = output.append
 
     # Compile-time layout: each class's vtable (filled once the methods
-    # are compiled) and template object, each field's index in its
-    # objects, and the slots of the method being compiled.
+    # are compiled) and template object, and the slots of the method
+    # being compiled and its class's field indices in an object.
     vtables: dict[str, dict[str, tuple]] = {}
     templates: dict[str, list] = {}
-    field_index: dict[tuple[str, str], int] = {}
     for name, info in table.classes.items():
         vtables[name] = {}
         templates[name] = [vtables[name],
                            *(_DEFAULTS.get(fty) for _, fty in info.all_fields.values())]
-        for index, fname in enumerate(info.all_fields, start=1):
-            field_index[name, fname] = index
     slots: dict[str, int] = {}
+    field_index: dict[str, int] = {}
 
-    def variable(name: str, binding) -> object:
+    def variable(name: str, binding: str) -> object:
         """Getter for a variable of the method being compiled."""
-        if binding.kind == "field":
-            index = field_index[binding.decl_class, name]
+        if binding == "field":
+            index = field_index[name]
             return lambda f: f[0][index]
         return itemgetter(slots[name])
 
@@ -129,7 +131,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return expressions[type(e)](e)
 
     def literal(e: IntLitExpr | BoolLitExpr):
-        value, pos = e.value, e.span.start
+        value, pos = e.value, e.pos
 
         def ev(f):
             nonlocal fuel
@@ -140,7 +142,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ev
 
     def ident(e: IdentExpr):
-        get, pos = variable(e.name, e.binding), e.span.start
+        get, pos = variable(e.name, e.binding), e.pos
 
         def ev(f):
             nonlocal fuel
@@ -151,7 +153,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ev
 
     def this_(e: ThisExpr):
-        pos = e.span.start
+        pos = e.pos
 
         def ev(f):
             nonlocal fuel
@@ -162,7 +164,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ev
 
     def not_(e: NotExpr):
-        operand, pos = expr(e.operand), e.span.start
+        operand, pos = expr(e.operand), e.pos
 
         def ev(f):
             nonlocal fuel
@@ -173,7 +175,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ev
 
     def binary(e: BinaryExpr):
-        left, right, pos = expr(e.left), expr(e.right), e.span.start
+        left, right, pos = expr(e.left), expr(e.right), e.pos
         if e.op == "&&":
             def ev(f):
                 nonlocal fuel
@@ -203,7 +205,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ev
 
     def index(e: ArrayIndexExpr):
-        array, at, pos = expr(e.array), expr(e.index), e.span.start
+        array, at, pos = expr(e.array), expr(e.index), e.pos
 
         def ev(f):
             nonlocal fuel
@@ -220,7 +222,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ev
 
     def length(e: ArrayLengthExpr):
-        array, pos = expr(e.array), e.span.start
+        array, pos = expr(e.array), e.pos
 
         def ev(f):
             nonlocal fuel
@@ -234,7 +236,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ev
 
     def new_array(e: NewArrayExpr):
-        size, pos = expr(e.length), e.span.start
+        size, pos = expr(e.length), e.pos
 
         def ev(f):
             nonlocal fuel
@@ -249,7 +251,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
 
     def new_object(e: NewObjectExpr):
         template = templates[e.class_name]
-        pos = e.span.start
+        pos = e.pos
 
         def ev(f):
             nonlocal fuel
@@ -261,7 +263,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
 
     def call(e: CallExpr):
         receiver, args = expr(e.receiver), tuple(expr(arg) for arg in e.args)
-        pos, name = e.span.start, e.method
+        pos, name = e.pos, e.method
 
         def ev(f):
             nonlocal fuel
@@ -294,7 +296,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
 
     def block(s: BlockStmt):
         body = tuple(stmt(sub) for sub in s.body)
-        pos = s.span.start
+        pos = s.pos
 
         def ex(f):
             nonlocal fuel
@@ -306,7 +308,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ex
 
     def if_(s: IfStmt):
-        cond, pos = expr(s.cond), s.span.start
+        cond, pos = expr(s.cond), s.pos
         then, else_ = stmt(s.then_branch), stmt(s.else_branch)
 
         def ex(f):
@@ -323,7 +325,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
     def while_(s: WhileStmt):
         # the statement's unit on entry and the one it pays after each
         # pass through the body both come just before the condition
-        cond, body, pos = expr(s.cond), stmt(s.body), s.span.start
+        cond, body, pos = expr(s.cond), stmt(s.body), s.pos
 
         def ex(f):
             nonlocal fuel
@@ -337,7 +339,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ex
 
     def print_(s: PrintStmt):
-        value, pos = expr(s.value), s.span.start
+        value, pos = expr(s.value), s.pos
 
         def ex(f):
             nonlocal fuel
@@ -348,9 +350,9 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ex
 
     def assign(s: AssignStmt):
-        value, pos = expr(s.value), s.span.start
-        if s.binding.kind == "field":
-            index = field_index[s.binding.decl_class, s.name]
+        value, pos = expr(s.value), s.pos
+        if s.binding == "field":
+            index = field_index[s.name]
 
             def ex(f):
                 nonlocal fuel
@@ -371,7 +373,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
 
     def array_assign(s: ArrayAssignStmt):
         array = variable(s.name, s.binding)
-        at, value, pos = expr(s.index), expr(s.value), s.span.start
+        at, value, pos = expr(s.index), expr(s.value), s.pos
 
         def ex(f):
             nonlocal fuel
@@ -394,15 +396,18 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
 
     # -- methods and classes ------------------------------------------------
 
-    def method(decl: MethodDecl) -> tuple:
+    def method(cls: str, decl: MethodDecl) -> tuple:
         slots.clear()
         for slot, var in enumerate((*decl.formals, *decl.local_vars), start=1):
             slots[var.name] = slot
+        field_index.clear()
+        for index, fname in enumerate(table.info(cls).all_fields, start=1):
+            field_index[fname] = index
         body = tuple(stmt(s) for s in decl.body)
         return body, expr(decl.return_expr), tuple(
             _DEFAULTS.get(var.var_type) for var in decl.local_vars)
 
-    code = {(name, mname): method(decl)
+    code = {(name, mname): method(name, decl)
             for name, info in table.classes.items()
             for mname, decl in info.methods.items() if (name, mname) in table.live}
     for name, info in table.classes.items():

@@ -215,8 +215,11 @@ BUILTIN_CON_ARITIES = {
 PRIM_OPS = {"+": 2, "-": 2, "*": 2, "div": 2, "mod": 2, "<": 2, "=": 2}
 DIVISIONS = frozenset({"div", "mod"})
 
+# The runtime's print function, which appends an int to the output.
+PRINT = "mj_print"
+
 # Names the runtime provides without a definition in the program.
-RUNTIME_VARS = frozenset({"mj_print"})
+RUNTIME_VARS = frozenset({PRINT})
 
 
 @dataclass(frozen=True)

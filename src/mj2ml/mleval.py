@@ -157,6 +157,7 @@ from operator import add, eq, floordiv, itemgetter, lt, mod, mul, sub
 from .mjast import INT_MAX, INT_MIN
 from .mlast import (
     DIVISIONS,
+    PRINT,
     App,
     Case,
     Con,
@@ -863,7 +864,7 @@ def _compiler():
     def reset() -> None:
         """The scope of a program's top level before its first group."""
         scopes.clear()
-        scopes["mj_print"] = [_PRINT]
+        scopes[PRINT] = [_PRINT]
 
     def group(funs: tuple[FunDef, ...]) -> list[_Fn]:
         """Compile a group of `fun`s, in scope from here on."""

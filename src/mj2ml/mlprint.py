@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from ._version import __version__
 from .mlast import (
+    PRINT,
     TY_UNIT,
     App,
     Case,
@@ -53,7 +54,7 @@ from .mlast import (
 )
 from .outcome import COMPILE_FRAMES, extra_frames
 
-PRINT_HELPER = ('fun mj_print n = print (String.map (fn c => '
+PRINT_HELPER = (f'fun {PRINT} n = print (String.map (fn c => '
                 'if c = #"~" then #"-" else c) (Int.toString n) ^ "\\n")')
 
 # Expression precedence levels, loosest first.

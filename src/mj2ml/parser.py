@@ -17,9 +17,11 @@ CPython 3.11 (999 from 3.12 on; see the README).
 The parser is on the path of every command that reads a file, so its
 token plumbing is kept cheap: it keeps the token count beside its
 index, tests the next token's kind and lexeme in place, steps over a
-token it has just tested with ``i += 1``, and builds positions and
-spans, which are tuples, with ``tuple.__new__``, skipping the
-NamedTuple's Python-level constructor.
+token it has just tested with ``i += 1``, and builds a statement's or
+primary's position, a tuple, with ``tuple.__new__``, skipping the
+NamedTuple's Python-level constructor.  Each node records one position,
+where it starts (see `mjast`): a binary or postfix node shares its left
+operand's.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .mjast import (
     NotExpr,
     Pos,
     PrintStmt,
-    Span,
+    SourceError,
     Stmt,
     ThisExpr,
     VarDecl,
@@ -62,11 +64,8 @@ from .mjast import (
 from .outcome import COMPILE_FRAMES, extra_frames
 
 
-class ParseError(Exception):
-    def __init__(self, pos: Pos, message: str):
-        super().__init__(f"{pos}: {message}")
-        self.pos = pos
-        self.message = message
+class ParseError(SourceError):
+    """Tokens outside the grammar."""
 
 
 _new = tuple.__new__
@@ -120,11 +119,6 @@ class _Parser:
         self.i += 1
         return _new(Pos, (tok.line, tok.col))
 
-    def span(self, start: Pos) -> Span:
-        """From `start` to the end of the last token taken."""
-        tok = self.tokens[self.i - 1]
-        return _new(Span, (start, _new(Pos, (tok.line, tok.col + len(tok.lexeme)))))
-
     # -- productions --------------------------------------------------------
 
     def program(self) -> MjProgram:
@@ -154,7 +148,7 @@ class _Parser:
             body.append(self.statement())
         self.take(TokenKind.PUNCT, "}")
         self.take(TokenKind.PUNCT, "}")
-        return MainClass(name, arg_name, body, span=self.span(start))
+        return MainClass(name, arg_name, body, pos=start)
 
     def class_decl(self) -> ClassDecl:
         start = self.take(TokenKind.KEYWORD, "class", "'class'").pos
@@ -171,7 +165,7 @@ class _Parser:
         while self.at(TokenKind.KEYWORD, "public"):
             methods.append(self.method_decl())
         self.take(TokenKind.PUNCT, "}")
-        return ClassDecl(name, superclass, fields, methods, span=self.span(start))
+        return ClassDecl(name, superclass, fields, methods, pos=start)
 
     def at_var_decl(self) -> bool:
         if self.at(TokenKind.KEYWORD, "int") or self.at(TokenKind.KEYWORD, "boolean"):
@@ -183,7 +177,7 @@ class _Parser:
         var_type = self.type_spec()
         name = self.take_ident("variable name").lexeme
         self.take(TokenKind.PUNCT, ";")
-        return VarDecl(name, var_type, span=self.span(start))
+        return VarDecl(name, var_type, pos=start)
 
     def type_spec(self) -> MjType:
         if self.at(TokenKind.KEYWORD, "int"):
@@ -211,7 +205,7 @@ class _Parser:
                 fstart = self.here()
                 ftype = self.type_spec()
                 fname = self.take_ident("parameter name").lexeme
-                formals.append(VarDecl(fname, ftype, span=self.span(fstart)))
+                formals.append(VarDecl(fname, ftype, pos=fstart))
                 if not self.at(TokenKind.PUNCT, ","):
                     break
                 self.i += 1
@@ -229,8 +223,7 @@ class _Parser:
         return_expr = self.expression()
         self.take(TokenKind.PUNCT, ";")
         self.take(TokenKind.PUNCT, "}")
-        return MethodDecl(name, return_type, formals, local_vars, body, return_expr,
-                          span=self.span(start))
+        return MethodDecl(name, return_type, formals, local_vars, body, return_expr, pos=start)
 
     def statement(self) -> Stmt:
         if self.i >= self.n:
@@ -243,7 +236,7 @@ class _Parser:
                 self.i += 1
                 value = self.expression()
                 self.take(TokenKind.PUNCT, ";")
-                return AssignStmt(lexeme, value, span=self.span(start))
+                return AssignStmt(lexeme, value, pos=start)
             if self.at(TokenKind.PUNCT, "["):
                 self.i += 1
                 index = self.expression()
@@ -251,7 +244,7 @@ class _Parser:
                 self.take(TokenKind.OP, "=", expected="'='")
                 value = self.expression()
                 self.take(TokenKind.PUNCT, ";")
-                return ArrayAssignStmt(lexeme, index, value, span=self.span(start))
+                return ArrayAssignStmt(lexeme, index, value, pos=start)
             raise self.error("'=' or '[' after identifier")
         if kind is TokenKind.PUNCT and lexeme == "{":
             start = self.start()
@@ -259,7 +252,7 @@ class _Parser:
             while not self.at(TokenKind.PUNCT, "}"):
                 body.append(self.statement())
             self.i += 1
-            return BlockStmt(body, span=self.span(start))
+            return BlockStmt(body, pos=start)
         if kind is TokenKind.KEYWORD:
             if lexeme == "if":
                 start = self.start()
@@ -269,14 +262,14 @@ class _Parser:
                 then_branch = self.statement()
                 self.take(TokenKind.KEYWORD, "else", expected="'else'")
                 else_branch = self.statement()
-                return IfStmt(cond, then_branch, else_branch, span=self.span(start))
+                return IfStmt(cond, then_branch, else_branch, pos=start)
             if lexeme == "while":
                 start = self.start()
                 self.take(TokenKind.PUNCT, "(")
                 cond = self.expression()
                 self.take(TokenKind.PUNCT, ")")
                 body = self.statement()
-                return WhileStmt(cond, body, span=self.span(start))
+                return WhileStmt(cond, body, pos=start)
             if lexeme == "System":
                 start = self.start()
                 self.take(TokenKind.PUNCT, ".")
@@ -287,7 +280,7 @@ class _Parser:
                 value = self.expression()
                 self.take(TokenKind.PUNCT, ")")
                 self.take(TokenKind.PUNCT, ";")
-                return PrintStmt(value, span=self.span(start))
+                return PrintStmt(value, pos=start)
         raise self.error("a statement")
 
     # -- expressions, precedence climbing ------------------------------------
@@ -306,8 +299,7 @@ class _Parser:
                 break
             self.i += 1
             right = self.expression(level + 1)
-            left = BinaryExpr(tok.lexeme, left, right,
-                              span=_new(Span, (left.span.start, right.span.end)))
+            left = BinaryExpr(tok.lexeme, left, right, pos=left.pos)
         return left
 
     def unary_expr(self) -> Expr:
@@ -315,7 +307,7 @@ class _Parser:
         if i < self.n and self.tokens[i].lexeme == "!" and self.tokens[i].kind is TokenKind.OP:
             start = self.start()
             operand = self.unary_expr()
-            return NotExpr(operand, span=_new(Span, (start, operand.span.end)))
+            return NotExpr(operand, pos=start)
         return self.postfix_expr()
 
     def postfix_expr(self) -> Expr:
@@ -329,12 +321,12 @@ class _Parser:
                 self.i += 1
                 index = self.expression()
                 self.take(TokenKind.PUNCT, "]")
-                expr = ArrayIndexExpr(expr, index, span=self.span(expr.span.start))
+                expr = ArrayIndexExpr(expr, index, pos=expr.pos)
             elif tok.lexeme == ".":
                 self.i += 1
                 if self.at(TokenKind.KEYWORD, "length"):
                     self.i += 1
-                    expr = ArrayLengthExpr(expr, span=self.span(expr.span.start))
+                    expr = ArrayLengthExpr(expr, pos=expr.pos)
                     continue
                 method = self.take_ident("method name after '.'").lexeme
                 self.take(TokenKind.PUNCT, "(")
@@ -346,7 +338,7 @@ class _Parser:
                             break
                         self.i += 1
                 self.take(TokenKind.PUNCT, ")")
-                expr = CallExpr(expr, method, args, span=self.span(expr.span.start))
+                expr = CallExpr(expr, method, args, pos=expr.pos)
             else:
                 break
         return expr
@@ -357,14 +349,14 @@ class _Parser:
         tok = self.tokens[self.i]
         kind, lexeme = tok.kind, tok.lexeme
         if kind is TokenKind.IDENT:
-            return IdentExpr(lexeme, span=self.span(self.start()))
+            return IdentExpr(lexeme, pos=self.start())
         if kind is TokenKind.INT:
-            return IntLitExpr(int(lexeme), span=self.span(self.start()))
+            return IntLitExpr(int(lexeme), pos=self.start())
         if kind is TokenKind.KEYWORD:
             if lexeme == "this":
-                return ThisExpr(span=self.span(self.start()))
+                return ThisExpr(pos=self.start())
             if lexeme == "true" or lexeme == "false":
-                return BoolLitExpr(lexeme == "true", span=self.span(self.start()))
+                return BoolLitExpr(lexeme == "true", pos=self.start())
             if lexeme == "new":
                 start = self.start()
                 if self.at(TokenKind.KEYWORD, "int"):
@@ -372,11 +364,11 @@ class _Parser:
                     self.take(TokenKind.PUNCT, "[")
                     length = self.expression()
                     self.take(TokenKind.PUNCT, "]")
-                    return NewArrayExpr(length, span=self.span(start))
+                    return NewArrayExpr(length, pos=start)
                 name = self.take_ident("class name after 'new'").lexeme
                 self.take(TokenKind.PUNCT, "(")
                 self.take(TokenKind.PUNCT, ")")
-                return NewObjectExpr(name, span=self.span(start))
+                return NewObjectExpr(name, pos=start)
         elif kind is TokenKind.PUNCT and lexeme == "(":
             self.i += 1
             inner = self.expression()

@@ -2,8 +2,9 @@
 
 `typecheck` builds the inheritance table, then checks every method body
 and the main statement list.  It annotates the AST in place: identifier
-reads/writes get `.binding`, and calls get `.receiver_class`.  Later
-stages rely on those annotations.
+reads/writes get `.binding`, the variable's kind ("field", "formal" or
+"local"), and calls get `.receiver_class`.  Later stages rely on those
+annotations.  Every error is an `MjTypeError` at a node's `pos`.
 
 `build_class_table` resolves inheritance once, each class after its
 superclass whatever the declaration order, and checks each class against
@@ -81,33 +82,28 @@ from .mjast import (
     NotExpr,
     Pos,
     PrintStmt,
+    SourceError,
     Stmt,
     ThisExpr,
-    VarBinding,
     WhileStmt,
 )
 from .outcome import COMPILE_FRAMES, MAX_NESTING, extra_frames
 
 
-class MjTypeError(Exception):
-    def __init__(self, pos: Pos, message: str):
-        super().__init__(f"{pos}: {message}")
-        self.pos = pos
-        self.message = message
+class MjTypeError(SourceError):
+    """A program that breaks a typing or declaration rule."""
 
 
 @dataclass
 class ClassInfo:
-    """One class: the members declared here, inheritance links, and the
+    """One class: its declaration, the methods declared here, and the
     members inheritance gives it, resolved by `build_class_table`."""
 
     name: str
     superclass: str | None
     decl: ClassDecl
     index: int
-    fields: dict[str, MjType] = field(default_factory=dict)
     methods: dict[str, MethodDecl] = field(default_factory=dict)
-    children: list[str] = field(default_factory=list)
     # the root class first, this class last
     path: list[str] = field(default_factory=list)
     # every field, root class first: name -> (declaring class, type)
@@ -144,31 +140,33 @@ class ClassTable:
 def build_class_table(program: MjProgram) -> ClassTable:
     main_name = program.main.name
     classes: dict[str, ClassInfo] = {}
+    children: dict[str, list[str]] = {}
     for index, decl in enumerate(program.classes):
         if decl.name == main_name or decl.name in classes:
-            raise MjTypeError(decl.span.start, f"duplicate class '{decl.name}'")
+            raise MjTypeError(decl.pos, f"duplicate class '{decl.name}'")
         classes[decl.name] = ClassInfo(decl.name, decl.superclass, decl, index)
+        children[decl.name] = []
 
     for info in classes.values():
         sup = info.superclass
         if sup is None:
             continue
         if sup == main_name:
-            raise MjTypeError(info.decl.span.start,
+            raise MjTypeError(info.decl.pos,
                               f"cannot extend main class '{sup}'")
         if sup not in classes:
-            raise MjTypeError(info.decl.span.start, f"unknown superclass '{sup}'")
-        classes[sup].children.append(info.name)
+            raise MjTypeError(info.decl.pos, f"unknown superclass '{sup}'")
+        children[sup].append(info.name)
 
     # This list, extended while it is walked, puts each class after its
     # superclass; the classes it misses have a cycle above them.
     order = [info for info in classes.values() if info.superclass is None]
     for info in order:
-        order.extend(classes[child] for child in info.children)
+        order.extend(classes[child] for child in children[info.name])
     reached = {info.name for info in order}
     for info in classes.values():
         if info.name not in reached:
-            raise MjTypeError(info.decl.span.start,
+            raise MjTypeError(info.decl.pos,
                               f"inheritance cycle through '{info.name}'")
     table = ClassTable(main_name, classes)
     for info in order:
@@ -185,30 +183,30 @@ def _resolve(table: ClassTable, info: ClassInfo) -> None:
         parent = table.info(info.superclass)
         info.path = [*parent.path, info.name]
         if len(info.path) > MAX_NESTING:
-            raise MjTypeError(info.decl.span.start,
+            raise MjTypeError(info.decl.pos,
                               f"inheritance of class '{info.name}' nested too deeply")
         info.all_fields = dict(parent.all_fields)
         info.vtable = dict(parent.vtable)
     for fdecl in info.decl.fields:
-        if fdecl.name in info.fields:
-            raise MjTypeError(fdecl.span.start,
-                              f"duplicate field '{fdecl.name}' in class '{info.name}'")
-        inherited = info.all_fields.get(fdecl.name)
-        if inherited is not None:
+        declared = info.all_fields.get(fdecl.name)
+        if declared is not None:
+            owner = declared[0]
+            if owner == info.name:
+                raise MjTypeError(fdecl.pos,
+                                  f"duplicate field '{fdecl.name}' in class '{info.name}'")
             raise MjTypeError(
-                fdecl.span.start,
+                fdecl.pos,
                 f"field '{fdecl.name}' in class '{info.name}' "
-                f"redeclares a field of class '{inherited[0]}'")
-        _require_known_type(table, fdecl.var_type, fdecl.span.start)
-        info.fields[fdecl.name] = fdecl.var_type
+                f"redeclares a field of class '{owner}'")
+        _require_known_type(table, fdecl.var_type, fdecl.pos)
         info.all_fields[fdecl.name] = (info.name, fdecl.var_type)
     for mdecl in info.decl.methods:
         if mdecl.name in info.methods:
-            raise MjTypeError(mdecl.span.start,
+            raise MjTypeError(mdecl.pos,
                               f"duplicate method '{mdecl.name}' in class '{info.name}'")
-        _require_known_type(table, mdecl.return_type, mdecl.span.start)
+        _require_known_type(table, mdecl.return_type, mdecl.pos)
         for formal in mdecl.formals:
-            _require_known_type(table, formal.var_type, formal.span.start)
+            _require_known_type(table, formal.var_type, formal.pos)
         above = info.vtable.get(mdecl.name)
         if above is not None:
             _, parent_decl = above
@@ -218,7 +216,7 @@ def _resolve(table: ClassTable, info: ClassInfo) -> None:
                     and parent_decl.return_type == mdecl.return_type)
             if not same:
                 raise MjTypeError(
-                    mdecl.span.start,
+                    mdecl.pos,
                     f"method '{mdecl.name}' in class '{info.name}' "
                     "changes the signature of the method it overrides")
         info.methods[mdecl.name] = mdecl
@@ -239,7 +237,8 @@ class _Checker:
     def __init__(self, table: ClassTable):
         self.table = table
         self.current_class: str | None = None
-        self.scope: dict[str, tuple[VarBinding, MjType]] = {}
+        # each variable in scope: its binding kind and its type
+        self.scope: dict[str, tuple[str, MjType]] = {}
         # the start of the body being checked, and the nodes open in it
         self.start, self.depth = Pos(1, 1), 0
         # the classes the body instantiates and the (receiver class,
@@ -255,24 +254,24 @@ class _Checker:
     # -- scope --------------------------------------------------------------
 
     def enter_method(self, cls: str, method: MethodDecl) -> None:
-        self.current_class, self.start = cls, method.span.start
+        self.current_class, self.start = cls, method.pos
         self.news, self.calls, self.escaped = set(), set(), set()
-        self.scope = {fname: (VarBinding("field", owner), fty)
-                      for fname, (owner, fty) in self.table.info(cls).all_fields.items()}
+        self.scope = {fname: ("field", fty)
+                      for fname, (_, fty) in self.table.info(cls).all_fields.items()}
         for formal in method.formals:
-            if formal.name in self.scope and self.scope[formal.name][0].kind != "field":
-                raise MjTypeError(formal.span.start,
+            if formal.name in self.scope and self.scope[formal.name][0] != "field":
+                raise MjTypeError(formal.pos,
                                   f"duplicate parameter '{formal.name}'")
-            self.scope[formal.name] = (VarBinding("formal", cls), formal.var_type)
+            self.scope[formal.name] = ("formal", formal.var_type)
         for local in method.local_vars:
-            if local.name in self.scope and self.scope[local.name][0].kind != "field":
-                raise MjTypeError(local.span.start,
+            if local.name in self.scope and self.scope[local.name][0] != "field":
+                raise MjTypeError(local.pos,
                                   f"'{local.name}' is already a parameter or local")
-            _require_known_type(self.table, local.var_type, local.span.start)
-            self.scope[local.name] = (VarBinding("local", cls), local.var_type)
+            _require_known_type(self.table, local.var_type, local.pos)
+            self.scope[local.name] = ("local", local.var_type)
 
     def enter_main(self, main: MainClass) -> None:
-        self.current_class, self.start = None, main.span.start
+        self.current_class, self.start = None, main.pos
         self.news, self.calls = set(), set()
         self.scope = {}
 
@@ -285,7 +284,7 @@ class _Checker:
         """Bind the variable a node reads or writes; return its type."""
         entry = self.scope.get(node.name)
         if entry is None:
-            raise MjTypeError(node.span.start, f"undeclared variable '{node.name}'")
+            raise MjTypeError(node.pos, f"undeclared variable '{node.name}'")
         node.binding, ty = entry
         return ty
 
@@ -300,7 +299,7 @@ class _Checker:
     def _expect(self, e: Expr, want: MjType, what: str) -> None:
         got = self.expr(e)
         if got != want:
-            raise MjTypeError(e.span.start, f"{what} must be {want}, got {got}")
+            raise MjTypeError(e.pos, f"{what} must be {want}, got {got}")
 
     def _expr(self, e: Expr) -> MjType:
         if isinstance(e, IntLitExpr):
@@ -331,37 +330,37 @@ class _Checker:
             return ty
         if isinstance(e, ThisExpr):
             if self.current_class is None:
-                raise MjTypeError(e.span.start, "'this' cannot be used in main")
+                raise MjTypeError(e.pos, "'this' cannot be used in main")
             return ClassType(self.current_class)
         if isinstance(e, NewArrayExpr):
             self._expect(e.length, INT, "array length")
             return INT_ARRAY
         if isinstance(e, NewObjectExpr):
             if not self.table.has(e.class_name):
-                raise MjTypeError(e.span.start, f"unknown class '{e.class_name}'")
+                raise MjTypeError(e.pos, f"unknown class '{e.class_name}'")
             self.news.add(e.class_name)
             return ClassType(e.class_name)
         if isinstance(e, CallExpr):
             recv = self.expr(e.receiver)
             if not isinstance(recv, ClassType):
-                raise MjTypeError(e.span.start,
+                raise MjTypeError(e.pos,
                                   f"method call receiver must be an object, got {recv}")
             found = self.table.info(recv.name).vtable.get(e.method)
             if found is None:
-                raise MjTypeError(e.span.start,
+                raise MjTypeError(e.pos,
                                   f"class '{recv.name}' has no method '{e.method}'")
             _, decl = found
             self.calls.add((recv.name, e.method))
             if len(e.args) != len(decl.formals):
                 raise MjTypeError(
-                    e.span.start,
+                    e.pos,
                     f"method '{e.method}' expects {len(decl.formals)} "
                     f"argument(s), got {len(e.args)}")
             for arg, formal in zip(e.args, decl.formals):
                 got = self.expr(arg)
                 if not self.table.is_assignable(got, formal.var_type):
                     raise MjTypeError(
-                        arg.span.start,
+                        arg.pos,
                         f"argument for '{formal.name}' must be "
                         f"{formal.var_type}, got {got}")
             e.receiver_class = recv.name
@@ -388,14 +387,14 @@ class _Checker:
             ty = self.lookup(s)
             got = self.expr(s.value)
             if not self.table.is_assignable(got, ty):
-                raise MjTypeError(s.value.span.start,
+                raise MjTypeError(s.value.pos,
                                   f"cannot assign {got} to '{s.name}' of type {ty}")
             if type(ty) is IntArrayType and type(s.value) is not NewArrayExpr:
                 self.escaped.add(s.name)
         elif isinstance(s, ArrayAssignStmt):
             ty = self.lookup(s)
             if ty != INT_ARRAY:
-                raise MjTypeError(s.span.start,
+                raise MjTypeError(s.pos,
                                   f"'{s.name}[...]=' requires int[], got {ty}")
             self._expect(s.index, INT, "array index")
             self._expect(s.value, INT, "assigned value")
@@ -419,7 +418,7 @@ def typecheck(program: MjProgram) -> ClassTable:
                 got = checker.expr(method.return_expr)
                 if not table.is_assignable(got, method.return_type):
                     raise MjTypeError(
-                        method.return_expr.span.start,
+                        method.return_expr.pos,
                         f"return value must be {method.return_type}, got {got}")
                 uses[info.name, method.name] = checker.news, checker.calls
                 table.unboxed[info.name, method.name] = frozenset(

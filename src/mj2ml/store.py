@@ -26,10 +26,10 @@ store's types (the `heapval` and `tree` datatypes), the
 `prelude` of helpers emitted with every program, and a builder for the
 ML expression of each store operation the translation emits: `lookup`,
 `update` and `alloc` of a state, `zeros` and `new_array` for a new
-array's value and `alloc_array` to allocate one, the single-rule
-`case`s that read an array's length (`array_length`) or an element
-(`array_get`) or write one (`array_set`), and `null_check`, the guard
-of a call on a pointer that may be null.  A builder whose pattern names
+array's value (which `alloc` allocates unless the array is unboxed),
+the single-rule `case`s that read an array's length (`array_length`) or
+an element (`array_get`) or write one (`array_set`), and `null_check`,
+the guard of a call on a pointer that may be null.  A builder whose pattern names
 a part of the array takes the caller's supply of fresh names.
 `heap_cells` and `alloc_order` read a final state back: `mleval` holds a
 datatype value as a list `[name, *items]`, and `heap_cells` gives each
@@ -135,11 +135,6 @@ def zeros(length: MlExpr) -> MlExpr:
 def new_array(length: MlExpr, elements: MlExpr) -> MlExpr:
     """The array value of length elements."""
     return Con("HArr", (length, elements))
-
-
-def alloc_array(state: MlExpr, length: MlExpr, elements: MlExpr) -> MlExpr:
-    """`alloc` of the array of length elements."""
-    return alloc(state, new_array(length, elements))
 
 
 def _array_case(value: MlExpr, length: PVar | PWild, elements: PVar | PWild,

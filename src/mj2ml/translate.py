@@ -116,6 +116,7 @@ from .mjast import (
     WhileStmt,
 )
 from .mlast import (
+    PRINT,
     TY_BOOL,
     TY_INT,
     App,
@@ -433,10 +434,12 @@ class _Translator:
             return atom
         return self._lookup(ctx, atom)
 
-    def _new_array(self, e: NewArrayExpr, ctx: _Ctx) -> tuple[MlExpr, MlExpr]:
-        """The length and the elements of a new array."""
+    def _new_array(self, e: NewArrayExpr, ctx: _Ctx) -> MlExpr:
+        """The value of a new array, once its length and then its elements
+        are bound in ctx.  The length may call a method, so a caller reads
+        `ctx.state` only after this."""
         n = self.expr(e.length, ctx)
-        return n, ctx.bind(store.zeros(n))
+        return store.new_array(n, ctx.bind(store.zeros(n)))
 
     # -- calls ------------------------------------------------------------------
 
@@ -495,8 +498,7 @@ class _Translator:
         if isinstance(e, ThisExpr):
             return ctx.this()
         if isinstance(e, IdentExpr):
-            assert e.binding is not None
-            if e.binding.kind == "field":
+            if e.binding == "field":
                 return self._read_field(ctx, e.name, name)
             return ctx.var_atom(e.name)
         if isinstance(e, BinaryExpr):
@@ -523,8 +525,8 @@ class _Translator:
             return ctx.bind(store.array_length(self._array(ctx, e.array, arr),
                                                ctx.fn.fresh_temp), name)
         if isinstance(e, NewArrayExpr):
-            n, zeros = self._new_array(e, ctx)
-            return ctx.bind_state(store.alloc_array(Var(ctx.state), n, zeros), name)
+            array = self._new_array(e, ctx)
+            return ctx.bind_state(store.alloc(Var(ctx.state), array), name)
         if isinstance(e, NewObjectExpr):
             return ctx.bind_state(App(Var(mangle_new(e.class_name)), Var(ctx.state)), name)
         if isinstance(e, CallExpr):
@@ -539,10 +541,9 @@ class _Translator:
                 self.stmt(sub, ctx)
         elif isinstance(s, PrintStmt):
             value = self.expr(s.value, ctx)
-            ctx.emit(PWild(), App(Var("mj_print"), value))
+            ctx.emit(PWild(), App(Var(PRINT), value))
         elif isinstance(s, AssignStmt):
-            assert s.binding is not None
-            if s.binding.kind == "field":
+            if s.binding == "field":
                 value = self.expr(s.value, ctx)
                 self._field_write(ctx, s.name, value)
             else:
@@ -551,15 +552,14 @@ class _Translator:
                 name = mangle_var(s.name, version)
                 if s.name in ctx.fn.unboxed:
                     assert isinstance(s.value, NewArrayExpr)
-                    value = ctx.bind(store.new_array(*self._new_array(s.value, ctx)), name)
+                    value = ctx.bind(self._new_array(s.value, ctx), name)
                 else:
                     value = self.expr(s.value, ctx, name)
                 if value != Var(name):
                     ctx.emit(PVar(name), value)
                 ctx.versions[s.name] = version
         elif isinstance(s, ArrayAssignStmt):
-            assert s.binding is not None
-            if s.binding.kind == "field":
+            if s.binding == "field":
                 ptr = self._read_field(ctx, s.name)
             else:
                 ptr = ctx.var_atom(s.name)
@@ -647,8 +647,8 @@ class _Translator:
         big: list[FunDef] = [self.constructor(name) for name in table.classes
                              if name in table.instantiated]
         for info in table.classes.values():
-            for decl in info.decl.methods:
-                if (info.name, decl.name) in table.live:
+            for name, decl in info.methods.items():
+                if (info.name, name) in table.live:
                     big.append(self.method(info.name, decl))
         main = self.main(program)
         big += self.loops

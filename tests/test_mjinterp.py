@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from mj2ml.diffharness import diff_source
 from mj2ml.mjast import INT_MAX
 from mj2ml.mjinterp import interpret_mj
 from mj2ml.outcome import FaultKind, run_compiled
@@ -187,6 +188,41 @@ class Derived extends Base {
 """
     out = run(src)
     assert out.output == [2]
+
+
+FIELDS = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new C().run(5));
+        System.out.println(new B().setY(2));
+    }
+}
+class A {
+    int x;
+    public int addX(int v) { x = x + v; return x; }
+}
+class B extends A {
+    int y;
+    public int setY(int v) { y = this.addX(v) * 10; return y + x; }
+}
+class C extends B {
+    int z;
+    public int run(int v) {
+        z = 7;
+        x = 100;
+        return this.setY(v) + this.addX(1) + z;
+    }
+}
+"""
+
+
+def test_an_inherited_method_reads_and_writes_an_ancestors_field_on_a_subclass_object():
+    # each class adds a field, and A's and B's methods run on a C object:
+    # a field has its index in the layout of the class whose method reads
+    # it.  C: x = 100, setY(5) makes x 105 and y 1050 and returns 1155,
+    # addX(1) makes x 106; 1155 + 106 + 7.  B: x = 2, y = 20; 20 + 2.
+    result = diff_source("Fields.java", FIELDS)
+    assert result.verdict == "match" and result.mj.output == [1268, 22]
 
 
 def test_only_live_method_bodies_are_compiled():

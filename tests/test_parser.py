@@ -167,8 +167,7 @@ def test_statement_spans_nest_inside_method_span(corpus_files):
     for cls in program.classes:
         for method in cls.methods:
             for stmt in method.body:
-                assert method.span.start.line <= stmt.span.start.line
-                assert stmt.span.end.line <= method.span.end.line
+                assert method.pos.line <= stmt.pos.line
 
 
 def test_corpus_round_trips_through_printer(corpus_files):
@@ -179,31 +178,31 @@ def test_corpus_round_trips_through_printer(corpus_files):
 
 
 # SHA-256 of every token as (kind, lexeme, line, col) and of every node
-# as (type, span start, span end), preorder, over the corpus and over
+# as (type, position), preorder, over the corpus and over
 # print_program(generate_program(s, 40)) for s in 0..199.
 FRONT_END_SHA256 = {
     "corpus tokens":
         "53eac58b8d652c3d07a6dc43691b538829d9423a996cc6ef628ac9066bc5ef88",
-    "corpus spans":
-        "6f0771b7bfe8497868e744a79b739f778258646ada7ec5b90a8bdcd1053a2b59",
+    "corpus positions":
+        "2a3abf6e2b4e904a5cdb1e09dfae96f4c540223de78339b42432f488bf07acd1",
     "generated tokens":
         "7c5a8a78ee3c40bd9892013c74f74cca294c6ea54d8051e812748862c4a6361c",
-    "generated spans":
-        "5f29df48bd8b8f453aa6f1c7065771b3c256db87dc3acf0a66314a69f481c68a",
+    "generated positions":
+        "80bf70266824917ae26c6be60ecbaa32cc4d3357f5b39092375dfff3b8e61787",
 }
 
 
 def front_end_digests(sources):
-    tokens, spans = hashlib.sha256(), hashlib.sha256()
+    tokens, positions = hashlib.sha256(), hashlib.sha256()
     for source in sources:
         toks = tokenize(source)
         for t in toks:
             tokens.update(f"{t.kind.name} {t.lexeme!r} {t.line} {t.col}\n".encode())
         for node in walk(parse(toks)):
-            span = getattr(node, "span", None)
-            if span is not None:
-                spans.update(f"{type(node).__name__} {span.start} {span.end}\n".encode())
-    return tokens.hexdigest(), spans.hexdigest()
+            pos = getattr(node, "pos", None)
+            if pos is not None:
+                positions.update(f"{type(node).__name__} {pos}\n".encode())
+    return tokens.hexdigest(), positions.hexdigest()
 
 
 def test_tokens_and_spans_are_pinned(corpus_files):
@@ -211,7 +210,7 @@ def test_tokens_and_spans_are_pinned(corpus_files):
     for name, sources in (
             ("corpus", [path.read_text() for path in corpus_files]),
             ("generated", [print_program(generate_program(s, 40)) for s in range(200)])):
-        digests[f"{name} tokens"], digests[f"{name} spans"] = front_end_digests(sources)
+        digests[f"{name} tokens"], digests[f"{name} positions"] = front_end_digests(sources)
     assert digests == FRONT_END_SHA256
 
 

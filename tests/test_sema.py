@@ -84,7 +84,7 @@ def test_locals_may_shadow_fields():
     a = next(c for c in program.classes if c.name == "A")
     base = next(m for m in a.methods if m.name == "base")
     assert isinstance(base.return_expr, IdentExpr)
-    assert base.return_expr.binding.kind == "formal"
+    assert base.return_expr.binding == "formal"
 
 
 def test_formal_and_local_may_not_collide():
@@ -153,7 +153,7 @@ def test_unknown_return_type_is_reported_at_the_method():
             typecheck(program)
         method = next(m for m in program.classes[0].methods if m.name == name)
         assert err.value.message == "unknown class 'Foo'"
-        assert err.value.pos == method.span.start
+        assert err.value.pos == method.pos
 
 
 def test_unknown_formal_type_is_reported_at_the_formal():
@@ -167,7 +167,7 @@ def test_unknown_formal_type_is_reported_at_the_formal():
     with pytest.raises(MjTypeError) as err:
         typecheck(program)
     assert err.value.message == "unknown class 'Foo'"
-    assert err.value.pos == program.classes[0].methods[1].formals[0].span.start
+    assert err.value.pos == program.classes[0].methods[1].formals[0].pos
 
 
 def test_condition_must_be_boolean():
@@ -234,7 +234,7 @@ def test_too_deep_nesting_is_a_type_error_at_the_body_start():
         with pytest.raises(MjTypeError) as err:
             typecheck(program)
         assert "nested too deeply" in err.value.message
-        assert err.value.pos == body(program).span.start
+        assert err.value.pos == body(program).pos
 
 
 def test_a_member_access_costs_no_nesting_for_the_classes_above_its_own():
@@ -269,7 +269,7 @@ def test_a_501_class_chain_is_a_type_error_at_its_last_class():
         typecheck(program)
     assert err.value.message == f"inheritance of class 'C{MAX_NESTING}' nested too deeply"
     last = program.classes[-1]
-    assert last.name == f"C{MAX_NESTING}" and err.value.pos == last.span.start
+    assert last.name == f"C{MAX_NESTING}" and err.value.pos == last.pos
 
 
 def test_a_call_keeps_only_the_implementations_its_receiver_can_reach():
