@@ -18,9 +18,11 @@ values.  Rapid type analysis (see `sema`) gives the classes a run can
 instantiate, and of those, the ones a call's receiver can be an object
 of.  When all of them run the same implementation, as nearly every call
 does, the call is a known call of it, behind `store.null_check` of
-the receiver unless the receiver is `this` or a `new` object.
-Otherwise the call reads the receiver and matches its class on its
-constructor, with one rule, a known call, for each class.
+the receiver unless the receiver is `this` or a `new` object, or a
+variable whose current version was bound from `new` in the same
+function (never a join's version or a loop's parameter, which may hold
+another value).  Otherwise the call reads the receiver and matches its
+class on its constructor, with one rule, a known call, for each class.
 
 Statements become let bindings in evaluation order, one binding per
 intermediate value (administrative normal form).  An assignment binds its
@@ -30,12 +32,27 @@ versions are numbered as the translation goes, and the joins come from
 them (SSA construction on the fly, as in "Simple and Efficient
 Construction of Static Single Assignment Form", CC 2013): an `if` join
 carries, in a tuple, the state and the variables whose version either
-branch changed.  A while loop is a top-level tail-recursive function
-``mj_loop<k>``, lambda-lifted (Johnsson, 1985).  Its condition and body
-are translated with every variable under its name at loop entry; it then
-takes the state, the variables the body assigned, the others it read and
-``mj_this`` if it read `this` or a field, all under those names, and
-returns the state and the variables the body assigned.  Each state name
+branch changed that are live after it.  A while loop is a top-level
+tail-recursive function ``mj_loop<k>``, lambda-lifted (Johnsson, 1985).
+Its condition and body are translated with every variable under its
+name at loop entry; it then takes the state, the variables the body
+assigned that are live at its head, the others it read and ``mj_this``
+if it read `this` or a field, all under those names, and returns the
+state and the variables the body assigned that are live after it.
+
+Only what is live is emitted.  Before a method is translated,
+`_liveness` sweeps its MiniJava body backwards and finds the variables
+live after each statement (Appel, *Modern Compiler Implementation*,
+ch. 10); on the SSA versions this is which bindings something reads.
+An assignment to a variable dead after it binds no version: a value
+that can neither fault nor touch the state (`_pure`: a literal, a
+variable, `this`, a field of `this`, and `<`, `!` or `&&` of those)
+emits nothing, and any other part of it (`_effects`: arithmetic, which
+can overflow, an array access, `.length`, `new` or a call) is still
+evaluated, its value bound to `_`, so its faults and allocations stay.
+The condition of an `if` or `while` that is `<` is compared in the ML
+`if` itself, and one that is `!e` tests e with the branches swapped:
+neither binds a boolean first.  Each state name
 is bound once too, so a heap cell read in a state is read once and its
 value reused until the state changes.  A run of bindings whose last one
 binds exactly the value the run ends with, as a call's (state, value) or
@@ -79,7 +96,8 @@ the datatypes, the constructors and the field and dispatch patterns
 built by `store`, whose prelude of helpers each translation starts
 with.  What each `if` and `while` assigns and reads is found by
 translating it: a variable's version tells whether it was assigned, and
-`_Ctx.log` which variables were read.
+`_Ctx.log` which variables were read; what is live after it, by
+`_liveness` before the translation.  `_test` builds every condition.
 
 Translation runs within `outcome.COMPILE_FRAMES` Python frames beyond
 its caller's, which any program that typechecks fits.
@@ -88,6 +106,7 @@ its caller's, which any program that typechecks fits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import Callable, Iterator
 
 from .mjast import (
     BOOL,
@@ -195,6 +214,121 @@ def _payload_ty(items: list[MlType]) -> MlType:
     return items[0] if len(items) == 1 else TyTuple(tuple(items))
 
 
+def _reads(e: Expr) -> frozenset[str]:
+    """The variables, locals and formals, that e reads."""
+    if isinstance(e, IdentExpr):
+        return frozenset(() if e.binding == "field" else (e.name,))
+    if isinstance(e, BinaryExpr):
+        return _reads(e.left) | _reads(e.right)
+    if isinstance(e, NotExpr):
+        return _reads(e.operand)
+    if isinstance(e, ArrayLengthExpr):
+        return _reads(e.array)
+    if isinstance(e, NewArrayExpr):
+        return _reads(e.length)
+    if isinstance(e, ArrayIndexExpr):
+        return _reads(e.array) | _reads(e.index)
+    if isinstance(e, CallExpr):
+        return _reads(e.receiver).union(*map(_reads, e.args))
+    return frozenset()
+
+
+def _pure(e: Expr) -> bool:
+    """Whether e can neither fault nor touch the state: a literal, a
+    variable, a field of `this`, `this`, or `<`, `!` or `&&` of those.
+    Arithmetic can overflow, and array accesses, `new` and calls can
+    fault or change the state."""
+    if isinstance(e, (IntLitExpr, BoolLitExpr, IdentExpr, ThisExpr)):
+        return True
+    if isinstance(e, NotExpr):
+        return _pure(e.operand)
+    return isinstance(e, BinaryExpr) and e.op in ("<", "&&") and _pure(e.left) and _pure(e.right)
+
+
+def _effects(e: Expr) -> Iterator[Expr]:
+    """The parts of e still evaluated, in order, when nothing reads its
+    value: none of a `_pure` one, those of the operands of `<` and `!`
+    and of `&&` with a pure right operand, and any other e itself."""
+    if _pure(e):
+        return
+    if isinstance(e, NotExpr):
+        yield from _effects(e.operand)
+    elif isinstance(e, BinaryExpr) and (e.op == "<" or e.op == "&&" and _pure(e.right)):
+        yield from _effects(e.left)
+        yield from _effects(e.right)
+    else:
+        yield e
+
+
+def _liveness(body: list[Stmt], live: frozenset[str]) -> dict[int, frozenset[str]]:
+    """The variables live after each statement of `body`, and of the
+    statements it holds, by the statement's id, when `live` are live after
+    the body.  A variable is live where some path may read it before
+    writing it (Appel, *Modern Compiler Implementation*, ch. 10), and
+    only the reads the translation emits count: an assignment to a
+    variable dead after it evaluates only its value's `_effects`, so the
+    rest of its value reads nothing.
+
+    Each block is swept backwards.  Before an `if` are live its
+    condition's reads and what is live before either branch.  Before a
+    loop, where its condition is tested, are live its head set: what is
+    live after the loop, the condition's reads and what is live before
+    its body.  The body is swept with the head set live after it until
+    the set stops growing, so the set is also what is live after the
+    body.  Sets only grow as the sweeps go, so a loop reached again by
+    an enclosing loop's sweep starts from the head set it reached
+    before, and is not swept at all if what is live after it has not
+    changed: a loop is swept about as often as its sets grow, not once
+    per sweep of each loop around it."""
+    after: dict[int, frozenset[str]] = {}
+    # each loop's last live-after set and the head set it gave
+    heads: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
+
+    def before(s: Stmt, live: frozenset[str]) -> frozenset[str]:
+        after[id(s)] = live
+        if isinstance(s, BlockStmt):
+            for sub in reversed(s.body):
+                live = before(sub, live)
+            return live
+        if isinstance(s, PrintStmt):
+            return live | _reads(s.value)
+        if isinstance(s, AssignStmt):
+            if s.binding != "field":
+                if s.name not in live:
+                    return live.union(*map(_reads, _effects(s.value)))
+                live = live - {s.name}
+            return live | _reads(s.value)
+        if isinstance(s, ArrayAssignStmt):
+            array = () if s.binding == "field" else (s.name,)
+            return live.union(array, _reads(s.index), _reads(s.value))
+        if isinstance(s, IfStmt):
+            return (_reads(s.cond) | before(s.then_branch, live)
+                    | before(s.else_branch, live))
+        if isinstance(s, WhileStmt):
+            last = heads.get(id(s))
+            if last and last[0] == live:
+                return last[1]
+            head = (last[1] if last else frozenset()) | live | _reads(s.cond)
+            while (grown := before(s.body, head) | head) != head:
+                head = grown
+            heads[id(s)] = live, head
+            return head
+        raise AssertionError(f"unhandled statement {type(s).__name__}")
+
+    for s in reversed(body):
+        live = before(s, live)
+    return after
+
+
+# The name that `_Ctx.bind` binds to `_`: a value computed for its faults
+# and effects alone, which nothing reads.
+_DISCARD = "_"
+
+
+def _pvar(name: str) -> Pat:
+    return PWild() if name == _DISCARD else PVar(name)
+
+
 def _as_expr(pat: Pat) -> MlExpr | None:
     """A pattern of variables and tuples read as an expression; None for
     any other pattern."""
@@ -210,13 +344,15 @@ def _as_expr(pat: Pat) -> MlExpr | None:
 class _FnScope:
     """Counters and variable bookkeeping for one generated function, the
     classes whose objects run it, on which a field of `this` is matched
-    (none in main), and the array locals it keeps out of the store
-    (`ClassTable.unboxed`).  `initial` collects the variables read at
+    (none in main), the array locals it keeps out of the store
+    (`ClassTable.unboxed`), and the variables live after each of its
+    statements (`_liveness`).  `initial` collects the variables read at
     version 0: a local's default is bound only if it is read."""
 
     var_order: list[str]
     unboxed: frozenset[str]
     receivers: list[str]
+    live: dict[int, frozenset[str]]
     next_temp: int = 0
     next_state: int = 1
     maxver: dict[str, int] = dc_field(init=False)
@@ -268,7 +404,13 @@ class _Ctx:
     field in the same state would give the same value (and never runs if
     the first faulted).  Every new state, from a call, an allocation, a
     store or a join, goes through `advance`, which empties the map; a
-    loop's state parameter starts a `_Ctx` of its own."""
+    loop's state parameter starts a `_Ctx` of its own.
+
+    `allocated` holds the atoms bound from a `new` object in this run or
+    the runs before it: never null, so a call on one needs no null
+    check.  A loop starts with none, since its parameters take the
+    names of the caller's versions but, after the first round, other
+    values; a join binds fresh versions, which are never in it."""
 
     fn: _FnScope
     versions: dict[str, int]
@@ -276,9 +418,11 @@ class _Ctx:
     reads: dict[object, MlExpr] = dc_field(default_factory=dict)
     log: set[str] = dc_field(default_factory=set)
     bindings: list[Val] = dc_field(default_factory=list)
+    allocated: set[MlExpr] = dc_field(default_factory=set)
 
     def branch(self) -> "_Ctx":
-        return _Ctx(self.fn, dict(self.versions), self.state, dict(self.reads), self.log)
+        return _Ctx(self.fn, dict(self.versions), self.state, dict(self.reads), self.log,
+                    allocated=set(self.allocated))
 
     def advance(self) -> str:
         """Make a fresh state current, with nothing read from it yet."""
@@ -299,9 +443,10 @@ class _Ctx:
         return Let(tuple(bindings), result) if bindings else result
 
     def bind(self, rhs: MlExpr, name: str | None = None) -> MlExpr:
-        """Bind rhs to `name`, or to a fresh temporary, and return it."""
+        """Bind rhs to `name`, or to a fresh temporary, and return it.
+        `_DISCARD` binds it to `_`: it is evaluated only for its faults."""
         name = name or self.fn.fresh_temp()
-        self.emit(PVar(name), rhs)
+        self.emit(_pvar(name), rhs)
         return Var(name)
 
     def bind_state(self, rhs: MlExpr, name: str | None = None) -> MlExpr:
@@ -309,7 +454,7 @@ class _Ctx:
         current and the value, named as by `bind`, is returned."""
         state = self.advance()
         name = name or self.fn.fresh_temp()
-        self.emit(PTuple((PVar(state), PVar(name))), rhs)
+        self.emit(PTuple((PVar(state), _pvar(name))), rhs)
         return Var(name)
 
     def var_atom(self, name: str) -> Var:
@@ -455,8 +600,9 @@ class _Translator:
         """A method call, dispatched statically.  Each object a call can
         reach (`_targets`) runs a known implementation, so the call is a
         known call of it when they all run the same one, behind a null
-        check unless the receiver is `this` or a `new` object.  Otherwise
-        it reads the receiver and matches its class on its constructor,
+        check unless the receiver is `this` or a `new` object, or a
+        version bound from one (`_Ctx.allocated`).  Otherwise it reads the
+        receiver and matches its class on its constructor,
         one rule, and one known call, per class.  Both check where
         MiniJava does, after the receiver and the arguments: a null
         receiver fails the check, or the heap lookup, to match."""
@@ -481,7 +627,7 @@ class _Translator:
             # no object a call can reach: the receiver is null
             decl = self.table.info(e.receiver_class).vtable[e.method][1]
             result = Tuple((state, _default_value(decl.return_type)))
-        if not isinstance(e.receiver, (ThisExpr, NewObjectExpr)):
+        if not isinstance(e.receiver, ThisExpr) and receiver not in ctx.allocated:
             result = store.null_check(receiver, result)
         return ctx.bind_state(result, name)
 
@@ -528,14 +674,32 @@ class _Translator:
             array = self._new_array(e, ctx)
             return ctx.bind_state(store.alloc(Var(ctx.state), array), name)
         if isinstance(e, NewObjectExpr):
-            return ctx.bind_state(App(Var(mangle_new(e.class_name)), Var(ctx.state)), name)
+            atom = ctx.bind_state(App(Var(mangle_new(e.class_name)), Var(ctx.state)), name)
+            ctx.allocated.add(atom)
+            return atom
         if isinstance(e, CallExpr):
             return self._call(e, ctx, name)
         raise AssertionError(f"unhandled expression {type(e).__name__}")
 
+    def _test(self, e: Expr, ctx: _Ctx) -> Callable[[MlExpr, MlExpr], If]:
+        """The ML `if` of an `if` or `while` on e, given its two branches,
+        once e's bindings are emitted in ctx.  A `<` is compared in the
+        `if` itself, and a `!` swaps the branches, so neither binds a
+        boolean."""
+        swap = False
+        while isinstance(e, NotExpr):
+            e, swap = e.operand, not swap
+        if isinstance(e, BinaryExpr) and e.op == "<":
+            left = self.expr(e.left, ctx)
+            cond = PrimOp("<", (left, self.expr(e.right, ctx)))
+        else:
+            cond = self.expr(e, ctx)
+        return lambda then, orelse: If(cond, orelse, then) if swap else If(cond, then, orelse)
+
     # -- statements ----------------------------------------------------------------------
 
     def stmt(self, s: Stmt, ctx: _Ctx) -> None:
+        live = ctx.fn.live[id(s)]
         if isinstance(s, BlockStmt):
             for sub in s.body:
                 self.stmt(sub, ctx)
@@ -546,6 +710,15 @@ class _Translator:
             if s.binding == "field":
                 value = self.expr(s.value, ctx)
                 self._field_write(ctx, s.name, value)
+            elif s.name not in live:
+                # nothing reads this value: only what can fault or touch
+                # the state is evaluated, and bound to `_`
+                if s.name in ctx.fn.unboxed:
+                    assert isinstance(s.value, NewArrayExpr)
+                    ctx.bind(store.zeros(self.expr(s.value.length, ctx)), _DISCARD)
+                else:
+                    for part in _effects(s.value):
+                        self.expr(part, ctx, _DISCARD)
             else:
                 # the value is bound under the new version's name, not copied to it
                 version = ctx.fn.fresh_version(s.name)
@@ -566,50 +739,56 @@ class _Translator:
             idx = self.expr(s.index, ctx)
             value = self.expr(s.value, ctx)
             if s.name in ctx.fn.unboxed:
-                # the written array is the local's next version
-                version = ctx.fn.fresh_version(s.name)
-                ctx.bind(store.array_set(ptr, idx, value, ctx.fn.fresh_temp),
-                         mangle_var(s.name, version))
-                ctx.versions[s.name] = version
+                array = store.array_set(ptr, idx, value, ctx.fn.fresh_temp)
+                if s.name in live:
+                    # the written array is the local's next version
+                    version = ctx.fn.fresh_version(s.name)
+                    ctx.bind(array, mangle_var(s.name, version))
+                    ctx.versions[s.name] = version
+                else:
+                    ctx.bind(array, _DISCARD)
             else:
                 array = store.array_set(self._lookup(ctx, ptr), idx, value, ctx.fn.fresh_temp)
                 self._store(ctx, ptr, ctx.bind(array))
         elif isinstance(s, IfStmt):
-            cond = self.expr(s.cond, ctx)
+            test = self._test(s.cond, ctx)
             tctx = ctx.branch()
             self.stmt(s.then_branch, tctx)
             ectx = ctx.branch()
             self.stmt(s.else_branch, ectx)
-            names = ctx.changed(tctx, ectx)
-            ctx.join(If(cond, tctx.wrap(tctx.carried(names)), ectx.wrap(ectx.carried(names))),
-                     names)
+            names = [x for x in ctx.changed(tctx, ectx) if x in live]
+            ctx.join(test(tctx.wrap(tctx.carried(names)), ectx.wrap(ectx.carried(names))), names)
         elif isinstance(s, WhileStmt):
-            self._while(s, ctx)
+            self._while(s, ctx, live)
         else:
             raise AssertionError(f"unhandled statement {type(s).__name__}")
 
-    def _while(self, s: WhileStmt, ctx: _Ctx) -> None:
+    def _while(self, s: WhileStmt, ctx: _Ctx, live: frozenset[str]) -> None:
         """A top-level tail-recursive function `mj_loop<k>`, called once
         and joined.  Its condition and body are translated first, with
         every variable under its name at loop entry and a fresh state, so
         no heap read of the caller's crosses into it.  It takes the state,
-        the variables the body assigns (`changed`), then the others it
-        reads and `mj_this` if it reads `this` or a field (its `log`),
-        each under that same name; it returns the state and the variables
-        the body assigns."""
+        the variables the body assigns (`changed`) that are live at its
+        head, then the others it reads and `mj_this` if it reads `this`
+        or a field (its `log`), each under that same name; it returns the
+        state and the variables the body assigns that are `live` after
+        it."""
         inner = _Ctx(ctx.fn, dict(ctx.versions), ctx.fn.fresh_state())
         entry = inner.state
-        cond = self.expr(s.cond, inner)
+        test = self._test(s.cond, inner)
         body = inner.branch()
         self.stmt(s.body, body)
-        names = inner.changed(body)
+        changed = inner.changed(body)
+        names = [x for x in changed if x in live]
         exit_ = inner.carried(names)
-        params = names + [x for x in [*inner.versions, "this"] if x in inner.log and x not in names]
+        head = ctx.fn.live[id(s.body)]
+        params = [x for x in changed if x in head]
+        params += [x for x in [*inner.versions, "this"] if x in inner.log and x not in changed]
         # numbered after the loops it holds
         loop = Var(f"mj_loop{len(self.loops)}")
         then = body.wrap(App(loop, body.carried(params)))
         param = _ptup([PVar(entry), *(PVar(inner.atom(x).name) for x in params)])
-        self.loops.append(FunDef(loop.name, param, inner.wrap(If(cond, then, exit_))))
+        self.loops.append(FunDef(loop.name, param, inner.wrap(test(then, exit_))))
         ctx.join(App(loop, ctx.carried(params)), names)
 
     # -- whole functions --------------------------------------------------------------------
@@ -617,7 +796,8 @@ class _Translator:
     def method(self, cls: str, decl: MethodDecl) -> FunDef:
         receivers = [c for c, impl in self._targets(cls, decl.name).items() if impl == cls]
         var_order = [f.name for f in decl.formals] + [v.name for v in decl.local_vars]
-        fn = _FnScope(var_order, self.table.unboxed[cls, decl.name], receivers)
+        live = _liveness(decl.body, _reads(decl.return_expr))
+        fn = _FnScope(var_order, self.table.unboxed[cls, decl.name], receivers, live)
         ctx = _Ctx(fn, dict.fromkeys(var_order, 0), "mj_s0")
         for s in decl.body:
             self.stmt(s, ctx)
@@ -635,7 +815,8 @@ class _Translator:
                       ctx.wrap(Tuple((Var(ctx.state), value))))
 
     def main(self, program: MjProgram) -> FunDef:
-        ctx = _Ctx(_FnScope([], frozenset(), []), {}, "mj_s0")
+        fn = _FnScope([], frozenset(), [], _liveness(program.main.body, frozenset()))
+        ctx = _Ctx(fn, {}, "mj_s0")
         ctx.emit(PVar("mj_s0"), store.EMPTY_STATE)
         for s in program.main.body:
             self.stmt(s, ctx)

@@ -344,14 +344,14 @@ def test_a_lifted_function_reads_what_its_caller_passes():
 # and expression.  A change to how either interpreter charges fuel shows
 # here.
 CORPUS_STEPS = {
-    "BinarySearch": (16450, 4018),
-    "BinaryTree": (6297, 527),
-    "BubbleSort": (24138, 1856),
-    "Factorial": (296, 141),
-    "LinearSearch": (9542, 1293),
-    "LinkedList": (2138, 171),
-    "QuickSort": (14851, 1114),
-    "TreeVisitor": (4482, 303),
+    "BinarySearch": (15773, 4018),
+    "BinaryTree": (6143, 527),
+    "BubbleSort": (23649, 1856),
+    "Factorial": (274, 141),
+    "LinearSearch": (9300, 1293),
+    "LinkedList": (2106, 171),
+    "QuickSort": (14581, 1114),
+    "TreeVisitor": (4434, 303),
 }
 
 
@@ -459,8 +459,10 @@ def test_deep_non_tail_recursion_finishes(template, n):
 
 
 def test_the_ml_side_alone_finishes_a_13000_deep_method_recursion():
-    # 3 Python frames per pending ML call reach depth 13 331 under
-    # RECURSION_LIMIT; 4 would stop near 10 000
+    # 2 Python frames per pending ML call, an `if` that tests n < 1 itself
+    # and the `let` of its else branch, reach depth 19 997 under
+    # RECURSION_LIMIT; 3, with a `let` binding the test first, stopped at
+    # 13 331
     program = parse_source(DOWN % 13000)
     out, _ = eval_program(translate(program, typecheck(program)))
     assert out.ok and out.output == [13000]
@@ -507,7 +509,7 @@ def test_both_sides_finish_a_5000_deep_method_recursion():
 
 # ML-side steps of generated programs at 100 000 fuel, one line per seed
 # 0..49 with the fault, steps and output; 49 of the 50 runs finish.
-GENERATED_ML_STEPS_SHA256 = "7c54c94e7baf247f1cb8bb7aebf1e5ac6af90c537490025405a097c41af9b867"
+GENERATED_ML_STEPS_SHA256 = "fdb63e7342b28aa50bc3564ea8aab8e947ca85d265a529229c7048497bcc3f5b"
 
 
 def test_generated_programs_take_the_pinned_ml_steps():
@@ -609,7 +611,7 @@ def test_a_run_leaves_no_cyclic_garbage_that_grows_with_the_heap():
 # of FILLER at n = 50, at 21 evenly spaced fuels from 0 to the steps the
 # run needs and at each of them +-1: where every check falls, and what a
 # run cut there has printed.
-FUEL_CUTS_ML_SHA256 = "a909635eddcfd86a89b1251ff7ec6cc8d9937f2be54dcb15c9e2570e7d734e19"
+FUEL_CUTS_ML_SHA256 = "1e30c39930f43cb8b278f4acca29d4678bd2d0892c2b62edecfce73c71640a96"
 
 
 def test_ml_runs_cut_at_any_fuel_keep_their_faults_steps_and_output(corpus_files):

@@ -10,8 +10,8 @@ from mj2ml.cli import main
 from mj2ml.diffharness import diff_source
 from mj2ml.mjast import print_program
 from mj2ml.mleval import eval_program
-from mj2ml.mlast import (TY_INT, App, Case, Con, FunDef, If, Let, PTuple, PVar, Tuple, TyTuple,
-                          Val, Var, validate_core)
+from mj2ml.mlast import (TY_INT, App, Case, Con, FunDef, If, IntLit, Let, PrimOp, PTuple, PVar,
+                          Tuple, TyTuple, Val, Var, validate_core)
 from mj2ml.mlprint import print_ml_program
 from mj2ml.outcome import FaultKind
 from mj2ml.parser import parse_source
@@ -61,14 +61,14 @@ def test_corpus_translations_stay_in_the_core(corpus_files):
 # SHA-256 of each corpus file's emitted SML.  A change that alters the
 # emitted bytes on purpose must update these pins and say so.
 EMITTED_SML_SHA256 = {
-    "BinarySearch": "cbfc921ae6bed05ba9c0536ea7815ed17a8fac22b839572d739d51d340cc16b6",
-    "BinaryTree": "9029ad451a63090976d9094f9e2975fd17fee692cba76726edb2f0410d1bddb3",
-    "BubbleSort": "f993d65ded2234c1d1e6969773cc125a22bb84f0552405c0a570a789307a6a98",
-    "Factorial": "eb3b1918fc34e4c606d0212e21b445a0bd1ddad573e9d6f5c15c2c6c0355da89",
-    "LinearSearch": "8bb2c0dd008dc2977f903702e905d26ce420832c57886e8c6e5f5cb7478589a3",
-    "LinkedList": "6f20d602c0995321e710180c5c23a89391ad879dbc5ae1dba2412f907e49a180",
-    "QuickSort": "b6b4b7c45b14408d14dad44b7b2b6aa3f76104dfcda2c43bb4b165d0361d8244",
-    "TreeVisitor": "27b48dd83839edf8a1938d2d95dcf65f69fa05f2568c7a776a0e7cb16f375e6b",
+    "BinarySearch": "dfc0e0b75d4f84ee44191959dadda625af5b114ec413a777975b6ffd6c01b576",
+    "BinaryTree": "88c5278aaf2cb09645652f172b0b0e0745b96dc61c36bd5bb2f692440b6caedb",
+    "BubbleSort": "e29d7fd416a46d89dc2d0749a4f6541bceb325ec91f24feb7419e59fdabde6b6",
+    "Factorial": "d712616609361bb68b6f8b0515b91fdb0a25a7dc3caa3934cbdc6c708c183e2b",
+    "LinearSearch": "ac4dd2aa1c31929d04726b396acd7f89dfc9c9d7c85be15b1434c1f46d53fd54",
+    "LinkedList": "2a08ae05111f9d1673ae3b2cb5ffa2119837ac133a31eb86876071eab7a6fbcd",
+    "QuickSort": "af0c2f7ad53b0b7b6f6e9c76f84118b10b0efc060ec5a400923814b45689d879",
+    "TreeVisitor": "250d6c2a8149f51b36a5e536b5941ccbbc39b64b1d48e08047ae512484ff91bf",
 }
 
 
@@ -223,7 +223,7 @@ def test_generated_subclass_encoding_is_pinned():
     text = "".join(print_ml_program(translate(generate_program(s, 40)), f"seed{s:03d}")
                    for s in range(40))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "e2dd3243e432556da2ff2e492bc28a5fdd07daf532b0869d3e6edc7a45c51bed"
+        "392ff06f9e0c5a9fc25da3d21a5718bac1d082c7d0944b960042bffeca4e76da"
 
 
 def test_gen200_workload_is_pinned():
@@ -236,7 +236,7 @@ def test_gen200_workload_is_pinned():
     assert (len(source), hashlib.sha256(source).hexdigest()) == (
         624675, "4aaa6ae173174edd3a3581bb467872f20879886553696d0b1b4401880281a271")
     assert (len(sml), hashlib.sha256(sml).hexdigest()) == (
-        1682438, "3e9c70f2ad4a8fc27a3d1f82c88727fba7eb909e5b7d220d05d795bddb69c147")
+        1490218, "7f3ba05278be9116698c20e2409ac395925f6d4412b577085805623601c93dd1")
 
 
 PLUMBING = """\
@@ -324,7 +324,7 @@ def test_a_loop_carries_the_state_and_only_the_variables_it_assigns():
     e = mangle_var("e", 1)
     assert loop.param == PTuple((PVar("mj_s1"), PVar(e),
                                  *(PVar(mangle_var(x, 1)) for x in "abcd")))
-    assert loop.body.body.orelse == Tuple((Var("mj_s1"), Var(e)))
+    assert loop.body.orelse == Tuple((Var("mj_s1"), Var(e)))
     call = plumbing_method("loop").body.body
     assert call == App(Var("mj_loop0"), Tuple((Var("mj_s0"), Var(mangle_var("e", 1)),
                                                *(Var(mangle_var(x, 1)) for x in "abcd"))))
@@ -352,6 +352,57 @@ def test_a_loop_binds_each_variable_under_its_name_at_entry(corpus_files):
                 assert [a.name for a in args[1:]] == [p.name for p in params[1:]], loop.name
                 loops += 1
     assert loops == 724
+
+
+def dead_code(ml):
+    """What each function of `ml` binds or takes and never reads: a join
+    item other than the state, a loop's result or parameter, or a `val`
+    of a variable bound to a variable, a constant, `<` or a negation.
+    Versions are named once per function, so a read is any occurrence."""
+    negation = (Con("false"), Con("true"))
+    found = []
+    for f in (f for group in ml.fun_groups for f in group):
+        read = {var.name for var in nodes(f.body, Var)}
+        unread = []
+        if f.name.startswith("mj_loop"):
+            unread += [p for p in f.param.items[1:] if p.name not in read]
+        for val in nodes(f.body, Val):
+            pat, rhs = val.pat, val.rhs
+            if isinstance(pat, PTuple) and (isinstance(rhs, If) or isinstance(rhs, App)
+                                            and rhs.func.name.startswith("mj_loop")):
+                unread += [p for p in pat.items[1:] if isinstance(p, PVar) and p.name not in read]
+            elif isinstance(pat, PVar) and pat.name not in read and (
+                    isinstance(rhs, (Var, IntLit)) or isinstance(rhs, Con) and not rhs.args
+                    or isinstance(rhs, PrimOp) and rhs.op == "<"
+                    or isinstance(rhs, If) and (rhs.then, rhs.orelse) == negation):
+                unread.append(pat)
+        found += [(f.name, p.name) for p in unread]
+    return found
+
+
+def test_no_dead_code_is_emitted(corpus_files):
+    # every join item, loop result and loop parameter is read, and no
+    # value that cannot fault is bound to a variable nothing reads
+    programs = [parse_source(path.read_text()) for path in corpus_files]
+    programs += [generate_program(seed, 40) for seed in range(200)]
+    assert [dead for program in programs for dead in dead_code(translate(program))] == []
+    # one of each: the loop's `s` and the join's `t`, which nothing reads
+    # after them, and the copy `u = n`
+    dead = dead_code(tr(ESCAPE_MAIN % "new A().f(3)" + """\
+class A {
+    public int f(int n) {
+        int s;
+        int t;
+        int u;
+        s = 0;
+        while (s < n) s = s + 1;
+        if (0 < n) t = 1; else t = 2;
+        u = n;
+        return n;
+    }
+}
+"""))
+    assert dead == [], dead
 
 
 def test_a_return_of_a_call_ends_in_the_call(corpus_dir):
@@ -388,9 +439,9 @@ def test_a_branch_whose_last_binding_is_its_join_tuple_ends_in_it():
     ml = tr(DOWN)
     down = next(f for group in ml.fun_groups for f in group if f.name == mangle_method(0, "down"))
     [branch] = nodes(down, If)
-    assert down.body.body is branch
+    assert down.body is branch
     assert branch.orelse.body == App(Var(mangle_method(0, "down")),
-                                     Tuple((Var("mj_s0"), Var("mj_this"), Var("mj_v1"))))
+                                     Tuple((Var("mj_s0"), Var("mj_this"), Var("mj_v0"))))
     assert diff_source("Down.java", DOWN).ml.output == [7]
 
 
@@ -798,10 +849,9 @@ def test_the_array_null_is_declared_exactly_when_an_unboxed_default_is_read(corp
         assert validate_core(ml) == [], name
         if read:
             declared.add(name)
-    # a loop that makes its array anew in each round carries the unassigned
-    # local into its first round
-    assert declared == {"read-before-assignment", "write-before-assignment",
-                        "unboxed-per-round", *UNASSIGNED_USES}
+    # `unboxed-per-round` makes its array anew in each round, and nothing
+    # reads it after the loop, so the loop neither takes nor returns it
+    assert declared == {"read-before-assignment", "write-before-assignment", *UNASSIGNED_USES}
 
 
 REASSIGNED_RECEIVER = """\
@@ -871,6 +921,90 @@ def test_a_call_on_a_null_field_faults_after_its_arguments():
     assert result.mj.output == [7] and result.mj.fault is FaultKind.NULL_DEREFERENCE
     ml, _ = eval_program(translate(parse_source(NULL_RECEIVER)))
     assert ml.output == [7] and ml.fault is FaultKind.MATCH_FAILURE
+
+
+FRESH_RECEIVER = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new A().f());
+    }
+}
+class A {
+    B kept;
+    public int f() {
+        B b;
+        int i;
+        b = new B();
+        System.out.println(b.m(9));
+        i = 0;
+        while (i < 2) {
+            System.out.println(b.m(i));
+            b = this.get();
+            i = i + 1;
+        }
+        return i;
+    }
+    public B get() { return kept; }
+}
+class B {
+    public int m(int x) { return x + 5; }
+}
+"""
+
+
+def test_a_call_on_a_version_bound_from_new_needs_no_null_check():
+    # the first b.m runs on the `new` object: no check; in the loop, b
+    # is the loop's parameter, which the second round takes from an
+    # unassigned field, so that call keeps its check and faults there
+    ml = tr(FRESH_RECEIVER)
+    checks = [case for case in nodes(ml.fun_groups, Case)
+              if isinstance(case.scrutinee, PrimOp) and case.scrutinee.args[0] == Var("mj_b_1")]
+    [loop] = [f for group in ml.fun_groups for f in group if f.name == "mj_loop0"]
+    assert len(checks) == 1 and checks == list(nodes(loop, Case))
+    result = diff_source("Fresh.java", FRESH_RECEIVER)
+    assert result.verdict == "skipped-faulting"
+    assert result.mj.output == [14, 5] and result.mj.fault is FaultKind.NULL_DEREFERENCE
+    out, _ = eval_program(ml)
+    assert out.output == [14, 5] and out.fault is FaultKind.MATCH_FAILURE
+
+
+# An assignment nothing reads after it still evaluates what can fault:
+# (the statement, MiniJava's fault, the ML side's), each after printing n.
+DEAD_FAULTS = {
+    "overflow": ("d = 4611686018427387903 + n;", FaultKind.INTEGER_OVERFLOW,
+                 FaultKind.INTEGER_OVERFLOW),
+    "index": ("x = new int[2]; d = x[n + 1];", FaultKind.INDEX_OUT_OF_BOUNDS,
+              FaultKind.MATCH_FAILURE),
+    "unassigned-length": ("d = x.length;", FaultKind.NULL_DEREFERENCE, FaultKind.MATCH_FAILURE),
+    "negative-size": ("x = new int[0 - n];", FaultKind.NEGATIVE_ARRAY_SIZE,
+                      FaultKind.MATCH_FAILURE),
+    "compared": ("b = !(x[n] < 0);", FaultKind.NULL_DEREFERENCE, FaultKind.MATCH_FAILURE),
+}
+DEAD_ASSIGNMENT = """\
+class A {
+    public int f(int n) {
+        int[] x;
+        int d;
+        boolean b;
+        System.out.println(n);
+        %s
+        System.out.println(n + 1);
+        return n;
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("case", DEAD_FAULTS)
+def test_a_dead_assignment_keeps_its_fault(case):
+    statement, mj_fault, ml_fault = DEAD_FAULTS[case]
+    source = ESCAPE_MAIN % "new A().f(1)" + DEAD_ASSIGNMENT % statement
+    assert typecheck(parse_source(source)).unboxed[("A", "f")] == {"x"}
+    result = diff_source("Dead.java", source)
+    assert result.verdict == "skipped-faulting"
+    assert result.mj.output == [1] and result.mj.fault is mj_fault
+    out, _ = eval_program(tr(source))
+    assert out.output == [1] and out.fault is ml_fault
 
 
 NEVER_INSTANTIATED = """\
