@@ -38,6 +38,20 @@ method's `int[]` locals with no such use cannot escape, and `typecheck`
 stores them as `unboxed[(class, method)]`; `translate` keeps them out
 of the store.
 
+Objects are decided per group, the classes of one inheritance tree
+(`ClassTable.group`), since a local, and `this`, may hold an object of
+any class below its own.  The walk records each body's object-escape
+facts (`_Body`): the groups whose objects it reads other than as a call
+receiver or assigns other than from `new`, the methods it calls on
+`this`, and whether it writes a field.  Beside `_mark_live`,
+`_mark_values` keeps a group's objects in the store when a field, a
+formal or a method result has one of its types, or a body that can run
+lets one escape; every other group's classes are `value_classes`, whose
+objects `translate` makes ML values.  It then finds, by a fixpoint over
+the calls on `this`, the `this_writers`: the methods whose
+implementations in such a group may write a field of `this`, which
+return the new `this` to their caller.
+
 Rules beyond the obvious typing of operators:
   * single inheritance, no cycles, superclasses must exist
   * every type a declaration names (field, return, formal, local) is a
@@ -53,6 +67,7 @@ Rules beyond the obvious typing of operators:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .mjast import (
     BOOL,
@@ -124,12 +139,25 @@ class ClassTable:
         self.live: set[tuple[str, str]] = set()
         # Each (class, method)'s `int[]` locals that cannot escape.
         self.unboxed: dict[tuple[str, str], frozenset[str]] = {}
+        # The classes whose objects cannot escape (`_mark_values`), and
+        # the (root class, method) pairs of their groups whose
+        # implementations may write a field of `this`.
+        self.value_classes: frozenset[str] = frozenset()
+        self.this_writers: set[tuple[str, str]] = set()
 
     def info(self, name: str) -> ClassInfo:
         return self.classes[name]
 
     def has(self, name: str) -> bool:
         return name in self.classes
+
+    def group(self, name: str) -> str:
+        """The root class of name's inheritance tree: its group."""
+        return self.classes[name].path[0]
+
+    def writes_this(self, cls: str, method: str) -> bool:
+        """Whether a call of method on a cls value returns the new `this`."""
+        return (self.group(cls), method) in self.this_writers
 
     def is_assignable(self, src: MjType, dst: MjType) -> bool:
         if isinstance(src, ClassType) and isinstance(dst, ClassType):
@@ -250,12 +278,30 @@ class _Checker:
         # array operand of the `x[i]` or `x.length` being checked
         self.escaped: set[str] = set()
         self.cells: Expr | None = None
+        # the groups whose objects the body lets escape: a local of their
+        # type read other than as a call receiver or assigned other than
+        # from `new`, or `this` used other than as a receiver; the
+        # receiver of the call being checked; the methods the body calls
+        # on `this`; and whether it writes a field
+        self.escapes: set[str] = set()
+        self.receiver: Expr | None = None
+        self.this_calls: set[str] = set()
+        self.writes_field = False
 
     # -- scope --------------------------------------------------------------
 
-    def enter_method(self, cls: str, method: MethodDecl) -> None:
-        self.current_class, self.start = cls, method.pos
+    def enter_body(self, cls: str | None, pos: Pos) -> None:
+        self.current_class, self.start = cls, pos
         self.news, self.calls, self.escaped = set(), set(), set()
+        self.escapes, self.this_calls, self.writes_field = set(), set(), False
+
+    def body(self) -> "_Body":
+        """What the body just checked instantiates, calls and does with
+        objects."""
+        return _Body(self.news, self.calls, self.escapes, self.this_calls, self.writes_field)
+
+    def enter_method(self, cls: str, method: MethodDecl) -> None:
+        self.enter_body(cls, method.pos)
         self.scope = {fname: ("field", fty)
                       for fname, (_, fty) in self.table.info(cls).all_fields.items()}
         for formal in method.formals:
@@ -271,8 +317,7 @@ class _Checker:
             self.scope[local.name] = ("local", local.var_type)
 
     def enter_main(self, main: MainClass) -> None:
-        self.current_class, self.start = None, main.pos
-        self.news, self.calls = set(), set()
+        self.enter_body(None, main.pos)
         self.scope = {}
 
     def descend(self) -> None:
@@ -327,10 +372,14 @@ class _Checker:
             ty = self.lookup(e)
             if type(ty) is IntArrayType and e is not self.cells:
                 self.escaped.add(e.name)
+            elif type(ty) is ClassType and e is not self.receiver:
+                self.escapes.add(self.table.group(ty.name))
             return ty
         if isinstance(e, ThisExpr):
             if self.current_class is None:
                 raise MjTypeError(e.pos, "'this' cannot be used in main")
+            if e is not self.receiver:
+                self.escapes.add(self.table.group(self.current_class))
             return ClassType(self.current_class)
         if isinstance(e, NewArrayExpr):
             self._expect(e.length, INT, "array length")
@@ -341,6 +390,7 @@ class _Checker:
             self.news.add(e.class_name)
             return ClassType(e.class_name)
         if isinstance(e, CallExpr):
+            self.receiver = e.receiver
             recv = self.expr(e.receiver)
             if not isinstance(recv, ClassType):
                 raise MjTypeError(e.pos,
@@ -351,6 +401,8 @@ class _Checker:
                                   f"class '{recv.name}' has no method '{e.method}'")
             _, decl = found
             self.calls.add((recv.name, e.method))
+            if isinstance(e.receiver, ThisExpr):
+                self.this_calls.add(e.method)
             if len(e.args) != len(decl.formals):
                 raise MjTypeError(
                     e.pos,
@@ -391,6 +443,9 @@ class _Checker:
                                   f"cannot assign {got} to '{s.name}' of type {ty}")
             if type(ty) is IntArrayType and type(s.value) is not NewArrayExpr:
                 self.escaped.add(s.name)
+            elif type(ty) is ClassType and type(s.value) is not NewObjectExpr:
+                self.escapes.add(self.table.group(ty.name))
+            self.writes_field |= s.binding == "field"
         elif isinstance(s, ArrayAssignStmt):
             ty = self.lookup(s)
             if ty != INT_ARRAY:
@@ -408,7 +463,7 @@ def typecheck(program: MjProgram) -> ClassTable:
     table with what a run can reach filled in (`_mark_live`)."""
     table = build_class_table(program)
     checker = _Checker(table)
-    uses: dict[tuple[str, str] | None, tuple[set[str], set[tuple[str, str]]]] = {}
+    bodies: dict[tuple[str, str] | None, _Body] = {}
     with extra_frames(COMPILE_FRAMES):
         for info in table.classes.values():
             for method in info.decl.methods:
@@ -420,23 +475,37 @@ def typecheck(program: MjProgram) -> ClassTable:
                     raise MjTypeError(
                         method.return_expr.pos,
                         f"return value must be {method.return_type}, got {got}")
-                uses[info.name, method.name] = checker.news, checker.calls
+                bodies[info.name, method.name] = checker.body()
                 table.unboxed[info.name, method.name] = frozenset(
                     v.name for v in method.local_vars
                     if v.var_type == INT_ARRAY and v.name not in checker.escaped)
         checker.enter_main(program.main)
         for s in program.main.body:
             checker.stmt(s)
-        uses[None] = checker.news, checker.calls
-    _mark_live(table, uses)
+        bodies[None] = checker.body()
+    _mark_live(table, bodies)
+    _mark_values(table, bodies)
     return table
 
 
-def _mark_live(table: ClassTable, uses: dict) -> None:
+class _Body(NamedTuple):
+    """What a body does, as the checker records it: the classes it
+    instantiates, the (receiver class, method) pairs it calls, the groups
+    whose objects it lets escape, the methods it calls on `this`, and
+    whether it writes a field of `this`."""
+
+    news: set[str]
+    calls: set[tuple[str, str]]
+    escapes: set[str]
+    this_calls: set[str]
+    writes_field: bool
+
+
+def _mark_live(table: ClassTable, bodies: dict[tuple[str, str] | None, _Body]) -> None:
     """Fill in what a run can reach: rapid type analysis (Bacon and
-    Sweeney, 1996) from main (key None in `uses`, which maps each body to
-    the classes it instantiates and the (receiver class, method) pairs it
-    calls).
+    Sweeney, 1996) from main (key None in `bodies`), from the classes
+    each body instantiates and the (receiver class, method) pairs it
+    calls.
 
     A call (R, m) makes C's implementation of m live for each
     instantiated class C that is or extends R: the objects a call on an R
@@ -452,15 +521,53 @@ def _mark_live(table: ClassTable, uses: dict) -> None:
             pending.append(impl)
 
     while pending:
-        news, calls = uses[pending.pop()]
-        for cls in news - instantiated:
+        body = bodies[pending.pop()]
+        for cls in body.news - instantiated:
             instantiated.add(cls)
             path = table.info(cls).path
             for receiver, method in called:
                 if receiver in path:
                     reach(cls, method)
-        for receiver, method in calls - called:
+        for receiver, method in body.calls - called:
             called.add((receiver, method))
             for cls in instantiated:
                 if receiver in table.info(cls).path:
                     reach(cls, method)
+
+
+def _mark_values(table: ClassTable, bodies: dict[tuple[str, str] | None, _Body]) -> None:
+    """Fill in the classes whose objects cannot escape, and the methods
+    of their groups that may write a field of `this` (escape analysis:
+    Choi et al., OOPSLA 1999; object inlining: Dolby and Chien, PLDI
+    2000), from each body that can run (`ClassTable.live`, and main).
+
+    A group, the classes of one inheritance tree, keeps its objects in
+    the store when a field, formal or method result of any class has one
+    of its types, or a body that can run lets one of its objects escape
+    (`_Body.escapes`).  Otherwise every reference to one of its objects
+    is a local assigned from `new`, or `this`, and each is read only as
+    a call receiver, so no object of the group has two names: each is a
+    value.  A method of such a group writes `this` when one of its
+    implementations that can run assigns a field, or calls on `this` a
+    method that writes it; that fixpoint is found by sweeping the bodies
+    until no pair is added."""
+    types = []
+    for info in table.classes.values():
+        types += [f.var_type for f in info.decl.fields]
+        for method in info.decl.methods:
+            types += [method.return_type, *(f.var_type for f in method.formals)]
+    boxed = {table.group(ty.name) for ty in types if isinstance(ty, ClassType)}
+    boxed = boxed.union(*(bodies[key].escapes for key in [None, *table.live]))
+    table.value_classes = frozenset(c for c in table.classes if table.group(c) not in boxed)
+    methods = [(table.group(cls), method, bodies[cls, method]) for cls, method in table.live
+               if cls in table.value_classes]
+    writers = table.this_writers
+    writers.update((group, method) for group, method, body in methods if body.writes_field)
+    grown = True
+    while grown:
+        grown = False
+        for group, method, body in methods:
+            if (group, method) not in writers and any(
+                    (group, called) in writers for called in body.this_calls):
+                writers.add((group, method))
+                grown = True

@@ -18,8 +18,14 @@ An unshared local array, one that cannot escape its method (see
 `translate`), is such an `HArr` value threaded by the method like an
 `int`, and never a cell; every other array is a heap cell.  Before its
 first assignment such a local is `ANull` (`NULL_ARRAY`), the array
-null, which no array access matches: a MatchFailure fault too.
-`heapval` declares `ANull` only for a program that binds it.
+null, which no array access matches: a MatchFailure fault too.  So with
+an object that cannot escape: it is its `HObj_<C>` value, threaded by
+its methods, and never a cell, and before its first assignment a local
+that holds one is `ONull` (`NULL_OBJECT`), on which no call's match has
+a rule.  `heapval` declares `ANull` and `ONull` only for a program that
+binds them.  A program whose arrays and objects all stay values leaves
+the heap empty: its emitted code applies none of `lookup`, `update` and
+`alloc`.
 
 This module is the only one that knows that encoding.  It holds the
 store's types (the `heapval` and `tree` datatypes), the
@@ -85,18 +91,23 @@ NULL_PTR = -1
 # array access has a rule for it, so each is a match failure.
 NULL_ARRAY = Con("ANull")
 
+# The value of a value object local before its first assignment: no call
+# has a rule for it, so each is a match failure.
+NULL_OBJECT = Con("ONull")
+
 # The state before the first allocation.
 EMPTY_STATE = Tuple((IntLit(0), EMPTY))
 
 
-def datatypes(objects: list[DataCon], null_array: bool) -> list[DataType]:
+def datatypes(objects: list[DataCon], null_array: bool, null_object: bool) -> list[DataType]:
     """The store's datatypes: `heapval`, whose values are the heap's
     cells, an array `HArr (length, elements)` or one of the `objects`
-    constructors, and `NULL_ARRAY` when `null_array` (the program binds
-    it), and then the tree."""
+    constructors, and `NULL_ARRAY` when `null_array` and `NULL_OBJECT`
+    when `null_object` (the program binds them), and then the tree."""
     array = DataCon("HArr", TyTuple((TY_INT, TyApp("tree", TY_INT))))
-    null = (DataCon("ANull", TY_UNIT),) if null_array else ()
-    return [DataType("heapval", (array, *null, *objects)), TREE]
+    nulls = [DataCon(con.name, TY_UNIT) for con, bound in
+             ((NULL_ARRAY, null_array), (NULL_OBJECT, null_object)) if bound]
+    return [DataType("heapval", (array, *nulls, *objects)), TREE]
 
 
 def null_check(ptr: MlExpr, body: MlExpr) -> MlExpr:

@@ -11,18 +11,42 @@ layout `mjinterp` uses too), so an object's constructor names its
 class.  A field of `this` is read or written by matching the object
 with one rule for each class whose objects run the method being
 translated: its receiver classes.  A write rebuilds the object around
-the changed field and reinstalls it in the heap.
+the changed field.
+
+An object is a heap cell, reached through a pointer, only if it can
+escape.  The objects of a class in `ClassTable.value_classes`, which
+`sema` finds, can be reached by one name at a time: a local assigned
+only from `new`, or `this`, each read only as a call receiver.  Such an
+object is its ``HObj_C`` value itself, as an unshared array is (escape
+analysis with scalar replacement, Choi et al., OOPSLA 1999; object
+inlining, Dolby and Chien, PLDI 2000): `new C()` is the value, with
+no constructor function and no allocation, `this` is passed by value,
+and a field of `this` is read by a `case` on the current version of
+``mj_this``, once per version whatever the state.  A write binds the
+rebuilt object as the next version of `this`, ``mj_this_<n>``, and a
+method that may write a field of `this`, itself or through a call on
+`this` (`ClassTable.writes_this`), returns the new `this` beside its
+result; the caller binds it as the next version of the local, or of
+`this`, that held the receiver, and joins and loops carry it like any
+variable.  Before its first assignment such a local is
+`store.NULL_OBJECT`, which no call matches.  An object of any other
+class, the corpus's lists, trees and visitors, is a heap cell: made by
+its constructor function, read with `store.lookup` and written back with
+`store.update`.
 
 Calls are dispatched statically, so the emitted program has no function
 values.  Rapid type analysis (see `sema`) gives the classes a run can
 instantiate, and of those, the ones a call's receiver can be an object
 of.  When all of them run the same implementation, as nearly every call
-does, the call is a known call of it, behind `store.null_check` of
-the receiver unless the receiver is `this` or a `new` object, or a
-variable whose current version was bound from `new` in the same
-function (never a join's version or a loop's parameter, which may hold
-another value).  Otherwise the call reads the receiver and matches its
-class on its constructor, with one rule, a known call, for each class.
+does, the call is a known call of it if the receiver cannot be null:
+`this`, a `new` object, or a variable whose current version was bound
+from `new`, or from a call that wrote it, in the same function (never a
+join's version or a loop's parameter, which may hold another value).
+A call on a heap object that may be null is a known call behind
+`store.null_check`.  Otherwise the call matches the receiver's class
+on its constructor, with one rule, a known call, for each class: a
+value receiver is matched itself, after the arguments, which may write
+it, and its null matches no rule; a heap receiver is read from the heap.
 
 Statements become let bindings in evaluation order, one binding per
 intermediate value (administrative normal form).  An assignment binds its
@@ -35,15 +59,18 @@ carries, in a tuple, the state and the variables whose version either
 branch changed that are live after it.  A while loop is a top-level
 tail-recursive function ``mj_loop<k>``, lambda-lifted (Johnsson, 1985).
 Its condition and body are translated with every variable under its
-name at loop entry; it then takes the state, the variables the body
-assigned that are live at its head, the others it read and ``mj_this``
-if it read `this` or a field, all under those names, and returns the
-state and the variables the body assigned that are live after it.
+name at loop entry; it then takes the state, the variables its
+condition or body assigned that are live at its head, the others it
+read and `this` if it read `this` or a field, all under those names,
+and returns the state and the variables assigned that are live after
+it.  A call in a condition, or in the right operand of `&&`, that
+writes its value receiver assigns that variable too.
 
 Only what is live is emitted.  Before a method is translated,
 `_liveness` sweeps its MiniJava body backwards and finds the variables
 live after each statement (Appel, *Modern Compiler Implementation*,
 ch. 10); on the SSA versions this is which bindings something reads.
+A method that returns its new `this` has `this` live throughout.
 An assignment to a variable dead after it binds no version: a value
 that can neither fault nor touch the state (`_pure`: a literal, a
 variable, `this`, a field of `this`, and `<`, `!` or `&&` of those)
@@ -75,23 +102,26 @@ is bound only if some path reads it.
 
 Every generated function takes and returns the state: methods are
 ``fn (state, self, args) -> (state, result)`` where args is (), a bare
-value, or a tuple by arity; constructors are state -> (state, pointer);
-``mj_main`` is unit -> state and returns the final state.  Only what a
-run can reach is emitted (see `sema`): a constructor for each class
-instantiated, and a function for each live method.  The implementation
-a call runs for an instantiated class is live, so each known call names
-an emitted function.
+value, or a tuple by arity, and a method that writes its value object
+returns ``(state, self', result)``; constructors are state ->
+(state, pointer); ``mj_main`` is unit -> state and returns the final
+state.  Only what a run can reach is emitted (see `sema`): a constructor
+for each class instantiated whose objects are heap cells, and a
+function for each live method.  The implementation a call runs for an
+instantiated class is live, so each known call names an emitted
+function.
 
 Each of these decisions is written once.  `_Ctx` holds the ANF binders
 and the state threading: `bind` for an intermediate value, `bind_state`
 for the (state, value) of a call that returns a new state,
 `carried`/`join` for the tuple of branch joins and loops, `changed` for
 the variables they carry, and `wrap` for the end of a run.  `_lookup`
-reads the heap, and `_read_field` a field of `this`, once per cell or
-field and state, and `_store` writes it and makes the new state current;
-field and array writes both go through it, as every array read goes
+reads the heap once per cell and state, `_read_field` a field of
+`this` once per state for a cell and once per version for a value, and
+`_store` writes a cell and makes the new state current; field writes
+of cells and array writes both go through it, as every array read goes
 through `_array`.  The object layout is each class's `all_fields`, which
-the datatypes, the constructors and the field and dispatch patterns
+the datatypes, `new_object` and the field and dispatch patterns
 (`_object`) all read.  `_call` dispatches.  Every heap and array access is
 built by `store`, whose prelude of helpers each translation starts
 with.  What each `if` and `while` assigns and reads is found by
@@ -119,6 +149,7 @@ from .mjast import (
     BlockStmt,
     BoolLitExpr,
     CallExpr,
+    ClassType,
     Expr,
     IdentExpr,
     IfStmt,
@@ -183,6 +214,12 @@ def mangle_method(class_index: int, name: str) -> str:
 
 def mangle_new(class_name: str) -> str:
     return f"mj_new_{_enc(class_name)}"
+
+
+def _version_name(var: str, version: int) -> str:
+    """The ML name of a version of a variable, or of `this` (a keyword,
+    so no variable's name): ``mj_this`` on entry, as a method takes it."""
+    return "mj_this" if (var, version) == ("this", 0) else mangle_var(var, version)
 
 
 def _ml_value_ty(ty: MjType) -> MlType:
@@ -344,15 +381,19 @@ def _as_expr(pat: Pat) -> MlExpr | None:
 class _FnScope:
     """Counters and variable bookkeeping for one generated function, the
     classes whose objects run it, on which a field of `this` is matched
-    (none in main), the array locals it keeps out of the store
-    (`ClassTable.unboxed`), and the variables live after each of its
-    statements (`_liveness`).  `initial` collects the variables read at
-    version 0: a local's default is bound only if it is read."""
+    (none in main), whether those objects are values rather than heap
+    cells (`ClassTable.value_classes`), the array locals it keeps out of
+    the store (`ClassTable.unboxed`), and the variables live after each
+    of its statements (`_liveness`).  A method's `var_order` ends in
+    "this", whose versions a value object's method binds as it writes
+    fields.  `initial` collects the variables read at version 0: a
+    local's default is bound only if it is read."""
 
     var_order: list[str]
     unboxed: frozenset[str]
     receivers: list[str]
     live: dict[int, frozenset[str]]
+    value_this: bool = False
     next_temp: int = 0
     next_state: int = 1
     maxver: dict[str, int] = dc_field(init=False)
@@ -391,7 +432,7 @@ class _Ctx:
     keeps its version.
 
     `log` collects the variables read, by `var_atom`, and "this" (a
-    keyword, so no variable's name) wherever `this()` emits ``mj_this``.
+    keyword, so no variable's name) wherever `this()` emits a version of it.
     Branches share it, and each loop starts its own: what a loop's
     condition and body read, and so the calls of the loops they hold, is
     what the loop takes (`_Translator._while`).
@@ -404,11 +445,14 @@ class _Ctx:
     field in the same state would give the same value (and never runs if
     the first faulted).  Every new state, from a call, an allocation, a
     store or a join, goes through `advance`, which empties the map; a
-    loop's state parameter starts a `_Ctx` of its own.
+    loop's state parameter starts a `_Ctx` of its own.  `fields` maps a
+    (version of a value `this`, field name) pair to the atom holding that
+    field: a value never changes, so what is known of a version holds
+    whatever the state, and each new version is a new key.
 
-    `allocated` holds the atoms bound from a `new` object in this run or
-    the runs before it: never null, so a call on one needs no null
-    check.  A loop starts with none, since its parameters take the
+    `allocated` holds the atoms bound from a `new` object, or from the
+    new value a call returns for its receiver, in this run or the runs
+    before it: never null, so a call on one needs no null check.  A loop starts with none, since its parameters take the
     names of the caller's versions but, after the first round, other
     values; a join binds fresh versions, which are never in it."""
 
@@ -419,10 +463,11 @@ class _Ctx:
     log: set[str] = dc_field(default_factory=set)
     bindings: list[Val] = dc_field(default_factory=list)
     allocated: set[MlExpr] = dc_field(default_factory=set)
+    fields: dict[tuple[MlExpr, str], MlExpr] = dc_field(default_factory=dict)
 
     def branch(self) -> "_Ctx":
         return _Ctx(self.fn, dict(self.versions), self.state, dict(self.reads), self.log,
-                    allocated=set(self.allocated))
+                    allocated=set(self.allocated), fields=dict(self.fields))
 
     def advance(self) -> str:
         """Make a fresh state current, with nothing read from it yet."""
@@ -449,13 +494,22 @@ class _Ctx:
         self.emit(_pvar(name), rhs)
         return Var(name)
 
-    def bind_state(self, rhs: MlExpr, name: str | None = None) -> MlExpr:
-        """Bind the (state, value) that rhs returns; the state becomes
-        current and the value, named as by `bind`, is returned."""
+    def bind_state(self, rhs: MlExpr, name: str | None = None,
+                   this: Pat | None = None) -> MlExpr:
+        """Bind the (state, value) that rhs returns, or with `this` the
+        (state, new this, value) of a call that writes its receiver, to
+        that pattern; the state becomes current and the value, named as
+        by `bind`, is returned."""
         state = self.advance()
         name = name or self.fn.fresh_temp()
-        self.emit(PTuple((PVar(state), _pvar(name))), rhs)
+        receiver = () if this is None else (this,)
+        self.emit(PTuple((PVar(state), *receiver, _pvar(name))), rhs)
         return Var(name)
+
+    def new_version(self, name: str) -> Var:
+        """Make a fresh version of a variable, or of "this", current."""
+        self.versions[name] = self.fn.fresh_version(name)
+        return Var(_version_name(name, self.versions[name]))
 
     def var_atom(self, name: str) -> Var:
         version = self.versions[name]
@@ -466,10 +520,10 @@ class _Ctx:
 
     def this(self) -> Var:
         self.log.add("this")
-        return Var("mj_this")
+        return Var(_version_name("this", self.versions["this"]))
 
     def atom(self, name: str) -> Var:
-        """The atom of a variable, or `mj_this` for "this"."""
+        """The atom of a variable, or of `this` for "this"."""
         return self.this() if name == "this" else self.var_atom(name)
 
     def changed(self, *branches: "_Ctx") -> list[str]:
@@ -481,14 +535,13 @@ class _Ctx:
         `mj_this` for "this", that a join or loop carries."""
         return _tup([Var(self.state), *map(self.atom, names)])
 
-    def join(self, rhs: MlExpr, names: list[str]) -> None:
+    def join(self, rhs: MlExpr, names: list[str], *value: Pat) -> None:
         """Bind the `carried` tuple of the named variables that rhs
-        returns: a fresh state and fresh versions become current."""
+        returns, and then its `value` if given: a fresh state and fresh
+        versions become current."""
         self.advance()
-        for x in names:
-            self.versions[x] = self.fn.fresh_version(x)
-        versions = (PVar(mangle_var(x, self.versions[x])) for x in names)
-        self.emit(_ptup([PVar(self.state), *versions]), rhs)
+        versions = [PVar(self.new_version(x).name) for x in names]
+        self.emit(_ptup([PVar(self.state), *versions, *value]), rhs)
 
 
 class _Translator:
@@ -496,8 +549,9 @@ class _Translator:
         self.table = table
         # the translated loops, numbered across the program
         self.loops: list[FunDef] = []
-        # whether some method binds an unboxed array local's null
-        self.null_array = False
+        # whether some method binds an unboxed array local's null, or a
+        # value object local's
+        self.null_array = self.null_object = False
 
     # -- objects ----------------------------------------------------------------
 
@@ -506,7 +560,7 @@ class _Translator:
             DataCon(f"HObj_{_enc(c)}",
                     _payload_ty([_ml_value_ty(ty) for _, ty in info.all_fields.values()]))
             for c, info in self.table.classes.items() if c in self.table.instantiated],
-            self.null_array)
+            self.null_array, self.null_object)
 
     def _object(self, make, cls: str, item):
         """The object, or with `make` = PCon the pattern, of class cls:
@@ -514,11 +568,15 @@ class _Translator:
         class's first."""
         return make(f"HObj_{_enc(cls)}", tuple(map(item, self.table.info(cls).all_fields)))
 
-    def constructor(self, cls: str) -> FunDef:
+    def new_object(self, cls: str) -> MlExpr:
+        """A new object of class cls, every field at its default."""
         fields = self.table.info(cls).all_fields
-        body = store.alloc(Var("mj_s0"),
-                           self._object(Con, cls, lambda f: _default_value(fields[f][1])))
-        return FunDef(mangle_new(cls), PVar("mj_s0"), body)
+        return self._object(Con, cls, lambda f: _default_value(fields[f][1]))
+
+    def constructor(self, cls: str) -> FunDef:
+        """The function that allocates a new heap object of class cls."""
+        return FunDef(mangle_new(cls), PVar("mj_s0"),
+                      store.alloc(Var("mj_s0"), self.new_object(cls)))
 
     # -- heap access ----------------------------------------------------------
 
@@ -536,26 +594,38 @@ class _Translator:
         ctx.emit(PVar(ctx.advance()), update)
         ctx.reads[ptr] = value
 
+    def _this_object(self, ctx: _Ctx) -> tuple[MlExpr, MlExpr]:
+        """`this` and the object it is: a value object's `this` is the
+        object itself, any other a pointer to it."""
+        this = ctx.this()
+        return this, this if ctx.fn.value_this else self._lookup(ctx, this)
+
     def _read_field(self, ctx: _Ctx, fname: str, name: str | None = None) -> MlExpr:
         """Bind a field of this object, to `name` if given, matching the
         object with one rule per receiver class and every other field
-        wildcarded.  A field already read in this state is reused, unless
-        `name` is given: an assignment binds its own version, not a copy
-        of the atom."""
-        if name is None and fname in ctx.reads:
-            return ctx.reads[fname]
-        value = self._lookup(ctx, ctx.this())
+        wildcarded.  A field already read is reused, unless `name` is
+        given: an assignment binds its own version, not a copy of the
+        atom.  A cell's field is known in one state, a value's in one
+        version of `this`."""
+        if ctx.fn.value_this:
+            known, key = ctx.fields, (ctx.this(), fname)
+        else:
+            known, key = ctx.reads, fname
+        if name is None and key in known:
+            return known[key]
+        _, value = self._this_object(ctx)
         tmp = ctx.fn.fresh_temp()
         rules = tuple((self._object(PCon, c, lambda f: PVar(tmp) if f == fname else PWild()),
                        Var(tmp)) for c in ctx.fn.receivers)
-        ctx.reads[fname] = ctx.bind(Case(value, rules), name)
-        return ctx.reads[fname]
+        known[key] = ctx.bind(Case(value, rules), name)
+        return known[key]
 
     def _field_write(self, ctx: _Ctx, fname: str, new_value: MlExpr) -> None:
         """Rebuild this object with a field replaced, one rule per receiver
-        class binding every other field, and store it."""
-        this = ctx.this()
-        value = self._lookup(ctx, this)
+        class binding every other field.  A value object's rebuilt value
+        is the next version of `this`, which knows every field its last
+        version knew; any other is stored."""
+        this, value = self._this_object(ctx)
         temps: dict[str, str] = {}
 
         def bind_other(f):
@@ -568,7 +638,14 @@ class _Translator:
         rules = tuple((self._object(PCon, c, bind_other),
                        self._object(Con, c, lambda f: new_value if f == fname else Var(temps[f])))
                       for c in ctx.fn.receivers)
-        self._store(ctx, this, ctx.bind(Case(value, rules)))
+        if not ctx.fn.value_this:
+            self._store(ctx, this, ctx.bind(Case(value, rules)))
+            return
+        known = {f: atom for (obj, f), atom in ctx.fields.items() if obj == this}
+        known[fname] = new_value
+        version = ctx.new_version("this")
+        ctx.bind(Case(value, rules), version.name)
+        ctx.fields.update(((version, f), atom) for f, atom in known.items())
 
     # -- arrays -----------------------------------------------------------------
 
@@ -599,37 +676,65 @@ class _Translator:
     def _call(self, e: CallExpr, ctx: _Ctx, name: str | None) -> MlExpr:
         """A method call, dispatched statically.  Each object a call can
         reach (`_targets`) runs a known implementation, so the call is a
-        known call of it when they all run the same one, behind a null
-        check unless the receiver is `this` or a `new` object, or a
-        version bound from one (`_Ctx.allocated`).  Otherwise it reads the
-        receiver and matches its class on its constructor,
-        one rule, and one known call, per class.  Both check where
-        MiniJava does, after the receiver and the arguments: a null
-        receiver fails the check, or the heap lookup, to match."""
+        known call of it when they all run the same one and the receiver
+        cannot be null: `this`, a `new` object, or a version bound from
+        one or returned by a call (`_Ctx.allocated`).  A call on a heap
+        object that may be null is a known call behind a null check.
+        Otherwise the call matches the receiver's class on its
+        constructor, one rule, and one known call, per class: a value
+        object is matched itself, a heap object read first.  Each checks
+        where MiniJava does, after the receiver and the arguments: a null
+        receiver, `store.NULL_OBJECT` or the null pointer, fails the
+        match, the check or the heap lookup.
+
+        A call of a method that writes a value receiver's fields
+        (`ClassTable.writes_this`) also returns the receiver's new value,
+        which becomes the next version of the variable, or of `this`,
+        that held it."""
         assert e.receiver_class is not None
-        receiver = self.expr(e.receiver, ctx)
-        args = _tup([self.expr(a, ctx) for a in e.args])
+        value = e.receiver_class in self.table.value_classes
+        if value:
+            # a variable or a `new` object, whose value is taken after
+            # the arguments: a call among them may write it
+            args = _tup([self.expr(a, ctx) for a in e.args])
+            receiver = self.expr(e.receiver, ctx)
+        else:
+            receiver = self.expr(e.receiver, ctx)
+            args = _tup([self.expr(a, ctx) for a in e.args])
         targets = self._targets(e.receiver_class, e.method)
         state = Var(ctx.state)
+        writes = self.table.writes_this(e.receiver_class, e.method)
+        fresh = isinstance(e.receiver, (ThisExpr, NewObjectExpr)) or receiver in ctx.allocated
 
         def call(impl: str) -> MlExpr:
             return App(Var(mangle_method(self.table.info(impl).index, e.method)),
                        Tuple((state, receiver, args)))
 
         impls = set(targets.values())
-        if len(impls) > 1:
+        if len(impls) > 1 or value and impls and not fresh:
             rules = tuple((self._object(PCon, cls, lambda f: PWild()), call(impl))
                           for cls, impl in targets.items())
-            return ctx.bind_state(Case(self._lookup(ctx, receiver), rules), name)
-        if impls:
-            result = call(impls.pop())
+            result = Case(receiver if value else self._lookup(ctx, receiver), rules)
         else:
-            # no object a call can reach: the receiver is null
-            decl = self.table.info(e.receiver_class).vtable[e.method][1]
-            result = Tuple((state, _default_value(decl.return_type)))
-        if not isinstance(e.receiver, ThisExpr) and receiver not in ctx.allocated:
-            result = store.null_check(receiver, result)
-        return ctx.bind_state(result, name)
+            if impls:
+                result = call(impls.pop())
+            else:
+                # no object a call can reach: the receiver is null
+                decl = self.table.info(e.receiver_class).vtable[e.method][1]
+                result = _tup([state, *([receiver] if writes else []),
+                               _default_value(decl.return_type)])
+            if not fresh:
+                # a value receiver that no class can reach is the object
+                # null, and the check fails as one of the null pointer does
+                result = store.null_check(IntLit(store.NULL_PTR) if value else receiver, result)
+        if not writes:
+            return ctx.bind_state(result, name)
+        if isinstance(e.receiver, NewObjectExpr):
+            return ctx.bind_state(result, name, PWild())
+        # the next version of `this` or of the local, never null
+        version = ctx.new_version("this" if isinstance(e.receiver, ThisExpr) else e.receiver.name)
+        ctx.allocated.add(version)
+        return ctx.bind_state(result, name, PVar(version.name))
 
     # -- expressions --------------------------------------------------------------------
 
@@ -647,16 +752,26 @@ class _Translator:
             if e.binding == "field":
                 return self._read_field(ctx, e.name, name)
             return ctx.var_atom(e.name)
+        if isinstance(e, BinaryExpr) and e.op == "&&":
+            # the right operand's bindings run only when the left holds;
+            # when they make no new state, the `if` returns no state
+            # either, and what is known of the state stays known; else
+            # it joins the state, the variables whose versions the calls
+            # there changed (`ClassTable.writes_this`), and its value
+            test = self._test(e.left, ctx)
+            rctx = ctx.branch()
+            right = self.expr(e.right, rctx)
+            if rctx.state == ctx.state:
+                return ctx.bind(test(rctx.wrap(right), Con("false")), name)
+            names = ctx.changed(rctx)
+            then = rctx.wrap(_tup([Var(rctx.state), *map(rctx.atom, names), right]))
+            orelse = _tup([Var(ctx.state), *map(ctx.atom, names), Con("false")])
+            name = name or ctx.fn.fresh_temp()
+            ctx.join(test(then, orelse), names, _pvar(name))
+            return Var(name)
         if isinstance(e, BinaryExpr):
-            left = self.expr(e.left, ctx)
-            if e.op == "&&":
-                # the right operand's bindings run only when `left` holds
-                rctx = ctx.branch()
-                right = self.expr(e.right, rctx)
-                then = rctx.wrap(Tuple((Var(rctx.state), right)))
-                orelse = Tuple((Var(ctx.state), Con("false")))
-                return ctx.bind_state(If(left, then, orelse), name)
             # the other operators are ML primitives of the same symbol
+            left = self.expr(e.left, ctx)
             right = self.expr(e.right, ctx)
             return ctx.bind(PrimOp(e.op, (left, right)), name)
         if isinstance(e, NotExpr):
@@ -674,7 +789,13 @@ class _Translator:
             array = self._new_array(e, ctx)
             return ctx.bind_state(store.alloc(Var(ctx.state), array), name)
         if isinstance(e, NewObjectExpr):
-            atom = ctx.bind_state(App(Var(mangle_new(e.class_name)), Var(ctx.state)), name)
+            if e.class_name not in self.table.value_classes:
+                atom = ctx.bind_state(App(Var(mangle_new(e.class_name)), Var(ctx.state)), name)
+            elif name in (None, _DISCARD):
+                # a value object, made where it is used: nothing to bind
+                return self.new_object(e.class_name)
+            else:
+                atom = ctx.bind(self.new_object(e.class_name), name)
             ctx.allocated.add(atom)
             return atom
         if isinstance(e, CallExpr):
@@ -742,9 +863,7 @@ class _Translator:
                 array = store.array_set(ptr, idx, value, ctx.fn.fresh_temp)
                 if s.name in live:
                     # the written array is the local's next version
-                    version = ctx.fn.fresh_version(s.name)
-                    ctx.bind(array, mangle_var(s.name, version))
-                    ctx.versions[s.name] = version
+                    ctx.bind(array, ctx.new_version(s.name).name)
                 else:
                     ctx.bind(array, _DISCARD)
             else:
@@ -778,41 +897,54 @@ class _Translator:
         test = self._test(s.cond, inner)
         body = inner.branch()
         self.stmt(s.body, body)
-        changed = inner.changed(body)
+        # a call in the condition may write its receiver too
+        changed = ctx.changed(inner, body)
         names = [x for x in changed if x in live]
         exit_ = inner.carried(names)
         head = ctx.fn.live[id(s.body)]
         params = [x for x in changed if x in head]
-        params += [x for x in [*inner.versions, "this"] if x in inner.log and x not in changed]
+        params += [x for x in inner.versions if x in inner.log and x not in changed]
         # numbered after the loops it holds
         loop = Var(f"mj_loop{len(self.loops)}")
         then = body.wrap(App(loop, body.carried(params)))
-        param = _ptup([PVar(entry), *(PVar(inner.atom(x).name) for x in params)])
+        param = _ptup([PVar(entry), *(PVar(ctx.atom(x).name) for x in params)])
         self.loops.append(FunDef(loop.name, param, inner.wrap(test(then, exit_))))
         ctx.join(App(loop, ctx.carried(params)), names)
 
     # -- whole functions --------------------------------------------------------------------
 
     def method(self, cls: str, decl: MethodDecl) -> FunDef:
+        """``fn (state, this, args)``, returning (state, result), or
+        (state, new this, result) for a value object's method that may
+        write its fields, where `this` is live to the end."""
+        table = self.table
         receivers = [c for c, impl in self._targets(cls, decl.name).items() if impl == cls]
-        var_order = [f.name for f in decl.formals] + [v.name for v in decl.local_vars]
-        live = _liveness(decl.body, _reads(decl.return_expr))
-        fn = _FnScope(var_order, self.table.unboxed[cls, decl.name], receivers, live)
+        var_order = [f.name for f in decl.formals] + [v.name for v in decl.local_vars] + ["this"]
+        writes = table.writes_this(cls, decl.name)
+        returned = _reads(decl.return_expr) | ({"this"} if writes else set())
+        live = _liveness(decl.body, returned)
+        fn = _FnScope(var_order, table.unboxed[cls, decl.name], receivers, live,
+                      cls in table.value_classes)
         ctx = _Ctx(fn, dict.fromkeys(var_order, 0), "mj_s0")
         for s in decl.body:
             self.stmt(s, ctx)
         value = self.expr(decl.return_expr, ctx)
+        result = _tup([Var(ctx.state), *([ctx.this()] if writes else []), value])
         # a local's default is bound only where some path reads it; an
-        # unboxed array's is the array null
+        # unboxed array's is the array null, and a value object's the
+        # object null
+        values = {v.name for v in decl.local_vars if isinstance(v.var_type, ClassType)
+                  and v.var_type.name in table.value_classes}
         ctx.bindings[:0] = [Val(PVar(mangle_var(v.name, 0)),
                                 store.NULL_ARRAY if v.name in fn.unboxed
+                                else store.NULL_OBJECT if v.name in values
                                 else _default_value(v.var_type))
                             for v in decl.local_vars if v.name in fn.initial]
         self.null_array |= bool(fn.initial & fn.unboxed)
+        self.null_object |= bool(fn.initial & values)
         param = PTuple((PVar("mj_s0"), PVar("mj_this"),
                         _ptup([PVar(mangle_var(f.name, 0)) for f in decl.formals])))
-        return FunDef(mangle_method(self.table.info(cls).index, decl.name), param,
-                      ctx.wrap(Tuple((Var(ctx.state), value))))
+        return FunDef(mangle_method(table.info(cls).index, decl.name), param, ctx.wrap(result))
 
     def main(self, program: MjProgram) -> FunDef:
         fn = _FnScope([], frozenset(), [], _liveness(program.main.body, frozenset()))
@@ -826,7 +958,7 @@ class _Translator:
         groups = [(f,) for f in store.prelude()]
         table = self.table
         big: list[FunDef] = [self.constructor(name) for name in table.classes
-                             if name in table.instantiated]
+                             if name in table.instantiated - table.value_classes]
         for info in table.classes.values():
             for name, decl in info.methods.items():
                 if (info.name, name) in table.live:

@@ -69,18 +69,21 @@ def test_random_differential_testing():
     assert ok, [(r.name, r.verdict, r.detail) for r in bad]
 
 
-def _node_types(ml_program) -> set[type]:
-    """Classes of every node reachable from the program's fields."""
-    seen: set[type] = set()
-    stack = [ml_program]
+def _nodes(root):
+    """Every node reachable from root's fields, root included."""
+    stack = [root]
     while stack:
         node = stack.pop()
-        seen.add(type(node))
+        yield node
         if is_dataclass(node):
             stack.extend(getattr(node, f.name) for f in fields(node))
         elif isinstance(node, (list, tuple)):
             stack.extend(node)
-    return seen
+
+
+def _node_types(ml_program) -> set[type]:
+    """Classes of every node reachable from the program's fields."""
+    return set(map(type, _nodes(ml_program)))
 
 
 def test_core_feature_purity(corpus_files, generated_programs):
@@ -112,6 +115,8 @@ class AllocOrder {
     }
 }
 class Maker {
+    Maker self;
+    Pair kept;
     int[] first;
     int[] second;
     public int build() {
@@ -119,10 +124,12 @@ class Maker {
         int[] xs;
         Pair q;
         int[] ys;
+        self = this;
         p = new Pair();
         xs = new int[3];
         first = xs;
         q = new Pair();
+        kept = q;
         ys = new int[1];
         second = ys;
         return p.ping() + q.ping() + first.length + second.length;
@@ -137,7 +144,8 @@ class Pair {
 def test_allocation_discipline():
     # MiniJava has no pointers to compare, so only the translation's heap
     # is read: objects and arrays alike take pointers 0, 1, 2, ...  Both
-    # arrays escape into fields, so both stay in the store
+    # arrays, `this` and a Pair escape into fields, so the Maker, both
+    # Pairs and both arrays stay in the store
     program = parse_source(ALLOC_PROGRAM)
     mj = interpret_mj(program)
     ml_outcome, final_state = eval_program(translate(program))
@@ -193,10 +201,11 @@ def test_subclass_encoding():
     ml_outcome, final_state = eval_program(ml)
     behavior_ok = mj.output == ml_outcome.output == [3, 30, 0]
 
-    heap = dict(heap_cells(final_state))
-    c_object = next(v for v in heap.values() if v.name == "HObj_C")
-    # base, then mid
-    fields_ok = c_object.args == (0, 0)
+    # no object escapes, so the heap is empty and the C object is the
+    # value `go` makes: base, then mid
+    c_object = next(c for c in _nodes(ml.fun_groups)
+                    if isinstance(c, mlast.Con) and c.name == "HObj_C")
+    fields_ok = heap_cells(final_state) == [] and c_object.args == (mlast.IntLit(0),) * 2
 
     ok = structure_ok and behavior_ok and fields_ok
     report("three-level subclass encoding, structure and dispatch", ok,

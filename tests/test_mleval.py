@@ -344,14 +344,14 @@ def test_a_lifted_function_reads_what_its_caller_passes():
 # and expression.  A change to how either interpreter charges fuel shows
 # here.
 CORPUS_STEPS = {
-    "BinarySearch": (15773, 4018),
-    "BinaryTree": (6143, 527),
-    "BubbleSort": (23649, 1856),
-    "Factorial": (274, 141),
-    "LinearSearch": (9300, 1293),
-    "LinkedList": (2106, 171),
-    "QuickSort": (14581, 1114),
-    "TreeVisitor": (4434, 303),
+    "BinarySearch": (13518, 4018),
+    "BinaryTree": (6087, 527),
+    "BubbleSort": (18200, 1856),
+    "Factorial": (248, 141),
+    "LinearSearch": (6867, 1293),
+    "LinkedList": (2060, 171),
+    "QuickSort": (10639, 1114),
+    "TreeVisitor": (4378, 303),
 }
 
 
@@ -509,7 +509,7 @@ def test_both_sides_finish_a_5000_deep_method_recursion():
 
 # ML-side steps of generated programs at 100 000 fuel, one line per seed
 # 0..49 with the fault, steps and output; 49 of the 50 runs finish.
-GENERATED_ML_STEPS_SHA256 = "fdb63e7342b28aa50bc3564ea8aab8e947ca85d265a529229c7048497bcc3f5b"
+GENERATED_ML_STEPS_SHA256 = "eed8c0ccbaf5118206006294a1a804fdd8abfa052c944e548ab7fd80a9ca2624"
 
 
 def test_generated_programs_take_the_pinned_ml_steps():
@@ -611,7 +611,7 @@ def test_a_run_leaves_no_cyclic_garbage_that_grows_with_the_heap():
 # of FILLER at n = 50, at 21 evenly spaced fuels from 0 to the steps the
 # run needs and at each of them +-1: where every check falls, and what a
 # run cut there has printed.
-FUEL_CUTS_ML_SHA256 = "1e30c39930f43cb8b278f4acca29d4678bd2d0892c2b62edecfce73c71640a96"
+FUEL_CUTS_ML_SHA256 = "817d2fe284f2c7155a046e9cccfbf02b076ba11f643304a1771941f05ec3046f"
 
 
 def test_ml_runs_cut_at_any_fuel_keep_their_faults_steps_and_output(corpus_files):
@@ -782,13 +782,16 @@ def test_a_program_that_defines_its_own_store_helper_runs_its_own_definition():
 
 
 # SHA-256 of the final heaps: for the corpus every cell, as `heap_cells`
-# gives it; for seeds 0..199 at size 40 and FILLER at the heap-scale
-# workload's sizes, the object cells only, as (constructor, fields) in
-# allocation order.  Their fields hold no pointers, so where the arrays
-# live cannot move them.
-CORPUS_HEAP_SHA256 = "6da39897914efe42ff602f5c9556758739622b17db7b8b1006819a545ca332c3"
-GENERATED_OBJECT_HEAP_SHA256 = "4840054393512919896ef09fb3c78a72dfa5b7f15fe8af09c3fbbf628a0bd476"
-FILLER_OBJECT_HEAP_SHA256 = "1a3950b94231e33bc8e558400b1e1469965805446be2a60dad4275ed9fad2fad"
+# gives it (22 cells: the lists', trees' and visitors' objects, which
+# escape, and the arrays that escape); for seeds 0..199 at size 40 and
+# FILLER at the heap-scale workload's sizes, the object cells only, as
+# (constructor, fields) in allocation order.  No object of those escapes,
+# so every one is a value and these two pin empty heaps, one line
+# `<seed or n> []` each: they are the check that every such object is a
+# value.
+CORPUS_HEAP_SHA256 = "96fa7b6edec04fd6b970663a0c58b259cb54adf111d412cb215cf733acbf08fd"
+GENERATED_OBJECT_HEAP_SHA256 = "6cba95bdcfb56977423876e6b0be8576180a12a4aaf6552034d6bb54d393ada6"
+FILLER_OBJECT_HEAP_SHA256 = "6abbecc550e0a6b3144e45ba3b7d6947cd0401bb6ec35e491b7510a4628214fb"
 
 
 def final_state(program):

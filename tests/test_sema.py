@@ -290,3 +290,53 @@ class Unused extends B { public int f() { return 5; } }
     assert table.instantiated == {"A", "B", "U"}
     assert table.calls == {("B", "f"), ("U", "g")}
     assert table.live == {("B", "f"), ("U", "g")}
+
+
+VALUE_GROUPS = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new A().f());
+    }
+}
+class A {
+    public int f() {
+        B b;
+        b = new B();
+        return b.get() + new D().g(0);
+    }
+    public int unused() {
+        B x;
+        B y;
+        x = new B();
+        y = x;
+        return y.get();
+    }
+}
+class B {
+    int n;
+    public int get() { return this.bump(); }
+    public int bump() {
+        n = n + 1;
+        return n;
+    }
+}
+class C {
+    public int g(int k) { return k; }
+    public int pair(C other) { return 0; }
+}
+class D extends C {
+}
+"""
+
+
+def test_a_group_is_a_value_unless_a_declaration_or_a_live_body_lets_it_escape():
+    # the copy `y = x` is in a method no run reaches, so B stays a value;
+    # C's formal `other` names C's type, though nothing calls `pair`, so
+    # C's group, D too, keeps its objects in the store
+    _, table = check(VALUE_GROUPS)
+    assert table.group("D") == "C"
+    assert table.value_classes == {"A", "B"}
+    # bump writes a field, and get calls it on `this`
+    assert table.this_writers == {("B", "bump"), ("B", "get")}
+    assert table.writes_this("B", "get") and not table.writes_this("A", "f")
+    assert diff_source("Groups.java", VALUE_GROUPS).ml.output == [1]

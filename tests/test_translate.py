@@ -20,6 +20,8 @@ from mj2ml.sema import typecheck
 from mj2ml.store import alloc_order, heap_cells, prelude
 from mj2ml.translate import mangle_method, mangle_new, mangle_var, translate
 
+# `self` returns an A, so the hierarchy's objects can escape: they are
+# heap cells, made by constructor functions
 CHAIN = """\
 class Main {
     public static void main(String[] a) {
@@ -32,6 +34,7 @@ class Main {
 class A {
     int shared;
     public int tag() { return 1; }
+    public A self() { return this; }
 }
 
 class B extends A {
@@ -61,14 +64,14 @@ def test_corpus_translations_stay_in_the_core(corpus_files):
 # SHA-256 of each corpus file's emitted SML.  A change that alters the
 # emitted bytes on purpose must update these pins and say so.
 EMITTED_SML_SHA256 = {
-    "BinarySearch": "dfc0e0b75d4f84ee44191959dadda625af5b114ec413a777975b6ffd6c01b576",
-    "BinaryTree": "88c5278aaf2cb09645652f172b0b0e0745b96dc61c36bd5bb2f692440b6caedb",
-    "BubbleSort": "e29d7fd416a46d89dc2d0749a4f6541bceb325ec91f24feb7419e59fdabde6b6",
-    "Factorial": "d712616609361bb68b6f8b0515b91fdb0a25a7dc3caa3934cbdc6c708c183e2b",
-    "LinearSearch": "ac4dd2aa1c31929d04726b396acd7f89dfc9c9d7c85be15b1434c1f46d53fd54",
-    "LinkedList": "2a08ae05111f9d1673ae3b2cb5ffa2119837ac133a31eb86876071eab7a6fbcd",
-    "QuickSort": "af0c2f7ad53b0b7b6f6e9c76f84118b10b0efc060ec5a400923814b45689d879",
-    "TreeVisitor": "250d6c2a8149f51b36a5e536b5941ccbbc39b64b1d48e08047ae512484ff91bf",
+    "BinarySearch": "38685fa0b9f1912f8fd52a5013974c045a8b6cd385e9c23b4070843e5f251f8f",
+    "BinaryTree": "cb9734e5a1db8c56b9b8a6cb766120e35a02fdaf4db63e1c7c4129ee78476142",
+    "BubbleSort": "e65eae6a84300c26d022a46b2446bc56c8e679d03ac5f911fdcd17b148272c18",
+    "Factorial": "bc921f76f043291dbf37d99c8ab009d54b384b25f09243c0d10423937020d335",
+    "LinearSearch": "4e7b8b34eed4da03ef970d7e873f98dd61de800b5e8f290228dbc1d2f02f8732",
+    "LinkedList": "3b2127d1cfbaff5671afa7dcf605448c0768a470d13a7a3ede3c093917b1347c",
+    "QuickSort": "28d6d9c601a11f0c58303ce1290bcadf9e8c33b5ff487c519763cc4f06eb0c4b",
+    "TreeVisitor": "04358651c2d0370b27e9145dae6ba6f6fdc6f4191f1648ef033ddb2e2a6b0a9f",
 }
 
 
@@ -142,12 +145,20 @@ def function_names(ml):
     return {f.name for group in ml.fun_groups for f in group}
 
 
+def function_body(ml, name):
+    return next(f.body for group in ml.fun_groups for f in group if f.name == name)
+
+
 def test_uncalled_methods_and_uninstantiated_classes_emit_nothing():
     ml = tr(UNREACHED)
     names = function_names(ml)
-    assert {mangle_new("A"), mangle_method(0, "used")} <= names
+    assert mangle_method(0, "used") in names
     assert mangle_method(0, "unused") not in names
-    assert mangle_new("Never") not in names
+    # an A is a value, made in main with no constructor function; a
+    # Never is made only in dead code
+    assert [c.name for c in ml.datatypes[0].cons] == ["HArr", "HObj_A"]
+    assert Con("HObj_A") in nodes(function_body(ml, "mj_main"), Con)
+    assert not {mangle_new("A"), mangle_new("Never")} & names
     # an object holds no methods, so the constructor names none
     sml = print_ml_program(ml, "Unreached")
     assert "unused" not in sml and mangle_method(1, "f") not in sml
@@ -223,7 +234,7 @@ def test_generated_subclass_encoding_is_pinned():
     text = "".join(print_ml_program(translate(generate_program(s, 40)), f"seed{s:03d}")
                    for s in range(40))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "392ff06f9e0c5a9fc25da3d21a5718bac1d082c7d0944b960042bffeca4e76da"
+        "b8ee4fe0db876358c9b146a04ecf31e5acf80fc1d02bc2f7eab5621131b195e5"
 
 
 def test_gen200_workload_is_pinned():
@@ -236,9 +247,11 @@ def test_gen200_workload_is_pinned():
     assert (len(source), hashlib.sha256(source).hexdigest()) == (
         624675, "4aaa6ae173174edd3a3581bb467872f20879886553696d0b1b4401880281a271")
     assert (len(sml), hashlib.sha256(sml).hexdigest()) == (
-        1490218, "7f3ba05278be9116698c20e2409ac395925f6d4412b577085805623601c93dd1")
+        1314686, "f2beab662f224a44a598564f2d62bb385e407a40281c802f85352b31d64d2715")
 
 
+# A's `self` returns an A, so A's objects can escape: `this` is a pointer
+# to a heap cell (VALUE_PLUMBING, without `self`, has values)
 PLUMBING = """\
 class Main {
     public static void main(String[] a) {
@@ -254,6 +267,7 @@ class Main {
 class A {
     int x;
     int y;
+    public A self() { return this; }
     public int loop() {
         int a;
         int b;
@@ -659,9 +673,16 @@ class Main {
 }
 """
 
+
+def made_in_main(ml):
+    """The objects main makes as values: the `HObj_` constructors it applies."""
+    return [con.name for con in nodes(function_body(ml, "mj_main"), Con)
+            if con.name.startswith("HObj_")]
+
 # One program for each use that keeps an `int[]` local in the store, then
 # those whose local is a value: (main's argument, class A, output, the
-# final heap's constructors in allocation order).
+# final heap's constructors in allocation order).  No A escapes, so the
+# A each program makes is a value too, never a cell.
 ARRAY_USES = {
     "copy": ("new A().f()", """\
 class A {
@@ -674,7 +695,7 @@ class A {
         return x[1];
     }
 }
-""", [4], ["HObj_A", "HArr"]),
+""", [4], ["HArr"]),
     "call-argument": ("new A().f()", """\
 class A {
     public int f() {
@@ -685,7 +706,7 @@ class A {
     }
     public int g(int[] b) { return b[0] + b.length; }
 }
-""", [5], ["HObj_A", "HArr"]),
+""", [5], ["HArr"]),
     "return": ("new A().f()", """\
 class A {
     public int f() {
@@ -700,7 +721,7 @@ class A {
         return b;
     }
 }
-""", [10], ["HObj_A", "HArr"]),
+""", [10], ["HArr"]),
     "field-store": ("new A().f()", """\
 class A {
     int[] kept;
@@ -712,7 +733,7 @@ class A {
         return kept[1];
     }
 }
-""", [6], ["HObj_A", "HArr"]),
+""", [6], ["HArr"]),
     "array-formal": ("new A().g(new int[1])", """\
 class A {
     public int g(int[] b) {
@@ -721,7 +742,7 @@ class A {
         return b[2] + b.length;
     }
 }
-""", [11], ["HObj_A", "HArr", "HArr"]),
+""", [11], ["HArr", "HArr"]),
     "unboxed": ("new A().f(3)", """\
 class A {
     public int f(int n) {
@@ -736,7 +757,7 @@ class A {
         return x[n - 1] + x.length;
     }
 }
-""", [6], ["HObj_A"]),
+""", [6], []),
     # made anew in each round, so no round reads the last one's array
     "unboxed-per-round": ("new A().f(3)", """\
 class A {
@@ -755,7 +776,7 @@ class A {
         return s;
     }
 }
-""", [9], ["HObj_A"]),
+""", [9], []),
     # read or written where it may be unassigned: on that path it is the
     # array null, `ANull`, and here it is assigned
     "read-before-assignment": ("new A().f(3)", """\
@@ -766,7 +787,7 @@ class A {
         return x.length;
     }
 }
-""", [3], ["HObj_A"]),
+""", [3], []),
     "write-before-assignment": ("new A().f(3)", """\
 class A {
     public int f(int n) {
@@ -777,7 +798,7 @@ class A {
         return x.length;
     }
 }
-""", [2], ["HObj_A"]),
+""", [2], []),
 }
 
 
@@ -791,9 +812,11 @@ def test_an_array_local_leaves_the_store_only_when_it_cannot_escape(use):
     table = typecheck(program)
     unboxed = any("x" in names for names in table.unboxed.values())
     assert unboxed == ("HArr" not in cells)
-    out, state = eval_program(translate(program, table))
+    ml = translate(program, table)
+    out, state = eval_program(ml)
     assert out.ok and alloc_order(state) == list(range(len(cells)))
     assert [value.name for _, value in heap_cells(state)] == cells
+    assert made_in_main(ml) == ["HObj_A"] and table.value_classes == {"A"}
 
 
 # An unboxed local used where it may be unassigned, after printing n:
@@ -825,8 +848,10 @@ def test_a_read_that_may_come_before_the_assignment_reads_null():
         source = ESCAPE_MAIN % "new A().f(%d)" + UNASSIGNED_ARRAY % body
         assigned = source % 3
         assert diff_source("Assigned.java", assigned).verdict == "match", use
-        out, state = eval_program(tr(assigned))
-        assert out.ok and [value.name for _, value in heap_cells(state)] == ["HObj_A"], use
+        ml = tr(assigned)
+        out, state = eval_program(ml)
+        # the array and the A are both values
+        assert out.ok and heap_cells(state) == [] and made_in_main(ml) == ["HObj_A"], use
         result = diff_source("Null.java", source % 0)
         assert result.verdict == "skipped-faulting", use
         assert result.mj.output == [0] and result.mj.fault is FaultKind.NULL_DEREFERENCE, use
@@ -852,6 +877,441 @@ def test_the_array_null_is_declared_exactly_when_an_unboxed_default_is_read(corp
     # `unboxed-per-round` makes its array anew in each round, and nothing
     # reads it after the loop, so the loop neither takes nor returns it
     assert declared == {"read-before-assignment", "write-before-assignment", *UNASSIGNED_USES}
+
+
+# A class whose objects are made and read by these programs: `set` writes
+# its field `v` and `get` reads it.
+B_CLASS = """\
+class B {
+    int v;%s
+    public int set(int x) {
+        v = x;
+        return v;
+    }
+    public int get() { return v; }
+}
+"""
+
+# One program for each way an object escapes, whose objects stay heap
+# cells, then each shape whose objects are values: (main's argument, the
+# class A that main calls and any others, output, the final heap's
+# constructors in allocation order).  Every A is a value.
+OBJECT_USES = {
+    # a field of B's type, though nothing assigns it
+    "field-of-its-type": ("new A().f()", """\
+class A {
+    public int f() {
+        B b;
+        b = new B();
+        return b.set(5) + b.get();
+    }
+}
+""" + B_CLASS % "\n    B next;", [10], ["HObj_B"]),
+    "formal": ("new A().f()", """\
+class A {
+    public int f() {
+        B b;
+        b = new B();
+        return b.set(6) + this.read(b);
+    }
+    public int read(B x) { return x.get(); }
+}
+""" + B_CLASS % "", [12], ["HObj_B"]),
+    "result": ("new A().f()", """\
+class A {
+    public int f() {
+        B b;
+        b = this.make();
+        return b.get();
+    }
+    public B make() {
+        B m;
+        int t;
+        m = new B();
+        t = m.set(7);
+        return m;
+    }
+}
+""" + B_CLASS % "", [7], ["HObj_B"]),
+    # a and b name one object: the write through b is read through a
+    "copy": ("new A().f()", """\
+class A {
+    public int f() {
+        B a;
+        B b;
+        int t;
+        a = new B();
+        b = a;
+        t = b.set(5);
+        return a.get();
+    }
+}
+""" + B_CLASS % "", [5], ["HObj_B"]),
+    "this-passed": ("new A().f()", """\
+class A {
+    public int f() {
+        B b;
+        int t;
+        b = new B();
+        t = b.set(8);
+        return b.pass();
+    }
+}
+class Reader {
+    public int read(B x) { return x.get(); }
+}
+""" + B_CLASS % """
+    public int pass() { return new Reader().read(this); }""", [8], ["HObj_B"]),
+    # c is b: the write through c is read through b
+    "this-returned": ("new A().f()", """\
+class A {
+    public int f() {
+        B b;
+        B c;
+        int t;
+        b = new B();
+        t = b.set(9);
+        c = b.me();
+        t = c.set(t + 1);
+        return b.get();
+    }
+}
+""" + B_CLASS % """
+    public B me() { return this; }""", [10], ["HObj_B"]),
+    # `self` is this object: the write after `keep` is read through it
+    "this-stored": ("new A().f()", """\
+class A {
+    public int f() {
+        B b;
+        int t;
+        b = new B();
+        t = b.keep();
+        t = b.set(4);
+        return b.viaSelf();
+    }
+}
+""" + B_CLASS % """
+    B self;
+    public int keep() {
+        self = this;
+        return 0;
+    }
+    public int viaSelf() { return self.get(); }""", [4], ["HObj_B"]),
+    # Sub makes no escape of its own, but its group's root, Base, has a
+    # field of Base's type
+    "subclass-of-escaping": ("new A().f()", """\
+class A {
+    public int f() {
+        Sub s;
+        int t;
+        s = new Sub();
+        t = s.set(3);
+        return s.get();
+    }
+}
+class Base {
+    int v;
+    Base link;
+    public int set(int x) {
+        v = x;
+        return v;
+    }
+    public int get() { return v; }
+}
+class Sub extends Base {
+    public int get() { return v + 100; }
+}
+""", [103], ["HObj_Sub"]),
+    "local-from-new": ("new A().f()", """\
+class A {
+    public int f() {
+        B b;
+        int t;
+        b = new B();
+        t = b.set(4);
+        return b.get() + t;
+    }
+}
+""" + B_CLASS % "", [8], []),
+    "subclass-object-in-superclass-local": ("new A().f()", """\
+class A {
+    public int f() {
+        Base x;
+        int t;
+        x = new Sub();
+        t = x.set(2);
+        return x.get();
+    }
+}
+class Base {
+    int v;
+    public int set(int k) {
+        v = k;
+        return v;
+    }
+    public int get() { return v; }
+}
+class Sub extends Base {
+    public int get() { return v + 100; }
+}
+""", [102], []),
+    "new-receiver": ("new A().f()", """\
+class A {
+    public int f() { return new B().set(6); }
+}
+""" + B_CLASS % "", [6], []),
+    # a new object in each round: each `add` starts from 0, so s is
+    # 0 + 1 + 2 (one object for all rounds would give 0 + 1 + 3)
+    "new-in-each-round": ("new A().f(3)", """\
+class A {
+    public int f(int n) {
+        B b;
+        int i;
+        int s;
+        i = 0;
+        s = 0;
+        while (i < n) {
+            b = new B();
+            s = s + b.add(i);
+            i = i + 1;
+        }
+        return s;
+    }
+}
+""" + B_CLASS % """
+    public int add(int x) {
+        v = v + x;
+        return v;
+    }""", [3], []),
+}
+
+
+@pytest.mark.parametrize("use", OBJECT_USES)
+def test_an_object_leaves_the_store_only_when_it_cannot_escape(use):
+    argument, source, output, cells = OBJECT_USES[use]
+    source = ESCAPE_MAIN % argument + source
+    result = diff_source(f"{use}.java", source)
+    assert result.verdict == "match" and result.ml.output == output
+    program = parse_source(source)
+    table = typecheck(program)
+    out, state = eval_program(translate(program, table))
+    assert out.ok and [value.name for _, value in heap_cells(state)] == cells
+    boxed = {name.removeprefix("HObj_") for name in cells}
+    assert "A" in table.value_classes and not boxed & table.value_classes
+    assert cells or table.value_classes == set(table.classes)
+
+
+# A value object local called where it may be unassigned, after printing
+# n: assigned when 0 < n, the object null `ONull` when n = 0.
+UNASSIGNED_OBJECT = """\
+class A {
+    public int f(int n) {
+        B b;
+        System.out.println(n);
+        if (0 < n) %s else {}
+        return %s;
+    }
+}
+class B {
+    int v;
+    public int get() { return v + 4; }
+    public int set(int x) {
+        v = x;
+        return v;
+    }
+}
+class C extends B {
+    public int get() { return v + 5; }
+}
+"""
+# (the assignment, the call after the join, its output when 0 < n)
+UNASSIGNED_CALLS = {
+    "known-call": ("b = new B();", "b.get()", 4),
+    "dispatch": ("b = new C();", "b.get() + new B().get()", 9),
+    # set writes b, and get reads the written value: 3 + 7
+    "writer": ("b = new B();", "b.set(n) + b.get()", 10),
+}
+
+
+def test_a_call_that_may_come_before_the_assignment_calls_null():
+    for use, (assignment, call, value) in UNASSIGNED_CALLS.items():
+        source = ESCAPE_MAIN % "new A().f(%d)" + UNASSIGNED_OBJECT % (assignment, call)
+        assigned = diff_source("Assigned.java", source % 3)
+        assert assigned.verdict == "match" and assigned.ml.output == [3, value], use
+        ml = tr(source % 0)
+        assert [c.name for c in ml.datatypes[0].cons][:2] == ["HArr", "ONull"], use
+        result = diff_source("Null.java", source % 0)
+        assert result.verdict == "skipped-faulting", use
+        assert result.mj.output == [0] and result.mj.fault is FaultKind.NULL_DEREFERENCE, use
+        out, _ = eval_program(ml)
+        assert out.output == [0] and out.fault is FaultKind.MATCH_FAILURE, use
+
+
+# A field written through a call on `this` is read after it: in a loop's
+# body and its condition, in an `if` branch and after its join, in the
+# right operand of `&&`, and after a call that dispatches between two
+# subclasses that both override the writer.
+WRITE_BACK = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new Counter().run(4));
+        System.out.println(new Counter().counted());
+        System.out.println(new Counter().pick(3));
+        System.out.println(new Counter().pick(7));
+        System.out.println(new Counter().both(1));
+        System.out.println(new Driver().go(3));
+        System.out.println(new Driver().go(6));
+    }
+}
+class Counter {
+    int n;
+    public int bump(int x) {
+        n = n + x;
+        return 1;
+    }
+    public int step() { return this.bump(1) * n; }
+    public int run(int k) {
+        int i;
+        i = 0;
+        while (i < k) {
+            i = i + this.bump(i);
+            System.out.println(n);
+        }
+        return n;
+    }
+    public int counted() {
+        while (this.step() < 3) System.out.println(n);
+        return n;
+    }
+    public int pick(int k) {
+        int t;
+        if (k < 5) {
+            t = this.bump(k);
+            System.out.println(n);
+        } else t = this.bump(k * 2);
+        return n;
+    }
+    public int both(int k) {
+        if (0 < k && this.step() < 5) System.out.println(n); else {}
+        return n * 10;
+    }
+}
+class Driver {
+    public int go(int k) {
+        Shape s;
+        if (k < 5) s = new Square(); else s = new Circle();
+        return s.resize(k);
+    }
+}
+class Shape {
+    int area;
+    public int grow(int k) {
+        area = k;
+        return 0;
+    }
+    public int resize(int k) {
+        int t;
+        t = this.grow(k);
+        return area * 10 + t;
+    }
+}
+class Square extends Shape {
+    public int grow(int k) {
+        area = k * k;
+        return 1;
+    }
+}
+class Circle extends Shape {
+    public int grow(int k) {
+        area = 3 * k * k;
+        return 2;
+    }
+}
+"""
+
+
+def test_a_field_written_through_a_call_on_this_is_read_after_it():
+    # run: n is 0, 1, 3, 6 after each round; counted: 1 and 2 print, 3
+    # ends the loop; pick: 3 in the branch and after it, and 14; both:
+    # the step makes n 1; go: a Square's area 9 and a Circle's 108
+    result = diff_source("WriteBack.java", WRITE_BACK)
+    assert result.verdict == "match"
+    assert result.ml.output == [0, 1, 3, 6, 6, 1, 2, 3, 3, 3, 14, 1, 10, 91, 1082]
+    program = parse_source(WRITE_BACK)
+    table = typecheck(program)
+    assert table.value_classes == {"Counter", "Driver", "Shape", "Square", "Circle"}
+    # every Counter method writes `this` through `bump`; `go` writes a
+    # local, not `this`
+    assert table.this_writers == {("Counter", m) for m in
+                                  ("bump", "step", "run", "counted", "pick", "both")} | {
+        ("Shape", "grow"), ("Shape", "resize")}
+    # nothing is in the store, and no function reads or writes it
+    ml = translate(program, table)
+    assert heap_cells(eval_program(ml)[1]) == []
+    program_apps = [app.func.name for group in ml.fun_groups[7:] for f in group
+                    for app in nodes(f, App)]
+    assert not {"mj_lookup", "mj_update", "mj_alloc"} & set(program_apps)
+
+
+# `g` read before `&&` and in a branch after it: the right operand
+# `y < 3` makes no new state, so the `&&` is a plain `if`, and the object
+# read in the state before it is known in the branch.  A's `self` keeps
+# its objects in the store, where a read is a lookup.
+AND_KEEPS_READS = ESCAPE_MAIN % "new A().f(0 - 1, 2)" + """\
+class A {
+    int g;
+    A self;
+    public int f(int x, int y) {
+        int r;
+        if (x < g && y < 3) r = g; else r = 5;
+        return r;
+    }
+}
+"""
+
+
+def test_an_and_whose_right_operand_makes_no_state_keeps_the_known_reads():
+    ml = tr(AND_KEEPS_READS)
+    f = function_body(ml, mangle_method(0, "f"))
+    assert lookups(f) == 1
+    states = [val for val in nodes(f, Val)
+              if isinstance(val.pat, PTuple) and isinstance(val.rhs, If)]
+    assert states == []
+    assert diff_source("And.java", AND_KEEPS_READS).ml.output == [0]
+
+
+# f reads x after a call that writes it, after one that does not, and
+# after a second write: as a value, `this` has a new version after each
+# write, and each version's x is read once
+READS_PER_VERSION = ESCAPE_MAIN % "new A().f(3)" + """\
+class A {
+    int x;%s
+    public int f(int n) {
+        int t;
+        t = this.set(n);
+        t = x + this.get() + x;
+        t = t + this.set(t) + x;
+        return t;
+    }
+    public int set(int v) {
+        x = v;
+        return 0;
+    }
+    public int get() { return x; }
+}
+"""
+
+
+def test_a_value_objects_field_is_read_once_per_version():
+    value = tr(READS_PER_VERSION % "")
+    f = function_body(value, mangle_method(0, "f"))
+    assert (lookups(f), slot_reads(f)) == (0, 2)
+    # as a heap cell, each call's new state is read again: x three times
+    cell = tr(READS_PER_VERSION % "\n    A self;")
+    assert slot_reads(function_body(cell, mangle_method(0, "f"))) == 3
+    for source in (READS_PER_VERSION % "", READS_PER_VERSION % "\n    A self;"):
+        result = diff_source("Reads.java", source)
+        assert result.verdict == "match" and result.ml.output == [18]
 
 
 REASSIGNED_RECEIVER = """\
