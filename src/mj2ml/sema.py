@@ -31,25 +31,22 @@ instantiated classes its receiver can be an object of; `mjinterp`
 compiles only live methods.  Every method is
 still checked, so a type error in one that never runs is reported.
 
-The same walk records each `int[]` variable that a body reads other
-than as `x[i]` or `x.length`, or assigns other than from `new int[e]`:
-through such a use the array can be reached by another name.  Each
-method's `int[]` locals with no such use cannot escape, and `typecheck`
-stores them as `unboxed[(class, method)]`; `translate` keeps them out
-of the store.
-
-Objects are decided per group, the classes of one inheritance tree
-(`ClassTable.group`), since a local, and `this`, may hold an object of
-any class below its own.  The walk records each body's object-escape
-facts (`_Body`): the groups whose objects it reads other than as a call
-receiver or assigns other than from `new`, the methods it calls on
-`this`, and whether it writes a field.  Beside `_mark_live`,
-`_mark_values` keeps a group's objects in the store when a field, a
-formal or a method result has one of its types, or a body that can run
-lets one escape; every other group's classes are `value_classes`, whose
-objects `translate` makes ML values.  It then finds, by a fixpoint over
+Arrays and objects are decided per group (`ClassTable.group`): every
+array is in one group, and the classes of one inheritance tree make
+another, since a variable, and `this`, may hold an object of any class
+below its own.  The same walk records each body's escape facts
+(`_Body`): the groups of the variables it reads other than as an
+operand (the array of `x[i]` or `x.length`, or a call's receiver) or
+assigns other than from `new`, and of `this` used other than as a
+receiver, through which an array or object can be reached by a second
+name; the methods it calls on `this`; and whether it writes a field.
+Beside `_mark_live`, `_mark_values` keeps a group in the store when a
+field, a formal or a method result has one of its types, or a body that
+can run lets one of its arrays or objects escape; every other group's
+arrays and objects are ML values (`ClassTable.is_value`), which
+`translate` keeps out of the store.  It then finds, by a fixpoint over
 the calls on `this`, the `this_writers`: the methods whose
-implementations in such a group may write a field of `this`, which
+implementations in a value group may write a field of `this`, which
 return the new `this` to their caller.
 
 Rules beyond the obvious typing of operators:
@@ -86,7 +83,6 @@ from .mjast import (
     Expr,
     IdentExpr,
     IfStmt,
-    IntArrayType,
     IntLitExpr,
     MainClass,
     MethodDecl,
@@ -137,12 +133,10 @@ class ClassTable:
         self.instantiated: set[str] = set()
         self.calls: set[tuple[str, str]] = set()
         self.live: set[tuple[str, str]] = set()
-        # Each (class, method)'s `int[]` locals that cannot escape.
-        self.unboxed: dict[tuple[str, str], frozenset[str]] = {}
-        # The classes whose objects cannot escape (`_mark_values`), and
-        # the (root class, method) pairs of their groups whose
+        # The groups whose arrays or objects cannot escape (`_mark_values`),
+        # and the (root class, method) pairs of such groups whose
         # implementations may write a field of `this`.
-        self.value_classes: frozenset[str] = frozenset()
+        self.values: frozenset[str] = frozenset()
         self.this_writers: set[tuple[str, str]] = set()
 
     def info(self, name: str) -> ClassInfo:
@@ -151,13 +145,20 @@ class ClassTable:
     def has(self, name: str) -> bool:
         return name in self.classes
 
-    def group(self, name: str) -> str:
-        """The root class of name's inheritance tree: its group."""
-        return self.classes[name].path[0]
+    def group(self, ty: MjType) -> str:
+        """The group of a type: for a class, the root class of its
+        inheritance tree, since a variable of the class may hold an object
+        of any class below it; for any other type, its own name."""
+        return self.classes[ty.name].path[0] if isinstance(ty, ClassType) else str(ty)
+
+    def is_value(self, ty: MjType) -> bool:
+        """Whether an array or object of type ty is an ML value rather
+        than a heap cell: its group cannot escape."""
+        return self.group(ty) in self.values
 
     def writes_this(self, cls: str, method: str) -> bool:
         """Whether a call of method on a cls value returns the new `this`."""
-        return (self.group(cls), method) in self.this_writers
+        return (self.group(ClassType(cls)), method) in self.this_writers
 
     def is_assignable(self, src: MjType, dst: MjType) -> bool:
         if isinstance(src, ClassType) and isinstance(dst, ClassType):
@@ -273,18 +274,13 @@ class _Checker:
         # method) pairs it calls
         self.news: set[str] = set()
         self.calls: set[tuple[str, str]] = set()
-        # the `int[]` variables the body reads other than as `x[i]` or
-        # `x.length`, or assigns other than from `new int[e]`, and the
-        # array operand of the `x[i]` or `x.length` being checked
-        self.escaped: set[str] = set()
-        self.cells: Expr | None = None
-        # the groups whose objects the body lets escape: a local of their
-        # type read other than as a call receiver or assigned other than
-        # from `new`, or `this` used other than as a receiver; the
-        # receiver of the call being checked; the methods the body calls
-        # on `this`; and whether it writes a field
+        # the groups of the variables the body reads other than as an
+        # operand, or assigns other than from `new`, and of `this` used
+        # other than as an operand; the operand being checked, the array
+        # of an `x[i]` or `x.length` or the receiver of a call; the
+        # methods the body calls on `this`; and whether it writes a field
         self.escapes: set[str] = set()
-        self.receiver: Expr | None = None
+        self.operand: Expr | None = None
         self.this_calls: set[str] = set()
         self.writes_field = False
 
@@ -292,7 +288,7 @@ class _Checker:
 
     def enter_body(self, cls: str | None, pos: Pos) -> None:
         self.current_class, self.start = cls, pos
-        self.news, self.calls, self.escaped = set(), set(), set()
+        self.news, self.calls = set(), set()
         self.escapes, self.this_calls, self.writes_field = set(), set(), False
 
     def body(self) -> "_Body":
@@ -360,27 +356,26 @@ class _Checker:
             self._expect(e.operand, BOOL, "operand of '!'")
             return BOOL
         if isinstance(e, ArrayIndexExpr):
-            self.cells = e.array
+            self.operand = e.array
             self._expect(e.array, INT_ARRAY, "indexed value")
             self._expect(e.index, INT, "array index")
             return INT
         if isinstance(e, ArrayLengthExpr):
-            self.cells = e.array
+            self.operand = e.array
             self._expect(e.array, INT_ARRAY, "'.length' receiver")
             return INT
         if isinstance(e, IdentExpr):
             ty = self.lookup(e)
-            if type(ty) is IntArrayType and e is not self.cells:
-                self.escaped.add(e.name)
-            elif type(ty) is ClassType and e is not self.receiver:
-                self.escapes.add(self.table.group(ty.name))
+            if e is not self.operand:
+                self.escapes.add(self.table.group(ty))
             return ty
         if isinstance(e, ThisExpr):
             if self.current_class is None:
                 raise MjTypeError(e.pos, "'this' cannot be used in main")
-            if e is not self.receiver:
-                self.escapes.add(self.table.group(self.current_class))
-            return ClassType(self.current_class)
+            ty = ClassType(self.current_class)
+            if e is not self.operand:
+                self.escapes.add(self.table.group(ty))
+            return ty
         if isinstance(e, NewArrayExpr):
             self._expect(e.length, INT, "array length")
             return INT_ARRAY
@@ -390,7 +385,7 @@ class _Checker:
             self.news.add(e.class_name)
             return ClassType(e.class_name)
         if isinstance(e, CallExpr):
-            self.receiver = e.receiver
+            self.operand = e.receiver
             recv = self.expr(e.receiver)
             if not isinstance(recv, ClassType):
                 raise MjTypeError(e.pos,
@@ -441,10 +436,8 @@ class _Checker:
             if not self.table.is_assignable(got, ty):
                 raise MjTypeError(s.value.pos,
                                   f"cannot assign {got} to '{s.name}' of type {ty}")
-            if type(ty) is IntArrayType and type(s.value) is not NewArrayExpr:
-                self.escaped.add(s.name)
-            elif type(ty) is ClassType and type(s.value) is not NewObjectExpr:
-                self.escapes.add(self.table.group(ty.name))
+            if type(s.value) not in (NewArrayExpr, NewObjectExpr):
+                self.escapes.add(self.table.group(ty))
             self.writes_field |= s.binding == "field"
         elif isinstance(s, ArrayAssignStmt):
             ty = self.lookup(s)
@@ -476,9 +469,6 @@ def typecheck(program: MjProgram) -> ClassTable:
                         method.return_expr.pos,
                         f"return value must be {method.return_type}, got {got}")
                 bodies[info.name, method.name] = checker.body()
-                table.unboxed[info.name, method.name] = frozenset(
-                    v.name for v in method.local_vars
-                    if v.var_type == INT_ARRAY and v.name not in checker.escaped)
         checker.enter_main(program.main)
         for s in program.main.body:
             checker.stmt(s)
@@ -491,8 +481,8 @@ def typecheck(program: MjProgram) -> ClassTable:
 class _Body(NamedTuple):
     """What a body does, as the checker records it: the classes it
     instantiates, the (receiver class, method) pairs it calls, the groups
-    whose objects it lets escape, the methods it calls on `this`, and
-    whether it writes a field of `this`."""
+    whose arrays or objects it lets escape, the methods it calls on
+    `this`, and whether it writes a field of `this`."""
 
     news: set[str]
     calls: set[tuple[str, str]]
@@ -536,31 +526,33 @@ def _mark_live(table: ClassTable, bodies: dict[tuple[str, str] | None, _Body]) -
 
 
 def _mark_values(table: ClassTable, bodies: dict[tuple[str, str] | None, _Body]) -> None:
-    """Fill in the classes whose objects cannot escape, and the methods
-    of their groups that may write a field of `this` (escape analysis:
-    Choi et al., OOPSLA 1999; object inlining: Dolby and Chien, PLDI
-    2000), from each body that can run (`ClassTable.live`, and main).
+    """Fill in the groups whose arrays and objects cannot escape, and
+    the methods of their classes that may write a field of `this`
+    (escape analysis: Choi et al., OOPSLA 1999; object inlining: Dolby
+    and Chien, PLDI 2000), from each body that can run
+    (`ClassTable.live`, and main).
 
-    A group, the classes of one inheritance tree, keeps its objects in
+    A group, all arrays or the classes of one inheritance tree, stays in
     the store when a field, formal or method result of any class has one
-    of its types, or a body that can run lets one of its objects escape
-    (`_Body.escapes`).  Otherwise every reference to one of its objects
+    of its types, or a body that can run lets one of its arrays or
+    objects escape (`_Body.escapes`).  Otherwise every reference to one
     is a local assigned from `new`, or `this`, and each is read only as
-    a call receiver, so no object of the group has two names: each is a
-    value.  A method of such a group writes `this` when one of its
+    an operand, so none has two names: each is a value.  A method of a
+    value class writes `this` when one of its
     implementations that can run assigns a field, or calls on `this` a
     method that writes it; that fixpoint is found by sweeping the bodies
     until no pair is added."""
-    types = []
+    types = [INT_ARRAY, *map(ClassType, table.classes)]
+    declared = []
     for info in table.classes.values():
-        types += [f.var_type for f in info.decl.fields]
+        declared += [f.var_type for f in info.decl.fields]
         for method in info.decl.methods:
-            types += [method.return_type, *(f.var_type for f in method.formals)]
-    boxed = {table.group(ty.name) for ty in types if isinstance(ty, ClassType)}
+            declared += [method.return_type, *(f.var_type for f in method.formals)]
+    boxed = set(map(table.group, declared))
     boxed = boxed.union(*(bodies[key].escapes for key in [None, *table.live]))
-    table.value_classes = frozenset(c for c in table.classes if table.group(c) not in boxed)
-    methods = [(table.group(cls), method, bodies[cls, method]) for cls, method in table.live
-               if cls in table.value_classes]
+    table.values = frozenset(map(table.group, types)) - boxed
+    methods = [(table.group(ClassType(cls)), method, bodies[cls, method])
+               for cls, method in table.live if table.is_value(ClassType(cls))]
     writers = table.this_writers
     writers.update((group, method) for group, method, body in methods if body.writes_field)
     grown = True

@@ -14,25 +14,21 @@ object, the likeliest to be used next, is the root.  An array is
 and ``new int[n]`` builds by halving, O(log^2 n).  Null, pointer -1, is
 index n, and like any array index outside 0 .. length-1 its walk ends in
 an empty subtree, where the helpers have no rule: a MatchFailure fault.
-An unshared local array, one that cannot escape its method (see
-`translate`), is such an `HArr` value threaded by the method like an
-`int`, and never a cell; every other array is a heap cell.  Before its
-first assignment such a local is `ANull` (`NULL_ARRAY`), the array
-null, which no array access matches: a MatchFailure fault too.  So with
-an object that cannot escape: it is its `HObj_<C>` value, threaded by
-its methods, and never a cell, and before its first assignment a local
-that holds one is `ONull` (`NULL_OBJECT`), on which no call's match has
-a rule.  `heapval` declares `ANull` and `ONull` only for a program that
-binds them.  A program whose arrays and objects all stay values leaves
-the heap empty: its emitted code applies none of `lookup`, `update` and
-`alloc`.
+An array or object that cannot escape (see `translate`) is its `HArr`
+or `HObj_<C>` value itself, threaded by its methods, and never a cell.
+Before its first assignment a local that holds one is `HNull`
+(`NULL_VALUE`), the null of values, which no array access or call
+matches: a MatchFailure fault too.  `heapval` declares `HNull` only for
+a program that binds it.  A program whose arrays and objects all stay
+values leaves the heap empty: its emitted code applies none of
+`lookup`, `update` and `alloc`.
 
 This module is the only one that knows that encoding.  It holds the
 store's types (the `heapval` and `tree` datatypes), the
 `prelude` of helpers emitted with every program, and a builder for the
 ML expression of each store operation the translation emits: `lookup`,
 `update` and `alloc` of a state, `zeros` and `new_array` for a new
-array's value (which `alloc` allocates unless the array is unboxed),
+array's value (which `alloc` allocates unless the array is a value),
 the single-rule `case`s that read an array's length (`array_length`) or
 an element (`array_get`) or write one (`array_set`), and `null_check`,
 the guard of a call on a pointer that may be null.  A builder whose pattern names
@@ -87,27 +83,22 @@ EMPTY = Con("Lf")
 
 NULL_PTR = -1
 
-# The value of an unboxed array local before its first assignment: no
-# array access has a rule for it, so each is a match failure.
-NULL_ARRAY = Con("ANull")
-
-# The value of a value object local before its first assignment: no call
-# has a rule for it, so each is a match failure.
-NULL_OBJECT = Con("ONull")
+# The value of a value array or object local before its first assignment:
+# no array access or call has a rule for it, so each is a match failure.
+NULL_VALUE = Con("HNull")
 
 # The state before the first allocation.
 EMPTY_STATE = Tuple((IntLit(0), EMPTY))
 
 
-def datatypes(objects: list[DataCon], null_array: bool, null_object: bool) -> list[DataType]:
+def datatypes(objects: list[DataCon], binds_null: bool) -> list[DataType]:
     """The store's datatypes: `heapval`, whose values are the heap's
     cells, an array `HArr (length, elements)` or one of the `objects`
-    constructors, and `NULL_ARRAY` when `null_array` and `NULL_OBJECT`
-    when `null_object` (the program binds them), and then the tree."""
+    constructors, and `NULL_VALUE` when `binds_null` (the program binds
+    it), and then the tree."""
     array = DataCon("HArr", TyTuple((TY_INT, TyApp("tree", TY_INT))))
-    nulls = [DataCon(con.name, TY_UNIT) for con, bound in
-             ((NULL_ARRAY, null_array), (NULL_OBJECT, null_object)) if bound]
-    return [DataType("heapval", (array, *nulls, *objects)), TREE]
+    null = [DataCon(NULL_VALUE.name, TY_UNIT)] if binds_null else []
+    return [DataType("heapval", (array, *null, *objects)), TREE]
 
 
 def null_check(ptr: MlExpr, body: MlExpr) -> MlExpr:
@@ -151,7 +142,7 @@ def new_array(length: MlExpr, elements: MlExpr) -> MlExpr:
 def _array_case(value: MlExpr, length: PVar | PWild, elements: PVar | PWild,
                 rhs: MlExpr) -> MlExpr:
     """rhs of the parts of the array value: one rule, which every array
-    but `ANull` matches."""
+    but `NULL_VALUE` matches."""
     return Case(value, ((PCon("HArr", (length, elements)), rhs),))
 
 

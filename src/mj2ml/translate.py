@@ -13,26 +13,31 @@ with one rule for each class whose objects run the method being
 translated: its receiver classes.  A write rebuilds the object around
 the changed field.
 
-An object is a heap cell, reached through a pointer, only if it can
-escape.  The objects of a class in `ClassTable.value_classes`, which
-`sema` finds, can be reached by one name at a time: a local assigned
-only from `new`, or `this`, each read only as a call receiver.  Such an
-object is its ``HObj_C`` value itself, as an unshared array is (escape
-analysis with scalar replacement, Choi et al., OOPSLA 1999; object
-inlining, Dolby and Chien, PLDI 2000): `new C()` is the value, with
-no constructor function and no allocation, `this` is passed by value,
-and a field of `this` is read by a `case` on the current version of
-``mj_this``, once per version whatever the state.  A write binds the
-rebuilt object as the next version of `this`, ``mj_this_<n>``, and a
-method that may write a field of `this`, itself or through a call on
-`this` (`ClassTable.writes_this`), returns the new `this` beside its
-result; the caller binds it as the next version of the local, or of
-`this`, that held the receiver, and joins and loops carry it like any
-variable.  Before its first assignment such a local is
-`store.NULL_OBJECT`, which no call matches.  An object of any other
-class, the corpus's lists, trees and visitors, is a heap cell: made by
-its constructor function, read with `store.lookup` and written back with
-`store.update`.
+An array or object is a heap cell, reached through a pointer, only if
+it can escape.  `sema` decides it per group, all arrays or the classes
+of one inheritance tree (`ClassTable.is_value`).  In a group that
+cannot escape, each array or object can be reached by one name at a
+time: a local assigned only from `new`, or `this`, each read only as an
+array operand or a call receiver.  Such an array or object is its
+value itself, `store.new_array` or ``HObj_C`` (escape analysis with scalar
+replacement, Choi et al., OOPSLA 1999; object inlining, Dolby and
+Chien, PLDI 2000): `new` makes the value, with no allocation and no
+constructor function, and a method threads it like an `int` local.  An
+array write binds the local's next version.  `this` is passed by
+value, and a field of `this` is read by a `case` on the current version
+of ``mj_this``.  A field write binds the rebuilt object as the next
+version of `this`, ``mj_this_<n>``, and a method that may write a field
+of `this`, itself or through a call on `this`
+(`ClassTable.writes_this`), returns the new `this` beside its result;
+the caller binds it as the next version of the local, or of `this`,
+that held the receiver.  Joins and loops carry these versions like any
+variable's.  Before its first assignment such a local is
+`store.NULL_VALUE`, which no array access or call matches.  Any other
+array or object, the corpus's lists, trees and visitors and the arrays
+they hold, is a heap cell: made by `store.alloc` or the class's
+constructor function, read with `store.lookup` and written back with
+`store.update`.  A local's default value is bound only if some path
+reads it.
 
 Calls are dispatched statically, so the emitted program has no function
 values.  Rapid type analysis (see `sema`) gives the classes a run can
@@ -87,19 +92,6 @@ a join's tuple can, ends in that binding's right-hand side instead: a
 method that returns what a call returns, or an `if` branch whose last
 statement assigns what a call returns, ends in the call.
 
-Arrays are heap cells, reached through a pointer, unless they are
-unshared.  An `int[]` local whose only uses are ``x = new int[e]``,
-``x[i]``, ``x[i] = v`` and ``x.length`` cannot be reached by any other
-name (`ClassTable.unboxed`, which `sema` finds while it checks the
-method), so it is the array value itself, threaded by the method like an
-`int` local: each write binds a new version of it, and joins and loops
-carry it (escape analysis for Java: Choi et al. and Blanchet, OOPSLA
-1999).  Before its first assignment it is `store.NULL_ARRAY`, on which
-every array access fails to match, as one through a null pointer does.
-Any other array, a field, a formal, or a local that is copied, passed,
-returned or stored in a field, is a heap cell.  A local's default value
-is bound only if some path reads it.
-
 Every generated function takes and returns the state: methods are
 ``fn (state, self, args) -> (state, result)`` where args is (), a bare
 value, or a tuple by arity, and a method that writes its value object
@@ -117,8 +109,8 @@ for the (state, value) of a call that returns a new state,
 `carried`/`join` for the tuple of branch joins and loops, `changed` for
 the variables they carry, and `wrap` for the end of a run.  `_lookup`
 reads the heap once per cell and state, `_read_field` a field of
-`this` once per state for a cell and once per version for a value, and
-`_store` writes a cell and makes the new state current; field writes
+`this` once per object value (a cell's value in one state, or a value
+object's version of `this`), and `_store` writes a cell and makes the new state current; field writes
 of cells and array writes both go through it, as every array read goes
 through `_array`.  The object layout is each class's `all_fields`, which
 the datatypes, `new_object` and the field and dispatch patterns
@@ -141,6 +133,7 @@ from typing import Callable, Iterator
 from .mjast import (
     BOOL,
     INT,
+    INT_ARRAY,
     ArrayAssignStmt,
     ArrayIndexExpr,
     ArrayLengthExpr,
@@ -381,16 +374,14 @@ def _as_expr(pat: Pat) -> MlExpr | None:
 class _FnScope:
     """Counters and variable bookkeeping for one generated function, the
     classes whose objects run it, on which a field of `this` is matched
-    (none in main), whether those objects are values rather than heap
-    cells (`ClassTable.value_classes`), the array locals it keeps out of
-    the store (`ClassTable.unboxed`), and the variables live after each
-    of its statements (`_liveness`).  A method's `var_order` ends in
+    (none in main), the variables live after each of its statements
+    (`_liveness`), and whether those objects are values rather than heap
+    cells (`ClassTable.is_value`).  A method's `var_order` ends in
     "this", whose versions a value object's method binds as it writes
     fields.  `initial` collects the variables read at version 0: a
     local's default is bound only if it is read."""
 
     var_order: list[str]
-    unboxed: frozenset[str]
     receivers: list[str]
     live: dict[int, frozenset[str]]
     value_this: bool = False
@@ -439,16 +430,17 @@ class _Ctx:
 
     `reads` maps a pointer atom to the atom holding its heap value in the
     current state: `_lookup` reuses it and `_store` records the value it
-    wrote.  It also maps a field's name to the atom holding that field
-    of `this`, which `_read_field` reuses.  A heap lookup and a
-    field's `case` are pure, so a second read of the same pointer or
-    field in the same state would give the same value (and never runs if
-    the first faulted).  Every new state, from a call, an allocation, a
-    store or a join, goes through `advance`, which empties the map; a
-    loop's state parameter starts a `_Ctx` of its own.  `fields` maps a
-    (version of a value `this`, field name) pair to the atom holding that
-    field: a value never changes, so what is known of a version holds
-    whatever the state, and each new version is a new key.
+    wrote.  A heap lookup is pure, so a second read of the same pointer
+    in the same state would give the same value (and never runs if the
+    first faulted).  Every new state, from a call, an allocation, a store
+    or a join, goes through `advance`, which empties the map; a loop's
+    state parameter starts a `_Ctx` of its own.  `fields` maps an (object
+    value atom, field name) pair to the atom holding that field, which
+    `_read_field` reuses and `_field_write` records for the object it
+    builds.  The object is a version of a value `this` or the heap value
+    `_lookup` gave for a cell: a value never changes, so what is known of
+    it holds whatever the state, and a new state reads a cell anew, under
+    a new atom.
 
     `allocated` holds the atoms bound from a `new` object, or from the
     new value a call returns for its receiver, in this run or the runs
@@ -459,7 +451,7 @@ class _Ctx:
     fn: _FnScope
     versions: dict[str, int]
     state: str
-    reads: dict[object, MlExpr] = dc_field(default_factory=dict)
+    reads: dict[MlExpr, MlExpr] = dc_field(default_factory=dict)
     log: set[str] = dc_field(default_factory=set)
     bindings: list[Val] = dc_field(default_factory=list)
     allocated: set[MlExpr] = dc_field(default_factory=set)
@@ -549,9 +541,8 @@ class _Translator:
         self.table = table
         # the translated loops, numbered across the program
         self.loops: list[FunDef] = []
-        # whether some method binds an unboxed array local's null, or a
-        # value object local's
-        self.null_array = self.null_object = False
+        # whether some method binds the null of a value array or object
+        self.binds_null = False
 
     # -- objects ----------------------------------------------------------------
 
@@ -560,7 +551,7 @@ class _Translator:
             DataCon(f"HObj_{_enc(c)}",
                     _payload_ty([_ml_value_ty(ty) for _, ty in info.all_fields.values()]))
             for c, info in self.table.classes.items() if c in self.table.instantiated],
-            self.null_array, self.null_object)
+            self.binds_null)
 
     def _object(self, make, cls: str, item):
         """The object, or with `make` = PCon the pattern, of class cls:
@@ -603,28 +594,24 @@ class _Translator:
     def _read_field(self, ctx: _Ctx, fname: str, name: str | None = None) -> MlExpr:
         """Bind a field of this object, to `name` if given, matching the
         object with one rule per receiver class and every other field
-        wildcarded.  A field already read is reused, unless `name` is
-        given: an assignment binds its own version, not a copy of the
-        atom.  A cell's field is known in one state, a value's in one
-        version of `this`."""
-        if ctx.fn.value_this:
-            known, key = ctx.fields, (ctx.this(), fname)
-        else:
-            known, key = ctx.reads, fname
-        if name is None and key in known:
-            return known[key]
+        wildcarded.  A field known of the object (`_Ctx.fields`) is
+        reused, unless `name` is given: an assignment binds its own
+        version, not a copy of the atom."""
         _, value = self._this_object(ctx)
+        key = value, fname
+        if name is None and key in ctx.fields:
+            return ctx.fields[key]
         tmp = ctx.fn.fresh_temp()
         rules = tuple((self._object(PCon, c, lambda f: PVar(tmp) if f == fname else PWild()),
                        Var(tmp)) for c in ctx.fn.receivers)
-        known[key] = ctx.bind(Case(value, rules), name)
-        return known[key]
+        ctx.fields[key] = ctx.bind(Case(value, rules), name)
+        return ctx.fields[key]
 
     def _field_write(self, ctx: _Ctx, fname: str, new_value: MlExpr) -> None:
         """Rebuild this object with a field replaced, one rule per receiver
-        class binding every other field.  A value object's rebuilt value
-        is the next version of `this`, which knows every field its last
-        version knew; any other is stored."""
+        class binding every other field.  The rebuilt object knows the
+        written field and every field the last one knew.  A value
+        object's is the next version of `this`; a cell's is stored."""
         this, value = self._this_object(ctx)
         temps: dict[str, str] = {}
 
@@ -638,30 +625,21 @@ class _Translator:
         rules = tuple((self._object(PCon, c, bind_other),
                        self._object(Con, c, lambda f: new_value if f == fname else Var(temps[f])))
                       for c in ctx.fn.receivers)
-        if not ctx.fn.value_this:
-            self._store(ctx, this, ctx.bind(Case(value, rules)))
-            return
-        known = {f: atom for (obj, f), atom in ctx.fields.items() if obj == this}
+        known = {f: atom for (obj, f), atom in ctx.fields.items() if obj == value}
         known[fname] = new_value
-        version = ctx.new_version("this")
-        ctx.bind(Case(value, rules), version.name)
-        ctx.fields.update(((version, f), atom) for f, atom in known.items())
+        if ctx.fn.value_this:
+            rebuilt = ctx.bind(Case(value, rules), ctx.new_version("this").name)
+        else:
+            rebuilt = ctx.bind(Case(value, rules))
+            self._store(ctx, this, rebuilt)
+        ctx.fields.update(((rebuilt, f), atom) for f, atom in known.items())
 
     # -- arrays -----------------------------------------------------------------
 
-    def _array(self, ctx: _Ctx, e: Expr, atom: MlExpr) -> MlExpr:
-        """The array value of e, which evaluated to atom: an unboxed
-        local's atom is the array itself, any other is a pointer to it."""
-        if isinstance(e, IdentExpr) and e.name in ctx.fn.unboxed:
-            return atom
-        return self._lookup(ctx, atom)
-
-    def _new_array(self, e: NewArrayExpr, ctx: _Ctx) -> MlExpr:
-        """The value of a new array, once its length and then its elements
-        are bound in ctx.  The length may call a method, so a caller reads
-        `ctx.state` only after this."""
-        n = self.expr(e.length, ctx)
-        return store.new_array(n, ctx.bind(store.zeros(n)))
+    def _array(self, ctx: _Ctx, atom: MlExpr) -> MlExpr:
+        """The array value of an array's atom: a value array's atom is
+        the array itself, a cell's a pointer to it."""
+        return atom if self.table.is_value(INT_ARRAY) else self._lookup(ctx, atom)
 
     # -- calls ------------------------------------------------------------------
 
@@ -684,7 +662,7 @@ class _Translator:
         constructor, one rule, and one known call, per class: a value
         object is matched itself, a heap object read first.  Each checks
         where MiniJava does, after the receiver and the arguments: a null
-        receiver, `store.NULL_OBJECT` or the null pointer, fails the
+        receiver, `store.NULL_VALUE` or the null pointer, fails the
         match, the check or the heap lookup.
 
         A call of a method that writes a value receiver's fields
@@ -692,7 +670,7 @@ class _Translator:
         which becomes the next version of the variable, or of `this`,
         that held it."""
         assert e.receiver_class is not None
-        value = e.receiver_class in self.table.value_classes
+        value = self.table.is_value(ClassType(e.receiver_class))
         if value:
             # a variable or a `new` object, whose value is taken after
             # the arguments: a call among them may write it
@@ -779,17 +757,23 @@ class _Translator:
         if isinstance(e, ArrayIndexExpr):
             arr = self.expr(e.array, ctx)
             idx = self.expr(e.index, ctx)
-            return ctx.bind(store.array_get(self._array(ctx, e.array, arr), idx,
-                                            ctx.fn.fresh_temp), name)
+            return ctx.bind(store.array_get(self._array(ctx, arr), idx, ctx.fn.fresh_temp), name)
         if isinstance(e, ArrayLengthExpr):
             arr = self.expr(e.array, ctx)
-            return ctx.bind(store.array_length(self._array(ctx, e.array, arr),
-                                               ctx.fn.fresh_temp), name)
+            return ctx.bind(store.array_length(self._array(ctx, arr), ctx.fn.fresh_temp), name)
         if isinstance(e, NewArrayExpr):
-            array = self._new_array(e, ctx)
+            # the length may call a method, so the state is read after it
+            n = self.expr(e.length, ctx)
+            if self.table.is_value(INT_ARRAY) and name == _DISCARD:
+                # a value nothing reads: only its elements can fault, for
+                # a negative length
+                return ctx.bind(store.zeros(n), _DISCARD)
+            array = store.new_array(n, ctx.bind(store.zeros(n)))
+            if self.table.is_value(INT_ARRAY):
+                return ctx.bind(array, name)
             return ctx.bind_state(store.alloc(Var(ctx.state), array), name)
         if isinstance(e, NewObjectExpr):
-            if e.class_name not in self.table.value_classes:
+            if not self.table.is_value(ClassType(e.class_name)):
                 atom = ctx.bind_state(App(Var(mangle_new(e.class_name)), Var(ctx.state)), name)
             elif name in (None, _DISCARD):
                 # a value object, made where it is used: nothing to bind
@@ -834,21 +818,13 @@ class _Translator:
             elif s.name not in live:
                 # nothing reads this value: only what can fault or touch
                 # the state is evaluated, and bound to `_`
-                if s.name in ctx.fn.unboxed:
-                    assert isinstance(s.value, NewArrayExpr)
-                    ctx.bind(store.zeros(self.expr(s.value.length, ctx)), _DISCARD)
-                else:
-                    for part in _effects(s.value):
-                        self.expr(part, ctx, _DISCARD)
+                for part in _effects(s.value):
+                    self.expr(part, ctx, _DISCARD)
             else:
                 # the value is bound under the new version's name, not copied to it
                 version = ctx.fn.fresh_version(s.name)
                 name = mangle_var(s.name, version)
-                if s.name in ctx.fn.unboxed:
-                    assert isinstance(s.value, NewArrayExpr)
-                    value = ctx.bind(self._new_array(s.value, ctx), name)
-                else:
-                    value = self.expr(s.value, ctx, name)
+                value = self.expr(s.value, ctx, name)
                 if value != Var(name):
                     ctx.emit(PVar(name), value)
                 ctx.versions[s.name] = version
@@ -859,7 +835,7 @@ class _Translator:
                 ptr = ctx.var_atom(s.name)
             idx = self.expr(s.index, ctx)
             value = self.expr(s.value, ctx)
-            if s.name in ctx.fn.unboxed:
+            if self.table.is_value(INT_ARRAY):
                 array = store.array_set(ptr, idx, value, ctx.fn.fresh_temp)
                 if s.name in live:
                     # the written array is the local's next version
@@ -923,31 +899,25 @@ class _Translator:
         writes = table.writes_this(cls, decl.name)
         returned = _reads(decl.return_expr) | ({"this"} if writes else set())
         live = _liveness(decl.body, returned)
-        fn = _FnScope(var_order, table.unboxed[cls, decl.name], receivers, live,
-                      cls in table.value_classes)
+        fn = _FnScope(var_order, receivers, live, table.is_value(ClassType(cls)))
         ctx = _Ctx(fn, dict.fromkeys(var_order, 0), "mj_s0")
         for s in decl.body:
             self.stmt(s, ctx)
         value = self.expr(decl.return_expr, ctx)
         result = _tup([Var(ctx.state), *([ctx.this()] if writes else []), value])
-        # a local's default is bound only where some path reads it; an
-        # unboxed array's is the array null, and a value object's the
-        # object null
-        values = {v.name for v in decl.local_vars if isinstance(v.var_type, ClassType)
-                  and v.var_type.name in table.value_classes}
-        ctx.bindings[:0] = [Val(PVar(mangle_var(v.name, 0)),
-                                store.NULL_ARRAY if v.name in fn.unboxed
-                                else store.NULL_OBJECT if v.name in values
-                                else _default_value(v.var_type))
-                            for v in decl.local_vars if v.name in fn.initial]
-        self.null_array |= bool(fn.initial & fn.unboxed)
-        self.null_object |= bool(fn.initial & values)
+        # a local's default is bound only where some path reads it; a
+        # value array's or object's is the null of values
+        defaults = [Val(PVar(mangle_var(v.name, 0)), store.NULL_VALUE if table.is_value(v.var_type)
+                        else _default_value(v.var_type))
+                    for v in decl.local_vars if v.name in fn.initial]
+        self.binds_null |= any(val.rhs == store.NULL_VALUE for val in defaults)
+        ctx.bindings[:0] = defaults
         param = PTuple((PVar("mj_s0"), PVar("mj_this"),
                         _ptup([PVar(mangle_var(f.name, 0)) for f in decl.formals])))
         return FunDef(mangle_method(table.info(cls).index, decl.name), param, ctx.wrap(result))
 
     def main(self, program: MjProgram) -> FunDef:
-        fn = _FnScope([], frozenset(), [], _liveness(program.main.body, frozenset()))
+        fn = _FnScope([], [], _liveness(program.main.body, frozenset()))
         ctx = _Ctx(fn, {}, "mj_s0")
         ctx.emit(PVar("mj_s0"), store.EMPTY_STATE)
         for s in program.main.body:
@@ -958,7 +928,7 @@ class _Translator:
         groups = [(f,) for f in store.prelude()]
         table = self.table
         big: list[FunDef] = [self.constructor(name) for name in table.classes
-                             if name in table.instantiated - table.value_classes]
+                             if name in table.instantiated and not table.is_value(ClassType(name))]
         for info in table.classes.values():
             for name, decl in info.methods.items():
                 if (info.name, name) in table.live:

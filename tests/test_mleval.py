@@ -345,7 +345,7 @@ def test_a_lifted_function_reads_what_its_caller_passes():
 # here.
 CORPUS_STEPS = {
     "BinarySearch": (13518, 4018),
-    "BinaryTree": (6087, 527),
+    "BinaryTree": (6031, 527),
     "BubbleSort": (18200, 1856),
     "Factorial": (248, 141),
     "LinearSearch": (6867, 1293),
@@ -611,7 +611,7 @@ def test_a_run_leaves_no_cyclic_garbage_that_grows_with_the_heap():
 # of FILLER at n = 50, at 21 evenly spaced fuels from 0 to the steps the
 # run needs and at each of them +-1: where every check falls, and what a
 # run cut there has printed.
-FUEL_CUTS_ML_SHA256 = "817d2fe284f2c7155a046e9cccfbf02b076ba11f643304a1771941f05ec3046f"
+FUEL_CUTS_ML_SHA256 = "d447eb2967c5edfcd4adb81eae2b4c24706432ccd59d1da0dd03c57b6382407a"
 
 
 def test_ml_runs_cut_at_any_fuel_keep_their_faults_steps_and_output(corpus_files):

@@ -1,7 +1,8 @@
 import pytest
 
 from mj2ml.diffharness import diff_source
-from mj2ml.mjast import BOOL, INT, CallExpr, ClassType, IdentExpr, print_program, walk
+from mj2ml.mjast import (BOOL, INT, INT_ARRAY, CallExpr, ClassType, IdentExpr, print_program,
+                         walk)
 from mj2ml.outcome import MAX_NESTING
 from mj2ml.parser import parse_source
 from mj2ml.sema import MjTypeError, build_class_table, typecheck
@@ -334,9 +335,44 @@ def test_a_group_is_a_value_unless_a_declaration_or_a_live_body_lets_it_escape()
     # C's formal `other` names C's type, though nothing calls `pair`, so
     # C's group, D too, keeps its objects in the store
     _, table = check(VALUE_GROUPS)
-    assert table.group("D") == "C"
-    assert table.value_classes == {"A", "B"}
+    assert table.group(ClassType("D")) == "C"
+    assert {c for c in table.classes if table.is_value(ClassType(c))} == {"A", "B"}
     # bump writes a field, and get calls it on `this`
     assert table.this_writers == {("B", "bump"), ("B", "get")}
     assert table.writes_this("B", "get") and not table.writes_this("A", "f")
     assert diff_source("Groups.java", VALUE_GROUPS).ml.output == [1]
+
+
+VALUE_ARRAYS = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new A().f(3));
+    }
+}
+class A {
+    public int f(int n) {
+        int[] x;
+        x = new int[n];
+        x[1] = 4;
+        return x[1] + x.length;
+    }
+    public int unused() {
+        int[] x;
+        int[] y;
+        x = new int[1];
+        y = x;
+        return y[0];
+    }
+}
+"""
+
+
+def test_arrays_are_a_value_unless_a_declaration_or_a_live_body_lets_one_escape():
+    # arrays are one group: the copy `y = x` is in a method no run
+    # reaches, so they stay values; a formal of type int[], though
+    # nothing calls its method, keeps every array in the store
+    _, table = check(VALUE_ARRAYS)
+    assert table.group(INT_ARRAY) == "int[]" and table.is_value(INT_ARRAY)
+    assert diff_source("Arrays.java", VALUE_ARRAYS).ml.output == [7]
+    _, table = check(VALUE_ARRAYS.replace("unused()", "unused(int[] z)"))
+    assert not table.is_value(INT_ARRAY)

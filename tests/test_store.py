@@ -88,7 +88,7 @@ def test_a_state_decodes_to_what_was_allocated():
 
 # The store's constructors and the prelude's helpers, which only store.py
 # may name.
-ENCODING = re.compile(r"\b(HArr|ANull|Lf|Nd|Braun|mj_(get|set|cons|zeros|lookup|update|alloc))\b")
+ENCODING = re.compile(r"\b(HArr|HNull|Lf|Nd|Braun|mj_(get|set|cons|zeros|lookup|update|alloc))\b")
 
 
 def test_only_the_store_module_knows_the_encoding():

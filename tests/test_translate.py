@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mj2ml.cli import main
 from mj2ml.diffharness import diff_source
-from mj2ml.mjast import print_program
+from mj2ml.mjast import INT_ARRAY, ClassType, print_program
 from mj2ml.mleval import eval_program
 from mj2ml.mlast import (TY_INT, App, Case, Con, FunDef, If, IntLit, Let, PrimOp, PTuple, PVar,
                           Tuple, TyTuple, Val, Var, validate_core)
@@ -52,6 +52,11 @@ def tr(source):
     return translate(parse_source(source))
 
 
+def value_classes(table):
+    """The classes whose objects are ML values, not heap cells."""
+    return {c for c in table.classes if table.is_value(ClassType(c))}
+
+
 def test_translation_is_deterministic():
     assert tr(CHAIN) == tr(CHAIN)
 
@@ -65,7 +70,7 @@ def test_corpus_translations_stay_in_the_core(corpus_files):
 # emitted bytes on purpose must update these pins and say so.
 EMITTED_SML_SHA256 = {
     "BinarySearch": "38685fa0b9f1912f8fd52a5013974c045a8b6cd385e9c23b4070843e5f251f8f",
-    "BinaryTree": "cb9734e5a1db8c56b9b8a6cb766120e35a02fdaf4db63e1c7c4129ee78476142",
+    "BinaryTree": "d15ac67b51ea2b847a720d514d27745cbdb2f268e9a7fe7d1a1d5fee0056a6e8",
     "BubbleSort": "e65eae6a84300c26d022a46b2446bc56c8e679d03ac5f911fdcd17b148272c18",
     "Factorial": "bc921f76f043291dbf37d99c8ab009d54b384b25f09243c0d10423937020d335",
     "LinearSearch": "4e7b8b34eed4da03ef970d7e873f98dd61de800b5e8f290228dbc1d2f02f8732",
@@ -505,10 +510,10 @@ def test_a_heap_cell_is_read_once_per_state():
 
 
 def test_a_slot_is_read_once_per_state():
-    # `w = x + 1` reads x into a temporary; `z = x` binds z's version
-    # itself rather than copy that temporary, and the last read reuses it
+    # `x = 4` makes x known to `w = x + 1`; `z = x` binds z's version
+    # itself rather than copy a temporary, and the last read reuses it
     reread = plumbing_method("reread")
-    assert slot_reads(reread) == 2
+    assert slot_reads(reread) == 1
     assert TEMP_COPY.findall(print_ml_program(tr(PLUMBING))) == []
 
 
@@ -778,7 +783,7 @@ class A {
 }
 """, [9], []),
     # read or written where it may be unassigned: on that path it is the
-    # array null, `ANull`, and here it is assigned
+    # null of values, `HNull`, and here it is assigned
     "read-before-assignment": ("new A().f(3)", """\
 class A {
     public int f(int n) {
@@ -799,6 +804,25 @@ class A {
     }
 }
 """, [2], []),
+    # x cannot escape, but g's copy `z = y` lets an array escape, and
+    # arrays are one group: every array is a cell
+    "local-beside-escaping": ("new A().f()", """\
+class A {
+    public int f() {
+        int[] x;
+        x = new int[2];
+        x[0] = 3;
+        return x[0] + x.length + this.g();
+    }
+    public int g() {
+        int[] y;
+        int[] z;
+        y = new int[1];
+        z = y;
+        return z.length;
+    }
+}
+""", [6], ["HArr", "HArr"]),
 }
 
 
@@ -810,13 +834,12 @@ def test_an_array_local_leaves_the_store_only_when_it_cannot_escape(use):
     assert result.verdict == "match" and result.ml.output == output
     program = parse_source(source)
     table = typecheck(program)
-    unboxed = any("x" in names for names in table.unboxed.values())
-    assert unboxed == ("HArr" not in cells)
+    assert table.is_value(INT_ARRAY) == ("HArr" not in cells)
     ml = translate(program, table)
     out, state = eval_program(ml)
     assert out.ok and alloc_order(state) == list(range(len(cells)))
     assert [value.name for _, value in heap_cells(state)] == cells
-    assert made_in_main(ml) == ["HObj_A"] and table.value_classes == {"A"}
+    assert made_in_main(ml) == ["HObj_A"] and value_classes(table) == {"A"}
 
 
 # An unboxed local used where it may be unassigned, after printing n:
@@ -869,8 +892,8 @@ def test_the_array_null_is_declared_exactly_when_an_unboxed_default_is_read(corp
     for name, source in sources.items():
         ml = tr(source)
         [heapval] = [d for d in ml.datatypes if d.name == "heapval"]
-        read = any(con.name == "ANull" for con in nodes(ml.fun_groups, Con))
-        assert ("ANull" in [c.name for c in heapval.cons]) == read, name
+        read = any(con.name == "HNull" for con in nodes(ml.fun_groups, Con))
+        assert ("HNull" in [c.name for c in heapval.cons]) == read, name
         assert validate_core(ml) == [], name
         if read:
             declared.add(name)
@@ -1097,12 +1120,12 @@ def test_an_object_leaves_the_store_only_when_it_cannot_escape(use):
     out, state = eval_program(translate(program, table))
     assert out.ok and [value.name for _, value in heap_cells(state)] == cells
     boxed = {name.removeprefix("HObj_") for name in cells}
-    assert "A" in table.value_classes and not boxed & table.value_classes
-    assert cells or table.value_classes == set(table.classes)
+    assert "A" in value_classes(table) and not boxed & value_classes(table)
+    assert cells or value_classes(table) == set(table.classes)
 
 
 # A value object local called where it may be unassigned, after printing
-# n: assigned when 0 < n, the object null `ONull` when n = 0.
+# n: assigned when 0 < n, the null of values `HNull` when n = 0.
 UNASSIGNED_OBJECT = """\
 class A {
     public int f(int n) {
@@ -1139,7 +1162,7 @@ def test_a_call_that_may_come_before_the_assignment_calls_null():
         assigned = diff_source("Assigned.java", source % 3)
         assert assigned.verdict == "match" and assigned.ml.output == [3, value], use
         ml = tr(source % 0)
-        assert [c.name for c in ml.datatypes[0].cons][:2] == ["HArr", "ONull"], use
+        assert [c.name for c in ml.datatypes[0].cons][:2] == ["HArr", "HNull"], use
         result = diff_source("Null.java", source % 0)
         assert result.verdict == "skipped-faulting", use
         assert result.mj.output == [0] and result.mj.fault is FaultKind.NULL_DEREFERENCE, use
@@ -1239,7 +1262,7 @@ def test_a_field_written_through_a_call_on_this_is_read_after_it():
     assert result.ml.output == [0, 1, 3, 6, 6, 1, 2, 3, 3, 3, 14, 1, 10, 91, 1082]
     program = parse_source(WRITE_BACK)
     table = typecheck(program)
-    assert table.value_classes == {"Counter", "Driver", "Shape", "Square", "Circle"}
+    assert value_classes(table) == {"Counter", "Driver", "Shape", "Square", "Circle"}
     # every Counter method writes `this` through `bump`; `go` writes a
     # local, not `this`
     assert table.this_writers == {("Counter", m) for m in
@@ -1459,7 +1482,7 @@ class A {
 def test_a_dead_assignment_keeps_its_fault(case):
     statement, mj_fault, ml_fault = DEAD_FAULTS[case]
     source = ESCAPE_MAIN % "new A().f(1)" + DEAD_ASSIGNMENT % statement
-    assert typecheck(parse_source(source)).unboxed[("A", "f")] == {"x"}
+    assert typecheck(parse_source(source)).is_value(INT_ARRAY)
     result = diff_source("Dead.java", source)
     assert result.verdict == "skipped-faulting"
     assert result.mj.output == [1] and result.mj.fault is mj_fault
