@@ -23,8 +23,9 @@ each class, so a chain of k classes that each add a field costs O(k^2).
 from the `new C` and the (receiver class, method) of each call that it
 records while checking a body: the classes instantiated
 (`instantiated`), the (static receiver class, method) pairs called
-(`calls`) and the (declaring class, method) declarations that can run
-(`live`).  Both back ends read these:
+(`calls`), apart from the calls on a `new C()`, which run C's
+implementation alone, and the (declaring class, method) declarations
+that can run (`live`).  Both back ends read these:
 `translate` emits a constructor for each instantiated class and a
 function only for a live method, and dispatches each call among the
 instantiated classes its receiver can be an object of; `mjinterp`
@@ -270,10 +271,12 @@ class _Checker:
         self.scope: dict[str, tuple[str, MjType]] = {}
         # the start of the body being checked, and the nodes open in it
         self.start, self.depth = Pos(1, 1), 0
-        # the classes the body instantiates and the (receiver class,
-        # method) pairs it calls
+        # the classes the body instantiates, the (receiver class, method)
+        # pairs it calls, and the (class, method) pairs it calls on a
+        # `new` object of that class
         self.news: set[str] = set()
         self.calls: set[tuple[str, str]] = set()
+        self.exact_calls: set[tuple[str, str]] = set()
         # the groups of the variables the body reads other than as an
         # operand, or assigns other than from `new`, and of `this` used
         # other than as an operand; the operand being checked, the array
@@ -288,13 +291,14 @@ class _Checker:
 
     def enter_body(self, cls: str | None, pos: Pos) -> None:
         self.current_class, self.start = cls, pos
-        self.news, self.calls = set(), set()
+        self.news, self.calls, self.exact_calls = set(), set(), set()
         self.escapes, self.this_calls, self.writes_field = set(), set(), False
 
     def body(self) -> "_Body":
         """What the body just checked instantiates, calls and does with
         objects."""
-        return _Body(self.news, self.calls, self.escapes, self.this_calls, self.writes_field)
+        return _Body(self.news, self.calls, self.exact_calls, self.escapes, self.this_calls,
+                     self.writes_field)
 
     def enter_method(self, cls: str, method: MethodDecl) -> None:
         self.enter_body(cls, method.pos)
@@ -395,7 +399,10 @@ class _Checker:
                 raise MjTypeError(e.pos,
                                   f"class '{recv.name}' has no method '{e.method}'")
             _, decl = found
-            self.calls.add((recv.name, e.method))
+            if isinstance(e.receiver, NewObjectExpr):
+                self.exact_calls.add((recv.name, e.method))
+            else:
+                self.calls.add((recv.name, e.method))
             if isinstance(e.receiver, ThisExpr):
                 self.this_calls.add(e.method)
             if len(e.args) != len(decl.formals):
@@ -480,12 +487,14 @@ def typecheck(program: MjProgram) -> ClassTable:
 
 class _Body(NamedTuple):
     """What a body does, as the checker records it: the classes it
-    instantiates, the (receiver class, method) pairs it calls, the groups
+    instantiates, the (receiver class, method) pairs it calls, those it
+    calls on a `new` object of the receiver class, the groups
     whose arrays or objects it lets escape, the methods it calls on
     `this`, and whether it writes a field of `this`."""
 
     news: set[str]
     calls: set[tuple[str, str]]
+    exact_calls: set[tuple[str, str]]
     escapes: set[str]
     this_calls: set[str]
     writes_field: bool
@@ -500,7 +509,9 @@ def _mark_live(table: ClassTable, bodies: dict[tuple[str, str] | None, _Body]) -
     A call (R, m) makes C's implementation of m live for each
     instantiated class C that is or extends R: the objects a call on an R
     receiver can reach, as `translate._targets` dispatches among them.
-    Every implementation a call runs, in either back end, is live."""
+    A call on `new C()` makes only C's implementation live: the object
+    is a C.  Every implementation a call runs, in either back end, is
+    live."""
     instantiated, called, live = table.instantiated, table.calls, table.live
     pending: list[tuple[str, str] | None] = [None]
 
@@ -512,6 +523,8 @@ def _mark_live(table: ClassTable, bodies: dict[tuple[str, str] | None, _Body]) -
 
     while pending:
         body = bodies[pending.pop()]
+        for cls, method in body.exact_calls:
+            reach(cls, method)
         for cls in body.news - instantiated:
             instantiated.add(cls)
             path = table.info(cls).path

@@ -680,6 +680,9 @@ class _Translator:
             receiver = self.expr(e.receiver, ctx)
             args = _tup([self.expr(a, ctx) for a in e.args])
         targets = self._targets(e.receiver_class, e.method)
+        if isinstance(e.receiver, NewObjectExpr):
+            # a new object runs its own class's implementation
+            targets = {e.receiver_class: targets[e.receiver_class]}
         state = Var(ctx.state)
         writes = self.table.writes_this(e.receiver_class, e.method)
         fresh = isinstance(e.receiver, (ThisExpr, NewObjectExpr)) or receiver in ctx.allocated

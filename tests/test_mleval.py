@@ -509,7 +509,7 @@ def test_both_sides_finish_a_5000_deep_method_recursion():
 
 # ML-side steps of generated programs at 100 000 fuel, one line per seed
 # 0..49 with the fault, steps and output; 49 of the 50 runs finish.
-GENERATED_ML_STEPS_SHA256 = "eed8c0ccbaf5118206006294a1a804fdd8abfa052c944e548ab7fd80a9ca2624"
+GENERATED_ML_STEPS_SHA256 = "4281e742cb02e87d49a8b3bbce427ac22913211fd69bd9fa79b54b31e61f3c98"
 
 
 def test_generated_programs_take_the_pinned_ml_steps():

@@ -274,23 +274,25 @@ def test_a_501_class_chain_is_a_type_error_at_its_last_class():
 
 
 def test_a_call_keeps_only_the_implementations_its_receiver_can_reach():
-    # `new B().f()` is a call of f on a B receiver: an A object is
-    # instantiated but is no B, so A.f is dead, and so is Unused.f, whose
-    # class is never instantiated
+    # `new B().f()` is a call of f on a new B, which runs B's f alone: an
+    # A object is instantiated but is no B, so A.f is dead, and so is
+    # Unused.f, whose class is never instantiated.  A call on a `new`
+    # object is no (receiver class, method) pair to dispatch on
     _, table = check("""\
 class Main {
     public static void main(String[] a) {
-        System.out.println(new B().f() + new U().g(new A()));
+        System.out.println(new B().f() + new U().g(new A()) + new A().h());
     }
 }
 class A { public int f() { return 1; } public int h() { return 2; } }
-class B extends A { public int f() { return 3; } }
+class B extends A { public int f() { return 3; } public int h() { return 6; } }
 class U { public int g(A a) { return 4; } }
 class Unused extends B { public int f() { return 5; } }
 """)
     assert table.instantiated == {"A", "B", "U"}
-    assert table.calls == {("B", "f"), ("U", "g")}
-    assert table.live == {("B", "f"), ("U", "g")}
+    assert table.calls == set()
+    # `new A().h()` runs A's h, though a B is an A too
+    assert table.live == {("B", "f"), ("U", "g"), ("A", "h")}
 
 
 VALUE_GROUPS = """\

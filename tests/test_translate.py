@@ -175,7 +175,9 @@ def test_a_method_reached_only_from_dead_code_is_dead():
     table = typecheck(program)
     assert table.live == {("A", "used")}
     assert table.instantiated == {"A"}
-    assert table.calls == {("A", "used")}
+    # main's call is on a `new A()`, so it runs A's `used` and names no
+    # receiver class to dispatch on
+    assert table.calls == set()
     names = function_names(translate(program, table))
     assert mangle_method(0, "helper") not in names
     assert mangle_method(1, "f") not in names
@@ -239,7 +241,7 @@ def test_generated_subclass_encoding_is_pinned():
     text = "".join(print_ml_program(translate(generate_program(s, 40)), f"seed{s:03d}")
                    for s in range(40))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "b8ee4fe0db876358c9b146a04ecf31e5acf80fc1d02bc2f7eab5621131b195e5"
+        "fb417fec49175ac7ea35ce69d06b146aea7aa21de0aad1f18d3545d5cf05194e"
 
 
 def test_gen200_workload_is_pinned():
@@ -252,7 +254,7 @@ def test_gen200_workload_is_pinned():
     assert (len(source), hashlib.sha256(source).hexdigest()) == (
         624675, "4aaa6ae173174edd3a3581bb467872f20879886553696d0b1b4401880281a271")
     assert (len(sml), hashlib.sha256(sml).hexdigest()) == (
-        1314686, "f2beab662f224a44a598564f2d62bb385e407a40281c802f85352b31d64d2715")
+        1274642, "f025a525761d219dd28749b39b7338f68f63a0c93cb599e2e9421abdb3cd01c1")
 
 
 # A's `self` returns an A, so A's objects can escape: `this` is a pointer
@@ -370,7 +372,7 @@ def test_a_loop_binds_each_variable_under_its_name_at_entry(corpus_files):
                 params = loop.param.items if isinstance(loop.param, PTuple) else (loop.param,)
                 assert [a.name for a in args[1:]] == [p.name for p in params[1:]], loop.name
                 loops += 1
-    assert loops == 724
+    assert loops == 702
 
 
 def dead_code(ml):
