@@ -296,7 +296,7 @@ class _Checker:
 
     def body(self) -> "_Body":
         """What the body just checked instantiates, calls and does with
-        objects."""
+        arrays and objects."""
         return _Body(self.news, self.calls, self.exact_calls, self.escapes, self.this_calls,
                      self.writes_field)
 

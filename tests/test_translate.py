@@ -750,6 +750,25 @@ class A {
     }
 }
 """, [11], ["HArr", "HArr"]),
+    # x cannot escape, but g's copy `z = y` lets an array escape, and
+    # arrays are one group: every array is a cell
+    "local-beside-escaping": ("new A().f()", """\
+class A {
+    public int f() {
+        int[] x;
+        x = new int[2];
+        x[0] = 3;
+        return x[0] + x.length + this.g();
+    }
+    public int g() {
+        int[] y;
+        int[] z;
+        y = new int[1];
+        z = y;
+        return z.length;
+    }
+}
+""", [6], ["HArr", "HArr"]),
     "unboxed": ("new A().f(3)", """\
 class A {
     public int f(int n) {
@@ -806,25 +825,6 @@ class A {
     }
 }
 """, [2], []),
-    # x cannot escape, but g's copy `z = y` lets an array escape, and
-    # arrays are one group: every array is a cell
-    "local-beside-escaping": ("new A().f()", """\
-class A {
-    public int f() {
-        int[] x;
-        x = new int[2];
-        x[0] = 3;
-        return x[0] + x.length + this.g();
-    }
-    public int g() {
-        int[] y;
-        int[] z;
-        y = new int[1];
-        z = y;
-        return z.length;
-    }
-}
-""", [6], ["HArr", "HArr"]),
 }
 
 
