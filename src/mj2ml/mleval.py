@@ -24,32 +24,32 @@ takes the current frame and returns its node's value, calling its
 children's closures; no node of the tree is inspected while the program
 runs.  The process has one compiler, made at import, which holds the
 cells every closure shares (the fuel, the output and the pending call)
-and compiles the store's helpers, `store.prelude()`, once, in order.
-A program whose groups start with some of those helpers, the same
-objects in the same order and each a group of its own, reuses their
-code: every name in scope there means what it meant when they were
-compiled.  Every translation starts with all of them.  Everything else
-is compiled for one run and dropped with it.  Since runs share the
-compiler's cells, one must end, and its steps be read, before the next
-compiles: `run_compiled` holds a process-wide lock for all of that.
-A `let` is one closure that runs its declarations in a loop, and a pure
-subtree (variables and constants, tuples and constructors of them, and
-`div` or `mod` of a variable or a constant by a positive literal) is one
-getter that charges no fuel: its parent, or a closure around the getter,
-charges for all of its nodes (see Fuel).
+and makes the store's helpers, `store.prelude()`, once, in order: the
+four tree helpers run natively (see Native helpers), and the others are
+compiled.  A program whose groups start with some of those helpers, the
+same objects in the same order and each a group of its own, reuses
+them: every name in scope there means what it meant when they were
+made.  Every translation starts with all of them.  Everything else,
+a copy of a helper too, is compiled for one run and dropped with it.
+Since runs share the compiler's cells, one must end, and its steps be
+read, before the next compiles: `run_compiled` holds a process-wide
+lock for all of that.  A `let` is one closure that runs its
+declarations in a loop, and a pure subtree (variables and constants,
+and tuples and constructors of them) is one getter that charges no
+fuel: its parent, or a closure around the getter, charges for all of
+its nodes (see Fuel).
 
-Superoperators.  The shapes that translated code, and above all its
-store helpers, run at nearly every step are each one closure, after
-Proebsting, "Optimizing an ANSI C interpreter with superoperators"
-(1995).  Each makes the fuel checks of the closures it replaces, of the
-same amounts and in the same order, so no output, fault or step count
-can tell them apart:
+Superoperators.  The shapes that translated code runs at nearly every
+step are each one closure, after Proebsting, "Optimizing an ANSI C
+interpreter with superoperators" (1995).  Each makes the fuel checks of
+the closures it replaces, of the same amounts and in the same order, so
+no output, fault or step count can tell them apart:
 - operands in place: a variable or a constant is a slot of the frame
-  (see Frames).  An `if` that compares two of them, a `+`, `-` or `<`
-  of two of them and a `div` or `mod` of one by a literal read those
-  slots in their own closure, with no getter call.  The `if` charges 2
-  and the primitive 1, plus 1 per operand, with one check; a `div` or
-  `mod`, being pure, is charged by its parent (see Fuel);
+  (see Frames).  An `if` on `<` of two of them, and a `+`, `-` or `<` of
+  two of them, read those slots in their own closure, with no getter
+  call.  The `if` charges 2 and the primitive 1, plus 1 per operand,
+  with one check.  Translated code emits no `div`, `mod` or `=`: each is
+  a primitive of the general kind, an operator from a table;
 - a `case` is one of three closures, one for each of its forms: one
   `true` or `false` rule, tested with `is` (so the int 1 is not `true`);
   one constructor rule, such as `B (x, l, r)`, tested by its length and
@@ -105,6 +105,19 @@ slots, `[None, *items, *rest]`: no argument tuple is built and no
 binder runs.  The name in the function position is not read,
 though its visit is charged.
 
+Native helpers.  The store's four tree helpers (`store.natives`) walk a
+tree as a Python loop.  Each is the body of the shared helper, which
+the call site enters as any other: it passes the arguments in the frame
+to the Python version and gets back the helper's value and the node
+visits its ML would make, or `store.STUCK` and the visits up to the
+`case` that no rule matches.  The body charges those visits with one
+check, FuelExhausted when the fuel is short, and then fails with
+MatchFailure when stuck.  Nothing observable happens inside a helper:
+it prints nothing, and its only fault is that `case`, after all of its
+visits.  So no output, fault or step count can tell this from running
+its ML, which a program that does not start with the shared helpers
+compiles and runs.
+
 An application in tail position, of a function body or of a `val`
 right-hand side, evaluates the argument, makes the callee's frame with
 its parameter bound, and only then stores the pending call, the
@@ -119,7 +132,8 @@ body and one for each node between that body and the call: an `if`, a
 `case`, a `let`, or a node with the call as an operand, and the call's
 own closure, which enters the body, unless it is a `val`'s right-hand
 side.  That is 3 frames per pending call for a translated method
-recursion (a `let`, an `if` and a `let`).  A run has
+recursion (a `let`, an `if` and a `let`).  A shared tree helper holds 2,
+its body and its Python version, however deep the tree.  A run has
 `outcome.RECURSION_LIMIT` Python frames (the run model in `outcome`);
 exceeding it reports FuelExhausted, as running out of fuel does.
 
@@ -130,12 +144,13 @@ node charges with one check for itself and for the pure children it
 evaluates before any other child, and a pure subtree in any other place
 charges for all of its nodes at once; each raises before any of that
 work when the fuel does not cover all of it.  Two nodes share a check
-with a child that is not pure: an `if` whose condition is `=` of pure
-operands, or `<` of variables and constants, charges for the comparison
-too, and a known call whose
-tuple argument goes straight into the callee's slots charges for the
-tuple and the tuple's leading pure items.  Reading a pure subtree has
-no effect, and nothing else runs between the visits so merged, so no
+with a child that is not pure: an `if` whose condition is `<` of
+variables and constants charges for the comparison too, and a known
+call whose tuple argument goes straight into the callee's slots charges
+for the tuple and the tuple's leading pure items.  A shared tree helper
+charges for all the visits of its body with one check (see Native
+helpers).  Reading a pure subtree has no effect, and nothing else runs
+between the visits so merged, so no
 output, fault or step count can tell this from charging the visits one
 at a time: either way the run stops having spent all of its fuel, with
 the same output.  A `let` is visited once per declaration: each `val`
@@ -156,7 +171,6 @@ from operator import add, eq, floordiv, itemgetter, lt, mod, mul, sub
 
 from .mjast import INT_MAX, INT_MIN
 from .mlast import (
-    DIVISIONS,
     PRINT,
     App,
     Case,
@@ -178,7 +192,7 @@ from .mlast import (
     Var,
 )
 from .outcome import DEFAULT_FUEL, Fault, FaultKind, RunOutcome, run_compiled
-from .store import prelude
+from .store import STUCK, natives, prelude
 
 UNIT = ()
 
@@ -329,10 +343,9 @@ def _compiler():
         return lambda v, f: outer(v, f) and inner(f[slot], f)
 
     # -- pure nodes: variables and constants, and tuples and constructors
-    # of them, and `div` and `mod` of a variable or a constant by a
-    # positive literal, such as `i div 2`.  Evaluating one cannot fault
-    # or print, so a pure subtree compiles to a getter g(frame) that
-    # charges no fuel; its parent charges for its nodes. -------------------
+    # of them.  Evaluating one cannot fault or print, so a pure subtree
+    # compiles to a getter g(frame) that charges no fuel; its parent
+    # charges for its nodes. ------------------------------------------------
 
     def pure(e: MlExpr):
         """(getter, node count, slot) when `e` is pure, else None; `slot`
@@ -342,8 +355,6 @@ def _compiler():
             slot = resolve(e.name)
         elif cls is IntLit:
             slot = constant(e.value, e.value)
-        elif cls is PrimOp:
-            return division(e)
         elif cls is Con and not e.args:
             name = e.name
             slot = constant(name, _CONSTANTS[name] if name in _CONSTANTS else [name])
@@ -387,21 +398,6 @@ def _compiler():
             return lambda f: [name, f[s], f[t], f[u]]
         get = itemgetter(*slots)
         return lambda f: [name, *get(f)]
-
-    def division(e: PrimOp):
-        """`pure` of a `div` or `mod`: one of a variable or a constant by
-        a positive literal cannot fault.  Any other is a primitive."""
-        dividend, divisor = e.args
-        if e.op not in DIVISIONS or type(divisor) is not IntLit or divisor.value < 1:
-            return None
-        part = pure(dividend)
-        if part is None or part[2] is None:
-            return None
-        _, n, s = part
-        d = divisor.value
-        if e.op == "div":
-            return (lambda f: f[s] // d), n + 2, None
-        return (lambda f: f[s] % d), n + 2, None
 
     def con_of(name: str, getters: list):
         """The getter of the constructor `name` of the getters' values."""
@@ -641,25 +637,21 @@ def _compiler():
         return ev
 
     def if_(e: If, tail: bool):
-        """An `if`.  One whose condition is `=` of pure operands, or `<`
-        of variables and constants, is one closure that charges for
-        itself and for the comparison with one check: nothing can print
-        or fault between those visits.  Operands that are variables or
-        constants are read in place."""
+        """An `if`.  One whose condition is `<` of variables and constants
+        is one closure that reads them in place and charges for itself
+        and for the comparison with one check: nothing can print or fault
+        between those visits."""
         cond = e.cond
-        compare = type(cond) is PrimOp and cond.op in ("<", "=")
-        parts = [pure(x) for x in cond.args] if compare else [None]
-        less = compare and cond.op == "<"
-        fused = None not in parts and not (less and None in (parts[0][2], parts[1][2]))
-        if fused:
-            (a, na, s), (b, nb, t) = parts
-            cost = 2 + na + nb
-        else:
+        read = slots_of(cond.args) if type(cond) is PrimOp and cond.op == "<" else None
+        if read is None:
             (test,), extra = operands((cond,))
             cost = 1 + extra
+        else:
+            (s, t), extra = read
+            cost = 2 + extra
         then = expr(e.then, tail)
         orelse = expr(e.orelse, tail)
-        if not fused:
+        if read is None:
             def ev(f):
                 nonlocal fuel
                 if fuel < cost:
@@ -668,32 +660,13 @@ def _compiler():
                 if test(f):
                     return then(f)
                 return orelse(f)
-        elif s is not None and t is not None:
-            if less:
-                def ev(f):
-                    nonlocal fuel
-                    if fuel < cost:
-                        raise Fault(_FUEL)
-                    fuel -= cost
-                    if f[s] < f[t]:
-                        return then(f)
-                    return orelse(f)
-            else:
-                def ev(f):
-                    nonlocal fuel
-                    if fuel < cost:
-                        raise Fault(_FUEL)
-                    fuel -= cost
-                    if f[s] == f[t]:
-                        return then(f)
-                    return orelse(f)
         else:
             def ev(f):
                 nonlocal fuel
                 if fuel < cost:
                     raise Fault(_FUEL)
                 fuel -= cost
-                if a(f) == b(f):
+                if f[s] < f[t]:
                     return then(f)
                 return orelse(f)
         return ev
@@ -875,9 +848,41 @@ def _compiler():
             function(fd, fn)
         return fns
 
-    # The store's helpers, each a group of one, compiled once, in order.
+    def native(fd: FunDef, run) -> _Fn:
+        """A store helper whose body is `run`, its Python version (see
+        `store.natives`), in scope from here on.  The body charges the
+        visits the helper's ML would make with one check, then fails as
+        its `case` would when `run` is stuck; the frame holds only the
+        argument, or the items of a tuple parameter."""
+        nonlocal free
+        fn = _Fn(fd.param)
+        free = 0
+        bound: list[str] = []
+        declare(None, bound)
+        fn.bind = None if fn.arity is None else binder(fd.param, bound)
+        forget(bound)
+        fn.pad, fn.rest = (None,) * (free - 1), ()
+        start = 0 if fn.arity is None else 1
+
+        def body(f):
+            nonlocal fuel
+            v, n = run(*f[start:])
+            if fuel < n:
+                raise Fault(_FUEL)
+            fuel -= n
+            if v is STUCK:
+                raise Fault(_MATCH)
+            return v
+        fn.body = body
+        scopes.setdefault(fd.name, []).append(fn)
+        return fn
+
+    # The store's helpers, each a group of one, made once, in order: the
+    # tree helpers run natively, and the others are compiled.
     reset()
-    shared = [(fd, *group((fd,))) for fd in prelude()]
+    helpers = natives()
+    shared = [(fd, native(fd, helpers[fd.name]) if fd.name in helpers else group((fd,))[0])
+              for fd in prelude()]
 
     def compile_run(program: MlProgram, fuel_: int, output_: list[int]):
         """Compile `program` for one run with `fuel_` units (at least 0),

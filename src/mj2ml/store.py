@@ -24,9 +24,10 @@ values leaves the heap empty: its emitted code applies none of
 `lookup`, `update` and `alloc`.
 
 This module is the only one that knows that encoding.  It holds the
-store's types (the `heapval` and `tree` datatypes), the
-`prelude` of helpers emitted with every program, and a builder for the
-ML expression of each store operation the translation emits: `lookup`,
+store's types (the `heapval` and `tree` datatypes), the `prelude` of
+helpers emitted with every program, the Python version of its four tree
+helpers (`natives`), which `mleval` runs in their place, and a builder
+for the ML expression of each store operation the translation emits: `lookup`,
 `update` and `alloc` of a state, `zeros` and `new_array` for a new
 array's value (which `alloc` allocates unless the array is a value),
 the single-rule `case`s that read an array's length (`array_length`) or
@@ -37,10 +38,12 @@ a part of the array takes the caller's supply of fresh names.
 datatype value as a list `[name, *items]`, and `heap_cells` gives each
 cell with its datatype values as `VCon` records.
 
-The helpers that are not tail-recursive, `mj_cons`, `mj_set` and
-`mj_zeros`, recurse once per level of a tree, O(log n) deep for n cells,
-so of a translated program's calls only method recursion comes near the
-Python frame limit of a run (`outcome.RECURSION_LIMIT`).
+The tree helpers `mj_get`, `mj_set`, `mj_cons` and `mj_zeros` run in
+`mleval` as their Python versions, each a loop in one Python frame that
+counts the node visits its ML makes, level by level, and charges them at
+once.  A pending helper call holds no frame per level of a tree, so of a
+translated program's calls only method recursion comes near the Python
+frame limit of a run (`outcome.RECURSION_LIMIT`).
 """
 
 from __future__ import annotations
@@ -235,6 +238,98 @@ def prelude() -> tuple[FunDef, ...]:
         Tuple((Tuple((PrimOp("+", (Var("n"), IntLit(1))), _call("mj_cons", w, Var("h")))),
                Var("n"))))
     return (get, set_, cons, zeros_, lookup_, update_, alloc_)
+
+
+# -- the tree helpers in Python -----------------------------------------------
+#
+# Each takes a helper's arguments as `mleval` holds them (a tree is
+# `["Lf"]` or `["Nd", x, l, r]`) and returns its value and the node visits
+# that the helper's body in `prelude()` makes, or `STUCK` and the visits
+# made up to the `case` that no rule matches.  The counts per level are
+# those of the compiled ML: its `case` on the tree 2, then `i = 0` 4, and
+# so on.  The arguments are as the ML's types say they are.
+
+# The value of a helper stuck at a `case`.
+STUCK = object()
+
+_LEAF = ["Lf"]
+
+
+def _get(t: list, i: int) -> tuple[object, int]:
+    """mj_get: index 0 costs 7, a step left 19 and a step right 21."""
+    steps = 0
+    while len(t) == 4:
+        if i == 0:
+            return t[1], steps + 7
+        if i % 2 == 1:
+            t, i, steps = t[2], i // 2, steps + 19
+        else:
+            t, i, steps = t[3], i // 2 - 1, steps + 21
+    return STUCK, steps + 2
+
+
+def _set(t: list, i: int, w: object) -> tuple[object, int]:
+    """mj_set: index 0 costs 10, a step left 22 and 1 more once the inner
+    call returns, and a step right 25."""
+    path, steps = [], 0
+    while len(t) == 4:
+        if i == 0:
+            t = ["Nd", w, t[2], t[3]]
+            break
+        if i % 2 == 1:
+            path.append((t, True))
+            t, i, steps = t[2], i // 2, steps + 22
+        else:
+            path.append((t, False))
+            t, i, steps = t[3], i // 2 - 1, steps + 25
+    else:
+        return STUCK, steps + 2
+    for node, left in reversed(path):
+        if left:
+            t, steps = ["Nd", node[1], t, node[3]], steps + 1
+        else:
+            t = ["Nd", node[1], node[2], t]
+    return t, steps + 10
+
+
+def _cons(x: object, t: list) -> tuple[list, int]:
+    """mj_cons: `Lf` costs 6, and each `Nd` 9 and 1 more once the inner
+    call returns."""
+    path = []
+    while len(t) == 4:
+        path.append((x, t[2]))
+        x, t = t[1], t[3]
+    t = ["Nd", x, _LEAF, _LEAF]
+    for x, left in reversed(path):
+        t = ["Nd", x, t, left]
+    return t, 10 * len(path) + 6
+
+
+def _zeros(n: int) -> tuple[object, int]:
+    """mj_zeros: a negative n is stuck after 8 and 0 costs 9; any other
+    n costs 12, then the call on (n - 1) div 2, then 6, then 4 if n is
+    odd, or 7, a cons and 1 if it is even.  Both sides of a node share
+    one tree, so n zeros take O(log^2 n) work."""
+    if n < 0:
+        return STUCK, 8
+    sizes = []
+    while n > 0:
+        sizes.append(n)
+        n = (n - 1) // 2
+    t, steps = _LEAF, 9
+    for n in reversed(sizes):
+        if n % 2 == 1:
+            t, steps = ["Nd", 0, t, t], steps + 22
+        else:
+            left, cost = _cons(0, t)
+            t, steps = ["Nd", 0, left, t], steps + 26 + cost
+    return t, steps
+
+
+def natives() -> dict[str, object]:
+    """The Python version of each tree helper, by its name in `prelude()`;
+    `mj_lookup`, `mj_update` and `mj_alloc` have none."""
+    return {"mj_get": _get, "mj_set": _set, "mj_cons": _cons, "mj_zeros": _zeros}
 
 
 # -- reading a final state back ----------------------------------------------

@@ -30,7 +30,8 @@ version of `this`, ``mj_this_<n>``, and a method that may write a field
 of `this`, itself or through a call on `this`
 (`ClassTable.writes_this`), returns the new `this` beside its result;
 the caller binds it as the next version of the local, or of `this`,
-that held the receiver.  Joins and loops carry these versions like any
+that held the receiver, or to `_` when nothing reads that variable
+after the call.  Joins and loops carry these versions like any
 variable's.  Before its first assignment such a local is
 `store.NULL_VALUE`, which no array access or call matches.  Any other
 array or object, the corpus's lists, trees and visitors and the arrays
@@ -73,8 +74,9 @@ writes its value receiver assigns that variable too.
 
 Only what is live is emitted.  Before a method is translated,
 `_liveness` sweeps its MiniJava body backwards and finds the variables
-live after each statement (Appel, *Modern Compiler Implementation*,
-ch. 10); on the SSA versions this is which bindings something reads.
+live after each statement and each call (Appel, *Modern Compiler
+Implementation*, ch. 10); on the SSA versions this is which bindings
+something reads.
 A method that returns its new `this` has `this` live throughout.
 An assignment to a variable dead after it binds no version: a value
 that can neither fault nor touch the state (`_pure`: a literal, a
@@ -290,16 +292,22 @@ def _effects(e: Expr) -> Iterator[Expr]:
         yield e
 
 
-def _liveness(body: list[Stmt], live: frozenset[str]) -> dict[int, frozenset[str]]:
+def _liveness(body: list[Stmt], live: frozenset[str],
+              result: Expr | None = None) -> dict[int, frozenset[str]]:
     """The variables live after each statement of `body`, and of the
-    statements it holds, by the statement's id, when `live` are live after
-    the body.  A variable is live where some path may read it before
-    writing it (Appel, *Modern Compiler Implementation*, ch. 10), and
-    only the reads the translation emits count: an assignment to a
+    statements it holds, and after each call, by the statement's or the
+    call's id, when `live` are live after `result`, which the body's end
+    evaluates if given.  A variable is live where some path may read it
+    before writing it (Appel, *Modern Compiler Implementation*, ch. 10),
+    and only the reads the translation emits count: an assignment to a
     variable dead after it evaluates only its value's `_effects`, so the
     rest of its value reads nothing.
 
-    Each block is swept backwards.  Before an `if` are live its
+    An expression is swept backwards in the order the translation
+    evaluates it, so what is live after a call holds what the rest of
+    its statement reads: a call that writes its value receiver reads the
+    receiver after its arguments, where a call among them may have
+    written it.  Each block is swept backwards.  Before an `if` are live its
     condition's reads and what is live before either branch.  Before a
     loop, where its condition is tested, are live its head set: what is
     live after the loop, the condition's reads and what is live before
@@ -314,6 +322,26 @@ def _liveness(body: list[Stmt], live: frozenset[str]) -> dict[int, frozenset[str
     # each loop's last live-after set and the head set it gave
     heads: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
 
+    def used(e: Expr, live: frozenset[str]) -> frozenset[str]:
+        """What is live before e, when `live` is live after it."""
+        if isinstance(e, CallExpr):
+            after[id(e)] = live
+            live = live | _reads(e.receiver)
+            for arg in reversed(e.args):
+                live = used(arg, live)
+            return used(e.receiver, live)
+        if isinstance(e, BinaryExpr):
+            return used(e.left, used(e.right, live))
+        if isinstance(e, ArrayIndexExpr):
+            return used(e.array, used(e.index, live))
+        if isinstance(e, NotExpr):
+            return used(e.operand, live)
+        if isinstance(e, ArrayLengthExpr):
+            return used(e.array, live)
+        if isinstance(e, NewArrayExpr):
+            return used(e.length, live)
+        return live | _reads(e)
+
     def before(s: Stmt, live: frozenset[str]) -> frozenset[str]:
         after[id(s)] = live
         if isinstance(s, BlockStmt):
@@ -321,19 +349,20 @@ def _liveness(body: list[Stmt], live: frozenset[str]) -> dict[int, frozenset[str
                 live = before(sub, live)
             return live
         if isinstance(s, PrintStmt):
-            return live | _reads(s.value)
+            return used(s.value, live)
         if isinstance(s, AssignStmt):
             if s.binding != "field":
                 if s.name not in live:
-                    return live.union(*map(_reads, _effects(s.value)))
+                    for part in reversed(list(_effects(s.value))):
+                        live = used(part, live)
+                    return live
                 live = live - {s.name}
-            return live | _reads(s.value)
+            return used(s.value, live)
         if isinstance(s, ArrayAssignStmt):
             array = () if s.binding == "field" else (s.name,)
-            return live.union(array, _reads(s.index), _reads(s.value))
+            return used(s.index, used(s.value, live)).union(array)
         if isinstance(s, IfStmt):
-            return (_reads(s.cond) | before(s.then_branch, live)
-                    | before(s.else_branch, live))
+            return used(s.cond, before(s.then_branch, live) | before(s.else_branch, live))
         if isinstance(s, WhileStmt):
             last = heads.get(id(s))
             if last and last[0] == live:
@@ -341,10 +370,14 @@ def _liveness(body: list[Stmt], live: frozenset[str]) -> dict[int, frozenset[str
             head = (last[1] if last else frozenset()) | live | _reads(s.cond)
             while (grown := before(s.body, head) | head) != head:
                 head = grown
+            # the condition's calls, after which the body or the exit runs
+            used(s.cond, head)
             heads[id(s)] = live, head
             return head
         raise AssertionError(f"unhandled statement {type(s).__name__}")
 
+    if result is not None:
+        live = used(result, live)
     for s in reversed(body):
         live = before(s, live)
     return after
@@ -668,7 +701,8 @@ class _Translator:
         A call of a method that writes a value receiver's fields
         (`ClassTable.writes_this`) also returns the receiver's new value,
         which becomes the next version of the variable, or of `this`,
-        that held it."""
+        that held it, when that variable is live after the call
+        (`_liveness`); otherwise it is bound to `_`."""
         assert e.receiver_class is not None
         value = self.table.is_value(ClassType(e.receiver_class))
         if value:
@@ -710,10 +744,15 @@ class _Translator:
                 result = store.null_check(IntLit(store.NULL_PTR) if value else receiver, result)
         if not writes:
             return ctx.bind_state(result, name)
-        if isinstance(e.receiver, NewObjectExpr):
+        if isinstance(e.receiver, ThisExpr):
+            held = "this"
+        else:
+            # a `new` object's is read by nothing
+            held = e.receiver.name if isinstance(e.receiver, IdentExpr) else None
+        if held not in ctx.fn.live[id(e)]:
             return ctx.bind_state(result, name, PWild())
         # the next version of `this` or of the local, never null
-        version = ctx.new_version("this" if isinstance(e.receiver, ThisExpr) else e.receiver.name)
+        version = ctx.new_version(held)
         ctx.allocated.add(version)
         return ctx.bind_state(result, name, PVar(version.name))
 
@@ -900,8 +939,7 @@ class _Translator:
         receivers = [c for c, impl in self._targets(cls, decl.name).items() if impl == cls]
         var_order = [f.name for f in decl.formals] + [v.name for v in decl.local_vars] + ["this"]
         writes = table.writes_this(cls, decl.name)
-        returned = _reads(decl.return_expr) | ({"this"} if writes else set())
-        live = _liveness(decl.body, returned)
+        live = _liveness(decl.body, frozenset({"this"} if writes else ()), decl.return_expr)
         fn = _FnScope(var_order, receivers, live, table.is_value(ClassType(cls)))
         ctx = _Ctx(fn, dict.fromkeys(var_order, 0), "mj_s0")
         for s in decl.body:

@@ -1,15 +1,17 @@
 """The store module: the prelude's helpers run through the core ML
-evaluator, the decoding of a final state, and the module's sole
-ownership of the encoding."""
+evaluator, natively and compiled, the decoding of a final state, and
+the module's sole ownership of the encoding."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import mj2ml
-from mj2ml.mlast import App, IntLit, Let, MlProgram, PTuple, PVar, PWild, Tuple, Val, Var
+from mj2ml.mlast import App, Con, IntLit, Let, MlProgram, PTuple, PVar, PWild, Tuple, Val, Var
 from mj2ml.mleval import eval_program
 from mj2ml.outcome import FaultKind
-from mj2ml.store import EMPTY_STATE, _tree_items, alloc, alloc_order, heap_cells, prelude
+from mj2ml.store import (EMPTY_STATE, _tree_items, alloc, alloc_order, heap_cells, natives,
+                         prelude)
 
 LEAF = ["Lf"]
 
@@ -84,6 +86,83 @@ def test_a_state_decodes_to_what_was_allocated():
         out, state = run_prelude(Let((Val(PVar("s0"), EMPTY_STATE), *allocs), Var(f"s{k}")))
         assert out.ok and heap_cells(state) == [(p, 10 * p) for p in range(k)], k
         assert alloc_order(state) == list(range(k)), k
+
+
+# The prelude's helpers, each a group of one: the shared objects, whose
+# tree helpers run natively, and copies, which the evaluator compiles for
+# each run as it compiles any function.
+SHARED = tuple((f,) for f in prelude())
+COPIES = {f.name: (replace(f),) for f in prelude()}
+
+
+def literal(tree):
+    """The ML expression of a tree value."""
+    if tree == LEAF:
+        return Con("Lf")
+    _, x, left, right = tree
+    return Con("Nd", (IntLit(x), literal(left), literal(right)))
+
+
+def shape(value, numbers: dict, seen: dict) -> object:
+    """value with each datatype value numbered by its structure, in
+    time linear in its distinct subtrees: a tree of 2^40 zeros shares
+    them, and `==` would walk every path."""
+    if type(value) is not list:
+        return value
+    if id(value) not in seen:
+        key = (value[0], *(shape(x, numbers, seen) for x in value[1:]))
+        seen[id(value)] = numbers.setdefault(key, len(numbers))
+    return seen[id(value)]
+
+
+def assert_runs_alike(main, helpers, every_fuel):
+    """main gives the same value, fault and steps with the native
+    helpers as with copies of the named ones: at full fuel and one unit
+    short, or, `every_fuel`, at each fuel from 0 to its steps + 1."""
+    copies = tuple(COPIES[name] for name in helpers)
+    numbers: dict = {}
+
+    def run(groups, fuel):
+        out, value = eval_program(MlProgram((), groups, main), fuel)
+        return shape(value, numbers, {}), out.fault, out.steps
+
+    full = run(copies, 10_000_000)
+    assert run(SHARED, 10_000_000) == full, main
+    for fuel in range(full[2] + 2) if every_fuel else (full[2] - 1,):
+        assert run(SHARED, fuel) == run(copies, fuel), (main, fuel)
+
+
+def test_the_native_tree_helpers_charge_what_their_ml_visits():
+    # mj_zeros below, at and above 0; mj_get and mj_set at every index of
+    # trees of zeros and of distinct values, and 3 past each end; mj_cons
+    # onto each tree: at every fuel on trees of up to 4 items, the rest
+    # at full fuel and one unit short
+    native = natives()
+    for n in range(-3, 41):
+        small = n <= 4
+        assert_runs_alike(App(Var("mj_zeros"), IntLit(n)), ("mj_cons", "mj_zeros"), small)
+        if n < 0:
+            continue
+        filled = blank = native["mj_zeros"](n)[0]
+        for i in range(n):
+            filled = native["mj_set"](filled, i, 100 + i)[0]
+        assert _tree_items(filled) == list(range(100, 100 + n))
+        for tree in (blank, filled):
+            t = literal(tree)
+            for i in range(-3, n + 4):
+                assert_runs_alike(App(Var("mj_get"), Tuple((t, IntLit(i)))), ("mj_get",), small)
+                assert_runs_alike(App(Var("mj_set"), Tuple((t, IntLit(i), IntLit(7)))),
+                                  ("mj_set",), small)
+            assert_runs_alike(App(Var("mj_cons"), Tuple((IntLit(7), t))), ("mj_cons",), small)
+    # 2^40 zeros share their subtrees: read and written near both ends
+    big = 2 ** 40
+    make = ("mj_cons", "mj_zeros")
+    assert_runs_alike(App(Var("mj_zeros"), IntLit(big)), make, False)
+    for i in (*range(-3, 4), *range(big - 4, big + 4)):
+        for helper, item in (("mj_get", ()), ("mj_set", (IntLit(7),))):
+            read = App(Var(helper), Tuple((Var("t"), IntLit(i), *item)))
+            assert_runs_alike(Let((Val(PVar("t"), App(Var("mj_zeros"), IntLit(big))),), read),
+                              (*make, helper), False)
 
 
 # The store's constructors and the prelude's helpers, which only store.py

@@ -241,7 +241,7 @@ def test_generated_subclass_encoding_is_pinned():
     text = "".join(print_ml_program(translate(generate_program(s, 40)), f"seed{s:03d}")
                    for s in range(40))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "fb417fec49175ac7ea35ce69d06b146aea7aa21de0aad1f18d3545d5cf05194e"
+        "5412a5e5e476c57962c1d7f3e0b98f27f81c31423df743564248f0029438765c"
 
 
 def test_gen200_workload_is_pinned():
@@ -254,7 +254,7 @@ def test_gen200_workload_is_pinned():
     assert (len(source), hashlib.sha256(source).hexdigest()) == (
         624675, "4aaa6ae173174edd3a3581bb467872f20879886553696d0b1b4401880281a271")
     assert (len(sml), hashlib.sha256(sml).hexdigest()) == (
-        1274642, "f025a525761d219dd28749b39b7338f68f63a0c93cb599e2e9421abdb3cd01c1")
+        1274525, "27b825ce4fd75aa6dfc6c07307b30f3d5cb3126d66621c93e47fd21bfa738503")
 
 
 # A's `self` returns an A, so A's objects can escape: `this` is a pointer
@@ -377,9 +377,11 @@ def test_a_loop_binds_each_variable_under_its_name_at_entry(corpus_files):
 
 def dead_code(ml):
     """What each function of `ml` binds or takes and never reads: a join
-    item other than the state, a loop's result or parameter, or a `val`
-    of a variable bound to a variable, a constant, `<` or a negation.
-    Versions are named once per function, so a read is any occurrence."""
+    item other than the state, a loop's result or parameter, the new
+    receiver in the `(state, this', value)` pattern of a call that
+    writes it, or a `val` of a variable bound to a variable, a constant,
+    `<` or a negation.  Versions are named once per function, so a read
+    is any occurrence."""
     negation = (Con("false"), Con("true"))
     found = []
     for f in (f for group in ml.fun_groups for f in group):
@@ -392,6 +394,10 @@ def dead_code(ml):
             if isinstance(pat, PTuple) and (isinstance(rhs, If) or isinstance(rhs, App)
                                             and rhs.func.name.startswith("mj_loop")):
                 unread += [p for p in pat.items[1:] if isinstance(p, PVar) and p.name not in read]
+            elif isinstance(pat, PTuple) and len(pat.items) == 3:
+                # any other tuple of three is a writer call's
+                this = pat.items[1]
+                unread += [this] if isinstance(this, PVar) and this.name not in read else []
             elif isinstance(pat, PVar) and pat.name not in read and (
                     isinstance(rhs, (Var, IntLit)) or isinstance(rhs, Con) and not rhs.args
                     or isinstance(rhs, PrimOp) and rhs.op == "<"
@@ -401,6 +407,20 @@ def dead_code(ml):
     return found
 
 
+def test_every_translation_starts_with_the_store_helpers_themselves(corpus_files):
+    # the ML evaluator runs the tree helpers natively only where the
+    # program holds the objects it made them from, each a group of one:
+    # a translation that rebuilt them would run them compiled, as right
+    # and slower
+    programs = [parse_source(path.read_text()) for path in corpus_files]
+    programs += [generate_program(seed, 40) for seed in range(200)]
+    helpers = prelude()
+    for program in programs:
+        first = translate(program).fun_groups[:len(helpers)]
+        assert [(len(group), group[0] is f) for group, f in zip(first, helpers)] == \
+            [(1, True)] * len(helpers)
+
+
 def test_no_dead_code_is_emitted(corpus_files):
     # every join item, loop result and loop parameter is read, and no
     # value that cannot fault is bound to a variable nothing reads
@@ -408,19 +428,27 @@ def test_no_dead_code_is_emitted(corpus_files):
     programs += [generate_program(seed, 40) for seed in range(200)]
     assert [dead for program in programs for dead in dead_code(translate(program))] == []
     # one of each: the loop's `s` and the join's `t`, which nothing reads
-    # after them, and the copy `u = n`
+    # after them, the copy `u = n`, and the counter `c` as the last call
+    # on it writes it
     dead = dead_code(tr(ESCAPE_MAIN % "new A().f(3)" + """\
 class A {
     public int f(int n) {
         int s;
         int t;
         int u;
+        C c;
         s = 0;
         while (s < n) s = s + 1;
         if (0 < n) t = 1; else t = 2;
         u = n;
-        return n;
+        c = new C();
+        u = c.add(n);
+        return c.add(u) + c.add(1);
     }
+}
+class C {
+    int k;
+    public int add(int d) { k = k + d; return k; }
 }
 """))
     assert dead == [], dead
