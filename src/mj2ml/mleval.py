@@ -116,7 +116,8 @@ MatchFailure when stuck.  Nothing observable happens inside a helper:
 it prints nothing, and its only fault is that `case`, after all of its
 visits.  So no output, fault or step count can tell this from running
 its ML, which a program that does not start with the shared helpers
-compiles and runs.
+compiles and runs.  The Python versions take their arguments to be of
+the helpers' ML types, as in every translation: a tree, an int index.
 
 An application in tail position, of a function body or of a `val`
 right-hand side, evaluates the argument, makes the callee's frame with

@@ -246,25 +246,6 @@ def _payload_ty(items: list[MlType]) -> MlType:
     return items[0] if len(items) == 1 else TyTuple(tuple(items))
 
 
-def _reads(e: Expr) -> frozenset[str]:
-    """The variables, locals and formals, that e reads."""
-    if isinstance(e, IdentExpr):
-        return frozenset(() if e.binding == "field" else (e.name,))
-    if isinstance(e, BinaryExpr):
-        return _reads(e.left) | _reads(e.right)
-    if isinstance(e, NotExpr):
-        return _reads(e.operand)
-    if isinstance(e, ArrayLengthExpr):
-        return _reads(e.array)
-    if isinstance(e, NewArrayExpr):
-        return _reads(e.length)
-    if isinstance(e, ArrayIndexExpr):
-        return _reads(e.array) | _reads(e.index)
-    if isinstance(e, CallExpr):
-        return _reads(e.receiver).union(*map(_reads, e.args))
-    return frozenset()
-
-
 def _pure(e: Expr) -> bool:
     """Whether e can neither fault nor touch the state: a literal, a
     variable, a field of `this`, `this`, or `<`, `!` or `&&` of those.
@@ -322,25 +303,35 @@ def _liveness(body: list[Stmt], live: frozenset[str],
     # each loop's last live-after set and the head set it gave
     heads: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
 
-    def used(e: Expr, live: frozenset[str]) -> frozenset[str]:
-        """What is live before e, when `live` is live after it."""
-        if isinstance(e, CallExpr):
-            after[id(e)] = live
-            live = live | _reads(e.receiver)
-            for arg in reversed(e.args):
-                live = used(arg, live)
-            return used(e.receiver, live)
-        if isinstance(e, BinaryExpr):
-            return used(e.left, used(e.right, live))
-        if isinstance(e, ArrayIndexExpr):
-            return used(e.array, used(e.index, live))
-        if isinstance(e, NotExpr):
-            return used(e.operand, live)
-        if isinstance(e, ArrayLengthExpr):
-            return used(e.array, live)
-        if isinstance(e, NewArrayExpr):
-            return used(e.length, live)
-        return live | _reads(e)
+    def used(live: frozenset[str], *parts: Expr) -> frozenset[str]:
+        """What is live before `parts`, evaluated in order, when `live` is
+        live after them.  They are swept backwards with a stack: a node
+        before its children, which are pushed in the order they run."""
+        later: set[str] = set()
+        stack = list(parts)
+        while stack:
+            e = stack.pop()
+            cls = type(e)
+            if cls is IdentExpr:
+                if e.binding != "field":
+                    later.add(e.name)
+            elif cls is BinaryExpr:
+                stack += (e.left, e.right)
+            elif cls is CallExpr:
+                after[id(e)] = live.union(later)
+                receiver = e.receiver
+                if type(receiver) is IdentExpr and receiver.binding != "field":
+                    later.add(receiver.name)
+                stack += (receiver, *e.args)
+            elif cls is ArrayIndexExpr:
+                stack += (e.array, e.index)
+            elif cls is NotExpr:
+                stack.append(e.operand)
+            elif cls is ArrayLengthExpr:
+                stack.append(e.array)
+            elif cls is NewArrayExpr:
+                stack.append(e.length)
+        return live.union(later) if later else live
 
     def before(s: Stmt, live: frozenset[str]) -> frozenset[str]:
         after[id(s)] = live
@@ -349,35 +340,33 @@ def _liveness(body: list[Stmt], live: frozenset[str],
                 live = before(sub, live)
             return live
         if isinstance(s, PrintStmt):
-            return used(s.value, live)
+            return used(live, s.value)
         if isinstance(s, AssignStmt):
             if s.binding != "field":
                 if s.name not in live:
-                    for part in reversed(list(_effects(s.value))):
-                        live = used(part, live)
-                    return live
+                    return used(live, *_effects(s.value))
                 live = live - {s.name}
-            return used(s.value, live)
+            return used(live, s.value)
         if isinstance(s, ArrayAssignStmt):
             array = () if s.binding == "field" else (s.name,)
-            return used(s.index, used(s.value, live)).union(array)
+            return used(live, s.index, s.value).union(array)
         if isinstance(s, IfStmt):
-            return used(s.cond, before(s.then_branch, live) | before(s.else_branch, live))
+            return used(before(s.then_branch, live) | before(s.else_branch, live), s.cond)
         if isinstance(s, WhileStmt):
             last = heads.get(id(s))
             if last and last[0] == live:
                 return last[1]
-            head = (last[1] if last else frozenset()) | live | _reads(s.cond)
+            head = used((last[1] if last else frozenset()) | live, s.cond)
             while (grown := before(s.body, head) | head) != head:
                 head = grown
-            # the condition's calls, after which the body or the exit runs
-            used(s.cond, head)
+            # what is live after the condition's calls: the body or the exit runs next
+            used(head, s.cond)
             heads[id(s)] = live, head
             return head
         raise AssertionError(f"unhandled statement {type(s).__name__}")
 
     if result is not None:
-        live = used(result, live)
+        live = used(live, result)
     for s in reversed(body):
         live = before(s, live)
     return after
