@@ -74,9 +74,9 @@ writes its value receiver assigns that variable too.
 
 Only what is live is emitted.  Before a method is translated,
 `_liveness` sweeps its MiniJava body backwards and finds the variables
-live after each statement and each call (Appel, *Modern Compiler
-Implementation*, ch. 10); on the SSA versions this is which bindings
-something reads.
+live after each statement and each call on a variable (Appel, *Modern
+Compiler Implementation*, ch. 10); on the SSA versions this is which
+bindings something reads.
 A method that returns its new `this` has `this` live throughout.
 An assignment to a variable dead after it binds no version: a value
 that can neither fault nor touch the state (`_pure`: a literal, a
@@ -276,8 +276,8 @@ def _effects(e: Expr) -> Iterator[Expr]:
 def _liveness(body: list[Stmt], live: frozenset[str],
               result: Expr | None = None) -> dict[int, frozenset[str]]:
     """The variables live after each statement of `body`, and of the
-    statements it holds, and after each call, by the statement's or the
-    call's id, when `live` are live after `result`, which the body's end
+    statements it holds, and after each call on a local or a formal, by
+    the statement's or the call's id, when `live` are live after `result`, which the body's end
     evaluates if given.  A variable is live where some path may read it
     before writing it (Appel, *Modern Compiler Implementation*, ch. 10),
     and only the reads the translation emits count: an assignment to a
@@ -318,9 +318,9 @@ def _liveness(body: list[Stmt], live: frozenset[str],
             elif cls is BinaryExpr:
                 stack += (e.left, e.right)
             elif cls is CallExpr:
-                after[id(e)] = live.union(later)
                 receiver = e.receiver
                 if type(receiver) is IdentExpr and receiver.binding != "field":
+                    after[id(e)] = live.union(later)
                     later.add(receiver.name)
                 stack += (receiver, *e.args)
             elif cls is ArrayIndexExpr:
@@ -734,11 +734,12 @@ class _Translator:
         if not writes:
             return ctx.bind_state(result, name)
         if isinstance(e.receiver, ThisExpr):
+            # live throughout a method that writes it, as this one does
             held = "this"
+        elif isinstance(e.receiver, IdentExpr) and e.receiver.name in ctx.fn.live[id(e)]:
+            held = e.receiver.name
         else:
-            # a `new` object's is read by nothing
-            held = e.receiver.name if isinstance(e.receiver, IdentExpr) else None
-        if held not in ctx.fn.live[id(e)]:
+            # a `new` object's, or a dead local's, is read by nothing
             return ctx.bind_state(result, name, PWild())
         # the next version of `this` or of the local, never null
         version = ctx.new_version(held)
