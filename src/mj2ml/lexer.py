@@ -5,12 +5,14 @@ comments (``//``) and block comments (``/* */``, non-nesting) are
 discarded.  Concatenating the lexemes of the output reproduces the
 input minus whitespace and comments.
 
-One compiled pattern, `_TOKEN`, is matched once per token, each match
-starting where the last one ended: a possessive run of whitespace and
-comments, then the token, whose named group is its kind.  Tokens never
-span lines, so line and column come from the newlines in the skipped run
-alone.  A `Token` is a NamedTuple, built with ``tuple.__new__`` rather
-than its Python-level constructor.
+One compiled pattern, `_TOKEN`, splits the whole source in one
+``findall``: each match, starting where the last one ended, is a
+possessive run of whitespace and comments, then the token, in the group
+of its kind.  The lexer reads those groups' strings and builds no match
+object: a token's offset is the last one's end plus the length of the
+skipped run.  Tokens never span lines, so line and column come from the
+newlines in the skipped run alone.  A `Token` is a NamedTuple, built with
+``tuple.__new__`` rather than its Python-level constructor.
 """
 
 from __future__ import annotations
@@ -65,7 +67,9 @@ class Token(NamedTuple):
 # token ("//a" holds no "a", "/**/" no "/*").  Each match starts where
 # the last one ended; the first match without a token ends at the end of
 # the input or at an error: a "/*" the skip could not close, or a
-# character no token starts with.
+# character no token starts with.  `findall` gives each match as the
+# strings of its groups (skip, int, word, op, punct), "" for a group
+# that did not take part.
 _TOKEN = re.compile(
     r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*+)"
     r"(?:(?P<int>[0-9]+)"
@@ -74,9 +78,6 @@ _TOKEN = re.compile(
     r"|(?P<punct>[" + re.escape(PUNCTUATION) + "]))?",
     re.DOTALL,
 )
-# The kind of each token group, by group number; `skip` is group 1.
-_KINDS = (None, None, TokenKind.INT, TokenKind.IDENT, TokenKind.OP, TokenKind.PUNCT)
-_SKIP, _WORD = _TOKEN.groupindex["skip"], _TOKEN.groupindex["word"]
 _new = tuple.__new__
 
 
@@ -93,24 +94,27 @@ def tokenize(source: str) -> list[Token]:
     """
     tokens: list[Token] = []
     append = tokens.append
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(source):
-        start = m.end(_SKIP)
-        skipped = m[_SKIP]
+    line, line_start, offset = 1, 0, 0
+    for skipped, num, word, op, punct in _TOKEN.findall(source):
+        start = offset + len(skipped)
         if "\n" in skipped:
             line += skipped.count("\n")
-            line_start = source.rindex("\n", 0, start) + 1
-        group = m.lastindex
-        if group == _SKIP:
+            line_start = offset + skipped.rindex("\n") + 1
+        if word:
+            text, kind = word, (TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT)
+        elif num:
+            text, kind = num, TokenKind.INT
+            if int(num) > INT_MAX:
+                raise LexError(Pos(line, start - line_start + 1),
+                               f"integer literal {num} exceeds the 63-bit range")
+        elif op:
+            text, kind = op, TokenKind.OP
+        elif punct:
+            text, kind = punct, TokenKind.PUNCT
+        else:
             break
-        text = m[group]
-        kind = _KINDS[group]
-        if group == _WORD and text in KEYWORDS:
-            kind = TokenKind.KEYWORD
-        elif kind is TokenKind.INT and int(text) > INT_MAX:
-            raise LexError(Pos(line, start - line_start + 1),
-                           f"integer literal {text} exceeds the 63-bit range")
         append(_new(Token, (kind, text, line, start - line_start + 1)))
+        offset = start + len(text)
     if start < len(source):
         pos = Pos(line, start - line_start + 1)
         if source.startswith("/*", start):

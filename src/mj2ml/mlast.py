@@ -22,6 +22,15 @@ The translation emits A-normal form, and `mlprint` relies on it: a
 `let`, `case` or `if` is never an operand, that is a tuple or constructor
 item, a primitive's operand, an applied function or its argument, an
 `if` condition or a `case` scrutinee.  `validate_core` checks this too.
+
+The nodes are values: plain dataclasses that compare and hash by their
+type and fields (``unsafe_hash=True``), so ``Var("x") != PVar("x")`` and
+a node can key a dict, as the translation's caches do.  Nothing changes
+a node once it is built, and translations share some (the store's
+helpers and constants).  They are not ``frozen``: a frozen dataclass's
+``__init__`` sets each field through ``object.__setattr__``, which made
+a two-field node cost 452 ns to build against 178 ns (CPython 3.11), and
+a translation builds one node per ML construct it emits.
 """
 
 from __future__ import annotations
@@ -37,25 +46,25 @@ class MlType:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TyName(MlType):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TyVar(MlType):
     """A type parameter of a datatype: TyVar('a') is 'a."""
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TyApp(MlType):
     """Postfix application: TyApp('list', int) is 'int list'."""
     base: str
     arg: MlType
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TyTuple(MlType):
     items: tuple[MlType, ...]
 
@@ -71,22 +80,22 @@ class Pat:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PVar(Pat):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PWild(Pat):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PTuple(Pat):
     items: tuple[Pat, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PCon(Pat):
     name: str
     args: tuple[Pat, ...] = ()
@@ -98,56 +107,56 @@ class MlExpr:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Var(MlExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class IntLit(MlExpr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Tuple(MlExpr):
     """n-tuple for n = 0 (unit) or n >= 2; 1-tuples do not exist."""
     items: tuple[MlExpr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Con(MlExpr):
     name: str
     args: tuple[MlExpr, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PrimOp(MlExpr):
     op: str
     args: tuple[MlExpr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class If(MlExpr):
     cond: MlExpr
     then: MlExpr
     orelse: MlExpr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FunDef:
     name: str
     param: Pat
     body: MlExpr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Val:
     """val pat = rhs: `rhs` does not see the variables of `pat`."""
     pat: Pat
     rhs: MlExpr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Let(MlExpr):
     """let val ... val ... in body end: each binding sees the ones before
     it, and `body` sees them all."""
@@ -155,13 +164,13 @@ class Let(MlExpr):
     body: MlExpr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class App(MlExpr):
     func: MlExpr
     arg: MlExpr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Case(MlExpr):
     scrutinee: MlExpr
     rules: tuple[tuple[Pat, MlExpr], ...]
@@ -169,7 +178,7 @@ class Case(MlExpr):
 
 # -- declarations ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class DataCon:
     """A constructor; one whose argument is unit is nullary."""
     name: str
@@ -182,7 +191,7 @@ class DataCon:
         return 1
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class DataType:
     """datatype params name = cons: `params` are the names of its type
     variables, which its constructors' types refer to as `TyVar`s."""

@@ -27,10 +27,11 @@ cells every closure shares (the fuel, the output and the pending call)
 and makes the store's helpers, `store.prelude()`, once, in order: the
 four tree helpers run natively (see Native helpers), and the others are
 compiled.  A program whose groups start with some of those helpers, the
-same objects in the same order and each a group of its own, reuses
-them: every name in scope there means what it meant when they were
-made.  Every translation starts with all of them.  Everything else,
-a copy of a helper too, is compiled for one run and dropped with it.
+same objects in the same order and each a group of its own
+(`store.shared_helpers`), reuses them: every name in scope there means
+what it meant when they were made.  Every translation starts with all
+of them.  Everything else, a copy of a helper too, is compiled for one
+run and dropped with it.
 Since runs share the compiler's cells, one must end, and its steps be
 read, before the next compiles: `run_compiled` holds a process-wide
 lock for all of that.  A `let` is one closure that runs its
@@ -193,7 +194,7 @@ from .mlast import (
     Var,
 )
 from .outcome import DEFAULT_FUEL, Fault, FaultKind, RunOutcome, run_compiled
-from .store import STUCK, natives, prelude
+from .store import STUCK, natives, prelude, shared_helpers
 
 UNIT = ()
 
@@ -887,8 +888,8 @@ def _compiler():
 
     def compile_run(program: MlProgram, fuel_: int, output_: list[int]):
         """Compile `program` for one run with `fuel_` units (at least 0),
-        printing to `output_`.  The store's helper k is reused when groups
-        0..k of the program are helpers 0..k, each a group of its own.
+        printing to `output_`.  The store's helpers that lead the program
+        (`store.shared_helpers`) are reused as made.
 
         Returns `(run, fuel_left)`: `run()` evaluates the entry expression
         and returns its value (or raises Fault), `fuel_left()` the fuel
@@ -898,12 +899,9 @@ def _compiler():
         nonlocal fuel, output, free
         reset()
         groups = program.fun_groups
-        reused = 0
-        for (fd, fn), funs in zip(shared, groups):
-            if len(funs) != 1 or funs[0] is not fd:
-                break
+        reused = shared_helpers(groups)
+        for fd, fn in shared[:reused]:
             scopes.setdefault(fd.name, []).append(fn)
-            reused += 1
         # The `fun`s compiled for this run, whose links the run breaks at its end.
         fns: list[_Fn] = []
         for funs in groups[reused:]:

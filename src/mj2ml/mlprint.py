@@ -21,6 +21,12 @@ copies are linear in its output.
 The one piece of source that is not generated from the tree is the
 printing helper `mj_print`, which uses strings and is therefore outside
 the core fragment; it is emitted literally at the top of every program.
+
+The store's helpers, `store.prelude()`, are printed once, at import.
+A program that leads with them, the same objects in the same order and
+each a group of its own (`store.shared_helpers`, the rule by which
+`mleval` compiles them once), gets that text for them.  Any other
+group, an equal copy of a helper too, is printed from its tree.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .mlast import (
     Case,
     Con,
     DataType,
+    FunDef,
     If,
     IntLit,
     Let,
@@ -53,6 +60,7 @@ from .mlast import (
     Var,
 )
 from .outcome import COMPILE_FRAMES, extra_frames
+from .store import prelude, shared_helpers
 
 PRINT_HELPER = (f'fun {PRINT} n = print (String.map (fn c => '
                 'if c = #"~" then #"-" else c) (Int.toString n) ^ "\\n")')
@@ -209,6 +217,22 @@ def _print_datatype(dt: DataType, keyword: str) -> str:
     return "\n".join(lines)
 
 
+def _group(funs: tuple[FunDef, ...]) -> list[str]:
+    """A group of mutually recursive functions, then an empty line."""
+    lines: list[str] = []
+    for j, f in enumerate(funs):
+        keyword = "fun" if j == 0 else "and"
+        lines += _bind(f"{keyword} {f.name} {print_pat(f.param)} =", f.body, "")
+    lines.append("")
+    return lines
+
+
+# The text of each of the store's helpers, as `_group` prints it, printed
+# once: helper k's stands for group k of a program that `shared_helpers`
+# finds leads with helpers 0..k, the same objects.
+_HELPER_TEXT = tuple("\n".join(_group((f,))) for f in prelude())
+
+
 def print_ml_program(program: MlProgram, source_name: str = "source") -> str:
     """Full SML source: header, print helper, datatypes, functions, entry.
 
@@ -238,13 +262,12 @@ def print_ml_program(program: MlProgram, source_name: str = "source") -> str:
         for i, dt in enumerate(program.datatypes):
             parts.append(_print_datatype(dt, "datatype" if i == 0 else "and"))
         parts.append("")
+    groups = program.fun_groups
+    shared = shared_helpers(groups)
+    parts += _HELPER_TEXT[:shared]
     with extra_frames(COMPILE_FRAMES):
-        for group in program.fun_groups:
-            for j, f in enumerate(group):
-                keyword = "fun" if j == 0 else "and"
-                parts += _bind(f"{keyword} {f.name} {print_pat(f.param)} =",
-                               f.body, "")
-            parts.append("")
+        for group in groups[shared:]:
+            parts += _group(group)
         main = _block(program.main, "  ")
     parts += [f"val _ = {main[0]}", *main[1:]]
     return "\n".join(parts) + "\n"

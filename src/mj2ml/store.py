@@ -25,8 +25,10 @@ values leaves the heap empty: its emitted code applies none of
 
 This module is the only one that knows that encoding.  It holds the
 store's types (the `heapval` and `tree` datatypes), the `prelude` of
-helpers emitted with every program, the Python version of its four tree
-helpers (`natives`), which `mleval` runs in their place, and a builder
+helpers emitted with every program, the test of whether a program leads
+with those helpers themselves (`shared_helpers`), by which `mleval`
+compiles and `mlprint` prints them once, the Python version of its four
+tree helpers (`natives`), which `mleval` runs in their place, and a builder
 for the ML expression of each store operation the translation emits: `lookup`,
 `update` and `alloc` of a state, `zeros` and `new_array` for a new
 array's value (which `alloc` allocates unless the array is a value),
@@ -238,6 +240,21 @@ def prelude() -> tuple[FunDef, ...]:
         Tuple((Tuple((PrimOp("+", (Var("n"), IntLit(1))), _call("mj_cons", w, Var("h")))),
                Var("n"))))
     return (get, set_, cons, zeros_, lookup_, update_, alloc_)
+
+
+def shared_helpers(groups) -> int:
+    """How many of `prelude()`'s helpers lead `groups`: the largest k such
+    that groups 0..k-1 are helpers 0..k-1 themselves, the same objects,
+    each a group of its own.  Every translation leads with all of them.
+    `mleval` runs those k as it made them once, and `mlprint` copies the
+    text it printed them as once; an equal copy of a helper, or a helper
+    grouped with another function, is not one of them."""
+    count = 0
+    for funs, fd in zip(groups, prelude()):
+        if len(funs) != 1 or funs[0] is not fd:
+            break
+        count += 1
+    return count
 
 
 # -- the tree helpers in Python -----------------------------------------------
