@@ -136,6 +136,52 @@ def test_an_error_after_a_comment_is_reported_where_it_starts(source, diagnostic
     assert str(err.value) == diagnostic
 
 
+def diagnostic(source):
+    with pytest.raises(LexError) as err:
+        tokenize(source)
+    return str(err.value)
+
+
+def test_the_first_bad_character_is_reported_however_much_follows():
+    # the tokens, errors and comments after the first bad character
+    # are never lexed: not a second bad character, a literal past the
+    # range or an unclosed comment
+    assert diagnostic("x = 1;\n# y = 2; @ z") == "2:1: unexpected character '#'"
+    assert diagnostic("a $ " + str(INT_MAX + 1)) == "1:3: unexpected character '$'"
+    assert diagnostic("a\n  b # /* never closed") == "2:5: unexpected character '#'"
+
+
+def test_an_error_at_the_first_character_is_at_line_1_column_1():
+    assert diagnostic("#x") == "1:1: unexpected character '#'"
+    assert diagnostic("/* never closed") == "1:1: unterminated block comment"
+    assert diagnostic(str(INT_MAX + 1)) == (
+        f"1:1: integer literal {INT_MAX + 1} exceeds the 63-bit range")
+
+
+def test_an_error_after_crlfs_tabs_and_a_multiline_comment():
+    # '\r' and '\t' take one column each, and the comment's own newlines count
+    source = "\r\n\r\n\t\t/* a\r\n b */\t$ x"
+    assert diagnostic(source) == "4:7: unexpected character '$'"
+    assert diagnostic("x\r\n\t/*\n\n*/\t\t" + str(INT_MAX + 1)) == (
+        f"4:5: integer literal {INT_MAX + 1} exceeds the 63-bit range")
+
+
+@pytest.mark.parametrize("source", [
+    "", " ", "\n", " \t\r\n\r\n ", "// only a comment", "/* only\n a comment */",
+    "//a\n/**/ \t/* b */\n// c",
+])
+def test_a_source_without_tokens_lexes_to_nothing(source):
+    assert tokenize(source) == []
+
+
+def test_a_literal_at_the_very_end_of_the_input():
+    toks = tokenize("x = " + str(INT_MAX))
+    assert (toks[-1].kind, toks[-1].lexeme, toks[-1].line, toks[-1].col) == (
+        TokenKind.INT, str(INT_MAX), 1, 5)
+    assert diagnostic("x = " + str(INT_MAX + 1)) == (
+        f"1:5: integer literal {INT_MAX + 1} exceeds the 63-bit range")
+
+
 LEXEMES = st.one_of(
     st.sampled_from(sorted(KEYWORDS)),
     st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,6}", fullmatch=True).filter(

@@ -1,7 +1,9 @@
+import copy
 import time
 
 import pytest
 
+from mj2ml import generate_program, parse_source, translate
 from mj2ml.mlast import (
     TY_UNIT,
     App,
@@ -20,12 +22,15 @@ from mj2ml.mlast import (
     PWild,
     PrimOp,
     Tuple,
+    TyApp,
+    TyName,
     TyVar,
     Val,
     Var,
     validate_core,
 )
 from mj2ml.mleval import eval_program
+from mj2ml.store import EMPTY_STATE, NULL_VALUE, prelude
 
 
 # datatype 'a option = NONE | SOME of 'a
@@ -335,3 +340,39 @@ def test_each_name_arity_and_node_rule_is_enforced(main, datatypes, expected):
     # the checks on names, arities and node kinds that no translation
     # trips; an ML type checker replacing `validate_core` must keep them
     assert violations(main, datatypes=datatypes) == expected
+
+
+def test_nodes_compare_by_type_as_well_as_fields():
+    assert Var("x") == Var("x") and Var("x") != PVar("x")
+    assert TyName("a") == TyName("a") and TyName("a") != TyVar("a")
+    assert Con("Lf") != PCon("Lf") and Tuple(()) != PTuple(())
+    assert Tuple((Var("x"), IntLit(1))) == Tuple((Var("x"), IntLit(1)))
+    assert Tuple((Var("x"), IntLit(1))) != Tuple((Var("x"), IntLit(2)))
+
+
+def test_equal_nodes_hash_equal_and_key_dicts():
+    built = [Var("x"), Tuple((Var("x"), IntLit(1))), Con("Nd", (IntLit(0), Con("Lf"))),
+             Let((Val(PVar("y"), PrimOp("+", (Var("x"), IntLit(1)))),), Var("y")),
+             TyApp("tree", TyVar("a"))]
+    again = [Var("x"), Tuple((Var("x"), IntLit(1))), Con("Nd", (IntLit(0), Con("Lf"))),
+             Let((Val(PVar("y"), PrimOp("+", (Var("x"), IntLit(1)))),), Var("y")),
+             TyApp("tree", TyVar("a"))]
+    assert [hash(a) for a in built] == [hash(b) for b in again]
+    table = {node: i for i, node in enumerate(built)}
+    table[PVar("x")] = "pattern"
+    assert [table[node] for node in again] == list(range(len(built)))
+    assert table[PVar("x")] == "pattern" and len(table) == len(built) + 1
+    assert {Var("x"), Var("x"), PVar("x")} == {Var("x"), PVar("x")}
+
+
+def test_translating_changes_no_shared_node(corpus_files):
+    # translations share the store's helpers and constants, so building
+    # one must leave every node it did not build as it was
+    shared = (prelude(), EMPTY_STATE, NULL_VALUE)
+    before = copy.deepcopy(shared)
+    for path in corpus_files:
+        translate(parse_source(path.read_text()))
+    for seed in range(40):
+        translate(generate_program(seed, 40))
+    assert shared == before
+    assert prelude() == prelude.__wrapped__()

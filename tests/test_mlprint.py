@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+from mj2ml import generate_program, mlprint
 from mj2ml.mlast import (
     App,
     Case,
@@ -26,6 +29,7 @@ from mj2ml.mlast import (
 )
 from mj2ml.mlprint import print_expr, print_ml_program, print_pat, print_type
 from mj2ml.parser import parse_source
+from mj2ml.store import prelude, shared_helpers
 from mj2ml.translate import translate
 
 
@@ -199,3 +203,74 @@ def test_a_case_that_ends_a_rule_other_than_the_last_is_bracketed():
     closed = Case(Con("false"), ((PCon("true"), Let((Val(PVar("x"), IntLit(0)),), inner)),
                                  (PCon("false"), IntLit(3))))
     assert "(" not in print_expr(last) and "(" not in print_expr(closed)
+
+
+def copied(groups):
+    """Equal copies of `groups`, none of them the same object."""
+    return [tuple(replace(f) for f in group) for group in groups]
+
+
+def shared_programs(corpus_files):
+    programs = [parse_source(path.read_text()) for path in corpus_files]
+    programs += [generate_program(seed, 40) for seed in range(0, 40, 4)]
+    return [translate(program) for program in programs]
+
+
+def test_equal_copies_of_the_store_helpers_print_the_same_bytes(corpus_files):
+    for ml in shared_programs(corpus_files):
+        assert shared_helpers(ml.fun_groups) == len(prelude())
+        copies = replace(ml, fun_groups=copied(ml.fun_groups))
+        assert shared_helpers(copies.fun_groups) == 0
+        assert print_ml_program(copies) == print_ml_program(ml)
+
+
+def test_only_the_helpers_themselves_take_the_text_printed_once(monkeypatch, corpus_files):
+    # `_group` prints a group from its tree: the helpers that lead a
+    # program never reach it, and an equal copy of one always does
+    ml = shared_programs(corpus_files)[0]
+    helpers = len(prelude())
+    printed = []
+
+    def spy(funs):
+        printed.append(funs)
+        return group_lines(funs)
+
+    group_lines = mlprint._group
+    monkeypatch.setattr(mlprint, "_group", spy)
+    text = print_ml_program(ml)
+    assert printed == ml.fun_groups[helpers:]
+    printed.clear()
+    copies = copied(ml.fun_groups[:3])
+    assert print_ml_program(replace(ml, fun_groups=[*ml.fun_groups[:2], *copies[2:],
+                                                    *ml.fun_groups[3:]])) == text
+    assert printed == [*copies[2:], *ml.fun_groups[3:]]
+
+
+def test_a_program_that_leads_with_some_of_the_helpers_prints_each_group(corpus_files):
+    ml = shared_programs(corpus_files)[0]
+    helpers, rest = ml.fun_groups[:len(prelude())], ml.fun_groups[len(prelude()):]
+    for k in range(len(helpers) + 1):
+        # the first k helpers themselves, then none of the others, copies
+        # of them, all but the next, or them in reverse order
+        tails = [[], copied(helpers[k:]), helpers[k + 1:]]
+        tails += [helpers[k:][::-1]] if len(helpers) - k > 1 else []
+        for later in tails:
+            groups = [*helpers[:k], *later, *rest]
+            program = replace(ml, fun_groups=groups)
+            assert shared_helpers(groups) == k
+            assert print_ml_program(program) == print_ml_program(
+                replace(ml, fun_groups=copied(groups))), (k, later)
+
+
+def test_a_helper_grouped_with_another_function_prints_the_whole_group(corpus_files):
+    ml = shared_programs(corpus_files)[0]
+    (get,), (set_,), *others = ml.fun_groups
+    main = FunDef("mj_other", PVar("n"), App(Var("mj_get"), Tuple((Var("n"), IntLit(0)))))
+    for groups in ([(get, set_), *others], [(get,), (set_, main), *others],
+                   [(get, main), (set_,), *others]):
+        assert shared_helpers(groups) == (1 if len(groups[0]) == 1 else 0)
+        text = print_ml_program(replace(ml, fun_groups=groups))
+        assert text == print_ml_program(replace(ml, fun_groups=copied(groups)))
+        names = [f.name for f in groups[0] + groups[1]]
+        assert all(f"fun {name} " in text or f"and {name} " in text for name in names)
+        assert "\nand " in text

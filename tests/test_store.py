@@ -11,7 +11,7 @@ from mj2ml.mlast import App, Con, IntLit, Let, MlProgram, PTuple, PVar, PWild, T
 from mj2ml.mleval import eval_program
 from mj2ml.outcome import FaultKind
 from mj2ml.store import (EMPTY_STATE, _tree_items, alloc, alloc_order, heap_cells, natives,
-                         prelude)
+                         prelude, shared_helpers)
 
 LEAF = ["Lf"]
 
@@ -93,6 +93,17 @@ def test_a_state_decodes_to_what_was_allocated():
 # each run as it compiles any function.
 SHARED = tuple((f,) for f in prelude())
 COPIES = {f.name: (replace(f),) for f in prelude()}
+
+
+def test_shared_helpers_counts_the_helpers_themselves_that_lead():
+    copies = [COPIES[f.name] for f in prelude()]
+    assert shared_helpers(SHARED) == len(SHARED)
+    assert shared_helpers([*SHARED, *copies]) == len(SHARED)
+    assert shared_helpers(copies) == 0 and shared_helpers([]) == 0
+    assert shared_helpers([*SHARED[:3], copies[3], *SHARED[4:]]) == 3
+    assert shared_helpers([*SHARED[:2], *SHARED[3:]]) == 2
+    # a helper in a group with another function is not one of them
+    assert shared_helpers([SHARED[0], SHARED[1] + SHARED[2], *SHARED[3:]]) == 1
 
 
 def literal(tree):
