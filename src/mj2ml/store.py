@@ -242,7 +242,7 @@ def prelude() -> tuple[FunDef, ...]:
     return (get, set_, cons, zeros_, lookup_, update_, alloc_)
 
 
-def shared_helpers(groups) -> int:
+def shared_helpers(groups: list[tuple[FunDef, ...]]) -> int:
     """How many of `prelude()`'s helpers lead `groups`: the largest k such
     that groups 0..k-1 are helpers 0..k-1 themselves, the same objects,
     each a group of its own.  Every translation leads with all of them.

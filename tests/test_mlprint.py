@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import pytest
+
 from mj2ml import generate_program, mlprint
 from mj2ml.mlast import (
     App,
@@ -210,24 +212,25 @@ def copied(groups):
     return [tuple(replace(f) for f in group) for group in groups]
 
 
-def shared_programs(corpus_files):
+@pytest.fixture(scope="module")
+def translations(corpus_files):
     programs = [parse_source(path.read_text()) for path in corpus_files]
     programs += [generate_program(seed, 40) for seed in range(0, 40, 4)]
     return [translate(program) for program in programs]
 
 
-def test_equal_copies_of_the_store_helpers_print_the_same_bytes(corpus_files):
-    for ml in shared_programs(corpus_files):
+def test_equal_copies_of_the_store_helpers_print_the_same_bytes(translations):
+    for ml in translations:
         assert shared_helpers(ml.fun_groups) == len(prelude())
         copies = replace(ml, fun_groups=copied(ml.fun_groups))
         assert shared_helpers(copies.fun_groups) == 0
         assert print_ml_program(copies) == print_ml_program(ml)
 
 
-def test_only_the_helpers_themselves_take_the_text_printed_once(monkeypatch, corpus_files):
+def test_only_the_helpers_themselves_take_the_text_printed_once(monkeypatch, translations):
     # `_group` prints a group from its tree: the helpers that lead a
     # program never reach it, and an equal copy of one always does
-    ml = shared_programs(corpus_files)[0]
+    ml = translations[0]
     helpers = len(prelude())
     printed = []
 
@@ -246,8 +249,8 @@ def test_only_the_helpers_themselves_take_the_text_printed_once(monkeypatch, cor
     assert printed == [*copies[2:], *ml.fun_groups[3:]]
 
 
-def test_a_program_that_leads_with_some_of_the_helpers_prints_each_group(corpus_files):
-    ml = shared_programs(corpus_files)[0]
+def test_a_program_that_leads_with_some_of_the_helpers_prints_each_group(translations):
+    ml = translations[0]
     helpers, rest = ml.fun_groups[:len(prelude())], ml.fun_groups[len(prelude()):]
     for k in range(len(helpers) + 1):
         # the first k helpers themselves, then none of the others, copies
@@ -262,12 +265,12 @@ def test_a_program_that_leads_with_some_of_the_helpers_prints_each_group(corpus_
                 replace(ml, fun_groups=copied(groups))), (k, later)
 
 
-def test_a_helper_grouped_with_another_function_prints_the_whole_group(corpus_files):
-    ml = shared_programs(corpus_files)[0]
+def test_a_helper_grouped_with_another_function_prints_the_whole_group(translations):
+    ml = translations[0]
     (get,), (set_,), *others = ml.fun_groups
-    main = FunDef("mj_other", PVar("n"), App(Var("mj_get"), Tuple((Var("n"), IntLit(0)))))
-    for groups in ([(get, set_), *others], [(get,), (set_, main), *others],
-                   [(get, main), (set_,), *others]):
+    other = FunDef("mj_other", PVar("n"), App(Var("mj_get"), Tuple((Var("n"), IntLit(0)))))
+    for groups in ([(get, set_), *others], [(get,), (set_, other), *others],
+                   [(get, other), (set_,), *others]):
         assert shared_helpers(groups) == (1 if len(groups[0]) == 1 else 0)
         text = print_ml_program(replace(ml, fun_groups=groups))
         assert text == print_ml_program(replace(ml, fun_groups=copied(groups)))
