@@ -11,8 +11,11 @@ possessive run of whitespace and comments, then the token, in the group
 of its kind.  The lexer reads those groups' strings and builds no match
 object: a token's offset is the last one's end plus the length of the
 skipped run.  Tokens never span lines, so line and column come from the
-newlines in the skipped run alone.  A `Token` is a NamedTuple, built with
-``tuple.__new__`` rather than its Python-level constructor.
+newlines in the skipped run alone.  At the first error, a last group
+takes the rest of the input, so the ``findall`` lexes nothing past it and
+each source is scanned once, malformed or not.  A `Token` is a
+NamedTuple, built with ``tuple.__new__`` rather than its Python-level
+constructor.
 """
 
 from __future__ import annotations
@@ -67,15 +70,18 @@ class Token(NamedTuple):
 # token ("//a" holds no "a", "/**/" no "/*").  Each match starts where
 # the last one ended; the first match without a token ends at the end of
 # the input or at an error: a "/*" the skip could not close, or a
-# character no token starts with.  `findall` gives each match as the
-# strings of its groups (skip, int, word, op, punct), "" for a group
-# that did not take part.
+# character no token starts with.  At an error, group `rest` takes the
+# whole rest of the input, so `findall` lexes nothing past it: each
+# later "/*" would otherwise scan to the end for a "*/".  `findall`
+# gives each match as the strings of its groups (skip, int, word, op,
+# punct, rest), "" for a group that did not take part.
 _TOKEN = re.compile(
     r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*+)"
     r"(?:(?P<int>[0-9]+)"
     r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<op>" + "|".join(map(re.escape, OPERATORS)) + ")"
-    r"|(?P<punct>[" + re.escape(PUNCTUATION) + "]))?",
+    r"|(?P<punct>[" + re.escape(PUNCTUATION) + "])"
+    r"|(?P<rest>.+))?",
     re.DOTALL,
 )
 _new = tuple.__new__
@@ -95,7 +101,7 @@ def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     line, line_start, offset = 1, 0, 0
-    for skipped, num, word, op, punct in _TOKEN.findall(source):
+    for skipped, num, word, op, punct, _ in _TOKEN.findall(source):
         start = offset + len(skipped)
         if "\n" in skipped:
             line += skipped.count("\n")

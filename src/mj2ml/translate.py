@@ -273,10 +273,6 @@ def _effects(e: Expr) -> Iterator[Expr]:
         yield e
 
 
-# The expressions that hold no other and read no variable.
-_LEAVES = frozenset({IntLitExpr, BoolLitExpr, ThisExpr, NewObjectExpr})
-
-
 def _liveness(body: list[Stmt], live: frozenset[str],
               result: Expr | None = None) -> dict[int, frozenset[str]]:
     """The variables live after each statement of `body`, and of the
@@ -310,19 +306,7 @@ def _liveness(body: list[Stmt], live: frozenset[str],
     def used(live: frozenset[str], *parts: Expr) -> frozenset[str]:
         """What is live before `parts`, evaluated in order, when `live` is
         live after them.  They are swept backwards with a stack: a node
-        before its children, which are pushed in the order they run.  A
-        lone part without children (a literal, `this`, `new C()`, a field
-        or a variable) needs no stack, and `live` itself comes back when
-        the parts read no variable."""
-        if len(parts) < 2:
-            if not parts:
-                return live
-            e = parts[0]
-            cls = type(e)
-            if cls is IdentExpr:
-                return live if e.binding == "field" or e.name in live else live | {e.name}
-            if cls in _LEAVES:
-                return live
+        before its children, which are pushed in the order they run."""
         later: set[str] = set()
         stack = list(parts)
         while stack:
