@@ -29,9 +29,10 @@ four tree helpers run natively (see Native helpers), and the others are
 compiled.  A program whose groups start with some of those helpers, the
 same objects in the same order and each a group of its own
 (`store.shared_helpers`), reuses them: every name in scope there means
-what it meant when they were made.  Every translation starts with all
-of them.  Everything else, a copy of a helper too, is compiled for one
-run and dropped with it.
+what it meant when they were made.  Every translation starts so, with
+the shortest prefix of them that defines every helper it applies
+(`store.prelude_for`).  Everything else, a copy of a helper too, is
+compiled for one run and dropped with it.
 Since runs share the compiler's cells, one must end, and its steps be
 read, before the next compiles: `run_compiled` holds a process-wide
 lock for all of that.  A `let` is one closure that runs its

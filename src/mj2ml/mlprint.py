@@ -252,7 +252,7 @@ def print_ml_program(program: MlProgram, source_name: str = "source") -> str:
     name = source_name.replace("(*", "( *").replace("*)", "* )")
     parts = [
         f"(* {name}, translated by mj2ml {__version__}. *)",
-        "(* The heap is an explicit value threaded through every function: *)",
+        "(* The heap is an explicit value threaded only where it is used: *)",
         "(* mj_s<n> are heap states, mj_<x>_<n> the bindings of variable x. *)",
         "",
         PRINT_HELPER,

@@ -24,10 +24,12 @@ from the `new C` and the (receiver class, method) of each call that it
 records while checking a body: the classes instantiated
 (`instantiated`), the (static receiver class, method) pairs called
 (`calls`), apart from the calls on a `new C()`, which run C's
-implementation alone, and the (declaring class, method) declarations
+implementation alone, the (object class, method) pairs that calls
+reach (`reached`), and the (declaring class, method) declarations
 that can run (`live`).  Both back ends read these:
 `translate` emits a constructor for each instantiated class and a
-function only for a live method, and dispatches each call among the
+function only for a live method, matches its fields on the classes
+whose objects calls reach it on, and dispatches each call among the
 instantiated classes its receiver can be an object of; `mjinterp`
 compiles only live methods.  Every method is
 still checked, so a type error in one that never runs is reported.
@@ -40,7 +42,8 @@ below its own.  The same walk records each body's escape facts
 operand (the array of `x[i]` or `x.length`, or a call's receiver) or
 assigns other than from `new`, and of `this` used other than as a
 receiver, through which an array or object can be reached by a second
-name; the methods it calls on `this`; and whether it writes a field.
+name; the methods it calls on `this`; whether it writes a field; and
+the groups whose arrays or objects it reads, and writes or allocates.
 Beside `_mark_live`, `_mark_values` keeps a group in the store when a
 field, a formal or a method result has one of its types, or a body that
 can run lets one of its arrays or objects escape; every other group's
@@ -48,7 +51,12 @@ arrays and objects are ML values (`ClassTable.is_value`), which
 `translate` keeps out of the store.  It then finds, by a fixpoint over
 the calls on `this`, the `this_writers`: the methods whose
 implementations in a value group may write a field of `this`, which
-return the new `this` to their caller.
+return the new `this` to their caller.  Last, `_mark_effects` gives
+each live method one heap effect (`Effect`: none, reads or writes) by
+a fixpoint over the calls, from the groups each body reads and writes
+that are not values; `translate` passes the state only to a method that
+reads or writes the heap, and takes a new one back only from one that
+writes.
 
 Rules beyond the obvious typing of operators:
   * single inheritance, no cycles, superclasses must exist
@@ -65,6 +73,7 @@ Rules beyond the obvious typing of operators:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import IntEnum
 from typing import NamedTuple
 
 from .mjast import (
@@ -124,21 +133,35 @@ class ClassInfo:
     vtable: dict[str, tuple[str, MethodDecl]] = field(default_factory=dict)
 
 
+class Effect(IntEnum):
+    """What a method does to the heap, weakest first: it touches no heap
+    cell, it only reads cells, or it may write or allocate one."""
+
+    NONE = 0
+    READS = 1
+    WRITES = 2
+
+
 class ClassTable:
     def __init__(self, main_name: str, classes: dict[str, ClassInfo]):
         self.main_name = main_name
         self.classes = classes
         # What a run can reach from main, filled in by `typecheck`: the
         # classes instantiated, the (static receiver class, method) pairs
-        # called, and the (declaring class, method) declarations that can run.
+        # called, the (object class, method) pairs that calls reach, and
+        # the (declaring class, method) declarations that can run.
         self.instantiated: set[str] = set()
         self.calls: set[tuple[str, str]] = set()
+        self.reached: set[tuple[str, str]] = set()
         self.live: set[tuple[str, str]] = set()
         # The groups whose arrays or objects cannot escape (`_mark_values`),
         # and the (root class, method) pairs of such groups whose
         # implementations may write a field of `this`.
         self.values: frozenset[str] = frozenset()
         self.this_writers: set[tuple[str, str]] = set()
+        # The heap effect of each (root class, method) pair with a live
+        # implementation (`_mark_effects`).
+        self.effects: dict[tuple[str, str], Effect] = {}
 
     def info(self, name: str) -> ClassInfo:
         return self.classes[name]
@@ -160,6 +183,18 @@ class ClassTable:
     def writes_this(self, cls: str, method: str) -> bool:
         """Whether a call of method on a cls value returns the new `this`."""
         return (self.group(ClassType(cls)), method) in self.this_writers
+
+    def effect(self, cls: str, method: str) -> Effect:
+        """The heap effect of a call of method on a cls receiver, shared
+        by every implementation of it in cls's group."""
+        return self.effects.get((self.group(ClassType(cls)), method), Effect.NONE)
+
+    def targets(self, cls: str, method: str) -> dict[str, str]:
+        """Each instantiated class that is or extends cls, in declaration
+        order, mapped to the class whose implementation of method its
+        objects run: the objects a call on a cls receiver can reach."""
+        return {c: info.vtable[method][0] for c, info in self.classes.items()
+                if c in self.instantiated and cls in info.path}
 
     def is_assignable(self, src: MjType, dst: MjType) -> bool:
         if isinstance(src, ClassType) and isinstance(dst, ClassType):
@@ -286,6 +321,10 @@ class _Checker:
         self.operand: Expr | None = None
         self.this_calls: set[str] = set()
         self.writes_field = False
+        # the groups whose arrays or objects the body reads, and those it
+        # writes or allocates, whether or not they are heap cells
+        self.reads: set[str] = set()
+        self.writes: set[str] = set()
 
     # -- scope --------------------------------------------------------------
 
@@ -293,12 +332,13 @@ class _Checker:
         self.current_class, self.start = cls, pos
         self.news, self.calls, self.exact_calls = set(), set(), set()
         self.escapes, self.this_calls, self.writes_field = set(), set(), False
+        self.reads, self.writes = set(), set()
 
     def body(self) -> "_Body":
         """What the body just checked instantiates, calls and does with
         arrays and objects."""
         return _Body(self.news, self.calls, self.exact_calls, self.escapes, self.this_calls,
-                     self.writes_field)
+                     self.writes_field, self.reads, self.writes)
 
     def enter_method(self, cls: str, method: MethodDecl) -> None:
         self.enter_body(cls, method.pos)
@@ -315,6 +355,10 @@ class _Checker:
                                   f"'{local.name}' is already a parameter or local")
             _require_known_type(self.table, local.var_type, local.pos)
             self.scope[local.name] = ("local", local.var_type)
+
+    def this_group(self) -> str:
+        """The group of `this`, whose fields the body reads and writes."""
+        return self.table.group(ClassType(self.current_class))
 
     def enter_main(self, main: MainClass) -> None:
         self.enter_body(None, main.pos)
@@ -363,15 +407,19 @@ class _Checker:
             self.operand = e.array
             self._expect(e.array, INT_ARRAY, "indexed value")
             self._expect(e.index, INT, "array index")
+            self.reads.add(self.table.group(INT_ARRAY))
             return INT
         if isinstance(e, ArrayLengthExpr):
             self.operand = e.array
             self._expect(e.array, INT_ARRAY, "'.length' receiver")
+            self.reads.add(self.table.group(INT_ARRAY))
             return INT
         if isinstance(e, IdentExpr):
             ty = self.lookup(e)
             if e is not self.operand:
                 self.escapes.add(self.table.group(ty))
+            if e.binding == "field":
+                self.reads.add(self.this_group())
             return ty
         if isinstance(e, ThisExpr):
             if self.current_class is None:
@@ -382,12 +430,15 @@ class _Checker:
             return ty
         if isinstance(e, NewArrayExpr):
             self._expect(e.length, INT, "array length")
+            self.writes.add(self.table.group(INT_ARRAY))
             return INT_ARRAY
         if isinstance(e, NewObjectExpr):
             if not self.table.has(e.class_name):
                 raise MjTypeError(e.pos, f"unknown class '{e.class_name}'")
             self.news.add(e.class_name)
-            return ClassType(e.class_name)
+            ty = ClassType(e.class_name)
+            self.writes.add(self.table.group(ty))
+            return ty
         if isinstance(e, CallExpr):
             self.operand = e.receiver
             recv = self.expr(e.receiver)
@@ -445,7 +496,9 @@ class _Checker:
                                   f"cannot assign {got} to '{s.name}' of type {ty}")
             if type(s.value) not in (NewArrayExpr, NewObjectExpr):
                 self.escapes.add(self.table.group(ty))
-            self.writes_field |= s.binding == "field"
+            if s.binding == "field":
+                self.writes_field = True
+                self.writes.add(self.this_group())
         elif isinstance(s, ArrayAssignStmt):
             ty = self.lookup(s)
             if ty != INT_ARRAY:
@@ -453,6 +506,9 @@ class _Checker:
                                   f"'{s.name}[...]=' requires int[], got {ty}")
             self._expect(s.index, INT, "array index")
             self._expect(s.value, INT, "assigned value")
+            if s.binding == "field":
+                self.reads.add(self.this_group())
+            self.writes.add(self.table.group(INT_ARRAY))
         else:
             raise AssertionError(f"unhandled statement {type(s).__name__}")
         self.depth -= 1
@@ -482,6 +538,7 @@ def typecheck(program: MjProgram) -> ClassTable:
         bodies[None] = checker.body()
     _mark_live(table, bodies)
     _mark_values(table, bodies)
+    _mark_effects(table, bodies)
     return table
 
 
@@ -490,7 +547,8 @@ class _Body(NamedTuple):
     instantiates, the (receiver class, method) pairs it calls, those it
     calls on a `new` object of the receiver class, the groups
     whose arrays or objects it lets escape, the methods it calls on
-    `this`, and whether it writes a field of `this`."""
+    `this`, whether it writes a field of `this`, the groups whose arrays
+    or objects it reads, and those it writes or allocates."""
 
     news: set[str]
     calls: set[tuple[str, str]]
@@ -498,6 +556,8 @@ class _Body(NamedTuple):
     escapes: set[str]
     this_calls: set[str]
     writes_field: bool
+    reads: set[str]
+    writes: set[str]
 
 
 def _mark_live(table: ClassTable, bodies: dict[tuple[str, str] | None, _Body]) -> None:
@@ -511,11 +571,13 @@ def _mark_live(table: ClassTable, bodies: dict[tuple[str, str] | None, _Body]) -
     receiver can reach, as `translate._targets` dispatches among them.
     A call on `new C()` makes only C's implementation live: the object
     is a C.  Every implementation a call runs, in either back end, is
-    live."""
+    live, and each (object class, method) pair a call reaches is
+    `reached`: the receivers whose objects run it."""
     instantiated, called, live = table.instantiated, table.calls, table.live
     pending: list[tuple[str, str] | None] = [None]
 
     def reach(cls: str, method: str) -> None:
+        table.reached.add((cls, method))
         impl = (table.info(cls).vtable[method][0], method)
         if impl not in live:
             live.add(impl)
@@ -575,4 +637,44 @@ def _mark_values(table: ClassTable, bodies: dict[tuple[str, str] | None, _Body])
             if (group, method) not in writers and any(
                     (group, called) in writers for called in body.this_calls):
                 writers.add((group, method))
+                grown = True
+
+
+def _mark_effects(table: ClassTable, bodies: dict[tuple[str, str] | None, _Body]) -> None:
+    """Fill in the heap effect of each live method (an effect system:
+    Lucassen and Gifford, POPL 1988), which `translate` reads to thread
+    the state only through code that touches it (Wadler and Thiemann,
+    TOCL 2003).
+
+    A body writes when it writes or allocates an array or object of a
+    group that is not a value (`_mark_values`), and reads when it reads
+    one, or calls on such a receiver a method that runs more than one
+    implementation, which `translate` dispatches by reading the object.
+    Its calls add their callees' effects.  Every implementation of a
+    method in one group shares one effect, the strongest of them, so a
+    call's targets all take and return the same: a fixpoint found by
+    sweeping the live bodies until no effect grows."""
+    values = table.values
+    impls = []
+    for cls, method in table.live:
+        body = bodies[cls, method]
+        if not body.writes <= values:
+            own = Effect.WRITES
+        elif not body.reads <= values or any(
+                table.group(ClassType(r)) not in values
+                and len(set(table.targets(r, m).values())) > 1 for r, m in body.calls):
+            own = Effect.READS
+        else:
+            own = Effect.NONE
+        callees = {(table.group(ClassType(r)), m) for r, m in body.calls | body.exact_calls}
+        impls.append(((table.group(ClassType(cls)), method), own, callees))
+    effects = table.effects
+    effects.update(dict.fromkeys((key for key, _, _ in impls), Effect.NONE))
+    grown = True
+    while grown:
+        grown = False
+        for key, own, callees in impls:
+            effect = max([own, *(effects.get(c, Effect.NONE) for c in callees)])
+            if effect > effects[key]:
+                effects[key] = effect
                 grown = True

@@ -1,7 +1,8 @@
 """The store: how a translated program's heap and arrays are encoded.
 
-A translated program threads a heap value through every computation
-instead of using mutable state (see `translate`).  A state is a pair
+A translated program threads a heap value through the code that
+touches it instead of using mutable state (see `translate`).  A state
+is a pair
 ``(next pointer, heap)``; allocation hands out pointers 0, 1, 2, ...
 The heap, and each array's elements, is a Braun tree used as a flexible
 array (Okasaki, *Purely Functional Data Structures*, 1998, 10.1.2; Braun
@@ -20,14 +21,16 @@ Before its first assignment a local that holds one is `HNull`
 (`NULL_VALUE`), the null of values, which no array access or call
 matches: a MatchFailure fault too.  `heapval` declares `HNull` only for
 a program that binds it.  A program whose arrays and objects all stay
-values leaves the heap empty: its emitted code applies none of
-`lookup`, `update` and `alloc`.
+values leaves the heap empty: its emitted code names no state, and
+declares and applies none of `lookup`, `update` and `alloc`.
 
 This module is the only one that knows that encoding.  It holds the
 store's types (the `heapval` and `tree` datatypes), the `prelude` of
-helpers emitted with every program, the test of whether a program leads
-with those helpers themselves (`shared_helpers`), by which `mleval`
-compiles and `mlprint` prints them once, the Python version of its four
+helpers, of which each program starts with the shortest prefix that
+defines every helper it applies (`prelude_for`), the test of whether a
+program leads with those helpers themselves (`shared_helpers`), by
+which `mleval` compiles and `mlprint` prints them once, the Python
+version of its four
 tree helpers (`natives`), which `mleval` runs in their place, and a builder
 for the ML expression of each store operation the translation emits: `lookup`,
 `update` and `alloc` of a state, `zeros` and `new_array` for a new
@@ -242,10 +245,27 @@ def prelude() -> tuple[FunDef, ...]:
     return (get, set_, cons, zeros_, lookup_, update_, alloc_)
 
 
+# The helper each store builder's expression applies.
+_APPLIES = {array_get: "mj_get", array_set: "mj_set", zeros: "mj_zeros",
+            lookup: "mj_lookup", update: "mj_update", alloc: "mj_alloc"}
+
+
+def prelude_for(builders) -> tuple[FunDef, ...]:
+    """The shortest prefix of `prelude()` that defines every helper that
+    the expressions of `builders`, store builders, apply: none for none
+    of them, the four tree helpers for arrays that are values.  A helper
+    applies only helpers before it, so the prefix defines those too."""
+    helpers = prelude()
+    names = [fd.name for fd in helpers]
+    return helpers[:max((names.index(_APPLIES[b]) + 1 for b in builders if b in _APPLIES),
+                        default=0)]
+
+
 def shared_helpers(groups: list[tuple[FunDef, ...]]) -> int:
     """How many of `prelude()`'s helpers lead `groups`: the largest k such
     that groups 0..k-1 are helpers 0..k-1 themselves, the same objects,
-    each a group of its own.  Every translation leads with all of them.
+    each a group of its own.  Every translation leads with the prefix
+    that `prelude_for` gives.
     `mleval` runs those k as it made them once, and `mlprint` copies the
     text it printed them as once; an equal copy of a helper, or a helper
     grouped with another function, is not one of them."""

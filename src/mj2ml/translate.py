@@ -1,8 +1,8 @@
 """Translation from MiniJava to the pure core ML fragment.
 
-The generated program threads a heap value through every computation
-instead of using mutable state.  How that value, and each array in it,
-is encoded is the `store` module's alone.
+The generated program threads a heap value, the state, through the
+code that touches it instead of using mutable state.  How that value,
+and each array in it, is encoded is the `store` module's alone.
 
 Objects hold only their fields.  For each class C a run can
 instantiate, the heap's values have one constructor ``HObj_C`` of all
@@ -61,15 +61,16 @@ value in SSA form (Appel, "SSA is Functional Programming", 1998).  The
 versions are numbered as the translation goes, and the joins come from
 them (SSA construction on the fly, as in "Simple and Efficient
 Construction of Static Single Assignment Form", CC 2013): an `if` join
-carries, in a tuple, the state and the variables whose version either
-branch changed that are live after it.  A while loop is a top-level
-tail-recursive function ``mj_loop<k>``, lambda-lifted (Johnsson, 1985).
-Its condition and body are translated with every variable under its
-name at loop entry; it then takes the state, the variables its
-condition or body assigned that are live at its head, the others it
-read and `this` if it read `this` or a field, all under those names,
-and returns the state and the variables assigned that are live after
-it.  A call in a condition, or in the right operand of `&&`, that
+carries, in a tuple, the state if either branch made a new one, and
+the variables whose version either branch changed that are live after
+it.  A while loop is a top-level tail-recursive function
+``mj_loop<k>``, lambda-lifted (Johnsson, 1985).  Its condition and body
+are translated with every variable under its name at loop entry; it
+then takes the state if they read it, the variables its condition or
+body assigned that are live at its head, the others it read and `this`
+if it read `this` or a field, all under those names, and returns the
+state if they made a new one and the variables assigned that are live
+after it.  A call in a condition, or in the right operand of `&&`, that
 writes its value receiver assigns that variable too.
 
 Only what is live is emitted.  Before a method is translated,
@@ -88,28 +89,36 @@ The condition of an `if` or `while` that is `<` is compared in the ML
 `if` itself, and one that is `!e` tests e with the branches swapped:
 neither binds a boolean first.  Each state name
 is bound once too, so a heap cell read in a state is read once and its
-value reused until the state changes.  A run of bindings whose last one
-binds exactly the value the run ends with, as a call's (state, value) or
-a join's tuple can, ends in that binding's right-hand side instead: a
+value reused until the state changes: a call of a method that only
+reads the heap makes no new state.  A run of bindings whose last one
+binds exactly the value the run ends with, as a call's result or a
+join's tuple can, ends in that binding's right-hand side instead: a
 method that returns what a call returns, or an `if` branch whose last
 statement assigns what a call returns, ends in the call.
 
-Every generated function takes and returns the state: methods are
-``fn (state, self, args) -> (state, result)`` where args is (), a bare
-value, or a tuple by arity, and a method that writes its value object
-returns ``(state, self', result)``; constructors are state ->
-(state, pointer); ``mj_main`` is unit -> state and returns the final
-state.  Only what a run can reach is emitted (see `sema`): a constructor
+A generated function takes the state only if its code may read the
+heap, and returns it only if its code may write it (Wadler and
+Thiemann, TOCL 2003): a method's heap effect, from `sema`, is none,
+reads or writes, and its shape is ``fn ([state,] self, args) ->
+([state,] result)``, the state taken for reads and writes and returned
+for writes, where args is (), a bare value, or a tuple by arity, and a
+method that writes its value object returns ``([state,] self', result)``.
+A loop, an `if` join and ``mj_main`` follow the same rule from the
+bindings their code emits.  Constructors are state -> (state, pointer);
+``mj_main`` is unit -> state and returns the final state, the constant
+`store.EMPTY_STATE` when its code touches no cell.  Only what a run can
+reach is emitted (see `sema`): a constructor
 for each class instantiated whose objects are heap cells, and a
 function for each live method.  The implementation a call runs for an
 instantiated class is live, so each known call names an emitted
 function.
 
 Each of these decisions is written once.  `_Ctx` holds the ANF binders
-and the state threading: `bind` for an intermediate value, `bind_state`
-for the (state, value) of a call that returns a new state,
+and the state threading: `bind` for an intermediate value, `bind_call`
+for what a call returns, its new state first if it writes the heap,
 `carried`/`join` for the tuple of branch joins and loops, `changed` for
-the variables they carry, and `wrap` for the end of a run.  `_lookup`
+the variables they carry, `state_var` for each read of the state, and
+`wrap` for the end of a run.  `_lookup`
 reads the heap once per cell and state, `_read_field` a field of
 `this` once per object value (a cell's value in one state, or a value
 object's version of `this`), and `_store` writes a cell and makes the new state current; field writes
@@ -117,8 +126,10 @@ of cells and array writes both go through it, as every array read goes
 through `_array`.  The object layout is each class's `all_fields`, which
 the datatypes, `new_object` and the field and dispatch patterns
 (`_object`) all read.  `_call` dispatches.  Every heap and array access is
-built by `store`, whose prelude of helpers each translation starts
-with.  What each `if` and `while` assigns and reads is found by
+built by `store`, through `_op`, which notes the builders the program
+holds, and the translation starts with the shortest prefix of the
+store's prelude that defines the helpers they apply
+(`store.prelude_for`).  What each `if` and `while` assigns and reads is found by
 translating it: a variable's version tells whether it was assigned, and
 `_Ctx.log` which variables were read; what is live after it, by
 `_liveness` before the translation.  `_test` builds every condition.
@@ -189,7 +200,7 @@ from .mlast import (
 )
 from . import store
 from .outcome import COMPILE_FRAMES, extra_frames
-from .sema import ClassTable, typecheck
+from .sema import ClassTable, Effect, typecheck
 
 
 def _enc(name: str) -> str:
@@ -298,78 +309,91 @@ def _liveness(body: list[Stmt], live: frozenset[str],
     an enclosing loop's sweep starts from the head set it reached
     before, and is not swept at all if what is live after it has not
     changed: a loop is swept about as often as its sets grow, not once
-    per sweep of each loop around it."""
+    per sweep of each loop around it.
+
+    The sweep is two module functions that take the tables they fill,
+    not closures: a nested function that calls itself holds its own
+    closure cell, a reference cycle that would keep each method's sets
+    for the cyclic collector."""
     after: dict[int, frozenset[str]] = {}
     # each loop's last live-after set and the head set it gave
     heads: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
-
-    def used(live: frozenset[str], *parts: Expr) -> frozenset[str]:
-        """What is live before `parts`, evaluated in order, when `live` is
-        live after them.  They are swept backwards with a stack: a node
-        before its children, which are pushed in the order they run."""
-        later: set[str] = set()
-        stack = list(parts)
-        while stack:
-            e = stack.pop()
-            cls = type(e)
-            if cls is IdentExpr:
-                if e.binding != "field":
-                    later.add(e.name)
-            elif cls is BinaryExpr:
-                stack += (e.left, e.right)
-            elif cls is CallExpr:
-                receiver = e.receiver
-                if type(receiver) is IdentExpr and receiver.binding != "field":
-                    after[id(e)] = live.union(later)
-                    later.add(receiver.name)
-                stack += (receiver, *e.args)
-            elif cls is ArrayIndexExpr:
-                stack += (e.array, e.index)
-            elif cls is NotExpr:
-                stack.append(e.operand)
-            elif cls is ArrayLengthExpr:
-                stack.append(e.array)
-            elif cls is NewArrayExpr:
-                stack.append(e.length)
-        return live.union(later) if later else live
-
-    def before(s: Stmt, live: frozenset[str]) -> frozenset[str]:
-        after[id(s)] = live
-        if isinstance(s, BlockStmt):
-            for sub in reversed(s.body):
-                live = before(sub, live)
-            return live
-        if isinstance(s, PrintStmt):
-            return used(live, s.value)
-        if isinstance(s, AssignStmt):
-            if s.binding != "field":
-                if s.name not in live:
-                    return used(live, *_effects(s.value))
-                live = live - {s.name}
-            return used(live, s.value)
-        if isinstance(s, ArrayAssignStmt):
-            array = () if s.binding == "field" else (s.name,)
-            return used(live, s.index, s.value).union(array)
-        if isinstance(s, IfStmt):
-            return used(before(s.then_branch, live) | before(s.else_branch, live), s.cond)
-        if isinstance(s, WhileStmt):
-            last = heads.get(id(s))
-            if last and last[0] == live:
-                return last[1]
-            head = used((last[1] if last else frozenset()) | live, s.cond)
-            while (grown := before(s.body, head) | head) != head:
-                head = grown
-            # what is live after the condition's calls: the body or the exit runs next
-            used(head, s.cond)
-            heads[id(s)] = live, head
-            return head
-        raise AssertionError(f"unhandled statement {type(s).__name__}")
-
     if result is not None:
-        live = used(live, result)
+        live = _used(live, after, result)
     for s in reversed(body):
-        live = before(s, live)
+        live = _before(s, live, after, heads)
     return after
+
+
+def _used(live: frozenset[str], after: dict[int, frozenset[str]],
+          *parts: Expr) -> frozenset[str]:
+    """What is live before `parts`, evaluated in order, when `live` is
+    live after them, recording in `after` what is live after each call
+    on a variable.  They are swept backwards with a stack: a node before
+    its children, which are pushed in the order they run."""
+    later: set[str] = set()
+    stack = list(parts)
+    while stack:
+        e = stack.pop()
+        cls = type(e)
+        if cls is IdentExpr:
+            if e.binding != "field":
+                later.add(e.name)
+        elif cls is BinaryExpr:
+            stack += (e.left, e.right)
+        elif cls is CallExpr:
+            receiver = e.receiver
+            if type(receiver) is IdentExpr and receiver.binding != "field":
+                after[id(e)] = live.union(later)
+                later.add(receiver.name)
+            stack += (receiver, *e.args)
+        elif cls is ArrayIndexExpr:
+            stack += (e.array, e.index)
+        elif cls is NotExpr:
+            stack.append(e.operand)
+        elif cls is ArrayLengthExpr:
+            stack.append(e.array)
+        elif cls is NewArrayExpr:
+            stack.append(e.length)
+    return live.union(later) if later else live
+
+
+def _before(s: Stmt, live: frozenset[str], after: dict[int, frozenset[str]],
+            heads: dict[int, tuple[frozenset[str], frozenset[str]]]) -> frozenset[str]:
+    """What is live before s when `live` is live after it, recording in
+    `after` what is live after s and each statement and call it holds,
+    and in `heads` each loop's sets (`_liveness`)."""
+    after[id(s)] = live
+    if isinstance(s, BlockStmt):
+        for sub in reversed(s.body):
+            live = _before(sub, live, after, heads)
+        return live
+    if isinstance(s, PrintStmt):
+        return _used(live, after, s.value)
+    if isinstance(s, AssignStmt):
+        if s.binding != "field":
+            if s.name not in live:
+                return _used(live, after, *_effects(s.value))
+            live = live - {s.name}
+        return _used(live, after, s.value)
+    if isinstance(s, ArrayAssignStmt):
+        array = () if s.binding == "field" else (s.name,)
+        return _used(live, after, s.index, s.value).union(array)
+    if isinstance(s, IfStmt):
+        return _used(_before(s.then_branch, live, after, heads)
+                     | _before(s.else_branch, live, after, heads), after, s.cond)
+    if isinstance(s, WhileStmt):
+        last = heads.get(id(s))
+        if last and last[0] == live:
+            return last[1]
+        head = _used((last[1] if last else frozenset()) | live, after, s.cond)
+        while (grown := _before(s.body, head, after, heads) | head) != head:
+            head = grown
+        # what is live after the condition's calls: the body or the exit runs next
+        _used(head, after, s.cond)
+        heads[id(s)] = live, head
+        return head
+    raise AssertionError(f"unhandled statement {type(s).__name__}")
 
 
 # The name that `_Ctx.bind` binds to `_`: a value computed for its faults
@@ -398,19 +422,24 @@ class _FnScope:
     classes whose objects run it, on which a field of `this` is matched
     (none in main), the variables live after each of its statements
     (`_liveness`), and whether those objects are values rather than heap
-    cells (`ClassTable.is_value`).  A method's `var_order` ends in
+    cells (`ClassTable.is_value`), and its heap effect (`sema`): only a
+    function that writes binds new states.  A method's `var_order` ends in
     "this", whose versions a value object's method binds as it writes
     fields.  `initial` collects the variables read at version 0: a
-    local's default is bound only if it is read."""
+    local's default is bound only if it is read; `states_read` the state
+    names read, by which a loop, and main, takes the state only if it
+    reads it."""
 
     var_order: list[str]
     receivers: list[str]
     live: dict[int, frozenset[str]]
     value_this: bool = False
+    effect: Effect = Effect.WRITES
     next_temp: int = 0
     next_state: int = 1
     maxver: dict[str, int] = dc_field(init=False)
     initial: set[str] = dc_field(default_factory=set)
+    states_read: set[str] = dc_field(default_factory=set)
 
     def __post_init__(self) -> None:
         self.maxver = dict.fromkeys(self.var_order, 0)
@@ -432,17 +461,19 @@ class _FnScope:
 
 @dataclass
 class _Ctx:
-    """A straight-line run of declarations, the current state name, the
-    current version of every variable, and the heap values known in the
-    current state.  Branches get their own copy.
+    """A straight-line run of declarations, the current state name (None
+    in a function that touches no heap cell), the current version of
+    every variable, and the heap values known in the current state.
+    Branches get their own copy.
 
     The bindings of the ANF translation go through these methods: `bind`
-    names one intermediate value, `bind_state` the (state, value) pair of
-    a call that returns a new state, and `join` the (state, variables...)
-    tuple that `carried` builds at the end of branches and loop bodies.
-    A join holds the state and only the variables whose version some
-    branch changed (`changed`), in `var_order`; every other variable
-    keeps its version.
+    names one intermediate value, `bind_call` what a call returns, a new
+    state first if it may write the heap, and `join` the (state,
+    variables...) tuple that `carried` builds at the end of branches and
+    loop bodies.  A join holds the state only if some branch changed it,
+    and only the variables whose version some branch changed (`changed`),
+    in `var_order`; every other variable keeps its version.  `state_var`
+    reads the current state.
 
     `log` collects the variables read, by `var_atom`, and "this" (a
     keyword, so no variable's name) wherever `this()` emits a version of it.
@@ -472,7 +503,7 @@ class _Ctx:
 
     fn: _FnScope
     versions: dict[str, int]
-    state: str
+    state: str | None
     reads: dict[MlExpr, MlExpr] = dc_field(default_factory=dict)
     log: set[str] = dc_field(default_factory=set)
     bindings: list[Val] = dc_field(default_factory=list)
@@ -485,17 +516,24 @@ class _Ctx:
 
     def advance(self) -> str:
         """Make a fresh state current, with nothing read from it yet."""
+        assert self.fn.effect == Effect.WRITES, "a function that cannot write binds a state"
         self.state = self.fn.fresh_state()
         self.reads = {}
         return self.state
+
+    def state_var(self) -> Var:
+        """The current state, noted as read."""
+        assert self.state is not None, "a function that touches no cell reads a state"
+        self.fn.states_read.add(self.state)
+        return Var(self.state)
 
     def emit(self, pat: Pat, rhs: MlExpr) -> None:
         self.bindings.append(Val(pat, rhs))
 
     def wrap(self, result: MlExpr) -> MlExpr:
         """The run's declarations around `result`.  A last one that binds
-        exactly `result`, as a call's (state, value) or a join's tuple
-        does, is left out, and the run ends in its right-hand side."""
+        exactly `result`, as a call's value or a join's tuple does, is
+        left out, and the run ends in its right-hand side."""
         bindings = self.bindings
         if bindings and _as_expr(bindings[-1].pat) == result:
             bindings, result = bindings[:-1], bindings[-1].rhs
@@ -508,16 +546,16 @@ class _Ctx:
         self.emit(_pvar(name), rhs)
         return Var(name)
 
-    def bind_state(self, rhs: MlExpr, name: str | None = None,
-                   this: Pat | None = None) -> MlExpr:
-        """Bind the (state, value) that rhs returns, or with `this` the
-        (state, new this, value) of a call that writes its receiver, to
-        that pattern; the state becomes current and the value, named as
-        by `bind`, is returned."""
-        state = self.advance()
+    def bind_call(self, rhs: MlExpr, name: str | None, state: bool,
+                  this: Pat | None = None) -> MlExpr:
+        """Bind what rhs, a call, returns: with `state` a new state, which
+        becomes current, then with `this` the new receiver of a call that
+        writes it, then the value, named as by `bind`, which is returned."""
+        items = [PVar(self.advance())] if state else []
         name = name or self.fn.fresh_temp()
-        receiver = () if this is None else (this,)
-        self.emit(PTuple((PVar(state), *receiver, _pvar(name))), rhs)
+        if this is not None:
+            items.append(this)
+        self.emit(_ptup([*items, _pvar(name)]), rhs)
         return Var(name)
 
     def new_version(self, name: str) -> Var:
@@ -544,18 +582,21 @@ class _Ctx:
         """The variables whose version some branch changed, in `var_order`."""
         return [x for x, v in self.versions.items() if any(b.versions[x] != v for b in branches)]
 
-    def carried(self, names: list[str]) -> MlExpr:
-        """The (state, atoms...) tuple of the named variables, and of
-        `mj_this` for "this", that a join or loop carries."""
-        return _tup([Var(self.state), *map(self.atom, names)])
+    def carried(self, names: list[str], state: bool, *value: MlExpr) -> MlExpr:
+        """The tuple that a join or loop carries: the state if `state`,
+        the atoms of the named variables, and of `mj_this` for "this",
+        then `value` if given."""
+        return _tup([*([self.state_var()] if state else []), *map(self.atom, names), *value])
 
-    def join(self, rhs: MlExpr, names: list[str], *value: Pat) -> None:
-        """Bind the `carried` tuple of the named variables that rhs
-        returns, and then its `value` if given: a fresh state and fresh
-        versions become current."""
-        self.advance()
-        versions = [PVar(self.new_version(x).name) for x in names]
-        self.emit(_ptup([PVar(self.state), *versions, *value]), rhs)
+    def join(self, rhs: MlExpr, names: list[str], state: bool, *value: Pat) -> None:
+        """Bind the `carried` tuple that rhs returns: a fresh state if
+        `state` and fresh versions of the named variables become current,
+        and then its `value` if given.  A tuple of nothing, which only
+        the faults and output of rhs make, is bound to `_`."""
+        items = [PVar(self.advance())] if state else []
+        items += [PVar(self.new_version(x).name) for x in names]
+        items += value
+        self.emit(_ptup(items) if items else PWild(), rhs)
 
 
 class _Translator:
@@ -565,6 +606,13 @@ class _Translator:
         self.loops: list[FunDef] = []
         # whether some method binds the null of a value array or object
         self.binds_null = False
+        # the store builders whose expressions the program holds
+        self.ops: set[Callable[..., MlExpr]] = set()
+
+    def _op(self, builder: Callable[..., MlExpr], *args) -> MlExpr:
+        """builder(*args), a store operation, noted as one the program holds."""
+        self.ops.add(builder)
+        return builder(*args)
 
     # -- objects ----------------------------------------------------------------
 
@@ -589,7 +637,7 @@ class _Translator:
     def constructor(self, cls: str) -> FunDef:
         """The function that allocates a new heap object of class cls."""
         return FunDef(mangle_new(cls), PVar("mj_s0"),
-                      store.alloc(Var("mj_s0"), self.new_object(cls)))
+                      self._op(store.alloc, Var("mj_s0"), self.new_object(cls)))
 
     # -- heap access ----------------------------------------------------------
 
@@ -597,13 +645,13 @@ class _Translator:
         """The heap value at ptr: the one known in this state, else a
         fresh binding of it."""
         if ptr not in ctx.reads:
-            ctx.reads[ptr] = ctx.bind(store.lookup(Var(ctx.state), ptr))
+            ctx.reads[ptr] = ctx.bind(self._op(store.lookup, ctx.state_var(), ptr))
         return ctx.reads[ptr]
 
     def _store(self, ctx: _Ctx, ptr: MlExpr, value: MlExpr) -> None:
         """Write value at ptr and make the new state current, where the
         value at ptr is known."""
-        update = store.update(Var(ctx.state), ptr, value)
+        update = self._op(store.update, ctx.state_var(), ptr, value)
         ctx.emit(PVar(ctx.advance()), update)
         ctx.reads[ptr] = value
 
@@ -665,17 +713,9 @@ class _Translator:
 
     # -- calls ------------------------------------------------------------------
 
-    def _targets(self, cls: str, method: str) -> dict[str, str]:
-        """Each instantiated class that is or extends cls, in declaration
-        order, mapped to the class whose implementation of method its
-        objects run: the objects a call on a cls receiver can reach."""
-        table = self.table
-        return {c: info.vtable[method][0] for c, info in table.classes.items()
-                if c in table.instantiated and cls in info.path}
-
     def _call(self, e: CallExpr, ctx: _Ctx, name: str | None) -> MlExpr:
         """A method call, dispatched statically.  Each object a call can
-        reach (`_targets`) runs a known implementation, so the call is a
+        reach (`ClassTable.targets`) runs a known implementation, so the call is a
         known call of it when they all run the same one and the receiver
         cannot be null: `this`, a `new` object, or a version bound from
         one or returned by a call (`_Ctx.allocated`).  A call on a heap
@@ -687,7 +727,9 @@ class _Translator:
         receiver, `store.NULL_VALUE` or the null pointer, fails the
         match, the check or the heap lookup.
 
-        A call of a method that writes a value receiver's fields
+        The call passes the state if the method's effect (`sema`) reads
+        or writes the heap, and binds the new state it returns if it
+        writes.  A call of a method that writes a value receiver's fields
         (`ClassTable.writes_this`) also returns the receiver's new value,
         which becomes the next version of the variable, or of `this`,
         that held it, when that variable is live after the call
@@ -702,17 +744,18 @@ class _Translator:
         else:
             receiver = self.expr(e.receiver, ctx)
             args = _tup([self.expr(a, ctx) for a in e.args])
-        targets = self._targets(e.receiver_class, e.method)
+        targets = self.table.targets(e.receiver_class, e.method)
         if isinstance(e.receiver, NewObjectExpr):
             # a new object runs its own class's implementation
             targets = {e.receiver_class: targets[e.receiver_class]}
-        state = Var(ctx.state)
+        effect = self.table.effect(e.receiver_class, e.method)
         writes = self.table.writes_this(e.receiver_class, e.method)
         fresh = isinstance(e.receiver, (ThisExpr, NewObjectExpr)) or receiver in ctx.allocated
 
         def call(impl: str) -> MlExpr:
+            state = [ctx.state_var()] if effect else []
             return App(Var(mangle_method(self.table.info(impl).index, e.method)),
-                       Tuple((state, receiver, args)))
+                       Tuple((*state, receiver, args)))
 
         impls = set(targets.values())
         if len(impls) > 1 or value and impls and not fresh:
@@ -725,14 +768,16 @@ class _Translator:
             else:
                 # no object a call can reach: the receiver is null
                 decl = self.table.info(e.receiver_class).vtable[e.method][1]
-                result = _tup([state, *([receiver] if writes else []),
+                state = [ctx.state_var()] if effect == Effect.WRITES else []
+                result = _tup([*state, *([receiver] if writes else []),
                                _default_value(decl.return_type)])
             if not fresh:
                 # a value receiver that no class can reach is the object
                 # null, and the check fails as one of the null pointer does
                 result = store.null_check(IntLit(store.NULL_PTR) if value else receiver, result)
+        state = effect == Effect.WRITES
         if not writes:
-            return ctx.bind_state(result, name)
+            return ctx.bind_call(result, name, state)
         if isinstance(e.receiver, ThisExpr):
             # live throughout a method that writes it, as this one does
             held = "this"
@@ -740,11 +785,11 @@ class _Translator:
             held = e.receiver.name
         else:
             # a `new` object's, or a dead local's, is read by nothing
-            return ctx.bind_state(result, name, PWild())
+            return ctx.bind_call(result, name, state, PWild())
         # the next version of `this` or of the local, never null
         version = ctx.new_version(held)
         ctx.allocated.add(version)
-        return ctx.bind_state(result, name, PVar(version.name))
+        return ctx.bind_call(result, name, state, PVar(version.name))
 
     # -- expressions --------------------------------------------------------------------
 
@@ -764,20 +809,21 @@ class _Translator:
             return ctx.var_atom(e.name)
         if isinstance(e, BinaryExpr) and e.op == "&&":
             # the right operand's bindings run only when the left holds;
-            # when they make no new state, the `if` returns no state
-            # either, and what is known of the state stays known; else
-            # it joins the state, the variables whose versions the calls
-            # there changed (`ClassTable.writes_this`), and its value
+            # the `if` returns the state only if they make a new one (else
+            # what is known of the state stays known), the variables whose
+            # versions the calls there changed (`ClassTable.writes_this`),
+            # and its value, which alone needs no join
             test = self._test(e.left, ctx)
             rctx = ctx.branch()
             right = self.expr(e.right, rctx)
-            if rctx.state == ctx.state:
-                return ctx.bind(test(rctx.wrap(right), Con("false")), name)
             names = ctx.changed(rctx)
-            then = rctx.wrap(_tup([Var(rctx.state), *map(rctx.atom, names), right]))
-            orelse = _tup([Var(ctx.state), *map(ctx.atom, names), Con("false")])
+            state = rctx.state != ctx.state
+            if not names and not state:
+                return ctx.bind(test(rctx.wrap(right), Con("false")), name)
+            then = rctx.wrap(rctx.carried(names, state, right))
+            orelse = ctx.carried(names, state, Con("false"))
             name = name or ctx.fn.fresh_temp()
-            ctx.join(test(then, orelse), names, _pvar(name))
+            ctx.join(test(then, orelse), names, state, _pvar(name))
             return Var(name)
         if isinstance(e, BinaryExpr):
             # the other operators are ML primitives of the same symbol
@@ -789,7 +835,8 @@ class _Translator:
         if isinstance(e, ArrayIndexExpr):
             arr = self.expr(e.array, ctx)
             idx = self.expr(e.index, ctx)
-            return ctx.bind(store.array_get(self._array(ctx, arr), idx, ctx.fn.fresh_temp), name)
+            return ctx.bind(self._op(store.array_get, self._array(ctx, arr), idx,
+                                     ctx.fn.fresh_temp), name)
         if isinstance(e, ArrayLengthExpr):
             arr = self.expr(e.array, ctx)
             return ctx.bind(store.array_length(self._array(ctx, arr), ctx.fn.fresh_temp), name)
@@ -799,14 +846,15 @@ class _Translator:
             if self.table.is_value(INT_ARRAY) and name == _DISCARD:
                 # a value nothing reads: only its elements can fault, for
                 # a negative length
-                return ctx.bind(store.zeros(n), _DISCARD)
-            array = store.new_array(n, ctx.bind(store.zeros(n)))
+                return ctx.bind(self._op(store.zeros, n), _DISCARD)
+            array = store.new_array(n, ctx.bind(self._op(store.zeros, n)))
             if self.table.is_value(INT_ARRAY):
                 return ctx.bind(array, name)
-            return ctx.bind_state(store.alloc(Var(ctx.state), array), name)
+            return ctx.bind_call(self._op(store.alloc, ctx.state_var(), array), name, True)
         if isinstance(e, NewObjectExpr):
             if not self.table.is_value(ClassType(e.class_name)):
-                atom = ctx.bind_state(App(Var(mangle_new(e.class_name)), Var(ctx.state)), name)
+                atom = ctx.bind_call(App(Var(mangle_new(e.class_name)), ctx.state_var()), name,
+                                     True)
             elif name in (None, _DISCARD):
                 # a value object, made where it is used: nothing to bind
                 return self.new_object(e.class_name)
@@ -868,14 +916,15 @@ class _Translator:
             idx = self.expr(s.index, ctx)
             value = self.expr(s.value, ctx)
             if self.table.is_value(INT_ARRAY):
-                array = store.array_set(ptr, idx, value, ctx.fn.fresh_temp)
+                array = self._op(store.array_set, ptr, idx, value, ctx.fn.fresh_temp)
                 if s.name in live:
                     # the written array is the local's next version
                     ctx.bind(array, ctx.new_version(s.name).name)
                 else:
                     ctx.bind(array, _DISCARD)
             else:
-                array = store.array_set(self._lookup(ctx, ptr), idx, value, ctx.fn.fresh_temp)
+                array = self._op(store.array_set, self._lookup(ctx, ptr), idx, value,
+                                 ctx.fn.fresh_temp)
                 self._store(ctx, ptr, ctx.bind(array))
         elif isinstance(s, IfStmt):
             test = self._test(s.cond, ctx)
@@ -884,7 +933,9 @@ class _Translator:
             ectx = ctx.branch()
             self.stmt(s.else_branch, ectx)
             names = [x for x in ctx.changed(tctx, ectx) if x in live]
-            ctx.join(test(tctx.wrap(tctx.carried(names)), ectx.wrap(ectx.carried(names))), names)
+            state = tctx.state != ctx.state or ectx.state != ctx.state
+            ctx.join(test(tctx.wrap(tctx.carried(names, state)),
+                          ectx.wrap(ectx.carried(names, state))), names, state)
         elif isinstance(s, WhileStmt):
             self._while(s, ctx, live)
         else:
@@ -894,48 +945,58 @@ class _Translator:
         """A top-level tail-recursive function `mj_loop<k>`, called once
         and joined.  Its condition and body are translated first, with
         every variable under its name at loop entry and a fresh state, so
-        no heap read of the caller's crosses into it.  It takes the state,
-        the variables the body assigns (`changed`) that are live at its
-        head, then the others it reads and `mj_this` if it reads `this`
-        or a field (its `log`), each under that same name; it returns the
-        state and the variables the body assigns that are `live` after
-        it."""
-        inner = _Ctx(ctx.fn, dict(ctx.versions), ctx.fn.fresh_state())
+        no heap read of the caller's crosses into it.  It takes the state
+        if its code reads it, the variables the body assigns (`changed`)
+        that are live at its head, then the others it reads and `mj_this`
+        if it reads `this` or a field (its `log`), each under that same
+        name; it returns the state if its code makes a new one, and the
+        variables the body assigns that are `live` after it."""
+        inner = _Ctx(ctx.fn, dict(ctx.versions), ctx.state and ctx.fn.fresh_state())
         entry = inner.state
         test = self._test(s.cond, inner)
         body = inner.branch()
         self.stmt(s.body, body)
+        takes = entry in ctx.fn.states_read
+        # the body starts from the state the condition leaves
+        state = body.state != entry
         # a call in the condition may write its receiver too
         changed = ctx.changed(inner, body)
         names = [x for x in changed if x in live]
-        exit_ = inner.carried(names)
+        exit_ = inner.carried(names, state)
         head = ctx.fn.live[id(s.body)]
         params = [x for x in changed if x in head]
         params += [x for x in inner.versions if x in inner.log and x not in changed]
         # numbered after the loops it holds
         loop = Var(f"mj_loop{len(self.loops)}")
-        then = body.wrap(App(loop, body.carried(params)))
-        param = _ptup([PVar(entry), *(PVar(ctx.atom(x).name) for x in params)])
+        then = body.wrap(App(loop, body.carried(params, takes)))
+        param = _ptup([*([PVar(entry)] if takes else []),
+                       *(PVar(ctx.atom(x).name) for x in params)])
         self.loops.append(FunDef(loop.name, param, inner.wrap(test(then, exit_))))
-        ctx.join(App(loop, ctx.carried(params)), names)
+        ctx.join(App(loop, ctx.carried(params, takes)), names, state)
 
     # -- whole functions --------------------------------------------------------------------
 
     def method(self, cls: str, decl: MethodDecl) -> FunDef:
-        """``fn (state, this, args)``, returning (state, result), or
-        (state, new this, result) for a value object's method that may
-        write its fields, where `this` is live to the end."""
+        """``fn ([state,] this, args)``, returning ([state,] result), or
+        ([state,] new this, result) for a value object's method that may
+        write its fields, where `this` is live to the end.  The state is
+        taken if the method's effect reads or writes the heap, and
+        returned if it writes.  Its fields are matched on the classes
+        whose objects calls reach it on (`ClassTable.reached`)."""
         table = self.table
-        receivers = [c for c, impl in self._targets(cls, decl.name).items() if impl == cls]
+        receivers = [c for c, info in table.classes.items()
+                     if (c, decl.name) in table.reached and info.vtable[decl.name][0] == cls]
         var_order = [f.name for f in decl.formals] + [v.name for v in decl.local_vars] + ["this"]
         writes = table.writes_this(cls, decl.name)
+        effect = table.effect(cls, decl.name)
         live = _liveness(decl.body, frozenset({"this"} if writes else ()), decl.return_expr)
-        fn = _FnScope(var_order, receivers, live, table.is_value(ClassType(cls)))
-        ctx = _Ctx(fn, dict.fromkeys(var_order, 0), "mj_s0")
+        fn = _FnScope(var_order, receivers, live, table.is_value(ClassType(cls)), effect)
+        ctx = _Ctx(fn, dict.fromkeys(var_order, 0), "mj_s0" if effect else None)
         for s in decl.body:
             self.stmt(s, ctx)
         value = self.expr(decl.return_expr, ctx)
-        result = _tup([Var(ctx.state), *([ctx.this()] if writes else []), value])
+        state = [ctx.state_var()] if effect == Effect.WRITES else []
+        result = _tup([*state, *([ctx.this()] if writes else []), value])
         # a local's default is bound only where some path reads it; a
         # value array's or object's is the null of values
         defaults = [Val(PVar(mangle_var(v.name, 0)), store.NULL_VALUE if table.is_value(v.var_type)
@@ -943,20 +1004,23 @@ class _Translator:
                     for v in decl.local_vars if v.name in fn.initial]
         self.binds_null |= any(val.rhs == store.NULL_VALUE for val in defaults)
         ctx.bindings[:0] = defaults
-        param = PTuple((PVar("mj_s0"), PVar("mj_this"),
+        param = PTuple((*([PVar("mj_s0")] if effect else []), PVar("mj_this"),
                         _ptup([PVar(mangle_var(f.name, 0)) for f in decl.formals])))
         return FunDef(mangle_method(table.info(cls).index, decl.name), param, ctx.wrap(result))
 
     def main(self, program: MjProgram) -> FunDef:
+        """``fn ()``, returning the final state: the empty state, bound
+        first, if the code reads it, else the constant itself."""
         fn = _FnScope([], [], _liveness(program.main.body, frozenset()))
         ctx = _Ctx(fn, {}, "mj_s0")
-        ctx.emit(PVar("mj_s0"), store.EMPTY_STATE)
         for s in program.main.body:
             self.stmt(s, ctx)
-        return FunDef("mj_main", PTuple(()), ctx.wrap(Var(ctx.state)))
+        if "mj_s0" not in fn.states_read:
+            return FunDef("mj_main", PTuple(()), ctx.wrap(store.EMPTY_STATE))
+        ctx.bindings.insert(0, Val(PVar("mj_s0"), store.EMPTY_STATE))
+        return FunDef("mj_main", PTuple(()), ctx.wrap(ctx.state_var()))
 
     def run(self, program: MjProgram) -> MlProgram:
-        groups = [(f,) for f in store.prelude()]
         table = self.table
         big: list[FunDef] = [self.constructor(name) for name in table.classes
                              if name in table.instantiated and not table.is_value(ClassType(name))]
@@ -966,6 +1030,7 @@ class _Translator:
                     big.append(self.method(info.name, decl))
         main = self.main(program)
         big += self.loops
+        groups = [(f,) for f in store.prelude_for(self.ops)]
         if big:
             groups.append(tuple(big))
         groups.append((main,))

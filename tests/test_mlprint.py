@@ -220,8 +220,13 @@ def translations(corpus_files):
 
 
 def test_equal_copies_of_the_store_helpers_print_the_same_bytes(translations):
+    # each translation leads with the store's helpers it declares, the
+    # helpers themselves: a prefix of them, all seven for a program with
+    # heap cells and none for one without arrays
+    helpers = {f.name for f in prelude()}
     for ml in translations:
-        assert shared_helpers(ml.fun_groups) == len(prelude())
+        declared = [f for group in ml.fun_groups for f in group if f.name in helpers]
+        assert shared_helpers(ml.fun_groups) == len(declared)
         copies = replace(ml, fun_groups=copied(ml.fun_groups))
         assert shared_helpers(copies.fun_groups) == 0
         assert print_ml_program(copies) == print_ml_program(ml)

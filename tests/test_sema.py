@@ -5,7 +5,8 @@ from mj2ml.mjast import (BOOL, INT, INT_ARRAY, CallExpr, ClassType, IdentExpr, p
                          walk)
 from mj2ml.outcome import MAX_NESTING
 from mj2ml.parser import parse_source
-from mj2ml.sema import MjTypeError, build_class_table, typecheck
+from mj2ml.randgen import generate_program
+from mj2ml.sema import Effect, MjTypeError, build_class_table, typecheck
 
 CHAIN = """\
 class Main {
@@ -378,3 +379,83 @@ def test_arrays_are_a_value_unless_a_declaration_or_a_live_body_lets_one_escape(
     assert diff_source("Arrays.java", VALUE_ARRAYS).ml.output == [7]
     _, table = check(VALUE_ARRAYS.replace("unused()", "unused(int[] z)"))
     assert not table.is_value(INT_ARRAY)
+
+
+EFFECTS = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new Box().run(new Square(), 4) + new Box().run(new Shape(), 1));
+    }
+}
+class Box {
+    int v;
+    Box next;
+    public int get() { return v; }
+    public int put(int w) { v = w; return w; }
+    public int pure(int n) { return n + 1; }
+    public int even(int n) {
+        int r;
+        if (n < 1) r = v; else r = this.odd(n - 1);
+        return r;
+    }
+    public int odd(int n) {
+        int r;
+        if (n < 1) r = 0; else r = this.even(n - 1);
+        return r;
+    }
+    public int poke(Shape s) { return s.touch(this); }
+    public int run(Shape s, int n) {
+        return this.pure(n) + this.even(n) + this.poke(s) + this.get();
+    }
+}
+class Shape { public int touch(Box b) { return 0; } }
+class Square extends Shape { public int touch(Box b) { return b.put(7); } }
+"""
+
+
+def test_each_live_method_has_the_heap_effect_of_what_it_and_its_callees_do():
+    # Box and Shape objects are heap cells (the field `next` and the
+    # formals name their types).  get only reads a field; put writes one;
+    # pure touches no cell; even and odd call each other and reach a
+    # field read, which the fixpoint carries round the cycle; Shape's
+    # touch writes nothing itself, but Square's calls put, and a call on
+    # a Shape may run either, so both are writes, and so is poke, which
+    # reaches them only through that dispatch
+    _, table = check(EFFECTS)
+    effects = {m: table.effect(cls, m) for cls, m in table.live}
+    assert effects == {"get": Effect.READS, "put": Effect.WRITES, "pure": Effect.NONE,
+                       "even": Effect.READS, "odd": Effect.READS, "touch": Effect.WRITES,
+                       "poke": Effect.WRITES, "run": Effect.WRITES}
+    assert table.effect("Shape", "touch") == table.effect("Square", "touch") == Effect.WRITES
+    assert diff_source("Effects.java", EFFECTS).ml.output == [21]
+    # with touch writing nothing in either class, poke still reads the
+    # heap: the call reads its receiver's cell to choose the class
+    source = EFFECTS.replace("b.put(7)", "7")
+    _, table = check(source)
+    assert (table.effect("Shape", "touch"), table.effect("Box", "poke")) == (
+        Effect.NONE, Effect.READS)
+    assert diff_source("Effects.java", source).ml.output == [12 + 2]
+
+
+def test_a_program_with_no_heap_cells_has_only_methods_without_effect():
+    # no generated program keeps an array or object in the store
+    for seed in range(40):
+        table = typecheck(generate_program(seed, 40))
+        assert set(table.effects) == {(table.group(ClassType(cls)), m) for cls, m in table.live}
+        assert set(table.effects.values()) <= {Effect.NONE}
+
+
+def test_a_method_runs_on_the_objects_whose_calls_reach_it():
+    # B inherits A's f, but only A objects are asked for f: B is
+    # instantiated for g alone, so A's f is matched on A objects only
+    _, table = check("""\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new A().f() + new B().g());
+    }
+}
+class A { int x; public int f() { return x; } }
+class B extends A { public int g() { return 2; } }
+""")
+    assert table.instantiated == {"A", "B"}
+    assert table.reached == {("A", "f"), ("B", "g")}
