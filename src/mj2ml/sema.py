@@ -322,14 +322,18 @@ class _Checker:
         self.this_calls: set[str] = set()
         self.writes_field = False
         # the groups whose arrays or objects the body reads, and those it
-        # writes or allocates, whether or not they are heap cells
+        # writes or allocates, whether or not they are heap cells; the
+        # group of arrays, and of `this`
         self.reads: set[str] = set()
         self.writes: set[str] = set()
+        self.arrays = table.group(INT_ARRAY)
+        self.this_group: str | None = None
 
     # -- scope --------------------------------------------------------------
 
     def enter_body(self, cls: str | None, pos: Pos) -> None:
         self.current_class, self.start = cls, pos
+        self.this_group = None if cls is None else self.table.group(ClassType(cls))
         self.news, self.calls, self.exact_calls = set(), set(), set()
         self.escapes, self.this_calls, self.writes_field = set(), set(), False
         self.reads, self.writes = set(), set()
@@ -355,10 +359,6 @@ class _Checker:
                                   f"'{local.name}' is already a parameter or local")
             _require_known_type(self.table, local.var_type, local.pos)
             self.scope[local.name] = ("local", local.var_type)
-
-    def this_group(self) -> str:
-        """The group of `this`, whose fields the body reads and writes."""
-        return self.table.group(ClassType(self.current_class))
 
     def enter_main(self, main: MainClass) -> None:
         self.enter_body(None, main.pos)
@@ -407,19 +407,19 @@ class _Checker:
             self.operand = e.array
             self._expect(e.array, INT_ARRAY, "indexed value")
             self._expect(e.index, INT, "array index")
-            self.reads.add(self.table.group(INT_ARRAY))
+            self.reads.add(self.arrays)
             return INT
         if isinstance(e, ArrayLengthExpr):
             self.operand = e.array
             self._expect(e.array, INT_ARRAY, "'.length' receiver")
-            self.reads.add(self.table.group(INT_ARRAY))
+            self.reads.add(self.arrays)
             return INT
         if isinstance(e, IdentExpr):
             ty = self.lookup(e)
             if e is not self.operand:
                 self.escapes.add(self.table.group(ty))
             if e.binding == "field":
-                self.reads.add(self.this_group())
+                self.reads.add(self.this_group)
             return ty
         if isinstance(e, ThisExpr):
             if self.current_class is None:
@@ -430,7 +430,7 @@ class _Checker:
             return ty
         if isinstance(e, NewArrayExpr):
             self._expect(e.length, INT, "array length")
-            self.writes.add(self.table.group(INT_ARRAY))
+            self.writes.add(self.arrays)
             return INT_ARRAY
         if isinstance(e, NewObjectExpr):
             if not self.table.has(e.class_name):
@@ -498,7 +498,7 @@ class _Checker:
                 self.escapes.add(self.table.group(ty))
             if s.binding == "field":
                 self.writes_field = True
-                self.writes.add(self.this_group())
+                self.writes.add(self.this_group)
         elif isinstance(s, ArrayAssignStmt):
             ty = self.lookup(s)
             if ty != INT_ARRAY:
@@ -507,8 +507,8 @@ class _Checker:
             self._expect(s.index, INT, "array index")
             self._expect(s.value, INT, "assigned value")
             if s.binding == "field":
-                self.reads.add(self.this_group())
-            self.writes.add(self.table.group(INT_ARRAY))
+                self.reads.add(self.this_group)
+            self.writes.add(self.arrays)
         else:
             raise AssertionError(f"unhandled statement {type(s).__name__}")
         self.depth -= 1
@@ -654,27 +654,30 @@ def _mark_effects(table: ClassTable, bodies: dict[tuple[str, str] | None, _Body]
     method in one group shares one effect, the strongest of them, so a
     call's targets all take and return the same: a fixpoint found by
     sweeping the live bodies until no effect grows."""
-    values = table.values
-    impls = []
+    values, classes = table.values, table.classes
+    dispatch_reads = {(r, m) for r, m in table.calls if classes[r].path[0] not in values
+                      and len(set(table.targets(r, m).values())) > 1}
+    effects = table.effects
+    calls = []
     for cls, method in table.live:
         body = bodies[cls, method]
         if not body.writes <= values:
             own = Effect.WRITES
-        elif not body.reads <= values or any(
-                table.group(ClassType(r)) not in values
-                and len(set(table.targets(r, m).values())) > 1 for r, m in body.calls):
+        elif not body.reads <= values or not body.calls.isdisjoint(dispatch_reads):
             own = Effect.READS
         else:
             own = Effect.NONE
-        callees = {(table.group(ClassType(r)), m) for r, m in body.calls | body.exact_calls}
-        impls.append(((table.group(ClassType(cls)), method), own, callees))
-    effects = table.effects
-    effects.update(dict.fromkeys((key for key, _, _ in impls), Effect.NONE))
+        key = classes[cls].path[0], method
+        effects[key] = max(effects.get(key, Effect.NONE), own)
+        callees = {(classes[r].path[0], m) for r, m in body.calls | body.exact_calls}
+        if callees:
+            calls.append((key, callees))
     grown = True
     while grown:
         grown = False
-        for key, own, callees in impls:
-            effect = max([own, *(effects.get(c, Effect.NONE) for c in callees)])
-            if effect > effects[key]:
-                effects[key] = effect
-                grown = True
+        for key, callees in calls:
+            for callee in callees:
+                effect = effects.get(callee, Effect.NONE)
+                if effect > effects[key]:
+                    effects[key] = effect
+                    grown = True

@@ -53,6 +53,7 @@ frame limit of a run (`outcome.RECURSION_LIMIT`).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cache
 
@@ -250,7 +251,7 @@ _APPLIES = {array_get: "mj_get", array_set: "mj_set", zeros: "mj_zeros",
             lookup: "mj_lookup", update: "mj_update", alloc: "mj_alloc"}
 
 
-def prelude_for(builders) -> tuple[FunDef, ...]:
+def prelude_for(builders: Iterable[Callable[..., MlExpr]]) -> tuple[FunDef, ...]:
     """The shortest prefix of `prelude()` that defines every helper that
     the expressions of `builders`, store builders, apply: none for none
     of them, the four tree helpers for arrays that are values.  A helper

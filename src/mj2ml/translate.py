@@ -768,9 +768,8 @@ class _Translator:
             else:
                 # no object a call can reach: the receiver is null
                 decl = self.table.info(e.receiver_class).vtable[e.method][1]
-                state = [ctx.state_var()] if effect == Effect.WRITES else []
-                result = _tup([*state, *([receiver] if writes else []),
-                               _default_value(decl.return_type)])
+                result = _tup([*([ctx.state_var()] if effect == Effect.WRITES else []),
+                               *([receiver] if writes else []), _default_value(decl.return_type)])
             if not fresh:
                 # a value receiver that no class can reach is the object
                 # null, and the check fails as one of the null pointer does

@@ -10,8 +10,9 @@ import mj2ml
 from mj2ml.mlast import App, Con, IntLit, Let, MlProgram, PTuple, PVar, PWild, Tuple, Val, Var
 from mj2ml.mleval import eval_program
 from mj2ml.outcome import FaultKind
-from mj2ml.store import (EMPTY_STATE, _tree_items, alloc, alloc_order, heap_cells, natives,
-                         prelude, shared_helpers)
+from mj2ml.store import (EMPTY_STATE, _tree_items, alloc, alloc_order, array_get, array_length,
+                         array_set, heap_cells, lookup, natives, new_array, null_check, prelude,
+                         prelude_for, shared_helpers, update, zeros as zeros_of)
 
 LEAF = ["Lf"]
 
@@ -104,6 +105,34 @@ def test_shared_helpers_counts_the_helpers_themselves_that_lead():
     assert shared_helpers([*SHARED[:2], *SHARED[3:]]) == 2
     # a helper in a group with another function is not one of them
     assert shared_helpers([SHARED[0], SHARED[1] + SHARED[2], *SHARED[3:]]) == 1
+
+
+def test_a_program_starts_with_the_shortest_prefix_defining_the_helpers_it_applies():
+    helpers = prelude()
+    for builders, k in (([], 0), ([array_length, new_array, null_check], 0), ([array_get], 1),
+                        ([array_set, array_get], 2), ([zeros_of], 4), ([array_get, zeros_of], 4),
+                        ([lookup], 5), ([update, array_get], 6), ([alloc], 7),
+                        ([array_length, alloc, lookup], 7)):
+        prefix = prelude_for(builders)
+        assert len(prefix) == k and all(a is b for a, b in zip(prefix, helpers))
+    # a helper applies only itself and helpers before it, so each prefix
+    # defines every helper its own helpers apply
+    names = [f.name for f in helpers]
+    for i, f in enumerate(helpers):
+        called = {node.func.name for node in walk_apps(f.body)}
+        assert all(names.index(name) <= i for name in called), f.name
+
+
+def walk_apps(node):
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, App):
+            yield node
+        if isinstance(node, tuple):
+            stack.extend(node)
+        elif hasattr(node, "__dataclass_fields__"):
+            stack.extend(getattr(node, name) for name in node.__dataclass_fields__)
 
 
 def literal(tree):
