@@ -10,9 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 lexing/parsing error, 2 type error (including a
 program nested past `outcome.MAX_NESTING`), 3 runtime fault (or a failed
-comparison), 4 I/O error (including a `diff` directory with no .java
-file, and a `check --count` below 1, either of which would compare
-nothing), 5 fuel exhausted.
+comparison), 4 I/O error (including a source that is not UTF-8, a
+`diff` directory with no .java file, and a `check --count` below 1,
+either of which would compare nothing), 5 fuel exhausted.
 Diagnostics go to stderr as `<file>:<line>:<col>: <message>`; runtime
 faults as `fault: <kind> at <line>:<col>` (the ML side has no source
 positions, so its faults carry none); after the `diff` or `check` table,
@@ -60,10 +60,13 @@ class _CliError(Exception):
 
 
 def _read_file(path: str) -> str:
+    """The source text, read as UTF-8 whatever the locale."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise _CliError(EXIT_IO, f"cannot read {path}: {err.strerror or err}")
+    except UnicodeDecodeError as err:
+        raise _CliError(EXIT_IO, f"cannot read {path}: {err}")
 
 
 def _write_output(text: str, out: str | None) -> None:

@@ -91,8 +91,8 @@ def diff_files(paths: list[Path | str], fuel: int = DEFAULT_FUEL) -> list[DiffRe
     results = []
     for path in map(Path, paths):
         try:
-            source = path.read_text()
-        except OSError as err:
+            source = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
             results.append(DiffResult(path.name, None, None, "error", 0.0, str(err)))
             continue
         results.append(diff_source(path.name, source, fuel=fuel))

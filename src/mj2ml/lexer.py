@@ -6,16 +6,19 @@ discarded.  Concatenating the lexemes of the output reproduces the
 input minus whitespace and comments.
 
 One compiled pattern, `_TOKEN`, splits the whole source in one
-``findall``: each match, starting where the last one ended, is a
-possessive run of whitespace and comments, then the token, in the group
-of its kind.  The lexer reads those groups' strings and builds no match
-object: a token's offset is the last one's end plus the length of the
-skipped run.  Tokens never span lines, so line and column come from the
-newlines in the skipped run alone.  At the first error, a last group
-takes the rest of the input, so the ``findall`` lexes nothing past it and
-each source is scanned once, malformed or not.  A `Token` is a
-NamedTuple, built with ``tuple.__new__`` rather than its Python-level
-constructor.
+``findall`` of two groups: a possessive run of whitespace and comments,
+then the token's text.  No match object is built: a token's offset is
+the last one's end plus the length of the skipped run.  Tokens never
+span lines, so line and column come from the newlines in the skipped
+run alone.  At the first error, the token group takes the rest of the
+input, so each source is scanned once, malformed or not.
+
+A token's kind comes from its text alone.  One table, built from
+`KEYWORDS`, `OPERATORS` and `PUNCTUATION`, gives the kind of every
+lexeme that has a fixed one.  Any other lexeme is an integer literal if
+it starts with an ASCII digit, an identifier if it starts with an ASCII
+letter, and the error otherwise (``٣`` and ``é`` among them).  A `Token`
+is a NamedTuple, built with ``tuple.__new__``.
 """
 
 from __future__ import annotations
@@ -26,15 +29,11 @@ from typing import NamedTuple
 
 from .mjast import INT_MAX, Pos, SourceError
 
-KEYWORDS = frozenset(
-    {
-        "class", "public", "static", "void", "main", "String", "extends",
-        "return", "int", "boolean", "if", "else", "while", "true", "false",
-        "this", "new", "length", "System", "out", "println",
-    }
-)
-
-# Longest match first so "&&" wins over a bare "&" (which is an error).
+KEYWORDS = frozenset({
+    "class", "public", "static", "void", "main", "String", "extends",
+    "return", "int", "boolean", "if", "else", "while", "true", "false",
+    "this", "new", "length", "System", "out", "println",
+})
 OPERATORS = ("&&", "<", "+", "-", "*", "!", "=")
 PUNCTUATION = "()[]{};,."
 
@@ -63,27 +62,20 @@ class Token(NamedTuple):
         return Pos(self.line, self.col + len(self.lexeme))
 
 
-# Whitespace and comments, group `skip`, open every match.  The skip is
-# possessive and the token after it optional, so the pattern matches at
-# every position and never backtracks into the skip: a comment once
-# matched is never given back, and no part of its text comes out as a
-# token ("//a" holds no "a", "/**/" no "/*").  Each match starts where
-# the last one ended; the first match without a token ends at the end of
-# the input or at an error: a "/*" the skip could not close, or a
-# character no token starts with.  At an error, group `rest` takes the
-# whole rest of the input, so `findall` lexes nothing past it: each
-# later "/*" would otherwise scan to the end for a "*/".  `findall`
-# gives each match as the strings of its groups (skip, int, word, op,
-# punct, rest), "" for a group that did not take part.
-_TOKEN = re.compile(
-    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*+)"
-    r"(?:(?P<int>[0-9]+)"
-    r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<op>" + "|".join(map(re.escape, OPERATORS)) + ")"
-    r"|(?P<punct>[" + re.escape(PUNCTUATION) + "])"
-    r"|(?P<rest>.+))?",
-    re.DOTALL,
-)
+# The kind of each lexeme that has a fixed one.  Any other lexeme is an
+# integer literal, an identifier or the error, by its first character.
+_KIND = {**dict.fromkeys(KEYWORDS, TokenKind.KEYWORD),
+         **dict.fromkeys(OPERATORS, TokenKind.OP),
+         **dict.fromkeys(PUNCTUATION, TokenKind.PUNCT)}
+
+# Whitespace and comments, then a token.  The skip is possessive and the
+# token optional, so the pattern matches at every position and never
+# gives back a comment's text to make a token ("//a" holds no "a").  The
+# first match without a token ends at the end of the input or at an
+# error: a "/*" the skip could not close, or a character no token starts
+# with, where `.+` takes the rest of the input so nothing past it is lexed.
+_TOKEN = re.compile(r"((?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*+)"
+                    r"([A-Za-z][A-Za-z0-9_]*|[0-9]+|&&|[-<+*!=()\[\]{};,.]|.+)?", re.DOTALL)
 _new = tuple.__new__
 
 
@@ -99,26 +91,25 @@ def tokenize(source: str) -> list[Token]:
     comments, and on integer literals beyond the 63-bit signed range.
     """
     tokens: list[Token] = []
-    append = tokens.append
+    append, kinds = tokens.append, _KIND
     line, line_start, offset = 1, 0, 0
-    for skipped, num, word, op, punct, _ in _TOKEN.findall(source):
+    for skipped, text in _TOKEN.findall(source):
         start = offset + len(skipped)
         if "\n" in skipped:
             line += skipped.count("\n")
             line_start = offset + skipped.rindex("\n") + 1
-        if word:
-            text, kind = word, (TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT)
-        elif num:
-            text, kind = num, TokenKind.INT
-            if int(num) > INT_MAX:
-                raise LexError(Pos(line, start - line_start + 1),
-                               f"integer literal {num} exceeds the 63-bit range")
-        elif op:
-            text, kind = op, TokenKind.OP
-        elif punct:
-            text, kind = punct, TokenKind.PUNCT
-        else:
-            break
+        kind = kinds.get(text)
+        if kind is None:
+            first = text[:1]
+            if "a" <= first <= "z" or "A" <= first <= "Z":
+                kind = TokenKind.IDENT
+            elif "0" <= first <= "9":
+                kind = TokenKind.INT
+                if int(text) > INT_MAX:
+                    raise LexError(Pos(line, start - line_start + 1),
+                                   f"integer literal {text} exceeds the 63-bit range")
+            else:
+                break
         append(_new(Token, (kind, text, line, start - line_start + 1)))
         offset = start + len(text)
     if start < len(source):

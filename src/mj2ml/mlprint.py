@@ -103,36 +103,40 @@ def print_pat(pat: Pat) -> str:
     """A pattern.  A constructor pattern is only a `case` rule's own, with
     variables and wildcards for items (`validate_core`), so it is never
     parenthesised."""
-    if isinstance(pat, PVar):
+    cls = type(pat)
+    if cls is PVar:
         return pat.name
-    if isinstance(pat, PWild):
+    if cls is PWild:
         return "_"
-    if isinstance(pat, PTuple):
-        return "(" + ", ".join(print_pat(p) for p in pat.items) + ")"
-    if isinstance(pat, PCon):
+    if cls is PCon:
         if not pat.args:
             return pat.name
         if len(pat.args) == 1:
             return f"{pat.name} {print_pat(pat.args[0])}"
         return pat.name + " (" + ", ".join(print_pat(p) for p in pat.args) + ")"
-    raise AssertionError(f"unhandled pattern {type(pat).__name__}")
+    if cls is PTuple:
+        return "(" + ", ".join(print_pat(p) for p in pat.items) + ")"
+    raise AssertionError(f"unhandled pattern {cls.__name__}")
 
 
 # -- expressions ------------------------------------------------------------------
 
 def _line(expr: MlExpr, level: int = _L_LOW) -> str:
     """An operand, on one line, parenthesised if looser than `level`."""
-    if isinstance(expr, Var):
+    cls = type(expr)
+    if cls is Var:
         return expr.name
-    if isinstance(expr, IntLit):
+    if cls is IntLit:
         return str(expr.value) if expr.value >= 0 else f"~{-expr.value}"
-    if isinstance(expr, Tuple):
-        return "(" + ", ".join(map(_line, expr.items)) + ")"
-    if isinstance(expr, PrimOp):
+    if cls is PrimOp:
         own = _OP_LEVEL[expr.op]
         text = f"{_line(expr.args[0], own)} {expr.op} {_line(expr.args[1], own + 1)}"
         return f"({text})" if level > own else text
-    if isinstance(expr, Con):
+    if cls is Tuple:
+        return "(" + ", ".join(map(_line, expr.items)) + ")"
+    if cls is App:
+        text = f"{_line(expr.func, _L_APP)} {_line(expr.arg, _L_ATOM)}"
+    elif cls is Con:
         if not expr.args:
             return expr.name
         # applied like a function to its one argument, or to their tuple
@@ -140,28 +144,18 @@ def _line(expr: MlExpr, level: int = _L_LOW) -> str:
             text = f"{expr.name} {_line(expr.args[0], _L_ATOM)}"
         else:
             text = f"{expr.name} ({', '.join(map(_line, expr.args))})"
-    elif isinstance(expr, App):
-        text = f"{_line(expr.func, _L_APP)} {_line(expr.arg, _L_ATOM)}"
     else:
-        raise AssertionError(f"unhandled operand {type(expr).__name__}")
+        raise AssertionError(f"unhandled operand {cls.__name__}")
     return f"({text})" if level > _L_APP else text
 
 
 def _block(expr: MlExpr, ind: str) -> list[str]:
     """A bound or returned value; lines after the first start with `ind`."""
-    if not isinstance(expr, (If, Case, Let)):
+    cls = type(expr)
+    if cls is not Case and cls is not Let and cls is not If:
         return [_line(expr)]
     deeper = ind + "  "
-    if isinstance(expr, If):
-        cond = _line(expr.cond)
-        then, orelse = _block(expr.then, deeper), _block(expr.orelse, deeper)
-        if len(then) == len(orelse) == 1:
-            text = f"if {cond} then {then[0]} else {orelse[0]}"
-            if len(text) <= _SINGLE_LINE_LIMIT:
-                return [text]
-        return [f"if {cond}", f"{ind}then {then[0]}", *then[1:],
-                f"{ind}else {orelse[0]}", *orelse[1:]]
-    if isinstance(expr, Case):
+    if cls is Case:
         lines = [f"case {_line(expr.scrutinee)} of"]
         last = len(expr.rules) - 1
         for i, (pat, rhs) in enumerate(expr.rules):
@@ -172,21 +166,29 @@ def _block(expr: MlExpr, ind: str) -> list[str]:
             lead = "    " if i == 0 else "  | "
             lines += [f"{ind}{lead}{print_pat(pat)} => {body[0]}", *body[1:]]
         return lines
-    # a Let
-    lines = ["let"]
-    for decl in expr.decls:
-        lines += _bind(f"{deeper}val {print_pat(decl.pat)} =", decl.rhs, deeper)
-    body = _block(expr.body, deeper)
-    lines += [f"{ind}in", deeper + body[0], *body[1:], f"{ind}end"]
-    return lines
+    if cls is Let:
+        lines = ["let"]
+        for decl in expr.decls:
+            lines += _bind(f"{deeper}val {print_pat(decl.pat)} =", decl.rhs, deeper)
+        body = _block(expr.body, deeper)
+        lines += [f"{ind}in", deeper + body[0], *body[1:], f"{ind}end"]
+        return lines
+    cond = _line(expr.cond)
+    then, orelse = _block(expr.then, deeper), _block(expr.orelse, deeper)
+    if len(then) == len(orelse) == 1:
+        text = f"if {cond} then {then[0]} else {orelse[0]}"
+        if len(text) <= _SINGLE_LINE_LIMIT:
+            return [text]
+    return [f"if {cond}", f"{ind}then {then[0]}", *then[1:],
+            f"{ind}else {orelse[0]}", *orelse[1:]]
 
 
 def _ends_in_case(expr: MlExpr) -> bool:
     """Whether the text of expr ends in a `case`'s last rule, where SML
     reads any `| rule` that follows as one more rule of that `case`."""
-    while isinstance(expr, If):
+    while type(expr) is If:
         expr = expr.orelse
-    return isinstance(expr, Case)
+    return type(expr) is Case
 
 
 def _bind(head: str, rhs: MlExpr, ind: str) -> list[str]:

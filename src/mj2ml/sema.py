@@ -173,7 +173,7 @@ class ClassTable:
         """The group of a type: for a class, the root class of its
         inheritance tree, since a variable of the class may hold an object
         of any class below it; for any other type, its own name."""
-        return self.classes[ty.name].path[0] if isinstance(ty, ClassType) else str(ty)
+        return self.classes[ty.name].path[0] if type(ty) is ClassType else str(ty)
 
     def is_value(self, ty: MjType) -> bool:
         """Whether an array or object of type ty is an ML value rather
@@ -182,12 +182,12 @@ class ClassTable:
 
     def writes_this(self, cls: str, method: str) -> bool:
         """Whether a call of method on a cls value returns the new `this`."""
-        return (self.group(ClassType(cls)), method) in self.this_writers
+        return (self.classes[cls].path[0], method) in self.this_writers
 
     def effect(self, cls: str, method: str) -> Effect:
         """The heap effect of a call of method on a cls receiver, shared
         by every implementation of it in cls's group."""
-        return self.effects.get((self.group(ClassType(cls)), method), Effect.NONE)
+        return self.effects.get((self.classes[cls].path[0], method), Effect.NONE)
 
     def targets(self, cls: str, method: str) -> dict[str, str]:
         """Each instantiated class that is or extends cls, in declaration
@@ -197,7 +197,7 @@ class ClassTable:
                 if c in self.instantiated and cls in info.path}
 
     def is_assignable(self, src: MjType, dst: MjType) -> bool:
-        if isinstance(src, ClassType) and isinstance(dst, ClassType):
+        if type(src) is ClassType and type(dst) is ClassType:
             return dst.name in self.classes[src.name].path
         return src == dst
 
@@ -289,7 +289,7 @@ def _resolve(table: ClassTable, info: ClassInfo) -> None:
 
 
 def _require_known_type(table: ClassTable, ty: MjType, pos: Pos) -> None:
-    if isinstance(ty, ClassType) and not table.has(ty.name):
+    if type(ty) is ClassType and not table.has(ty.name):
         raise MjTypeError(pos, f"unknown class '{ty.name}'")
 
 
@@ -333,7 +333,7 @@ class _Checker:
 
     def enter_body(self, cls: str | None, pos: Pos) -> None:
         self.current_class, self.start = cls, pos
-        self.this_group = None if cls is None else self.table.group(ClassType(cls))
+        self.this_group = None if cls is None else self.table.classes[cls].path[0]
         self.news, self.calls, self.exact_calls = set(), set(), set()
         self.escapes, self.this_calls, self.writes_field = set(), set(), False
         self.reads, self.writes = set(), set()
@@ -391,58 +391,25 @@ class _Checker:
             raise MjTypeError(e.pos, f"{what} must be {want}, got {got}")
 
     def _expr(self, e: Expr) -> MjType:
-        if isinstance(e, IntLitExpr):
-            return INT
-        if isinstance(e, BoolLitExpr):
-            return BOOL
-        if isinstance(e, BinaryExpr):
-            operand, result = _BINARY_TYPES[e.op]
-            self._expect(e.left, operand, f"left operand of '{e.op}'")
-            self._expect(e.right, operand, f"right operand of '{e.op}'")
-            return result
-        if isinstance(e, NotExpr):
-            self._expect(e.operand, BOOL, "operand of '!'")
-            return BOOL
-        if isinstance(e, ArrayIndexExpr):
-            self.operand = e.array
-            self._expect(e.array, INT_ARRAY, "indexed value")
-            self._expect(e.index, INT, "array index")
-            self.reads.add(self.arrays)
-            return INT
-        if isinstance(e, ArrayLengthExpr):
-            self.operand = e.array
-            self._expect(e.array, INT_ARRAY, "'.length' receiver")
-            self.reads.add(self.arrays)
-            return INT
-        if isinstance(e, IdentExpr):
+        cls = type(e)
+        if cls is IdentExpr:
             ty = self.lookup(e)
             if e is not self.operand:
                 self.escapes.add(self.table.group(ty))
             if e.binding == "field":
                 self.reads.add(self.this_group)
             return ty
-        if isinstance(e, ThisExpr):
-            if self.current_class is None:
-                raise MjTypeError(e.pos, "'this' cannot be used in main")
-            ty = ClassType(self.current_class)
-            if e is not self.operand:
-                self.escapes.add(self.table.group(ty))
-            return ty
-        if isinstance(e, NewArrayExpr):
-            self._expect(e.length, INT, "array length")
-            self.writes.add(self.arrays)
-            return INT_ARRAY
-        if isinstance(e, NewObjectExpr):
-            if not self.table.has(e.class_name):
-                raise MjTypeError(e.pos, f"unknown class '{e.class_name}'")
-            self.news.add(e.class_name)
-            ty = ClassType(e.class_name)
-            self.writes.add(self.table.group(ty))
-            return ty
-        if isinstance(e, CallExpr):
+        if cls is IntLitExpr:
+            return INT
+        if cls is BinaryExpr:
+            operand, result = _BINARY_TYPES[e.op]
+            self._expect(e.left, operand, f"left operand of '{e.op}'")
+            self._expect(e.right, operand, f"right operand of '{e.op}'")
+            return result
+        if cls is CallExpr:
             self.operand = e.receiver
             recv = self.expr(e.receiver)
-            if not isinstance(recv, ClassType):
+            if type(recv) is not ClassType:
                 raise MjTypeError(e.pos,
                                   f"method call receiver must be an object, got {recv}")
             found = self.table.info(recv.name).vtable.get(e.method)
@@ -450,11 +417,11 @@ class _Checker:
                 raise MjTypeError(e.pos,
                                   f"class '{recv.name}' has no method '{e.method}'")
             _, decl = found
-            if isinstance(e.receiver, NewObjectExpr):
+            if type(e.receiver) is NewObjectExpr:
                 self.exact_calls.add((recv.name, e.method))
             else:
                 self.calls.add((recv.name, e.method))
-            if isinstance(e.receiver, ThisExpr):
+            if type(e.receiver) is ThisExpr:
                 self.this_calls.add(e.method)
             if len(e.args) != len(decl.formals):
                 raise MjTypeError(
@@ -470,25 +437,48 @@ class _Checker:
                         f"{formal.var_type}, got {got}")
             e.receiver_class = recv.name
             return decl.return_type
-        raise AssertionError(f"unhandled expression {type(e).__name__}")
+        if cls is NewObjectExpr:
+            if not self.table.has(e.class_name):
+                raise MjTypeError(e.pos, f"unknown class '{e.class_name}'")
+            self.news.add(e.class_name)
+            ty = ClassType(e.class_name)
+            self.writes.add(self.table.group(ty))
+            return ty
+        if cls is ArrayLengthExpr:
+            self.operand = e.array
+            self._expect(e.array, INT_ARRAY, "'.length' receiver")
+            self.reads.add(self.arrays)
+            return INT
+        if cls is ArrayIndexExpr:
+            self.operand = e.array
+            self._expect(e.array, INT_ARRAY, "indexed value")
+            self._expect(e.index, INT, "array index")
+            self.reads.add(self.arrays)
+            return INT
+        if cls is BoolLitExpr:
+            return BOOL
+        if cls is NotExpr:
+            self._expect(e.operand, BOOL, "operand of '!'")
+            return BOOL
+        if cls is NewArrayExpr:
+            self._expect(e.length, INT, "array length")
+            self.writes.add(self.arrays)
+            return INT_ARRAY
+        if cls is ThisExpr:
+            if self.current_class is None:
+                raise MjTypeError(e.pos, "'this' cannot be used in main")
+            ty = ClassType(self.current_class)
+            if e is not self.operand:
+                self.escapes.add(self.table.group(ty))
+            return ty
+        raise AssertionError(f"unhandled expression {cls.__name__}")
 
     # -- statements -----------------------------------------------------------
 
     def stmt(self, s: Stmt) -> None:
         self.descend()
-        if isinstance(s, BlockStmt):
-            for sub in s.body:
-                self.stmt(sub)
-        elif isinstance(s, IfStmt):
-            self._expect(s.cond, BOOL, "'if' condition")
-            self.stmt(s.then_branch)
-            self.stmt(s.else_branch)
-        elif isinstance(s, WhileStmt):
-            self._expect(s.cond, BOOL, "'while' condition")
-            self.stmt(s.body)
-        elif isinstance(s, PrintStmt):
-            self._expect(s.value, INT, "println argument")
-        elif isinstance(s, AssignStmt):
+        cls = type(s)
+        if cls is AssignStmt:
             ty = self.lookup(s)
             got = self.expr(s.value)
             if not self.table.is_assignable(got, ty):
@@ -499,7 +489,19 @@ class _Checker:
             if s.binding == "field":
                 self.writes_field = True
                 self.writes.add(self.this_group)
-        elif isinstance(s, ArrayAssignStmt):
+        elif cls is BlockStmt:
+            for sub in s.body:
+                self.stmt(sub)
+        elif cls is PrintStmt:
+            self._expect(s.value, INT, "println argument")
+        elif cls is IfStmt:
+            self._expect(s.cond, BOOL, "'if' condition")
+            self.stmt(s.then_branch)
+            self.stmt(s.else_branch)
+        elif cls is WhileStmt:
+            self._expect(s.cond, BOOL, "'while' condition")
+            self.stmt(s.body)
+        elif cls is ArrayAssignStmt:
             ty = self.lookup(s)
             if ty != INT_ARRAY:
                 raise MjTypeError(s.pos,
@@ -510,7 +512,7 @@ class _Checker:
                 self.reads.add(self.this_group)
             self.writes.add(self.arrays)
         else:
-            raise AssertionError(f"unhandled statement {type(s).__name__}")
+            raise AssertionError(f"unhandled statement {cls.__name__}")
         self.depth -= 1
 
 
@@ -626,7 +628,7 @@ def _mark_values(table: ClassTable, bodies: dict[tuple[str, str] | None, _Body])
     boxed = set(map(table.group, declared))
     boxed = boxed.union(*(bodies[key].escapes for key in [None, *table.live]))
     table.values = frozenset(map(table.group, types)) - boxed
-    methods = [(table.group(ClassType(cls)), method, bodies[cls, method])
+    methods = [(table.classes[cls].path[0], method, bodies[cls, method])
                for cls, method in table.live if table.is_value(ClassType(cls))]
     writers = table.this_writers
     writers.update((group, method) for group, method, body in methods if body.writes_field)

@@ -262,11 +262,11 @@ def _pure(e: Expr) -> bool:
     variable, a field of `this`, `this`, or `<`, `!` or `&&` of those.
     Arithmetic can overflow, and array accesses, `new` and calls can
     fault or change the state."""
-    if isinstance(e, (IntLitExpr, BoolLitExpr, IdentExpr, ThisExpr)):
+    if type(e) in (IdentExpr, IntLitExpr, BoolLitExpr, ThisExpr):
         return True
-    if isinstance(e, NotExpr):
+    if type(e) is NotExpr:
         return _pure(e.operand)
-    return isinstance(e, BinaryExpr) and e.op in ("<", "&&") and _pure(e.left) and _pure(e.right)
+    return type(e) is BinaryExpr and e.op in ("<", "&&") and _pure(e.left) and _pure(e.right)
 
 
 def _effects(e: Expr) -> Iterator[Expr]:
@@ -275,9 +275,9 @@ def _effects(e: Expr) -> Iterator[Expr]:
     and of `&&` with a pure right operand, and any other e itself."""
     if _pure(e):
         return
-    if isinstance(e, NotExpr):
+    if type(e) is NotExpr:
         yield from _effects(e.operand)
-    elif isinstance(e, BinaryExpr) and (e.op == "<" or e.op == "&&" and _pure(e.right)):
+    elif type(e) is BinaryExpr and (e.op == "<" or e.op == "&&" and _pure(e.right)):
         yield from _effects(e.left)
         yield from _effects(e.right)
     else:
@@ -364,25 +364,23 @@ def _before(s: Stmt, live: frozenset[str], after: dict[int, frozenset[str]],
     `after` what is live after s and each statement and call it holds,
     and in `heads` each loop's sets (`_liveness`)."""
     after[id(s)] = live
-    if isinstance(s, BlockStmt):
-        for sub in reversed(s.body):
-            live = _before(sub, live, after, heads)
-        return live
-    if isinstance(s, PrintStmt):
-        return _used(live, after, s.value)
-    if isinstance(s, AssignStmt):
+    cls = type(s)
+    if cls is AssignStmt:
         if s.binding != "field":
             if s.name not in live:
                 return _used(live, after, *_effects(s.value))
             live = live - {s.name}
         return _used(live, after, s.value)
-    if isinstance(s, ArrayAssignStmt):
-        array = () if s.binding == "field" else (s.name,)
-        return _used(live, after, s.index, s.value).union(array)
-    if isinstance(s, IfStmt):
+    if cls is BlockStmt:
+        for sub in reversed(s.body):
+            live = _before(sub, live, after, heads)
+        return live
+    if cls is PrintStmt:
+        return _used(live, after, s.value)
+    if cls is IfStmt:
         return _used(_before(s.then_branch, live, after, heads)
                      | _before(s.else_branch, live, after, heads), after, s.cond)
-    if isinstance(s, WhileStmt):
+    if cls is WhileStmt:
         last = heads.get(id(s))
         if last and last[0] == live:
             return last[1]
@@ -393,7 +391,10 @@ def _before(s: Stmt, live: frozenset[str], after: dict[int, frozenset[str]],
         _used(head, after, s.cond)
         heads[id(s)] = live, head
         return head
-    raise AssertionError(f"unhandled statement {type(s).__name__}")
+    if cls is ArrayAssignStmt:
+        array = () if s.binding == "field" else (s.name,)
+        return _used(live, after, s.index, s.value).union(array)
+    raise AssertionError(f"unhandled statement {cls.__name__}")
 
 
 # The name that `_Ctx.bind` binds to `_`: a value computed for its faults
@@ -408,9 +409,9 @@ def _pvar(name: str) -> Pat:
 def _as_expr(pat: Pat) -> MlExpr | None:
     """A pattern of variables and tuples read as an expression; None for
     any other pattern."""
-    if isinstance(pat, PVar):
+    if type(pat) is PVar:
         return Var(pat.name)
-    if isinstance(pat, PTuple):
+    if type(pat) is PTuple:
         items = tuple(map(_as_expr, pat.items))
         return None if None in items else Tuple(items)
     return None
@@ -745,12 +746,12 @@ class _Translator:
             receiver = self.expr(e.receiver, ctx)
             args = _tup([self.expr(a, ctx) for a in e.args])
         targets = self.table.targets(e.receiver_class, e.method)
-        if isinstance(e.receiver, NewObjectExpr):
+        if type(e.receiver) is NewObjectExpr:
             # a new object runs its own class's implementation
             targets = {e.receiver_class: targets[e.receiver_class]}
         effect = self.table.effect(e.receiver_class, e.method)
         writes = self.table.writes_this(e.receiver_class, e.method)
-        fresh = isinstance(e.receiver, (ThisExpr, NewObjectExpr)) or receiver in ctx.allocated
+        fresh = type(e.receiver) in (ThisExpr, NewObjectExpr) or receiver in ctx.allocated
 
         def call(impl: str) -> MlExpr:
             state = [ctx.state_var()] if effect else []
@@ -777,10 +778,10 @@ class _Translator:
         state = effect == Effect.WRITES
         if not writes:
             return ctx.bind_call(result, name, state)
-        if isinstance(e.receiver, ThisExpr):
+        if type(e.receiver) is ThisExpr:
             # live throughout a method that writes it, as this one does
             held = "this"
-        elif isinstance(e.receiver, IdentExpr) and e.receiver.name in ctx.fn.live[id(e)]:
+        elif type(e.receiver) is IdentExpr and e.receiver.name in ctx.fn.live[id(e)]:
             held = e.receiver.name
         else:
             # a `new` object's, or a dead local's, is read by nothing
@@ -796,61 +797,39 @@ class _Translator:
         """Translate to an atom, emitting bindings for all intermediate
         steps in evaluation order.  With `name`, a value that needs a
         binding of its own is bound to that name."""
-        if isinstance(e, IntLitExpr):
-            return IntLit(e.value)
-        if isinstance(e, BoolLitExpr):
-            return Con("true" if e.value else "false")
-        if isinstance(e, ThisExpr):
-            return ctx.this()
-        if isinstance(e, IdentExpr):
+        cls = type(e)
+        if cls is IdentExpr:
             if e.binding == "field":
                 return self._read_field(ctx, e.name, name)
             return ctx.var_atom(e.name)
-        if isinstance(e, BinaryExpr) and e.op == "&&":
-            # the right operand's bindings run only when the left holds;
-            # the `if` returns the state only if they make a new one (else
-            # what is known of the state stays known), the variables whose
-            # versions the calls there changed (`ClassTable.writes_this`),
-            # and its value, which alone needs no join
-            test = self._test(e.left, ctx)
-            rctx = ctx.branch()
-            right = self.expr(e.right, rctx)
-            names = ctx.changed(rctx)
-            state = rctx.state != ctx.state
-            if not names and not state:
-                return ctx.bind(test(rctx.wrap(right), Con("false")), name)
-            then = rctx.wrap(rctx.carried(names, state, right))
-            orelse = ctx.carried(names, state, Con("false"))
-            name = name or ctx.fn.fresh_temp()
-            ctx.join(test(then, orelse), names, state, _pvar(name))
-            return Var(name)
-        if isinstance(e, BinaryExpr):
+        if cls is IntLitExpr:
+            return IntLit(e.value)
+        if cls is BinaryExpr:
+            if e.op == "&&":
+                # the right operand's bindings run only when the left holds;
+                # the `if` returns the state only if they make a new one (else
+                # what is known of the state stays known), the variables whose
+                # versions the calls there changed (`ClassTable.writes_this`),
+                # and its value, which alone needs no join
+                test = self._test(e.left, ctx)
+                rctx = ctx.branch()
+                right = self.expr(e.right, rctx)
+                names = ctx.changed(rctx)
+                state = rctx.state != ctx.state
+                if not names and not state:
+                    return ctx.bind(test(rctx.wrap(right), Con("false")), name)
+                then = rctx.wrap(rctx.carried(names, state, right))
+                orelse = ctx.carried(names, state, Con("false"))
+                name = name or ctx.fn.fresh_temp()
+                ctx.join(test(then, orelse), names, state, _pvar(name))
+                return Var(name)
             # the other operators are ML primitives of the same symbol
             left = self.expr(e.left, ctx)
             right = self.expr(e.right, ctx)
             return ctx.bind(PrimOp(e.op, (left, right)), name)
-        if isinstance(e, NotExpr):
-            return ctx.bind(If(self.expr(e.operand, ctx), Con("false"), Con("true")), name)
-        if isinstance(e, ArrayIndexExpr):
-            arr = self.expr(e.array, ctx)
-            idx = self.expr(e.index, ctx)
-            return ctx.bind(self._op(store.array_get, self._array(ctx, arr), idx,
-                                     ctx.fn.fresh_temp), name)
-        if isinstance(e, ArrayLengthExpr):
-            arr = self.expr(e.array, ctx)
-            return ctx.bind(store.array_length(self._array(ctx, arr), ctx.fn.fresh_temp), name)
-        if isinstance(e, NewArrayExpr):
-            # the length may call a method, so the state is read after it
-            n = self.expr(e.length, ctx)
-            if self.table.is_value(INT_ARRAY) and name == _DISCARD:
-                # a value nothing reads: only its elements can fault, for
-                # a negative length
-                return ctx.bind(self._op(store.zeros, n), _DISCARD)
-            array = store.new_array(n, ctx.bind(self._op(store.zeros, n)))
-            if self.table.is_value(INT_ARRAY):
-                return ctx.bind(array, name)
-            return ctx.bind_call(self._op(store.alloc, ctx.state_var(), array), name, True)
-        if isinstance(e, NewObjectExpr):
+        if cls is CallExpr:
+            return self._call(e, ctx, name)
+        if cls is NewObjectExpr:
             if not self.table.is_value(ClassType(e.class_name)):
                 atom = ctx.bind_call(App(Var(mangle_new(e.class_name)), ctx.state_var()), name,
                                      True)
@@ -861,9 +840,32 @@ class _Translator:
                 atom = ctx.bind(self.new_object(e.class_name), name)
             ctx.allocated.add(atom)
             return atom
-        if isinstance(e, CallExpr):
-            return self._call(e, ctx, name)
-        raise AssertionError(f"unhandled expression {type(e).__name__}")
+        if cls is ArrayLengthExpr:
+            arr = self.expr(e.array, ctx)
+            return ctx.bind(store.array_length(self._array(ctx, arr), ctx.fn.fresh_temp), name)
+        if cls is ArrayIndexExpr:
+            arr = self.expr(e.array, ctx)
+            idx = self.expr(e.index, ctx)
+            return ctx.bind(self._op(store.array_get, self._array(ctx, arr), idx,
+                                     ctx.fn.fresh_temp), name)
+        if cls is BoolLitExpr:
+            return Con("true" if e.value else "false")
+        if cls is NotExpr:
+            return ctx.bind(If(self.expr(e.operand, ctx), Con("false"), Con("true")), name)
+        if cls is NewArrayExpr:
+            # the length may call a method, so the state is read after it
+            n = self.expr(e.length, ctx)
+            if self.table.is_value(INT_ARRAY) and name == _DISCARD:
+                # a value nothing reads: only its elements can fault, for
+                # a negative length
+                return ctx.bind(self._op(store.zeros, n), _DISCARD)
+            array = store.new_array(n, ctx.bind(self._op(store.zeros, n)))
+            if self.table.is_value(INT_ARRAY):
+                return ctx.bind(array, name)
+            return ctx.bind_call(self._op(store.alloc, ctx.state_var(), array), name, True)
+        if cls is ThisExpr:
+            return ctx.this()
+        raise AssertionError(f"unhandled expression {cls.__name__}")
 
     def _test(self, e: Expr, ctx: _Ctx) -> Callable[[MlExpr, MlExpr], If]:
         """The ML `if` of an `if` or `while` on e, given its two branches,
@@ -871,9 +873,9 @@ class _Translator:
         `if` itself, and a `!` swaps the branches, so neither binds a
         boolean."""
         swap = False
-        while isinstance(e, NotExpr):
+        while type(e) is NotExpr:
             e, swap = e.operand, not swap
-        if isinstance(e, BinaryExpr) and e.op == "<":
+        if type(e) is BinaryExpr and e.op == "<":
             left = self.expr(e.left, ctx)
             cond = PrimOp("<", (left, self.expr(e.right, ctx)))
         else:
@@ -884,13 +886,8 @@ class _Translator:
 
     def stmt(self, s: Stmt, ctx: _Ctx) -> None:
         live = ctx.fn.live[id(s)]
-        if isinstance(s, BlockStmt):
-            for sub in s.body:
-                self.stmt(sub, ctx)
-        elif isinstance(s, PrintStmt):
-            value = self.expr(s.value, ctx)
-            ctx.emit(PWild(), App(Var(PRINT), value))
-        elif isinstance(s, AssignStmt):
+        cls = type(s)
+        if cls is AssignStmt:
             if s.binding == "field":
                 value = self.expr(s.value, ctx)
                 self._field_write(ctx, s.name, value)
@@ -907,7 +904,25 @@ class _Translator:
                 if value != Var(name):
                     ctx.emit(PVar(name), value)
                 ctx.versions[s.name] = version
-        elif isinstance(s, ArrayAssignStmt):
+        elif cls is BlockStmt:
+            for sub in s.body:
+                self.stmt(sub, ctx)
+        elif cls is PrintStmt:
+            value = self.expr(s.value, ctx)
+            ctx.emit(PWild(), App(Var(PRINT), value))
+        elif cls is IfStmt:
+            test = self._test(s.cond, ctx)
+            tctx = ctx.branch()
+            self.stmt(s.then_branch, tctx)
+            ectx = ctx.branch()
+            self.stmt(s.else_branch, ectx)
+            names = [x for x in ctx.changed(tctx, ectx) if x in live]
+            state = tctx.state != ctx.state or ectx.state != ctx.state
+            ctx.join(test(tctx.wrap(tctx.carried(names, state)),
+                          ectx.wrap(ectx.carried(names, state))), names, state)
+        elif cls is WhileStmt:
+            self._while(s, ctx, live)
+        elif cls is ArrayAssignStmt:
             if s.binding == "field":
                 ptr = self._read_field(ctx, s.name)
             else:
@@ -925,20 +940,8 @@ class _Translator:
                 array = self._op(store.array_set, self._lookup(ctx, ptr), idx, value,
                                  ctx.fn.fresh_temp)
                 self._store(ctx, ptr, ctx.bind(array))
-        elif isinstance(s, IfStmt):
-            test = self._test(s.cond, ctx)
-            tctx = ctx.branch()
-            self.stmt(s.then_branch, tctx)
-            ectx = ctx.branch()
-            self.stmt(s.else_branch, ectx)
-            names = [x for x in ctx.changed(tctx, ectx) if x in live]
-            state = tctx.state != ctx.state or ectx.state != ctx.state
-            ctx.join(test(tctx.wrap(tctx.carried(names, state)),
-                          ectx.wrap(ectx.carried(names, state))), names, state)
-        elif isinstance(s, WhileStmt):
-            self._while(s, ctx, live)
         else:
-            raise AssertionError(f"unhandled statement {type(s).__name__}")
+            raise AssertionError(f"unhandled statement {cls.__name__}")
 
     def _while(self, s: WhileStmt, ctx: _Ctx, live: frozenset[str]) -> None:
         """A top-level tail-recursive function `mj_loop<k>`, called once

@@ -508,3 +508,48 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "mj2ml" in capsys.readouterr().out
+
+
+def write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+# a program that is UTF-8 up to its last two bytes, which no UTF-8 text holds
+NOT_UTF8 = b"class Main { public static void main(String[] a) { } }\n\xff\xfe"
+
+
+@pytest.mark.parametrize("command", ["translate", "run-mj", "run-ml"])
+def test_a_source_that_is_not_utf8_is_an_io_error(command, tmp_path, capsys):
+    path = write_bytes(tmp_path, "bad.java", NOT_UTF8)
+    assert main([command, path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+                            "in position 55: invalid start byte\n")
+
+
+def test_a_source_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # a comment in UTF-8 that an ASCII locale could not decode
+    source = FAULTING.replace("class W {", "// café\nclass W {")
+    path = write_bytes(tmp_path, "null.java", source.encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONIOENCODING="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", "from mj2ml.cli import entry; entry()",
+                           "run-mj", path], env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (3, "fault: NullDereference at 10:16\n")
+
+
+def test_diff_gives_a_source_that_is_not_utf8_an_error_row_and_goes_on(
+        tmp_path, corpus_dir, capsys):
+    (tmp_path / "Factorial.java").write_bytes((corpus_dir / "Factorial.java").read_bytes())
+    write_bytes(tmp_path, "Bad.java", NOT_UTF8)
+    assert main(["diff", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    rows = [line.split(" | ") for line in captured.out.splitlines()[2:4]]
+    assert [(row[0].strip(), row[3].strip()) for row in rows] == [
+        ("Bad.java", "error"), ("Factorial.java", "match")]
+    assert captured.err.startswith("Bad.java: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in captured.err

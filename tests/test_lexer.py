@@ -1,3 +1,4 @@
+import string
 import time
 
 import pytest
@@ -234,3 +235,29 @@ def test_separated_lexemes_lex_back_with_their_positions(pieces, tail):
         source += separator + lexeme
     source += tail
     assert [(t.lexeme, t.line, t.col) for t in tokenize(source)] == expected
+
+
+FIXED_KINDS = ((TokenKind.KEYWORD, KEYWORDS), (TokenKind.OP, frozenset(OPERATORS)),
+               (TokenKind.PUNCT, frozenset(PUNCTUATION)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.lists(st.tuples(SEPARATORS, LEXEMES), max_size=12).map(
+        lambda pieces: "".join(separator + lexeme for separator, lexeme in pieces)),
+    st.text(alphabet=string.ascii_letters + string.digits + "_&<+-*!=()[]{};,. \n/",
+            max_size=40),
+))
+def test_a_tokens_kind_is_decided_by_its_lexeme(source):
+    # a lexeme in the keyword, operator or punctuation table has that
+    # table's kind, and only such a lexeme does; any other is an integer
+    # literal when it starts with an ASCII digit, and an identifier if not
+    try:
+        tokens = tokenize(source)
+    except LexError:
+        return
+    for t in tokens:
+        for kind, table in FIXED_KINDS:
+            assert (t.kind is kind) == (t.lexeme in table)
+        if not any(t.lexeme in table for _, table in FIXED_KINDS):
+            assert t.kind is (TokenKind.INT if t.lexeme[0] in string.digits else TokenKind.IDENT)
