@@ -70,11 +70,14 @@ def _read_file(path: str) -> str:
 
 
 def _write_output(text: str, out: str | None) -> None:
+    """Write `text` to stdout, or to the file `out` as UTF-8.  A name
+    the locale could not decode, as the SML header may hold, keeps its
+    own bytes in the file, as it does on stdout."""
     if out is None:
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8", errors="surrogateescape")
     except OSError as err:
         raise _CliError(EXIT_IO, f"cannot write {out}: {err.strerror or err}")
 

@@ -15,8 +15,10 @@ of the tree is inspected while the program runs.  The closures are built
 for one run and dropped with it.
 
 Frames and classes.  Each method call gets one Python list: slot 0 holds
-`this`, then come the formals in order and then the locals, which start
-at their defaults (0, false, null).  The compiler resolves every local
+`this`, then come the formals in order, then the locals, which start
+at their defaults (0, false, null), and then one slot for each distinct
+literal of the body, keyed by its class and value (`true` is not `1`),
+which holds it from the start.  The compiler resolves every local
 and formal (by the node's `binding`) to its slot and every field to its
 index in the object.  The layout is read off the class table's resolved
 classes: an object holds its class's `all_fields` after its vtable.
@@ -24,22 +26,35 @@ Each class's `all_fields` extends its superclass's, so a field has the
 index it has in the objects of the class whose method is compiled, where
 the compiler looks it up, in every object the method runs on.  The
 vtable maps each method of the class's `vtable` to the compiled
-implementation (its statements, its return expression and its locals'
-defaults), each compiled once.  Only the class table's live methods
+implementation (its statements, its return expression and the initial
+values of its slots after the formals), each compiled once.  Only the
+class table's live methods
 (see `sema`) are compiled, and a vtable holds only those: a call's
 receiver was made by a `new` a run can reach, and the call reads a slot
 a run can reach, so its implementation is there.  `new` copies a
 class's template object, which holds its vtable and its fields'
 defaults.  So method lookup is one dict read, and nothing consults the
-class table while the program runs.  The main body runs in the frame
-`[None]`.
+class table while the program runs.  The main body runs in a frame of
+`None` and its literals.
 
 Fuel.  Every statement and expression evaluation costs one unit of fuel,
-which its closure pays at its node's position before calling its
-children's closures or doing its work, and a `while` pays one more unit,
-at its own position, after each pass through its body.  Running out is
+which is due at its node's position before its children run or its work
+is done, and a `while` owes one more unit, at its own position, after
+each pass through its body.  Running out is
 the FuelExhausted fault at the position of the node that could not pay,
 and `RunOutcome.steps` is the fuel used.
+
+Superoperators.  As in `mleval` (after Proebsting, 1995), a closure
+pays with one check for several nodes when nothing observable can
+happen between their visits.  A leaf (a literal, a local or a formal,
+`this`, or a field of `this`) cannot fault or print.  So a node reads
+its leading leaves, those before its first other child, with getters,
+`f[k]` but for a field, and pays their units with its own; when the
+fuel falls short it names the position of the first unit not covered,
+its `where[fuel]`, since the units are listed in visit order.  Three
+shapes are one closure each: `a op b` or `a < b` of two leaves that are
+slots (3 units), `x = a op b` to a local (4) and `while (a < b)` (4 per
+test).  `&&` pays only for its left operand; its right one may not run.
 
 Frames per call.  A call expression runs the callee's statements and
 return expression itself, so a pending MiniJava call holds one Python
@@ -53,7 +68,7 @@ since it is the same resource-limit channel.
 
 from __future__ import annotations
 
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, lt, mul, sub
 
 from .mjast import (
     BOOL,
@@ -94,7 +109,11 @@ _OVERFLOW = FaultKind.INTEGER_OVERFLOW
 # Defaults of int and boolean variables; every other type defaults to null.
 _DEFAULTS = {INT: 0, BOOL: False}
 
-_ARITHMETIC = {"+": add, "-": sub, "*": mul}
+# The classes of leaves (see Superoperators).
+_LEAVES = (IdentExpr, IntLitExpr, BoolLitExpr, ThisExpr)
+
+# The operators of a binary expression other than `&&`.
+_BINARY = {"+": add, "-": sub, "*": mul, "<": lt}
 
 
 def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]):
@@ -106,8 +125,9 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
     emit = output.append
 
     # Compile-time layout: each class's vtable (filled once the methods
-    # are compiled) and template object, and the slots of the method
-    # being compiled and its class's field indices in an object.
+    # are compiled) and template object, and the slots of the body
+    # being compiled (its variables', then its literals' by class and
+    # value) and its class's field indices in an object.
     vtables: dict[str, dict[str, tuple]] = {}
     templates: dict[str, list] = {}
     for name, info in table.classes.items():
@@ -115,6 +135,7 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         templates[name] = [vtables[name],
                            *(_DEFAULTS.get(fty) for _, fty in info.all_fields.values())]
     slots: dict[str, int] = {}
+    literals: dict[tuple, int] = {}
     field_index: dict[str, int] = {}
 
     def variable(name: str, binding: str) -> object:
@@ -124,25 +145,57 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
             return lambda f: f[0][index]
         return itemgetter(slots[name])
 
-    # -- expressions.  Each closure first pays its node's unit, then calls
+    # -- leaves: literals, variables and `this`.  None can fault or print,
+    # so a parent reads its leading leaves with getters and pays for them
+    # with its own check (see Superoperators). ------------------------------
+
+    def leaf(e: Expr):
+        """(getter, slot) of a leaf, the slot None for a field of `this`."""
+        cls = type(e)
+        if cls is IdentExpr:
+            if e.binding == "field":
+                return variable(e.name, e.binding), None
+            slot = slots[e.name]
+        elif cls is ThisExpr:
+            slot = 0
+        else:
+            slot = literals.setdefault((cls, e.value), 1 + len(slots) + len(literals))
+        return itemgetter(slot), slot
+
+    def operands(pos, children: tuple[Expr, ...]) -> tuple[list, list]:
+        """Closures for the children of the node at `pos`, which it
+        evaluates in order, and where each unit of its check is due, in
+        visit order: its own, then its leading leaves', which become
+        getters.  The other children charge for themselves."""
+        calls, where, leading = [], [pos], True
+        for x in children:
+            if leading and type(x) in _LEAVES:
+                calls.append(leaf(x)[0])
+                where.append(x.pos)
+            else:
+                leading = False
+                calls.append(expr(x))
+        return calls, where
+
+    def fused(e: Expr):
+        """(a, b, operator, where) when `e` is a `+`, `-`, `*` or `<` of
+        two leaves that are frame slots `a` and `b`, else None."""
+        if type(e) is BinaryExpr and e.op != "&&" and (
+                type(e.left) in _LEAVES and type(e.right) in _LEAVES):
+            (_, a), (_, b) = leaf(e.left), leaf(e.right)
+            if a is not None and b is not None:
+                return a, b, _BINARY[e.op], (e.pos, e.left.pos, e.right.pos)
+        return None
+
+    # -- expressions.  Each closure first pays its node's units, then calls
     # its children's closures and does the node's work. -------------------
 
     def expr(e: Expr):
         return expressions[type(e)](e)
 
-    def literal(e: IntLitExpr | BoolLitExpr):
-        value, pos = e.value, e.pos
-
-        def ev(f):
-            nonlocal fuel
-            if fuel < 1:
-                raise Fault(_FUEL, pos)
-            fuel -= 1
-            return value
-        return ev
-
-    def ident(e: IdentExpr):
-        get, pos = variable(e.name, e.binding), e.pos
+    def alone(e: Expr):
+        """A leaf that is not read by its parent's getter."""
+        get, pos = leaf(e)[0], e.pos
 
         def ev(f):
             nonlocal fuel
@@ -152,52 +205,51 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
             return get(f)
         return ev
 
-    def this_(e: ThisExpr):
-        pos = e.pos
-
-        def ev(f):
-            nonlocal fuel
-            if fuel < 1:
-                raise Fault(_FUEL, pos)
-            fuel -= 1
-            return f[0]
-        return ev
-
     def not_(e: NotExpr):
-        operand, pos = expr(e.operand), e.pos
+        (operand,), where = operands(e.pos, (e.operand,))
+        cost = len(where)
 
         def ev(f):
             nonlocal fuel
-            if fuel < 1:
-                raise Fault(_FUEL, pos)
-            fuel -= 1
+            if fuel < cost:
+                raise Fault(_FUEL, where[fuel])
+            fuel -= cost
             return not operand(f)
         return ev
 
     def binary(e: BinaryExpr):
-        left, right, pos = expr(e.left), expr(e.right), e.pos
+        pos, read = e.pos, fused(e)
         if e.op == "&&":
-            def ev(f):
-                nonlocal fuel
-                if fuel < 1:
-                    raise Fault(_FUEL, pos)
-                fuel -= 1
-                return left(f) and right(f)
-        elif e.op == "<":
-            def ev(f):
-                nonlocal fuel
-                if fuel < 1:
-                    raise Fault(_FUEL, pos)
-                fuel -= 1
-                return left(f) < right(f)
-        else:
-            op = _ARITHMETIC[e.op]
+            (left,), where = operands(pos, (e.left,))
+            right, cost = expr(e.right), len(where)
 
             def ev(f):
                 nonlocal fuel
-                if fuel < 1:
-                    raise Fault(_FUEL, pos)
-                fuel -= 1
+                if fuel < cost:
+                    raise Fault(_FUEL, where[fuel])
+                fuel -= cost
+                return left(f) and right(f)
+        elif read is not None:
+            a, b, op, where = read
+
+            def ev(f):
+                nonlocal fuel
+                if fuel < 3:
+                    raise Fault(_FUEL, where[fuel])
+                fuel -= 3
+                value = op(f[a], f[b])
+                if value < INT_MIN or value > INT_MAX:
+                    raise Fault(_OVERFLOW, pos)
+                return value
+        else:
+            (left, right), where = operands(pos, (e.left, e.right))
+            op, cost = _BINARY[e.op], len(where)
+
+            def ev(f):
+                nonlocal fuel
+                if fuel < cost:
+                    raise Fault(_FUEL, where[fuel])
+                fuel -= cost
                 value = op(left(f), right(f))
                 if value < INT_MIN or value > INT_MAX:
                     raise Fault(_OVERFLOW, pos)
@@ -205,13 +257,14 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ev
 
     def index(e: ArrayIndexExpr):
-        array, at, pos = expr(e.array), expr(e.index), e.pos
+        (array, at), where = operands(e.pos, (e.array, e.index))
+        pos, cost = e.pos, len(where)
 
         def ev(f):
             nonlocal fuel
-            if fuel < 1:
-                raise Fault(_FUEL, pos)
-            fuel -= 1
+            if fuel < cost:
+                raise Fault(_FUEL, where[fuel])
+            fuel -= cost
             items = array(f)
             i = at(f)
             if items is None:
@@ -222,13 +275,14 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ev
 
     def length(e: ArrayLengthExpr):
-        array, pos = expr(e.array), e.pos
+        (array,), where = operands(e.pos, (e.array,))
+        pos, cost = e.pos, len(where)
 
         def ev(f):
             nonlocal fuel
-            if fuel < 1:
-                raise Fault(_FUEL, pos)
-            fuel -= 1
+            if fuel < cost:
+                raise Fault(_FUEL, where[fuel])
+            fuel -= cost
             items = array(f)
             if items is None:
                 raise Fault(_NULL, pos)
@@ -236,13 +290,14 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ev
 
     def new_array(e: NewArrayExpr):
-        size, pos = expr(e.length), e.pos
+        (size,), where = operands(e.pos, (e.length,))
+        pos, cost = e.pos, len(where)
 
         def ev(f):
             nonlocal fuel
-            if fuel < 1:
-                raise Fault(_FUEL, pos)
-            fuel -= 1
+            if fuel < cost:
+                raise Fault(_FUEL, where[fuel])
+            fuel -= cost
             k = size(f)
             if k < 0:
                 raise Fault(_NEGATIVE, pos)
@@ -262,14 +317,14 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ev
 
     def call(e: CallExpr):
-        receiver, args = expr(e.receiver), tuple(expr(arg) for arg in e.args)
-        pos, name = e.pos, e.method
+        (receiver, *args), where = operands(e.pos, (e.receiver, *e.args))
+        pos, name, cost = e.pos, e.method, len(where)
 
         def ev(f):
             nonlocal fuel
-            if fuel < 1:
-                raise Fault(_FUEL, pos)
-            fuel -= 1
+            if fuel < cost:
+                raise Fault(_FUEL, where[fuel])
+            fuel -= cost
             this = receiver(f)
             frame = [this]
             for arg in args:
@@ -283,11 +338,10 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
             return result(frame)
         return ev
 
-    expressions = {IntLitExpr: literal, BoolLitExpr: literal, IdentExpr: ident,
-                   ThisExpr: this_, NotExpr: not_, BinaryExpr: binary,
-                   ArrayIndexExpr: index, ArrayLengthExpr: length,
-                   NewArrayExpr: new_array, NewObjectExpr: new_object,
-                   CallExpr: call}
+    expressions = {IdentExpr: alone, IntLitExpr: alone, BoolLitExpr: alone, ThisExpr: alone,
+                   NotExpr: not_, BinaryExpr: binary, ArrayIndexExpr: index,
+                   ArrayLengthExpr: length, NewArrayExpr: new_array,
+                   NewObjectExpr: new_object, CallExpr: call}
 
     # -- statements ---------------------------------------------------------
 
@@ -308,14 +362,14 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
         return ex
 
     def if_(s: IfStmt):
-        cond, pos = expr(s.cond), s.pos
-        then, else_ = stmt(s.then_branch), stmt(s.else_branch)
+        (cond,), where = operands(s.pos, (s.cond,))
+        then, else_, cost = stmt(s.then_branch), stmt(s.else_branch), len(where)
 
         def ex(f):
             nonlocal fuel
-            if fuel < 1:
-                raise Fault(_FUEL, pos)
-            fuel -= 1
+            if fuel < cost:
+                raise Fault(_FUEL, where[fuel])
+            fuel -= cost
             if cond(f):
                 then(f)
             else:
@@ -325,61 +379,96 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
     def while_(s: WhileStmt):
         # the statement's unit on entry and the one it pays after each
         # pass through the body both come just before the condition
-        cond, body, pos = expr(s.cond), stmt(s.body), s.pos
+        body, read = stmt(s.body), fused(s.cond)
+        if read is not None:
+            a, b, _, where = read
+            where = (s.pos, *where)
+
+            def ex(f):
+                nonlocal fuel
+                while True:
+                    if fuel < 4:
+                        raise Fault(_FUEL, where[fuel])
+                    fuel -= 4
+                    if not f[a] < f[b]:
+                        return
+                    body(f)
+            return ex
+        (cond,), where = operands(s.pos, (s.cond,))
+        cost = len(where)
 
         def ex(f):
             nonlocal fuel
             while True:
-                if fuel < 1:
-                    raise Fault(_FUEL, pos)
-                fuel -= 1
+                if fuel < cost:
+                    raise Fault(_FUEL, where[fuel])
+                fuel -= cost
                 if not cond(f):
                     return
                 body(f)
         return ex
 
     def print_(s: PrintStmt):
-        value, pos = expr(s.value), s.pos
+        (value,), where = operands(s.pos, (s.value,))
+        cost = len(where)
 
         def ex(f):
             nonlocal fuel
-            if fuel < 1:
-                raise Fault(_FUEL, pos)
-            fuel -= 1
+            if fuel < cost:
+                raise Fault(_FUEL, where[fuel])
+            fuel -= cost
             emit(value(f))
         return ex
 
     def assign(s: AssignStmt):
-        value, pos = expr(s.value), s.pos
+        read = fused(s.value) if s.binding != "field" else None
+        if read is not None:
+            slot, pos = slots[s.name], s.value.pos
+            a, b, op, where = read
+            where = (s.pos, *where)
+
+            def ex(f):
+                nonlocal fuel
+                if fuel < 4:
+                    raise Fault(_FUEL, where[fuel])
+                fuel -= 4
+                value = op(f[a], f[b])
+                if value < INT_MIN or value > INT_MAX:
+                    raise Fault(_OVERFLOW, pos)
+                f[slot] = value
+            return ex
+        (value,), where = operands(s.pos, (s.value,))
+        cost = len(where)
         if s.binding == "field":
             index = field_index[s.name]
 
             def ex(f):
                 nonlocal fuel
-                if fuel < 1:
-                    raise Fault(_FUEL, pos)
-                fuel -= 1
+                if fuel < cost:
+                    raise Fault(_FUEL, where[fuel])
+                fuel -= cost
                 f[0][index] = value(f)
         else:
             slot = slots[s.name]
 
             def ex(f):
                 nonlocal fuel
-                if fuel < 1:
-                    raise Fault(_FUEL, pos)
-                fuel -= 1
+                if fuel < cost:
+                    raise Fault(_FUEL, where[fuel])
+                fuel -= cost
                 f[slot] = value(f)
         return ex
 
     def array_assign(s: ArrayAssignStmt):
         array = variable(s.name, s.binding)
-        at, value, pos = expr(s.index), expr(s.value), s.pos
+        (at, value), where = operands(s.pos, (s.index, s.value))
+        pos, cost = s.pos, len(where)
 
         def ex(f):
             nonlocal fuel
-            if fuel < 1:
-                raise Fault(_FUEL, pos)
-            fuel -= 1
+            if fuel < cost:
+                raise Fault(_FUEL, where[fuel])
+            fuel -= cost
             items = array(f)
             i = at(f)
             v = value(f)
@@ -398,14 +487,16 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
 
     def method(cls: str, decl: MethodDecl) -> tuple:
         slots.clear()
+        literals.clear()
         for slot, var in enumerate((*decl.formals, *decl.local_vars), start=1):
             slots[var.name] = slot
         field_index.clear()
         for index, fname in enumerate(table.info(cls).all_fields, start=1):
             field_index[fname] = index
         body = tuple(stmt(s) for s in decl.body)
-        return body, expr(decl.return_expr), tuple(
-            _DEFAULTS.get(var.var_type) for var in decl.local_vars)
+        result = expr(decl.return_expr)
+        return body, result, (*(_DEFAULTS.get(var.var_type) for var in decl.local_vars),
+                               *(value for _, value in literals))
 
     code = {(name, mname): method(name, decl)
             for name, info in table.classes.items()
@@ -415,11 +506,13 @@ def _compile(program: MjProgram, table: ClassTable, fuel: int, output: list[int]
             if (impl, mname) in code:
                 vtables[name][mname] = code[impl, mname]
     slots.clear()
+    literals.clear()
     main = tuple(stmt(s) for s in program.main.body)
+    main_frame = [None, *(value for _, value in literals)]
 
     def run():
         try:
-            frame = [None]
+            frame = main_frame
             for s in main:
                 s(frame)
         finally:

@@ -99,7 +99,8 @@ long as the process, refer to no run's code.
 Calls.  Every call is known: the function position names a top-level
 `fun`, or the runtime's `mj_print`, which appends its argument to the
 output and returns unit.  A call of a `fun` is compiled against that
-function's code, and the call site builds the callee's frame
+function's code, and, but for a helper called in place (see Native
+helpers), the call site builds the callee's frame
 `[arg, *pad]` itself, `pad` being the function's initial slots after
 slot 0.  When the parameter is a tuple of variables and the argument a
 tuple of the same arity, the items go straight into the parameter's
@@ -108,13 +109,17 @@ binder runs.  The name in the function position is not read,
 though its visit is charged.
 
 Native helpers.  The store's four tree helpers (`store.natives`) walk a
-tree as a Python loop.  Each is the body of the shared helper, which
-the call site enters as any other: it passes the arguments in the frame
-to the Python version and gets back the helper's value and the node
+tree as a Python loop, which returns the helper's value and the node
 visits its ML would make, or `store.STUCK` and the visits up to the
-`case` that no rule matches.  The body charges those visits with one
-check, FuelExhausted when the fuel is short, and then fails with
-MatchFailure when stuck.  Nothing observable happens inside a helper:
+`case` that no rule matches.  A call site that applies a tree helper
+to a tuple of its parameter's arity, or to any argument when its
+parameter is a variable, calls that Python version itself: it charges the
+call's own visits with one check, then the helper's with another,
+FuelExhausted when the fuel is short, and then fails with MatchFailure
+when stuck.  It builds no frame and, even in tail position, pends no
+call.  Any other application of a helper enters its body, which passes
+the arguments in the frame to the Python version and charges the same
+way.  Nothing observable happens inside a helper:
 it prints nothing, and its only fault is that `case`, after all of its
 visits.  So no output, fault or step count can tell this from running
 its ML, which a program that does not start with the shared helpers
@@ -122,7 +127,8 @@ compiles and runs.  The Python versions take their arguments to be of
 the helpers' ML types, as in every translation: a tree, an int index.
 
 An application in tail position, of a function body or of a `val`
-right-hand side, evaluates the argument, makes the callee's frame with
+right-hand side, but for a helper called in place, evaluates the
+argument, makes the callee's frame with
 its parameter bound, and only then stores the pending call, the
 callee's body and that frame, and returns the `_TAIL` marker.  The
 enclosing trampoline, the `let` or else the nearest non-tail
@@ -135,8 +141,8 @@ body and one for each node between that body and the call: an `if`, a
 `case`, a `let`, or a node with the call as an operand, and the call's
 own closure, which enters the body, unless it is a `val`'s right-hand
 side.  That is 3 frames per pending call for a translated method
-recursion (a `let`, an `if` and a `let`).  A shared tree helper holds 2,
-its body and its Python version, however deep the tree.  A run has
+recursion (a `let`, an `if` and a `let`).  A shared tree helper called
+in place holds 1, its Python version, however deep the tree.  A run has
 `outcome.RECURSION_LIMIT` Python frames (the run model in `outcome`);
 exceeding it reports FuelExhausted, as running out of fuel does.
 
@@ -228,13 +234,15 @@ class _Fn:
     None but for the constants (see Frames), and `rest` those after the
     parameter's items; `bind` is the parameter's matcher (None when the
     parameter is a variable, which is slot 0) and `body` the compiled
-    body."""
+    body.  `native` is the Python version of a native helper (see
+    Native helpers), None for any other function."""
 
-    __slots__ = ("arity", "pad", "rest", "bind", "body")
+    __slots__ = ("arity", "pad", "rest", "bind", "body", "native")
 
     def __init__(self, param: Pat):
         plain = type(param) is PTuple and _plain(param.items)
         self.arity = len(param.items) if plain else None
+        self.native = None
 
 
 def _compiler():
@@ -550,7 +558,10 @@ def _compiler():
         the pending (body, frame) pair and returns `_TAIL`; elsewhere it
         runs the body, and then each pending call until a body returns
         a value."""
-        if type(arg) is Tuple and len(arg.items) == fn.arity:
+        spread = type(arg) is Tuple and len(arg.items) == fn.arity
+        if fn.native is not None and (spread or fn.arity is None):
+            return helper(fn.native, arg, spread)
+        if spread:
             items, extra = operands(arg.items)
             cost = 3 + extra
             if len(items) == 2:
@@ -623,6 +634,43 @@ def _compiler():
             while v is _TAIL:
                 v = pend_body(pend_frame)
             return v
+        return ev
+
+    def helper(run, arg: MlExpr, spread: bool):
+        """A call of a native helper in place, `run` its Python version
+        (see Native helpers): one check for the call's own units, then
+        one for the helper's visits, then MatchFailure when it is stuck.
+        A `spread` argument is a tuple of the helper's arity, whose items
+        are `run`'s arguments.  The call builds no frame and returns no
+        `_TAIL`, also in tail position: a helper never calls back."""
+        (get,), extra = operands((arg,))
+        cost = 2 + extra
+        if spread:
+            def ev(f):
+                nonlocal fuel
+                if fuel < cost:
+                    raise Fault(_FUEL)
+                fuel -= cost
+                v, n = run(*get(f))
+                if fuel < n:
+                    raise Fault(_FUEL)
+                fuel -= n
+                if v is STUCK:
+                    raise Fault(_MATCH)
+                return v
+        else:
+            def ev(f):
+                nonlocal fuel
+                if fuel < cost:
+                    raise Fault(_FUEL)
+                fuel -= cost
+                v, n = run(get(f))
+                if fuel < n:
+                    raise Fault(_FUEL)
+                fuel -= n
+                if v is STUCK:
+                    raise Fault(_MATCH)
+                return v
         return ev
 
     def print_(arg: MlExpr):
@@ -876,7 +924,7 @@ def _compiler():
             if v is STUCK:
                 raise Fault(_MATCH)
             return v
-        fn.body = body
+        fn.body, fn.native = body, run
         scopes.setdefault(fd.name, []).append(fn)
         return fn
 

@@ -295,39 +295,34 @@ _LEAF = ["Lf"]
 
 def _get(t: list, i: int) -> tuple[object, int]:
     """mj_get: index 0 costs 7, a step left 19 and a step right 21."""
-    steps = 0
+    left = right = 0
     while len(t) == 4:
         if i == 0:
-            return t[1], steps + 7
+            return t[1], 19 * left + 21 * right + 7
         if i % 2 == 1:
-            t, i, steps = t[2], i // 2, steps + 19
+            t, i, left = t[2], i // 2, left + 1
         else:
-            t, i, steps = t[3], i // 2 - 1, steps + 21
-    return STUCK, steps + 2
+            t, i, right = t[3], i // 2 - 1, right + 1
+    return STUCK, 19 * left + 21 * right + 2
 
 
 def _set(t: list, i: int, w: object) -> tuple[object, int]:
     """mj_set: index 0 costs 10, a step left 22 and 1 more once the inner
-    call returns, and a step right 25."""
-    path, steps = [], 0
+    call returns, and a step right 25.  One walk down: each node on the
+    path is copied, and the copy linked into its parent's copy, which
+    `top[0]` stands for at the root."""
+    top = parent = [None]
+    at = left = right = 0
     while len(t) == 4:
         if i == 0:
-            t = ["Nd", w, t[2], t[3]]
-            break
+            parent[at] = ["Nd", w, t[2], t[3]]
+            return top[0], 23 * left + 25 * right + 10
+        parent[at] = parent = t.copy()
         if i % 2 == 1:
-            path.append((t, True))
-            t, i, steps = t[2], i // 2, steps + 22
+            t, i, at, left = t[2], i // 2, 2, left + 1
         else:
-            path.append((t, False))
-            t, i, steps = t[3], i // 2 - 1, steps + 25
-    else:
-        return STUCK, steps + 2
-    for node, left in reversed(path):
-        if left:
-            t, steps = ["Nd", node[1], t, node[3]], steps + 1
-        else:
-            t = ["Nd", node[1], node[2], t]
-    return t, steps + 10
+            t, i, at, right = t[3], i // 2 - 1, 3, right + 1
+    return STUCK, 22 * left + 25 * right + 2
 
 
 def _cons(x: object, t: list) -> tuple[list, int]:

@@ -542,6 +542,26 @@ def test_a_source_is_read_as_utf8_whatever_the_locale(tmp_path):
     assert (done.returncode, done.stderr) == (3, "fault: NullDereference at 10:16\n")
 
 
+def test_translate_writes_its_output_file_as_it_writes_stdout_whatever_the_locale(
+        tmp_path, corpus_dir):
+    # the SML header holds the source's name, which an ASCII locale
+    # decodes with surrogate escapes: the -o file gets the name's own
+    # bytes, as stdout does, not a UnicodeEncodeError
+    path = tmp_path / "Facé.java"
+    path.write_bytes((corpus_dir / "Factorial.java").read_bytes())
+    out = tmp_path / "out.sml"
+    env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONUTF8="0")
+    env.pop("PYTHONIOENCODING", None)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.run([sys.executable, "-c", "from mj2ml.cli import entry; entry()",
+                            "translate", str(path), *extra], env=env, capture_output=True,
+                           timeout=120) for extra in (("-o", str(out)), ())]
+    assert [(done.returncode, done.stderr) for done in runs] == [(0, b""), (0, b"")]
+    assert out.read_bytes() == runs[1].stdout
+    assert "Facé.java".encode() in runs[1].stdout
+
+
 def test_diff_gives_a_source_that_is_not_utf8_an_error_row_and_goes_on(
         tmp_path, corpus_dir, capsys):
     (tmp_path / "Factorial.java").write_bytes((corpus_dir / "Factorial.java").read_bytes())

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from mj2ml.cli import main
 from mj2ml.diffharness import diff_source
 from mj2ml.mjast import INT_MAX
 from mj2ml.mjinterp import interpret_mj
@@ -404,3 +405,100 @@ def test_fuel_runs_out_at_each_visit_in_order():
         out = interpret_mj(program, fuel=fuel)
         assert (out.fault, str(out.fault_pos), out.steps) == (
             FaultKind.FUEL_EXHAUSTED, pos, fuel), fuel
+
+
+# Every shape that a single check pays for in more than one unit: a
+# `while` on `<` of two variables, `x = a op b` to a local, `+` of two
+# leaves (one a field), an array index, a call on a local with leaf
+# arguments, `if` on a boolean local, `println` of a local, `.length`,
+# `new int[n]`, and `true` beside `1` in one body.
+FUSED = """\
+class Main {
+    public static void main(String[] a) {
+        System.out.println(new F().run(2));
+    }
+}
+class F {
+    int k;
+    public int run(int n) {
+        int[] xs;
+        int i;
+        int s;
+        boolean b;
+        F o;
+        k = 5;
+        xs = new int[n];
+        i = 0;
+        while (i < n) {
+            xs[i] = i + k;
+            i = i + 1;
+        }
+        b = true;
+        o = this;
+        s = o.add(n, 1);
+        i = 0;
+        while (i < n) {
+            s = s + xs[i];
+            i = i + 1;
+        }
+        if (b) System.out.println(s); else {}
+        return s + xs.length;
+    }
+    public int add(int x, int y) {
+        return x + y;
+    }
+}
+"""
+
+# Where a run of FUSED with fuel 0, 1, .. 98 stops: each unit is due at
+# its own node, in visit order, as if every node paid with a check of
+# its own.
+FUSED_VISITS = (
+    ["3:9", "3:28", "3:28", "3:40", "14:9", "14:13", "15:9", "15:14", "15:22", "16:9", "16:13"]
+    + ["17:9", "17:16", "17:16", "17:20", "17:23", "18:13", "18:16", "18:21", "18:21",
+       "18:25", "19:13", "19:17", "19:17", "19:21"] * 2
+    + ["17:9", "17:16", "17:16", "17:20", "21:9", "21:13", "22:9", "22:13", "23:9",
+       "23:13", "23:13", "23:19", "23:22", "33:16", "33:16", "33:20", "24:9", "24:13"]
+    + ["25:9", "25:16", "25:16", "25:20", "25:23", "26:13", "26:17", "26:17", "26:21",
+       "26:21", "26:24", "27:13", "27:17", "27:17", "27:21"] * 2
+    + ["25:9", "25:16", "25:16", "25:20", "29:9", "29:13", "29:16", "29:35", "30:16",
+       "30:16", "30:20", "30:20"])
+
+
+def test_fused_shapes_run_out_at_each_visit_in_order():
+    program = parse_source(FUSED)
+    full = interpret_mj(program)
+    assert full.ok and full.output == [14, 16] and full.steps == len(FUSED_VISITS)
+    for fuel, pos in enumerate(FUSED_VISITS):
+        out = interpret_mj(program, fuel=fuel)
+        assert (out.fault, str(out.fault_pos), out.steps) == (
+            FaultKind.FUEL_EXHAUSTED, pos, fuel), fuel
+
+
+TRUE_THEN_ONE = """\
+class Main {
+    public static void main(String[] a) {
+        if (true) System.out.println(1); else {}
+        System.out.println(new T().f());
+    }
+}
+class T {
+    public int f() {
+        boolean b;
+        b = true;
+        return 1;
+    }
+}
+"""
+
+
+def test_a_body_using_true_and_then_1_prints_the_int_1(tmp_path, capsys):
+    # `true == 1` in Python: literals share a slot only with the same
+    # literal of the same type
+    out = interpret_mj(parse_source(TRUE_THEN_ONE))
+    assert out.ok and out.output == [1, 1]
+    assert all(type(v) is int for v in out.output)
+    path = tmp_path / "TrueThenOne.java"
+    path.write_text(TRUE_THEN_ONE)
+    assert main(["run-mj", str(path)]) == 0
+    assert capsys.readouterr().out == "1\n1\n"

@@ -7,7 +7,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import mj2ml
-from mj2ml.mlast import App, Con, IntLit, Let, MlProgram, PTuple, PVar, PWild, Tuple, Val, Var
+from mj2ml.mlast import (App, Con, FunDef, IntLit, Let, MlProgram, PrimOp, PTuple, PVar,
+                         PWild, Tuple, Val, Var)
 from mj2ml.mleval import eval_program
 from mj2ml.outcome import FaultKind
 from mj2ml.store import (EMPTY_STATE, _tree_items, alloc, alloc_order, array_get, array_length,
@@ -155,21 +156,23 @@ def shape(value, numbers: dict, seen: dict) -> object:
     return seen[id(value)]
 
 
-def assert_runs_alike(main, helpers, every_fuel):
+def assert_runs_alike(main, helpers, every_fuel, funs=()):
     """main gives the same value, fault and steps with the native
-    helpers as with copies of the named ones: at full fuel and one unit
-    short, or, `every_fuel`, at each fuel from 0 to its steps + 1."""
+    helpers as with copies of the named ones, `funs` declared after
+    them: at full fuel and one unit short, or, `every_fuel`, at each
+    fuel from 0 to its steps + 1.  Returns the full run's fault."""
     copies = tuple(COPIES[name] for name in helpers)
     numbers: dict = {}
 
     def run(groups, fuel):
-        out, value = eval_program(MlProgram((), groups, main), fuel)
+        out, value = eval_program(MlProgram((), (*groups, *funs), main), fuel)
         return shape(value, numbers, {}), out.fault, out.steps
 
     full = run(copies, 10_000_000)
     assert run(SHARED, 10_000_000) == full, main
     for fuel in range(full[2] + 2) if every_fuel else (full[2] - 1,):
         assert run(SHARED, fuel) == run(copies, fuel), (main, fuel)
+    return full[1]
 
 
 def test_the_native_tree_helpers_charge_what_their_ml_visits():
@@ -203,6 +206,42 @@ def test_the_native_tree_helpers_charge_what_their_ml_visits():
             read = App(Var(helper), Tuple((Var("t"), IntLit(i), *item)))
             assert_runs_alike(Let((Val(PVar("t"), App(Var("mj_zeros"), IntLit(big))),), read),
                               (*make, helper), False)
+
+
+def test_a_native_helper_runs_alike_from_every_position_of_its_call():
+    # each helper applied in a `fun` body's tail, as a `val`'s right-hand
+    # side and as an operand, to literal items and to an item that makes
+    # its own visit, at every fuel on trees of up to 4 items
+    native = natives()
+    for n in range(5):
+        tree = literal(native["mj_zeros"](n)[0])
+        for i in range(-1, n + 1):
+            for index in (IntLit(i), PrimOp("+", (IntLit(i), IntLit(0)))):
+                for helper, args, needs in (
+                        ("mj_get", (tree, index), ("mj_get",)),
+                        ("mj_set", (tree, index, IntLit(7)), ("mj_set",)),
+                        ("mj_cons", (IntLit(7), tree), ("mj_cons",)),
+                        ("mj_zeros", (index,), ("mj_cons", "mj_zeros"))):
+                    apply = App(Var(helper), args[0] if len(args) == 1 else Tuple(args))
+                    tail = FunDef("w", PVar("u"), apply)
+                    for main, funs in (
+                            (App(Var("w"), IntLit(0)), ((tail,),)),
+                            (Let((Val(PVar("v"), apply),), Var("v")), ()),
+                            (Tuple((apply, IntLit(0))), ())):
+                        assert_runs_alike(main, needs, True, funs)
+
+
+def test_an_argument_that_is_not_a_tuple_of_the_helpers_arity_fails_to_match():
+    # such an application takes the general path: its parameter's
+    # pattern does not match, and a variable bound to the right tuple does
+    tree = literal(["Nd", 1, LEAF, LEAF])
+    for helper, args in (("mj_get", (tree, IntLit(0))),
+                         ("mj_set", (tree, IntLit(0), IntLit(7))),
+                         ("mj_cons", (IntLit(7), tree))):
+        wrong = App(Var(helper), Tuple((*args, IntLit(0))))
+        assert assert_runs_alike(wrong, (helper,), True) == FaultKind.MATCH_FAILURE
+        bound = Let((Val(PVar("p"), Tuple(args)),), App(Var(helper), Var("p")))
+        assert assert_runs_alike(bound, (helper,), True) is None
 
 
 # The store's constructors and the prelude's helpers, which only store.py
